@@ -51,6 +51,8 @@ Schema (unknown keys are rejected; every error names its location):
 
 from __future__ import annotations
 
+import operator
+
 import yaml
 
 from .engine import ConfigError, Flow, RunOptions, Topology
@@ -76,10 +78,14 @@ from .timing import CanXlTimingParams, EthernetTimingParams
 
 _PORT_KINDS = {"can": CAN_XL, "ethernet": ETH}
 _EGRESS_MODES = {"eoc": EGRESS_EOC, "ioc-preferred": EGRESS_IOC_PREFERRED}
+_ITEM_NAMES = {dict: " of mappings", str: " of names", object: ""}
 
 
-def _section(doc: dict, key: str, default=None):
-    value = doc.get(key, default)
+def _list(value, loc: str, item: type = dict) -> list:
+    if value is None:
+        return []
+    if not isinstance(value, list) or not all(isinstance(v, item) for v in value):
+        raise ConfigError(loc, f"expected a list{_ITEM_NAMES[item]}")
     return value
 
 
@@ -97,7 +103,7 @@ def _check_keys(mapping: dict, loc: str, required: set, optional: set) -> None:
 def _parse(loc: str, parser, value):
     try:
         return parser(value)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(loc, str(exc)) from exc
 
 
@@ -114,15 +120,15 @@ def build_topology(doc: dict) -> Topology:
                 {"nodes", "buses", "links", "switches", "flows", "run"})
 
     topo = Topology(options=_build_run(doc.get("run", {})))
-    for spec in _section(doc, "nodes", []) or []:
+    for spec in _list(doc.get("nodes"), "nodes"):
         topo.add_node(_build_node(spec))
-    for spec in _section(doc, "switches", []) or []:
+    for spec in _list(doc.get("switches"), "switches"):
         topo.add_switch(_build_switch(spec))
-    for spec in _section(doc, "buses", []) or []:
+    for spec in _list(doc.get("buses"), "buses"):
         _build_bus(topo, spec)
-    for spec in _section(doc, "links", []) or []:
+    for spec in _list(doc.get("links"), "links"):
         _build_link(topo, spec)
-    for i, spec in enumerate(_section(doc, "flows", []) or []):
+    for i, spec in enumerate(_list(doc.get("flows"), "flows")):
         topo.flows.append(_build_flow(spec, i))
     topo.validate()
     return topo
@@ -148,7 +154,8 @@ def _build_node(spec: dict):
         _check_keys(spec, loc, {"name", "kind"}, {"rx_ids", "start_time"})
         return ClassicCanNode(
             name=spec["name"],
-            rx_ids=[_parse(f"{loc}.rx_ids", int, v) for v in spec.get("rx_ids", [])],
+            rx_ids=[_parse(f"{loc}.rx_ids", int, v)
+                    for v in _list(spec.get("rx_ids"), f"{loc}.rx_ids", object)],
             start_time=_parse(loc, float, spec.get("start_time", 0.0)),
         )
     addressed = common | {"mac", "ip", "static_arp"}
@@ -172,7 +179,10 @@ def _build_node(spec: dict):
     else:
         raise ConfigError(loc, f"unknown node kind {kind!r}")
     static_arp = {}
-    for ip_text, mac_text in (spec.get("static_arp") or {}).items():
+    arp_spec = spec.get("static_arp") or {}
+    if not isinstance(arp_spec, dict):
+        raise ConfigError(f"{loc}.static_arp", "expected a mapping")
+    for ip_text, mac_text in arp_spec.items():
         static_arp[_parse(f"{loc}.static_arp", Ipv4Address.parse, ip_text)] = \
             _parse(f"{loc}.static_arp", MacAddress.parse, mac_text)
     return cls(
@@ -196,7 +206,7 @@ def _build_switch(spec: dict) -> CSwitch:
     loc = f"switches.{spec.get('name', '?')}"
     _check_keys(spec, loc, {"name", "bridge_id", "ports"}, {"legacy_rules", "ageing_time"})
     ports = []
-    for pspec in spec["ports"]:
+    for pspec in _list(spec["ports"], f"{loc}.ports"):
         ploc = f"{loc}.ports.{pspec.get('index', '?')}"
         _check_keys(pspec, ploc, {"index", "kind"},
                     {"egress_mode", "egress_priority_base", "vcid"})
@@ -213,11 +223,11 @@ def _build_switch(spec: dict) -> CSwitch:
             vcid=int(pspec.get("vcid", 0)),
         ), None))
     rules = []
-    for rn, rspec in enumerate(spec.get("legacy_rules") or []):
+    for rn, rspec in enumerate(_list(spec.get("legacy_rules"), f"{loc}.legacy_rules")):
         rloc = f"{loc}.legacy_rules.{rn}"
         _check_keys(rspec, rloc, {"ingress_port", "match_id", "egress"}, set())
         egress = []
-        for espec in rspec["egress"]:
+        for espec in _list(rspec["egress"], f"{rloc}.egress"):
             _check_keys(espec, rloc, {"port", "id"}, set())
             egress.append((int(espec["port"]), int(espec["id"])))
         rules.append(_parse(rloc, lambda _: LegacyRelayRule(
@@ -258,7 +268,7 @@ def _build_bus(topo: Topology, spec: dict) -> None:
         stuff_ratio=float(spec.get("stuff_ratio", 0.1)),
     ), None)
     topo.add_bus(spec["name"], params)
-    for ref in spec["stations"]:
+    for ref in _list(spec["stations"], f"{loc}.stations", str):
         _attach(topo, spec["name"], ref, f"{loc}.stations")
 
 
@@ -267,9 +277,10 @@ def _build_link(topo: Topology, spec: dict) -> None:
     _check_keys(spec, loc, {"name", "bitrate", "endpoints"}, set())
     params = _parse(loc, lambda _: EthernetTimingParams(bitrate=float(spec["bitrate"])), None)
     topo.add_link(spec["name"], params)
-    if len(spec["endpoints"]) != 2:
+    endpoints = _list(spec["endpoints"], f"{loc}.endpoints", str)
+    if len(endpoints) != 2:
         raise ConfigError(f"{loc}.endpoints", "a link needs exactly two endpoints")
-    for ref in spec["endpoints"]:
+    for ref in endpoints:
         _attach(topo, spec["name"], ref, f"{loc}.endpoints")
 
 
@@ -277,16 +288,22 @@ def _build_flow(spec: dict, index: int) -> Flow:
     loc = f"flows.{spec.get('name', index)}"
     _check_keys(spec, loc, {"name", "source", "transport", "payload_size", "schedule"},
                 {"dst_ip", "dst_mac", "can_id"})
-    sched = spec["schedule"]
-    _check_keys(sched, f"{loc}.schedule", set(), {"at", "start", "period", "count"})
+    sched, sloc = spec["schedule"], f"{loc}.schedule"
+    _check_keys(sched, sloc, set(), {"at", "start", "period", "count"})
     if "at" in sched:
-        times = [round(float(sched["at"]) * 1e9)]
+        times = [_parse(f"{sloc}.at", lambda at: round(float(at) * 1e9), sched["at"])]
     elif "period" in sched and "count" in sched:
-        start = float(sched.get("start", 0.0))
-        period = float(sched["period"])
-        times = [round((start + k * period) * 1e9) for k in range(int(sched["count"]))]
+        start = _parse(f"{sloc}.start", float, sched.get("start", 0.0))
+        period = _parse(f"{sloc}.period", float, sched["period"])
+        count = _parse(f"{sloc}.count", operator.index, sched["count"])
+        if not period > 0:
+            raise ConfigError(f"{sloc}.period", "must be positive")
+        if count < 0:
+            raise ConfigError(f"{sloc}.count", "must not be negative")
+        times = _parse(sloc, lambda _: [round((start + k * period) * 1e9)
+                                        for k in range(count)], None)
     else:
-        raise ConfigError(f"{loc}.schedule", "need either 'at' or 'period'+'count'")
+        raise ConfigError(sloc, "need either 'at' or 'period'+'count'")
     return Flow(
         name=spec["name"],
         source=spec["source"],

@@ -1,10 +1,12 @@
 """Deterministic discrete-event engine.
 
-Time is integer nanoseconds; events execute in (time, sequence) order
-with sequence numbers assigned deterministically at insertion, so two
-runs over the same inputs produce byte-identical traces.  Event kinds:
-application sends, transmission completions, timers (medium arbitration
-kicks, STP hellos, node startup, ARP retry), and deliveries.
+Time is integer nanoseconds.  The event queue is a heap of
+`(t_ns, seq, handler, args)` entries that `run` pops in (time, sequence)
+order and calls as `handler(*args)`; sequence numbers are assigned
+deterministically at insertion, so two runs over the same inputs produce
+byte-identical traces.  Handlers are the engine's own (application sends,
+transmission completions, deliveries, STP hellos), node startup and ARP
+retries, and the media's arbitration kicks.
 
 Frames are never tagged with bookkeeping objects: each flow embeds an
 8-byte (flow, sequence) tag at the start of its payload, and the engine
@@ -293,8 +295,9 @@ class Simulation:
         self._seq += 1
         return self._seq
 
-    def schedule(self, t_ns: int, kind: str, data: dict) -> None:
-        heapq.heappush(self.heap, (t_ns, self.next_seq(), kind, data))
+    def schedule(self, t_ns: int, handler, *args) -> None:
+        """Call `handler(*args)` at `t_ns`, after whatever is already due then."""
+        heapq.heappush(self.heap, (t_ns, self.next_seq(), handler, args))
 
     def trace(self, event: str, location: str, frame=None, flow: str | None = None,
               seq: int | None = None, reason: str | None = None, **extra) -> None:
@@ -396,78 +399,59 @@ class Simulation:
     # -- event handlers ---------------------------------------------------------
 
     def run(self) -> tuple[str, dict]:
-        for name in self.topo.switches:
-            self.schedule(0, "timer", {"timer": "stp-hello", "switch": self.topo.switches[name]})
+        for sw in self.topo.switches.values():
+            self.schedule(0, self._stp_hello, sw)
         for node in self.topo.nodes.values():
-            self.schedule(round(node.start_time * 1e9), "timer",
-                          {"timer": "node-startup", "node": node})
+            # Not traced: an announcement shows up as tx_start anyway.
+            t = round(node.start_time * 1e9)
+            self.schedule(t, node.startup, self, t)
         for flow in self.topo.flows:
             for seq, t in enumerate(flow.send_times_ns):
-                self.schedule(t, "app-send", {"flow": flow, "seq": seq})
+                self.schedule(t, self._app_send, flow, seq)
 
         while self.heap:
-            t, _seq, kind, data = heapq.heappop(self.heap)
+            t, _seq, handler, args = heapq.heappop(self.heap)
             if t > self.t_end_ns:
                 break
             self.now = t
-            getattr(self, f"_on_{kind.replace('-', '_')}")(data)
+            handler(*args)
 
         return "\n".join(self.trace_lines) + ("\n" if self.trace_lines else ""), self.report()
 
-    def _on_app_send(self, data: dict) -> None:
-        flow: Flow = data["flow"]
-        seq: int = data["seq"]
+    def _app_send(self, flow: Flow, seq: int) -> None:
         payload = make_payload(self.flow_index[flow.name], seq, flow.payload_size)
         self.registry[payload[:FLOW_TAG_LEN]] = (flow, seq, payload, self.now)
         self.flow_stats[flow.name]["sent"] += 1
         self.trace("app_send", flow.source, flow=flow.name, seq=seq)
         self.topo.nodes[flow.source].app_send(self, self.now, flow, seq, payload)
 
-    def _on_tx_complete(self, data: dict) -> None:
-        medium, sender, frame = data["medium"], data["sender"], data["frame"]
+    def on_tx_complete(self, medium, sender: Station, frame) -> None:
         fl = self.flow_of(frame)
         self.trace("tx_complete", medium.name, frame=frame,
                    flow=fl[0].name if fl else None, seq=fl[1] if fl else None,
                    source=sender.name)
         for station in medium.receivers(sender):
-            self.schedule(self.now, "deliver", {"station": station, "frame": frame})
+            self.schedule(self.now, self._deliver, station, frame)
         medium.on_complete(self, self.now, sender)
 
-    def _on_deliver(self, data: dict) -> None:
-        station: Station = data["station"]
-        frame = data["frame"]
+    def _deliver(self, station: Station, frame) -> None:
         self.trace("deliver", station.name, frame=frame)
         owner = station.owner
         if isinstance(owner, SwitchPortRef):
-            emissions = owner.switch.on_ingress(owner.port, frame, self.now)
-            for port, out_frame in emissions:
-                out_station = self.topo.port_station[(owner.switch.name, port)]
-                out_station.medium.enqueue(self, out_station, out_frame, self.now)
+            self._emit(owner.switch, owner.switch.on_ingress(owner.port, frame, self.now))
         else:
             owner.on_receive(self, self.now, frame)
 
-    def _on_timer(self, data: dict) -> None:
-        timer = data["timer"]
-        if timer == "medium-kick":
-            medium = data["medium"]
-            if "direction" in data:
-                medium.kick(self, self.now, data["direction"])
-            else:
-                medium.kick(self, self.now)
-        elif timer == "stp-hello":
-            sw: CSwitch = data["switch"]
-            self.trace("timer", sw.name, reason="stp-hello")
-            for port, out_frame in sw.hello():
-                station = self.topo.port_station[(sw.name, port)]
-                station.medium.enqueue(self, station, out_frame, self.now)
-            self.schedule(self.now + round(HELLO_INTERVAL_S * 1e9), "timer", data)
-        elif timer == "node-startup":
-            # Not traced: an announcement shows up as tx_start anyway.
-            data["node"].startup(self, self.now)
-        elif timer == "arp-retry":
-            node = data["node"]
-            self.trace("timer", node.name, reason="arp-retry")
-            node.arp_retry(self, self.now, data["ip"])
+    def _stp_hello(self, sw: CSwitch) -> None:
+        self.trace("timer", sw.name, reason="stp-hello")
+        self._emit(sw, sw.hello())
+        self.schedule(self.now + round(HELLO_INTERVAL_S * 1e9), self._stp_hello, sw)
+
+    def _emit(self, sw: CSwitch, emissions) -> None:
+        """Queue a switch's (port, frame) emissions on the ports' media."""
+        for port, out_frame in emissions:
+            station = self.topo.port_station[(sw.name, port)]
+            station.medium.enqueue(self, station, out_frame, self.now)
 
     # -- report ---------------------------------------------------------------
 

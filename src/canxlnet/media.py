@@ -94,7 +94,7 @@ class CanBus:
     def request_kick(self, sim, now: int) -> None:
         if not self.kick_pending:
             self.kick_pending = True
-            sim.schedule(now, "timer", {"timer": "medium-kick", "medium": self})
+            sim.schedule(now, self.kick, sim, now)
 
     def kick(self, sim, now: int) -> None:
         """Arbitrate and start one transmission if the bus is idle."""
@@ -119,15 +119,14 @@ class CanBus:
             self.busy_until = now + duration
             self.busy_ns += duration
             sim.on_tx_start(self, station, frame, now, duration)
-            sim.schedule(now + duration, "tx-complete",
-                         {"medium": self, "sender": station, "frame": frame})
+            sim.schedule(now + duration, sim.on_tx_complete, self, station, frame)
             return
 
     def receivers(self, sender: Station) -> list[Station]:
         # CAN broadcast: everyone but the transmitter.
         return [st for st in self.stations if st is not sender]
 
-    def on_complete(self, sim, now: int, sender: Station | None = None) -> None:
+    def on_complete(self, sim, now: int, sender: Station) -> None:
         self.request_kick(sim, now)
 
     def report(self, t_end_ns: int) -> dict:
@@ -171,10 +170,9 @@ class EthernetLink:
     def request_kick(self, sim, now: int, direction: int) -> None:
         if not self.kick_pending[direction]:
             self.kick_pending[direction] = True
-            sim.schedule(now, "timer",
-                         {"timer": "medium-kick", "medium": self, "direction": direction})
+            sim.schedule(now, self.kick, sim, now, direction)
 
-    def kick(self, sim, now: int, direction: int = 0) -> None:
+    def kick(self, sim, now: int, direction: int) -> None:
         self.kick_pending[direction] = False
         if self.busy_until[direction] > now:
             return
@@ -186,15 +184,13 @@ class EthernetLink:
         self.busy_until[direction] = now + duration
         self.busy_ns[direction] += duration
         sim.on_tx_start(self, station, frame, now, duration)
-        sim.schedule(now + duration, "tx-complete",
-                     {"medium": self, "sender": station, "frame": frame})
+        sim.schedule(now + duration, sim.on_tx_complete, self, station, frame)
 
     def receivers(self, sender: Station) -> list[Station]:
         return [st for st in self.endpoints if st is not sender]
 
-    def on_complete(self, sim, now: int, sender: Station | None = None) -> None:
-        if sender is not None:
-            self.request_kick(sim, now, self._direction(sender))
+    def on_complete(self, sim, now: int, sender: Station) -> None:
+        self.request_kick(sim, now, self._direction(sender))
 
     def report(self, t_end_ns: int) -> dict:
         names = [st.name for st in self.endpoints]

@@ -109,12 +109,12 @@ class Node:
         if dst_ip not in self.arp_attempts:
             self.arp_attempts[dst_ip] = 1
             self._send_arp_request(sim, now, dst_ip)
-            sim.schedule(now + ARP_RETRY_NS, "timer",
-                         {"timer": "arp-retry", "node": self, "ip": dst_ip})
 
     def _send_arp_request(self, sim, now: int, dst_ip: Ipv4Address) -> None:
         msg = ArpMessage(ArpOp.REQUEST, self.mac, self.ip, ZERO_MAC, dst_ip)
         self._emit_eth(sim, now, frames.arp_serialize(msg))
+        retry_at = now + ARP_RETRY_NS
+        sim.schedule(retry_at, self.arp_retry, sim, retry_at, dst_ip)
 
     def _send_datagram(self, sim, now: int, dst_mac: MacAddress,
                        dst_ip: Ipv4Address, payload: bytes) -> None:
@@ -122,6 +122,7 @@ class Node:
         self._emit_eth(sim, now, EthernetFrame(dst_mac, self.mac, ETHERTYPE_IPV4, dgram.to_bytes()))
 
     def arp_retry(self, sim, now: int, dst_ip: Ipv4Address) -> None:
+        sim.trace("timer", self.name, reason="arp-retry")
         if dst_ip not in self.arp_attempts:
             return  # resolved in the meantime
         if self.arp_attempts[dst_ip] >= 2:
@@ -132,8 +133,6 @@ class Node:
             return
         self.arp_attempts[dst_ip] += 1
         self._send_arp_request(sim, now, dst_ip)
-        sim.schedule(now + ARP_RETRY_NS, "timer",
-                     {"timer": "arp-retry", "node": self, "ip": dst_ip})
 
     # -- receive -----------------------------------------------------------
 

@@ -35,6 +35,18 @@ def test_simulate_duplicate_ip_exits_2(tmp_path, scenario_path, capsys):
     assert "n1" in err and "h1" in err
 
 
+def test_simulate_malformed_shape_exits_2(tmp_path, scenario_path, capsys):
+    with open(scenario_path("eoc_baseline")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["switches"][0]["ports"] = [1]
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc))
+    assert main(["simulate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: switches.sw1.ports:")
+    assert "Traceback" not in err
+
+
 def test_simulate_missing_file_exits_2(capsys):
     assert main(["simulate", "no-such-file.yaml"]) == 2
 

@@ -162,6 +162,46 @@ def test_periodic_schedule_expands():
     assert topo.flows[0].send_times_ns == [1_000_000, 3_000_000, 5_000_000]
 
 
+MALFORMED = [
+    (("nodes",), [1], "nodes"),
+    (("nodes",), 5, "nodes"),
+    (("flows",), [1], "flows"),
+    (("switches", 0, "ports"), [1], "switches.sw1.ports"),
+    (("switches", 0, "legacy_rules"),
+     [{"ingress_port": 0, "match_id": 0x100, "egress": 5}],
+     "switches.sw1.legacy_rules.0.egress"),
+    (("nodes", 0, "static_arp"), [1], "nodes.n1.static_arp"),
+    (("nodes", 0), {"name": "n1", "kind": "classic-can", "rx_ids": 5}, "nodes.n1.rx_ids"),
+    (("buses", 0, "stations"), 5, "buses.bus1.stations"),
+    (("links", 0, "endpoints"), 5, "links.link1.endpoints"),
+    (("flows", 0, "schedule"), {"at": "abc"}, "flows.f1.schedule.at"),
+    (("flows", 0, "schedule"), {"at": float("inf")}, "flows.f1.schedule.at"),
+    (("flows", 0, "schedule"), {"start": float("nan"), "period": 0.001, "count": 2},
+     "flows.f1.schedule"),
+    (("flows", 0, "schedule"), {"start": "soon", "period": 0.001, "count": 2},
+     "flows.f1.schedule.start"),
+    (("flows", 0, "schedule"), {"period": "x", "count": 2}, "flows.f1.schedule.period"),
+    (("flows", 0, "schedule"), {"period": 0, "count": 2}, "flows.f1.schedule.period"),
+    (("flows", 0, "schedule"), {"period": -0.001, "count": 2}, "flows.f1.schedule.period"),
+    (("flows", 0, "schedule"), {"period": 0.001, "count": -3}, "flows.f1.schedule.count"),
+    (("flows", 0, "schedule"), {"period": 0.001, "count": 2.5}, "flows.f1.schedule.count"),
+    (("flows", 0, "schedule"), {"period": 0.001, "count": "abc"}, "flows.f1.schedule.count"),
+]
+
+
+@pytest.mark.parametrize("path, value, location", MALFORMED,
+                         ids=[location for *_, location in MALFORMED])
+def test_malformed_input_is_located(path, value, location):
+    doc = variant()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ConfigError) as exc:
+        build_topology(doc)
+    assert exc.value.location == location
+
+
 def test_negative_t_end_rejected():
     doc = variant(run={"t_end": -1})
     with pytest.raises(ConfigError, match="t_end"):
