@@ -101,10 +101,26 @@ def _check_keys(mapping: dict, loc: str, required: set, optional: set) -> None:
 
 
 def _parse(loc: str, parser, value):
+    if isinstance(value, bool):  # YAML booleans are ints to Python
+        raise ConfigError(loc, f"unexpected boolean {str(value).lower()}")
     try:
         return parser(value)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(loc, str(exc)) from exc
+
+
+def _name(loc: str, value) -> str:
+    """Names key the topology's tables and appear in locations."""
+    if not isinstance(value, str):
+        raise ConfigError(loc, f"expected a name, got {value!r}")
+    return value
+
+
+def _loc(section: str, spec: dict, index: int) -> str:
+    """Where an item's errors are reported: its name, else its index."""
+    if "name" not in spec:
+        return f"{section}.{index}"
+    return f"{section}.{_name(f'{section}.{index}.name', spec['name'])}"
 
 
 def load_config(path: str) -> Topology:
@@ -120,16 +136,16 @@ def build_topology(doc: dict) -> Topology:
                 {"nodes", "buses", "links", "switches", "flows", "run"})
 
     topo = Topology(options=_build_run(doc.get("run", {})))
-    for spec in _list(doc.get("nodes"), "nodes"):
-        topo.add_node(_build_node(spec))
-    for spec in _list(doc.get("switches"), "switches"):
-        topo.add_switch(_build_switch(spec))
-    for spec in _list(doc.get("buses"), "buses"):
-        _build_bus(topo, spec)
-    for spec in _list(doc.get("links"), "links"):
-        _build_link(topo, spec)
+    for i, spec in enumerate(_list(doc.get("nodes"), "nodes")):
+        topo.add_node(_build_node(spec, _loc("nodes", spec, i)))
+    for i, spec in enumerate(_list(doc.get("switches"), "switches")):
+        topo.add_switch(_build_switch(spec, _loc("switches", spec, i)))
+    for i, spec in enumerate(_list(doc.get("buses"), "buses")):
+        _build_bus(topo, spec, _loc("buses", spec, i))
+    for i, spec in enumerate(_list(doc.get("links"), "links")):
+        _build_link(topo, spec, _loc("links", spec, i))
     for i, spec in enumerate(_list(doc.get("flows"), "flows")):
-        topo.flows.append(_build_flow(spec, i))
+        topo.flows.append(_build_flow(spec, _loc("flows", spec, i)))
     topo.validate()
     return topo
 
@@ -146,8 +162,7 @@ def _build_run(spec: dict) -> RunOptions:
     )
 
 
-def _build_node(spec: dict):
-    loc = f"nodes.{spec.get('name', '?')}"
+def _build_node(spec: dict, loc: str):
     kind = spec.get("kind")
     common = {"name", "kind", "start_time"}
     if kind == "classic-can":
@@ -202,8 +217,7 @@ def _can_args(spec: dict, loc: str) -> dict:
     }
 
 
-def _build_switch(spec: dict) -> CSwitch:
-    loc = f"switches.{spec.get('name', '?')}"
+def _build_switch(spec: dict, loc: str) -> CSwitch:
     _check_keys(spec, loc, {"name", "bridge_id", "ports"}, {"legacy_rules", "ageing_time"})
     ports = []
     for pspec in _list(spec["ports"], f"{loc}.ports"):
@@ -256,8 +270,7 @@ def _attach(topo: Topology, medium_name: str, ref: str, loc: str) -> None:
         raise ConfigError(loc, f"unknown station {ref!r}")
 
 
-def _build_bus(topo: Topology, spec: dict) -> None:
-    loc = f"buses.{spec.get('name', '?')}"
+def _build_bus(topo: Topology, spec: dict, loc: str) -> None:
     _check_keys(spec, loc, {"name", "arb_bitrate", "data_bitrate", "stations"},
                 {"arb_overhead_bits", "data_overhead_bits", "stuff_ratio"})
     params = _parse(loc, lambda _: CanXlTimingParams(
@@ -272,8 +285,7 @@ def _build_bus(topo: Topology, spec: dict) -> None:
         _attach(topo, spec["name"], ref, f"{loc}.stations")
 
 
-def _build_link(topo: Topology, spec: dict) -> None:
-    loc = f"links.{spec.get('name', '?')}"
+def _build_link(topo: Topology, spec: dict, loc: str) -> None:
     _check_keys(spec, loc, {"name", "bitrate", "endpoints"}, set())
     params = _parse(loc, lambda _: EthernetTimingParams(bitrate=float(spec["bitrate"])), None)
     topo.add_link(spec["name"], params)
@@ -284,8 +296,7 @@ def _build_link(topo: Topology, spec: dict) -> None:
         _attach(topo, spec["name"], ref, f"{loc}.endpoints")
 
 
-def _build_flow(spec: dict, index: int) -> Flow:
-    loc = f"flows.{spec.get('name', index)}"
+def _build_flow(spec: dict, loc: str) -> Flow:
     _check_keys(spec, loc, {"name", "source", "transport", "payload_size", "schedule"},
                 {"dst_ip", "dst_mac", "can_id"})
     sched, sloc = spec["schedule"], f"{loc}.schedule"
@@ -306,7 +317,7 @@ def _build_flow(spec: dict, index: int) -> Flow:
         raise ConfigError(sloc, "need either 'at' or 'period'+'count'")
     return Flow(
         name=spec["name"],
-        source=spec["source"],
+        source=_name(f"{loc}.source", spec["source"]),
         transport=spec["transport"],
         payload_size=_parse(f"{loc}.payload_size", int, spec["payload_size"]),
         send_times_ns=times,

@@ -8,6 +8,11 @@ byte-identical traces.  Handlers are the engine's own (application sends,
 transmission completions, deliveries, STP hellos), node startup and ARP
 retries, and the media's arbitration kicks.
 
+Media hand each transmission they start to `Simulation.on_tx_start`,
+which describes the frame once, traces it and schedules its completion;
+the completion and every receiver's delivery reuse that description.
+Bus clashes and switch drops both go through `Simulation.drop`.
+
 Frames are never tagged with bookkeeping objects: each flow embeds an
 8-byte (flow, sequence) tag at the start of its payload, and the engine
 recovers the flow from the application payload at any delivery or drop
@@ -287,7 +292,7 @@ class Simulation:
         # (flow index, seq) tag -> (flow, seq, expected payload, send time)
         self.registry: dict[bytes, tuple[Flow, int, bytes, int]] = {}
         for sw in topo.switches.values():
-            sw.drop_hook = self._make_switch_drop_hook(sw)
+            sw.drop_hook = self.drop
 
     # -- plumbing -----------------------------------------------------------
 
@@ -299,18 +304,8 @@ class Simulation:
         """Call `handler(*args)` at `t_ns`, after whatever is already due then."""
         heapq.heappush(self.heap, (t_ns, self.next_seq(), handler, args))
 
-    def trace(self, event: str, location: str, frame=None, flow: str | None = None,
-              seq: int | None = None, reason: str | None = None, **extra) -> None:
-        rec: dict = {"t_ns": self.now, "event": event, "location": location}
-        if frame is not None:
-            rec["frame"] = frame_summary(frame)
-        if flow is not None:
-            rec["flow"] = flow
-        if seq is not None:
-            rec["seq"] = seq
-        if reason is not None:
-            rec["reason"] = reason
-        rec.update(extra)
+    def trace(self, event: str, location: str, **fields) -> None:
+        rec = {"t_ns": self.now, "event": event, "location": location, **fields}
         self.trace_lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
 
     # -- flow attribution ----------------------------------------------------
@@ -348,31 +343,29 @@ class Simulation:
     # -- engine callbacks ------------------------------------------------------
 
     def on_tx_start(self, medium, station: Station, frame, now: int, duration_ns: int) -> None:
+        """Describe a started transmission once, trace it and schedule its end."""
+        described = {"frame": frame_summary(frame)}
         fl = self.flow_of(frame)
-        self.trace("tx_start", medium.name, frame=frame,
-                   flow=fl[0].name if fl else None, seq=fl[1] if fl else None,
+        if fl is not None:
+            described["flow"], described["seq"] = fl[0].name, fl[1]
+        self.trace("tx_start", medium.name, **described,
                    source=station.name, duration_ns=duration_ns)
+        self.schedule(now + duration_ns, self.on_tx_complete, medium, station, frame, described)
 
-    def on_clash(self, bus, dropped: list[tuple[Station, object]], now: int) -> None:
+    def on_clash(self, bus, dropped: list[tuple[Station, object]]) -> None:
         self.trace("clash", bus.name, stations=[st.name for st, _ in dropped])
-        for station, frame in dropped:
-            fl = self.flow_of(frame)
-            if fl is not None:
-                self.flow_drop(fl[0], fl[1], "priority_clash", bus.name, now)
-            else:
-                self.trace("drop", bus.name, frame=frame, reason="priority_clash")
+        for _station, frame in dropped:
+            self.drop(frame, "priority_clash", bus.name)
 
-    def _make_switch_drop_hook(self, sw: CSwitch):
-        def hook(reason: str, frame) -> None:
-            fl = self.flow_of(frame) if frame is not None else None
-            if fl is not None:
-                self.flow_drop(fl[0], fl[1], reason, sw.name, self.now)
-            else:
-                self.trace("drop", sw.name,
-                           frame=frame if frame is not None else None, reason=reason)
-        return hook
+    def drop(self, frame, reason: str, location: str) -> None:
+        """Account a dropped frame to its flow, or trace it as anonymous."""
+        fl = self.flow_of(frame)
+        if fl is not None:
+            self.flow_drop(fl[0], fl[1], reason, location)
+        else:
+            self.trace("drop", location, frame=frame_summary(frame), reason=reason)
 
-    def flow_drop(self, flow: Flow, seq: int, reason: str, location: str, now: int) -> None:
+    def flow_drop(self, flow: Flow, seq: int, reason: str, location: str) -> None:
         drops = self.flow_stats[flow.name]["drops"]
         drops[reason] = drops.get(reason, 0) + 1
         self.trace("drop", location, flow=flow.name, seq=seq, reason=reason)
@@ -425,17 +418,14 @@ class Simulation:
         self.trace("app_send", flow.source, flow=flow.name, seq=seq)
         self.topo.nodes[flow.source].app_send(self, self.now, flow, seq, payload)
 
-    def on_tx_complete(self, medium, sender: Station, frame) -> None:
-        fl = self.flow_of(frame)
-        self.trace("tx_complete", medium.name, frame=frame,
-                   flow=fl[0].name if fl else None, seq=fl[1] if fl else None,
-                   source=sender.name)
+    def on_tx_complete(self, medium, sender: Station, frame, described: dict) -> None:
+        self.trace("tx_complete", medium.name, **described, source=sender.name)
         for station in medium.receivers(sender):
-            self.schedule(self.now, self._deliver, station, frame)
+            self.schedule(self.now, self._deliver, station, frame, described["frame"])
         medium.on_complete(self, self.now, sender)
 
-    def _deliver(self, station: Station, frame) -> None:
-        self.trace("deliver", station.name, frame=frame)
+    def _deliver(self, station: Station, frame, summary: dict) -> None:
+        self.trace("deliver", station.name, frame=summary)
         owner = station.owner
         if isinstance(owner, SwitchPortRef):
             self._emit(owner.switch, owner.switch.on_ingress(owner.port, frame, self.now))

@@ -91,6 +91,17 @@ class NotPlainIpv4(FrameError):
     or not IPv4 at all); callers fall back to the Ethernet tunnel."""
 
 
+def _address_fields(text, sep: str, count: int, what: str) -> list[str]:
+    """Split address text into its `count` fields; config values that YAML
+    read as numbers (an unquoted MAC, say) are a TypeError, not text."""
+    if not isinstance(text, str):
+        raise TypeError(f"expected {what} text in quotes, got {text!r}")
+    fields = text.split(sep)
+    if len(fields) != count:
+        raise ValueError(f"bad {what} {text!r}")
+    return fields
+
+
 @dataclass(frozen=True)
 class MacAddress:
     octets: bytes
@@ -101,10 +112,7 @@ class MacAddress:
 
     @classmethod
     def parse(cls, text: str) -> "MacAddress":
-        parts = text.split(":")
-        if len(parts) != 6:
-            raise ValueError(f"bad MAC address {text!r}")
-        return cls(bytes(int(p, 16) for p in parts))
+        return cls(bytes(int(p, 16) for p in _address_fields(text, ":", 6, "MAC address")))
 
     def is_group(self) -> bool:
         # I/G bit: least-significant bit of octet 0.
@@ -129,10 +137,7 @@ class Ipv4Address:
 
     @classmethod
     def parse(cls, text: str) -> "Ipv4Address":
-        parts = text.split(".")
-        if len(parts) != 4:
-            raise ValueError(f"bad IPv4 address {text!r}")
-        return cls(bytes(int(p, 10) for p in parts))
+        return cls(bytes(int(p, 10) for p in _address_fields(text, ".", 4, "IPv4 address")))
 
     @classmethod
     def from_u32(cls, value: int) -> "Ipv4Address":

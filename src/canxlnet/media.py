@@ -11,6 +11,10 @@ frames, surfacing what is a configuration fault.
 Ethernet links are full duplex: one independent FIFO and occupancy per
 direction.  Multidrop Ethernet is not modeled.
 
+A medium only decides when a frame starts and hands the transmission to
+`Simulation.on_tx_start`, which traces it and schedules its completion.
+Utilization counts busy time up to `t_end`, not past it.
+
 All state is owned by the simulation engine and mutated in event order.
 """
 
@@ -112,14 +116,13 @@ class CanBus:
                 # remaining contenders at this same instant.
                 self.clashes += 1
                 dropped = [(st, heapq.heappop(st.queue)[2]) for st, _ in clash.tied]
-                sim.on_clash(self, dropped, now)
+                sim.on_clash(self, dropped)
                 continue
             heapq.heappop(station.queue)
             duration = self.frame_duration_ns(frame)
             self.busy_until = now + duration
             self.busy_ns += duration
             sim.on_tx_start(self, station, frame, now, duration)
-            sim.schedule(now + duration, sim.on_tx_complete, self, station, frame)
             return
 
     def receivers(self, sender: Station) -> list[Station]:
@@ -130,9 +133,11 @@ class CanBus:
         self.request_kick(sim, now)
 
     def report(self, t_end_ns: int) -> dict:
+        # Only the last transmission can run past t_end; clip it there.
+        busy = self.busy_ns - max(0, self.busy_until - t_end_ns)
         return {
             "kind": self.kind,
-            "utilization": self.busy_ns / t_end_ns if t_end_ns else 0.0,
+            "utilization": busy / t_end_ns if t_end_ns else 0.0,
             "clashes": self.clashes,
         }
 
@@ -184,7 +189,6 @@ class EthernetLink:
         self.busy_until[direction] = now + duration
         self.busy_ns[direction] += duration
         sim.on_tx_start(self, station, frame, now, duration)
-        sim.schedule(now + duration, sim.on_tx_complete, self, station, frame)
 
     def receivers(self, sender: Station) -> list[Station]:
         return [st for st in self.endpoints if st is not sender]
@@ -194,8 +198,10 @@ class EthernetLink:
 
     def report(self, t_end_ns: int) -> dict:
         names = [st.name for st in self.endpoints]
+        # Per direction, only the last transmission can run past t_end.
+        busy = [b - max(0, until - t_end_ns) for b, until in zip(self.busy_ns, self.busy_until)]
         util = {
-            f"{names[i]}->{names[1 - i]}": self.busy_ns[i] / t_end_ns if t_end_ns else 0.0
+            f"{names[i]}->{names[1 - i]}": busy[i] / t_end_ns if t_end_ns else 0.0
             for i in range(len(self.endpoints))
         }
         return {"kind": self.kind, "utilization": util, "clashes": 0}

@@ -128,7 +128,7 @@ class Node:
         if self.arp_attempts[dst_ip] >= 2:
             for _dst, _payload, flow, seq in self.pending_arp.pop(dst_ip, []):
                 self.counters["arp_unresolved"] += 1
-                sim.flow_drop(flow, seq, "arp_unresolved", self.name, now)
+                sim.flow_drop(flow, seq, "arp_unresolved", self.name)
             del self.arp_attempts[dst_ip]
             return
         self.arp_attempts[dst_ip] += 1

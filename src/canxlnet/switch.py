@@ -217,14 +217,14 @@ class CSwitch:
             "stp_blocked": 0,
             "bpdu_malformed": 0,
         }
-        # Optional callback (reason, normalized frame) fired on every
-        # counted drop; the simulation uses it for per-flow accounting.
+        # Optional callback (normalized frame, reason, switch name) fired
+        # on every drop; the simulation uses it for per-flow accounting.
         self.drop_hook = None
 
     def _drop(self, reason: str, frame) -> None:
         self.counters[reason] += 1
         if self.drop_hook is not None:
-            self.drop_hook(reason, frame)
+            self.drop_hook(frame, reason, self.name)
 
     # -- ingress ----------------------------------------------------------
 
@@ -368,7 +368,7 @@ class CSwitch:
         if not out and self.drop_hook is not None:
             # Silent by design (strict confinement): no counter, but the
             # simulation still accounts the frame to its flow.
-            self.drop_hook("legacy_unmatched", frame)
+            self.drop_hook(frame, "legacy_unmatched", self.name)
         return out
 
     # -- spanning tree ------------------------------------------------------

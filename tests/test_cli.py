@@ -47,6 +47,17 @@ def test_simulate_malformed_shape_exits_2(tmp_path, scenario_path, capsys):
     assert "Traceback" not in err
 
 
+def test_simulate_unquoted_mac_exits_2(tmp_path, scenario_path, capsys):
+    # YAML reads an unquoted 10:00:00:00:00:01 as the integer 7776000001
+    text = open(scenario_path("eoc_baseline")).read()
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text.replace('mac: "02:00:00:00:00:01"', "mac: 10:00:00:00:00:01", 1))
+    assert main(["simulate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: nodes.n1.mac:")
+    assert "Traceback" not in err
+
+
 def test_simulate_missing_file_exits_2(capsys):
     assert main(["simulate", "no-such-file.yaml"]) == 2
 

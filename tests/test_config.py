@@ -186,6 +186,27 @@ MALFORMED = [
     (("flows", 0, "schedule"), {"period": 0.001, "count": -3}, "flows.f1.schedule.count"),
     (("flows", 0, "schedule"), {"period": 0.001, "count": 2.5}, "flows.f1.schedule.count"),
     (("flows", 0, "schedule"), {"period": 0.001, "count": "abc"}, "flows.f1.schedule.count"),
+    # names must be strings: they key the topology's tables
+    (("nodes", 0, "name"), [1], "nodes.0.name"),
+    (("buses", 0, "name"), [1], "buses.0.name"),
+    (("links", 0, "name"), {"a": 1}, "links.0.name"),
+    (("switches", 0, "name"), [1], "switches.0.name"),
+    (("flows", 0, "name"), [1], "flows.0.name"),
+    (("flows", 0, "source"), [1], "flows.f1.source"),
+    # addresses must be text; an unquoted MAC reads as an integer
+    (("nodes", 0, "mac"), 7776000001, "nodes.n1.mac"),
+    (("nodes", 0, "ip"), 167772161, "nodes.n1.ip"),
+    (("flows", 0, "dst_ip"), 167772162, "flows.f1.dst_ip"),
+    (("nodes", 0, "static_arp"), {167772162: "02:00:00:00:00:02"}, "nodes.n1.static_arp"),
+    (("nodes", 0, "static_arp"), {"10.0.0.2": 7776000002}, "nodes.n1.static_arp"),
+    # booleans are not numbers
+    (("flows", 0, "schedule"), {"period": 0.001, "count": True}, "flows.f1.schedule.count"),
+    (("flows", 0, "schedule"), {"period": True, "count": 2}, "flows.f1.schedule.period"),
+    (("flows", 0, "schedule"), {"at": True}, "flows.f1.schedule.at"),
+    (("flows", 0, "payload_size"), True, "flows.f1.payload_size"),
+    (("flows", 0, "can_id"), False, "flows.f1.can_id"),
+    (("nodes", 0, "can_priority"), True, "nodes.n1.can_priority"),
+    (("run", "t_end"), True, "run.t_end"),
 ]
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from canxlnet import engine
 from canxlnet.config import load_config
 from canxlnet.engine import Flow, RunOptions, Simulation, Topology
 from canxlnet.frames import Ipv4Address, MacAddress
@@ -81,6 +82,69 @@ class TestMediumTiming:
         for name in ("f1", "f2"):
             assert report["flows"][name]["delivered"] == 0
             assert report["flows"][name]["drops"] == {"priority_clash": 1}
+
+    def test_unattributed_clash_drops_carry_their_frame(self):
+        # Equal-priority streamlined nodes both announce at t=0: their ARP
+        # frames belong to no flow, so each drop is traced with its frame.
+        topo = Topology(RunOptions(t_end=0.01))
+        topo.add_node(IocNode("n1", mac(1), ip(1), can_priority=0x100))
+        topo.add_node(IocNode("n2", mac(2), ip(2), can_priority=0x100))
+        topo.add_bus("bus1", BUS)
+        topo.attach_node("n1", "bus1")
+        topo.attach_node("n2", "bus1")
+        trace, report = Simulation(topo).run()
+        assert report["media"]["bus1"]["clashes"] == 1
+        drops = events(trace, "drop")
+        assert len(drops) == 2
+        for drop in drops:
+            assert drop["reason"] == "priority_clash"
+            assert drop["location"] == "bus1"
+            assert drop["frame"]["inner"]["ethertype"] == "0x0806"
+            assert "flow" not in drop
+        assert events(trace, "tx_start") == []
+
+    def test_each_transmission_is_described_once(self, monkeypatch):
+        calls = []
+        summarize = engine.frame_summary
+
+        def counting(frame):
+            calls.append(frame)
+            return summarize(frame)
+
+        monkeypatch.setattr(engine, "frame_summary", counting)
+        flow = Flow("f", "n1", "ipv4", 44, [to_ns(0.001)], dst_ip=ip(2))
+        trace, report = Simulation(two_node_bus(flows=[flow])).run()
+        assert report["flows"]["f"]["delivered"] == 1
+        starts = events(trace, "tx_start")
+        assert len(starts) == 3  # ARP request, ARP reply, datagram
+        assert len(calls) == len(starts)
+        assert len(events(trace, "deliver")) == len(starts)
+
+    def test_bus_utilization_stops_at_t_end(self):
+        # A 1400 B frame lasts ~6.4 ms at 500 kb/s / 2 Mb/s; charged in
+        # full it read 3.191 for a 2 ms run.
+        slow = CanXlTimingParams(500e3, 2e6)
+        topo = Topology(RunOptions(t_end=0.002))
+        topo.add_node(EocNode("n1", mac(1), ip(1), can_priority=0x100))
+        topo.add_node(EocNode("n2", mac(2), ip(2), can_priority=0x200))
+        topo.add_bus("bus1", slow)
+        topo.attach_node("n1", "bus1")
+        topo.attach_node("n2", "bus1")
+        topo.flows.append(raw_flow("f1", "n1", mac(2), 0.0, size=1400))
+        topo.flows.append(raw_flow("f2", "n2", mac(1), 0.0, size=1400))
+        _, report = Simulation(topo).run()
+        assert report["media"]["bus1"]["utilization"] == 1.0
+
+    def test_link_utilization_stops_at_t_end(self):
+        topo = Topology(RunOptions(t_end=0.001))
+        topo.add_node(EthernetHost("a", mac(1), ip(1)))
+        topo.add_node(EthernetHost("b", mac(2), ip(2)))
+        topo.add_link("link1", LINK)
+        topo.attach_node("a", "link1")
+        topo.attach_node("b", "link1")
+        topo.flows.append(raw_flow("f", "a", mac(2), 0.0, size=1500))
+        _, report = Simulation(topo).run()
+        assert report["media"]["link1"]["utilization"] == {"a->b": 1.0, "b->a": 0.0}
 
     def test_station_never_hears_itself(self):
         flow = raw_flow("f", "n1", mac(2), 0.001)
