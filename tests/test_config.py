@@ -193,12 +193,6 @@ MALFORMED = [
     (("switches", 0, "name"), [1], "switches.0.name"),
     (("flows", 0, "name"), [1], "flows.0.name"),
     (("flows", 0, "source"), [1], "flows.f1.source"),
-    # addresses must be text; an unquoted MAC reads as an integer
-    (("nodes", 0, "mac"), 7776000001, "nodes.n1.mac"),
-    (("nodes", 0, "ip"), 167772161, "nodes.n1.ip"),
-    (("flows", 0, "dst_ip"), 167772162, "flows.f1.dst_ip"),
-    (("nodes", 0, "static_arp"), {167772162: "02:00:00:00:00:02"}, "nodes.n1.static_arp"),
-    (("nodes", 0, "static_arp"), {"10.0.0.2": 7776000002}, "nodes.n1.static_arp"),
     # booleans are not numbers
     (("flows", 0, "schedule"), {"period": 0.001, "count": True}, "flows.f1.schedule.count"),
     (("flows", 0, "schedule"), {"period": True, "count": 2}, "flows.f1.schedule.period"),
@@ -210,9 +204,19 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("path, value, location", MALFORMED,
-                         ids=[location for *_, location in MALFORMED])
-def test_malformed_input_is_located(path, value, location):
+# addresses must be text; an unquoted MAC reads as an integer
+UNQUOTED_ADDRESSES = [
+    ("mac", ("nodes", 0, "mac"), 7776000001, "nodes.n1.mac"),
+    ("ip", ("nodes", 0, "ip"), 167772161, "nodes.n1.ip"),
+    ("dst_ip", ("flows", 0, "dst_ip"), 167772162, "flows.f1.dst_ip"),
+    ("static_arp_ip", ("nodes", 0, "static_arp"), {167772162: "02:00:00:00:00:02"},
+     "nodes.n1.static_arp"),
+    ("static_arp_mac", ("nodes", 0, "static_arp"), {"10.0.0.2": 7776000002},
+     "nodes.n1.static_arp"),
+]
+
+
+def assert_located(path, value, location):
     doc = variant()
     target = doc
     for key in path[:-1]:
@@ -221,6 +225,18 @@ def test_malformed_input_is_located(path, value, location):
     with pytest.raises(ConfigError) as exc:
         build_topology(doc)
     assert exc.value.location == location
+
+
+@pytest.mark.parametrize("path, value, location", MALFORMED,
+                         ids=[location for *_, location in MALFORMED])
+def test_malformed_input_is_located(path, value, location):
+    assert_located(path, value, location)
+
+
+@pytest.mark.parametrize("path, value, location", [case[1:] for case in UNQUOTED_ADDRESSES],
+                         ids=[case[0] for case in UNQUOTED_ADDRESSES])
+def test_unquoted_address_is_located(path, value, location):
+    assert_located(path, value, location)
 
 
 def test_negative_t_end_rejected():
