@@ -109,6 +109,18 @@ def _parse(loc: str, parser, value):
         raise ConfigError(loc, str(exc)) from exc
 
 
+def _make(loc: str, cls, **fields):
+    """Construct `cls`, locating the checks its constructor makes."""
+    return _parse(loc, lambda kw: cls(**kw), fields)
+
+
+def _choice(loc: str, what: str, table: dict, value):
+    """`table[value]` for a text key of `table`."""
+    if not isinstance(value, str) or value not in table:
+        raise ConfigError(loc, f"unknown {what} {value!r}")
+    return table[value]
+
+
 def _name(loc: str, value) -> str:
     """Names key the topology's tables and appear in locations."""
     if not isinstance(value, str):
@@ -171,7 +183,7 @@ def _build_node(spec: dict, loc: str):
             name=spec["name"],
             rx_ids=[_parse(f"{loc}.rx_ids", int, v)
                     for v in _list(spec.get("rx_ids"), f"{loc}.rx_ids", object)],
-            start_time=_parse(loc, float, spec.get("start_time", 0.0)),
+            start_time=_parse(f"{loc}.start_time", float, spec.get("start_time", 0.0)),
         )
     addressed = common | {"mac", "ip", "static_arp"}
     can_extra = {"can_priority", "vcid"}
@@ -204,7 +216,7 @@ def _build_node(spec: dict, loc: str):
         name=spec["name"],
         mac=_parse(f"{loc}.mac", MacAddress.parse, spec["mac"]),
         ip=_parse(f"{loc}.ip", Ipv4Address.parse, spec["ip"]) if "ip" in spec else None,
-        start_time=_parse(loc, float, spec.get("start_time", 0.0)),
+        start_time=_parse(f"{loc}.start_time", float, spec.get("start_time", 0.0)),
         static_arp=static_arp,
         **extra,
     )
@@ -220,42 +232,46 @@ def _can_args(spec: dict, loc: str) -> dict:
 def _build_switch(spec: dict, loc: str) -> CSwitch:
     _check_keys(spec, loc, {"name", "bridge_id", "ports"}, {"legacy_rules", "ageing_time"})
     ports = []
-    for pspec in _list(spec["ports"], f"{loc}.ports"):
-        ploc = f"{loc}.ports.{pspec.get('index', '?')}"
-        _check_keys(pspec, ploc, {"index", "kind"},
+    for pn, pspec in enumerate(_list(spec["ports"], f"{loc}.ports")):
+        _check_keys(pspec, f"{loc}.ports.{pn}", {"index", "kind"},
                     {"egress_mode", "egress_priority_base", "vcid"})
-        if pspec["kind"] not in _PORT_KINDS:
-            raise ConfigError(ploc, f"unknown port kind {pspec['kind']!r}")
-        mode = pspec.get("egress_mode", "eoc")
-        if mode not in _EGRESS_MODES:
-            raise ConfigError(ploc, f"unknown egress mode {mode!r}")
-        ports.append(_parse(ploc, lambda _: PortConfig(
-            index=int(pspec["index"]),
-            kind=_PORT_KINDS[pspec["kind"]],
-            egress_mode=_EGRESS_MODES[mode],
-            egress_priority_base=int(pspec.get("egress_priority_base", 0x700)),
-            vcid=int(pspec.get("vcid", 0)),
-        ), None))
+        index = _parse(f"{loc}.ports.{pn}.index", int, pspec["index"])
+        ploc = f"{loc}.ports.{index}"
+        ports.append(_make(
+            ploc, PortConfig,
+            index=index,
+            kind=_choice(f"{ploc}.kind", "port kind", _PORT_KINDS, pspec["kind"]),
+            egress_mode=_choice(f"{ploc}.egress_mode", "egress mode", _EGRESS_MODES,
+                                pspec.get("egress_mode", "eoc")),
+            egress_priority_base=_parse(f"{ploc}.egress_priority_base", int,
+                                        pspec.get("egress_priority_base", 0x700)),
+            vcid=_parse(f"{ploc}.vcid", int, pspec.get("vcid", 0)),
+        ))
     rules = []
     for rn, rspec in enumerate(_list(spec.get("legacy_rules"), f"{loc}.legacy_rules")):
         rloc = f"{loc}.legacy_rules.{rn}"
         _check_keys(rspec, rloc, {"ingress_port", "match_id", "egress"}, set())
         egress = []
-        for espec in _list(rspec["egress"], f"{rloc}.egress"):
-            _check_keys(espec, rloc, {"port", "id"}, set())
-            egress.append((int(espec["port"]), int(espec["id"])))
-        rules.append(_parse(rloc, lambda _: LegacyRelayRule(
-            ingress_port=int(rspec["ingress_port"]),
-            match_id=int(rspec["match_id"]),
+        for en, espec in enumerate(_list(rspec["egress"], f"{rloc}.egress")):
+            eloc = f"{rloc}.egress.{en}"
+            _check_keys(espec, eloc, {"port", "id"}, set())
+            egress.append((_parse(f"{eloc}.port", int, espec["port"]),
+                           _parse(f"{eloc}.id", int, espec["id"])))
+        rules.append(_make(
+            rloc, LegacyRelayRule,
+            ingress_port=_parse(f"{rloc}.ingress_port", int, rspec["ingress_port"]),
+            match_id=_parse(f"{rloc}.match_id", int, rspec["match_id"]),
             egress=tuple(egress),
-        ), None))
-    return _parse(loc, lambda _: CSwitch(
+        ))
+    return _make(
+        loc, CSwitch,
         name=spec["name"],
-        bridge_id=int(spec["bridge_id"]),
+        bridge_id=_parse(f"{loc}.bridge_id", int, spec["bridge_id"]),
         ports=ports,
         legacy_rules=rules,
-        ageing_s=float(spec.get("ageing_time", DEFAULT_AGEING_S)),
-    ), None)
+        ageing_s=_parse(f"{loc}.ageing_time", float,
+                        spec.get("ageing_time", DEFAULT_AGEING_S)),
+    )
 
 
 def _attach(topo: Topology, medium_name: str, ref: str, loc: str) -> None:
@@ -273,13 +289,16 @@ def _attach(topo: Topology, medium_name: str, ref: str, loc: str) -> None:
 def _build_bus(topo: Topology, spec: dict, loc: str) -> None:
     _check_keys(spec, loc, {"name", "arb_bitrate", "data_bitrate", "stations"},
                 {"arb_overhead_bits", "data_overhead_bits", "stuff_ratio"})
-    params = _parse(loc, lambda _: CanXlTimingParams(
-        arb_bitrate=float(spec["arb_bitrate"]),
-        data_bitrate=float(spec["data_bitrate"]),
-        arb_overhead_bits=int(spec.get("arb_overhead_bits", 34)),
-        data_overhead_bits=int(spec.get("data_overhead_bits", 168)),
-        stuff_ratio=float(spec.get("stuff_ratio", 0.1)),
-    ), None)
+    params = _make(
+        loc, CanXlTimingParams,
+        arb_bitrate=_parse(f"{loc}.arb_bitrate", float, spec["arb_bitrate"]),
+        data_bitrate=_parse(f"{loc}.data_bitrate", float, spec["data_bitrate"]),
+        arb_overhead_bits=_parse(f"{loc}.arb_overhead_bits", int,
+                                 spec.get("arb_overhead_bits", 34)),
+        data_overhead_bits=_parse(f"{loc}.data_overhead_bits", int,
+                                  spec.get("data_overhead_bits", 168)),
+        stuff_ratio=_parse(f"{loc}.stuff_ratio", float, spec.get("stuff_ratio", 0.1)),
+    )
     topo.add_bus(spec["name"], params)
     for ref in _list(spec["stations"], f"{loc}.stations", str):
         _attach(topo, spec["name"], ref, f"{loc}.stations")
@@ -287,7 +306,8 @@ def _build_bus(topo: Topology, spec: dict, loc: str) -> None:
 
 def _build_link(topo: Topology, spec: dict, loc: str) -> None:
     _check_keys(spec, loc, {"name", "bitrate", "endpoints"}, set())
-    params = _parse(loc, lambda _: EthernetTimingParams(bitrate=float(spec["bitrate"])), None)
+    params = _make(loc, EthernetTimingParams,
+                   bitrate=_parse(f"{loc}.bitrate", float, spec["bitrate"]))
     topo.add_link(spec["name"], params)
     endpoints = _list(spec["endpoints"], f"{loc}.endpoints", str)
     if len(endpoints) != 2:

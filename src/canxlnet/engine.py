@@ -9,8 +9,11 @@ transmission completions, deliveries, STP hellos), node startup and ARP
 retries, and the media's arbitration kicks.
 
 Media hand each transmission they start to `Simulation.on_tx_start`,
-which describes the frame once, traces it and schedules its completion;
-the completion and every receiver's delivery reuse that description.
+which decodes and describes the frame once, traces it and schedules its
+completion.  A tunnel frame is decapsulated there, once; the inner
+Ethernet frame goes to flow attribution, to the summary and to every
+receiver's `on_receive`.  The completion encodes the summary once, and
+every receiver's `deliver` record is built from that text.
 Bus clashes and switch drops both go through `Simulation.drop`.
 
 Frames are never tagged with bookkeeping objects: each flow embeds an
@@ -45,6 +48,8 @@ from .timing import CanXlTimingParams, EthernetTimingParams
 
 FLOW_TAG_LEN = 8
 MAX_IPV4_PAYLOAD = 1480  # what fits an Ethernet frame with a 20-byte header
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class ConfigError(Exception):
@@ -236,13 +241,27 @@ class Topology:
                 raise ConfigError(loc, f"unknown transport {flow.transport!r}")
 
 
+# Filler byte i is (37*i + 11*flow + 7*seq) mod 256.  37 is odd, hence
+# invertible mod 256, so every filler is a slice of one ramp of 37*i that
+# starts where 37*k matches the flow/seq offset; 8 turns cover the MTU.
+_RAMP = bytes(37 * i & 0xFF for i in range(256)) * 8
+_INV37 = pow(37, -1, 256)
+
+
 def make_payload(flow_index: int, seq: int, size: int) -> bytes:
-    tag = struct.pack(">II", flow_index, seq)
-    filler = bytes((37 * i + 11 * flow_index + 7 * seq) & 0xFF for i in range(size - FLOW_TAG_LEN))
-    return tag + filler
+    k = (11 * flow_index + 7 * seq) * _INV37 & 0xFF
+    return struct.pack(">II", flow_index, seq) + _RAMP[k:k + size - FLOW_TAG_LEN]
 
 
-def frame_summary(frame) -> dict:
+def _tunneled(frame) -> EthernetFrame | None:
+    """The Ethernet frame a tunnel frame carries; None for any other frame."""
+    if isinstance(frame, CanXlFrame) and frame.sdt == frames.SDT_ETHERNET:
+        return frames.eoc_decapsulate(frame)
+    return None
+
+
+def frame_summary(frame, inner: EthernetFrame | None) -> dict:
+    """`inner` is `_tunneled(frame)`."""
     if isinstance(frame, CanXlFrame):
         d = {
             "kind": "canxl",
@@ -251,8 +270,7 @@ def frame_summary(frame) -> dict:
             "af": f"0x{frame.af:08x}",
             "len": len(frame.data),
         }
-        if frame.sdt == frames.SDT_ETHERNET:
-            inner = frames.eoc_decapsulate(frame)
+        if inner is not None:
             d["inner"] = {"da": str(inner.da), "sa": str(inner.sa),
                           "ethertype": f"0x{inner.ethertype:04x}"}
         return d
@@ -306,14 +324,12 @@ class Simulation:
 
     def trace(self, event: str, location: str, **fields) -> None:
         rec = {"t_ns": self.now, "event": event, "location": location, **fields}
-        self.trace_lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+        self.trace_lines.append(_encode(rec))
 
     # -- flow attribution ----------------------------------------------------
 
     def _app_payload(self, frame) -> bytes | None:
         if isinstance(frame, CanXlFrame):
-            if frame.sdt == frames.SDT_ETHERNET:
-                return self._app_payload(frames.eoc_decapsulate(frame))
             if frame.sdt == frames.SDT_IPV4:
                 return frame.data[frames.IOC_HEADER_LEN:]
             return None
@@ -331,8 +347,10 @@ class Simulation:
             return frame.payload
         return None
 
-    def flow_of(self, frame) -> tuple[Flow, int] | None:
-        payload = self._app_payload(frame)
+    def flow_of(self, frame, inner: EthernetFrame | None) -> tuple[Flow, int] | None:
+        """Which flow and sequence number `frame` carries; `inner` is
+        `_tunneled(frame)`."""
+        payload = self._app_payload(frame if inner is None else inner)
         if payload is None or len(payload) < FLOW_TAG_LEN:
             return None
         entry = self.registry.get(bytes(payload[:FLOW_TAG_LEN]))
@@ -343,14 +361,17 @@ class Simulation:
     # -- engine callbacks ------------------------------------------------------
 
     def on_tx_start(self, medium, station: Station, frame, now: int, duration_ns: int) -> None:
-        """Describe a started transmission once, trace it and schedule its end."""
-        described = {"frame": frame_summary(frame)}
-        fl = self.flow_of(frame)
+        """Decode and describe a started transmission once, trace it and
+        schedule its end."""
+        inner = _tunneled(frame)
+        described = {"frame": frame_summary(frame, inner)}
+        fl = self.flow_of(frame, inner)
         if fl is not None:
             described["flow"], described["seq"] = fl[0].name, fl[1]
         self.trace("tx_start", medium.name, **described,
                    source=station.name, duration_ns=duration_ns)
-        self.schedule(now + duration_ns, self.on_tx_complete, medium, station, frame, described)
+        self.schedule(now + duration_ns, self.on_tx_complete,
+                      medium, station, frame, inner, described)
 
     def on_clash(self, bus, dropped: list[tuple[Station, object]]) -> None:
         self.trace("clash", bus.name, stations=[st.name for st, _ in dropped])
@@ -359,11 +380,12 @@ class Simulation:
 
     def drop(self, frame, reason: str, location: str) -> None:
         """Account a dropped frame to its flow, or trace it as anonymous."""
-        fl = self.flow_of(frame)
+        inner = _tunneled(frame)
+        fl = self.flow_of(frame, inner)
         if fl is not None:
             self.flow_drop(fl[0], fl[1], reason, location)
         else:
-            self.trace("drop", location, frame=frame_summary(frame), reason=reason)
+            self.trace("drop", location, frame=frame_summary(frame, inner), reason=reason)
 
     def flow_drop(self, flow: Flow, seq: int, reason: str, location: str) -> None:
         drops = self.flow_stats[flow.name]["drops"]
@@ -418,19 +440,23 @@ class Simulation:
         self.trace("app_send", flow.source, flow=flow.name, seq=seq)
         self.topo.nodes[flow.source].app_send(self, self.now, flow, seq, payload)
 
-    def on_tx_complete(self, medium, sender: Station, frame, described: dict) -> None:
+    def on_tx_complete(self, medium, sender: Station, frame, inner: EthernetFrame | None,
+                       described: dict) -> None:
         self.trace("tx_complete", medium.name, **described, source=sender.name)
+        # Every receiver's deliver record shares this prefix, up to its location.
+        head = '{"event":"deliver","frame":' + _encode(described["frame"]) + ',"location":'
         for station in medium.receivers(sender):
-            self.schedule(self.now, self._deliver, station, frame, described["frame"])
+            self.schedule(self.now, self._deliver, station, frame, inner, head)
         medium.on_complete(self, self.now, sender)
 
-    def _deliver(self, station: Station, frame, summary: dict) -> None:
-        self.trace("deliver", station.name, frame=summary)
+    def _deliver(self, station: Station, frame, inner: EthernetFrame | None, head: str) -> None:
+        # Byte for byte what trace("deliver", station.name, frame=...) writes.
+        self.trace_lines.append(f'{head}{_encode(station.name)},"t_ns":{self.now}}}')
         owner = station.owner
         if isinstance(owner, SwitchPortRef):
             self._emit(owner.switch, owner.switch.on_ingress(owner.port, frame, self.now))
         else:
-            owner.on_receive(self, self.now, frame)
+            owner.on_receive(self, self.now, frame, inner)
 
     def _stp_hello(self, sw: CSwitch) -> None:
         self.trace("timer", sw.name, reason="stp-hello")

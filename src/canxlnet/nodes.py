@@ -136,7 +136,9 @@ class Node:
 
     # -- receive -----------------------------------------------------------
 
-    def on_receive(self, sim, now: int, frame) -> None:
+    def on_receive(self, sim, now: int, frame, inner: EthernetFrame | None) -> None:
+        """Receive `frame`; `inner` is the Ethernet frame it tunnels, if any,
+        decoded once per transmission by the engine."""
         if isinstance(frame, EthernetFrame) and \
                 (frame.da == self.mac or frame.da.is_group()):
             self._dispatch_eth(sim, now, frame)
@@ -200,19 +202,18 @@ class EocNode(Node):
     def _emit_eth(self, sim, now: int, eth: EthernetFrame) -> None:
         self._transmit(sim, now, frames.eoc_encapsulate(eth, self.can_priority, self.vcid))
 
-    def on_receive(self, sim, now: int, frame) -> None:
+    def on_receive(self, sim, now: int, frame, inner: EthernetFrame | None) -> None:
         if not isinstance(frame, CanXlFrame):
             return
         if frame.sdt == frames.SDT_ETHERNET:
             # Hardware stage: acceptance-field match.
             if not frames.af_filter_match(frame.af, self.mac):
                 return
-            eth = frames.eoc_decapsulate(frame)
             # Software stage: the full DA breaks acceptance-field ties.
-            if not (eth.da == self.mac or eth.da.is_group()):
+            if not (inner.da == self.mac or inner.da.is_group()):
                 self.counters["af_false_positive"] += 1
                 return
-            self._dispatch_eth(sim, now, eth)
+            self._dispatch_eth(sim, now, inner)
         else:
             self._on_other_sdt(sim, now, frame)
 
@@ -277,7 +278,7 @@ class ClassicCanNode:
         self.station.medium.enqueue(
             sim, self.station, ClassicCanFrame(flow.can_id, payload), now)
 
-    def on_receive(self, sim, now: int, frame) -> None:
+    def on_receive(self, sim, now: int, frame, inner: EthernetFrame | None) -> None:
         if isinstance(frame, ClassicCanFrame) and frame.id in self.rx_ids:
             self.counters["delivered"] += 1
             sim.on_app_delivery(self, frame.data, now)

@@ -47,6 +47,18 @@ def test_simulate_malformed_shape_exits_2(tmp_path, scenario_path, capsys):
     assert "Traceback" not in err
 
 
+def test_simulate_non_text_port_kind_exits_2(tmp_path, scenario_path, capsys):
+    with open(scenario_path("eoc_baseline")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["switches"][0]["ports"][0]["kind"] = [1]
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc))
+    assert main(["simulate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: switches.sw1.ports.0.kind:")
+    assert "Traceback" not in err
+
+
 def test_simulate_unquoted_mac_exits_2(tmp_path, scenario_path, capsys):
     # YAML reads an unquoted 10:00:00:00:00:01 as the integer 7776000001
     text = open(scenario_path("eoc_baseline")).read()

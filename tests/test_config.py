@@ -201,6 +201,35 @@ MALFORMED = [
     (("flows", 0, "can_id"), False, "flows.f1.can_id"),
     (("nodes", 0, "can_priority"), True, "nodes.n1.can_priority"),
     (("run", "t_end"), True, "run.t_end"),
+    (("nodes", 0, "start_time"), True, "nodes.n1.start_time"),
+    (("nodes", 0, "vcid"), True, "nodes.n1.vcid"),
+    (("switches", 0, "bridge_id"), True, "switches.sw1.bridge_id"),
+    (("switches", 0, "ageing_time"), True, "switches.sw1.ageing_time"),
+    (("switches", 0, "ports", 0, "index"), True, "switches.sw1.ports.0.index"),
+    (("switches", 0, "ports", 0, "egress_priority_base"), True,
+     "switches.sw1.ports.0.egress_priority_base"),
+    (("switches", 0, "ports", 0, "vcid"), True, "switches.sw1.ports.0.vcid"),
+    (("switches", 0, "legacy_rules"),
+     [{"ingress_port": True, "match_id": 0x100, "egress": [{"port": 1, "id": 0x200}]}],
+     "switches.sw1.legacy_rules.0.ingress_port"),
+    (("switches", 0, "legacy_rules"),
+     [{"ingress_port": 0, "match_id": True, "egress": [{"port": 1, "id": 0x200}]}],
+     "switches.sw1.legacy_rules.0.match_id"),
+    (("switches", 0, "legacy_rules"),
+     [{"ingress_port": 0, "match_id": 0x100, "egress": [{"port": 1, "id": True}]}],
+     "switches.sw1.legacy_rules.0.egress.0.id"),
+    (("switches", 0, "legacy_rules"),
+     [{"ingress_port": 0, "match_id": 0x100, "egress": [{"port": "abc", "id": 0x200}]}],
+     "switches.sw1.legacy_rules.0.egress.0.port"),
+    (("buses", 0, "arb_bitrate"), True, "buses.bus1.arb_bitrate"),
+    (("buses", 0, "data_bitrate"), True, "buses.bus1.data_bitrate"),
+    (("buses", 0, "arb_overhead_bits"), True, "buses.bus1.arb_overhead_bits"),
+    (("buses", 0, "data_overhead_bits"), True, "buses.bus1.data_overhead_bits"),
+    (("buses", 0, "stuff_ratio"), True, "buses.bus1.stuff_ratio"),
+    (("links", 0, "bitrate"), True, "links.link1.bitrate"),
+    # port kind and egress mode are names
+    (("switches", 0, "ports", 0, "kind"), [1], "switches.sw1.ports.0.kind"),
+    (("switches", 0, "ports", 0, "egress_mode"), [1], "switches.sw1.ports.0.egress_mode"),
 ]
 
 

@@ -1,8 +1,9 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
-from canxlnet import engine
+from canxlnet import engine, frames
 from canxlnet.config import load_config
 from canxlnet.engine import Flow, RunOptions, Simulation, Topology
 from canxlnet.frames import Ipv4Address, MacAddress
@@ -15,6 +16,8 @@ from canxlnet.timing import (
     ethernet_duration,
     to_ns,
 )
+
+from conftest import all_scenarios
 
 BUS = CanXlTimingParams(500e3, 16e6)
 LINK = EthernetTimingParams(10e6)
@@ -107,9 +110,9 @@ class TestMediumTiming:
         calls = []
         summarize = engine.frame_summary
 
-        def counting(frame):
+        def counting(frame, inner):
             calls.append(frame)
-            return summarize(frame)
+            return summarize(frame, inner)
 
         monkeypatch.setattr(engine, "frame_summary", counting)
         flow = Flow("f", "n1", "ipv4", 44, [to_ns(0.001)], dst_ip=ip(2))
@@ -119,6 +122,27 @@ class TestMediumTiming:
         assert len(starts) == 3  # ARP request, ARP reply, datagram
         assert len(calls) == len(starts)
         assert len(events(trace, "deliver")) == len(starts)
+
+    def test_each_tunneled_transmission_is_decoded_once(self, monkeypatch):
+        # The three MACs share octets 0-3, so the acceptance field passes
+        # every frame at every node and only the full DA tells them apart.
+        decodes = []
+        decapsulate = frames.eoc_decapsulate
+
+        def counting(frame):
+            decodes.append(frame)
+            return decapsulate(frame)
+
+        monkeypatch.setattr(frames, "eoc_decapsulate", counting)
+        topo = two_node_bus(flows=[Flow("f", "n1", "ipv4", 44, [to_ns(0.001)], dst_ip=ip(2))])
+        topo.add_node(EocNode("n3", mac(3), ip(3), can_priority=0x300))
+        topo.attach_node("n3", "bus1")
+        trace, report = Simulation(topo).run()
+        assert report["flows"]["f"]["delivered"] == 1
+        assert report["nodes"]["n3"]["af_false_positive"] == 2  # ARP reply, datagram
+        tunneled = [e for e in events(trace, "tx_start") if e["frame"].get("sdt") == "ethernet"]
+        assert len(tunneled) == 3  # ARP request, ARP reply, datagram
+        assert len(decodes) == len(tunneled)
 
     def test_bus_utilization_stops_at_t_end(self):
         # A 1400 B frame lasts ~6.4 ms at 500 kb/s / 2 Mb/s; charged in
@@ -175,6 +199,15 @@ class TestMediumTiming:
         trace, report = Simulation(topo).run()
         starts = [e["t_ns"] for e in events(trace, "tx_start") if e.get("flow")]
         assert starts[0] == starts[1]  # no mutual blocking
+
+
+@given(flow_index=st.integers(0, 2**32 - 1), seq=st.integers(0, 2**32 - 1))
+def test_make_payload_matches_the_per_byte_formula(flow_index, seq):
+    filler = bytes((37 * i + 11 * flow_index + 7 * seq) & 0xFF for i in range(1500 - 8))
+    for size in range(8, 1501):
+        payload = engine.make_payload(flow_index, seq, size)
+        assert payload[:8] == (flow_index << 32 | seq).to_bytes(8, "big")
+        assert payload[8:] == filler[:size - 8]
 
 
 class TestArp:
@@ -307,6 +340,13 @@ class TestScenarios:
         topo.options.t_end = 0.0
         trace, _ = Simulation(topo).run()
         assert all(json.loads(line)["t_ns"] == 0 for line in trace.splitlines())
+
+    @pytest.mark.parametrize("path", all_scenarios(), ids=lambda p: p.stem)
+    def test_every_trace_line_is_canonical_json(self, path):
+        trace, _ = Simulation(load_config(str(path))).run()
+        assert trace
+        for line in trace.splitlines():
+            assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
 
     def test_report_is_stable_across_runs(self, scenario_path):
         r1 = Simulation(load_config(scenario_path("ioc_reconstruction"))).run()[1]
