@@ -109,6 +109,11 @@ def _parse(loc: str, parser, value):
         raise ConfigError(loc, str(exc)) from exc
 
 
+def _int(loc: str, value) -> int:
+    """An integer field: a YAML integer, not 44.9, 44.0 or the text "44"."""
+    return _parse(loc, operator.index, value)
+
+
 def _make(loc: str, cls, **fields):
     """Construct `cls`, locating the checks its constructor makes."""
     return _parse(loc, lambda kw: cls(**kw), fields)
@@ -165,10 +170,14 @@ def build_topology(doc: dict) -> Topology:
 def _build_run(spec: dict) -> RunOptions:
     _check_keys(spec, "run", {"t_end"},
                 {"seed", "startup_gratuitous_arp", "trace", "report"})
+    announce = spec.get("startup_gratuitous_arp", True)
+    if not isinstance(announce, bool):  # the text "false" would read as true
+        raise ConfigError("run.startup_gratuitous_arp",
+                          f"expected true or false, got {announce!r}")
     return RunOptions(
         t_end=_parse("run.t_end", float, spec["t_end"]),
-        seed=_parse("run.seed", int, spec.get("seed", 0)),
-        startup_gratuitous_arp=bool(spec.get("startup_gratuitous_arp", True)),
+        seed=_int("run.seed", spec.get("seed", 0)),
+        startup_gratuitous_arp=announce,
         trace_path=spec.get("trace"),
         report_path=spec.get("report"),
     )
@@ -181,7 +190,7 @@ def _build_node(spec: dict, loc: str):
         _check_keys(spec, loc, {"name", "kind"}, {"rx_ids", "start_time"})
         return ClassicCanNode(
             name=spec["name"],
-            rx_ids=[_parse(f"{loc}.rx_ids", int, v)
+            rx_ids=[_int(f"{loc}.rx_ids", v)
                     for v in _list(spec.get("rx_ids"), f"{loc}.rx_ids", object)],
             start_time=_parse(f"{loc}.start_time", float, spec.get("start_time", 0.0)),
         )
@@ -224,8 +233,8 @@ def _build_node(spec: dict, loc: str):
 
 def _can_args(spec: dict, loc: str) -> dict:
     return {
-        "can_priority": _parse(f"{loc}.can_priority", int, spec.get("can_priority", 0x100)),
-        "vcid": _parse(f"{loc}.vcid", int, spec.get("vcid", 0)),
+        "can_priority": _int(f"{loc}.can_priority", spec.get("can_priority", 0x100)),
+        "vcid": _int(f"{loc}.vcid", spec.get("vcid", 0)),
     }
 
 
@@ -235,7 +244,7 @@ def _build_switch(spec: dict, loc: str) -> CSwitch:
     for pn, pspec in enumerate(_list(spec["ports"], f"{loc}.ports")):
         _check_keys(pspec, f"{loc}.ports.{pn}", {"index", "kind"},
                     {"egress_mode", "egress_priority_base", "vcid"})
-        index = _parse(f"{loc}.ports.{pn}.index", int, pspec["index"])
+        index = _int(f"{loc}.ports.{pn}.index", pspec["index"])
         ploc = f"{loc}.ports.{index}"
         ports.append(_make(
             ploc, PortConfig,
@@ -243,9 +252,9 @@ def _build_switch(spec: dict, loc: str) -> CSwitch:
             kind=_choice(f"{ploc}.kind", "port kind", _PORT_KINDS, pspec["kind"]),
             egress_mode=_choice(f"{ploc}.egress_mode", "egress mode", _EGRESS_MODES,
                                 pspec.get("egress_mode", "eoc")),
-            egress_priority_base=_parse(f"{ploc}.egress_priority_base", int,
-                                        pspec.get("egress_priority_base", 0x700)),
-            vcid=_parse(f"{ploc}.vcid", int, pspec.get("vcid", 0)),
+            egress_priority_base=_int(f"{ploc}.egress_priority_base",
+                                      pspec.get("egress_priority_base", 0x700)),
+            vcid=_int(f"{ploc}.vcid", pspec.get("vcid", 0)),
         ))
     rules = []
     for rn, rspec in enumerate(_list(spec.get("legacy_rules"), f"{loc}.legacy_rules")):
@@ -255,18 +264,18 @@ def _build_switch(spec: dict, loc: str) -> CSwitch:
         for en, espec in enumerate(_list(rspec["egress"], f"{rloc}.egress")):
             eloc = f"{rloc}.egress.{en}"
             _check_keys(espec, eloc, {"port", "id"}, set())
-            egress.append((_parse(f"{eloc}.port", int, espec["port"]),
-                           _parse(f"{eloc}.id", int, espec["id"])))
+            egress.append((_int(f"{eloc}.port", espec["port"]),
+                           _int(f"{eloc}.id", espec["id"])))
         rules.append(_make(
             rloc, LegacyRelayRule,
-            ingress_port=_parse(f"{rloc}.ingress_port", int, rspec["ingress_port"]),
-            match_id=_parse(f"{rloc}.match_id", int, rspec["match_id"]),
+            ingress_port=_int(f"{rloc}.ingress_port", rspec["ingress_port"]),
+            match_id=_int(f"{rloc}.match_id", rspec["match_id"]),
             egress=tuple(egress),
         ))
     return _make(
         loc, CSwitch,
         name=spec["name"],
-        bridge_id=_parse(f"{loc}.bridge_id", int, spec["bridge_id"]),
+        bridge_id=_int(f"{loc}.bridge_id", spec["bridge_id"]),
         ports=ports,
         legacy_rules=rules,
         ageing_s=_parse(f"{loc}.ageing_time", float,
@@ -293,10 +302,10 @@ def _build_bus(topo: Topology, spec: dict, loc: str) -> None:
         loc, CanXlTimingParams,
         arb_bitrate=_parse(f"{loc}.arb_bitrate", float, spec["arb_bitrate"]),
         data_bitrate=_parse(f"{loc}.data_bitrate", float, spec["data_bitrate"]),
-        arb_overhead_bits=_parse(f"{loc}.arb_overhead_bits", int,
-                                 spec.get("arb_overhead_bits", 34)),
-        data_overhead_bits=_parse(f"{loc}.data_overhead_bits", int,
-                                  spec.get("data_overhead_bits", 168)),
+        arb_overhead_bits=_int(f"{loc}.arb_overhead_bits",
+                               spec.get("arb_overhead_bits", 34)),
+        data_overhead_bits=_int(f"{loc}.data_overhead_bits",
+                                spec.get("data_overhead_bits", 168)),
         stuff_ratio=_parse(f"{loc}.stuff_ratio", float, spec.get("stuff_ratio", 0.1)),
     )
     topo.add_bus(spec["name"], params)
@@ -326,7 +335,7 @@ def _build_flow(spec: dict, loc: str) -> Flow:
     elif "period" in sched and "count" in sched:
         start = _parse(f"{sloc}.start", float, sched.get("start", 0.0))
         period = _parse(f"{sloc}.period", float, sched["period"])
-        count = _parse(f"{sloc}.count", operator.index, sched["count"])
+        count = _int(f"{sloc}.count", sched["count"])
         if not period > 0:
             raise ConfigError(f"{sloc}.period", "must be positive")
         if count < 0:
@@ -339,11 +348,11 @@ def _build_flow(spec: dict, loc: str) -> Flow:
         name=spec["name"],
         source=_name(f"{loc}.source", spec["source"]),
         transport=spec["transport"],
-        payload_size=_parse(f"{loc}.payload_size", int, spec["payload_size"]),
+        payload_size=_int(f"{loc}.payload_size", spec["payload_size"]),
         send_times_ns=times,
         dst_ip=_parse(f"{loc}.dst_ip", Ipv4Address.parse, spec["dst_ip"])
         if "dst_ip" in spec else None,
         dst_mac=_parse(f"{loc}.dst_mac", MacAddress.parse, spec["dst_mac"])
         if "dst_mac" in spec else None,
-        can_id=_parse(f"{loc}.can_id", int, spec["can_id"]) if "can_id" in spec else None,
+        can_id=_int(f"{loc}.can_id", spec["can_id"]) if "can_id" in spec else None,
     )

@@ -12,8 +12,11 @@ Media hand each transmission they start to `Simulation.on_tx_start`,
 which decodes and describes the frame once, traces it and schedules its
 completion.  A tunnel frame is decapsulated there, once; the inner
 Ethernet frame goes to flow attribution, to the summary and to every
-receiver's `on_receive`.  The completion encodes the summary once, and
-every receiver's `deliver` record is built from that text.
+receiver's `on_receive`.  The completion schedules one delivery event
+for the whole transmission.  That event walks the receivers in station
+order: it writes one receiver's `deliver` record, built from the summary
+encoded once per transmission and the receiver's location encoded once
+at set-up, lets that receiver react, then moves to the next.
 Bus clashes and switch drops both go through `Simulation.drop`.
 
 Frames are never tagged with bookkeeping objects: each flow embeds an
@@ -311,6 +314,14 @@ class Simulation:
         self.registry: dict[bytes, tuple[Flow, int, bytes, int]] = {}
         for sw in topo.switches.values():
             sw.drop_hook = self.drop
+        # sender -> (owner, JSON-encoded location) of each receiver, in order
+        stations = [node.station for node in topo.nodes.values()]
+        stations += topo.port_station.values()
+        location = {st: _encode(st.name) for st in stations}
+        self.fanout = {
+            sender: [(st.owner, location[st]) for st in sender.medium.receivers(sender)]
+            for sender in stations
+        }
 
     # -- plumbing -----------------------------------------------------------
 
@@ -443,20 +454,23 @@ class Simulation:
     def on_tx_complete(self, medium, sender: Station, frame, inner: EthernetFrame | None,
                        described: dict) -> None:
         self.trace("tx_complete", medium.name, **described, source=sender.name)
-        # Every receiver's deliver record shares this prefix, up to its location.
-        head = '{"event":"deliver","frame":' + _encode(described["frame"]) + ',"location":'
-        for station in medium.receivers(sender):
-            self.schedule(self.now, self._deliver, station, frame, inner, head)
+        self.schedule(self.now, self._deliver, sender, frame, inner, described)
         medium.on_complete(self, self.now, sender)
 
-    def _deliver(self, station: Station, frame, inner: EthernetFrame | None, head: str) -> None:
-        # Byte for byte what trace("deliver", station.name, frame=...) writes.
-        self.trace_lines.append(f'{head}{_encode(station.name)},"t_ns":{self.now}}}')
-        owner = station.owner
-        if isinstance(owner, SwitchPortRef):
-            self._emit(owner.switch, owner.switch.on_ingress(owner.port, frame, self.now))
-        else:
-            owner.on_receive(self, self.now, frame, inner)
+    def _deliver(self, sender: Station, frame, inner: EthernetFrame | None,
+                 described: dict) -> None:
+        """Hand one transmission to each receiver in turn: its `deliver`
+        record, then its reaction, then the next receiver."""
+        # Byte for byte what trace("deliver", <receiver name>, frame=...) writes.
+        now = self.now
+        head = '{"event":"deliver","frame":' + _encode(described["frame"]) + ',"location":'
+        tail = f',"t_ns":{now}}}'
+        for owner, location in self.fanout[sender]:
+            self.trace_lines.append(head + location + tail)
+            if isinstance(owner, SwitchPortRef):
+                self._emit(owner.switch, owner.switch.on_ingress(owner.port, frame, now))
+            else:
+                owner.on_receive(self, now, frame, inner)
 
     def _stp_hello(self, sw: CSwitch) -> None:
         self.trace("timer", sw.name, reason="stp-hello")

@@ -415,16 +415,17 @@ def make_af_from_da(da: MacAddress) -> int:
     return int.from_bytes(da.octets[:4], "big")
 
 
-def af_filter_match(af: int, own_da: MacAddress) -> bool:
-    """Hardware acceptance filter of an EoC node.
+def af_filter_match(af: int, own_af: int) -> bool:
+    """Hardware acceptance filter of an EoC node whose AF image is
+    `own_af` (`make_af_from_da` of its MAC).
 
-    Passes frames whose AF equals the node's own AF image and every
-    group-addressed frame.  Octets 4..5 of the DA are not represented, so
-    false positives are possible; `eoc_accept` adds the software
-    tie-break on the full embedded DA."""
+    Passes frames whose AF equals that image and every group-addressed
+    frame.  Octets 4..5 of the DA are not represented, so false positives
+    are possible; `eoc_accept` adds the software tie-break on the full
+    embedded DA."""
     if af & (0x01 << 24):
         return True
-    return af == make_af_from_da(own_da)
+    return af == own_af
 
 
 def eoc_encapsulate(eth: EthernetFrame, priority: int, vcid: int) -> CanXlFrame:
@@ -456,7 +457,7 @@ def eoc_accept(frame: CanXlFrame, own_da: MacAddress) -> bool:
     the full embedded DA, breaking the (rare) AF ties."""
     if frame.sdt != SDT_ETHERNET:
         raise WrongSdt(f"sdt 0x{frame.sdt:02x} does not carry Ethernet")
-    if not af_filter_match(frame.af, own_da):
+    if not af_filter_match(frame.af, make_af_from_da(own_da)):
         return False
     eth = eoc_decapsulate(frame)
     return eth.da == own_da or eth.da.is_group()

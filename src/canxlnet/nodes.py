@@ -198,6 +198,7 @@ class EocNode(Node):
         super().__init__(name, mac, ip, start_time, static_arp)
         self.can_priority = can_priority
         self.vcid = vcid
+        self.af_image = frames.make_af_from_da(mac)  # what the hardware filter compares
 
     def _emit_eth(self, sim, now: int, eth: EthernetFrame) -> None:
         self._transmit(sim, now, frames.eoc_encapsulate(eth, self.can_priority, self.vcid))
@@ -207,7 +208,7 @@ class EocNode(Node):
             return
         if frame.sdt == frames.SDT_ETHERNET:
             # Hardware stage: acceptance-field match.
-            if not frames.af_filter_match(frame.af, self.mac):
+            if not frames.af_filter_match(frame.af, self.af_image):
                 return
             # Software stage: the full DA breaks acceptance-field ties.
             if not (inner.da == self.mac or inner.da.is_group()):
@@ -231,6 +232,8 @@ class IocNode(EocNode):
         self.eoc_refresh_interval_ns = (
             None if eoc_refresh_interval is None else round(eoc_refresh_interval * 1e9))
         self.next_refresh_ns: int | None = None
+        # the acceptance field of compact frames addressed to this node, if any
+        self.ip_af = None if ip is None else ip.to_u32()
 
     def startup(self, sim, now: int) -> None:
         if self.eoc_refresh_interval_ns is not None:
@@ -251,8 +254,7 @@ class IocNode(EocNode):
             super()._send_datagram(sim, now, dst_mac, dst_ip, payload)
 
     def _on_other_sdt(self, sim, now: int, frame: CanXlFrame) -> None:
-        if frame.sdt == frames.SDT_IPV4 and self.ip is not None \
-                and frame.af == self.ip.to_u32():
+        if frame.sdt == frames.SDT_IPV4 and frame.af == self.ip_af:
             dgram = frames.ioc_decapsulate(frame)
             self._deliver(sim, now, dgram.payload)
 

@@ -70,6 +70,25 @@ def test_simulate_unquoted_mac_exits_2(tmp_path, scenario_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("path, value, location", [
+    (("flows", 0, "payload_size"), 44.9, "flows.f1.payload_size"),
+    (("run", "startup_gratuitous_arp"), "false", "run.startup_gratuitous_arp"),
+], ids=["payload_size", "startup_gratuitous_arp"])
+def test_simulate_mistyped_value_exits_2(tmp_path, scenario_path, capsys, path, value, location):
+    with open(scenario_path("eoc_baseline")) as fh:
+        doc = yaml.safe_load(fh)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc))
+    assert main(["simulate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {location}:")
+    assert "Traceback" not in err
+
+
 def test_simulate_missing_file_exits_2(capsys):
     assert main(["simulate", "no-such-file.yaml"]) == 2
 

@@ -230,6 +230,40 @@ MALFORMED = [
     # port kind and egress mode are names
     (("switches", 0, "ports", 0, "kind"), [1], "switches.sw1.ports.0.kind"),
     (("switches", 0, "ports", 0, "egress_mode"), [1], "switches.sw1.ports.0.egress_mode"),
+    # switches are YAML booleans, not text
+    (("run", "startup_gratuitous_arp"), "false", "run.startup_gratuitous_arp"),
+    (("run", "seed"), 1.5, "run.seed"),
+]
+
+
+# integer fields take YAML integers only: no truncated floats, no whole
+# floats, no numbers as text (kept apart so MALFORMED's ids stay unique)
+NON_INTEGERS = [
+    ("payload_size", ("flows", 0, "payload_size"), 44.9, "flows.f1.payload_size"),
+    ("payload_size_whole", ("flows", 0, "payload_size"), 44.0, "flows.f1.payload_size"),
+    ("payload_size_text", ("flows", 0, "payload_size"), "44", "flows.f1.payload_size"),
+    ("bridge_id", ("switches", 0, "bridge_id"), 1.7, "switches.sw1.bridge_id"),
+    ("port_index", ("switches", 0, "ports", 0, "index"), 0.5, "switches.sw1.ports.0.index"),
+    ("egress_priority_base", ("switches", 0, "ports", 0, "egress_priority_base"), 1792.5,
+     "switches.sw1.ports.0.egress_priority_base"),
+    ("port_vcid", ("switches", 0, "ports", 0, "vcid"), 0.5, "switches.sw1.ports.0.vcid"),
+    ("can_priority", ("nodes", 0, "can_priority"), 256.5, "nodes.n1.can_priority"),
+    ("vcid", ("nodes", 0, "vcid"), 1.5, "nodes.n1.vcid"),
+    ("can_id", ("flows", 0, "can_id"), 256.5, "flows.f1.can_id"),
+    ("arb_overhead_bits", ("buses", 0, "arb_overhead_bits"), 34.5,
+     "buses.bus1.arb_overhead_bits"),
+    ("data_overhead_bits", ("buses", 0, "data_overhead_bits"), 168.5,
+     "buses.bus1.data_overhead_bits"),
+    ("schedule_count", ("flows", 0, "schedule"), {"period": 0.001, "count": 2.0},
+     "flows.f1.schedule.count"),
+    ("rx_ids", ("nodes", 0), {"name": "n1", "kind": "classic-can", "rx_ids": [512.5]},
+     "nodes.n1.rx_ids"),
+    ("legacy_match_id", ("switches", 0, "legacy_rules"),
+     [{"ingress_port": 0, "match_id": 256.5, "egress": [{"port": 1, "id": 0x200}]}],
+     "switches.sw1.legacy_rules.0.match_id"),
+    ("legacy_egress_port", ("switches", 0, "legacy_rules"),
+     [{"ingress_port": 0, "match_id": 0x100, "egress": [{"port": 1.5, "id": 0x200}]}],
+     "switches.sw1.legacy_rules.0.egress.0.port"),
 ]
 
 
@@ -266,6 +300,26 @@ def test_malformed_input_is_located(path, value, location):
                          ids=[case[0] for case in UNQUOTED_ADDRESSES])
 def test_unquoted_address_is_located(path, value, location):
     assert_located(path, value, location)
+
+
+@pytest.mark.parametrize("path, value, location", [case[1:] for case in NON_INTEGERS],
+                         ids=[case[0] for case in NON_INTEGERS])
+def test_non_integer_is_located(path, value, location):
+    assert_located(path, value, location)
+
+
+def test_integer_fields_take_yaml_integers():
+    doc = variant()
+    doc["flows"][0]["payload_size"] = 44
+    doc["switches"][0]["bridge_id"] = 0x10
+    topo = build_topology(doc)
+    assert topo.flows[0].payload_size == 44
+    assert topo.switches["sw1"].bridge_id == 16
+
+
+def test_startup_gratuitous_arp_takes_a_yaml_boolean():
+    topo = build_topology(variant(run={"t_end": 0.01, "startup_gratuitous_arp": False}))
+    assert topo.options.startup_gratuitous_arp is False
 
 
 def test_negative_t_end_rejected():

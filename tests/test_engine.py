@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from canxlnet import engine, frames
+from canxlnet import engine, frames, nodes
 from canxlnet.config import load_config
 from canxlnet.engine import Flow, RunOptions, Simulation, Topology
 from canxlnet.frames import Ipv4Address, MacAddress
@@ -39,6 +39,16 @@ def two_node_bus(prio1=0x100, prio2=0x200, flows=(), t_end=0.05, **node_kw) -> T
     topo.attach_node("n1", "bus1")
     topo.attach_node("n2", "bus1")
     topo.flows.extend(flows)
+    return topo
+
+
+def five_node_bus(flow: Flow) -> Topology:
+    topo = Topology(RunOptions(t_end=0.05))
+    topo.add_bus("bus1", BUS)
+    for n in range(1, 6):
+        topo.add_node(EocNode(f"n{n}", mac(n), ip(n), can_priority=0x100 * n))
+        topo.attach_node(f"n{n}", "bus1")
+    topo.flows.append(flow)
     return topo
 
 
@@ -175,6 +185,47 @@ class TestMediumTiming:
         trace, report = Simulation(two_node_bus(flows=[flow])).run()
         delivers = [e for e in events(trace, "deliver") if e["location"] == "n1"]
         assert not delivers
+
+    def test_receivers_take_a_transmission_in_station_order(self, monkeypatch):
+        # n1's ARP request for n3 reaches n2..n5; n3 queues its reply while
+        # it handles the request, and the reply starts at the same instant.
+        topo = five_node_bus(Flow("f", "n1", "ipv4", 44, [to_ns(0.001)], dst_ip=ip(3)))
+        sim = Simulation(topo)
+        handled = []  # (node, trace lines written when it had handled an ARP message)
+        handle_arp = nodes.Node._handle_arp
+
+        def recording(node, *args):
+            handle_arp(node, *args)
+            handled.append((node.name, len(sim.trace_lines)))
+
+        monkeypatch.setattr(nodes.Node, "_handle_arp", recording)
+        trace, _ = sim.run()
+        records = [json.loads(line) for line in trace.splitlines()]
+        done = next(i for i, r in enumerate(records) if r["event"] == "tx_complete")
+        delivers = list(range(done + 1, done + 5))
+        assert [records[i]["event"] for i in delivers] == ["deliver"] * 4
+        assert [records[i]["location"] for i in delivers] == ["n2", "n3", "n4", "n5"]
+        # each receiver reacts after its own deliver line, before the next one
+        assert handled[:4] == [(records[i]["location"], i + 1) for i in delivers]
+        reply = next(i for i, r in enumerate(records)
+                     if r["event"] == "tx_start" and r["source"] == "n3")
+        assert reply > delivers[-1]
+        assert records[reply]["t_ns"] == records[done]["t_ns"]
+
+    def test_one_delivery_event_per_transmission(self, monkeypatch):
+        sim = Simulation(five_node_bus(raw_flow("f", "n1", frames.BROADCAST_MAC, 0.001)))
+        handlers = []
+        schedule = Simulation.schedule
+
+        def recording(self, t_ns, handler, *args):
+            handlers.append(handler)
+            schedule(self, t_ns, handler, *args)
+
+        monkeypatch.setattr(Simulation, "schedule", recording)
+        trace, report = sim.run()
+        assert report["flows"]["f"]["delivered"] == 4
+        assert len(events(trace, "deliver")) == 4
+        assert handlers.count(sim._deliver) == len(events(trace, "tx_complete")) == 1
 
     def test_ethernet_link_duration(self):
         topo = Topology(RunOptions(t_end=0.01))

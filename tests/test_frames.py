@@ -63,16 +63,16 @@ class TestAcceptanceField:
         assert af & (1 << 24)
 
     def test_exact_match_passes(self):
-        assert af_filter_match(make_af_from_da(M1), M1)
+        assert af_filter_match(make_af_from_da(M1), make_af_from_da(M1))
 
     def test_group_always_passes(self):
-        assert af_filter_match(make_af_from_da(BROADCAST_MAC), M2)
-        assert af_filter_match(0x01000000, M2)
+        assert af_filter_match(make_af_from_da(BROADCAST_MAC), make_af_from_da(M2))
+        assert af_filter_match(0x01000000, make_af_from_da(M2))
 
     def test_false_positive_by_construction(self):
         victim = MacAddress.parse("aa:bb:cc:dd:00:00")
         assert victim != M1
-        assert af_filter_match(make_af_from_da(M1), victim)
+        assert af_filter_match(make_af_from_da(M1), make_af_from_da(victim))
 
     def test_false_positives_exist_by_search(self):
         # Brute force: every address sharing the leading four octets clashes.
@@ -80,13 +80,13 @@ class TestAcceptanceField:
         clashes = 0
         for last in range(8):
             other = MacAddress(base.octets[:5] + bytes([last]))
-            if other != base and af_filter_match(make_af_from_da(base), other):
+            if other != base and af_filter_match(make_af_from_da(base), make_af_from_da(other)):
                 clashes += 1
         assert clashes == 7
 
     @given(macs)
     def test_no_false_negatives(self, mac):
-        assert af_filter_match(make_af_from_da(mac), mac)
+        assert af_filter_match(make_af_from_da(mac), make_af_from_da(mac))
 
 
 class TestEoc:
@@ -140,8 +140,8 @@ class TestEocAccept:
     def test_af_tie_broken_in_software(self):
         near_miss = MacAddress.parse("aa:bb:cc:dd:ee:00")
         frame = eoc_encapsulate(EthernetFrame(near_miss, M2, 0x0800, bytes(46)), 0, 0)
-        assert af_filter_match(frame.af, M1)  # hardware stage clashes
-        assert not eoc_accept(frame, M1)      # software stage rejects
+        assert af_filter_match(frame.af, make_af_from_da(M1))  # hardware stage clashes
+        assert not eoc_accept(frame, M1)  # software stage rejects
 
     def test_broadcast(self):
         frame = eoc_encapsulate(EthernetFrame(BROADCAST_MAC, M2, 0x0806, bytes(46)), 0, 0)
