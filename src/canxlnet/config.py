@@ -142,7 +142,12 @@ def _loc(section: str, spec: dict, index: int) -> str:
 
 def load_config(path: str) -> Topology:
     with open(path) as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.MarkedYAMLError as exc:
+            mark = exc.problem_mark
+            raise ConfigError("<root>", f"{exc.problem} at {mark.line + 1}:{mark.column + 1}") \
+                from None
     return build_topology(doc if doc is not None else {})
 
 
@@ -286,7 +291,7 @@ def _build_switch(spec: dict, loc: str) -> CSwitch:
 def _attach(topo: Topology, medium_name: str, ref: str, loc: str) -> None:
     if "." in ref and ref.split(".", 1)[0] in topo.switches:
         sw_name, port_ref = ref.split(".", 1)
-        if not port_ref.startswith("p") or not port_ref[1:].isdigit():
+        if not port_ref.startswith("p") or not port_ref[1:].isdecimal():
             raise ConfigError(loc, f"bad switch port reference {ref!r}")
         topo.attach_switch_port(sw_name, int(port_ref[1:]), medium_name)
     elif ref in topo.nodes:

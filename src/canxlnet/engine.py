@@ -9,15 +9,18 @@ transmission completions, deliveries, STP hellos), node startup and ARP
 retries, and the media's arbitration kicks.
 
 Media hand each transmission they start to `Simulation.on_tx_start`,
-which decodes and describes the frame once, traces it and schedules its
-completion.  A tunnel frame is decapsulated there, once; the inner
-Ethernet frame goes to flow attribution, to the summary and to every
-receiver's `on_receive`.  The completion schedules one delivery event
-for the whole transmission.  That event walks the receivers in station
-order: it writes one receiver's `deliver` record, built from the summary
-encoded once per transmission and the receiver's location encoded once
-at set-up, lets that receiver react, then moves to the next.
-Bus clashes and switch drops both go through `Simulation.drop`.
+which decodes, describes and encodes the frame once, traces it and
+schedules its completion.  A tunnel frame is decapsulated there, once;
+the inner Ethernet frame goes to flow attribution, to the summary, to
+every node's `on_receive` and to every switch port's `on_ingress`.  The
+summary is JSON-encoded once, and the `tx_start`, `tx_complete` and
+`deliver` records are written around that text and the medium, sender
+and receiver names encoded once at set-up.  `trace` encodes the rarer
+records (sends, app deliveries, drops, timers, clashes) whole.  The
+completion schedules one delivery event for the whole transmission.
+That event walks the receivers in station order: it writes one
+receiver's `deliver` record, lets that receiver react, then moves to the
+next.  Bus clashes and switch drops both go through `Simulation.drop`.
 
 Frames are never tagged with bookkeeping objects: each flow embeds an
 8-byte (flow, sequence) tag at the start of its payload, and the engine
@@ -314,12 +317,14 @@ class Simulation:
         self.registry: dict[bytes, tuple[Flow, int, bytes, int]] = {}
         for sw in topo.switches.values():
             sw.drop_hook = self.drop
-        # sender -> (owner, JSON-encoded location) of each receiver, in order
+        # sender -> (JSON-encoded medium name, JSON-encoded sender name,
+        # [(owner, JSON-encoded name) of each receiver, in order])
         stations = [node.station for node in topo.nodes.values()]
         stations += topo.port_station.values()
         location = {st: _encode(st.name) for st in stations}
         self.fanout = {
-            sender: [(st.owner, location[st]) for st in sender.medium.receivers(sender)]
+            sender: (_encode(sender.medium.name), location[sender],
+                     [(st.owner, location[st]) for st in sender.medium.receivers(sender)])
             for sender in stations
         }
 
@@ -372,17 +377,23 @@ class Simulation:
     # -- engine callbacks ------------------------------------------------------
 
     def on_tx_start(self, medium, station: Station, frame, now: int, duration_ns: int) -> None:
-        """Decode and describe a started transmission once, trace it and
-        schedule its end."""
+        """Decode, describe and encode a started transmission once, trace it
+        and schedule its end."""
         inner = _tunneled(frame)
-        described = {"frame": frame_summary(frame, inner)}
+        summary = _encode(frame_summary(frame, inner))
+        location, source, _ = self.fanout[station]
         fl = self.flow_of(frame, inner)
-        if fl is not None:
-            described["flow"], described["seq"] = fl[0].name, fl[1]
-        self.trace("tx_start", medium.name, **described,
-                   source=station.name, duration_ns=duration_ns)
+        # The keys tx_start and tx_complete share, in sorted order; written
+        # byte for byte as trace() would.
+        if fl is None:
+            shared = f'"frame":{summary},"location":{location},"source":{source},'
+        else:
+            shared = (f'"flow":{_encode(fl[0].name)},"frame":{summary},"location":{location},'
+                      f'"seq":{fl[1]},"source":{source},')
+        self.trace_lines.append(
+            f'{{"duration_ns":{duration_ns},"event":"tx_start",{shared}"t_ns":{self.now}}}')
         self.schedule(now + duration_ns, self.on_tx_complete,
-                      medium, station, frame, inner, described)
+                      medium, station, frame, inner, summary, shared)
 
     def on_clash(self, bus, dropped: list[tuple[Station, object]]) -> None:
         self.trace("clash", bus.name, stations=[st.name for st, _ in dropped])
@@ -452,23 +463,25 @@ class Simulation:
         self.topo.nodes[flow.source].app_send(self, self.now, flow, seq, payload)
 
     def on_tx_complete(self, medium, sender: Station, frame, inner: EthernetFrame | None,
-                       described: dict) -> None:
-        self.trace("tx_complete", medium.name, **described, source=sender.name)
-        self.schedule(self.now, self._deliver, sender, frame, inner, described)
-        medium.on_complete(self, self.now, sender)
+                       summary: str, shared: str) -> None:
+        now = self.now
+        self.trace_lines.append(f'{{"event":"tx_complete",{shared}"t_ns":{now}}}')
+        self.schedule(now, self._deliver, sender, frame, inner, summary)
+        medium.on_complete(self, now, sender)
 
     def _deliver(self, sender: Station, frame, inner: EthernetFrame | None,
-                 described: dict) -> None:
+                 summary: str) -> None:
         """Hand one transmission to each receiver in turn: its `deliver`
         record, then its reaction, then the next receiver."""
         # Byte for byte what trace("deliver", <receiver name>, frame=...) writes.
         now = self.now
-        head = '{"event":"deliver","frame":' + _encode(described["frame"]) + ',"location":'
+        head = '{"event":"deliver","frame":' + summary + ',"location":'
         tail = f',"t_ns":{now}}}'
-        for owner, location in self.fanout[sender]:
+        for owner, location in self.fanout[sender][2]:
             self.trace_lines.append(head + location + tail)
             if isinstance(owner, SwitchPortRef):
-                self._emit(owner.switch, owner.switch.on_ingress(owner.port, frame, now))
+                self._emit(owner.switch,
+                           owner.switch.on_ingress(owner.port, frame, now, inner))
             else:
                 owner.on_receive(self, now, frame, inner)
 

@@ -119,7 +119,7 @@ class MacAddress:
         return bool(self.octets[0] & 0x01)
 
     def __str__(self) -> str:
-        return ":".join(f"{b:02x}" for b in self.octets)
+        return self.octets.hex(":")
 
 
 BROADCAST_MAC = MacAddress(b"\xff" * 6)

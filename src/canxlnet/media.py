@@ -13,6 +13,9 @@ direction.  Multidrop Ethernet is not modeled.
 
 A medium only decides when a frame starts and hands the transmission to
 `Simulation.on_tx_start`, which traces it and schedules its completion.
+An enqueue asks for an arbitration kick only while the medium (for a
+link, that direction) is idle; a busy one is kicked again when its
+transmission completes, so no kick runs only to find the medium busy.
 Utilization counts busy time up to `t_end`, not past it.
 
 All state is owned by the simulation engine and mutated in event order.
@@ -93,7 +96,8 @@ class CanBus:
 
     def enqueue(self, sim, station: Station, frame, now: int) -> None:
         heapq.heappush(station.queue, (frame_priority(frame), sim.next_seq(), frame))
-        self.request_kick(sim, now)
+        if self.busy_until <= now:  # a busy bus re-arms in on_complete
+            self.request_kick(sim, now)
 
     def request_kick(self, sim, now: int) -> None:
         if not self.kick_pending:
@@ -170,7 +174,9 @@ class EthernetLink:
         if not isinstance(frame, EthernetFrame):
             raise TypeError(f"{type(frame).__name__} cannot travel on an Ethernet link")
         station.queue.append(frame)
-        self.request_kick(sim, now, self._direction(station))
+        direction = self._direction(station)
+        if self.busy_until[direction] <= now:  # a busy direction re-arms in on_complete
+            self.request_kick(sim, now, direction)
 
     def request_kick(self, sim, now: int, direction: int) -> None:
         if not self.kick_pending[direction]:

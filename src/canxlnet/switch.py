@@ -2,11 +2,14 @@
 
 A C-switch is a multiport learning bridge.  Ethernet ports hand frames to
 the core directly; CAN ports pass through a tunneller that decapsulates
-tunneled Ethernet on ingress and re-encapsulates on egress.  Streamlined
-IPv4 frames carry no MAC addresses, so the filtering database is extended
-with an IP index (the TARP cache) populated by snooping ARP messages and
-plain IPv4 traffic; with it the switch can rebuild full Ethernet frames
-for streamlined datagrams that must leave on an Ethernet port.
+tunneled Ethernet on ingress and re-encapsulates on egress (the
+simulation decodes each transmission once and hands the tunneled
+Ethernet frame to `on_ingress` with the CAN XL frame that carried it).
+Streamlined IPv4 frames carry no MAC addresses, so the filtering
+database is extended with an IP index (the TARP cache) populated by
+snooping ARP messages and plain IPv4 traffic; with it the switch can
+rebuild full Ethernet frames for streamlined datagrams that must leave
+on an Ethernet port.
 
 Loop prevention uses a reduced spanning tree: 64-bit bridge ids, hello
 BPDUs every 2 s, lowest root id wins, per-port roles root/designated/
@@ -228,12 +231,15 @@ class CSwitch:
 
     # -- ingress ----------------------------------------------------------
 
-    def on_ingress(self, port: int, frame, now: int) -> list[tuple[int, object]]:
-        """Process one received frame; returns (egress port, frame) pairs."""
+    def on_ingress(self, port: int, frame, now: int,
+                   inner: EthernetFrame | None) -> list[tuple[int, object]]:
+        """Process one received frame; returns (egress port, frame) pairs.
+        `inner` is the Ethernet frame a tunnel frame carries, as the
+        simulation decoded it once per transmission; None for other frames."""
         if isinstance(frame, ClassicCanFrame):
             return self.relay_legacy(port, frame)
 
-        normalized = self._normalize(port, frame)
+        normalized = self._normalize(port, frame, inner)
         if normalized is None:
             return []
         if isinstance(normalized, EthernetFrame) and self._is_bpdu(normalized):
@@ -244,7 +250,7 @@ class CSwitch:
         self.learn(port, normalized, now)
         return self._encode_all(self._forward(port, normalized, now), now)
 
-    def _normalize(self, port: int, frame):
+    def _normalize(self, port: int, frame, inner: EthernetFrame | None):
         kind = self.ports[port].kind
         if kind == ETH:
             return frame if isinstance(frame, EthernetFrame) else None
@@ -253,7 +259,7 @@ class CSwitch:
         if frame.sdt == frames.SDT_ETHERNET:
             # The tunneller does no AF filtering of its own: selective
             # forwarding belongs to the core.
-            return frames.eoc_decapsulate(frame)
+            return inner
         if frame.sdt == frames.SDT_IPV4:
             return frames.ioc_decapsulate(frame)
         return None

@@ -47,6 +47,15 @@ def test_simulate_malformed_shape_exits_2(tmp_path, scenario_path, capsys):
     assert "Traceback" not in err
 
 
+def test_simulate_yaml_syntax_error_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("nodes: [a, b\nflows: {\n")
+    assert main(["simulate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: <root>:") and "at 2:6" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_non_text_port_kind_exits_2(tmp_path, scenario_path, capsys):
     with open(scenario_path("eoc_baseline")) as fh:
         doc = yaml.safe_load(fh)

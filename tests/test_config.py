@@ -308,6 +308,20 @@ def test_non_integer_is_located(path, value, location):
     assert_located(path, value, location)
 
 
+def test_non_decimal_port_digit_is_located():
+    # "²" passes str.isdigit() but not int()
+    assert_located(("buses", 0, "stations"), ["n1", "sw1.p\u00b2"], "buses.bus1.stations")
+
+
+def test_yaml_syntax_error_is_located(tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("nodes: [a, b\nflows: {\n")
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(bad))
+    assert exc.value.location == "<root>"
+    assert exc.value.reason.endswith(" at 2:6")
+
+
 def test_integer_fields_take_yaml_integers():
     doc = variant()
     doc["flows"][0]["payload_size"] = 44

@@ -57,6 +57,36 @@ def raw_flow(name, source, dst, at, size=64, seq_times=None):
     return Flow(name, source, "raw-ethernet", size, times, dst_mac=dst)
 
 
+# Every name the engine writes into a trace line, each with a quote, a
+# backslash and a non-ASCII character.
+NODE, HOST, SWITCH = 'n"\\\u00fc', 'h\\"\u00f8', 'sw"\\\u00df'
+BUS_NAME, LINK_NAME = 'bus "\u00e9\\', 'link\\"\u00e5'
+FLOW_IP, FLOW_UP, FLOW_DOWN = 'f"\\\u00b5', 'up"\\\u00e6', 'down"\\\u0142'
+
+
+def switched_pair() -> Topology:
+    """An EoC node and an Ethernet host joined by a C-switch: an ipv4 flow
+    that resolves by ARP, and back-to-back raw frames each way, so that
+    the bus and the link are busy when their second frame is queued."""
+    topo = Topology(RunOptions(t_end=0.01))
+    topo.add_node(EocNode(NODE, mac(1), ip(1), can_priority=0x100))
+    topo.add_node(EthernetHost(HOST, mac(2), ip(2)))
+    topo.add_switch(CSwitch(SWITCH, 1, [PortConfig(0, CAN_XL), PortConfig(1, ETH)]))
+    topo.add_bus(BUS_NAME, BUS)
+    topo.add_link(LINK_NAME, LINK)
+    topo.attach_node(NODE, BUS_NAME)
+    topo.attach_switch_port(SWITCH, 0, BUS_NAME)
+    topo.attach_switch_port(SWITCH, 1, LINK_NAME)
+    topo.attach_node(HOST, LINK_NAME)
+    topo.flows += [
+        Flow(FLOW_IP, NODE, "ipv4", 44, [to_ns(0.001)], dst_ip=ip(2)),
+        Flow(FLOW_UP, NODE, "raw-ethernet", 64, [to_ns(0.004), to_ns(0.00401)], dst_mac=mac(2)),
+        Flow(FLOW_DOWN, HOST, "raw-ethernet", 64, [to_ns(0.006), to_ns(0.006001)],
+             dst_mac=mac(1)),
+    ]
+    return topo
+
+
 def events(trace: str, kind: str) -> list[dict]:
     return [json.loads(line) for line in trace.splitlines()
             if json.loads(line)["event"] == kind]
@@ -153,6 +183,40 @@ class TestMediumTiming:
         tunneled = [e for e in events(trace, "tx_start") if e["frame"].get("sdt") == "ethernet"]
         assert len(tunneled) == 3  # ARP request, ARP reply, datagram
         assert len(decodes) == len(tunneled)
+
+    def test_switch_port_reuses_the_decoded_tunnel_frame(self, monkeypatch):
+        decodes = []
+        decapsulate = frames.eoc_decapsulate
+
+        def counting(frame):
+            decodes.append(frame)
+            return decapsulate(frame)
+
+        monkeypatch.setattr(frames, "eoc_decapsulate", counting)
+        trace, report = Simulation(switched_pair()).run()
+        assert report["switches"][SWITCH]["counters"]["forwarded"] > 0
+        tunneled = [e for e in events(trace, "tx_start") if e["frame"].get("sdt") == "ethernet"]
+        assert any(e["source"] == NODE for e in tunneled)
+        assert len(decodes) == len(tunneled)
+
+    def test_no_kick_is_scheduled_while_the_medium_is_busy(self, monkeypatch):
+        sim = Simulation(switched_pair())
+        kicks = []  # (medium, busy until, kick time)
+        schedule = Simulation.schedule
+
+        def recording(self, t_ns, handler, *args):
+            if getattr(handler, "__name__", None) == "kick":
+                medium = handler.__self__
+                busy = medium.busy_until
+                kicks.append((medium.kind, busy if isinstance(busy, int) else busy[args[2]], t_ns))
+            schedule(self, t_ns, handler, *args)
+
+        monkeypatch.setattr(Simulation, "schedule", recording)
+        _, report = sim.run()
+        for name in (FLOW_UP, FLOW_DOWN):
+            assert report["flows"][name]["delivered"] == 2
+        assert {kind for kind, _, _ in kicks} == {"can-bus", "ethernet-link"}
+        assert all(busy <= t_ns for _, busy, t_ns in kicks)
 
     def test_bus_utilization_stops_at_t_end(self):
         # A 1400 B frame lasts ~6.4 ms at 500 kb/s / 2 Mb/s; charged in
@@ -398,6 +462,20 @@ class TestScenarios:
         assert trace
         for line in trace.splitlines():
             assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+
+    def test_odd_names_give_canonical_json(self):
+        trace, report = Simulation(switched_pair()).run()
+        assert report["flows"][FLOW_IP]["delivered"] == 1
+        records = [json.loads(line) for line in trace.splitlines()]
+        for line, rec in zip(trace.splitlines(), records):
+            assert line == engine._encode(rec)
+        names = {rec.get(key) for rec in records for key in ("location", "source", "flow")}
+        assert {NODE, HOST, BUS_NAME, LINK_NAME, SWITCH, f"{SWITCH}.p0", f"{SWITCH}.p1",
+                FLOW_IP, FLOW_UP, FLOW_DOWN} <= names
+        arp = [rec for rec in records if rec["event"] in ("tx_start", "tx_complete")
+               and rec["frame"].get("inner", rec["frame"]).get("ethertype") == "0x0806"]
+        assert {rec["event"] for rec in arp} == {"tx_start", "tx_complete"}
+        assert not any("flow" in rec or "seq" in rec for rec in arp)
 
     def test_report_is_stable_across_runs(self, scenario_path):
         r1 = Simulation(load_config(scenario_path("ioc_reconstruction"))).run()[1]

@@ -1,6 +1,6 @@
 import pytest
 
-from canxlnet import frames
+from canxlnet import engine, frames
 from canxlnet.frames import (
     ArpMessage,
     ArpOp,
@@ -50,6 +50,11 @@ def make_switch(ioc_port_mode=None) -> CSwitch:
         ports[0] = PortConfig(0, CAN_XL, egress_mode=ioc_port_mode,
                               egress_priority_base=0x700)
     return CSwitch("sw", bridge_id=1, ports=ports)
+
+
+def ingest(sw: CSwitch, port: int, frame, now: int):
+    """`sw.on_ingress` given the inner frame as the simulation decodes it."""
+    return sw.on_ingress(port, frame, now, engine._tunneled(frame))
 
 
 def arp_request(sha, spa, tpa) -> EthernetFrame:
@@ -132,7 +137,7 @@ class TestAgeing:
 class TestForwarding:
     def test_unknown_unicast_floods(self):
         sw = make_switch()
-        out = sw.on_ingress(1, ipv4_eth(M3, M1, IP1, IP3), now=0)
+        out = ingest(sw, 1, ipv4_eth(M3, M1, IP1, IP3), now=0)
         assert [port for port, _ in out] == [0, 2]
         assert sw.counters["flooded"] == 1
         # the CAN copy is tunneled, the Ethernet copy is untouched
@@ -141,21 +146,21 @@ class TestForwarding:
 
     def test_known_unicast_single_port(self):
         sw = make_switch()
-        sw.on_ingress(2, ipv4_eth(BROADCAST_MAC, M3, IP3, IP1), now=0)
-        out = sw.on_ingress(1, ipv4_eth(M3, M1, IP1, IP3), now=1)
+        ingest(sw, 2, ipv4_eth(BROADCAST_MAC, M3, IP3, IP1), now=0)
+        out = ingest(sw, 1, ipv4_eth(M3, M1, IP1, IP3), now=1)
         assert [port for port, _ in out] == [2]
         assert sw.counters["forwarded"] == 1
 
     def test_destination_on_ingress_segment_confined(self):
         sw = make_switch()
-        sw.on_ingress(1, ipv4_eth(BROADCAST_MAC, M3, IP3, IP1), now=0)
-        out = sw.on_ingress(1, ipv4_eth(M3, M1, IP1, IP3), now=1)
+        ingest(sw, 1, ipv4_eth(BROADCAST_MAC, M3, IP3, IP1), now=0)
+        out = ingest(sw, 1, ipv4_eth(M3, M1, IP1, IP3), now=1)
         assert out == []
         assert sw.counters["no_route_self"] == 1
 
     def test_group_da_floods(self):
         sw = make_switch()
-        out = sw.on_ingress(1, EthernetFrame(BROADCAST_MAC, M1, 0x88B6, bytes(46)), now=0)
+        out = ingest(sw, 1, EthernetFrame(BROADCAST_MAC, M1, 0x88B6, bytes(46)), now=0)
         assert [port for port, _ in out] == [0, 2]
 
     def test_flood_never_echoes_to_ingress(self):
@@ -164,21 +169,21 @@ class TestForwarding:
             frame = EthernetFrame(BROADCAST_MAC, M1, 0x88B6, bytes(46))
             if sw.ports[ingress].kind == CAN_XL:
                 frame = eoc_encapsulate(frame, 0x100, 0)
-            out = sw.on_ingress(ingress, frame, now=0)
+            out = ingest(sw, ingress, frame, now=0)
             assert ingress not in [port for port, _ in out]
 
 
 class TestUnatReconstruction:
     def prime(self, sw):
         # ARP snooping fills the extended database for both endpoints.
-        sw.on_ingress(0, eoc_encapsulate(arp_request(M1, IP1, IP2), 0x100, 0), now=0)
-        sw.on_ingress(1, arp_serialize(ArpMessage(ArpOp.REPLY, M2, IP2, M1, IP1)), now=1)
+        ingest(sw, 0, eoc_encapsulate(arp_request(M1, IP1, IP2), 0x100, 0), now=0)
+        ingest(sw, 1, arp_serialize(ArpMessage(ArpOp.REPLY, M2, IP2, M1, IP1)), now=1)
 
     def test_ioc_to_ethernet_uses_learned_macs(self):
         sw = make_switch()
         self.prime(sw)
         frame = ioc_encode(IocDatagram(IP1, IP2, bytes(44)), 0x100, 0)
-        out = sw.on_ingress(0, frame, now=2)
+        out = ingest(sw, 0, frame, now=2)
         assert len(out) == 1
         port, eth = out[0]
         assert port == 1
@@ -190,7 +195,7 @@ class TestUnatReconstruction:
     def test_unknown_macs_drop_with_counter(self):
         sw = make_switch()
         frame = ioc_encode(IocDatagram(IP1, IP2, bytes(44)), 0x100, 0)
-        out = sw.on_ingress(0, frame, now=0)
+        out = ingest(sw, 0, frame, now=0)
         assert out == []
         assert sw.counters["reconstruction_failure"] >= 1
 
@@ -198,18 +203,18 @@ class TestUnatReconstruction:
         sw = make_switch()
         self.prime(sw)
         # a third, IoC-only station: IP index knows it, MAC is absent
-        sw.on_ingress(0, ioc_encode(IocDatagram(IP3, IP2, bytes(44)), 0x101, 0), now=2)
+        ingest(sw, 0, ioc_encode(IocDatagram(IP3, IP2, bytes(44)), 0x101, 0), now=2)
         frame = ioc_encode(IocDatagram(IP1, IP3, bytes(44)), 0x100, 0)
         before = sw.counters["reconstruction_failure"]
-        out = sw.on_ingress(1, ipv4_eth(M3, M2, IP2, IP3), now=3)
-        out = sw.on_ingress(0, frame, now=4)
+        out = ingest(sw, 1, ipv4_eth(M3, M2, IP2, IP3), now=3)
+        out = ingest(sw, 0, frame, now=4)
         assert out == []
         assert sw.counters["no_route_self"] == 1  # IP3 lives on port 0
 
     def test_ethernet_to_ioc_on_preferred_port(self):
         sw = make_switch(ioc_port_mode=EGRESS_IOC_PREFERRED)
         self.prime(sw)
-        out = sw.on_ingress(1, ipv4_eth(M1, M2, IP2, IP1), now=2)
+        out = ingest(sw, 1, ipv4_eth(M1, M2, IP2, IP1), now=2)
         assert len(out) == 1
         port, frame = out[0]
         assert port == 0
@@ -220,7 +225,7 @@ class TestUnatReconstruction:
     def test_arp_stays_tunneled_on_preferred_port(self):
         sw = make_switch(ioc_port_mode=EGRESS_IOC_PREFERRED)
         self.prime(sw)
-        out = sw.on_ingress(1, arp_serialize(ArpMessage(ArpOp.REPLY, M2, IP2, M1, IP1)), now=2)
+        out = ingest(sw, 1, arp_serialize(ArpMessage(ArpOp.REPLY, M2, IP2, M1, IP1)), now=2)
         assert out[0][1].sdt == frames.SDT_ETHERNET
 
     def test_ioc_stays_compact_between_preferred_can_ports(self):
@@ -229,7 +234,7 @@ class TestUnatReconstruction:
             PortConfig(1, CAN_XL, egress_mode=EGRESS_IOC_PREFERRED, egress_priority_base=0x701),
         ]
         sw = CSwitch("sw", 1, ports)
-        out = sw.on_ingress(0, ioc_encode(IocDatagram(IP1, IP2, bytes(44)), 0x100, 0), now=0)
+        out = ingest(sw, 0, ioc_encode(IocDatagram(IP1, IP2, bytes(44)), 0x100, 0), now=0)
         assert [port for port, _ in out] == [1]
         assert out[0][1].sdt == frames.SDT_IPV4
 
@@ -263,7 +268,7 @@ class TestLegacyRelay:
     def test_no_learning_or_flooding(self):
         sw = CSwitch("sw", 1, [PortConfig(0, CAN_XL), PortConfig(1, CAN_XL,
                      egress_priority_base=0x701)])
-        assert sw.on_ingress(0, frames.ClassicCanFrame(0x123, b"\x00"), now=0) == []
+        assert ingest(sw, 0, frames.ClassicCanFrame(0x123, b"\x00"), now=0) == []
         assert not sw.efdb.entries()
 
     def test_remap_range_validated(self):
@@ -321,26 +326,26 @@ class TestSpanningTree:
         sw = make_switch()
         bogus = EthernetFrame(frames.STP_GROUP_MAC, M1, frames.ETHERTYPE_BPDU,
                               b"JUNK" + bytes(42))
-        sw.on_ingress(1, bogus, now=0)
+        ingest(sw, 1, bogus, now=0)
         assert sw.counters["bpdu_malformed"] == 1
 
     def test_wrong_ethertype_on_stp_group_counted(self):
         sw = make_switch()
         bogus = EthernetFrame(frames.STP_GROUP_MAC, M1, 0x88B6, bytes(46))
-        sw.on_ingress(1, bogus, now=0)
+        ingest(sw, 1, bogus, now=0)
         assert sw.counters["bpdu_malformed"] == 1
 
     def test_data_dropped_on_blocked_ingress(self):
         sw = make_switch()
         sw.port_state[1].role = ROLE_BLOCKED
-        out = sw.on_ingress(1, ipv4_eth(M3, M1, IP1, IP3), now=0)
+        out = ingest(sw, 1, ipv4_eth(M3, M1, IP1, IP3), now=0)
         assert out == []
         assert sw.counters["stp_blocked"] == 1
 
     def test_no_egress_on_blocked_port(self):
         sw = make_switch()
         sw.port_state[2].role = ROLE_BLOCKED
-        out = sw.on_ingress(1, EthernetFrame(BROADCAST_MAC, M1, 0x88B6, bytes(46)), now=0)
+        out = ingest(sw, 1, EthernetFrame(BROADCAST_MAC, M1, 0x88B6, bytes(46)), now=0)
         assert [port for port, _ in out] == [0]
 
 
