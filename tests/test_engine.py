@@ -201,7 +201,7 @@ class TestMediumTiming:
 
     def test_no_kick_is_scheduled_while_the_medium_is_busy(self, monkeypatch):
         sim = Simulation(switched_pair())
-        kicks = []  # (medium, busy until, kick time)
+        kicks = []  # (medium kind, busy until, kick time)
         schedule = Simulation.schedule
 
         def recording(self, t_ns, handler, *args):
