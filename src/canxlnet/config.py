@@ -47,13 +47,29 @@ Schema (unknown keys are rejected; every error names its location):
       startup_gratuitous_arp: true
       trace: out/trace.jsonl      # optional default output paths
       report: out/report.json
+
+Loading: `load_config` parses with libyaml's C parser where PyYAML was
+built with it (`yaml.__with_libyaml__`), else with PyYAML's pure-Python
+parser, and composes and constructs in Python with PyYAML's safe
+constructor.  The composer refuses collections nested more than
+`MAX_DEPTH` levels deep (the schema needs 7), counting the levels an alias
+brings along, so no document can exhaust the stack.  Every error of the
+YAML layer, an unreadable character or byte included, is a `ConfigError`
+at `<root>` with its position.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 
 import yaml
+from yaml.composer import Composer, ComposerError
+from yaml.constructor import ConstructorError, SafeConstructor
+from yaml.parser import Parser
+from yaml.reader import Reader, ReaderError
+from yaml.resolver import Resolver
+from yaml.scanner import Scanner
 
 from .engine import ConfigError, Flow, RunOptions, Topology
 from .frames import Ipv4Address, MacAddress
@@ -133,6 +149,12 @@ def _name(loc: str, value) -> str:
     return value
 
 
+def _path(loc: str, value) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(loc, f"expected a file path, got {value!r}")
+    return value
+
+
 def _loc(section: str, spec: dict, index: int) -> str:
     """Where an item's errors are reported: its name, else its index."""
     if "name" not in spec:
@@ -140,18 +162,112 @@ def _loc(section: str, spec: dict, index: int) -> str:
     return f"{section}.{_name(f'{section}.{index}.name', spec['name'])}"
 
 
-def load_config(path: str) -> Topology:
-    with open(path) as fh:
+MAX_DEPTH = 64  # collection nesting levels a document may have
+
+
+class _DepthBound(Composer):
+    """PyYAML's composer, refusing collections nested deeper than MAX_DEPTH.
+
+    Composing recurses once per level, so each level is counted before it is
+    entered.  An alias nests its anchor's whole height where it stands, and
+    an alias to a collection that encloses it nests without end: once a
+    document has anchors, each collection records its height and the bound
+    is checked against it.
+    """
+
+    depth = 0
+
+    def compose_sequence_node(self, anchor):
+        self._enter()
+        node = super().compose_sequence_node(anchor)
+        return self._leave(node, node.value)
+
+    def compose_mapping_node(self, anchor):
+        self._enter()
+        node = super().compose_mapping_node(anchor)
+        return self._leave(node, itertools.chain.from_iterable(node.value))
+
+    def _enter(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            _too_deep(self.peek_event().start_mark)
+
+    def _leave(self, node, children):
+        self.depth -= 1
+        if self.anchors:
+            height = 0
+            for child in children:
+                if child is node or child.end_mark is None:  # an alias to itself or
+                    _too_deep(node.start_mark)                # to a node still open
+                height = max(height, getattr(child, "height", 0))
+            node.height = height + 1
+            if self.depth + node.height > MAX_DEPTH:
+                _too_deep(node.start_mark)
+        return node
+
+
+def _too_deep(mark):
+    raise ComposerError(None, None, f"collections nested deeper than {MAX_DEPTH} levels", mark)
+
+
+def _located(construct):
+    """`construct`, with a ValueError located at the scalar's mark."""
+    def located(constructor, node):
         try:
-            doc = yaml.safe_load(fh)
+            return construct(constructor, node)
+        except ValueError as exc:
+            raise ConstructorError(None, None, str(exc), node.start_mark) from None
+    return located
+
+
+class _Constructor(SafeConstructor):
+    """PyYAML's safe constructor; an integer too long to convert or a date
+    out of range is a located error."""
+
+
+for _tag in ("tag:yaml.org,2002:int", "tag:yaml.org,2002:timestamp"):
+    _Constructor.add_constructor(_tag, _located(SafeConstructor.yaml_constructors[_tag]))
+
+
+class _PurePythonParser(Reader, Scanner, Parser):
+    def __init__(self, stream):
+        Reader.__init__(self, stream)
+        Scanner.__init__(self)
+        Parser.__init__(self)
+
+
+def _loader(parser: type) -> type:
+    class Loader(_DepthBound, parser, _Constructor, Resolver):
+        def __init__(self, stream):
+            parser.__init__(self, stream)
+            Composer.__init__(self)
+            _Constructor.__init__(self)
+            Resolver.__init__(self)
+    return Loader
+
+
+PURE_PYTHON_LOADER = _loader(_PurePythonParser)
+# libyaml's parser makes set-up about five times faster
+LOADER = _loader(yaml.cyaml.CParser) if yaml.__with_libyaml__ else PURE_PYTHON_LOADER
+
+
+def load_config(path: str) -> Topology:
+    with open(path, "rb") as fh:  # bytes, so that PyYAML decodes and locates them
+        try:
+            doc = yaml.load(fh, Loader=LOADER)
         except yaml.MarkedYAMLError as exc:
             mark = exc.problem_mark
             raise ConfigError("<root>", f"{exc.problem} at {mark.line + 1}:{mark.column + 1}") \
+                from None
+        except ReaderError as exc:  # libyaml gives -1 for a sequence cut short
+            what = f" (#x{exc.character:02x})" if exc.character >= 0 else ""
+            raise ConfigError("<root>", f"{exc.reason}{what} at position {exc.position}") \
                 from None
     return build_topology(doc if doc is not None else {})
 
 
 def build_topology(doc: dict) -> Topology:
+    """The topology `doc` describes; `Simulation` validates it before a run."""
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "expected a mapping")
     _check_keys(doc, "<root>", set(),
@@ -168,7 +284,6 @@ def build_topology(doc: dict) -> Topology:
         _build_link(topo, spec, _loc("links", spec, i))
     for i, spec in enumerate(_list(doc.get("flows"), "flows")):
         topo.flows.append(_build_flow(spec, _loc("flows", spec, i)))
-    topo.validate()
     return topo
 
 
@@ -183,8 +298,8 @@ def _build_run(spec: dict) -> RunOptions:
         t_end=_parse("run.t_end", float, spec["t_end"]),
         seed=_int("run.seed", spec.get("seed", 0)),
         startup_gratuitous_arp=announce,
-        trace_path=spec.get("trace"),
-        report_path=spec.get("report"),
+        trace_path=_path("run.trace", spec.get("trace")),
+        report_path=_path("run.report", spec.get("report")),
     )
 
 

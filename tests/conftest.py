@@ -1,9 +1,24 @@
+import importlib.util
+import json
 import pathlib
 
 import pytest
+import yaml
+
+from canxlnet import config
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = REPO_ROOT / "scenarios"
+PERFBENCH = REPO_ROOT / "perfbench"
+DIGESTS = json.loads((PERFBENCH / "digests.json").read_text())
+
+_spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                               PERFBENCH / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+# parser base -> the `canxlnet.config` loader built on it
+PARSER_BASES = {"libyaml": "LOADER", "python": "PURE_PYTHON_LOADER"}
 
 
 @pytest.fixture
@@ -13,5 +28,21 @@ def scenario_path():
     return get
 
 
+@pytest.fixture(params=sorted(PARSER_BASES))
+def parser_base(request, monkeypatch) -> str:
+    """Runs a test once per parser `config.load_config` can be built on and
+    returns the name of the loader it installed as `config.LOADER`."""
+    if request.param == "libyaml" and not yaml.__with_libyaml__:
+        pytest.skip("PyYAML was built without libyaml")
+    name = PARSER_BASES[request.param]
+    monkeypatch.setattr(config, "LOADER", getattr(config, name))
+    return name
+
+
 def all_scenarios() -> list[pathlib.Path]:
     return sorted(SCENARIOS.glob("*.yaml"))
+
+
+def workload_yaml(name: str) -> str:
+    """Synthetic workload `name` at its recorded seed, written as perfbench writes it."""
+    return yaml.safe_dump(workloads.GENERATORS[name](DIGESTS[name]["seed"]), sort_keys=False)

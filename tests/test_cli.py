@@ -1,15 +1,22 @@
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 import yaml
 
 from canxlnet.cli import main
+from canxlnet.config import MAX_DEPTH
 from canxlnet.frames import (
     EthernetFrame,
     Ipv4Address,
     Ipv4Datagram,
     MacAddress,
 )
+
+from conftest import REPO_ROOT
 
 
 def test_simulate_eoc_baseline(tmp_path, scenario_path, capsys):
@@ -54,6 +61,38 @@ def test_simulate_yaml_syntax_error_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: <root>:") and "at 2:6" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("data, character, position", [
+    (b"nodes: \x07\n", "#x07", 7),  # a control character
+    (b"nodes: [a\xff]\n", "#xff", 9),  # not UTF-8
+], ids=["control_character", "undecodable_byte"])
+def test_simulate_unreadable_input_exits_2(tmp_path, capsys, data, character, position):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(data)
+    assert main(["simulate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: <root>:") and f"({character}) at position {position}" in err
+    assert "Traceback" not in err
+
+
+# `canxlnet simulate` on the loader named by argv[1]
+SIMULATE_ON = ("import sys; from canxlnet import cli, config; "
+               "config.LOADER = getattr(config, sys.argv[1]); sys.exit(cli.main(sys.argv[2:]))")
+
+
+def test_simulate_nesting_bomb_exits_2(tmp_path, parser_base):
+    bomb = tmp_path / "bomb.yaml"
+    bomb.write_text("nodes: " + "[" * 100_000 + "]" * 100_000)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    # in a child, so that a crash of the parser is a return code
+    child = subprocess.run([sys.executable, "-c", SIMULATE_ON, parser_base, "simulate",
+                            str(bomb), "--trace", str(tmp_path / "t.jsonl"),
+                            "--report", str(tmp_path / "r.json")],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 2, child.stderr
+    assert re.fullmatch(rf"error: <root>: .* {MAX_DEPTH} levels at 1:\d+\n", child.stderr)
 
 
 def test_simulate_non_text_port_kind_exits_2(tmp_path, scenario_path, capsys):

@@ -3,8 +3,11 @@ import copy
 import pytest
 import yaml
 
-from canxlnet.config import build_topology, load_config
+from canxlnet import config
+from canxlnet.config import MAX_DEPTH, build_topology, load_config
 from canxlnet.engine import ConfigError
+
+from conftest import SCENARIOS, all_scenarios, workload_yaml, workloads
 
 MINIMAL = yaml.safe_load("""
 nodes:
@@ -37,8 +40,15 @@ def variant(**edits):
     return doc
 
 
+def checked(doc):
+    """`build_topology` and the checks `Simulation` makes before a run."""
+    topo = build_topology(doc)
+    topo.validate()
+    return topo
+
+
 def test_minimal_config_loads():
-    topo = build_topology(MINIMAL)
+    topo = checked(MINIMAL)
     assert set(topo.nodes) == {"n1", "h1"}
     assert set(topo.media) == {"bus1", "link1"}
     assert len(topo.flows) == 1
@@ -55,7 +65,7 @@ def test_duplicate_ip_names_both_nodes():
     doc = variant()
     doc["nodes"][1]["ip"] = "10.0.0.1"
     with pytest.raises(ConfigError) as exc:
-        build_topology(doc)
+        checked(doc)
     message = str(exc.value)
     assert "h1" in message and "n1" in message
 
@@ -64,33 +74,33 @@ def test_duplicate_mac_rejected():
     doc = variant()
     doc["nodes"][1]["mac"] = "02:00:00:00:00:01"
     with pytest.raises(ConfigError, match="already used"):
-        build_topology(doc)
+        checked(doc)
 
 
 def test_unknown_top_level_key():
     with pytest.raises(ConfigError, match="unknown keys"):
-        build_topology(variant(bogus=[]))
+        checked(variant(bogus=[]))
 
 
 def test_unknown_node_key():
     doc = variant()
     doc["nodes"][0]["color"] = "red"
     with pytest.raises(ConfigError, match="color"):
-        build_topology(doc)
+        checked(doc)
 
 
 def test_unknown_station_reference():
     doc = variant()
     doc["buses"][0]["stations"] = ["ghost", "sw1.p0"]
     with pytest.raises(ConfigError, match="ghost"):
-        build_topology(doc)
+        checked(doc)
 
 
 def test_link_needs_two_endpoints():
     doc = variant()
     doc["links"][0]["endpoints"] = ["h1"]
     with pytest.raises(ConfigError, match="two endpoints"):
-        build_topology(doc)
+        checked(doc)
 
 
 def test_port_kind_must_match_medium():
@@ -98,7 +108,7 @@ def test_port_kind_must_match_medium():
     doc["buses"][0]["stations"] = ["n1", "sw1.p1"]
     doc["links"][0]["endpoints"] = ["sw1.p0", "h1"]
     with pytest.raises(ConfigError):
-        build_topology(doc)
+        checked(doc)
 
 
 def test_host_cannot_sit_on_a_bus():
@@ -106,28 +116,28 @@ def test_host_cannot_sit_on_a_bus():
     doc["nodes"][1]["kind"] = "eoc"
     doc["nodes"][0]["kind"] = "ethernet-host"
     with pytest.raises(ConfigError):
-        build_topology(doc)
+        checked(doc)
 
 
 def test_unattached_node_rejected():
     doc = variant()
     doc["buses"][0]["stations"] = ["sw1.p0"]
     with pytest.raises(ConfigError, match="not attached"):
-        build_topology(doc)
+        checked(doc)
 
 
 def test_flow_needs_destination():
     doc = variant()
     del doc["flows"][0]["dst_ip"]
     with pytest.raises(ConfigError, match="dst_ip"):
-        build_topology(doc)
+        checked(doc)
 
 
 def test_flow_payload_floor():
     doc = variant()
     doc["flows"][0]["payload_size"] = 4
     with pytest.raises(ConfigError, match="payload_size"):
-        build_topology(doc)
+        checked(doc)
 
 
 def test_classic_flow_payload_is_exactly_eight():
@@ -138,21 +148,21 @@ def test_classic_flow_payload_is_exactly_eight():
         "can_id": 0x100, "payload_size": 9, "schedule": {"at": 0.001},
     }
     with pytest.raises(ConfigError, match="8-byte"):
-        build_topology(doc)
+        checked(doc)
 
 
 def test_unknown_transport():
     doc = variant()
     doc["flows"][0]["transport"] = "tcp"
     with pytest.raises(ConfigError, match="transport"):
-        build_topology(doc)
+        checked(doc)
 
 
 def test_schedule_requires_at_or_periodic():
     doc = variant()
     doc["flows"][0]["schedule"] = {"start": 0.0}
     with pytest.raises(ConfigError, match="schedule"):
-        build_topology(doc)
+        checked(doc)
 
 
 def test_periodic_schedule_expands():
@@ -233,6 +243,9 @@ MALFORMED = [
     # switches are YAML booleans, not text
     (("run", "startup_gratuitous_arp"), "false", "run.startup_gratuitous_arp"),
     (("run", "seed"), 1.5, "run.seed"),
+    # output paths are text
+    (("run", "trace"), [1], "run.trace"),
+    (("run", "report"), 5, "run.report"),
 ]
 
 
@@ -286,7 +299,7 @@ def assert_located(path, value, location):
         target = target[key]
     target[path[-1]] = value
     with pytest.raises(ConfigError) as exc:
-        build_topology(doc)
+        checked(doc)
     assert exc.value.location == location
 
 
@@ -313,13 +326,94 @@ def test_non_decimal_port_digit_is_located():
     assert_located(("buses", 0, "stations"), ["n1", "sw1.p\u00b2"], "buses.bus1.stations")
 
 
-def test_yaml_syntax_error_is_located(tmp_path):
-    bad = tmp_path / "bad.yaml"
-    bad.write_text("nodes: [a, b\nflows: {\n")
+def load_root_error(tmp_path, data: bytes) -> str:
+    """The reason of the `<root>` error `load_config` gives for a file of `data`."""
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(data)
     with pytest.raises(ConfigError) as exc:
-        load_config(str(bad))
+        load_config(str(path))
     assert exc.value.location == "<root>"
-    assert exc.value.reason.endswith(" at 2:6")
+    return exc.value.reason
+
+
+def test_yaml_syntax_error_is_located(tmp_path, parser_base):
+    # the two parsers word the problem differently; both locate it
+    assert load_root_error(tmp_path, b"nodes: [a, b\nflows: {\n").endswith(" at 2:6")
+
+
+@pytest.mark.parametrize("data, character, position", [
+    (b"nodes: \x07\n", "#x07", 7),  # a control character
+    (b"nodes: [a\xff]\n", "#xff", 9),  # not UTF-8
+    (b"nodes: \xe2\x82", "", 7),  # UTF-8 cut short
+], ids=["control_character", "undecodable_byte", "truncated_sequence"])
+def test_unreadable_input_is_located(tmp_path, parser_base, data, character, position):
+    reason = load_root_error(tmp_path, data)
+    assert reason.endswith(f" at position {position}") and character in reason
+
+
+def test_utf16_file_loads(tmp_path, parser_base):
+    path = tmp_path / "utf16.yaml"
+    path.write_bytes("run: {t_end: 0.25}\n".encode("utf-16"))
+    assert load_config(str(path)).options.t_end == 0.25
+
+
+def nested(depth: int) -> bytes:
+    """`nodes` as a sequence nested so that the document has `depth` levels."""
+    return b"nodes: " + b"[" * (depth - 1) + b"]" * (depth - 1) + b"\nrun: {t_end: 1}\n"
+
+
+def test_nesting_up_to_the_bound_composes(tmp_path, parser_base):
+    path = tmp_path / "deep.yaml"
+    path.write_bytes(nested(MAX_DEPTH))
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(path))
+    assert exc.value.location == "nodes"  # past YAML, refused by the schema
+
+
+def test_nesting_beyond_the_bound_is_located(tmp_path, parser_base):
+    reason = load_root_error(tmp_path, nested(MAX_DEPTH + 1))
+    assert reason == f"collections nested deeper than {MAX_DEPTH} levels at 1:{7 + MAX_DEPTH}"
+
+
+def test_alias_nesting_counts_against_the_bound(tmp_path, parser_base):
+    # each alias wraps the previous anchor once more: composing stays 3
+    # levels deep, the document does not
+    chain = "".join(f", &a{i} [*a{i - 1}]" for i in range(1, 2 * MAX_DEPTH))
+    data = f"run: {{t_end: 1, trace: [&a0 []{chain}]}}\nnodes: [{{kind: *a{2 * MAX_DEPTH - 1}}}]\n"
+    reason = load_root_error(tmp_path, data.encode())
+    assert reason.startswith(f"collections nested deeper than {MAX_DEPTH} levels at 1:")
+
+
+@pytest.mark.parametrize("data", [b"run: &r [*r]\n", b"run: &r {t_end: 1, seed: [*r]}\n",
+                                  b"run: &r {*r : 1}\n"], ids=["sequence", "mapping", "key"])
+def test_recursive_alias_is_located(tmp_path, parser_base, data):
+    reason = load_root_error(tmp_path, data)
+    assert reason.startswith(f"collections nested deeper than {MAX_DEPTH} levels at 1:")
+
+
+def test_shared_anchor_loads(tmp_path, parser_base):
+    path = tmp_path / "shared.yaml"
+    path.write_bytes(b"flows: &none []\nlinks: *none\nrun: {t_end: 0.25}\n")
+    assert load_config(str(path)).options.t_end == 0.25
+
+
+def test_unrepresentable_scalar_is_located(tmp_path, parser_base):
+    assert load_root_error(tmp_path, b"run: {t_end: 1, seed: 2001-13-45}\n") \
+        == "month must be in 1..12 at 1:23"
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+@pytest.mark.parametrize("name", [path.stem for path in all_scenarios()]
+                         + sorted(workloads.GENERATORS))
+def test_parser_bases_give_equal_documents(name):
+    if name in workloads.GENERATORS:
+        text = workload_yaml(name)
+    else:
+        text = (SCENARIOS / f"{name}.yaml").read_text()
+    libyaml, python, safe_load = (yaml.load(text, Loader=loader) for loader in
+                                  (config.LOADER, config.PURE_PYTHON_LOADER, yaml.SafeLoader))
+    assert libyaml == python == safe_load
+    assert libyaml
 
 
 def test_integer_fields_take_yaml_integers():
@@ -339,7 +433,7 @@ def test_startup_gratuitous_arp_takes_a_yaml_boolean():
 def test_negative_t_end_rejected():
     doc = variant(run={"t_end": -1})
     with pytest.raises(ConfigError, match="t_end"):
-        build_topology(doc)
+        checked(doc)
 
 
 def test_legacy_rule_egress_must_be_can_port():
@@ -348,14 +442,14 @@ def test_legacy_rule_egress_must_be_can_port():
         {"ingress_port": 0, "match_id": 0x100, "egress": [{"port": 1, "id": 0x200}]},
     ]
     with pytest.raises(ConfigError, match="CAN port"):
-        build_topology(doc)
+        checked(doc)
 
 
 def test_bad_mac_text():
     doc = variant()
     doc["nodes"][0]["mac"] = "02:00"
     with pytest.raises(ConfigError, match="bad MAC"):
-        build_topology(doc)
+        checked(doc)
 
 
 def test_null_refresh_interval_enables_stock_default():

@@ -7,24 +7,14 @@ re-records them with `python3 perfbench/record_digests.py`.
 """
 
 import hashlib
-import importlib.util
 import json
 
 import pytest
-import yaml
 
 from canxlnet.config import load_config
 from canxlnet.engine import Simulation
 
-from conftest import REPO_ROOT, all_scenarios
-
-PERFBENCH = REPO_ROOT / "perfbench"
-DIGESTS = json.loads((PERFBENCH / "digests.json").read_text())
-
-_spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                               PERFBENCH / "workloads.py")
-workloads = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
+from conftest import DIGESTS, all_scenarios, workload_yaml, workloads
 
 
 def sha256(text: str) -> str:
@@ -45,6 +35,5 @@ def test_scenario_output_unchanged(path):
 def test_workload_output_unchanged(name, tmp_path):
     recorded = DIGESTS[name]
     config = tmp_path / f"{name}.yaml"
-    config.write_text(yaml.safe_dump(workloads.GENERATORS[name](recorded["seed"]),
-                                     sort_keys=False))
+    config.write_text(workload_yaml(name))
     assert digests(config) == [recorded["trace"], recorded["report"]]
