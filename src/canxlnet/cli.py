@@ -109,11 +109,11 @@ def _cmd_timing(args) -> int:
 
 
 def _read_hex(path: str) -> bytes:
-    with open(path) as fh:
-        text = "".join(fh.read().split())
+    with open(path, "rb") as fh:
+        data = b"".join(fh.read().split())
     try:
-        return bytes.fromhex(text)
-    except ValueError as exc:
+        return bytes.fromhex(data.decode("ascii"))
+    except ValueError as exc:  # UnicodeDecodeError included
         raise frames.Malformed(f"{path}: not valid hex") from exc
 
 

@@ -308,7 +308,8 @@ def _build_node(spec: dict, loc: str):
     common = {"name", "kind", "start_time"}
     if kind == "classic-can":
         _check_keys(spec, loc, {"name", "kind"}, {"rx_ids", "start_time"})
-        return ClassicCanNode(
+        return _make(
+            loc, ClassicCanNode,
             name=spec["name"],
             rx_ids=[_int(f"{loc}.rx_ids", v)
                     for v in _list(spec.get("rx_ids"), f"{loc}.rx_ids", object)],
@@ -341,7 +342,8 @@ def _build_node(spec: dict, loc: str):
     for ip_text, mac_text in arp_spec.items():
         static_arp[_parse(f"{loc}.static_arp", Ipv4Address.parse, ip_text)] = \
             _parse(f"{loc}.static_arp", MacAddress.parse, mac_text)
-    return cls(
+    return _make(
+        loc, cls,
         name=spec["name"],
         mac=_parse(f"{loc}.mac", MacAddress.parse, spec["mac"]),
         ip=_parse(f"{loc}.ip", Ipv4Address.parse, spec["ip"]) if "ip" in spec else None,
@@ -438,10 +440,7 @@ def _build_link(topo: Topology, spec: dict, loc: str) -> None:
     params = _make(loc, EthernetTimingParams,
                    bitrate=_parse(f"{loc}.bitrate", float, spec["bitrate"]))
     topo.add_link(spec["name"], params)
-    endpoints = _list(spec["endpoints"], f"{loc}.endpoints", str)
-    if len(endpoints) != 2:
-        raise ConfigError(f"{loc}.endpoints", "a link needs exactly two endpoints")
-    for ref in endpoints:
+    for ref in _list(spec["endpoints"], f"{loc}.endpoints", str):
         _attach(topo, spec["name"], ref, f"{loc}.endpoints")
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -116,14 +117,14 @@ class Topology:
         return sw
 
     def add_bus(self, name: str, params: CanXlTimingParams) -> CanBus:
-        return self._add_medium(CanBus(name, params))
+        return self._add_medium("buses", CanBus(name, params))
 
     def add_link(self, name: str, params: EthernetTimingParams) -> EthernetLink:
-        return self._add_medium(EthernetLink(name, params))
+        return self._add_medium("links", EthernetLink(name, params))
 
-    def _add_medium(self, medium):
+    def _add_medium(self, section: str, medium):
         if medium.name in self.media:
-            raise ConfigError(f"media.{medium.name}", "duplicate name")
+            raise ConfigError(f"{section}.{medium.name}", "duplicate name")
         self.media[medium.name] = medium
         return medium
 
@@ -157,8 +158,8 @@ class Topology:
         self._validate_addresses()
         self._validate_wiring()
         self._validate_flows()
-        if self.options.t_end < 0:
-            raise ConfigError("run.t_end", "must be non-negative")
+        if not 0 <= self.options.t_end < math.inf:
+            raise ConfigError("run.t_end", "must be finite and non-negative")
 
     def _validate_addresses(self) -> None:
         macs: dict[MacAddress, str] = {}
@@ -181,6 +182,11 @@ class Topology:
             macs[sw.mac] = name
 
     def _validate_wiring(self) -> None:
+        # First, so that a link short of an endpoint is named as such, not
+        # through the station that is left unattached.
+        for name, medium in self.media.items():
+            if isinstance(medium, EthernetLink) and len(medium.endpoints) != 2:
+                raise ConfigError(f"links.{name}", "a link needs exactly two endpoints")
         for name, node in self.nodes.items():
             if node.station is None:
                 raise ConfigError(f"nodes.{name}", "not attached to any medium")
@@ -210,9 +216,6 @@ class Topology:
                     if sw.ports[port].kind != CAN_XL:
                         raise ConfigError(f"switches.{name}.legacy_rules.{rn}",
                                           "legacy relay egress must be a CAN port")
-        for name, medium in self.media.items():
-            if isinstance(medium, EthernetLink) and len(medium.endpoints) != 2:
-                raise ConfigError(f"media.{name}", "a link needs exactly two endpoints")
 
     def _validate_flows(self) -> None:
         for flow in self.flows:
@@ -227,6 +230,8 @@ class Topology:
                     raise ConfigError(loc, "classic-can flows need a classic-can source")
                 if flow.can_id is None:
                     raise ConfigError(loc, "classic-can flows need can_id")
+                if not 0 <= flow.can_id < 2048:
+                    raise ConfigError(loc, "can_id must fit in 11 bits")
                 if flow.payload_size != 8:
                     raise ConfigError(loc, "classic-can flow payload is the 8-byte tag")
             elif flow.transport == "ipv4":

@@ -421,8 +421,8 @@ def af_filter_match(af: int, own_af: int) -> bool:
 
     Passes frames whose AF equals that image and every group-addressed
     frame.  Octets 4..5 of the DA are not represented, so false positives
-    are possible; `eoc_accept` adds the software tie-break on the full
-    embedded DA."""
+    are possible; `nodes.EocNode.on_receive` adds the software tie-break
+    on the full embedded DA."""
     if af & (0x01 << 24):
         return True
     return af == own_af
@@ -448,19 +448,6 @@ def eoc_decapsulate(frame: CanXlFrame) -> EthernetFrame:
     if len(frame.data) < ETH_HEADER_LEN + ETH_MIN_PAYLOAD:
         raise Malformed(f"embedded frame too short ({len(frame.data)} bytes)")
     return EthernetFrame.from_bytes(frame.data)
-
-
-def eoc_accept(frame: CanXlFrame, own_da: MacAddress) -> bool:
-    """Two-stage receive filter of an EoC node.
-
-    Stage 1 is the hardware AF match; stage 2 decapsulates and compares
-    the full embedded DA, breaking the (rare) AF ties."""
-    if frame.sdt != SDT_ETHERNET:
-        raise WrongSdt(f"sdt 0x{frame.sdt:02x} does not carry Ethernet")
-    if not af_filter_match(frame.af, make_af_from_da(own_da)):
-        return False
-    eth = eoc_decapsulate(frame)
-    return eth.da == own_da or eth.da.is_group()
 
 
 def ioc_encode(dgram: IocDatagram, priority: int, vcid: int) -> CanXlFrame:

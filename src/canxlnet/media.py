@@ -38,6 +38,7 @@ class Station:
         self.name = name
         self.owner = owner
         self.medium = medium
+        # a link's FIFO; on a bus, a heap of (priority, sequence, frame)
         self.queue = deque() if isinstance(medium, EthernetLink) else []
 
     def __repr__(self):
@@ -50,29 +51,6 @@ def frame_priority(frame) -> int:
     if isinstance(frame, ClassicCanFrame):
         return frame.id
     raise TypeError(f"{type(frame).__name__} cannot contend on a CAN bus")
-
-
-class PriorityClash(Exception):
-    """Two distinct stations offered the same priority at the same
-    arbitration instant; carries the tied contenders."""
-
-    def __init__(self, tied):
-        self.tied = tied
-        super().__init__(f"{len(tied)} stations tied at priority "
-                         f"{frame_priority(tied[0][1]):#x}")
-
-
-def arbitrate(contenders):
-    """Pick the winner among (station, frame) pairs: lowest priority value
-    (dominant-bit semantics).  Raises PriorityClash on a tie between
-    distinct stations."""
-    if not contenders:
-        raise ValueError("arbitration needs at least one contender")
-    best = min(frame_priority(frame) for _, frame in contenders)
-    tied = [(st, frame) for st, frame in contenders if frame_priority(frame) == best]
-    if len(tied) > 1:
-        raise PriorityClash(tied)
-    return tied[0]
 
 
 class CanBus:
@@ -105,29 +83,29 @@ class CanBus:
             sim.schedule(now, self.kick, sim, now)
 
     def kick(self, sim, now: int) -> None:
-        """Arbitrate and start one transmission if the bus is idle."""
+        """Start the queue head with the lowest priority value (dominant-bit
+        semantics) if the bus is idle."""
         self.kick_pending = False
         if self.busy_until > now:
             return
         while True:
-            heads = [(st, st.queue[0][2]) for st in self.stations if st.queue]
+            heads = [st for st in self.stations if st.queue]
             if not heads:
                 return
-            try:
-                station, frame = arbitrate(heads)
-            except PriorityClash as clash:
-                # Unresolvable: drop the tied frames and re-arbitrate the
-                # remaining contenders at this same instant.
-                self.clashes += 1
-                dropped = [(st, heapq.heappop(st.queue)[2]) for st, _ in clash.tied]
-                sim.on_clash(self, dropped)
-                continue
-            heapq.heappop(station.queue)
-            duration = self.frame_duration_ns(frame)
-            self.busy_until = now + duration
-            self.busy_ns += duration
-            sim.on_tx_start(self, station, frame, now, duration)
-            return
+            best = min(st.queue[0][0] for st in heads)
+            tied = [st for st in heads if st.queue[0][0] == best]
+            if len(tied) == 1:
+                break
+            # Unresolvable: drop the tied frames and re-arbitrate the
+            # remaining contenders at this same instant.
+            self.clashes += 1
+            sim.on_clash(self, [(st, heapq.heappop(st.queue)[2]) for st in tied])
+        station = tied[0]
+        frame = heapq.heappop(station.queue)[2]
+        duration = self.frame_duration_ns(frame)
+        self.busy_until = now + duration
+        self.busy_ns += duration
+        sim.on_tx_start(self, station, frame, now, duration)
 
     def receivers(self, sender: Station) -> list[Station]:
         # CAN broadcast: everyone but the transmitter.
@@ -157,8 +135,6 @@ class EthernetLink:
         self.busy_ns = [0, 0]
 
     def attach(self, station: Station) -> None:
-        if len(self.endpoints) >= 2:
-            raise ValueError(f"link {self.name} already has two endpoints")
         self.endpoints.append(station)
 
     def _direction(self, station: Station) -> int:

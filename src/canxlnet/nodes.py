@@ -16,6 +16,7 @@ IP, identifier-based reception.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import frames
@@ -42,6 +43,14 @@ DEFAULT_EOC_REFRESH_S = 60.0
 FLOW_PROTOCOL = 253  # RFC 3692 experimental protocol number
 
 
+def _seconds(what: str, seconds: float) -> float:
+    """`seconds`, which the engine rounds to nanoseconds on a clock that
+    starts at 0: finite and not negative."""
+    if not 0 <= seconds < math.inf:  # NaN too
+        raise ValueError(f"{what} must be finite and non-negative")
+    return seconds
+
+
 @dataclass
 class ArpEntry:
     mac: MacAddress
@@ -57,7 +66,7 @@ class Node:
         self.name = name
         self.mac = mac
         self.ip = ip
-        self.start_time = start_time
+        self.start_time = _seconds("start_time", start_time)
         self.arp_table = {k: ArpEntry(v, static=True) for k, v in (static_arp or {}).items()}
         self.has_static_arp = bool(static_arp)
         self.pending_arp: dict[Ipv4Address, list] = {}
@@ -196,6 +205,10 @@ class EocNode(Node):
     def __init__(self, name, mac, ip=None, start_time=0.0, static_arp=None,
                  can_priority: int = 0x100, vcid: int = 0):
         super().__init__(name, mac, ip, start_time, static_arp)
+        if not 0 <= can_priority < 2048:
+            raise ValueError("can_priority must fit in 11 bits")
+        if not 0 <= vcid <= 0xFF:
+            raise ValueError("vcid is one octet")
         self.can_priority = can_priority
         self.vcid = vcid
         self.af_image = frames.make_af_from_da(mac)  # what the hardware filter compares
@@ -229,8 +242,8 @@ class IocNode(EocNode):
                  can_priority: int = 0x100, vcid: int = 0,
                  eoc_refresh_interval: float | None = None):
         super().__init__(name, mac, ip, start_time, static_arp, can_priority, vcid)
-        self.eoc_refresh_interval_ns = (
-            None if eoc_refresh_interval is None else round(eoc_refresh_interval * 1e9))
+        self.eoc_refresh_interval_ns = None if eoc_refresh_interval is None else round(
+            _seconds("eoc_refresh_interval", eoc_refresh_interval) * 1e9)
         self.next_refresh_ns: int | None = None
         # the acceptance field of compact frames addressed to this node, if any
         self.ip_af = None if ip is None else ip.to_u32()
@@ -267,7 +280,9 @@ class ClassicCanNode:
         self.mac = None
         self.ip = None
         self.rx_ids = set(rx_ids or [])
-        self.start_time = start_time
+        if not all(0 <= i < 2048 for i in self.rx_ids):
+            raise ValueError("rx_ids must fit in 11 bits")
+        self.start_time = _seconds("start_time", start_time)
         self.station = None
         self.counters = {"delivered": 0}
 

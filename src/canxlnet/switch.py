@@ -71,6 +71,8 @@ class PortConfig:
             raise ValueError(f"unknown egress mode {self.egress_mode!r}")
         if not 0 <= self.egress_priority_base < 2048:
             raise ValueError("egress priority must fit in 11 bits")
+        if not 0 <= self.vcid <= 0xFF:
+            raise ValueError("vcid is one octet")
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,8 @@ class LegacyRelayRule:
     egress: tuple[tuple[int, int], ...]  # (port, remapped id)
 
     def __post_init__(self):
+        if not 0 <= self.match_id < 2048:
+            raise ValueError("match identifier must fit in 11 bits")
         for port, remapped in self.egress:
             if not 0 <= remapped < 2048:
                 raise ValueError("remapped identifier must fit in 11 bits")
@@ -155,18 +159,10 @@ class Efdb:
         else:
             entry.port, entry.last_seen = port, now
 
-    def age_out(self, now: int) -> None:
-        for index in (self.by_mac, self.by_ip):
-            stale = [key for key, e in index.items() if now - e.last_seen > self.ageing_ns]
-            for key in stale:
-                del index[key]
-
     def entries(self) -> list[EfdbEntry]:
-        seen: list[EfdbEntry] = []
-        for entry in list(self.by_mac.values()) + list(self.by_ip.values()):
-            if not any(entry is e for e in seen):
-                seen.append(entry)
-        return seen
+        """Each entry once, shared ones included."""
+        return list({id(e): e for index in (self.by_mac, self.by_ip)
+                     for e in index.values()}.values())
 
 
 def encode_bpdu(root_id: int, cost: int, sender_id: int, sender_mac: MacAddress) -> EthernetFrame:
@@ -201,6 +197,8 @@ class CSwitch:
                  ageing_s: float = DEFAULT_AGEING_S):
         if len({p.index for p in ports}) != len(ports):
             raise ValueError(f"switch {name}: duplicate port indices")
+        if not 0 <= bridge_id < 2**64:
+            raise ValueError("bridge_id must fit in 64 bits")
         self.name = name
         self.bridge_id = bridge_id
         self.ports = {p.index: p for p in sorted(ports, key=lambda p: p.index)}
@@ -379,15 +377,9 @@ class CSwitch:
 
     # -- spanning tree ------------------------------------------------------
 
-    def stp_step(self, port: int | None, bpdu_frame: EthernetFrame | None) -> list[tuple[int, EthernetFrame]]:
-        """Consume one BPDU (or a hello tick when both args are None-ish)
-        and return the BPDUs to transmit, as (port, frame) pairs."""
-        if bpdu_frame is None:
-            # Hello tick: the root (or a bridge still believing it is the
-            # root) refreshes the tree.
-            if self.root_id == self.bridge_id:
-                return self._emit_bpdus()
-            return []
+    def stp_step(self, port: int, bpdu_frame: EthernetFrame) -> list[tuple[int, EthernetFrame]]:
+        """Consume one BPDU and return the BPDUs to transmit, as (port,
+        frame) pairs."""
         try:
             if bpdu_frame.ethertype != ETHERTYPE_BPDU:
                 raise frames.Malformed("unexpected ethertype on STP group address")
@@ -402,8 +394,11 @@ class CSwitch:
         return []
 
     def hello(self) -> list[tuple[int, object]]:
-        """Hello tick; returns wire-ready BPDU frames per port."""
-        return self._encode_all(self.stp_step(None, None), 0)
+        """Hello tick: the root (or a bridge still believing it is the root)
+        refreshes the tree.  Returns wire-ready BPDU frames per port."""
+        if self.root_id != self.bridge_id:
+            return []
+        return self._encode_all(self._emit_bpdus(), 0)
 
     def _recompute_roles(self) -> bool:
         candidates = [(self.bridge_id, 0, self.bridge_id, -1)]

@@ -14,6 +14,7 @@ for a full 2048-byte frame, all within a few percent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .frames import CANXL_MAX_DATA, ETH_MTU, ClassicCanFrame
@@ -36,14 +37,16 @@ class CanXlTimingParams:
     stuff_ratio: float = 0.1
 
     def __post_init__(self):
-        if self.arb_bitrate <= 0 or self.data_bitrate <= 0:
+        # written so that NaN fails each check
+        if not (self.arb_bitrate > 0 and self.data_bitrate > 0):
             raise ValueError("bit rates must be positive")
         if self.arb_bitrate > 1_000_000:
             raise ValueError("arbitration phase may not exceed 1 Mb/s")
-        if self.data_bitrate < self.arb_bitrate:
+        if not self.data_bitrate >= self.arb_bitrate:
             raise ValueError("data bit rate may not be below the nominal rate")
-        if self.arb_overhead_bits < 0 or self.data_overhead_bits < 0 or self.stuff_ratio < 0:
-            raise ValueError("overheads must be non-negative")
+        if not (self.arb_overhead_bits >= 0 and self.data_overhead_bits >= 0
+                and 0 <= self.stuff_ratio < math.inf):
+            raise ValueError("overheads must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ class EthernetTimingParams:
     min_payload: int = 46
 
     def __post_init__(self):
-        if self.bitrate <= 0:
+        if not self.bitrate > 0:  # NaN too
             raise ValueError("bit rate must be positive")
         if min(self.preamble_bytes, self.header_bytes, self.fcs_bytes, self.min_payload) < 0:
             raise ValueError("byte counts must be non-negative")

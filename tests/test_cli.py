@@ -137,6 +137,17 @@ def test_simulate_mistyped_value_exits_2(tmp_path, scenario_path, capsys, path, 
     assert "Traceback" not in err
 
 
+def test_simulate_infinite_t_end_exits_2(tmp_path, scenario_path, capsys):
+    with open(scenario_path("eoc_baseline")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["run"]["t_end"] = float("inf")
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc))
+    assert ".inf" in bad.read_text()
+    assert main(["simulate", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: run.t_end:")
+
+
 def test_simulate_missing_file_exits_2(capsys):
     assert main(["simulate", "no-such-file.yaml"]) == 2
 
@@ -224,3 +235,10 @@ def test_codec_bad_hex_exits_2(tmp_path, capsys):
     src = tmp_path / "bad.hex"
     src.write_text("zz")
     assert main(["codec", "--decode", str(src)]) == 2
+
+
+def test_codec_non_utf8_hex_exits_2(tmp_path, capsys):
+    src = tmp_path / "bad.hex"
+    src.write_bytes(b"01\xff02")
+    assert main(["codec", "--decode", str(src)]) == 2
+    assert capsys.readouterr().err == f"error: {src}: not valid hex\n"

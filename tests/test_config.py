@@ -1,4 +1,5 @@
 import copy
+import math
 
 import pytest
 import yaml
@@ -38,6 +39,14 @@ def variant(**edits):
     doc = copy.deepcopy(MINIMAL)
     doc.update(edits)
     return doc
+
+
+# MINIMAL plus a classic-CAN node on the bus and a classic flow from it
+WITH_CLASSIC = variant()
+WITH_CLASSIC["nodes"].append({"name": "c1", "kind": "classic-can", "rx_ids": [0x200]})
+WITH_CLASSIC["buses"][0]["stations"].append("c1")
+WITH_CLASSIC["flows"].append({"name": "f2", "source": "c1", "transport": "classic-can",
+                              "can_id": 0x100, "payload_size": 8, "schedule": {"at": 0.002}})
 
 
 def checked(doc):
@@ -99,8 +108,31 @@ def test_unknown_station_reference():
 def test_link_needs_two_endpoints():
     doc = variant()
     doc["links"][0]["endpoints"] = ["h1"]
-    with pytest.raises(ConfigError, match="two endpoints"):
+    with pytest.raises(ConfigError, match="two endpoints") as exc:
         checked(doc)
+    assert exc.value.location == "links.link1"
+
+
+def test_link_takes_no_third_endpoint():
+    doc = variant()
+    doc["nodes"].append({"name": "h2", "kind": "ethernet-host", "mac": "02:00:00:00:00:03"})
+    doc["links"][0]["endpoints"].append("h2")
+    with pytest.raises(ConfigError, match="two endpoints") as exc:
+        checked(doc)
+    assert exc.value.location == "links.link1"
+
+
+@pytest.mark.parametrize("section, medium", [
+    ("buses", {"name": "bus1", "arb_bitrate": 500000, "data_bitrate": 16000000,
+               "stations": []}),
+    ("links", {"name": "bus1", "bitrate": 10000000, "endpoints": []}),
+])
+def test_duplicate_medium_name_is_located(section, medium):
+    doc = variant()
+    doc[section].append(medium)
+    with pytest.raises(ConfigError, match="duplicate name") as exc:
+        checked(doc)
+    assert exc.value.location == f"{section}.bus1"
 
 
 def test_port_kind_must_match_medium():
@@ -292,8 +324,42 @@ UNQUOTED_ADDRESSES = [
 ]
 
 
-def assert_located(path, value, location):
-    doc = variant()
+# times and rates are finite, times not negative: the engine rounds them to
+# nanoseconds on a clock that starts at 0, and NaN passes any check
+# written as `x < 0`
+BAD_TIMES_AND_RATES = [
+    ("t_end", ("run", "t_end"), math.inf, "run.t_end"),
+    ("t_end_nan", ("run", "t_end"), math.nan, "run.t_end"),
+    ("start_time", ("nodes", 0, "start_time"), math.inf, "nodes.n1"),
+    ("start_time_negative", ("nodes", 0, "start_time"), -0.5, "nodes.n1"),
+    ("eoc_refresh_interval", ("nodes", 0),
+     {"name": "n1", "kind": "ioc", "mac": "02:00:00:00:00:01", "ip": "10.0.0.1",
+      "eoc_refresh_interval": math.inf}, "nodes.n1"),
+    ("arb_bitrate", ("buses", 0, "arb_bitrate"), math.nan, "buses.bus1"),
+    ("data_bitrate", ("buses", 0, "data_bitrate"), math.nan, "buses.bus1"),
+    ("stuff_ratio", ("buses", 0, "stuff_ratio"), math.nan, "buses.bus1"),
+    ("stuff_ratio_inf", ("buses", 0, "stuff_ratio"), math.inf, "buses.bus1"),
+    ("link_bitrate", ("links", 0, "bitrate"), math.nan, "links.link1"),
+]
+
+
+# integers fit the field they go into on the wire (checked on WITH_CLASSIC)
+OUT_OF_RANGE = [
+    ("bridge_id", ("switches", 0, "bridge_id"), 2**64, "switches.sw1"),
+    ("bridge_id_negative", ("switches", 0, "bridge_id"), -1, "switches.sw1"),
+    ("can_priority", ("nodes", 0, "can_priority"), 2048, "nodes.n1"),
+    ("vcid", ("nodes", 0, "vcid"), 256, "nodes.n1"),
+    ("port_vcid", ("switches", 0, "ports", 0, "vcid"), 256, "switches.sw1.ports.0"),
+    ("can_id", ("flows", 1, "can_id"), 2048, "flows.f2"),
+    ("rx_ids", ("nodes", 2, "rx_ids"), [2048], "nodes.c1"),
+    ("legacy_match_id", ("switches", 0, "legacy_rules"),
+     [{"ingress_port": 1, "match_id": 2048, "egress": [{"port": 0, "id": 0x200}]}],
+     "switches.sw1.legacy_rules.0"),
+]
+
+
+def assert_located(path, value, location, base=MINIMAL):
+    doc = copy.deepcopy(base)
     target = doc
     for key in path[:-1]:
         target = target[key]
@@ -319,6 +385,23 @@ def test_unquoted_address_is_located(path, value, location):
                          ids=[case[0] for case in NON_INTEGERS])
 def test_non_integer_is_located(path, value, location):
     assert_located(path, value, location)
+
+
+@pytest.mark.parametrize("path, value, location", [case[1:] for case in BAD_TIMES_AND_RATES],
+                         ids=[case[0] for case in BAD_TIMES_AND_RATES])
+def test_bad_time_or_rate_is_located(path, value, location):
+    assert_located(path, value, location)
+
+
+def test_classic_variant_is_valid():
+    topo = checked(WITH_CLASSIC)
+    assert topo.nodes["c1"].rx_ids == {0x200} and topo.flows[1].can_id == 0x100
+
+
+@pytest.mark.parametrize("path, value, location", [case[1:] for case in OUT_OF_RANGE],
+                         ids=[case[0] for case in OUT_OF_RANGE])
+def test_out_of_range_integer_is_located(path, value, location):
+    assert_located(path, value, location, WITH_CLASSIC)
 
 
 def test_non_decimal_port_digit_is_located():

@@ -16,7 +16,6 @@ from canxlnet.frames import (
     af_filter_match,
     arp_parse,
     arp_serialize,
-    eoc_accept,
     eoc_decapsulate,
     eoc_encapsulate,
     ethernet_to_ioc,
@@ -27,6 +26,7 @@ from canxlnet.frames import (
     ipv4_checksum,
     make_af_from_da,
 )
+from canxlnet.nodes import EocNode
 
 
 def reference_checksum(header: bytes) -> int:
@@ -132,24 +132,43 @@ class TestEoc:
         assert 1 <= len(frame.data) <= 2048
 
 
+class Deliveries:
+    """The simulation side of a receiving node: records app deliveries."""
+
+    def __init__(self):
+        self.payloads = []
+
+    def on_app_delivery(self, node, payload, now):
+        self.payloads.append(payload)
+
+
 class TestEocAccept:
+    """The two-stage receive filter of `EocNode.on_receive`: the hardware
+    stage matches the acceptance field, the software stage the embedded
+    DA."""
+
+    def receive(self, da):
+        node = EocNode("n1", M1)
+        frame = eoc_encapsulate(EthernetFrame(da, M2, frames.ETHERTYPE_RAW_DATA, bytes(46)), 0, 0)
+        sim = Deliveries()
+        node.on_receive(sim, 0, frame, eoc_decapsulate(frame))
+        return node.counters["af_false_positive"], sim.payloads
+
     def test_own_frame(self):
-        frame = eoc_encapsulate(EthernetFrame(M1, M2, 0x0800, bytes(46)), 0, 0)
-        assert eoc_accept(frame, M1)
+        assert self.receive(M1) == (0, [bytes(46)])
 
     def test_af_tie_broken_in_software(self):
         near_miss = MacAddress.parse("aa:bb:cc:dd:ee:00")
         frame = eoc_encapsulate(EthernetFrame(near_miss, M2, 0x0800, bytes(46)), 0, 0)
         assert af_filter_match(frame.af, make_af_from_da(M1))  # hardware stage clashes
-        assert not eoc_accept(frame, M1)  # software stage rejects
+        assert self.receive(near_miss) == (1, [])  # software stage rejects
 
     def test_broadcast(self):
-        frame = eoc_encapsulate(EthernetFrame(BROADCAST_MAC, M2, 0x0806, bytes(46)), 0, 0)
-        assert eoc_accept(frame, M1)
+        assert self.receive(BROADCAST_MAC) == (0, [bytes(46)])
 
     def test_hardware_stage_mismatch(self):
-        frame = eoc_encapsulate(EthernetFrame(M2, M1, 0x0800, bytes(46)), 0, 0)
-        assert not eoc_accept(frame, M1)
+        # rejected before the embedded DA is read
+        assert self.receive(M2) == (0, [])
 
 
 def make_dgram(payload: bytes, src=IP1, dst=IP2, **kw) -> Ipv4Datagram:

@@ -99,6 +99,12 @@ class TestLearning:
         sw.learn(1, arp_request(M1, IP1, IP2), now=1)
         assert sw.efdb.lookup_mac(M1, 1).port == 1
 
+    def test_joint_entry_listed_once(self):
+        sw = make_switch()
+        sw.learn(0, arp_request(M1, IP1, IP2), now=0)
+        sw.efdb.learn_ip(IP2, 1, now=0)
+        assert [(e.mac, e.ip) for e in sw.efdb.entries()] == [(M1, IP1), (None, IP2)]
+
     def test_ip_can_move_to_another_mac(self):
         sw = make_switch()
         sw.learn(0, arp_request(M1, IP1, IP2), now=0)
@@ -109,18 +115,10 @@ class TestLearning:
 
 
 class TestAgeing:
-    def test_expired_entry_removed(self):
-        efdb = Efdb(ageing_s=300)
-        efdb.learn_mac(M1, 0, now=0)
-        efdb.age_out(now=301 * SEC)
-        assert efdb.lookup_mac(M1, 301 * SEC) is None
-        assert not efdb.by_mac
-
     def test_refresh_survives(self):
         efdb = Efdb(ageing_s=300)
         efdb.learn_mac(M1, 0, now=0)
         efdb.learn_mac(M1, 0, now=200 * SEC)
-        efdb.age_out(now=400 * SEC)
         assert efdb.lookup_mac(M1, 400 * SEC).port == 0
 
     def test_stale_lookup_is_a_miss_without_age_out(self):
@@ -129,9 +127,7 @@ class TestAgeing:
         assert efdb.lookup_mac(M1, 301 * SEC) is None
 
     def test_empty(self):
-        efdb = Efdb()
-        efdb.age_out(now=10 * SEC)
-        assert not efdb.entries()
+        assert not Efdb().entries()
 
 
 class TestForwarding:
