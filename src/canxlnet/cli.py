@@ -63,8 +63,8 @@ def _cmd_simulate(args) -> int:
     topo = load_config(args.config)
     if args.t_end is not None:
         topo.options.t_end = args.t_end
-    trace_path = args.trace or topo.options.trace_path or "trace.jsonl"
-    report_path = args.report or topo.options.report_path or "report.json"
+    trace_path = args.trace or topo.options.trace or "trace.jsonl"
+    report_path = args.report or topo.options.report or "report.json"
     trace, report = Simulation(topo).run()
     with open(trace_path, "w") as fh:
         fh.write(trace)

@@ -1,6 +1,8 @@
 """Declarative topology configuration (YAML).
 
-Schema (unknown keys are rejected; every error names its location):
+Schema (unknown keys are rejected; every error names its location; a key
+marked optional that is left out takes the default of the constructor its
+section builds, such as `CSwitch`'s 300 s ageing time):
 
     nodes:
       - name: n1
@@ -73,27 +75,10 @@ from yaml.scanner import Scanner
 
 from .engine import ConfigError, Flow, RunOptions, Topology
 from .frames import Ipv4Address, MacAddress
-from .nodes import (
-    DEFAULT_EOC_REFRESH_S,
-    ClassicCanNode,
-    EocNode,
-    EthernetHost,
-    IocNode,
-)
-from .switch import (
-    CAN_XL,
-    EGRESS_EOC,
-    EGRESS_IOC_PREFERRED,
-    ETH,
-    CSwitch,
-    DEFAULT_AGEING_S,
-    LegacyRelayRule,
-    PortConfig,
-)
+from .nodes import DEFAULT_EOC_REFRESH_S, ClassicCanNode, EocNode, EthernetHost, IocNode
+from .switch import EGRESS_MODES, PORT_KINDS, CSwitch, LegacyRelayRule, PortConfig
 from .timing import CanXlTimingParams, EthernetTimingParams
 
-_PORT_KINDS = {"can": CAN_XL, "ethernet": ETH}
-_EGRESS_MODES = {"eoc": EGRESS_EOC, "ioc-preferred": EGRESS_IOC_PREFERRED}
 _ITEM_NAMES = {dict: " of mappings", str: " of names", object: ""}
 
 
@@ -105,61 +90,96 @@ def _list(value, loc: str, item: type = dict) -> list:
     return value
 
 
-def _check_keys(mapping: dict, loc: str, required: set, optional: set) -> None:
+def _check_keys(mapping, loc: str, keys: frozenset, required: frozenset) -> None:
     if not isinstance(mapping, dict):
         raise ConfigError(loc, "expected a mapping")
-    unknown = set(mapping) - required - optional
-    if unknown:
-        raise ConfigError(loc, f"unknown keys: {', '.join(sorted(unknown))}")
-    missing = required - set(mapping)
-    if missing:
-        raise ConfigError(loc, f"missing keys: {', '.join(sorted(missing))}")
+    if not keys.issuperset(mapping):
+        unknown = sorted(map(str, mapping.keys() - keys))  # YAML keys need not be text
+        raise ConfigError(loc, f"unknown keys: {', '.join(unknown)}")
+    if not mapping.keys() >= required:
+        raise ConfigError(loc, f"missing keys: {', '.join(sorted(required - mapping.keys()))}")
+
+
+class _Table:
+    """The keys of one kind of item, each mapped to the parser of its value.
+
+    A parser raises ValueError, TypeError or OverflowError for a bad value,
+    which is located at `<loc>.<key>`, or, for a value that holds items of
+    its own, a ConfigError whose location continues the key's (`.0.port`).
+    Only the keys an item holds are passed on, so a key left out takes the
+    constructor's default.
+    """
+
+    def __init__(self, required: dict, optional: dict | None = None):
+        self.parsers = {**required, **(optional or {})}
+        self.keys = frozenset(self.parsers)
+        self.required = frozenset(required)
+
+    def __call__(self, spec, loc: str) -> dict:
+        _check_keys(spec, loc, self.keys, self.required)
+        fields = {}
+        for key, value in spec.items():
+            try:
+                fields[key] = self.parsers[key](value)
+            except (ValueError, TypeError, OverflowError) as exc:
+                raise ConfigError(f"{loc}.{key}", str(exc)) from exc
+            except ConfigError as exc:
+                raise ConfigError(f"{loc}.{key}{exc.location}", exc.reason) from None
+        return fields
+
+    def make(self, cls, spec, loc: str):
+        return _make(loc, cls, self(spec, loc))
 
 
 def _parse(loc: str, parser, value):
-    if isinstance(value, bool):  # YAML booleans are ints to Python
-        raise ConfigError(loc, f"unexpected boolean {str(value).lower()}")
     try:
         return parser(value)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(loc, str(exc)) from exc
 
 
-def _int(loc: str, value) -> int:
-    """An integer field: a YAML integer, not 44.9, 44.0 or the text "44"."""
-    return _parse(loc, operator.index, value)
-
-
-def _make(loc: str, cls, **fields):
-    """Construct `cls`, locating the checks its constructor makes."""
+def _make(loc: str, cls, fields: dict):
+    """`cls(**fields)`, locating the checks its constructor makes."""
     return _parse(loc, lambda kw: cls(**kw), fields)
 
 
-def _choice(loc: str, what: str, table: dict, value):
-    """`table[value]` for a text key of `table`."""
-    if not isinstance(value, str) or value not in table:
-        raise ConfigError(loc, f"unknown {what} {value!r}")
-    return table[value]
+def _number(convert):
+    def parse(value):
+        if isinstance(value, bool):  # YAML booleans are ints to Python
+            raise ValueError(f"unexpected boolean {str(value).lower()}")
+        return convert(value)
+    return parse
 
 
-def _name(loc: str, value) -> str:
+_float = _number(float)
+_int = _number(operator.index)  # a YAML integer, not 44.9, 44.0 or the text "44"
+
+
+def _name(value) -> str:
     """Names key the topology's tables and appear in locations."""
     if not isinstance(value, str):
-        raise ConfigError(loc, f"expected a name, got {value!r}")
+        raise ValueError(f"expected a name, got {value!r}")
     return value
 
 
-def _path(loc: str, value) -> str | None:
+def _one_of(what: str, names: tuple):
+    def parse(value) -> str:
+        if value not in names:
+            raise ValueError(f"unknown {what} {value!r}")
+        return value
+    return parse
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):  # the text "false" would read as true
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _path(value) -> str | None:
     if value is not None and not isinstance(value, str):
-        raise ConfigError(loc, f"expected a file path, got {value!r}")
+        raise ValueError(f"expected a file path, got {value!r}")
     return value
-
-
-def _loc(section: str, spec: dict, index: int) -> str:
-    """Where an item's errors are reported: its name, else its index."""
-    if "name" not in spec:
-        return f"{section}.{index}"
-    return f"{section}.{_name(f'{section}.{index}.name', spec['name'])}"
 
 
 MAX_DEPTH = 64  # collection nesting levels a document may have
@@ -268,141 +288,42 @@ def load_config(path: str) -> Topology:
 
 def build_topology(doc: dict) -> Topology:
     """The topology `doc` describes; `Simulation` validates it before a run."""
-    if not isinstance(doc, dict):
-        raise ConfigError("<root>", "expected a mapping")
-    _check_keys(doc, "<root>", set(),
-                {"nodes", "buses", "links", "switches", "flows", "run"})
-
-    topo = Topology(options=_build_run(doc.get("run", {})))
-    for i, spec in enumerate(_list(doc.get("nodes"), "nodes")):
-        topo.add_node(_build_node(spec, _loc("nodes", spec, i)))
-    for i, spec in enumerate(_list(doc.get("switches"), "switches")):
-        topo.add_switch(_build_switch(spec, _loc("switches", spec, i)))
-    for i, spec in enumerate(_list(doc.get("buses"), "buses")):
-        _build_bus(topo, spec, _loc("buses", spec, i))
-    for i, spec in enumerate(_list(doc.get("links"), "links")):
-        _build_link(topo, spec, _loc("links", spec, i))
-    for i, spec in enumerate(_list(doc.get("flows"), "flows")):
-        topo.flows.append(_build_flow(spec, _loc("flows", spec, i)))
+    _check_keys(doc, "<root>", _SECTIONS, frozenset())
+    topo = Topology(options=_RUN.make(RunOptions, doc.get("run", {}), "run"))
+    for spec, loc in _items(doc, "nodes"):
+        topo.add_node(_node(spec, loc))
+    for spec, loc in _items(doc, "switches"):
+        topo.add_switch(_SWITCH.make(CSwitch, spec, loc))
+    for section, table, params, add, stations in _MEDIA:
+        for spec, loc in _items(doc, section):
+            fields = table(spec, loc)
+            name, refs = fields.pop("name"), fields.pop(stations)
+            add(topo, name, _make(loc, params, fields))
+            for ref in refs:
+                _attach(topo, name, ref, f"{loc}.{stations}")
+    for spec, loc in _items(doc, "flows"):
+        topo.flows.append(_FLOW.make(Flow, spec, loc))
     return topo
 
 
-def _build_run(spec: dict) -> RunOptions:
-    _check_keys(spec, "run", {"t_end"},
-                {"seed", "startup_gratuitous_arp", "trace", "report"})
-    announce = spec.get("startup_gratuitous_arp", True)
-    if not isinstance(announce, bool):  # the text "false" would read as true
-        raise ConfigError("run.startup_gratuitous_arp",
-                          f"expected true or false, got {announce!r}")
-    return RunOptions(
-        t_end=_parse("run.t_end", float, spec["t_end"]),
-        seed=_int("run.seed", spec.get("seed", 0)),
-        startup_gratuitous_arp=announce,
-        trace_path=_path("run.trace", spec.get("trace")),
-        report_path=_path("run.report", spec.get("report")),
-    )
+def _items(doc: dict, section: str):
+    """Each item of `section` with where its errors are reported: its name,
+    else its position."""
+    for i, spec in enumerate(_list(doc.get(section), section)):
+        loc = f"{section}.{i}"
+        if "name" in spec:
+            loc = f"{section}.{_parse(f'{loc}.name', _name, spec['name'])}"
+        yield spec, loc
 
 
-def _build_node(spec: dict, loc: str):
+def _node(spec: dict, loc: str):
     kind = spec.get("kind")
-    common = {"name", "kind", "start_time"}
-    if kind == "classic-can":
-        _check_keys(spec, loc, {"name", "kind"}, {"rx_ids", "start_time"})
-        return _make(
-            loc, ClassicCanNode,
-            name=spec["name"],
-            rx_ids=[_int(f"{loc}.rx_ids", v)
-                    for v in _list(spec.get("rx_ids"), f"{loc}.rx_ids", object)],
-            start_time=_parse(f"{loc}.start_time", float, spec.get("start_time", 0.0)),
-        )
-    addressed = common | {"mac", "ip", "static_arp"}
-    can_extra = {"can_priority", "vcid"}
-    if kind == "ethernet-host":
-        _check_keys(spec, loc, {"name", "kind", "mac"}, addressed)
-        cls, extra = EthernetHost, {}
-    elif kind == "eoc":
-        _check_keys(spec, loc, {"name", "kind", "mac"}, addressed | can_extra)
-        cls, extra = EocNode, _can_args(spec, loc)
-    elif kind == "ioc":
-        _check_keys(spec, loc, {"name", "kind", "mac"},
-                    addressed | can_extra | {"eoc_refresh_interval"})
-        cls, extra = IocNode, _can_args(spec, loc)
-        if "eoc_refresh_interval" in spec:
-            # present-but-null enables the refresh at the stock interval
-            value = spec["eoc_refresh_interval"]
-            extra["eoc_refresh_interval"] = (
-                DEFAULT_EOC_REFRESH_S if value is None
-                else _parse(f"{loc}.eoc_refresh_interval", float, value))
-    else:
+    if not isinstance(kind, str) or kind not in _NODE_KINDS:
         raise ConfigError(loc, f"unknown node kind {kind!r}")
-    static_arp = {}
-    arp_spec = spec.get("static_arp") or {}
-    if not isinstance(arp_spec, dict):
-        raise ConfigError(f"{loc}.static_arp", "expected a mapping")
-    for ip_text, mac_text in arp_spec.items():
-        static_arp[_parse(f"{loc}.static_arp", Ipv4Address.parse, ip_text)] = \
-            _parse(f"{loc}.static_arp", MacAddress.parse, mac_text)
-    return _make(
-        loc, cls,
-        name=spec["name"],
-        mac=_parse(f"{loc}.mac", MacAddress.parse, spec["mac"]),
-        ip=_parse(f"{loc}.ip", Ipv4Address.parse, spec["ip"]) if "ip" in spec else None,
-        start_time=_parse(f"{loc}.start_time", float, spec.get("start_time", 0.0)),
-        static_arp=static_arp,
-        **extra,
-    )
-
-
-def _can_args(spec: dict, loc: str) -> dict:
-    return {
-        "can_priority": _int(f"{loc}.can_priority", spec.get("can_priority", 0x100)),
-        "vcid": _int(f"{loc}.vcid", spec.get("vcid", 0)),
-    }
-
-
-def _build_switch(spec: dict, loc: str) -> CSwitch:
-    _check_keys(spec, loc, {"name", "bridge_id", "ports"}, {"legacy_rules", "ageing_time"})
-    ports = []
-    for pn, pspec in enumerate(_list(spec["ports"], f"{loc}.ports")):
-        _check_keys(pspec, f"{loc}.ports.{pn}", {"index", "kind"},
-                    {"egress_mode", "egress_priority_base", "vcid"})
-        index = _int(f"{loc}.ports.{pn}.index", pspec["index"])
-        ploc = f"{loc}.ports.{index}"
-        ports.append(_make(
-            ploc, PortConfig,
-            index=index,
-            kind=_choice(f"{ploc}.kind", "port kind", _PORT_KINDS, pspec["kind"]),
-            egress_mode=_choice(f"{ploc}.egress_mode", "egress mode", _EGRESS_MODES,
-                                pspec.get("egress_mode", "eoc")),
-            egress_priority_base=_int(f"{ploc}.egress_priority_base",
-                                      pspec.get("egress_priority_base", 0x700)),
-            vcid=_int(f"{ploc}.vcid", pspec.get("vcid", 0)),
-        ))
-    rules = []
-    for rn, rspec in enumerate(_list(spec.get("legacy_rules"), f"{loc}.legacy_rules")):
-        rloc = f"{loc}.legacy_rules.{rn}"
-        _check_keys(rspec, rloc, {"ingress_port", "match_id", "egress"}, set())
-        egress = []
-        for en, espec in enumerate(_list(rspec["egress"], f"{rloc}.egress")):
-            eloc = f"{rloc}.egress.{en}"
-            _check_keys(espec, eloc, {"port", "id"}, set())
-            egress.append((_int(f"{eloc}.port", espec["port"]),
-                           _int(f"{eloc}.id", espec["id"])))
-        rules.append(_make(
-            rloc, LegacyRelayRule,
-            ingress_port=_int(f"{rloc}.ingress_port", rspec["ingress_port"]),
-            match_id=_int(f"{rloc}.match_id", rspec["match_id"]),
-            egress=tuple(egress),
-        ))
-    return _make(
-        loc, CSwitch,
-        name=spec["name"],
-        bridge_id=_int(f"{loc}.bridge_id", spec["bridge_id"]),
-        ports=ports,
-        legacy_rules=rules,
-        ageing_s=_parse(f"{loc}.ageing_time", float,
-                        spec.get("ageing_time", DEFAULT_AGEING_S)),
-    )
+    cls, table = _NODE_KINDS[kind]
+    fields = table(spec, loc)
+    del fields["kind"]  # the class stands for it
+    return _make(loc, cls, fields)
 
 
 def _attach(topo: Topology, medium_name: str, ref: str, loc: str) -> None:
@@ -417,61 +338,101 @@ def _attach(topo: Topology, medium_name: str, ref: str, loc: str) -> None:
         raise ConfigError(loc, f"unknown station {ref!r}")
 
 
-def _build_bus(topo: Topology, spec: dict, loc: str) -> None:
-    _check_keys(spec, loc, {"name", "arb_bitrate", "data_bitrate", "stations"},
-                {"arb_overhead_bits", "data_overhead_bits", "stuff_ratio"})
-    params = _make(
-        loc, CanXlTimingParams,
-        arb_bitrate=_parse(f"{loc}.arb_bitrate", float, spec["arb_bitrate"]),
-        data_bitrate=_parse(f"{loc}.data_bitrate", float, spec["data_bitrate"]),
-        arb_overhead_bits=_int(f"{loc}.arb_overhead_bits",
-                               spec.get("arb_overhead_bits", 34)),
-        data_overhead_bits=_int(f"{loc}.data_overhead_bits",
-                                spec.get("data_overhead_bits", 168)),
-        stuff_ratio=_parse(f"{loc}.stuff_ratio", float, spec.get("stuff_ratio", 0.1)),
-    )
-    topo.add_bus(spec["name"], params)
-    for ref in _list(spec["stations"], f"{loc}.stations", str):
-        _attach(topo, spec["name"], ref, f"{loc}.stations")
+# -- parsers of single keys ------------------------------------------------
+
+def _names(value) -> list[str]:
+    return _list(value, "", str)
 
 
-def _build_link(topo: Topology, spec: dict, loc: str) -> None:
-    _check_keys(spec, loc, {"name", "bitrate", "endpoints"}, set())
-    params = _make(loc, EthernetTimingParams,
-                   bitrate=_parse(f"{loc}.bitrate", float, spec["bitrate"]))
-    topo.add_link(spec["name"], params)
-    for ref in _list(spec["endpoints"], f"{loc}.endpoints", str):
-        _attach(topo, spec["name"], ref, f"{loc}.endpoints")
+def _ids(value) -> list[int]:
+    return [_int(v) for v in _list(value, "", object)]
 
 
-def _build_flow(spec: dict, loc: str) -> Flow:
-    _check_keys(spec, loc, {"name", "source", "transport", "payload_size", "schedule"},
-                {"dst_ip", "dst_mac", "can_id"})
-    sched, sloc = spec["schedule"], f"{loc}.schedule"
-    _check_keys(sched, sloc, set(), {"at", "start", "period", "count"})
+def _static_arp(value) -> dict:
+    arp = {} if value is None else value
+    if not isinstance(arp, dict):
+        raise ValueError("expected a mapping")
+    return {Ipv4Address.parse(ip): MacAddress.parse(mac) for ip, mac in arp.items()}
+
+
+def _refresh(value) -> float:
+    # present-but-null enables the refresh at the stock interval
+    return DEFAULT_EOC_REFRESH_S if value is None else _float(value)
+
+
+def _ports(value) -> list[PortConfig]:
+    ports = []
+    for n, spec in enumerate(_list(value, "")):
+        index = spec.get("index")
+        # a port is known by its index, once that is an integer
+        ports.append(_PORT.make(PortConfig, spec, f".{index if type(index) is int else n}"))
+    return ports
+
+
+def _rules(value) -> list[LegacyRelayRule]:
+    return [_RULE.make(LegacyRelayRule, spec, f".{n}") for n, spec in enumerate(_list(value, ""))]
+
+
+def _egress(value) -> tuple[tuple[int, int], ...]:
+    items = (_EGRESS(spec, f".{n}") for n, spec in enumerate(_list(value, "")))
+    return tuple((e["port"], e["id"]) for e in items)
+
+
+def _schedule(value) -> list[int]:
+    """Send times in ns: one `at`, or `count` sends `period` apart from `start`."""
+    sched = _SCHEDULE(value, "")
     if "at" in sched:
-        times = [_parse(f"{sloc}.at", lambda at: round(float(at) * 1e9), sched["at"])]
-    elif "period" in sched and "count" in sched:
-        start = _parse(f"{sloc}.start", float, sched.get("start", 0.0))
-        period = _parse(f"{sloc}.period", float, sched["period"])
-        count = _int(f"{sloc}.count", sched["count"])
-        if not period > 0:
-            raise ConfigError(f"{sloc}.period", "must be positive")
-        if count < 0:
-            raise ConfigError(f"{sloc}.count", "must not be negative")
-        times = _parse(sloc, lambda _: [round((start + k * period) * 1e9)
-                                        for k in range(count)], None)
-    else:
-        raise ConfigError(sloc, "need either 'at' or 'period'+'count'")
-    return Flow(
-        name=spec["name"],
-        source=_name(f"{loc}.source", spec["source"]),
-        transport=spec["transport"],
-        payload_size=_int(f"{loc}.payload_size", spec["payload_size"]),
-        send_times_ns=times,
-        dst_ip=_parse(f"{loc}.dst_ip", Ipv4Address.parse, spec["dst_ip"])
-        if "dst_ip" in spec else None,
-        dst_mac=_parse(f"{loc}.dst_mac", MacAddress.parse, spec["dst_mac"])
-        if "dst_mac" in spec else None,
-        can_id=_int(f"{loc}.can_id", spec["can_id"]) if "can_id" in spec else None,
-    )
+        return [sched["at"]]
+    if "period" not in sched or "count" not in sched:
+        raise ValueError("need either 'at' or 'period'+'count'")
+    start, period, count = sched.get("start", 0.0), sched["period"], sched["count"]
+    if not period > 0:
+        raise ConfigError(".period", "must be positive")
+    if count < 0:
+        raise ConfigError(".count", "must not be negative")
+    return [round((start + k * period) * 1e9) for k in range(count)]
+
+
+# -- one table per section ------------------------------------------------
+
+_SECTIONS = frozenset(("nodes", "buses", "links", "switches", "flows", "run"))
+
+_RUN = _Table({"t_end": _float},
+              {"seed": _int, "startup_gratuitous_arp": _bool, "trace": _path, "report": _path})
+
+_NODE = {"name": _name, "kind": _name}
+_ADDRESSED = {**_NODE, "mac": MacAddress.parse}
+_HOST = {"start_time": _float, "ip": Ipv4Address.parse, "static_arp": _static_arp}
+_CAN = {**_HOST, "can_priority": _int, "vcid": _int}
+_NODE_KINDS = {cls.kind: (cls, _Table(required, optional)) for cls, required, optional in (
+    (ClassicCanNode, _NODE, {"start_time": _float, "rx_ids": _ids}),
+    (EthernetHost, _ADDRESSED, _HOST),
+    (EocNode, _ADDRESSED, _CAN),
+    (IocNode, _ADDRESSED, {**_CAN, "eoc_refresh_interval": _refresh}),
+)}
+
+_PORT = _Table({"index": _int, "kind": _one_of("port kind", PORT_KINDS)},
+               {"egress_mode": _one_of("egress mode", EGRESS_MODES),
+                "egress_priority_base": _int, "vcid": _int})
+_EGRESS = _Table({"port": _int, "id": _int})
+_RULE = _Table({"ingress_port": _int, "match_id": _int, "egress": _egress})
+_SWITCH = _Table({"name": _name, "bridge_id": _int, "ports": _ports},
+                 {"legacy_rules": _rules, "ageing_time": _float})
+
+# (section, table, timing parameters, Topology method, key of the stations)
+_MEDIA = (
+    ("buses",
+     _Table({"name": _name, "arb_bitrate": _float, "data_bitrate": _float,
+             "stations": _names},
+            {"arb_overhead_bits": _int, "data_overhead_bits": _int, "stuff_ratio": _float}),
+     CanXlTimingParams, Topology.add_bus, "stations"),
+    ("links",
+     _Table({"name": _name, "bitrate": _float, "endpoints": _names}),
+     EthernetTimingParams, Topology.add_link, "endpoints"),
+)
+
+_SCHEDULE = _Table({}, {"at": lambda v: round(_float(v) * 1e9), "start": _float,
+                        "period": _float, "count": _int})
+_FLOW = _Table({"name": _name, "source": _name, "transport": _name, "payload_size": _int,
+                "schedule": _schedule},
+               {"dst_ip": Ipv4Address.parse, "dst_mac": MacAddress.parse, "can_id": _int})

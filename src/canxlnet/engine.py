@@ -72,7 +72,7 @@ class Flow:
     source: str
     transport: str  # raw-ethernet | ipv4 | classic-can
     payload_size: int
-    send_times_ns: list[int]
+    schedule: list[int]  # send times, ns
     dst_ip: Ipv4Address | None = None
     dst_mac: MacAddress | None = None
     can_id: int | None = None
@@ -83,8 +83,8 @@ class RunOptions:
     t_end: float = 1.0
     seed: int = 0
     startup_gratuitous_arp: bool = True
-    trace_path: str | None = None
-    report_path: str | None = None
+    trace: str | None = None  # output paths
+    report: str | None = None
 
 
 @dataclass
@@ -448,7 +448,7 @@ class Simulation:
             t = round(node.start_time * 1e9)
             self.schedule(t, node.startup, self, t)
         for flow in self.topo.flows:
-            for seq, t in enumerate(flow.send_times_ns):
+            for seq, t in enumerate(flow.schedule):
                 self.schedule(t, self._app_send, flow, seq)
 
         while self.heap:

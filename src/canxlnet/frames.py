@@ -36,7 +36,7 @@ All types are immutable values and all operations are pure functions.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_ARP = 0x0806
@@ -154,22 +154,17 @@ class Ipv4Address:
 class EthernetFrame:
     """IEEE 802.3 MAC frame, modeled without preamble and FCS.
 
-    Construction zero-pads the payload up to the 46-byte minimum; the
-    pre-pad length is kept in `payload_len` for bookkeeping but does not
-    take part in equality (it is not recoverable from the wire).
+    Construction zero-pads the payload up to the 46-byte minimum.
     """
 
     da: MacAddress
     sa: MacAddress
     ethertype: int
     payload: bytes
-    payload_len: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.ethertype <= 0xFFFF:
             raise ValueError("ethertype out of range")
-        if self.payload_len is None:
-            object.__setattr__(self, "payload_len", len(self.payload))
         if len(self.payload) < ETH_MIN_PAYLOAD:
             object.__setattr__(
                 self, "payload",

@@ -20,6 +20,7 @@ group MAC.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -40,10 +41,12 @@ from .frames import (
 )
 
 ETH = "ethernet"
-CAN_XL = "can-xl"
+CAN_XL = "can"
+PORT_KINDS = (ETH, CAN_XL)
 
 EGRESS_EOC = "eoc"
 EGRESS_IOC_PREFERRED = "ioc-preferred"
+EGRESS_MODES = (EGRESS_EOC, EGRESS_IOC_PREFERRED)
 
 ROLE_ROOT = "root"
 ROLE_DESIGNATED = "designated"
@@ -65,9 +68,9 @@ class PortConfig:
     vcid: int = 0
 
     def __post_init__(self):
-        if self.kind not in (ETH, CAN_XL):
+        if self.kind not in PORT_KINDS:
             raise ValueError(f"unknown port kind {self.kind!r}")
-        if self.egress_mode not in (EGRESS_EOC, EGRESS_IOC_PREFERRED):
+        if self.egress_mode not in EGRESS_MODES:
             raise ValueError(f"unknown egress mode {self.egress_mode!r}")
         if not 0 <= self.egress_priority_base < 2048:
             raise ValueError("egress priority must fit in 11 bits")
@@ -113,6 +116,8 @@ class Efdb:
     """
 
     def __init__(self, ageing_s: float = DEFAULT_AGEING_S):
+        if not 0 <= ageing_s < math.inf:  # NaN too
+            raise ValueError("ageing time must be finite and non-negative")
         self.ageing_ns = round(ageing_s * 1e9)
         self.by_mac: dict[MacAddress, EfdbEntry] = {}
         self.by_ip: dict[Ipv4Address, EfdbEntry] = {}
@@ -194,7 +199,7 @@ class CSwitch:
     def __init__(self, name: str, bridge_id: int,
                  ports: list[PortConfig],
                  legacy_rules: list[LegacyRelayRule] | None = None,
-                 ageing_s: float = DEFAULT_AGEING_S):
+                 ageing_time: float = DEFAULT_AGEING_S):
         if len({p.index for p in ports}) != len(ports):
             raise ValueError(f"switch {name}: duplicate port indices")
         if not 0 <= bridge_id < 2**64:
@@ -203,7 +208,7 @@ class CSwitch:
         self.bridge_id = bridge_id
         self.ports = {p.index: p for p in sorted(ports, key=lambda p: p.index)}
         self.legacy_rules = list(legacy_rules or [])
-        self.efdb = Efdb(ageing_s)
+        self.efdb = Efdb(ageing_time)
         # Bridge MAC, synthesized from the bridge id (locally administered).
         self.mac = MacAddress(b"\x0a\xb1" + (bridge_id & 0xFFFFFFFF).to_bytes(4, "big"))
         self.port_state = {p.index: _PortState() for p in ports}

@@ -38,8 +38,8 @@ class CanXlTimingParams:
 
     def __post_init__(self):
         # written so that NaN fails each check
-        if not (self.arb_bitrate > 0 and self.data_bitrate > 0):
-            raise ValueError("bit rates must be positive")
+        if not (0 < self.arb_bitrate < math.inf and 0 < self.data_bitrate < math.inf):
+            raise ValueError("bit rates must be positive and finite")
         if self.arb_bitrate > 1_000_000:
             raise ValueError("arbitration phase may not exceed 1 Mb/s")
         if not self.data_bitrate >= self.arb_bitrate:
@@ -58,8 +58,8 @@ class EthernetTimingParams:
     min_payload: int = 46
 
     def __post_init__(self):
-        if not self.bitrate > 0:  # NaN too
-            raise ValueError("bit rate must be positive")
+        if not 0 < self.bitrate < math.inf:  # NaN too
+            raise ValueError("bit rate must be positive and finite")
         if min(self.preamble_bytes, self.header_bytes, self.fcs_bytes, self.min_payload) < 0:
             raise ValueError("byte counts must be non-negative")
 

@@ -201,7 +201,7 @@ def test_periodic_schedule_expands():
     doc = variant()
     doc["flows"][0]["schedule"] = {"start": 0.001, "period": 0.002, "count": 3}
     topo = build_topology(doc)
-    assert topo.flows[0].send_times_ns == [1_000_000, 3_000_000, 5_000_000]
+    assert topo.flows[0].schedule == [1_000_000, 3_000_000, 5_000_000]
 
 
 MALFORMED = [
@@ -213,6 +213,7 @@ MALFORMED = [
      [{"ingress_port": 0, "match_id": 0x100, "egress": 5}],
      "switches.sw1.legacy_rules.0.egress"),
     (("nodes", 0, "static_arp"), [1], "nodes.n1.static_arp"),
+    (("nodes", 0, "static_arp"), False, "nodes.n1.static_arp"),
     (("nodes", 0), {"name": "n1", "kind": "classic-can", "rx_ids": 5}, "nodes.n1.rx_ids"),
     (("buses", 0, "stations"), 5, "buses.bus1.stations"),
     (("links", 0, "endpoints"), 5, "links.link1.endpoints"),
@@ -278,6 +279,8 @@ MALFORMED = [
     # output paths are text
     (("run", "trace"), [1], "run.trace"),
     (("run", "report"), 5, "run.report"),
+    # a YAML key need not be text
+    (("nodes", 0, 1), 2, "nodes.n1"),
 ]
 
 
@@ -340,6 +343,11 @@ BAD_TIMES_AND_RATES = [
     ("stuff_ratio", ("buses", 0, "stuff_ratio"), math.nan, "buses.bus1"),
     ("stuff_ratio_inf", ("buses", 0, "stuff_ratio"), math.inf, "buses.bus1"),
     ("link_bitrate", ("links", 0, "bitrate"), math.nan, "links.link1"),
+    ("data_bitrate_inf", ("buses", 0, "data_bitrate"), math.inf, "buses.bus1"),
+    ("link_bitrate_inf", ("links", 0, "bitrate"), math.inf, "links.link1"),
+    ("ageing_time", ("switches", 0, "ageing_time"), math.inf, "switches.sw1"),
+    ("ageing_time_nan", ("switches", 0, "ageing_time"), math.nan, "switches.sw1"),
+    ("ageing_time_negative", ("switches", 0, "ageing_time"), -1, "switches.sw1"),
 ]
 
 
@@ -497,6 +505,33 @@ def test_parser_bases_give_equal_documents(name):
                                   (config.LOADER, config.PURE_PYTHON_LOADER, yaml.SafeLoader))
     assert libyaml == python == safe_load
     assert libyaml
+
+
+def built(doc) -> dict:
+    """What `doc` builds, as values that compare equal when built alike."""
+    topo = checked(doc)
+    return {
+        "run": topo.options,
+        "nodes": {name: {k: v for k, v in vars(node).items() if k != "station"}
+                  for name, node in topo.nodes.items()},
+        "switches": {name: (sw.ports, sw.legacy_rules, sw.efdb.ageing_ns)
+                     for name, sw in topo.switches.items()},
+        "media": {name: medium.params for name, medium in topo.media.items()},
+    }
+
+
+def test_omitted_keys_keep_their_defaults():
+    omitted = copy.deepcopy(WITH_CLASSIC)
+    omitted["nodes"][0]["kind"] = "ioc"
+    spelled = copy.deepcopy(omitted)
+    spelled["nodes"][0].update(start_time=0.0, static_arp={}, can_priority=0x100, vcid=0)
+    spelled["nodes"][2]["start_time"] = 0.0
+    spelled["switches"][0].update(ageing_time=300, legacy_rules=[])
+    spelled["switches"][0]["ports"][0].update(egress_mode="eoc", egress_priority_base=0x700,
+                                              vcid=0)
+    spelled["buses"][0].update(arb_overhead_bits=34, data_overhead_bits=168, stuff_ratio=0.1)
+    spelled["run"].update(seed=0, startup_gratuitous_arp=True, trace=None, report=None)
+    assert built(omitted) == built(spelled)
 
 
 def test_integer_fields_take_yaml_integers():

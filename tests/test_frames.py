@@ -362,10 +362,9 @@ class TestWireTypes:
         assert len(values) == len(set(values))
         assert all(0 <= v <= 0xFF for v in values)
 
-    def test_ethernet_padding_records_pre_pad_length(self):
+    def test_ethernet_payload_is_padded_to_minimum(self):
         eth = EthernetFrame(M1, M2, 0x88B6, bytes(10))
         assert len(eth.payload) == 46
-        assert eth.payload_len == 10
 
     def test_classic_bounds(self):
         with pytest.raises(ValueError):

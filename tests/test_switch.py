@@ -129,6 +129,11 @@ class TestAgeing:
     def test_empty(self):
         assert not Efdb().entries()
 
+    @pytest.mark.parametrize("ageing_s", [float("inf"), float("nan"), -1])
+    def test_ageing_time_is_finite_and_non_negative(self, ageing_s):
+        with pytest.raises(ValueError, match="ageing time must be finite and non-negative"):
+            Efdb(ageing_s)
+
 
 class TestForwarding:
     def test_unknown_unicast_floods(self):
