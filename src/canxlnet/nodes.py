@@ -202,9 +202,8 @@ class EthernetHost(Node):
 class EocNode(Node):
     kind = "eoc"
 
-    def __init__(self, name, mac, ip=None, start_time=0.0, static_arp=None,
-                 can_priority: int = 0x100, vcid: int = 0):
-        super().__init__(name, mac, ip, start_time, static_arp)
+    def __init__(self, name, mac, *args, can_priority: int = 0x100, vcid: int = 0, **kwargs):
+        super().__init__(name, mac, *args, **kwargs)
         if not 0 <= can_priority < 2048:
             raise ValueError("can_priority must fit in 11 bits")
         if not 0 <= vcid <= 0xFF:
@@ -238,15 +237,13 @@ class EocNode(Node):
 class IocNode(EocNode):
     kind = "ioc"
 
-    def __init__(self, name, mac, ip=None, start_time=0.0, static_arp=None,
-                 can_priority: int = 0x100, vcid: int = 0,
-                 eoc_refresh_interval: float | None = None):
-        super().__init__(name, mac, ip, start_time, static_arp, can_priority, vcid)
+    def __init__(self, *args, eoc_refresh_interval: float | None = None, **kwargs):
+        super().__init__(*args, **kwargs)
         self.eoc_refresh_interval_ns = None if eoc_refresh_interval is None else round(
             _seconds("eoc_refresh_interval", eoc_refresh_interval) * 1e9)
         self.next_refresh_ns: int | None = None
         # the acceptance field of compact frames addressed to this node, if any
-        self.ip_af = None if ip is None else ip.to_u32()
+        self.ip_af = None if self.ip is None else self.ip.to_u32()
 
     def startup(self, sim, now: int) -> None:
         if self.eoc_refresh_interval_ns is not None:
