@@ -213,7 +213,6 @@ MALFORMED = [
      [{"ingress_port": 0, "match_id": 0x100, "egress": 5}],
      "switches.sw1.legacy_rules.0.egress"),
     (("nodes", 0, "static_arp"), [1], "nodes.n1.static_arp"),
-    (("nodes", 0, "static_arp"), False, "nodes.n1.static_arp"),
     (("nodes", 0), {"name": "n1", "kind": "classic-can", "rx_ids": 5}, "nodes.n1.rx_ids"),
     (("buses", 0, "stations"), 5, "buses.bus1.stations"),
     (("links", 0, "endpoints"), 5, "links.link1.endpoints"),
@@ -410,6 +409,11 @@ def test_classic_variant_is_valid():
                          ids=[case[0] for case in OUT_OF_RANGE])
 def test_out_of_range_integer_is_located(path, value, location):
     assert_located(path, value, location, WITH_CLASSIC)
+
+
+def test_static_arp_other_than_a_mapping_is_located():
+    # `false` or `[]` is not an empty table
+    assert_located(("nodes", 0, "static_arp"), False, "nodes.n1.static_arp")
 
 
 def test_non_decimal_port_digit_is_located():
