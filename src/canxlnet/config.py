@@ -382,6 +382,8 @@ def _schedule(value) -> list[int]:
     """Send times in ns: one `at`, or `count` sends `period` apart from `start`."""
     sched = _SCHEDULE(value, "")
     if "at" in sched:
+        if len(sched) > 1:
+            raise ValueError("'at' excludes 'start', 'period' and 'count'")
         return [sched["at"]]
     if "period" not in sched or "count" not in sched:
         raise ValueError("need either 'at' or 'period'+'count'")

@@ -9,14 +9,15 @@ transmission completions, deliveries, STP hellos), node startup and ARP
 retries, and the media's arbitration kicks.
 
 Media hand each transmission they start to `Simulation.on_tx_start`,
-which decodes, describes and encodes the frame once, traces it and
-schedules its completion.  A tunnel frame is decapsulated there, once;
-the inner Ethernet frame goes to flow attribution, to the summary, to
-every node's `on_receive` and to every switch port's `on_ingress`.  The
-summary is JSON-encoded once, and the `tx_start`, `tx_complete` and
-`deliver` records are written around that text and the medium, sender
-and receiver names encoded once at set-up.  `trace` encodes the rarer
-records (sends, app deliveries, drops, timers, clashes) whole.  The
+which decodes and describes the frame once, traces it and schedules its
+completion.  A tunnel frame is decapsulated there, once; the inner
+Ethernet frame goes to flow attribution, to the summary, to every node's
+`on_receive` and to every switch port's `on_ingress`.  `frame_summary`
+writes the summary as JSON text, and every per-packet record (`app_send`,
+`tx_start`, `tx_complete`, `deliver`, `app_deliver` and the drop of a
+frame no flow owns) is written as text around it and the medium, station,
+node and flow names encoded once at set-up.  `trace` encodes the rarer
+records (timers, clashes, flow drops, untracked deliveries) whole.  The
 completion schedules one delivery event for the whole transmission.
 That event walks the receivers in station order: it writes one
 receiver's `deliver` record, lets that receiver react, then moves to the
@@ -271,29 +272,26 @@ def _tunneled(frame) -> EthernetFrame | None:
     return None
 
 
-def frame_summary(frame, inner: EthernetFrame | None) -> dict:
-    """`inner` is `_tunneled(frame)`."""
+def frame_summary(frame, inner: EthernetFrame | None) -> str:
+    """The frame's trace description as canonical JSON text, keys sorted;
+    `inner` is `_tunneled(frame)`.  Addresses and SDT names are plain
+    ASCII, so they need no escaping."""
     if isinstance(frame, CanXlFrame):
-        d = {
-            "kind": "canxl",
-            "sdt": frames.SDT_NAMES.get(frame.sdt, f"0x{frame.sdt:02x}"),
-            "priority": frame.priority,
-            "af": f"0x{frame.af:08x}",
-            "len": len(frame.data),
-        }
-        if inner is not None:
-            d["inner"] = {"da": str(inner.da), "sa": str(inner.sa),
-                          "ethertype": f"0x{inner.ethertype:04x}"}
-        return d
+        tunnel = "" if inner is None else (
+            f'"inner":{{"da":"{inner.da}","ethertype":"0x{inner.ethertype:04x}",'
+            f'"sa":"{inner.sa}"}},')
+        sdt = frames.SDT_NAMES.get(frame.sdt) or f"0x{frame.sdt:02x}"
+        return (f'{{"af":"0x{frame.af:08x}",{tunnel}"kind":"canxl","len":{len(frame.data)},'
+                f'"priority":{frame.priority},"sdt":"{sdt}"}}')
     if isinstance(frame, EthernetFrame):
-        return {"kind": "eth", "da": str(frame.da), "sa": str(frame.sa),
-                "ethertype": f"0x{frame.ethertype:04x}", "len": len(frame.payload)}
+        return (f'{{"da":"{frame.da}","ethertype":"0x{frame.ethertype:04x}","kind":"eth",'
+                f'"len":{len(frame.payload)},"sa":"{frame.sa}"}}')
     if isinstance(frame, ClassicCanFrame):
-        return {"kind": "classic", "id": f"0x{frame.id:03x}", "len": len(frame.data)}
+        return f'{{"id":"0x{frame.id:03x}","kind":"classic","len":{len(frame.data)}}}'
     if isinstance(frame, IocDatagram):
-        return {"kind": "ioc", "src": str(frame.src_ip), "dst": str(frame.dst_ip),
-                "len": len(frame.payload)}
-    return {"kind": type(frame).__name__}
+        return (f'{{"dst":"{frame.dst_ip}","kind":"ioc","len":{len(frame.payload)},'
+                f'"src":"{frame.src_ip}"}}')
+    return _encode({"kind": type(frame).__name__})
 
 
 class Simulation:
@@ -307,6 +305,9 @@ class Simulation:
         self.heap: list = []
         self.trace_lines: list[str] = []
         self.flow_index = {flow.name: i for i, flow in enumerate(topo.flows)}
+        # Flow and node names, JSON-encoded for the per-packet records.
+        self.flow_text = {flow.name: _encode(flow.name) for flow in topo.flows}
+        self.node_text = {name: _encode(name) for name in topo.nodes}
         self.flow_stats = {
             flow.name: {
                 "sent": 0,
@@ -341,7 +342,8 @@ class Simulation:
 
     def schedule(self, t_ns: int, handler, *args) -> None:
         """Call `handler(*args)` at `t_ns`, after whatever is already due then."""
-        heapq.heappush(self.heap, (t_ns, self.next_seq(), handler, args))
+        self._seq += 1
+        heapq.heappush(self.heap, (t_ns, self._seq, handler, args))
 
     def trace(self, event: str, location: str, **fields) -> None:
         rec = {"t_ns": self.now, "event": event, "location": location, **fields}
@@ -382,10 +384,10 @@ class Simulation:
     # -- engine callbacks ------------------------------------------------------
 
     def on_tx_start(self, medium, station: Station, frame, now: int, duration_ns: int) -> None:
-        """Decode, describe and encode a started transmission once, trace it
-        and schedule its end."""
+        """Decode and describe a started transmission once, trace it and
+        schedule its end."""
         inner = _tunneled(frame)
-        summary = _encode(frame_summary(frame, inner))
+        summary = frame_summary(frame, inner)
         location, source, _ = self.fanout[station]
         fl = self.flow_of(frame, inner)
         # The keys tx_start and tx_complete share, in sorted order; written
@@ -393,8 +395,8 @@ class Simulation:
         if fl is None:
             shared = f'"frame":{summary},"location":{location},"source":{source},'
         else:
-            shared = (f'"flow":{_encode(fl[0].name)},"frame":{summary},"location":{location},'
-                      f'"seq":{fl[1]},"source":{source},')
+            shared = (f'"flow":{self.flow_text[fl[0].name]},"frame":{summary},'
+                      f'"location":{location},"seq":{fl[1]},"source":{source},')
         self.trace_lines.append(
             f'{{"duration_ns":{duration_ns},"event":"tx_start",{shared}"t_ns":{self.now}}}')
         self.schedule(now + duration_ns, self.on_tx_complete,
@@ -412,7 +414,10 @@ class Simulation:
         if fl is not None:
             self.flow_drop(fl[0], fl[1], reason, location)
         else:
-            self.trace("drop", location, frame=frame_summary(frame, inner), reason=reason)
+            # Byte for byte what trace("drop", location, frame=..., reason=reason) writes.
+            self.trace_lines.append(
+                f'{{"event":"drop","frame":{frame_summary(frame, inner)},'
+                f'"location":{_encode(location)},"reason":{_encode(reason)},"t_ns":{self.now}}}')
 
     def flow_drop(self, flow: Flow, seq: int, reason: str, location: str) -> None:
         drops = self.flow_stats[flow.name]["drops"]
@@ -434,9 +439,12 @@ class Simulation:
             not any(payload[len(expected):])
         if not ok:
             stats["payload_mismatches"] += 1
-        stats["latencies"].append(now - sent_at)
-        self.trace("app_deliver", node.name, flow=flow.name, seq=seq,
-                   latency_ns=now - sent_at)
+        latency = now - sent_at
+        stats["latencies"].append(latency)
+        self.trace_lines.append(
+            f'{{"event":"app_deliver","flow":{self.flow_text[flow.name]},'
+            f'"latency_ns":{latency},"location":{self.node_text[node.name]},'
+            f'"seq":{seq},"t_ns":{self.now}}}')
 
     # -- event handlers ---------------------------------------------------------
 
@@ -464,7 +472,9 @@ class Simulation:
         payload = make_payload(self.flow_index[flow.name], seq, flow.payload_size)
         self.registry[payload[:FLOW_TAG_LEN]] = (flow, seq, payload, self.now)
         self.flow_stats[flow.name]["sent"] += 1
-        self.trace("app_send", flow.source, flow=flow.name, seq=seq)
+        self.trace_lines.append(
+            f'{{"event":"app_send","flow":{self.flow_text[flow.name]},'
+            f'"location":{self.node_text[flow.source]},"seq":{seq},"t_ns":{self.now}}}')
         self.topo.nodes[flow.source].app_send(self, self.now, flow, seq, payload)
 
     def on_tx_complete(self, medium, sender: Station, frame, inner: EthernetFrame | None,

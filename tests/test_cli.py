@@ -137,6 +137,18 @@ def test_simulate_mistyped_value_exits_2(tmp_path, scenario_path, capsys, path, 
     assert "Traceback" not in err
 
 
+def test_simulate_at_with_period_and_count_exits_2(tmp_path, scenario_path, capsys):
+    with open(scenario_path("eoc_baseline")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["flows"][0]["schedule"] = {"at": 0.001, "period": 0.001, "count": 5}
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc))
+    assert main(["simulate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: flows.{doc['flows'][0]['name']}.schedule:")
+    assert "Traceback" not in err
+
+
 def test_simulate_infinite_t_end_exits_2(tmp_path, scenario_path, capsys):
     with open(scenario_path("eoc_baseline")) as fh:
         doc = yaml.safe_load(fh)

@@ -197,6 +197,22 @@ def test_schedule_requires_at_or_periodic():
         checked(doc)
 
 
+# `at` is one send; a periodic key beside it would be ignored
+@pytest.mark.parametrize("schedule", [
+    {"at": 0.001, "period": 0.001, "count": 5},
+    {"at": 0.001, "period": 0.001},
+    {"at": 0.001, "count": 5},
+    {"at": 0.001, "start": 0.002},
+], ids=["period_and_count", "period", "count", "start"])
+def test_schedule_at_excludes_periodic_keys(schedule):
+    doc = variant()
+    doc["flows"][0]["schedule"] = schedule
+    with pytest.raises(ConfigError) as exc:
+        checked(doc)
+    assert exc.value.location == "flows.f1.schedule"
+    assert "'at' excludes" in exc.value.reason
+
+
 def test_periodic_schedule_expands():
     doc = variant()
     doc["flows"][0]["schedule"] = {"start": 0.001, "period": 0.002, "count": 3}

@@ -145,6 +145,8 @@ class TestMediumTiming:
             assert drop["frame"]["inner"]["ethertype"] == "0x0806"
             assert "flow" not in drop
         assert events(trace, "tx_start") == []
+        for line in trace.splitlines():
+            assert line == engine._encode(json.loads(line))
 
     def test_each_transmission_is_described_once(self, monkeypatch):
         calls = []
@@ -325,6 +327,53 @@ def test_make_payload_matches_the_per_byte_formula(flow_index, seq):
         assert payload[8:] == filler[:size - 8]
 
 
+def reference_summary(frame, inner) -> dict:
+    """The frame summary as a dict, as `engine.frame_summary` built it
+    before it wrote the text itself."""
+    if isinstance(frame, frames.CanXlFrame):
+        d = {
+            "kind": "canxl",
+            "sdt": frames.SDT_NAMES.get(frame.sdt, f"0x{frame.sdt:02x}"),
+            "priority": frame.priority,
+            "af": f"0x{frame.af:08x}",
+            "len": len(frame.data),
+        }
+        if inner is not None:
+            d["inner"] = {"da": str(inner.da), "sa": str(inner.sa),
+                          "ethertype": f"0x{inner.ethertype:04x}"}
+        return d
+    if isinstance(frame, frames.EthernetFrame):
+        return {"kind": "eth", "da": str(frame.da), "sa": str(frame.sa),
+                "ethertype": f"0x{frame.ethertype:04x}", "len": len(frame.payload)}
+    if isinstance(frame, frames.ClassicCanFrame):
+        return {"kind": "classic", "id": f"0x{frame.id:03x}", "len": len(frame.data)}
+    if isinstance(frame, frames.IocDatagram):
+        return {"kind": "ioc", "src": str(frame.src_ip), "dst": str(frame.dst_ip),
+                "len": len(frame.payload)}
+    return {"kind": type(frame).__name__}
+
+
+macs = st.binary(min_size=6, max_size=6).map(MacAddress)
+ips = st.binary(min_size=4, max_size=4).map(Ipv4Address)
+ethernet_frames = st.builds(frames.EthernetFrame, macs, macs, st.integers(0, 0xFFFF),
+                            st.integers(0, frames.ETH_MTU).map(bytes))
+canxl_frames = st.builds(frames.CanXlFrame, st.integers(0, 2047), st.integers(0, 0xFF),
+                         st.integers(0, 0xFF), st.integers(0, 2**32 - 1),
+                         st.integers(1, frames.CANXL_MAX_DATA).map(bytes))
+
+
+@given(st.one_of(
+    st.tuples(canxl_frames, st.none() | ethernet_frames),
+    st.tuples(ethernet_frames | st.builds(frames.ClassicCanFrame, st.integers(0, 2047),
+                                          st.integers(0, 8).map(bytes))
+              | st.builds(frames.IocDatagram, ips, ips, st.integers(0, 1480).map(bytes))
+              | st.just(b"not a frame"),
+              st.none())))
+def test_frame_summary_text_is_the_encoded_dict(case):
+    frame, inner = case
+    assert engine.frame_summary(frame, inner) == engine._encode(reference_summary(frame, inner))
+
+
 class TestArp:
     def test_unresolvable_address_counts_after_one_retry(self):
         flow = Flow("f", "n1", "ipv4", 44, [to_ns(0.001)], dst_ip=ip(99))
@@ -476,6 +525,9 @@ class TestScenarios:
                and rec["frame"].get("inner", rec["frame"]).get("ethertype") == "0x0806"]
         assert {rec["event"] for rec in arp} == {"tx_start", "tx_complete"}
         assert not any("flow" in rec or "seq" in rec for rec in arp)
+        for event in ("app_send", "app_deliver"):
+            flows = {rec["flow"] for rec in records if rec["event"] == event}
+            assert flows & {FLOW_IP, FLOW_UP, FLOW_DOWN}, event
 
     def test_report_is_stable_across_runs(self, scenario_path):
         r1 = Simulation(load_config(scenario_path("ioc_reconstruction"))).run()[1]
