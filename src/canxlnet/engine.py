@@ -10,8 +10,8 @@ retries, and the media's arbitration kicks.
 
 Media hand each transmission they start to `Simulation.on_tx_start`,
 which decodes and describes the frame once, traces it and schedules its
-completion.  A tunnel frame is decapsulated there, once; the inner
-Ethernet frame goes to flow attribution, to the summary, to every node's
+completion.  `frames.decode` reads every layer of the frame there, once;
+its value goes to flow attribution, to the summary, to every node's
 `on_receive` and to every switch port's `on_ingress`.  `frame_summary`
 writes the summary as JSON text, and every per-packet record (`app_send`,
 `tx_start`, `tx_complete`, `deliver`, `app_deliver` and the drop of a
@@ -25,8 +25,9 @@ next.  Bus clashes and switch drops both go through `Simulation.drop`.
 
 Frames are never tagged with bookkeeping objects: each flow embeds an
 8-byte (flow, sequence) tag at the start of its payload, and the engine
-recovers the flow from the application payload at any delivery or drop
-point, across any chain of tunnel/streamlined/Ethernet re-encodings.
+recovers the flow from the decoded application payload at any delivery
+or drop point, across any chain of tunnel/streamlined/Ethernet
+re-encodings; a datagram with a bad IPv4 header belongs to no flow.
 That also gives the end-to-end byte-identity check for free.
 
 The trace is one JSON record per line; the report is a JSON document of
@@ -265,17 +266,10 @@ def make_payload(flow_index: int, seq: int, size: int) -> bytes:
     return struct.pack(">II", flow_index, seq) + _RAMP[k:k + size - FLOW_TAG_LEN]
 
 
-def _tunneled(frame) -> EthernetFrame | None:
-    """The Ethernet frame a tunnel frame carries; None for any other frame."""
-    if isinstance(frame, CanXlFrame) and frame.sdt == frames.SDT_ETHERNET:
-        return frames.eoc_decapsulate(frame)
-    return None
-
-
 def frame_summary(frame, inner: EthernetFrame | None) -> str:
     """The frame's trace description as canonical JSON text, keys sorted;
-    `inner` is `_tunneled(frame)`.  Addresses and SDT names are plain
-    ASCII, so they need no escaping."""
+    `inner`, `frames.decode(frame).eth`, is written for CAN XL frames only.
+    Addresses and SDT names are plain ASCII, so they need no escaping."""
     if isinstance(frame, CanXlFrame):
         tunnel = "" if inner is None else (
             f'"inner":{{"da":"{inner.da}","ethertype":"0x{inner.ethertype:04x}",'
@@ -336,10 +330,6 @@ class Simulation:
 
     # -- plumbing -----------------------------------------------------------
 
-    def next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
     def schedule(self, t_ns: int, handler, *args) -> None:
         """Call `handler(*args)` at `t_ns`, after whatever is already due then."""
         self._seq += 1
@@ -351,45 +341,22 @@ class Simulation:
 
     # -- flow attribution ----------------------------------------------------
 
-    def _app_payload(self, frame) -> bytes | None:
-        if isinstance(frame, CanXlFrame):
-            if frame.sdt == frames.SDT_IPV4:
-                return frame.data[frames.IOC_HEADER_LEN:]
+    def flow_of(self, rx: frames.Decoded) -> tuple[Flow, int] | None:
+        """Which flow and sequence number the decoded frame `rx` carries."""
+        if rx.payload is None:
             return None
-        if isinstance(frame, EthernetFrame):
-            if frame.ethertype == frames.ETHERTYPE_IPV4 and len(frame.payload) >= 20:
-                ihl = (frame.payload[0] & 0x0F) * 4
-                total = int.from_bytes(frame.payload[2:4], "big")
-                return frame.payload[ihl:total]
-            if frame.ethertype == frames.ETHERTYPE_RAW_DATA:
-                return frame.payload
-            return None
-        if isinstance(frame, ClassicCanFrame):
-            return frame.data
-        if isinstance(frame, IocDatagram):
-            return frame.payload
-        return None
-
-    def flow_of(self, frame, inner: EthernetFrame | None) -> tuple[Flow, int] | None:
-        """Which flow and sequence number `frame` carries; `inner` is
-        `_tunneled(frame)`."""
-        payload = self._app_payload(frame if inner is None else inner)
-        if payload is None or len(payload) < FLOW_TAG_LEN:
-            return None
-        entry = self.registry.get(bytes(payload[:FLOW_TAG_LEN]))
-        if entry is None:
-            return None
-        return entry[0], entry[1]
+        entry = self.registry.get(rx.payload[:FLOW_TAG_LEN])
+        return None if entry is None else entry[:2]
 
     # -- engine callbacks ------------------------------------------------------
 
     def on_tx_start(self, medium, station: Station, frame, now: int, duration_ns: int) -> None:
         """Decode and describe a started transmission once, trace it and
         schedule its end."""
-        inner = _tunneled(frame)
-        summary = frame_summary(frame, inner)
+        rx = frames.decode(frame)
+        summary = frame_summary(frame, rx.eth)
         location, source, _ = self.fanout[station]
-        fl = self.flow_of(frame, inner)
+        fl = self.flow_of(rx)
         # The keys tx_start and tx_complete share, in sorted order; written
         # byte for byte as trace() would.
         if fl is None:
@@ -400,7 +367,7 @@ class Simulation:
         self.trace_lines.append(
             f'{{"duration_ns":{duration_ns},"event":"tx_start",{shared}"t_ns":{self.now}}}')
         self.schedule(now + duration_ns, self.on_tx_complete,
-                      medium, station, frame, inner, summary, shared)
+                      medium, station, frame, rx, summary, shared)
 
     def on_clash(self, bus, dropped: list[tuple[Station, object]]) -> None:
         self.trace("clash", bus.name, stations=[st.name for st, _ in dropped])
@@ -409,14 +376,14 @@ class Simulation:
 
     def drop(self, frame, reason: str, location: str) -> None:
         """Account a dropped frame to its flow, or trace it as anonymous."""
-        inner = _tunneled(frame)
-        fl = self.flow_of(frame, inner)
+        rx = frames.decode(frame)
+        fl = self.flow_of(rx)
         if fl is not None:
             self.flow_drop(fl[0], fl[1], reason, location)
         else:
             # Byte for byte what trace("drop", location, frame=..., reason=reason) writes.
             self.trace_lines.append(
-                f'{{"event":"drop","frame":{frame_summary(frame, inner)},'
+                f'{{"event":"drop","frame":{frame_summary(frame, rx.eth)},'
                 f'"location":{_encode(location)},"reason":{_encode(reason)},"t_ns":{self.now}}}')
 
     def flow_drop(self, flow: Flow, seq: int, reason: str, location: str) -> None:
@@ -425,9 +392,7 @@ class Simulation:
         self.trace("drop", location, flow=flow.name, seq=seq, reason=reason)
 
     def on_app_delivery(self, node, payload: bytes, now: int) -> None:
-        entry = None
-        if len(payload) >= FLOW_TAG_LEN:
-            entry = self.registry.get(bytes(payload[:FLOW_TAG_LEN]))
+        entry = self.registry.get(payload[:FLOW_TAG_LEN])
         if entry is None:
             self.trace("app_deliver", node.name, reason="untracked")
             return
@@ -477,15 +442,14 @@ class Simulation:
             f'"location":{self.node_text[flow.source]},"seq":{seq},"t_ns":{self.now}}}')
         self.topo.nodes[flow.source].app_send(self, self.now, flow, seq, payload)
 
-    def on_tx_complete(self, medium, sender: Station, frame, inner: EthernetFrame | None,
+    def on_tx_complete(self, medium, sender: Station, frame, rx: frames.Decoded,
                        summary: str, shared: str) -> None:
         now = self.now
         self.trace_lines.append(f'{{"event":"tx_complete",{shared}"t_ns":{now}}}')
-        self.schedule(now, self._deliver, sender, frame, inner, summary)
+        self.schedule(now, self._deliver, sender, frame, rx, summary)
         medium.on_complete(self, now, sender)
 
-    def _deliver(self, sender: Station, frame, inner: EthernetFrame | None,
-                 summary: str) -> None:
+    def _deliver(self, sender: Station, frame, rx: frames.Decoded, summary: str) -> None:
         """Hand one transmission to each receiver in turn: its `deliver`
         record, then its reaction, then the next receiver."""
         # Byte for byte what trace("deliver", <receiver name>, frame=...) writes.
@@ -496,9 +460,9 @@ class Simulation:
             self.trace_lines.append(head + location + tail)
             if isinstance(owner, SwitchPortRef):
                 self._emit(owner.switch,
-                           owner.switch.on_ingress(owner.port, frame, now, inner))
+                           owner.switch.on_ingress(owner.port, frame, now, rx))
             else:
-                owner.on_receive(self, now, frame, inner)
+                owner.on_receive(self, now, frame, rx)
 
     def _stp_hello(self, sw: CSwitch) -> None:
         self.trace("timer", sw.name, reason="stp-hello")

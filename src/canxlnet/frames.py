@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_ARP = 0x0806
@@ -545,3 +546,48 @@ def arp_parse(eth: EthernetFrame) -> ArpMessage:
     else:
         raise Malformed(f"unknown ARP operation {oper}")
     return ArpMessage(op, MacAddress(sha), Ipv4Address(spa), MacAddress(tha), Ipv4Address(tpa))
+
+
+class Decoded(NamedTuple):
+    """A frame read once through every layer: `eth` is the Ethernet frame
+    itself or the one a tunnel carries; `net` its ARP message or checked
+    IPv4 datagram, or a compact frame's `IocDatagram`, None if malformed
+    or absent; `payload` the application payload, if any."""
+
+    eth: EthernetFrame | None
+    net: ArpMessage | Ipv4Datagram | IocDatagram | None
+    payload: bytes | None
+
+
+_NOTHING = Decoded(None, None, None)
+
+
+def decode(frame) -> Decoded:
+    """Decode `frame` for every reader of its transmission.  A malformed
+    tunnel raises; an `IocDatagram`, a switch's view of a compact frame,
+    decodes to itself."""
+    if isinstance(frame, CanXlFrame):
+        if frame.sdt == SDT_IPV4:
+            try:
+                frame = ioc_decapsulate(frame)
+            except Malformed:
+                return _NOTHING
+        elif frame.sdt == SDT_ETHERNET:
+            frame = eoc_decapsulate(frame)
+        else:
+            return _NOTHING
+    if isinstance(frame, IocDatagram):
+        return Decoded(None, frame, frame.payload)
+    if isinstance(frame, ClassicCanFrame):
+        return Decoded(None, None, frame.data)
+    if not isinstance(frame, EthernetFrame):
+        return _NOTHING
+    try:
+        if frame.ethertype == ETHERTYPE_IPV4:
+            dgram = Ipv4Datagram.from_bytes(frame.payload)
+            return Decoded(frame, dgram, dgram.payload)
+        if frame.ethertype == ETHERTYPE_ARP:
+            return Decoded(frame, arp_parse(frame), None)
+    except Malformed:
+        return Decoded(frame, None, None)
+    return Decoded(frame, None, frame.payload if frame.ethertype == ETHERTYPE_RAW_DATA else None)

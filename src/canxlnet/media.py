@@ -24,6 +24,7 @@ All state is owned by the simulation engine and mutated in event order.
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import deque
 
 from . import timing
@@ -38,7 +39,7 @@ class Station:
         self.name = name
         self.owner = owner
         self.medium = medium
-        # a link's FIFO; on a bus, a heap of (priority, sequence, frame)
+        # a link's FIFO; on a bus, a heap of (priority, enqueue order, frame)
         self.queue = deque() if isinstance(medium, EthernetLink) else []
 
     def __repr__(self):
@@ -63,6 +64,7 @@ class CanBus:
         self.kick_pending = False
         self.clashes = 0
         self.busy_ns = 0
+        self.enqueued = itertools.count()  # FIFO among a station's equal priorities
 
     def attach(self, station: Station) -> None:
         self.stations.append(station)
@@ -73,7 +75,7 @@ class CanBus:
         return to_ns(timing.canxl_duration(len(frame.data), self.params))
 
     def enqueue(self, sim, station: Station, frame, now: int) -> None:
-        heapq.heappush(station.queue, (frame_priority(frame), sim.next_seq(), frame))
+        heapq.heappush(station.queue, (frame_priority(frame), next(self.enqueued), frame))
         if self.busy_until <= now:  # a busy bus re-arms in on_complete
             self.request_kick(sim, now)
 

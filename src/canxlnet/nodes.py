@@ -11,7 +11,8 @@ refresh the switches' address knowledge.  ARP itself always travels as
 (tunneled) Ethernet.
 
 Classic CAN nodes exist only to drive the static relay path: no MAC, no
-IP, identifier-based reception.
+IP, identifier-based reception.  Every `on_receive` gets the frame with
+its `frames.decode` value from the engine, so no node parses a header.
 """
 
 from __future__ import annotations
@@ -145,32 +146,27 @@ class Node:
 
     # -- receive -----------------------------------------------------------
 
-    def on_receive(self, sim, now: int, frame, inner: EthernetFrame | None) -> None:
-        """Receive `frame`; `inner` is the Ethernet frame it tunnels, if any,
-        decoded once per transmission by the engine."""
+    def on_receive(self, sim, now: int, frame, rx: frames.Decoded) -> None:
+        """Receive `frame`; `rx` is `frames.decode(frame)`, decoded once per
+        transmission by the engine."""
         if isinstance(frame, EthernetFrame) and \
                 (frame.da == self.mac or frame.da.is_group()):
-            self._dispatch_eth(sim, now, frame)
+            self._dispatch_eth(sim, now, rx)
 
-    def _dispatch_eth(self, sim, now: int, eth: EthernetFrame) -> None:
+    def _dispatch_eth(self, sim, now: int, rx: frames.Decoded) -> None:
+        eth, net = rx.eth, rx.net
         if eth.da == STP_GROUP_MAC or eth.ethertype == ETHERTYPE_BPDU:
             return
         if eth.ethertype == ETHERTYPE_ARP:
-            try:
-                msg = frames.arp_parse(eth)
-            except frames.Malformed:
-                return
-            self._handle_arp(sim, now, msg)
+            if net is not None:
+                self._handle_arp(sim, now, net)
         elif eth.ethertype == ETHERTYPE_IPV4:
-            try:
-                dgram = Ipv4Datagram.from_bytes(eth.payload)
-            except frames.Malformed:
+            if net is None:
                 self.counters["ipv4_errors"] += 1
-                return
-            if self.ip is not None and dgram.dst_ip == self.ip:
-                self._deliver(sim, now, dgram.payload)
+            elif self.ip is not None and net.dst_ip == self.ip:
+                self._deliver(sim, now, rx.payload)
         elif eth.ethertype == ETHERTYPE_RAW_DATA:
-            self._deliver(sim, now, eth.payload)
+            self._deliver(sim, now, rx.payload)
 
     def _deliver(self, sim, now: int, payload: bytes) -> None:
         self.counters["delivered"] += 1
@@ -215,7 +211,7 @@ class EocNode(Node):
     def _emit_eth(self, sim, now: int, eth: EthernetFrame) -> None:
         self._transmit(sim, now, frames.eoc_encapsulate(eth, self.can_priority, self.vcid))
 
-    def on_receive(self, sim, now: int, frame, inner: EthernetFrame | None) -> None:
+    def on_receive(self, sim, now: int, frame, rx: frames.Decoded) -> None:
         if not isinstance(frame, CanXlFrame):
             return
         if frame.sdt == frames.SDT_ETHERNET:
@@ -223,14 +219,14 @@ class EocNode(Node):
             if not frames.af_filter_match(frame.af, self.af_image):
                 return
             # Software stage: the full DA breaks acceptance-field ties.
-            if not (inner.da == self.mac or inner.da.is_group()):
+            if not (rx.eth.da == self.mac or rx.eth.da.is_group()):
                 self.counters["af_false_positive"] += 1
                 return
-            self._dispatch_eth(sim, now, inner)
+            self._dispatch_eth(sim, now, rx)
         else:
-            self._on_other_sdt(sim, now, frame)
+            self._on_other_sdt(sim, now, frame, rx)
 
-    def _on_other_sdt(self, sim, now: int, frame: CanXlFrame) -> None:
+    def _on_other_sdt(self, sim, now: int, frame: CanXlFrame, rx: frames.Decoded) -> None:
         pass
 
 
@@ -263,10 +259,9 @@ class IocNode(EocNode):
         else:
             super()._send_datagram(sim, now, dst_mac, dst_ip, payload)
 
-    def _on_other_sdt(self, sim, now: int, frame: CanXlFrame) -> None:
-        if frame.sdt == frames.SDT_IPV4 and frame.af == self.ip_af:
-            dgram = frames.ioc_decapsulate(frame)
-            self._deliver(sim, now, dgram.payload)
+    def _on_other_sdt(self, sim, now: int, frame: CanXlFrame, rx: frames.Decoded) -> None:
+        if frame.sdt == frames.SDT_IPV4 and frame.af == self.ip_af and rx.net is not None:
+            self._deliver(sim, now, rx.payload)
 
 
 class ClassicCanNode:
@@ -292,7 +287,7 @@ class ClassicCanNode:
         self.station.medium.enqueue(
             sim, self.station, ClassicCanFrame(flow.can_id, payload), now)
 
-    def on_receive(self, sim, now: int, frame, inner: EthernetFrame | None) -> None:
+    def on_receive(self, sim, now: int, frame, rx: frames.Decoded) -> None:
         if isinstance(frame, ClassicCanFrame) and frame.id in self.rx_ids:
             self.counters["delivered"] += 1
             sim.on_app_delivery(self, frame.data, now)

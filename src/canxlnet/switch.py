@@ -1,15 +1,16 @@
 """Composite switch: an Ethernet forwarding core with CAN XL tunneller ports.
 
-A C-switch is a multiport learning bridge.  Ethernet ports hand frames to
-the core directly; CAN ports pass through a tunneller that decapsulates
-tunneled Ethernet on ingress and re-encapsulates on egress (the
-simulation decodes each transmission once and hands the tunneled
-Ethernet frame to `on_ingress` with the CAN XL frame that carried it).
+A C-switch is a multiport learning bridge.  `on_ingress` gets each frame
+with its `frames.decode` value, decoded once per transmission by the
+simulation.  The core works on the value's Ethernet frame, whether it
+came from an Ethernet port or tunneled over a CAN port, or else on a
+compact frame's datagram; CAN ports re-encapsulate on egress.
 Streamlined IPv4 frames carry no MAC addresses, so the filtering
 database is extended with an IP index (the TARP cache) populated by
-snooping ARP messages and plain IPv4 traffic; with it the switch can
-rebuild full Ethernet frames for streamlined datagrams that must leave
-on an Ethernet port.
+snooping the decoded ARP messages and checked IPv4 headers; with it the
+switch can rebuild full Ethernet frames for streamlined datagrams that
+must leave on an Ethernet port.  Only an `ioc-preferred` CAN egress
+parses again, to compact an Ethernet/IPv4 frame.
 
 Loop prevention uses a reduced spanning tree: 64-bit bridge ids, hello
 BPDUs every 2 s, lowest root id wins, per-port roles root/designated/
@@ -26,11 +27,10 @@ from dataclasses import dataclass
 
 from . import frames
 from .frames import (
-    ETHERTYPE_ARP,
     ETHERTYPE_BPDU,
     ETHERTYPE_IPV4,
     STP_GROUP_MAC,
-    CanXlFrame,
+    ArpMessage,
     ClassicCanFrame,
     EthernetFrame,
     Ipv4Address,
@@ -235,14 +235,17 @@ class CSwitch:
     # -- ingress ----------------------------------------------------------
 
     def on_ingress(self, port: int, frame, now: int,
-                   inner: EthernetFrame | None) -> list[tuple[int, object]]:
+                   rx: frames.Decoded) -> list[tuple[int, object]]:
         """Process one received frame; returns (egress port, frame) pairs.
-        `inner` is the Ethernet frame a tunnel frame carries, as the
-        simulation decoded it once per transmission; None for other frames."""
+        `rx` is `frames.decode(frame)`, as the simulation decoded it once
+        per transmission."""
         if isinstance(frame, ClassicCanFrame):
             return self.relay_legacy(port, frame)
 
-        normalized = self._normalize(port, frame, inner)
+        # The core sees the Ethernet frame, tunneled or not, or else a
+        # compact frame's datagram.  The tunneller does no AF filtering of
+        # its own: selective forwarding belongs to the core.
+        normalized = rx.eth or rx.net
         if normalized is None:
             return []
         if isinstance(normalized, EthernetFrame) and self._is_bpdu(normalized):
@@ -250,22 +253,8 @@ class CSwitch:
         if not self.port_state[port].forwarding:
             self._drop("stp_blocked", normalized)
             return []
-        self.learn(port, normalized, now)
+        self.learn(port, rx, now)
         return self._encode_all(self._forward(port, normalized, now), now)
-
-    def _normalize(self, port: int, frame, inner: EthernetFrame | None):
-        kind = self.ports[port].kind
-        if kind == ETH:
-            return frame if isinstance(frame, EthernetFrame) else None
-        if not isinstance(frame, CanXlFrame):
-            return None
-        if frame.sdt == frames.SDT_ETHERNET:
-            # The tunneller does no AF filtering of its own: selective
-            # forwarding belongs to the core.
-            return inner
-        if frame.sdt == frames.SDT_IPV4:
-            return frames.ioc_decapsulate(frame)
-        return None
 
     @staticmethod
     def _is_bpdu(eth: EthernetFrame) -> bool:
@@ -273,24 +262,18 @@ class CSwitch:
 
     # -- learning ---------------------------------------------------------
 
-    def learn(self, port: int, frame, now: int) -> None:
-        """Backward learning plus ARP/IPv4 snooping into the TARP cache."""
-        if isinstance(frame, IocDatagram):
-            self.efdb.learn_ip(frame.src_ip, port, now)
+    def learn(self, port: int, rx: frames.Decoded, now: int) -> None:
+        """Backward learning plus ARP/IPv4 snooping into the TARP cache.
+        A malformed ARP or IPv4 header (`rx.net` None) teaches only the MAC."""
+        eth, net = rx.eth, rx.net
+        if eth is None:  # a compact frame: its datagram carries no MAC
+            self.efdb.learn_ip(net.src_ip, port, now)
             return
-        self.efdb.learn_mac(frame.sa, port, now)
-        if frame.ethertype == ETHERTYPE_ARP:
-            try:
-                msg = frames.arp_parse(frame)
-            except frames.Malformed:
-                return
-            self.efdb.learn_joint(msg.sha, msg.spa, port, now)
-        elif frame.ethertype == ETHERTYPE_IPV4:
-            try:
-                dgram = Ipv4Datagram.from_bytes(frame.payload)
-            except frames.Malformed:
-                return
-            self.efdb.learn_joint(frame.sa, dgram.src_ip, port, now)
+        self.efdb.learn_mac(eth.sa, port, now)
+        if isinstance(net, ArpMessage):
+            self.efdb.learn_joint(net.sha, net.spa, port, now)
+        elif isinstance(net, Ipv4Datagram):
+            self.efdb.learn_joint(eth.sa, net.src_ip, port, now)
 
     # -- forwarding -------------------------------------------------------
 

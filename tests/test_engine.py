@@ -165,26 +165,41 @@ class TestMediumTiming:
         assert len(calls) == len(starts)
         assert len(events(trace, "deliver")) == len(starts)
 
-    def test_each_tunneled_transmission_is_decoded_once(self, monkeypatch):
-        # The three MACs share octets 0-3, so the acceptance field passes
-        # every frame at every node and only the full DA tells them apart.
-        decodes = []
-        decapsulate = frames.eoc_decapsulate
+    @pytest.mark.parametrize("owner, name, carries", [
+        (frames, "eoc_decapsulate", lambda f: f.get("sdt") == "ethernet"),
+        (frames, "arp_parse", lambda f: f.get("inner", f).get("ethertype") == "0x0806"),
+        (frames.Ipv4Datagram, "from_bytes",
+         lambda f: f.get("inner", f).get("ethertype") == "0x0800"),
+        (frames, "ioc_decapsulate", lambda f: f.get("sdt") == "ipv4"),
+    ], ids=["eoc_decapsulate", "arp_parse", "Ipv4Datagram.from_bytes", "ioc_decapsulate"])
+    def test_each_layer_is_decoded_once_per_transmission(self, monkeypatch, owner, name,
+                                                         carries):
+        # The three EoC MACs share octets 0-3, so the acceptance field
+        # passes every tunneled frame at every node and only the full DA
+        # tells them apart.  Every ARP broadcast reaches three receivers.
+        calls = []
+        decoder = getattr(owner, name)
 
-        def counting(frame):
-            decodes.append(frame)
-            return decapsulate(frame)
+        def counting(*args):
+            calls.append(args)
+            return decoder(*args)
 
-        monkeypatch.setattr(frames, "eoc_decapsulate", counting)
-        topo = two_node_bus(flows=[Flow("f", "n1", "ipv4", 44, [to_ns(0.001)], dst_ip=ip(2))])
+        monkeypatch.setattr(owner, name, counting)
+        topo = two_node_bus(flows=[
+            Flow("f", "n1", "ipv4", 44, [to_ns(0.001)], dst_ip=ip(2)),
+            Flow("g", "n4", "ipv4", 44, [to_ns(0.002)], dst_ip=ip(2)),
+        ])
         topo.add_node(EocNode("n3", mac(3), ip(3), can_priority=0x300))
+        topo.add_node(IocNode("n4", mac(4), ip(4), can_priority=0x400))
         topo.attach_node("n3", "bus1")
+        topo.attach_node("n4", "bus1")
         trace, report = Simulation(topo).run()
         assert report["flows"]["f"]["delivered"] == 1
-        assert report["nodes"]["n3"]["af_false_positive"] == 2  # ARP reply, datagram
-        tunneled = [e for e in events(trace, "tx_start") if e["frame"].get("sdt") == "ethernet"]
-        assert len(tunneled) == 3  # ARP request, ARP reply, datagram
-        assert len(decodes) == len(tunneled)
+        # the ARP replies to n1 and n4, and f's datagram
+        assert report["nodes"]["n3"]["af_false_positive"] == 3
+        carrying = [e for e in events(trace, "tx_start") if carries(e["frame"])]
+        assert carrying  # the g datagram travels compact
+        assert len(calls) == len(carrying)
 
     def test_switch_port_reuses_the_decoded_tunnel_frame(self, monkeypatch):
         decodes = []
@@ -372,6 +387,41 @@ canxl_frames = st.builds(frames.CanXlFrame, st.integers(0, 2047), st.integers(0,
 def test_frame_summary_text_is_the_encoded_dict(case):
     frame, inner = case
     assert engine.frame_summary(frame, inner) == engine._encode(reference_summary(frame, inner))
+
+
+def test_one_ipv4_header_rule_for_engine_and_receivers():
+    # A datagram of flow f whose header checksum is wrong: its payload
+    # still starts with f's tag, but no reader may take it past the header.
+    topo = Topology(RunOptions(t_end=0.01))
+    topo.add_node(EthernetHost("a", mac(1), ip(1), static_arp={ip(2): mac(2)}))
+    topo.add_node(EthernetHost("b", mac(2), ip(2)))
+    topo.add_link("link1", LINK)
+    topo.attach_node("a", "link1")
+    topo.attach_node("b", "link1")
+    topo.flows.append(Flow("f", "a", "ipv4", 44, [to_ns(0.001)], dst_ip=ip(2)))
+    sim = Simulation(topo)
+    _, report = sim.run()
+    assert report["flows"]["f"]["delivered"] == 1
+    payload = next(entry[2] for entry in sim.registry.values())
+    header = bytearray(frames.Ipv4Datagram(ip(1), ip(2), payload).to_bytes())
+    good = frames.EthernetFrame(mac(2), mac(1), frames.ETHERTYPE_IPV4, bytes(header))
+    header[10] ^= 0xFF
+    bad = frames.EthernetFrame(mac(2), mac(1), frames.ETHERTYPE_IPV4, bytes(header))
+    assert sim.flow_of(frames.decode(good)) == (topo.flows[0], 0)
+    rx = frames.decode(bad)
+    assert rx.net is None
+    assert sim.flow_of(rx) is None
+
+    receiver = topo.nodes["b"]
+    receiver.on_receive(sim, sim.now, bad, rx)
+    assert receiver.counters["ipv4_errors"] == 1
+    assert receiver.counters["delivered"] == 1
+    assert sim.report()["flows"]["f"]["delivered"] == 1
+
+    sw = CSwitch("sw", 1, [PortConfig(0, ETH), PortConfig(1, ETH)])
+    sw.learn(0, rx, now=0)
+    assert sw.efdb.lookup_mac(mac(1), 0).ip is None
+    assert sw.efdb.lookup_ip(ip(1), 0) is None
 
 
 class TestArp:

@@ -151,7 +151,7 @@ class TestEocAccept:
         node = EocNode("n1", M1)
         frame = eoc_encapsulate(EthernetFrame(da, M2, frames.ETHERTYPE_RAW_DATA, bytes(46)), 0, 0)
         sim = Deliveries()
-        node.on_receive(sim, 0, frame, eoc_decapsulate(frame))
+        node.on_receive(sim, 0, frame, frames.decode(frame))
         return node.counters["af_false_positive"], sim.payloads
 
     def test_own_frame(self):

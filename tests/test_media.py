@@ -10,17 +10,12 @@ def xl(priority):
 
 
 class Recorder:
-    """The simulation side of a bus: numbers enqueues, records starts and
-    clashes, and leaves the kicks to the test."""
+    """The simulation side of a bus: records starts and clashes, and
+    leaves the kicks to the test."""
 
     def __init__(self):
-        self.seq = 0
         self.started = []
         self.clashed = []
-
-    def next_seq(self):
-        self.seq += 1
-        return self.seq
 
     def schedule(self, t_ns, handler, *args):
         pass

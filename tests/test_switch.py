@@ -1,6 +1,6 @@
 import pytest
 
-from canxlnet import engine, frames
+from canxlnet import frames
 from canxlnet.frames import (
     ArpMessage,
     ArpOp,
@@ -12,6 +12,7 @@ from canxlnet.frames import (
     MacAddress,
     ZERO_MAC,
     arp_serialize,
+    decode,
     eoc_encapsulate,
     ioc_encode,
 )
@@ -53,8 +54,8 @@ def make_switch(ioc_port_mode=None) -> CSwitch:
 
 
 def ingest(sw: CSwitch, port: int, frame, now: int):
-    """`sw.on_ingress` given the inner frame as the simulation decodes it."""
-    return sw.on_ingress(port, frame, now, engine._tunneled(frame))
+    """`sw.on_ingress` given the frame decoded as the simulation decodes it."""
+    return sw.on_ingress(port, frame, now, decode(frame))
 
 
 def arp_request(sha, spa, tpa) -> EthernetFrame:
@@ -68,47 +69,47 @@ def ipv4_eth(da, sa, src, dst, payload=bytes(44)) -> EthernetFrame:
 class TestLearning:
     def test_arp_snooping_creates_joint_entry(self):
         sw = make_switch()
-        sw.learn(2, arp_request(M1, IP1, IP2), now=0)
+        sw.learn(2, decode(arp_request(M1, IP1, IP2)), now=0)
         assert sw.efdb.lookup_mac(M1, 0).port == 2
         entry = sw.efdb.lookup_ip(IP1, 0)
         assert entry.port == 2 and entry.mac == M1
 
     def test_ioc_learning_is_ip_only(self):
         sw = make_switch()
-        sw.learn(4 % 3, IocDatagram(IP3, IP1, bytes(44)), now=0)
+        sw.learn(4 % 3, decode(IocDatagram(IP3, IP1, bytes(44))), now=0)
         entry = sw.efdb.lookup_ip(IP3, 0)
         assert entry.mac is None and entry.port == 1
 
     def test_plain_ipv4_learns_jointly(self):
         sw = make_switch()
-        sw.learn(1, ipv4_eth(M1, M2, IP2, IP1), now=0)
+        sw.learn(1, decode(ipv4_eth(M1, M2, IP2, IP1)), now=0)
         entry = sw.efdb.lookup_ip(IP2, 0)
         assert entry.mac == M2 and entry.port == 1
         assert sw.efdb.lookup_mac(M2, 0) is entry
 
     def test_ioc_never_erases_known_mac(self):
         sw = make_switch()
-        sw.learn(0, arp_request(M1, IP1, IP2), now=0)
-        sw.learn(0, IocDatagram(IP1, IP2, bytes(44)), now=5)
+        sw.learn(0, decode(arp_request(M1, IP1, IP2)), now=0)
+        sw.learn(0, decode(IocDatagram(IP1, IP2, bytes(44))), now=5)
         entry = sw.efdb.lookup_ip(IP1, 5)
         assert entry.mac == M1 and entry.last_seen == 5
 
     def test_later_learning_overwrites_port(self):
         sw = make_switch()
-        sw.learn(0, arp_request(M1, IP1, IP2), now=0)
-        sw.learn(1, arp_request(M1, IP1, IP2), now=1)
+        sw.learn(0, decode(arp_request(M1, IP1, IP2)), now=0)
+        sw.learn(1, decode(arp_request(M1, IP1, IP2)), now=1)
         assert sw.efdb.lookup_mac(M1, 1).port == 1
 
     def test_joint_entry_listed_once(self):
         sw = make_switch()
-        sw.learn(0, arp_request(M1, IP1, IP2), now=0)
+        sw.learn(0, decode(arp_request(M1, IP1, IP2)), now=0)
         sw.efdb.learn_ip(IP2, 1, now=0)
         assert [(e.mac, e.ip) for e in sw.efdb.entries()] == [(M1, IP1), (None, IP2)]
 
     def test_ip_can_move_to_another_mac(self):
         sw = make_switch()
-        sw.learn(0, arp_request(M1, IP1, IP2), now=0)
-        sw.learn(1, arp_request(M2, IP1, IP2), now=1)
+        sw.learn(0, decode(arp_request(M1, IP1, IP2)), now=0)
+        sw.learn(1, decode(arp_request(M2, IP1, IP2)), now=1)
         entry = sw.efdb.lookup_ip(IP1, 1)
         assert entry.mac == M2 and entry.port == 1
         assert sw.efdb.lookup_mac(M1, 1).ip is None
