@@ -337,6 +337,39 @@ class TestArp:
             assert arp_parse(arp_serialize(msg)) == msg
 
 
+_REQUEST = ArpMessage(ArpOp.REQUEST, M2, IP1, ZERO_MAC, IP2)
+_DGRAM = IocDatagram(IP1, IP2, b"tagged payload")
+_IPV4 = Ipv4Datagram(IP1, IP2, b"tagged payload")
+_RAW = EthernetFrame(M1, M2, frames.ETHERTYPE_RAW_DATA, bytes(46))
+
+
+@pytest.mark.parametrize("frame, expected", [
+    (eoc_encapsulate(arp_serialize(_REQUEST), 0, 0), (arp_serialize(_REQUEST), _REQUEST, None)),
+    (EthernetFrame(M1, M2, 0x0800, _IPV4.to_bytes()),
+     (EthernetFrame(M1, M2, 0x0800, _IPV4.to_bytes()), _IPV4, b"tagged payload")),
+    (_RAW, (_RAW, None, bytes(46))),
+    (EthernetFrame(M1, M2, frames.ETHERTYPE_BPDU, bytes(46)),
+     (EthernetFrame(M1, M2, frames.ETHERTYPE_BPDU, bytes(46)), None, None)),
+    (ioc_encode(_DGRAM, 0, 0), (None, _DGRAM, b"tagged payload")),
+    (_DGRAM, (None, _DGRAM, b"tagged payload")),
+    (frames.ClassicCanFrame(0x123, b"12345678"), (None, None, b"12345678")),
+    (CanXlFrame(0, frames.SDT_CAN_FD, 0, 0, bytes(8)), (None, None, None)),
+], ids=["tunneled_arp", "ipv4", "raw", "bpdu", "compact", "ioc_view", "classic", "can_fd"])
+def test_decode_reads_every_layer(frame, expected):
+    assert frames.decode(frame) == expected
+
+
+@pytest.mark.parametrize("frame", [
+    EthernetFrame(BROADCAST_MAC, M2, frames.ETHERTYPE_ARP, b"\x00\x07" + bytes(44)),
+    EthernetFrame(M1, M2, frames.ETHERTYPE_IPV4, bytes(46)),
+    CanXlFrame(0, frames.SDT_IPV4, 0, IP2.to_u32(), bytes(4)),
+], ids=["arp", "ipv4", "compact"])
+def test_decode_gives_no_network_layer_for_a_malformed_header(frame):
+    rx = frames.decode(frame)
+    assert rx.net is None and rx.payload is None
+    assert rx.eth == (frame if isinstance(frame, EthernetFrame) else None)
+
+
 class TestWireTypes:
     def test_mac_group_bit(self):
         assert BROADCAST_MAC.is_group()
