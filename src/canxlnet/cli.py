@@ -139,7 +139,7 @@ def _cmd_codec(args) -> int:
         return 0
     if args.encode == "ioc":
         dgram = frames.Ipv4Datagram.from_bytes(raw)
-        frame = frames.ioc_encapsulate(dgram, priority=0x100, vcid=0)
+        frame = frames.ioc_encode(frames.IocDatagram.from_ipv4(dgram), priority=0x100, vcid=0)
         print(f"src        {dgram.src_ip}")
         print(f"dst        {dgram.dst_ip}")
         print(f"protocol   {dgram.protocol}")

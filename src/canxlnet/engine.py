@@ -11,15 +11,16 @@ retries, and the media's arbitration kicks.
 Media hand each transmission they start to `Simulation.on_tx_start`,
 which decodes and describes the frame once, traces it and schedules its
 completion.  `frames.decode` reads every layer of the frame there, once;
-its value goes to flow attribution, to the summary, to every node's
-`on_receive` and to every switch port's `on_ingress`.  `frame_summary`
-writes the summary as JSON text, and every per-packet record (`app_send`,
-`tx_start`, `tx_complete`, `deliver`, `app_deliver` and the drop of a
-frame no flow owns) is written as text around it and the medium, station,
-node and flow names encoded once at set-up.  `trace` encodes the rarer
-records (timers, clashes, flow drops, untracked deliveries) whole.  The
-completion schedules one delivery event for the whole transmission.
-That event walks the receivers in station order: it writes one
+its value goes to flow attribution, to the summary and to every
+receiver's `on_receive`, a node's or a switch port's (`SwitchPortRef`
+calls `CSwitch.on_ingress` and queues its emissions with `emit`).
+`frame_summary` writes the summary as JSON text, and every per-packet
+record (`app_send`, `tx_start`, `tx_complete`, `deliver`, `app_deliver`
+and the drop of a frame no flow owns) is written as text around it and
+the medium, station, node and flow names encoded once at set-up.
+`trace` encodes the rarer records (timers, clashes, flow drops,
+untracked deliveries) whole.  The completion schedules one delivery
+event, which walks the receivers in station order: it writes one
 receiver's `deliver` record, lets that receiver react, then moves to the
 next.  Bus clashes and switch drops both go through `Simulation.drop`.
 
@@ -93,6 +94,10 @@ class RunOptions:
 class SwitchPortRef:
     switch: CSwitch
     port: int
+
+    def on_receive(self, sim: Simulation, now: int, frame, rx: frames.Decoded) -> None:
+        """Hand the frame to the switch and queue what it emits."""
+        sim.emit(self.switch, self.switch.on_ingress(self.port, frame, now, rx))
 
 
 class Topology:
@@ -458,18 +463,14 @@ class Simulation:
         tail = f',"t_ns":{now}}}'
         for owner, location in self.fanout[sender][2]:
             self.trace_lines.append(head + location + tail)
-            if isinstance(owner, SwitchPortRef):
-                self._emit(owner.switch,
-                           owner.switch.on_ingress(owner.port, frame, now, rx))
-            else:
-                owner.on_receive(self, now, frame, rx)
+            owner.on_receive(self, now, frame, rx)
 
     def _stp_hello(self, sw: CSwitch) -> None:
         self.trace("timer", sw.name, reason="stp-hello")
-        self._emit(sw, sw.hello())
+        self.emit(sw, sw.hello())
         self.schedule(self.now + round(HELLO_INTERVAL_S * 1e9), self._stp_hello, sw)
 
-    def _emit(self, sw: CSwitch, emissions) -> None:
+    def emit(self, sw: CSwitch, emissions) -> None:
         """Queue a switch's (port, frame) emissions on the ports' media."""
         for port, out_frame in emissions:
             station = self.topo.port_station[(sw.name, port)]
@@ -500,8 +501,3 @@ class Simulation:
             "switches": {name: sw.report() for name, sw in self.topo.switches.items()},
             "nodes": {name: dict(n.counters) for name, n in self.topo.nodes.items()},
         }
-
-
-def run(topo: Topology) -> tuple[str, dict]:
-    """Build and run one simulation; returns (trace text, report dict)."""
-    return Simulation(topo).run()

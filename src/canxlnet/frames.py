@@ -388,8 +388,6 @@ class ArpMessage:
             raise ValueError("gratuitous reply announces its own binding (spa == tpa)")
         if self.op == ArpOp.REPLY and self.spa == self.tpa:
             raise ValueError("a reply with spa == tpa is gratuitous")
-        if self.op == ArpOp.REQUEST and self.tha != ZERO_MAC:
-            raise ValueError("request leaves tha zero")
 
 
 def ipv4_checksum(header: bytes) -> int:
@@ -467,11 +465,6 @@ def ioc_encode(dgram: IocDatagram, priority: int, vcid: int) -> CanXlFrame:
         af=dgram.dst_ip.to_u32(),
         data=data,
     )
-
-
-def ioc_encapsulate(dgram: Ipv4Datagram, priority: int, vcid: int) -> CanXlFrame:
-    """Streamline a full IPv4 datagram into a CAN XL frame."""
-    return ioc_encode(IocDatagram.from_ipv4(dgram), priority, vcid)
 
 
 def ioc_decapsulate(frame: CanXlFrame) -> IocDatagram:

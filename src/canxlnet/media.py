@@ -139,12 +139,6 @@ class EthernetLink:
     def attach(self, station: Station) -> None:
         self.endpoints.append(station)
 
-    def _direction(self, station: Station) -> int:
-        for i, st in enumerate(self.endpoints):
-            if st is station:
-                return i
-        raise ValueError(f"{station.name} is not attached to link {self.name}")
-
     def frame_duration_ns(self, frame: EthernetFrame) -> int:
         return to_ns(timing.ethernet_duration(len(frame.payload), self.params))
 
@@ -152,7 +146,7 @@ class EthernetLink:
         if not isinstance(frame, EthernetFrame):
             raise TypeError(f"{type(frame).__name__} cannot travel on an Ethernet link")
         station.queue.append(frame)
-        direction = self._direction(station)
+        direction = self.endpoints.index(station)
         if self.busy_until[direction] <= now:  # a busy direction re-arms in on_complete
             self.request_kick(sim, now, direction)
 
@@ -178,7 +172,7 @@ class EthernetLink:
         return [st for st in self.endpoints if st is not sender]
 
     def on_complete(self, sim, now: int, sender: Station) -> None:
-        self.request_kick(sim, now, self._direction(sender))
+        self.request_kick(sim, now, self.endpoints.index(sender))
 
     def report(self, t_end_ns: int) -> dict:
         names = [st.name for st in self.endpoints]

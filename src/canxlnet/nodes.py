@@ -115,7 +115,7 @@ class Node:
         if entry is not None:
             self._send_datagram(sim, now, entry.mac, dst_ip, payload)
             return
-        self.pending_arp.setdefault(dst_ip, []).append((dst_ip, payload, flow, seq))
+        self.pending_arp.setdefault(dst_ip, []).append((payload, flow, seq))
         if dst_ip not in self.arp_attempts:
             self.arp_attempts[dst_ip] = 1
             self._send_arp_request(sim, now, dst_ip)
@@ -136,7 +136,7 @@ class Node:
         if dst_ip not in self.arp_attempts:
             return  # resolved in the meantime
         if self.arp_attempts[dst_ip] >= 2:
-            for _dst, _payload, flow, seq in self.pending_arp.pop(dst_ip, []):
+            for _payload, flow, seq in self.pending_arp.pop(dst_ip, []):
                 self.counters["arp_unresolved"] += 1
                 sim.flow_drop(flow, seq, "arp_unresolved", self.name)
             del self.arp_attempts[dst_ip]
@@ -182,8 +182,8 @@ class Node:
 
         if msg.spa in self.arp_table and msg.spa in self.pending_arp:
             mac = self.arp_table[msg.spa].mac
-            for dst_ip, payload, _flow, _seq in self.pending_arp.pop(msg.spa):
-                self._send_datagram(sim, now, mac, dst_ip, payload)
+            for payload, _flow, _seq in self.pending_arp.pop(msg.spa):
+                self._send_datagram(sim, now, mac, msg.spa, payload)
             self.arp_attempts.pop(msg.spa, None)
 
         if msg.op == ArpOp.REQUEST and self.ip is not None and msg.tpa == self.ip:

@@ -1,16 +1,18 @@
 """Composite switch: an Ethernet forwarding core with CAN XL tunneller ports.
 
-A C-switch is a multiport learning bridge.  `on_ingress` gets each frame
-with its `frames.decode` value, decoded once per transmission by the
-simulation.  The core works on the value's Ethernet frame, whether it
-came from an Ethernet port or tunneled over a CAN port, or else on a
-compact frame's datagram; CAN ports re-encapsulate on egress.
-Streamlined IPv4 frames carry no MAC addresses, so the filtering
-database is extended with an IP index (the TARP cache) populated by
-snooping the decoded ARP messages and checked IPv4 headers; with it the
-switch can rebuild full Ethernet frames for streamlined datagrams that
-must leave on an Ethernet port.  Only an `ioc-preferred` CAN egress
-parses again, to compact an Ethernet/IPv4 frame.
+A C-switch is a multiport learning bridge.  Its ports take `on_receive`
+as nodes do (the engine's `SwitchPortRef`) and queue what `on_ingress`
+returns for the frame and its `frames.decode` value, decoded once per
+transmission by the simulation.  The core works on the value's Ethernet
+frame, whether it came from an Ethernet port or tunneled over a CAN
+port, or else on a compact frame's datagram; CAN ports re-encapsulate on
+egress.  Streamlined IPv4 frames carry no MAC addresses, so the
+filtering database is extended with an IP index (the TARP cache)
+populated by snooping the decoded ARP messages and checked IPv4
+headers; with it the switch can rebuild full Ethernet frames for
+streamlined datagrams that must leave on an Ethernet port.  Only an
+`ioc-preferred` CAN egress parses again, to compact an Ethernet/IPv4
+frame.
 
 Loop prevention uses a reduced spanning tree: 64-bit bridge ids, hello
 BPDUs every 2 s, lowest root id wins, per-port roles root/designated/
@@ -176,10 +178,11 @@ def encode_bpdu(root_id: int, cost: int, sender_id: int, sender_mac: MacAddress)
 
 
 def decode_bpdu(eth: EthernetFrame) -> tuple[int, int, int]:
+    if eth.ethertype != ETHERTYPE_BPDU:
+        raise frames.Malformed("unexpected ethertype on STP group address")
     if eth.payload[:4] != BPDU_MAGIC:
         raise frames.Malformed("bad BPDU magic")
-    root_id, cost, sender_id = struct.unpack(">QIQ", eth.payload[4:BPDU_LEN])
-    return root_id, cost, sender_id
+    return struct.unpack(">QIQ", eth.payload[4:BPDU_LEN])
 
 
 @dataclass
@@ -248,17 +251,13 @@ class CSwitch:
         normalized = rx.eth or rx.net
         if normalized is None:
             return []
-        if isinstance(normalized, EthernetFrame) and self._is_bpdu(normalized):
+        if isinstance(normalized, EthernetFrame) and normalized.da == STP_GROUP_MAC:
             return self._encode_all(self.stp_step(port, normalized), now)
         if not self.port_state[port].forwarding:
             self._drop("stp_blocked", normalized)
             return []
         self.learn(port, rx, now)
         return self._encode_all(self._forward(port, normalized, now), now)
-
-    @staticmethod
-    def _is_bpdu(eth: EthernetFrame) -> bool:
-        return eth.da == STP_GROUP_MAC
 
     # -- learning ---------------------------------------------------------
 
@@ -369,13 +368,10 @@ class CSwitch:
         """Consume one BPDU and return the BPDUs to transmit, as (port,
         frame) pairs."""
         try:
-            if bpdu_frame.ethertype != ETHERTYPE_BPDU:
-                raise frames.Malformed("unexpected ethertype on STP group address")
-            root_id, cost, sender_id = decode_bpdu(bpdu_frame)
+            self.port_state[port].last_bpdu = decode_bpdu(bpdu_frame)
         except frames.Malformed:
             self.counters["bpdu_malformed"] += 1
             return []
-        self.port_state[port].last_bpdu = (root_id, cost, sender_id)
         changed = self._recompute_roles()
         if changed or port == self.root_port:
             return self._emit_bpdus()
@@ -404,8 +400,7 @@ class CSwitch:
         for i, st in self.port_state.items():
             if i == self.root_port:
                 role = ROLE_ROOT
-            elif st.last_bpdu is not None and \
-                    (st.last_bpdu[0], st.last_bpdu[1], st.last_bpdu[2]) < my_claim:
+            elif st.last_bpdu is not None and st.last_bpdu < my_claim:
                 # The neighbor advertises a better claim on this segment:
                 # it is the designated bridge there, we stand aside.
                 role = ROLE_BLOCKED

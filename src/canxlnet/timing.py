@@ -17,11 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .frames import CANXL_MAX_DATA, ETH_MTU, ClassicCanFrame
+from .frames import CANXL_MAX_DATA, ETH_HEADER_LEN, ETH_MIN_PAYLOAD, ETH_MTU, ClassicCanFrame
 
 # Nominal 11-bit-identifier classic CAN frame: 47 overhead bits plus the
 # data bytes, ignoring stuff bits.
 CLASSIC_OVERHEAD_BITS = 47
+
+# Ethernet preamble with its start delimiter (8 octets) plus FCS (4).
+ETH_PREAMBLE_FCS_BYTES = 12
 
 
 class InvalidPayload(ValueError):
@@ -52,16 +55,10 @@ class CanXlTimingParams:
 @dataclass(frozen=True)
 class EthernetTimingParams:
     bitrate: float
-    preamble_bytes: int = 8
-    header_bytes: int = 14
-    fcs_bytes: int = 4
-    min_payload: int = 46
 
     def __post_init__(self):
         if not 0 < self.bitrate < math.inf:  # NaN too
             raise ValueError("bit rate must be positive and finite")
-        if min(self.preamble_bytes, self.header_bytes, self.fcs_bytes, self.min_payload) < 0:
-            raise ValueError("byte counts must be non-negative")
 
 
 def canxl_duration(payload_bytes: int, p: CanXlTimingParams) -> float:
@@ -74,10 +71,11 @@ def canxl_duration(payload_bytes: int, p: CanXlTimingParams) -> float:
 
 
 def ethernet_duration(payload_bytes: int, p: EthernetTimingParams) -> float:
-    """Duration in seconds of one Ethernet frame including preamble and FCS."""
+    """Duration in seconds of one Ethernet frame including preamble and FCS.
+    Header, minimum payload and MTU are the `frames` constants."""
     if not 0 <= payload_bytes <= ETH_MTU:
         raise InvalidPayload(f"payload {payload_bytes} outside [0, {ETH_MTU}]")
-    octets = p.preamble_bytes + p.header_bytes + max(payload_bytes, p.min_payload) + p.fcs_bytes
+    octets = ETH_HEADER_LEN + max(payload_bytes, ETH_MIN_PAYLOAD) + ETH_PREAMBLE_FCS_BYTES
     return octets * 8 / p.bitrate
 
 

@@ -24,7 +24,6 @@ from canxlnet.frames import (
     eoc_encapsulate,
     ethernet_to_ioc,
     ioc_decapsulate,
-    ioc_encapsulate,
     ioc_encode,
     ioc_to_ethernet,
 )
@@ -108,7 +107,7 @@ def test_size_delta():
         )
         eoc = eoc_encapsulate(
             EthernetFrame(rand_mac(rng), rand_mac(rng), 0x0800, dgram.to_bytes()), 0, 0)
-        ioc = ioc_encapsulate(dgram, 0, 0)
+        ioc = ioc_encode(IocDatagram.from_ipv4(dgram), 0, 0)
         assert len(eoc.data) - len(ioc.data) == 26
 
 

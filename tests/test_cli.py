@@ -226,20 +226,22 @@ def test_codec_ioc_round_trip(tmp_path, capsys):
     assert "total_len  64" in out2
 
 
-def test_codec_truncated_exits_2(tmp_path, capsys):
-    src = tmp_path / "short.hex"
-    src.write_text("0102")
-    assert main(["codec", "--decode", str(src)]) == 2
+def _datagram_hex(**fields) -> bytes:
+    dgram = Ipv4Datagram(Ipv4Address.parse("10.0.0.1"),
+                         Ipv4Address.parse("10.0.0.2"), bytes(44), **fields)
+    return dgram.to_bytes().hex().encode()
 
 
-def test_codec_bad_hex_exits_2(tmp_path, capsys):
-    src = tmp_path / "bad.hex"
-    src.write_text("zz")
-    assert main(["codec", "--decode", str(src)]) == 2
-
-
-def test_codec_non_utf8_hex_exits_2(tmp_path, capsys):
-    src = tmp_path / "bad.hex"
-    src.write_bytes(b"01\xff02")
-    assert main(["codec", "--decode", str(src)]) == 2
-    assert capsys.readouterr().err == f"error: {src}: not valid hex\n"
+@pytest.mark.parametrize("command, content, error", [
+    (["--decode"], b"0102", "CAN XL frame too short (2 bytes)"),
+    (["--decode"], b"zz", "{src}: not valid hex"),
+    (["--decode"], b"01\xff02", "{src}: not valid hex"),
+    (["--encode", "ioc"], _datagram_hex(fragment_offset=7),
+     "fragmented datagrams must travel as EoC"),
+    (["--encode", "ioc"], _datagram_hex(options=bytes(4)), "IP options cannot be carried"),
+], ids=["truncated", "bad_hex", "non_utf8_hex", "ioc_fragmented", "ioc_options"])
+def test_codec_exits_2(tmp_path, capsys, command, content, error):
+    src = tmp_path / "in.hex"
+    src.write_bytes(content)
+    assert main(["codec", *command, str(src)]) == 2
+    assert capsys.readouterr().err == "error: " + error.format(src=src) + "\n"

@@ -20,7 +20,6 @@ from canxlnet.frames import (
     eoc_encapsulate,
     ethernet_to_ioc,
     ioc_decapsulate,
-    ioc_encapsulate,
     ioc_encode,
     ioc_to_ethernet,
     ipv4_checksum,
@@ -177,32 +176,33 @@ def make_dgram(payload: bytes, src=IP1, dst=IP2, **kw) -> Ipv4Datagram:
 
 class TestIoc:
     def test_64_byte_datagram(self):
-        frame = ioc_encapsulate(make_dgram(bytes(44)), 0x100, 0)
+        frame = ioc_encode(IocDatagram.from_ipv4(make_dgram(bytes(44))), 0x100, 0)
         assert len(frame.data) == 52
         assert frame.af == IP2.to_u32()
         assert frame.sdt == frames.SDT_IPV4
 
     def test_af_is_destination(self):
-        frame = ioc_encapsulate(make_dgram(bytes(44), dst=Ipv4Address.parse("10.0.0.2")), 0, 0)
+        dgram = make_dgram(bytes(44), dst=Ipv4Address.parse("10.0.0.2"))
+        frame = ioc_encode(IocDatagram.from_ipv4(dgram), 0, 0)
         assert frame.af == 0x0A000002
 
     def test_fragment_rejected(self):
         with pytest.raises(frames.NotPlainIpv4):
-            ioc_encapsulate(make_dgram(bytes(44), fragment_offset=7), 0, 0)
+            IocDatagram.from_ipv4(make_dgram(bytes(44), fragment_offset=7))
         with pytest.raises(frames.NotPlainIpv4):
-            ioc_encapsulate(make_dgram(bytes(44), flags=frames.IPV4_MF), 0, 0)
+            IocDatagram.from_ipv4(make_dgram(bytes(44), flags=frames.IPV4_MF))
 
     def test_options_rejected(self):
         with pytest.raises(frames.NotPlainIpv4):
-            ioc_encapsulate(make_dgram(bytes(44), options=bytes(4)), 0, 0)
+            IocDatagram.from_ipv4(make_dgram(bytes(44), options=bytes(4)))
 
     def test_too_large(self):
         with pytest.raises(frames.TooLarge):
-            ioc_encapsulate(make_dgram(bytes(2041)), 0, 0)
+            ioc_encode(IocDatagram.from_ipv4(make_dgram(bytes(2041))), 0, 0)
 
     def test_round_trip_and_total_length(self):
         dgram = make_dgram(bytes(44))
-        back = ioc_decapsulate(ioc_encapsulate(dgram, 9, 3))
+        back = ioc_decapsulate(ioc_encode(IocDatagram.from_ipv4(dgram), 9, 3))
         assert back == IocDatagram.from_ipv4(dgram)
         assert back.total_length == 64
 
@@ -219,7 +219,7 @@ class TestIoc:
     def test_eoc_minus_ioc_is_26(self):
         dgram = make_dgram(bytes(44))
         eoc = eoc_encapsulate(EthernetFrame(M1, M2, 0x0800, dgram.to_bytes()), 0, 0)
-        ioc = ioc_encapsulate(dgram, 0, 0)
+        ioc = ioc_encode(IocDatagram.from_ipv4(dgram), 0, 0)
         assert len(eoc.data) - len(ioc.data) == 26
 
     @given(ips, ips, st.binary(min_size=26, max_size=1480),
@@ -229,7 +229,7 @@ class TestIoc:
         # the tunneled form and the fixed 26-byte delta no longer applies.
         dgram = Ipv4Datagram(src, dst, payload, dscp_ecn=dscp, ttl=ttl, protocol=proto)
         eoc = eoc_encapsulate(EthernetFrame(M1, M2, 0x0800, dgram.to_bytes()), 0, 0)
-        ioc = ioc_encapsulate(dgram, 0, 0)
+        ioc = ioc_encode(IocDatagram.from_ipv4(dgram), 0, 0)
         assert len(eoc.data) - len(ioc.data) == 26
 
     @given(ips, ips, st.binary(max_size=2040), st.integers(0, 255),
@@ -368,6 +368,15 @@ def test_decode_gives_no_network_layer_for_a_malformed_header(frame):
     rx = frames.decode(frame)
     assert rx.net is None and rx.payload is None
     assert rx.eth == (frame if isinstance(frame, EthernetFrame) else None)
+
+
+@given(unicast_macs, ips, macs, ips)
+def test_decode_reads_a_request_with_any_target_mac(sha, spa, tha, tpa):
+    # RFC 826 leaves a request's target hardware address to the sender.
+    msg = ArpMessage(ArpOp.REQUEST, sha, spa, tha, tpa)
+    eth = arp_serialize(msg)
+    assert frames.decode(eth).net == msg
+    assert frames.decode(eoc_encapsulate(eth, 0, 0)).net == msg
 
 
 class TestWireTypes:
