@@ -9,11 +9,15 @@ transmission completions, deliveries, STP hellos), node startup and ARP
 retries, and the media's arbitration kicks.
 
 Media hand each transmission they start to `Simulation.on_tx_start`,
-which decodes and describes the frame once, traces it and schedules its
-completion.  `frames.decode` reads every layer of the frame there, once;
-its value goes to flow attribution, to the summary and to every
-receiver's `on_receive`, a node's or a switch port's (`SwitchPortRef`
-calls `CSwitch.on_ingress` and queues its emissions with `emit`).
+which describes the frame once, traces it and schedules its completion.
+A packet is decoded once where it is built or first received: a frame a
+switch emits travels to its medium's queue together with its
+`frames.Decoded` value, which the switch built from what it held, and
+only a frame a node queued is read through every layer by
+`frames.decode` in `on_tx_start`.  That one value goes to flow
+attribution, to the summary and to every receiver's `on_receive`, a
+node's or a switch port's (`SwitchPortRef` calls `CSwitch.on_ingress`
+and queues its `(port, frame, rx)` emissions with `emit`).
 `frame_summary` writes the summary as JSON text, and every per-packet
 record (`app_send`, `tx_start`, `tx_complete`, `deliver`, `app_deliver`
 and the drop of a frame no flow owns) is written as text around it and
@@ -355,10 +359,13 @@ class Simulation:
 
     # -- engine callbacks ------------------------------------------------------
 
-    def on_tx_start(self, medium, station: Station, frame, now: int, duration_ns: int) -> None:
-        """Decode and describe a started transmission once, trace it and
-        schedule its end."""
-        rx = frames.decode(frame)
+    def on_tx_start(self, medium, station: Station, frame, now: int, duration_ns: int,
+                    rx: frames.Decoded | None = None) -> None:
+        """Describe a started transmission once, trace it and schedule its
+        end.  `rx` is `frames.decode(frame)` as its sender built it, or
+        None for a frame not decoded yet (a node's), decoded here."""
+        if rx is None:
+            rx = frames.decode(frame)
         summary = frame_summary(frame, rx.eth)
         location, source, _ = self.fanout[station]
         fl = self.flow_of(rx)
@@ -379,9 +386,13 @@ class Simulation:
         for _station, frame in dropped:
             self.drop(frame, "priority_clash", bus.name)
 
-    def drop(self, frame, reason: str, location: str) -> None:
-        """Account a dropped frame to its flow, or trace it as anonymous."""
-        rx = frames.decode(frame)
+    def drop(self, frame, reason: str, location: str,
+             rx: frames.Decoded | None = None) -> None:
+        """Account a dropped frame to its flow, or trace it as anonymous.
+        A switch passes the value it decoded the frame to; a frame lost
+        in a bus clash never started, so it is decoded here."""
+        if rx is None:
+            rx = frames.decode(frame)
         fl = self.flow_of(rx)
         if fl is not None:
             self.flow_drop(fl[0], fl[1], reason, location)
@@ -471,10 +482,11 @@ class Simulation:
         self.schedule(self.now + round(HELLO_INTERVAL_S * 1e9), self._stp_hello, sw)
 
     def emit(self, sw: CSwitch, emissions) -> None:
-        """Queue a switch's (port, frame) emissions on the ports' media."""
-        for port, out_frame in emissions:
+        """Queue a switch's (port, frame, decoded value) emissions on the
+        ports' media."""
+        for port, out_frame, rx in emissions:
             station = self.topo.port_station[(sw.name, port)]
-            station.medium.enqueue(self, station, out_frame, self.now)
+            station.medium.enqueue(self, station, out_frame, self.now, rx)
 
     # -- report ---------------------------------------------------------------
 

@@ -13,6 +13,8 @@ direction.  Multidrop Ethernet is not modeled.
 
 A medium only decides when a frame starts and hands the transmission to
 `Simulation.on_tx_start`, which traces it and schedules its completion.
+A queued frame keeps the `frames.Decoded` value its sender passed along
+(None if it has none yet), and the medium hands that over with it.
 An enqueue asks for an arbitration kick only while the medium (for a
 link, that direction) is idle; a busy one is kicked again when its
 transmission completes, so no kick runs only to find the medium busy.
@@ -28,7 +30,7 @@ import itertools
 from collections import deque
 
 from . import timing
-from .frames import CanXlFrame, ClassicCanFrame, EthernetFrame
+from .frames import CanXlFrame, ClassicCanFrame, Decoded, EthernetFrame
 from .timing import CanXlTimingParams, EthernetTimingParams, to_ns
 
 
@@ -39,7 +41,8 @@ class Station:
         self.name = name
         self.owner = owner
         self.medium = medium
-        # a link's FIFO; on a bus, a heap of (priority, enqueue order, frame)
+        # a link's FIFO of (frame, rx); on a bus, a heap of (priority,
+        # enqueue order, frame, rx); rx is the frame's decoded value or None
         self.queue = deque() if isinstance(medium, EthernetLink) else []
 
     def __repr__(self):
@@ -74,8 +77,9 @@ class CanBus:
             return to_ns(timing.classic_can_duration(frame, self.params.arb_bitrate))
         return to_ns(timing.canxl_duration(len(frame.data), self.params))
 
-    def enqueue(self, sim, station: Station, frame, now: int) -> None:
-        heapq.heappush(station.queue, (frame_priority(frame), next(self.enqueued), frame))
+    def enqueue(self, sim, station: Station, frame, now: int,
+                rx: Decoded | None = None) -> None:
+        heapq.heappush(station.queue, (frame_priority(frame), next(self.enqueued), frame, rx))
         if self.busy_until <= now:  # a busy bus re-arms in on_complete
             self.request_kick(sim, now)
 
@@ -103,11 +107,11 @@ class CanBus:
             self.clashes += 1
             sim.on_clash(self, [(st, heapq.heappop(st.queue)[2]) for st in tied])
         station = tied[0]
-        frame = heapq.heappop(station.queue)[2]
+        _, _, frame, rx = heapq.heappop(station.queue)
         duration = self.frame_duration_ns(frame)
         self.busy_until = now + duration
         self.busy_ns += duration
-        sim.on_tx_start(self, station, frame, now, duration)
+        sim.on_tx_start(self, station, frame, now, duration, rx)
 
     def receivers(self, sender: Station) -> list[Station]:
         # CAN broadcast: everyone but the transmitter.
@@ -142,10 +146,11 @@ class EthernetLink:
     def frame_duration_ns(self, frame: EthernetFrame) -> int:
         return to_ns(timing.ethernet_duration(len(frame.payload), self.params))
 
-    def enqueue(self, sim, station: Station, frame, now: int) -> None:
+    def enqueue(self, sim, station: Station, frame, now: int,
+                rx: Decoded | None = None) -> None:
         if not isinstance(frame, EthernetFrame):
             raise TypeError(f"{type(frame).__name__} cannot travel on an Ethernet link")
-        station.queue.append(frame)
+        station.queue.append((frame, rx))
         direction = self.endpoints.index(station)
         if self.busy_until[direction] <= now:  # a busy direction re-arms in on_complete
             self.request_kick(sim, now, direction)
@@ -162,11 +167,11 @@ class EthernetLink:
         station = self.endpoints[direction]
         if not station.queue:
             return
-        frame = station.queue.popleft()
+        frame, rx = station.queue.popleft()
         duration = self.frame_duration_ns(frame)
         self.busy_until[direction] = now + duration
         self.busy_ns[direction] += duration
-        sim.on_tx_start(self, station, frame, now, duration)
+        sim.on_tx_start(self, station, frame, now, duration, rx)
 
     def receivers(self, sender: Station) -> list[Station]:
         return [st for st in self.endpoints if st is not sender]

@@ -12,7 +12,10 @@ refresh the switches' address knowledge.  ARP itself always travels as
 
 Classic CAN nodes exist only to drive the static relay path: no MAC, no
 IP, identifier-based reception.  Every `on_receive` gets the frame with
-its `frames.decode` value from the engine, so no node parses a header.
+its `frames.Decoded` value from the engine, so no node parses a header: a
+packet is decoded once where it is built or first received (a node's
+frame by the engine when it starts, a switch's emission by the switch
+that encodes it).
 """
 
 from __future__ import annotations

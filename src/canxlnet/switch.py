@@ -2,17 +2,21 @@
 
 A C-switch is a multiport learning bridge.  Its ports take `on_receive`
 as nodes do (the engine's `SwitchPortRef`) and queue what `on_ingress`
-returns for the frame and its `frames.decode` value, decoded once per
-transmission by the simulation.  The core works on the value's Ethernet
-frame, whether it came from an Ethernet port or tunneled over a CAN
-port, or else on a compact frame's datagram; CAN ports re-encapsulate on
-egress.  Streamlined IPv4 frames carry no MAC addresses, so the
-filtering database is extended with an IP index (the TARP cache)
-populated by snooping the decoded ARP messages and checked IPv4
-headers; with it the switch can rebuild full Ethernet frames for
-streamlined datagrams that must leave on an Ethernet port.  Only an
-`ioc-preferred` CAN egress parses again, to compact an Ethernet/IPv4
-frame.
+returns for the frame and its `frames.decode` value.  The core works on
+the value's Ethernet frame, whether it came from an Ethernet port or
+tunneled over a CAN port, or else on a compact frame's datagram; CAN
+ports re-encapsulate on egress.  Streamlined IPv4 frames carry no MAC
+addresses, so the filtering database is extended with an IP index (the
+TARP cache) populated by snooping the decoded ARP messages and checked
+IPv4 headers; with it the switch can rebuild full Ethernet frames for
+streamlined datagrams that must leave on an Ethernet port.
+
+A packet is decoded once where it is built or first received, never
+again on its way through the switches: every emission is a
+`(port, frame, rx)` triple whose `rx` equals `frames.decode(frame)`,
+built from what the switch already holds (the ingress value, the BPDU
+it encoded, the checked datagram it compacts or the one it rebuilds),
+and the drop hook gets the ingress value too.
 
 Loop prevention uses a reduced spanning tree: 64-bit bridge ids, hello
 BPDUs every 2 s, lowest root id wins, per-port roles root/designated/
@@ -30,7 +34,6 @@ from dataclasses import dataclass
 from . import frames
 from .frames import (
     ETHERTYPE_BPDU,
-    ETHERTYPE_IPV4,
     STP_GROUP_MAC,
     ArpMessage,
     ClassicCanFrame,
@@ -226,24 +229,24 @@ class CSwitch:
             "stp_blocked": 0,
             "bpdu_malformed": 0,
         }
-        # Optional callback (normalized frame, reason, switch name) fired
-        # on every drop; the simulation uses it for per-flow accounting.
+        # Optional callback (normalized frame, reason, switch name, its
+        # decoded value) fired on every drop; the simulation uses it for
+        # per-flow accounting.
         self.drop_hook = None
 
-    def _drop(self, reason: str, frame) -> None:
+    def _drop(self, reason: str, frame, rx: frames.Decoded) -> None:
         self.counters[reason] += 1
         if self.drop_hook is not None:
-            self.drop_hook(frame, reason, self.name)
+            self.drop_hook(frame, reason, self.name, rx)
 
     # -- ingress ----------------------------------------------------------
 
     def on_ingress(self, port: int, frame, now: int,
-                   rx: frames.Decoded) -> list[tuple[int, object]]:
-        """Process one received frame; returns (egress port, frame) pairs.
-        `rx` is `frames.decode(frame)`, as the simulation decoded it once
-        per transmission."""
+                   rx: frames.Decoded) -> list[tuple[int, object, frames.Decoded]]:
+        """Process one received frame; returns (egress port, frame, its
+        decoded value) triples.  `rx` is `frames.decode(frame)`."""
         if isinstance(frame, ClassicCanFrame):
-            return self.relay_legacy(port, frame)
+            return self.relay_legacy(port, frame, rx)
 
         # The core sees the Ethernet frame, tunneled or not, or else a
         # compact frame's datagram.  The tunneller does no AF filtering of
@@ -252,12 +255,12 @@ class CSwitch:
         if normalized is None:
             return []
         if isinstance(normalized, EthernetFrame) and normalized.da == STP_GROUP_MAC:
-            return self._encode_all(self.stp_step(port, normalized), now)
+            return self.stp_step(port, normalized)
         if not self.port_state[port].forwarding:
-            self._drop("stp_blocked", normalized)
+            self._drop("stp_blocked", normalized, rx)
             return []
         self.learn(port, rx, now)
-        return self._encode_all(self._forward(port, normalized, now), now)
+        return self._encode_all(self._forward(port, normalized, rx, now), normalized, rx, now)
 
     # -- learning ---------------------------------------------------------
 
@@ -280,12 +283,12 @@ class CSwitch:
         return [i for i, p in self.ports.items()
                 if i != exclude and self.port_state[i].forwarding]
 
-    def _forward(self, ingress: int, frame, now: int) -> list[tuple[int, object]]:
+    def _forward(self, ingress: int, frame, rx: frames.Decoded, now: int) -> list[int]:
+        """The egress ports of a normalized frame; none if it is dropped."""
         if isinstance(frame, EthernetFrame):
             if frame.da.is_group():
-                ports = self._forwarding_ports(ingress)
                 self.counters["flooded"] += 1
-                return [(p, frame) for p in ports]
+                return self._forwarding_ports(ingress)
             entry = self.efdb.lookup_mac(frame.da, now)
         else:
             entry = self.efdb.lookup_ip(frame.dst_ip, now)
@@ -293,26 +296,30 @@ class CSwitch:
         if entry is not None:
             if entry.port == ingress:
                 # Destination lives on the ingress segment: confine it.
-                self._drop("no_route_self", frame)
+                self._drop("no_route_self", frame, rx)
                 return []
             if self.port_state[entry.port].forwarding:
                 self.counters["forwarded"] += 1
-                return [(entry.port, frame)]
-            self._drop("stp_blocked", frame)
+                return [entry.port]
+            self._drop("stp_blocked", frame, rx)
             return []
         self.counters["flooded"] += 1
-        return [(p, frame) for p in self._forwarding_ports(ingress)]
+        return self._forwarding_ports(ingress)
 
-    def _encode_all(self, pairs: list[tuple[int, object]], now: int) -> list[tuple[int, object]]:
+    def _encode_all(self, ports: list[int], frame, rx: frames.Decoded,
+                    now: int) -> list[tuple[int, object, frames.Decoded]]:
+        """Encode one normalized frame, decoded as `rx`, for each egress port."""
         out = []
-        for port, frame in pairs:
-            encoded = self._encode_for_port(port, frame, self.ports[port], now)
+        for port in ports:
+            encoded = self._encode_for_port(frame, rx, self.ports[port], now)
             if encoded is not None:
-                out.append((port, encoded))
+                out.append((port, *encoded))
         return out
 
-    def _encode_for_port(self, port: int, frame, cfg: PortConfig, now: int):
-        """Re-encode a normalized frame for one egress port.
+    def _encode_for_port(self, frame, rx: frames.Decoded, cfg: PortConfig,
+                         now: int) -> tuple[object, frames.Decoded] | None:
+        """Re-encode a normalized frame for one egress port; returns the
+        wire frame and its `frames.decode` value, or None if dropped.
 
         Streamlined datagrams leaving on Ethernet (or on a CAN port in
         tunnel mode) need both MAC addresses from the EFDB; without them
@@ -320,53 +327,64 @@ class CSwitch:
         """
         if isinstance(frame, EthernetFrame):
             if cfg.kind == ETH:
-                return frame
-            if cfg.egress_mode == EGRESS_IOC_PREFERRED and frame.ethertype == ETHERTYPE_IPV4:
+                return frame, rx
+            # Only a checked IPv4 datagram is compacted; the rest tunnels.
+            if cfg.egress_mode == EGRESS_IOC_PREFERRED and isinstance(rx.net, Ipv4Datagram):
                 try:
-                    return frames.ioc_encode(
-                        frames.ethernet_to_ioc(frame),
-                        cfg.egress_priority_base, cfg.vcid)
+                    dgram = IocDatagram.from_ipv4(rx.net)
+                    return (frames.ioc_encode(dgram, cfg.egress_priority_base, cfg.vcid),
+                            frames.Decoded(None, dgram, dgram.payload))
                 except (NotPlainIpv4, frames.TooLarge):
                     pass
-            return frames.eoc_encapsulate(frame, cfg.egress_priority_base, cfg.vcid)
+            return frames.eoc_encapsulate(frame, cfg.egress_priority_base, cfg.vcid), rx
 
         # IocDatagram
         if cfg.kind == CAN_XL and cfg.egress_mode == EGRESS_IOC_PREFERRED:
-            return frames.ioc_encode(frame, cfg.egress_priority_base, cfg.vcid)
-        eth = self._reconstruct_ethernet(frame, now)
-        if eth is None:
-            self._drop("reconstruction_failure", frame)
+            return frames.ioc_encode(frame, cfg.egress_priority_base, cfg.vcid), rx
+        rebuilt = self._reconstruct_ethernet(frame, now)
+        if rebuilt is None:
+            self._drop("reconstruction_failure", frame, rx)
             return None
         if cfg.kind == ETH:
-            return eth
-        return frames.eoc_encapsulate(eth, cfg.egress_priority_base, cfg.vcid)
+            return rebuilt
+        eth, eth_rx = rebuilt
+        return frames.eoc_encapsulate(eth, cfg.egress_priority_base, cfg.vcid), eth_rx
 
-    def _reconstruct_ethernet(self, dgram: IocDatagram, now: int) -> EthernetFrame | None:
+    def _reconstruct_ethernet(self, dgram: IocDatagram,
+                              now: int) -> tuple[EthernetFrame, frames.Decoded] | None:
+        """The Ethernet/IPv4 frame for a streamlined datagram, with its
+        decoded value, or None if the EFDB lacks either MAC."""
         dst = self.efdb.lookup_ip(dgram.dst_ip, now)
         src = self.efdb.lookup_ip(dgram.src_ip, now)
         if dst is None or dst.mac is None or src is None or src.mac is None:
             return None
-        return frames.ioc_to_ethernet(dgram, dst.mac, src.mac)
+        eth = frames.ioc_to_ethernet(dgram, dst.mac, src.mac)
+        ipv4 = dgram.to_ipv4()  # equal to the datagram `eth` carries
+        return eth, frames.Decoded(eth, ipv4, ipv4.payload)
 
     # -- legacy classic-CAN relay ------------------------------------------
 
-    def relay_legacy(self, ingress: int, frame: ClassicCanFrame) -> list[tuple[int, ClassicCanFrame]]:
+    def relay_legacy(self, ingress: int, frame: ClassicCanFrame,
+                     rx: frames.Decoded) -> list[tuple[int, ClassicCanFrame, frames.Decoded]]:
+        """Relay one classic frame, decoded as `rx`, by the static rules.
+        A remapped copy keeps the data, so it decodes as `rx` too."""
         out = []
         for rule in self.legacy_rules:
             if rule.ingress_port == ingress and rule.match_id == frame.id:
                 for port, remapped in rule.egress:
-                    out.append((port, ClassicCanFrame(remapped, frame.data)))
+                    out.append((port, ClassicCanFrame(remapped, frame.data), rx))
         if not out and self.drop_hook is not None:
             # Silent by design (strict confinement): no counter, but the
             # simulation still accounts the frame to its flow.
-            self.drop_hook(frame, "legacy_unmatched", self.name)
+            self.drop_hook(frame, "legacy_unmatched", self.name, rx)
         return out
 
     # -- spanning tree ------------------------------------------------------
 
-    def stp_step(self, port: int, bpdu_frame: EthernetFrame) -> list[tuple[int, EthernetFrame]]:
-        """Consume one BPDU and return the BPDUs to transmit, as (port,
-        frame) pairs."""
+    def stp_step(self, port: int,
+                 bpdu_frame: EthernetFrame) -> list[tuple[int, object, frames.Decoded]]:
+        """Consume one BPDU and return the wire-ready BPDUs to transmit, as
+        (port, frame, decoded value) triples."""
         try:
             self.port_state[port].last_bpdu = decode_bpdu(bpdu_frame)
         except frames.Malformed:
@@ -377,12 +395,12 @@ class CSwitch:
             return self._emit_bpdus()
         return []
 
-    def hello(self) -> list[tuple[int, object]]:
+    def hello(self) -> list[tuple[int, object, frames.Decoded]]:
         """Hello tick: the root (or a bridge still believing it is the root)
-        refreshes the tree.  Returns wire-ready BPDU frames per port."""
+        refreshes the tree.  Returns wire-ready BPDUs as `stp_step` does."""
         if self.root_id != self.bridge_id:
             return []
-        return self._encode_all(self._emit_bpdus(), 0)
+        return self._emit_bpdus()
 
     def _recompute_roles(self) -> bool:
         candidates = [(self.bridge_id, 0, self.bridge_id, -1)]
@@ -411,10 +429,12 @@ class CSwitch:
                 st.role = role
         return changed
 
-    def _emit_bpdus(self) -> list[tuple[int, EthernetFrame]]:
+    def _emit_bpdus(self) -> list[tuple[int, object, frames.Decoded]]:
         eth = encode_bpdu(self.root_id, self.root_cost, self.bridge_id, self.mac)
-        return [(i, eth) for i, st in self.port_state.items()
-                if st.role == ROLE_DESIGNATED]
+        ports = [i for i, st in self.port_state.items() if st.role == ROLE_DESIGNATED]
+        # A BPDU has no network layer or payload that `frames.decode` reads;
+        # it never needs the EFDB, hence any time will do.
+        return self._encode_all(ports, eth, frames.Decoded(eth, None, None), 0)
 
     # -- reporting -----------------------------------------------------------
 

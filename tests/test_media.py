@@ -20,7 +20,7 @@ class Recorder:
     def schedule(self, t_ns, handler, *args):
         pass
 
-    def on_tx_start(self, medium, station, frame, now, duration_ns):
+    def on_tx_start(self, medium, station, frame, now, duration_ns, rx=None):
         self.started.append((station.name, frame))
 
     def on_clash(self, bus, dropped):
