@@ -2,7 +2,7 @@
 
     canxlnet simulate CONFIG [--trace PATH] [--report PATH] [--t-end SECONDS]
     canxlnet timing --table
-    canxlnet timing --payload N [--arb-rate R] [--data-rate R] [--stuff-ratio F]
+    canxlnet timing --payload N [--arb-rate R] [--data-rate R]
     canxlnet codec --encode {eoc,ioc} HEXFILE
     canxlnet codec --decode HEXFILE
 
@@ -37,9 +37,6 @@ def main(argv: list[str] | None = None) -> int:
     p_tim.add_argument("--payload", type=int, help="CAN XL data field size in bytes")
     p_tim.add_argument("--arb-rate", type=float, default=500e3)
     p_tim.add_argument("--data-rate", type=float, default=16e6)
-    p_tim.add_argument("--arb-overhead", type=int, default=34)
-    p_tim.add_argument("--data-overhead", type=int, default=168)
-    p_tim.add_argument("--stuff-ratio", type=float, default=0.1)
 
     p_cod = sub.add_parser("codec", help="encode/decode frames from hex files")
     group = p_cod.add_mutually_exclusive_group(required=True)
@@ -96,12 +93,7 @@ def _cmd_timing(args) -> int:
         return 0
     if args.payload is None:
         raise ValueError("need --table or --payload")
-    params = timing.CanXlTimingParams(
-        args.arb_rate, args.data_rate,
-        arb_overhead_bits=args.arb_overhead,
-        data_overhead_bits=args.data_overhead,
-        stuff_ratio=args.stuff_ratio,
-    )
+    params = timing.CanXlTimingParams(args.arb_rate, args.data_rate)
     duration = timing.canxl_duration(args.payload, params)
     print(f"{args.payload} B data field at {args.arb_rate:g}/{args.data_rate:g} b/s: "
           f"{duration * 1e6:.2f} us")

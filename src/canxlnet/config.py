@@ -2,7 +2,9 @@
 
 Schema (unknown keys are rejected; every error names its location; a key
 marked optional that is left out takes the default of the constructor its
-section builds, such as `CSwitch`'s 300 s ageing time):
+section builds, such as `CSwitch`'s 300 s ageing time; every time is in
+seconds, finite and non-negative, as `timing.to_ns` checks; a bus sets only
+its bit rates, the CAN XL calibration being `timing` constants):
 
     nodes:
       - name: n1
@@ -19,9 +21,6 @@ section builds, such as `CSwitch`'s 300 s ageing time):
       - name: bus1
         arb_bitrate: 500000
         data_bitrate: 16000000
-        arb_overhead_bits: 34     # optional calibration overrides
-        data_overhead_bits: 168
-        stuff_ratio: 0.1
         stations: [n1, sw1.p0]    # node names or <switch>.p<index>
     links:
       - name: link1
@@ -77,7 +76,7 @@ from .engine import ConfigError, Flow, RunOptions, Topology
 from .frames import Ipv4Address, MacAddress
 from .nodes import DEFAULT_EOC_REFRESH_S, ClassicCanNode, EocNode, EthernetHost, IocNode
 from .switch import EGRESS_MODES, PORT_KINDS, CSwitch, LegacyRelayRule, PortConfig
-from .timing import CanXlTimingParams, EthernetTimingParams
+from .timing import CanXlTimingParams, EthernetTimingParams, to_ns
 
 _ITEM_NAMES = {dict: " of mappings", str: " of names", object: ""}
 
@@ -392,7 +391,7 @@ def _schedule(value) -> list[int]:
         raise ConfigError(".period", "must be positive")
     if count < 0:
         raise ConfigError(".count", "must not be negative")
-    return [round((start + k * period) * 1e9) for k in range(count)]
+    return [to_ns(start + k * period, "send time") for k in range(count)]
 
 
 # -- one table per section ------------------------------------------------
@@ -425,15 +424,14 @@ _SWITCH = _Table({"name": _name, "bridge_id": _int, "ports": _ports},
 _MEDIA = (
     ("buses",
      _Table({"name": _name, "arb_bitrate": _float, "data_bitrate": _float,
-             "stations": _names},
-            {"arb_overhead_bits": _int, "data_overhead_bits": _int, "stuff_ratio": _float}),
+             "stations": _names}),
      CanXlTimingParams, Topology.add_bus, "stations"),
     ("links",
      _Table({"name": _name, "bitrate": _float, "endpoints": _names}),
      EthernetTimingParams, Topology.add_link, "endpoints"),
 )
 
-_SCHEDULE = _Table({}, {"at": lambda v: round(_float(v) * 1e9), "start": _float,
+_SCHEDULE = _Table({}, {"at": lambda v: to_ns(_float(v), "at"), "start": _float,
                         "period": _float, "count": _int})
 _FLOW = _Table({"name": _name, "source": _name, "transport": _name, "payload_size": _int,
                 "schedule": _schedule},

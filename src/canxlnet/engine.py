@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import math
 import struct
 from dataclasses import dataclass
 
@@ -57,8 +56,8 @@ from .frames import (
     MacAddress,
 )
 from .media import CanBus, EthernetLink, Station
-from .switch import CAN_XL, ETH, CSwitch, HELLO_INTERVAL_S
-from .timing import CanXlTimingParams, EthernetTimingParams
+from .switch import CAN_XL, ETH, CSwitch, HELLO_INTERVAL_NS
+from .timing import CanXlTimingParams, EthernetTimingParams, to_ns
 
 FLOW_TAG_LEN = 8
 MAX_IPV4_PAYLOAD = 1480  # what fits an Ethernet frame with a 20-byte header
@@ -71,6 +70,14 @@ class ConfigError(Exception):
         self.location = location
         self.reason = message
         super().__init__(f"{location}: {message}")
+
+
+def _located(loc: str, check, *args) -> None:
+    """`check(*args)`, its ValueError a ConfigError at `loc`."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(loc, str(exc)) from None
 
 
 @dataclass
@@ -169,8 +176,7 @@ class Topology:
         self._validate_addresses()
         self._validate_wiring()
         self._validate_flows()
-        if not 0 <= self.options.t_end < math.inf:
-            raise ConfigError("run.t_end", "must be finite and non-negative")
+        _located("run.t_end", to_ns, self.options.t_end, "t_end")
 
     def _validate_addresses(self) -> None:
         macs: dict[MacAddress, str] = {}
@@ -241,8 +247,7 @@ class Topology:
                     raise ConfigError(loc, "classic-can flows need a classic-can source")
                 if flow.can_id is None:
                     raise ConfigError(loc, "classic-can flows need can_id")
-                if not 0 <= flow.can_id < 2048:
-                    raise ConfigError(loc, "can_id must fit in 11 bits")
+                _located(loc, frames.fits, "can_id", flow.can_id, 11)
                 if flow.payload_size != 8:
                     raise ConfigError(loc, "classic-can flow payload is the 8-byte tag")
             elif flow.transport == "ipv4":
@@ -302,7 +307,7 @@ class Simulation:
         topo.validate()
         self.topo = topo
         self.options = topo.options
-        self.t_end_ns = round(topo.options.t_end * 1e9)
+        self.t_end_ns = to_ns(topo.options.t_end)
         self.now = 0
         self._seq = 0
         self.heap: list = []
@@ -434,8 +439,7 @@ class Simulation:
             self.schedule(0, self._stp_hello, sw)
         for node in self.topo.nodes.values():
             # Not traced: an announcement shows up as tx_start anyway.
-            t = round(node.start_time * 1e9)
-            self.schedule(t, node.startup, self, t)
+            self.schedule(node.start_ns, node.startup, self, node.start_ns)
         for flow in self.topo.flows:
             for seq, t in enumerate(flow.schedule):
                 self.schedule(t, self._app_send, flow, seq)
@@ -479,7 +483,7 @@ class Simulation:
     def _stp_hello(self, sw: CSwitch) -> None:
         self.trace("timer", sw.name, reason="stp-hello")
         self.emit(sw, sw.hello())
-        self.schedule(self.now + round(HELLO_INTERVAL_S * 1e9), self._stp_hello, sw)
+        self.schedule(self.now + HELLO_INTERVAL_NS, self._stp_hello, sw)
 
     def emit(self, sw: CSwitch, emissions) -> None:
         """Queue a switch's (port, frame, decoded value) emissions on the

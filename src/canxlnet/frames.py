@@ -49,6 +49,7 @@ ETH_MIN_PAYLOAD = 46
 ETH_MTU = 1500
 ETH_HEADER_LEN = 14
 
+IPV4_HEADER_LEN = 20  # without options
 CANXL_MAX_DATA = 2048
 IOC_HEADER_LEN = 8
 
@@ -90,6 +91,12 @@ class TooLarge(FrameError):
 class NotPlainIpv4(FrameError):
     """Datagram cannot use the streamlined encoding (options, fragments,
     or not IPv4 at all); callers fall back to the Ethernet tunnel."""
+
+
+def fits(what: str, value: int, bits: int) -> None:
+    """The one field-width check: `value` is an unsigned `bits`-bit integer."""
+    if not 0 <= value < 1 << bits:
+        raise ValueError(f"{what} must fit in {bits} bits")
 
 
 def _address_fields(text, sep: str, count: int, what: str) -> list[str]:
@@ -164,8 +171,7 @@ class EthernetFrame:
     payload: bytes
 
     def __post_init__(self):
-        if not 0 <= self.ethertype <= 0xFFFF:
-            raise ValueError("ethertype out of range")
+        fits("ethertype", self.ethertype, 16)
         if len(self.payload) < ETH_MIN_PAYLOAD:
             object.__setattr__(
                 self, "payload",
@@ -203,14 +209,10 @@ class CanXlFrame:
     sec: bool = False
 
     def __post_init__(self):
-        if not 0 <= self.priority < 2048:
-            raise ValueError("priority must fit in 11 bits")
-        if not 0 <= self.sdt <= 0xFF:
-            raise ValueError("sdt is one octet")
-        if not 0 <= self.vcid <= 0xFF:
-            raise ValueError("vcid is one octet")
-        if not 0 <= self.af <= 0xFFFFFFFF:
-            raise ValueError("af is 32 bits")
+        fits("priority", self.priority, 11)
+        fits("sdt", self.sdt, 8)
+        fits("vcid", self.vcid, 8)
+        fits("af", self.af, 32)
         if not 1 <= len(self.data) <= CANXL_MAX_DATA:
             raise ValueError(f"data length {len(self.data)} outside [1, {CANXL_MAX_DATA}]")
 
@@ -234,8 +236,7 @@ class ClassicCanFrame:
     data: bytes
 
     def __post_init__(self):
-        if not 0 <= self.id < 2048:
-            raise ValueError("identifier must fit in 11 bits")
+        fits("identifier", self.id, 11)
         if len(self.data) > 8:
             raise ValueError("classic CAN carries at most 8 data bytes")
 
@@ -292,10 +293,10 @@ class Ipv4Datagram:
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "Ipv4Datagram":
-        if len(buf) < 20:
+        if len(buf) < IPV4_HEADER_LEN:
             raise Malformed("IPv4 header truncated")
         ver_ihl, dscp_ecn, total, ident, frag, ttl, proto, _cksum, src, dst = \
-            struct.unpack(">BBHHHBBH4s4s", buf[:20])
+            struct.unpack(">BBHHHBBH4s4s", buf[:IPV4_HEADER_LEN])
         if ver_ihl >> 4 != 4:
             raise Malformed(f"IP version {ver_ihl >> 4} is not 4")
         ihl = ver_ihl & 0x0F
@@ -315,7 +316,7 @@ class Ipv4Datagram:
             fragment_offset=frag & 0x1FFF,
             ttl=ttl,
             protocol=proto,
-            options=buf[20:ihl * 4],
+            options=buf[IPV4_HEADER_LEN:ihl * 4],
         )
 
 
@@ -333,12 +334,11 @@ class IocDatagram:
     dscp_ecn: int = 0
     ttl: int = 64
     protocol: int = 253
-    version: int = 4
 
     @property
     def total_length(self) -> int:
         # Length of the equivalent standard datagram.
-        return 20 + len(self.payload)
+        return IPV4_HEADER_LEN + len(self.payload)
 
     def to_ipv4(self) -> Ipv4Datagram:
         # IoC forbids fragments, so the rebuilt header pins DF and a zero
@@ -446,11 +446,9 @@ def eoc_decapsulate(frame: CanXlFrame) -> EthernetFrame:
 
 def ioc_encode(dgram: IocDatagram, priority: int, vcid: int) -> CanXlFrame:
     """Pack the compact header + payload; destination address goes to AF."""
-    if dgram.version != 4:
-        raise NotPlainIpv4(f"version {dgram.version} is not IPv4")
     data = struct.pack(
         ">BBBB4s",
-        (dgram.version << 4),
+        4 << 4,
         dgram.dscp_ecn,
         dgram.ttl,
         dgram.protocol,
@@ -476,6 +474,8 @@ def ioc_decapsulate(frame: CanXlFrame) -> IocDatagram:
     if len(frame.data) < IOC_HEADER_LEN:
         raise Malformed(f"compact header truncated ({len(frame.data)} bytes)")
     ver_pad, dscp_ecn, ttl, protocol, src = struct.unpack(">BBBB4s", frame.data[:8])
+    if ver_pad >> 4 != 4:
+        raise Malformed(f"compact header version {ver_pad >> 4} is not 4")
     return IocDatagram(
         src_ip=Ipv4Address(src),
         dst_ip=Ipv4Address.from_u32(frame.af),
@@ -483,7 +483,6 @@ def ioc_decapsulate(frame: CanXlFrame) -> IocDatagram:
         dscp_ecn=dscp_ecn,
         ttl=ttl,
         protocol=protocol,
-        version=ver_pad >> 4,
     )
 
 

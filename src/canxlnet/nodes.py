@@ -20,7 +20,6 @@ that encodes it).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import frames
@@ -41,18 +40,11 @@ from .frames import (
     IocDatagram,
     MacAddress,
 )
+from .timing import to_ns
 
 ARP_RETRY_NS = 1_000_000_000  # one retry after 1 s, then give up
 DEFAULT_EOC_REFRESH_S = 60.0
 FLOW_PROTOCOL = 253  # RFC 3692 experimental protocol number
-
-
-def _seconds(what: str, seconds: float) -> float:
-    """`seconds`, which the engine rounds to nanoseconds on a clock that
-    starts at 0: finite and not negative."""
-    if not 0 <= seconds < math.inf:  # NaN too
-        raise ValueError(f"{what} must be finite and non-negative")
-    return seconds
 
 
 @dataclass
@@ -70,7 +62,7 @@ class Node:
         self.name = name
         self.mac = mac
         self.ip = ip
-        self.start_time = _seconds("start_time", start_time)
+        self.start_ns = to_ns(start_time, "start_time")
         self.arp_table = {k: ArpEntry(v, static=True) for k, v in (static_arp or {}).items()}
         self.has_static_arp = bool(static_arp)
         self.pending_arp: dict[Ipv4Address, list] = {}
@@ -203,10 +195,8 @@ class EocNode(Node):
 
     def __init__(self, name, mac, *args, can_priority: int = 0x100, vcid: int = 0, **kwargs):
         super().__init__(name, mac, *args, **kwargs)
-        if not 0 <= can_priority < 2048:
-            raise ValueError("can_priority must fit in 11 bits")
-        if not 0 <= vcid <= 0xFF:
-            raise ValueError("vcid is one octet")
+        frames.fits("can_priority", can_priority, 11)
+        frames.fits("vcid", vcid, 8)
         self.can_priority = can_priority
         self.vcid = vcid
         self.af_image = frames.make_af_from_da(mac)  # what the hardware filter compares
@@ -238,8 +228,8 @@ class IocNode(EocNode):
 
     def __init__(self, *args, eoc_refresh_interval: float | None = None, **kwargs):
         super().__init__(*args, **kwargs)
-        self.eoc_refresh_interval_ns = None if eoc_refresh_interval is None else round(
-            _seconds("eoc_refresh_interval", eoc_refresh_interval) * 1e9)
+        self.eoc_refresh_interval_ns = None if eoc_refresh_interval is None else to_ns(
+            eoc_refresh_interval, "eoc_refresh_interval")
         self.next_refresh_ns: int | None = None
         # the acceptance field of compact frames addressed to this node, if any
         self.ip_af = None if self.ip is None else self.ip.to_u32()
@@ -275,9 +265,9 @@ class ClassicCanNode:
         self.mac = None
         self.ip = None
         self.rx_ids = set(rx_ids or [])
-        if not all(0 <= i < 2048 for i in self.rx_ids):
-            raise ValueError("rx_ids must fit in 11 bits")
-        self.start_time = _seconds("start_time", start_time)
+        for i in self.rx_ids:
+            frames.fits("rx_ids", i, 11)
+        self.start_ns = to_ns(start_time, "start_time")
         self.station = None
         self.counters = {"delivered": 0}
 

@@ -27,7 +27,6 @@ group MAC.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
@@ -43,7 +42,9 @@ from .frames import (
     IocDatagram,
     MacAddress,
     NotPlainIpv4,
+    fits,
 )
+from .timing import to_ns
 
 ETH = "ethernet"
 CAN_XL = "can"
@@ -57,7 +58,7 @@ ROLE_ROOT = "root"
 ROLE_DESIGNATED = "designated"
 ROLE_BLOCKED = "blocked"
 
-HELLO_INTERVAL_S = 2.0
+HELLO_INTERVAL_NS = to_ns(2.0)
 DEFAULT_AGEING_S = 300.0
 
 BPDU_MAGIC = b"XBPD"
@@ -77,10 +78,8 @@ class PortConfig:
             raise ValueError(f"unknown port kind {self.kind!r}")
         if self.egress_mode not in EGRESS_MODES:
             raise ValueError(f"unknown egress mode {self.egress_mode!r}")
-        if not 0 <= self.egress_priority_base < 2048:
-            raise ValueError("egress priority must fit in 11 bits")
-        if not 0 <= self.vcid <= 0xFF:
-            raise ValueError("vcid is one octet")
+        fits("egress_priority_base", self.egress_priority_base, 11)
+        fits("vcid", self.vcid, 8)
 
 
 @dataclass(frozen=True)
@@ -92,11 +91,9 @@ class LegacyRelayRule:
     egress: tuple[tuple[int, int], ...]  # (port, remapped id)
 
     def __post_init__(self):
-        if not 0 <= self.match_id < 2048:
-            raise ValueError("match identifier must fit in 11 bits")
+        fits("match_id", self.match_id, 11)
         for port, remapped in self.egress:
-            if not 0 <= remapped < 2048:
-                raise ValueError("remapped identifier must fit in 11 bits")
+            fits("remapped id", remapped, 11)
             if port == self.ingress_port:
                 raise ValueError("relay egress must differ from ingress")
 
@@ -121,9 +118,7 @@ class Efdb:
     """
 
     def __init__(self, ageing_s: float = DEFAULT_AGEING_S):
-        if not 0 <= ageing_s < math.inf:  # NaN too
-            raise ValueError("ageing time must be finite and non-negative")
-        self.ageing_ns = round(ageing_s * 1e9)
+        self.ageing_ns = to_ns(ageing_s, "ageing time")
         self.by_mac: dict[MacAddress, EfdbEntry] = {}
         self.by_ip: dict[Ipv4Address, EfdbEntry] = {}
 
@@ -208,8 +203,7 @@ class CSwitch:
                  ageing_time: float = DEFAULT_AGEING_S):
         if len({p.index for p in ports}) != len(ports):
             raise ValueError(f"switch {name}: duplicate port indices")
-        if not 0 <= bridge_id < 2**64:
-            raise ValueError("bridge_id must fit in 64 bits")
+        fits("bridge_id", bridge_id, 64)
         self.name = name
         self.bridge_id = bridge_id
         self.ports = {p.index: p for p in sorted(ports, key=lambda p: p.index)}

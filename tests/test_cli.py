@@ -10,6 +10,8 @@ import yaml
 from canxlnet.cli import main
 from canxlnet.config import MAX_DEPTH
 from canxlnet.frames import (
+    SDT_IPV4,
+    CanXlFrame,
     EthernetFrame,
     Ipv4Address,
     Ipv4Datagram,
@@ -149,6 +151,13 @@ def test_simulate_infinite_t_end_exits_2(tmp_path, scenario_path, capsys):
     assert capsys.readouterr().err.startswith("error: run.t_end:")
 
 
+def test_simulate_huge_t_end_exits_2(scenario_path, capsys):
+    # finite, but too large for the nanosecond clock
+    assert main(["simulate", scenario_path("eoc_baseline"), "--t-end", "1e300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: run.t_end:") and "Traceback" not in err
+
+
 def test_simulate_missing_file_exits_2(capsys):
     assert main(["simulate", "no-such-file.yaml"]) == 2
 
@@ -239,7 +248,9 @@ def _datagram_hex(**fields) -> bytes:
     (["--encode", "ioc"], _datagram_hex(fragment_offset=7),
      "fragmented datagrams must travel as EoC"),
     (["--encode", "ioc"], _datagram_hex(options=bytes(4)), "IP options cannot be carried"),
-], ids=["truncated", "bad_hex", "non_utf8_hex", "ioc_fragmented", "ioc_options"])
+    (["--decode"], CanXlFrame(0x100, SDT_IPV4, 0, 0x0A000002, b"\x60" + bytes(51)).to_bytes().hex()
+     .encode(), "compact header version 6 is not 4"),
+], ids=["truncated", "bad_hex", "non_utf8_hex", "ioc_fragmented", "ioc_options", "ioc_version"])
 def test_codec_exits_2(tmp_path, capsys, command, content, error):
     src = tmp_path / "in.hex"
     src.write_bytes(content)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 import yaml
+from hypothesis import given, strategies as st
 
 from canxlnet import config
 from canxlnet.config import MAX_DEPTH, build_topology, load_config
@@ -281,9 +282,6 @@ MALFORMED = [
      "switches.sw1.legacy_rules.0.egress.0.port"),
     (("buses", 0, "arb_bitrate"), True, "buses.bus1.arb_bitrate"),
     (("buses", 0, "data_bitrate"), True, "buses.bus1.data_bitrate"),
-    (("buses", 0, "arb_overhead_bits"), True, "buses.bus1.arb_overhead_bits"),
-    (("buses", 0, "data_overhead_bits"), True, "buses.bus1.data_overhead_bits"),
-    (("buses", 0, "stuff_ratio"), True, "buses.bus1.stuff_ratio"),
     (("links", 0, "bitrate"), True, "links.link1.bitrate"),
     # port kind and egress mode are names
     (("switches", 0, "ports", 0, "kind"), [1], "switches.sw1.ports.0.kind"),
@@ -313,10 +311,6 @@ NON_INTEGERS = [
     ("can_priority", ("nodes", 0, "can_priority"), 256.5, "nodes.n1.can_priority"),
     ("vcid", ("nodes", 0, "vcid"), 1.5, "nodes.n1.vcid"),
     ("can_id", ("flows", 0, "can_id"), 256.5, "flows.f1.can_id"),
-    ("arb_overhead_bits", ("buses", 0, "arb_overhead_bits"), 34.5,
-     "buses.bus1.arb_overhead_bits"),
-    ("data_overhead_bits", ("buses", 0, "data_overhead_bits"), 168.5,
-     "buses.bus1.data_overhead_bits"),
     ("schedule_count", ("flows", 0, "schedule"), {"period": 0.001, "count": 2.0},
      "flows.f1.schedule.count"),
     ("rx_ids", ("nodes", 0), {"name": "n1", "kind": "classic-can", "rx_ids": [512.5]},
@@ -342,21 +336,25 @@ UNQUOTED_ADDRESSES = [
 ]
 
 
-# times and rates are finite, times not negative: the engine rounds them to
-# nanoseconds on a clock that starts at 0, and NaN passes any check
-# written as `x < 0`
+# times and rates are finite, times not negative and small enough to scale:
+# `timing.to_ns` rounds times to nanoseconds on a clock that starts at 0, and
+# NaN passes any check written as `x < 0`
 BAD_TIMES_AND_RATES = [
     ("t_end", ("run", "t_end"), math.inf, "run.t_end"),
     ("t_end_nan", ("run", "t_end"), math.nan, "run.t_end"),
+    ("t_end_huge", ("run", "t_end"), 1e300, "run.t_end"),
     ("start_time", ("nodes", 0, "start_time"), math.inf, "nodes.n1"),
     ("start_time_negative", ("nodes", 0, "start_time"), -0.5, "nodes.n1"),
+    ("start_time_huge", ("nodes", 0, "start_time"), 1e300, "nodes.n1"),
+    ("at_negative", ("flows", 0, "schedule"), {"at": -0.5}, "flows.f1.schedule.at"),
+    ("at_huge", ("flows", 0, "schedule"), {"at": 1e300}, "flows.f1.schedule.at"),
+    ("start_negative", ("flows", 0, "schedule"), {"start": -0.5, "period": 0.001, "count": 2},
+     "flows.f1.schedule"),
     ("eoc_refresh_interval", ("nodes", 0),
      {"name": "n1", "kind": "ioc", "mac": "02:00:00:00:00:01", "ip": "10.0.0.1",
       "eoc_refresh_interval": math.inf}, "nodes.n1"),
     ("arb_bitrate", ("buses", 0, "arb_bitrate"), math.nan, "buses.bus1"),
     ("data_bitrate", ("buses", 0, "data_bitrate"), math.nan, "buses.bus1"),
-    ("stuff_ratio", ("buses", 0, "stuff_ratio"), math.nan, "buses.bus1"),
-    ("stuff_ratio_inf", ("buses", 0, "stuff_ratio"), math.inf, "buses.bus1"),
     ("link_bitrate", ("links", 0, "bitrate"), math.nan, "links.link1"),
     ("data_bitrate_inf", ("buses", 0, "data_bitrate"), math.inf, "buses.bus1"),
     ("link_bitrate_inf", ("links", 0, "bitrate"), math.inf, "links.link1"),
@@ -414,6 +412,45 @@ def test_non_integer_is_located(path, value, location):
                          ids=[case[0] for case in BAD_TIMES_AND_RATES])
 def test_bad_time_or_rate_is_located(path, value, location):
     assert_located(path, value, location)
+
+
+# where each time key goes in MINIMAL, and where its error is located
+TIME_KEYS = {
+    "t_end": (("run", "t_end"), "run.t_end"),
+    "start_time": (("nodes", 0, "start_time"), "nodes.n1"),
+    "ageing_time": (("switches", 0, "ageing_time"), "switches.sw1"),
+    "at": (("flows", 0, "schedule", "at"), "flows.f1.schedule.at"),
+    "start": (("flows", 0, "schedule"), "flows.f1.schedule"),
+}
+
+
+@given(st.sampled_from(sorted(TIME_KEYS)), st.floats())
+def test_any_time_runs_forward_or_is_located(key, seconds):
+    path, location = TIME_KEYS[key]
+    doc = copy.deepcopy(MINIMAL)
+    if key == "start":
+        doc["flows"][0]["schedule"] = {"start": seconds, "period": 0.001, "count": 2}
+    else:
+        target = doc
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = seconds
+    try:
+        topo = checked(doc)
+    except ConfigError as exc:
+        assert exc.location == location
+    else:
+        assert all(t >= 0 for t in topo.flows[0].schedule)
+
+
+@pytest.mark.parametrize("key", ["arb_overhead_bits", "data_overhead_bits", "stuff_ratio"])
+def test_calibration_is_not_a_bus_key(key):
+    # the CAN XL calibration is a set of timing constants
+    doc = variant()
+    doc["buses"][0][key] = 1
+    with pytest.raises(ConfigError, match="unknown keys") as exc:
+        checked(doc)
+    assert exc.value.location == "buses.bus1"
 
 
 def test_classic_variant_is_valid():
@@ -549,7 +586,6 @@ def test_omitted_keys_keep_their_defaults():
     spelled["switches"][0].update(ageing_time=300, legacy_rules=[])
     spelled["switches"][0]["ports"][0].update(egress_mode="eoc", egress_priority_base=0x700,
                                               vcid=0)
-    spelled["buses"][0].update(arb_overhead_bits=34, data_overhead_bits=168, stuff_ratio=0.1)
     spelled["run"].update(seed=0, startup_gratuitous_arp=True, trace=None, report=None)
     assert built(omitted) == built(spelled)
 

@@ -363,7 +363,8 @@ def test_decode_reads_every_layer(frame, expected):
     EthernetFrame(BROADCAST_MAC, M2, frames.ETHERTYPE_ARP, b"\x00\x07" + bytes(44)),
     EthernetFrame(M1, M2, frames.ETHERTYPE_IPV4, bytes(46)),
     CanXlFrame(0, frames.SDT_IPV4, 0, IP2.to_u32(), bytes(4)),
-], ids=["arp", "ipv4", "compact"])
+    CanXlFrame(0, frames.SDT_IPV4, 0, IP2.to_u32(), b"\x60" + bytes(7)),  # version 6
+], ids=["arp", "ipv4", "compact", "compact_version"])
 def test_decode_gives_no_network_layer_for_a_malformed_header(frame):
     rx = frames.decode(frame)
     assert rx.net is None and rx.payload is None

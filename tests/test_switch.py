@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from canxlnet import frames
@@ -239,6 +241,15 @@ class TestUnatReconstruction:
         out = ingest(sw, 0, ioc_encode(IocDatagram(IP1, IP2, bytes(44)), 0x100, 0), now=0)
         assert [port for port, _, _ in out] == [1]
         assert out[0][1].sdt == frames.SDT_IPV4
+
+    def test_compact_frame_of_another_version_is_dropped(self):
+        # its header decodes to no datagram, so nothing is compacted again
+        ports = [PortConfig(0, CAN_XL, egress_mode=EGRESS_IOC_PREFERRED),
+                 PortConfig(1, CAN_XL, egress_mode=EGRESS_IOC_PREFERRED)]
+        sw = CSwitch("sw", 1, ports)
+        frame = ioc_encode(IocDatagram(IP1, IP2, bytes(44)), 0x100, 0)
+        v6 = dataclasses.replace(frame, data=b"\x60" + frame.data[1:])
+        assert ingest(sw, 0, v6, now=0) == []
 
 
 class TestLegacyRelay:

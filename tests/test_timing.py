@@ -5,6 +5,9 @@ from hypothesis import given, strategies as st
 
 from canxlnet.frames import ClassicCanFrame
 from canxlnet.timing import (
+    ARB_OVERHEAD_BITS,
+    DATA_OVERHEAD_BITS,
+    STUFF_RATIO,
     CanXlTimingParams,
     EthernetTimingParams,
     InvalidPayload,
@@ -67,9 +70,10 @@ class TestCanXlDuration:
 
     @given(st.integers(1, 2048))
     def test_exact_rational_without_stuffing(self, payload):
-        p = CanXlTimingParams(500e3, 16e6, stuff_ratio=0.0)
-        exact = Fraction(34, 500_000) + Fraction(168 + 8 * payload, 16_000_000)
-        assert canxl_duration(payload, p) == pytest.approx(float(exact), rel=1e-9)
+        # the calibration constants, and the model as exact rationals with them
+        assert (ARB_OVERHEAD_BITS, DATA_OVERHEAD_BITS, STUFF_RATIO) == (34, 168, 0.1)
+        exact = Fraction(34, 500_000) + Fraction(11, 10) * Fraction(168 + 8 * payload, 16_000_000)
+        assert canxl_duration(payload, P_500K) == pytest.approx(float(exact), rel=1e-12)
 
     def test_arbitration_rate_cap(self):
         with pytest.raises(ValueError):
