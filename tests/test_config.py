@@ -379,14 +379,19 @@ OUT_OF_RANGE = [
 ]
 
 
-def assert_located(path, value, location, base=MINIMAL):
+def edited(path, value, base=MINIMAL):
+    """A copy of `base` with the item at `path` set to `value`."""
     doc = copy.deepcopy(base)
     target = doc
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
+    return doc
+
+
+def assert_located(path, value, location, base=MINIMAL):
     with pytest.raises(ConfigError) as exc:
-        checked(doc)
+        checked(edited(path, value, base))
     assert exc.value.location == location
 
 
@@ -427,16 +432,9 @@ TIME_KEYS = {
 @given(st.sampled_from(sorted(TIME_KEYS)), st.floats())
 def test_any_time_runs_forward_or_is_located(key, seconds):
     path, location = TIME_KEYS[key]
-    doc = copy.deepcopy(MINIMAL)
-    if key == "start":
-        doc["flows"][0]["schedule"] = {"start": seconds, "period": 0.001, "count": 2}
-    else:
-        target = doc
-        for step in path[:-1]:
-            target = target[step]
-        target[path[-1]] = seconds
+    value = {"start": seconds, "period": 0.001, "count": 2} if key == "start" else seconds
     try:
-        topo = checked(doc)
+        topo = checked(edited(path, value))
     except ConfigError as exc:
         assert exc.location == location
     else:
