@@ -109,50 +109,47 @@ def _read_hex(path: str) -> bytes:
         raise frames.Malformed(f"{path}: not valid hex") from exc
 
 
-def _print_canxl(frame: frames.CanXlFrame) -> None:
-    print(f"priority   0x{frame.priority:03x}")
-    print(f"sdt        {frames.SDT_NAMES.get(frame.sdt, hex(frame.sdt))}")
-    print(f"sec        {int(frame.sec)}")
-    print(f"vcid       {frame.vcid}")
-    print(f"af         0x{frame.af:08x}")
-    print(f"data[{len(frame.data)}]")
+def _canxl_lines(frame: frames.CanXlFrame) -> list[str]:
+    return [f"priority   0x{frame.priority:03x}",
+            f"sdt        {frames.SDT_NAMES.get(frame.sdt, hex(frame.sdt))}",
+            f"sec        {int(frame.sec)}",
+            f"vcid       {frame.vcid}",
+            f"af         0x{frame.af:08x}",
+            f"data[{len(frame.data)}]"]
+
+
+def _eth_lines(eth: frames.EthernetFrame) -> list[str]:
+    return [f"da         {eth.da}", f"sa         {eth.sa}", f"ethertype  0x{eth.ethertype:04x}"]
+
+
+def _ip_lines(dgram) -> list[str]:
+    """An `Ipv4Datagram`'s or `IocDatagram`'s addresses and protocol."""
+    return [f"src        {dgram.src_ip}", f"dst        {dgram.dst_ip}",
+            f"protocol   {dgram.protocol}"]
 
 
 def _cmd_codec(args) -> int:
+    """Decode every layer, then print: a malformed layer leaves no output."""
     raw = _read_hex(args.hexfile)
     if args.encode == "eoc":
         eth = frames.EthernetFrame.from_bytes(raw)
-        frame = frames.eoc_encapsulate(eth, priority=0x100, vcid=0)
-        print(f"da         {eth.da}")
-        print(f"sa         {eth.sa}")
-        print(f"ethertype  0x{eth.ethertype:04x}")
-        _print_canxl(frame)
-        print(frame.to_bytes().hex())
-        return 0
-    if args.encode == "ioc":
+        frame = frames.eoc_encapsulate(eth, priority=0x100)
+        lines = [*_eth_lines(eth), *_canxl_lines(frame), frame.to_bytes().hex()]
+    elif args.encode == "ioc":
         dgram = frames.Ipv4Datagram.from_bytes(raw)
-        frame = frames.ioc_encode(frames.IocDatagram.from_ipv4(dgram), priority=0x100, vcid=0)
-        print(f"src        {dgram.src_ip}")
-        print(f"dst        {dgram.dst_ip}")
-        print(f"protocol   {dgram.protocol}")
-        _print_canxl(frame)
-        print(frame.to_bytes().hex())
-        return 0
-    frame = frames.CanXlFrame.from_bytes(raw)
-    _print_canxl(frame)
-    if frame.sdt == frames.SDT_ETHERNET:
-        eth = frames.eoc_decapsulate(frame)
-        print(f"da         {eth.da}")
-        print(f"sa         {eth.sa}")
-        print(f"ethertype  0x{eth.ethertype:04x}")
-        print(eth.to_bytes().hex())
-    elif frame.sdt == frames.SDT_IPV4:
-        dgram = frames.ioc_decapsulate(frame)
-        print(f"src        {dgram.src_ip}")
-        print(f"dst        {dgram.dst_ip}")
-        print(f"protocol   {dgram.protocol}")
-        print(f"total_len  {dgram.total_length}")
-        print(dgram.to_ipv4().to_bytes().hex())
+        frame = frames.ioc_encode(frames.IocDatagram.from_ipv4(dgram), priority=0x100)
+        lines = [*_ip_lines(dgram), *_canxl_lines(frame), frame.to_bytes().hex()]
+    else:
+        frame = frames.CanXlFrame.from_bytes(raw)
+        lines = _canxl_lines(frame)
+        if frame.sdt == frames.SDT_ETHERNET:
+            eth = frames.eoc_decapsulate(frame)
+            lines += [*_eth_lines(eth), eth.to_bytes().hex()]
+        elif frame.sdt == frames.SDT_IPV4:
+            dgram = frames.ioc_decapsulate(frame)
+            lines += [*_ip_lines(dgram), f"total_len  {dgram.total_length}",
+                      dgram.to_ipv4().to_bytes().hex()]
+    print("\n".join(lines))
     return 0
 
 

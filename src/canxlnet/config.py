@@ -3,8 +3,9 @@
 Schema (unknown keys are rejected; every error names its location; a key
 marked optional that is left out takes the default of the constructor its
 section builds, such as `CSwitch`'s 300 s ageing time; every time is in
-seconds, finite and non-negative, as `timing.to_ns` checks; a bus sets only
-its bit rates, the CAN XL calibration being `timing` constants):
+seconds, at least 0 and below about 1.8e299, as `timing.to_ns` checks; a
+bus sets only its bit rates, the CAN XL calibration being `timing`
+constants):
 
     nodes:
       - name: n1
@@ -14,7 +15,6 @@ its bit rates, the CAN XL calibration being `timing` constants):
         start_time: 0.0           # seconds, optional
         static_arp: {"10.0.0.2": "02:00:00:00:00:02"}   # optional
         can_priority: 0x100       # CAN node kinds, optional
-        vcid: 0                   # CAN node kinds, optional
         eoc_refresh_interval: 60  # ioc kind, optional (seconds)
         rx_ids: [0x200]           # classic-can kind
     buses:
@@ -31,7 +31,7 @@ its bit rates, the CAN XL calibration being `timing` constants):
         bridge_id: 1
         ageing_time: 300          # optional (seconds)
         ports:
-          - {index: 0, kind: can, egress_mode: eoc, egress_priority_base: 0x700, vcid: 0}
+          - {index: 0, kind: can, egress_mode: eoc, egress_priority_base: 0x700}
           - {index: 1, kind: ethernet}
         legacy_rules:             # optional
           - {ingress_port: 0, match_id: 0x100, egress: [{port: 1, id: 0x200}]}
@@ -72,7 +72,7 @@ from yaml.reader import Reader, ReaderError
 from yaml.resolver import Resolver
 from yaml.scanner import Scanner
 
-from .engine import ConfigError, Flow, RunOptions, Topology
+from .engine import ConfigError, Flow, RunOptions, Topology, located
 from .frames import Ipv4Address, MacAddress
 from .nodes import DEFAULT_EOC_REFRESH_S, ClassicCanNode, EocNode, EthernetHost, IocNode
 from .switch import EGRESS_MODES, PORT_KINDS, CSwitch, LegacyRelayRule, PortConfig
@@ -127,19 +127,7 @@ class _Table:
         return fields
 
     def make(self, cls, spec, loc: str):
-        return _make(loc, cls, self(spec, loc))
-
-
-def _parse(loc: str, parser, value):
-    try:
-        return parser(value)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(loc, str(exc)) from exc
-
-
-def _make(loc: str, cls, fields: dict):
-    """`cls(**fields)`, locating the checks its constructor makes."""
-    return _parse(loc, lambda kw: cls(**kw), fields)
+        return located(loc, cls, **self(spec, loc))
 
 
 def _number(convert):
@@ -229,14 +217,14 @@ def _too_deep(mark):
     raise ComposerError(None, None, f"collections nested deeper than {MAX_DEPTH} levels", mark)
 
 
-def _located(construct):
+def _marked(construct):
     """`construct`, with a ValueError located at the scalar's mark."""
-    def located(constructor, node):
+    def marked(constructor, node):
         try:
             return construct(constructor, node)
         except ValueError as exc:
             raise ConstructorError(None, None, str(exc), node.start_mark) from None
-    return located
+    return marked
 
 
 class _Constructor(SafeConstructor):
@@ -245,7 +233,7 @@ class _Constructor(SafeConstructor):
 
 
 for _tag in ("tag:yaml.org,2002:int", "tag:yaml.org,2002:timestamp"):
-    _Constructor.add_constructor(_tag, _located(SafeConstructor.yaml_constructors[_tag]))
+    _Constructor.add_constructor(_tag, _marked(SafeConstructor.yaml_constructors[_tag]))
 
 
 class _PurePythonParser(Reader, Scanner, Parser):
@@ -297,7 +285,7 @@ def build_topology(doc: dict) -> Topology:
         for spec, loc in _items(doc, section):
             fields = table(spec, loc)
             name, refs = fields.pop("name"), fields.pop(stations)
-            add(topo, name, _make(loc, params, fields))
+            add(topo, name, located(loc, params, **fields))
             for ref in refs:
                 _attach(topo, name, ref, f"{loc}.{stations}")
     for spec, loc in _items(doc, "flows"):
@@ -311,7 +299,7 @@ def _items(doc: dict, section: str):
     for i, spec in enumerate(_list(doc.get(section), section)):
         loc = f"{section}.{i}"
         if "name" in spec:
-            loc = f"{section}.{_parse(f'{loc}.name', _name, spec['name'])}"
+            loc = f"{section}.{located(f'{loc}.name', _name, spec['name'])}"
         yield spec, loc
 
 
@@ -322,7 +310,7 @@ def _node(spec: dict, loc: str):
     cls, table = _NODE_KINDS[kind]
     fields = table(spec, loc)
     del fields["kind"]  # the class stands for it
-    return _make(loc, cls, fields)
+    return located(loc, cls, **fields)
 
 
 def _attach(topo: Topology, medium_name: str, ref: str, loc: str) -> None:
@@ -404,7 +392,7 @@ _RUN = _Table({"t_end": _float},
 _NODE = {"name": _name, "kind": _name}
 _ADDRESSED = {**_NODE, "mac": MacAddress.parse}
 _HOST = {"start_time": _float, "ip": Ipv4Address.parse, "static_arp": _static_arp}
-_CAN = {**_HOST, "can_priority": _int, "vcid": _int}
+_CAN = {**_HOST, "can_priority": _int}
 _NODE_KINDS = {cls.kind: (cls, _Table(required, optional)) for cls, required, optional in (
     (ClassicCanNode, _NODE, {"start_time": _float, "rx_ids": _ids}),
     (EthernetHost, _ADDRESSED, _HOST),
@@ -414,7 +402,7 @@ _NODE_KINDS = {cls.kind: (cls, _Table(required, optional)) for cls, required, op
 
 _PORT = _Table({"index": _int, "kind": _one_of("port kind", PORT_KINDS)},
                {"egress_mode": _one_of("egress mode", EGRESS_MODES),
-                "egress_priority_base": _int, "vcid": _int})
+                "egress_priority_base": _int})
 _EGRESS = _Table({"port": _int, "id": _int})
 _RULE = _Table({"ingress_port": _int, "match_id": _int, "egress": _egress})
 _SWITCH = _Table({"name": _name, "bridge_id": _int, "ports": _ports},

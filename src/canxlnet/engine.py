@@ -72,12 +72,13 @@ class ConfigError(Exception):
         super().__init__(f"{location}: {message}")
 
 
-def _located(loc: str, check, *args) -> None:
-    """`check(*args)`, its ValueError a ConfigError at `loc`."""
+def located(loc: str, fn, *args, **kwargs):
+    """`fn(*args, **kwargs)`, a ValueError, TypeError or OverflowError it
+    raises made a ConfigError at `loc`."""
     try:
-        check(*args)
-    except ValueError as exc:
-        raise ConfigError(loc, str(exc)) from None
+        return fn(*args, **kwargs)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(loc, str(exc)) from exc
 
 
 @dataclass
@@ -152,7 +153,7 @@ class Topology:
         if node.station is not None:
             raise ConfigError(f"nodes.{node_name}", "attached to more than one medium")
         station = Station(node_name, node, medium)
-        medium.attach(station)
+        medium.stations.append(station)
         node.station = station
         return station
 
@@ -166,7 +167,7 @@ class Topology:
             raise ConfigError(f"switches.{switch_name}.ports.{port}",
                               "attached to more than one medium")
         station = Station(f"{switch_name}.p{port}", SwitchPortRef(sw, port), medium)
-        medium.attach(station)
+        medium.stations.append(station)
         self.port_station[key] = station
         return station
 
@@ -176,7 +177,7 @@ class Topology:
         self._validate_addresses()
         self._validate_wiring()
         self._validate_flows()
-        _located("run.t_end", to_ns, self.options.t_end, "t_end")
+        located("run.t_end", to_ns, self.options.t_end, "t_end")
 
     def _validate_addresses(self) -> None:
         macs: dict[MacAddress, str] = {}
@@ -202,7 +203,7 @@ class Topology:
         # First, so that a link short of an endpoint is named as such, not
         # through the station that is left unattached.
         for name, medium in self.media.items():
-            if isinstance(medium, EthernetLink) and len(medium.endpoints) != 2:
+            if isinstance(medium, EthernetLink) and len(medium.stations) != 2:
                 raise ConfigError(f"links.{name}", "a link needs exactly two endpoints")
         for name, node in self.nodes.items():
             if node.station is None:
@@ -247,7 +248,7 @@ class Topology:
                     raise ConfigError(loc, "classic-can flows need a classic-can source")
                 if flow.can_id is None:
                     raise ConfigError(loc, "classic-can flows need can_id")
-                _located(loc, frames.fits, "can_id", flow.can_id, 11)
+                located(loc, frames.fits, "can_id", flow.can_id, 11)
                 if flow.payload_size != 8:
                     raise ConfigError(loc, "classic-can flow payload is the 8-byte tag")
             elif flow.transport == "ipv4":
@@ -332,13 +333,14 @@ class Simulation:
         for sw in topo.switches.values():
             sw.drop_hook = self.drop
         # sender -> (JSON-encoded medium name, JSON-encoded sender name,
-        # [(owner, JSON-encoded name) of each receiver, in order])
+        # [(owner, JSON-encoded name) of every other station, in order])
         stations = [node.station for node in topo.nodes.values()]
         stations += topo.port_station.values()
         location = {st: _encode(st.name) for st in stations}
         self.fanout = {
             sender: (_encode(sender.medium.name), location[sender],
-                     [(st.owner, location[st]) for st in sender.medium.receivers(sender)])
+                     [(st.owner, location[st]) for st in sender.medium.stations
+                      if st is not sender])
             for sender in stations
         }
 

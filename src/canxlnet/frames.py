@@ -422,15 +422,10 @@ def af_filter_match(af: int, own_af: int) -> bool:
     return af == own_af
 
 
-def eoc_encapsulate(eth: EthernetFrame, priority: int, vcid: int) -> CanXlFrame:
-    """Embed an Ethernet frame in a CAN XL frame (preamble/FCS excluded)."""
-    return CanXlFrame(
-        priority=priority,
-        sdt=SDT_ETHERNET,
-        vcid=vcid,
-        af=make_af_from_da(eth.da),
-        data=eth.to_bytes(),
-    )
+def eoc_encapsulate(eth: EthernetFrame, priority: int) -> CanXlFrame:
+    """Embed an Ethernet frame in a CAN XL frame on VCID 0 (preamble/FCS
+    excluded)."""
+    return CanXlFrame(priority, SDT_ETHERNET, 0, make_af_from_da(eth.da), eth.to_bytes())
 
 
 def eoc_decapsulate(frame: CanXlFrame) -> EthernetFrame:
@@ -444,8 +439,9 @@ def eoc_decapsulate(frame: CanXlFrame) -> EthernetFrame:
     return EthernetFrame.from_bytes(frame.data)
 
 
-def ioc_encode(dgram: IocDatagram, priority: int, vcid: int) -> CanXlFrame:
-    """Pack the compact header + payload; destination address goes to AF."""
+def ioc_encode(dgram: IocDatagram, priority: int) -> CanXlFrame:
+    """Pack the compact header + payload on VCID 0; destination address
+    goes to AF."""
     data = struct.pack(
         ">BBBB4s",
         4 << 4,
@@ -456,13 +452,7 @@ def ioc_encode(dgram: IocDatagram, priority: int, vcid: int) -> CanXlFrame:
     ) + dgram.payload
     if len(data) > CANXL_MAX_DATA:
         raise TooLarge(f"{len(data)} bytes exceed the {CANXL_MAX_DATA} B data field")
-    return CanXlFrame(
-        priority=priority,
-        sdt=SDT_IPV4,
-        vcid=vcid,
-        af=dgram.dst_ip.to_u32(),
-        data=data,
-    )
+    return CanXlFrame(priority, SDT_IPV4, 0, dgram.dst_ip.to_u32(), data)
 
 
 def ioc_decapsulate(frame: CanXlFrame) -> IocDatagram:

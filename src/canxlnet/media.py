@@ -69,9 +69,6 @@ class CanBus:
         self.busy_ns = 0
         self.enqueued = itertools.count()  # FIFO among a station's equal priorities
 
-    def attach(self, station: Station) -> None:
-        self.stations.append(station)
-
     def frame_duration_ns(self, frame) -> int:
         if isinstance(frame, ClassicCanFrame):
             return to_ns(timing.classic_can_duration(frame, self.params.arb_bitrate))
@@ -113,10 +110,6 @@ class CanBus:
         self.busy_ns += duration
         sim.on_tx_start(self, station, frame, now, duration, rx)
 
-    def receivers(self, sender: Station) -> list[Station]:
-        # CAN broadcast: everyone but the transmitter.
-        return [st for st in self.stations if st is not sender]
-
     def on_complete(self, sim, now: int, sender: Station) -> None:
         self.request_kick(sim, now)
 
@@ -135,13 +128,10 @@ class EthernetLink:
         self.name = name
         self.kind = "ethernet-link"
         self.params = params
-        self.endpoints: list[Station] = []
+        self.stations: list[Station] = []  # station i sends in direction i
         self.busy_until = [0, 0]
         self.kick_pending = [False, False]
         self.busy_ns = [0, 0]
-
-    def attach(self, station: Station) -> None:
-        self.endpoints.append(station)
 
     def frame_duration_ns(self, frame: EthernetFrame) -> int:
         return to_ns(timing.ethernet_duration(len(frame.payload), self.params))
@@ -151,7 +141,7 @@ class EthernetLink:
         if not isinstance(frame, EthernetFrame):
             raise TypeError(f"{type(frame).__name__} cannot travel on an Ethernet link")
         station.queue.append((frame, rx))
-        direction = self.endpoints.index(station)
+        direction = self.stations.index(station)
         if self.busy_until[direction] <= now:  # a busy direction re-arms in on_complete
             self.request_kick(sim, now, direction)
 
@@ -164,7 +154,7 @@ class EthernetLink:
         self.kick_pending[direction] = False
         if self.busy_until[direction] > now:
             return
-        station = self.endpoints[direction]
+        station = self.stations[direction]
         if not station.queue:
             return
         frame, rx = station.queue.popleft()
@@ -173,18 +163,15 @@ class EthernetLink:
         self.busy_ns[direction] += duration
         sim.on_tx_start(self, station, frame, now, duration, rx)
 
-    def receivers(self, sender: Station) -> list[Station]:
-        return [st for st in self.endpoints if st is not sender]
-
     def on_complete(self, sim, now: int, sender: Station) -> None:
-        self.request_kick(sim, now, self.endpoints.index(sender))
+        self.request_kick(sim, now, self.stations.index(sender))
 
     def report(self, t_end_ns: int) -> dict:
-        names = [st.name for st in self.endpoints]
+        names = [st.name for st in self.stations]
         # Per direction, only the last transmission can run past t_end.
         busy = [b - max(0, until - t_end_ns) for b, until in zip(self.busy_ns, self.busy_until)]
         util = {
             f"{names[i]}->{names[1 - i]}": busy[i] / t_end_ns if t_end_ns else 0.0
-            for i in range(len(self.endpoints))
+            for i in range(len(self.stations))
         }
         return {"kind": self.kind, "utilization": util, "clashes": 0}

@@ -193,16 +193,17 @@ class EthernetHost(Node):
 class EocNode(Node):
     kind = "eoc"
 
-    def __init__(self, name, mac, *args, can_priority: int = 0x100, vcid: int = 0, **kwargs):
+    def __init__(self, name, mac, *args, can_priority: int = 0x100, **kwargs):
         super().__init__(name, mac, *args, **kwargs)
         frames.fits("can_priority", can_priority, 11)
-        frames.fits("vcid", vcid, 8)
         self.can_priority = can_priority
-        self.vcid = vcid
         self.af_image = frames.make_af_from_da(mac)  # what the hardware filter compares
+        # the acceptance field of compact frames addressed to this node; a
+        # tunnel node takes none
+        self.ip_af = None
 
     def _emit_eth(self, sim, now: int, eth: EthernetFrame) -> None:
-        self._transmit(sim, now, frames.eoc_encapsulate(eth, self.can_priority, self.vcid))
+        self._transmit(sim, now, frames.eoc_encapsulate(eth, self.can_priority))
 
     def on_receive(self, sim, now: int, frame, rx: frames.Decoded) -> None:
         if not isinstance(frame, CanXlFrame):
@@ -216,11 +217,8 @@ class EocNode(Node):
                 self.counters["af_false_positive"] += 1
                 return
             self._dispatch_eth(sim, now, rx)
-        else:
-            self._on_other_sdt(sim, now, frame, rx)
-
-    def _on_other_sdt(self, sim, now: int, frame: CanXlFrame, rx: frames.Decoded) -> None:
-        pass
+        elif frame.af == self.ip_af and rx.net is not None:  # compact, header checked
+            self._deliver(sim, now, rx.payload)
 
 
 class IocNode(EocNode):
@@ -231,7 +229,6 @@ class IocNode(EocNode):
         self.eoc_refresh_interval_ns = None if eoc_refresh_interval is None else to_ns(
             eoc_refresh_interval, "eoc_refresh_interval")
         self.next_refresh_ns: int | None = None
-        # the acceptance field of compact frames addressed to this node, if any
         self.ip_af = None if self.ip is None else self.ip.to_u32()
 
     def startup(self, sim, now: int) -> None:
@@ -248,13 +245,9 @@ class IocNode(EocNode):
             return
         dgram = IocDatagram(self.ip, dst_ip, payload, protocol=FLOW_PROTOCOL)
         if frames.IOC_HEADER_LEN + len(payload) <= frames.CANXL_MAX_DATA:
-            self._transmit(sim, now, frames.ioc_encode(dgram, self.can_priority, self.vcid))
+            self._transmit(sim, now, frames.ioc_encode(dgram, self.can_priority))
         else:
             super()._send_datagram(sim, now, dst_mac, dst_ip, payload)
-
-    def _on_other_sdt(self, sim, now: int, frame: CanXlFrame, rx: frames.Decoded) -> None:
-        if frame.sdt == frames.SDT_IPV4 and frame.af == self.ip_af and rx.net is not None:
-            self._deliver(sim, now, rx.payload)
 
 
 class ClassicCanNode:

@@ -71,7 +71,6 @@ class PortConfig:
     kind: str
     egress_mode: str = EGRESS_EOC
     egress_priority_base: int = 0x700
-    vcid: int = 0
 
     def __post_init__(self):
         if self.kind not in PORT_KINDS:
@@ -79,7 +78,6 @@ class PortConfig:
         if self.egress_mode not in EGRESS_MODES:
             raise ValueError(f"unknown egress mode {self.egress_mode!r}")
         fits("egress_priority_base", self.egress_priority_base, 11)
-        fits("vcid", self.vcid, 8)
 
 
 @dataclass(frozen=True)
@@ -326,15 +324,15 @@ class CSwitch:
             if cfg.egress_mode == EGRESS_IOC_PREFERRED and isinstance(rx.net, Ipv4Datagram):
                 try:
                     dgram = IocDatagram.from_ipv4(rx.net)
-                    return (frames.ioc_encode(dgram, cfg.egress_priority_base, cfg.vcid),
+                    return (frames.ioc_encode(dgram, cfg.egress_priority_base),
                             frames.Decoded(None, dgram, dgram.payload))
                 except (NotPlainIpv4, frames.TooLarge):
                     pass
-            return frames.eoc_encapsulate(frame, cfg.egress_priority_base, cfg.vcid), rx
+            return frames.eoc_encapsulate(frame, cfg.egress_priority_base), rx
 
         # IocDatagram
         if cfg.kind == CAN_XL and cfg.egress_mode == EGRESS_IOC_PREFERRED:
-            return frames.ioc_encode(frame, cfg.egress_priority_base, cfg.vcid), rx
+            return frames.ioc_encode(frame, cfg.egress_priority_base), rx
         rebuilt = self._reconstruct_ethernet(frame, now)
         if rebuilt is None:
             self._drop("reconstruction_failure", frame, rx)
@@ -342,7 +340,7 @@ class CSwitch:
         if cfg.kind == ETH:
             return rebuilt
         eth, eth_rx = rebuilt
-        return frames.eoc_encapsulate(eth, cfg.egress_priority_base, cfg.vcid), eth_rx
+        return frames.eoc_encapsulate(eth, cfg.egress_priority_base), eth_rx
 
     def _reconstruct_ethernet(self, dgram: IocDatagram,
                               now: int) -> tuple[EthernetFrame, frames.Decoded] | None:

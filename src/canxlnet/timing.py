@@ -113,7 +113,7 @@ def to_ns(seconds: float, what: str = "duration") -> int:
     infinity and a time too large to scale."""
     ns = seconds * 1e9
     if not 0 <= ns < math.inf:
-        raise ValueError(f"{what} must be finite and non-negative")
+        raise ValueError(f"{what} must be at least 0 and below about 1.8e299 seconds")
     return round(ns)
 
 

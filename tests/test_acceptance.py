@@ -106,8 +106,8 @@ def test_size_delta():
             protocol=rng.randrange(256),
         )
         eoc = eoc_encapsulate(
-            EthernetFrame(rand_mac(rng), rand_mac(rng), 0x0800, dgram.to_bytes()), 0, 0)
-        ioc = ioc_encode(IocDatagram.from_ipv4(dgram), 0, 0)
+            EthernetFrame(rand_mac(rng), rand_mac(rng), 0x0800, dgram.to_bytes()), 0)
+        ioc = ioc_encode(IocDatagram.from_ipv4(dgram), 0)
         assert len(eoc.data) - len(ioc.data) == 26
 
 
@@ -117,14 +117,13 @@ def test_codec_round_trips():
     for _ in range(1000):
         eth = EthernetFrame(rand_mac(rng), rand_mac(rng), rng.randrange(0x10000),
                             rng.randbytes(rng.randint(0, 1500)))
-        assert eoc_decapsulate(eoc_encapsulate(eth, rng.randrange(2048),
-                                               rng.randrange(256))) == eth
+        assert eoc_decapsulate(eoc_encapsulate(eth, rng.randrange(2048))) == eth
     for _ in range(1000):
         dgram = IocDatagram(rand_ip(rng), rand_ip(rng),
                             rng.randbytes(rng.randint(0, 2040)),
                             dscp_ecn=rng.randrange(256), ttl=rng.randint(1, 255),
                             protocol=rng.randrange(256))
-        assert ioc_decapsulate(ioc_encode(dgram, rng.randrange(2048), 0)) == dgram
+        assert ioc_decapsulate(ioc_encode(dgram, rng.randrange(2048))) == dgram
     for _ in range(1000):
         kind = rng.randrange(3)
         sha, spa, tha, tpa = rand_mac(rng), rand_ip(rng), rand_mac(rng), rand_ip(rng)

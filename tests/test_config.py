@@ -261,13 +261,11 @@ MALFORMED = [
     (("nodes", 0, "can_priority"), True, "nodes.n1.can_priority"),
     (("run", "t_end"), True, "run.t_end"),
     (("nodes", 0, "start_time"), True, "nodes.n1.start_time"),
-    (("nodes", 0, "vcid"), True, "nodes.n1.vcid"),
     (("switches", 0, "bridge_id"), True, "switches.sw1.bridge_id"),
     (("switches", 0, "ageing_time"), True, "switches.sw1.ageing_time"),
     (("switches", 0, "ports", 0, "index"), True, "switches.sw1.ports.0.index"),
     (("switches", 0, "ports", 0, "egress_priority_base"), True,
      "switches.sw1.ports.0.egress_priority_base"),
-    (("switches", 0, "ports", 0, "vcid"), True, "switches.sw1.ports.0.vcid"),
     (("switches", 0, "legacy_rules"),
      [{"ingress_port": True, "match_id": 0x100, "egress": [{"port": 1, "id": 0x200}]}],
      "switches.sw1.legacy_rules.0.ingress_port"),
@@ -307,9 +305,7 @@ NON_INTEGERS = [
     ("port_index", ("switches", 0, "ports", 0, "index"), 0.5, "switches.sw1.ports.0.index"),
     ("egress_priority_base", ("switches", 0, "ports", 0, "egress_priority_base"), 1792.5,
      "switches.sw1.ports.0.egress_priority_base"),
-    ("port_vcid", ("switches", 0, "ports", 0, "vcid"), 0.5, "switches.sw1.ports.0.vcid"),
     ("can_priority", ("nodes", 0, "can_priority"), 256.5, "nodes.n1.can_priority"),
-    ("vcid", ("nodes", 0, "vcid"), 1.5, "nodes.n1.vcid"),
     ("can_id", ("flows", 0, "can_id"), 256.5, "flows.f1.can_id"),
     ("schedule_count", ("flows", 0, "schedule"), {"period": 0.001, "count": 2.0},
      "flows.f1.schedule.count"),
@@ -369,8 +365,6 @@ OUT_OF_RANGE = [
     ("bridge_id", ("switches", 0, "bridge_id"), 2**64, "switches.sw1"),
     ("bridge_id_negative", ("switches", 0, "bridge_id"), -1, "switches.sw1"),
     ("can_priority", ("nodes", 0, "can_priority"), 2048, "nodes.n1"),
-    ("vcid", ("nodes", 0, "vcid"), 256, "nodes.n1"),
-    ("port_vcid", ("switches", 0, "ports", 0, "vcid"), 256, "switches.sw1.ports.0"),
     ("can_id", ("flows", 1, "can_id"), 2048, "flows.f2"),
     ("rx_ids", ("nodes", 2, "rx_ids"), [2048], "nodes.c1"),
     ("legacy_match_id", ("switches", 0, "legacy_rules"),
@@ -449,6 +443,17 @@ def test_calibration_is_not_a_bus_key(key):
     with pytest.raises(ConfigError, match="unknown keys") as exc:
         checked(doc)
     assert exc.value.location == "buses.bus1"
+
+
+@pytest.mark.parametrize("path, location", [
+    (("nodes", 0, "vcid"), "nodes.n1"),
+    (("switches", 0, "ports", 0, "vcid"), "switches.sw1.ports.0"),
+], ids=["node", "port"])
+def test_vcid_is_not_a_key(path, location):
+    # nothing reads a virtual CAN network ID; every CAN XL frame is sent on VCID 0
+    with pytest.raises(ConfigError, match="unknown keys: vcid") as exc:
+        checked(edited(path, 0))
+    assert exc.value.location == location
 
 
 def test_classic_variant_is_valid():
@@ -579,11 +584,10 @@ def test_omitted_keys_keep_their_defaults():
     omitted = copy.deepcopy(WITH_CLASSIC)
     omitted["nodes"][0]["kind"] = "ioc"
     spelled = copy.deepcopy(omitted)
-    spelled["nodes"][0].update(start_time=0.0, static_arp={}, can_priority=0x100, vcid=0)
+    spelled["nodes"][0].update(start_time=0.0, static_arp={}, can_priority=0x100)
     spelled["nodes"][2]["start_time"] = 0.0
     spelled["switches"][0].update(ageing_time=300, legacy_rules=[])
-    spelled["switches"][0]["ports"][0].update(egress_mode="eoc", egress_priority_base=0x700,
-                                              vcid=0)
+    spelled["switches"][0]["ports"][0].update(egress_mode="eoc", egress_priority_base=0x700)
     spelled["run"].update(seed=0, startup_gratuitous_arp=True, trace=None, report=None)
     assert built(omitted) == built(spelled)
 

@@ -268,10 +268,10 @@ def ioc_encode_within(limit: int | None):
     than CAN XL's makes the TooLarge fallback reachable from Ethernet."""
     encode = frames.ioc_encode
 
-    def limited(dgram, priority, vcid):
+    def limited(dgram, priority):
         if limit is not None and frames.IOC_HEADER_LEN + len(dgram.payload) > limit:
             raise frames.TooLarge("over the test's limit")
-        return encode(dgram, priority, vcid)
+        return encode(dgram, priority)
     return limited
 
 
@@ -290,7 +290,7 @@ PLAIN = Ipv4Datagram(ip(1), ip(2), bytes(100), flags=frames.IPV4_DF)
        mode=st.sampled_from(EGRESS_MODES),
        limit=st.none() | st.integers(frames.IOC_HEADER_LEN, frames.ETH_MTU))
 def test_encoded_value_is_the_decode_of_the_encoded_frame(normalized, kind, mode, limit):
-    sw = CSwitch("sw", 1, [PortConfig(0, kind, mode, 0x123, vcid=7)])
+    sw = CSwitch("sw", 1, [PortConfig(0, kind, mode, 0x123)])
     for m, a in KNOWN:
         sw.efdb.learn_joint(m, a, 0, 0)
     rx = frames.decode(normalized)
@@ -299,10 +299,10 @@ def test_encoded_value_is_the_decode_of_the_encoded_frame(normalized, kind, mode
     with mock.patch.object(frames, "ioc_encode", ioc_encode_within(limit)):
         encoded = sw._encode_for_port(normalized, rx, sw.ports[0], 0)
         if isinstance(normalized, EthernetFrame) and kind == CAN_XL:
-            expected = frames.eoc_encapsulate(normalized, 0x123, 7)
+            expected = frames.eoc_encapsulate(normalized, 0x123)
             if mode == EGRESS_IOC_PREFERRED and normalized.ethertype == frames.ETHERTYPE_IPV4:
                 try:  # compacted exactly where the Ethernet payload parses as plain IPv4
-                    expected = frames.ioc_encode(frames.ethernet_to_ioc(normalized), 0x123, 7)
+                    expected = frames.ioc_encode(frames.ethernet_to_ioc(normalized), 0x123)
                 except (frames.NotPlainIpv4, frames.TooLarge):
                     pass
             assert encoded[0] == expected

@@ -25,7 +25,7 @@ from canxlnet.frames import (
     ipv4_checksum,
     make_af_from_da,
 )
-from canxlnet.nodes import EocNode
+from canxlnet.nodes import EocNode, IocNode
 
 
 def reference_checksum(header: bytes) -> int:
@@ -91,7 +91,7 @@ class TestAcceptanceField:
 class TestEoc:
     def test_minimal_frame(self):
         eth = EthernetFrame(M1, M2, 0x0800, bytes(46))
-        frame = eoc_encapsulate(eth, 0x100, 0)
+        frame = eoc_encapsulate(eth, 0x100)
         assert frame.sdt == frames.SDT_ETHERNET
         assert frame.af == 0xAABBCCDD
         assert len(frame.data) == 60
@@ -99,17 +99,17 @@ class TestEoc:
 
     def test_64_byte_datagram(self):
         eth = EthernetFrame(M1, M2, 0x0800, bytes(64))
-        assert len(eoc_encapsulate(eth, 0, 0).data) == 78
+        assert len(eoc_encapsulate(eth, 0).data) == 78
 
     def test_broadcast_af(self):
         eth = EthernetFrame(BROADCAST_MAC, M2, 0x0806, bytes(46))
-        frame = eoc_encapsulate(eth, 0, 0)
+        frame = eoc_encapsulate(eth, 0)
         assert frame.af == 0xFFFFFFFF
         assert frame.af & (1 << 24)
 
     def test_round_trip(self):
         eth = EthernetFrame(M1, M2, 0x0800, bytes(range(46)))
-        assert eoc_decapsulate(eoc_encapsulate(eth, 5, 7)) == eth
+        assert eoc_decapsulate(eoc_encapsulate(eth, 5)) == eth
 
     def test_wrong_sdt(self):
         frame = CanXlFrame(1, frames.SDT_IPV4, 0, 0, bytes(60))
@@ -122,10 +122,10 @@ class TestEoc:
             eoc_decapsulate(frame)
 
     @given(unicast_macs, unicast_macs, st.integers(0, 0xFFFF),
-           st.binary(max_size=1500), st.integers(0, 2047), st.integers(0, 255))
-    def test_round_trip_property(self, da, sa, ethertype, payload, prio, vcid):
+           st.binary(max_size=1500), st.integers(0, 2047))
+    def test_round_trip_property(self, da, sa, ethertype, payload, prio):
         eth = EthernetFrame(da, sa, ethertype, payload)
-        frame = eoc_encapsulate(eth, prio, vcid)
+        frame = eoc_encapsulate(eth, prio)
         assert eoc_decapsulate(frame) == eth
         assert frame.af == make_af_from_da(eth.da)
         assert 1 <= len(frame.data) <= 2048
@@ -148,7 +148,7 @@ class TestEocAccept:
 
     def receive(self, da):
         node = EocNode("n1", M1)
-        frame = eoc_encapsulate(EthernetFrame(da, M2, frames.ETHERTYPE_RAW_DATA, bytes(46)), 0, 0)
+        frame = eoc_encapsulate(EthernetFrame(da, M2, frames.ETHERTYPE_RAW_DATA, bytes(46)), 0)
         sim = Deliveries()
         node.on_receive(sim, 0, frame, frames.decode(frame))
         return node.counters["af_false_positive"], sim.payloads
@@ -158,7 +158,7 @@ class TestEocAccept:
 
     def test_af_tie_broken_in_software(self):
         near_miss = MacAddress.parse("aa:bb:cc:dd:ee:00")
-        frame = eoc_encapsulate(EthernetFrame(near_miss, M2, 0x0800, bytes(46)), 0, 0)
+        frame = eoc_encapsulate(EthernetFrame(near_miss, M2, 0x0800, bytes(46)), 0)
         assert af_filter_match(frame.af, make_af_from_da(M1))  # hardware stage clashes
         assert self.receive(near_miss) == (1, [])  # software stage rejects
 
@@ -170,20 +170,44 @@ class TestEocAccept:
         assert self.receive(M2) == (0, [])
 
 
+class TestCompactAccept:
+    """`EocNode.on_receive` takes a compact frame whose header checks out
+    and whose AF is the node's IPv4 address; a tunnel node takes none."""
+
+    def receive(self, cls, frame):
+        node = cls("n1", M1, IP1)
+        sim = Deliveries()
+        node.on_receive(sim, 0, frame, frames.decode(frame))
+        return sim.payloads
+
+    def test_own_address(self):
+        assert self.receive(IocNode, ioc_encode(IocDatagram(IP2, IP1, b"data"), 0)) == [b"data"]
+
+    def test_other_address(self):
+        assert self.receive(IocNode, ioc_encode(IocDatagram(IP1, IP2, b"data"), 0)) == []
+
+    def test_tunnel_node_takes_none(self):
+        assert self.receive(EocNode, ioc_encode(IocDatagram(IP2, IP1, b"data"), 0)) == []
+
+    def test_bad_header(self):
+        frame = CanXlFrame(0, frames.SDT_IPV4, 0, IP1.to_u32(), b"\x60" + bytes(11))
+        assert self.receive(IocNode, frame) == []
+
+
 def make_dgram(payload: bytes, src=IP1, dst=IP2, **kw) -> Ipv4Datagram:
     return Ipv4Datagram(src, dst, payload, **kw)
 
 
 class TestIoc:
     def test_64_byte_datagram(self):
-        frame = ioc_encode(IocDatagram.from_ipv4(make_dgram(bytes(44))), 0x100, 0)
+        frame = ioc_encode(IocDatagram.from_ipv4(make_dgram(bytes(44))), 0x100)
         assert len(frame.data) == 52
         assert frame.af == IP2.to_u32()
         assert frame.sdt == frames.SDT_IPV4
 
     def test_af_is_destination(self):
         dgram = make_dgram(bytes(44), dst=Ipv4Address.parse("10.0.0.2"))
-        frame = ioc_encode(IocDatagram.from_ipv4(dgram), 0, 0)
+        frame = ioc_encode(IocDatagram.from_ipv4(dgram), 0)
         assert frame.af == 0x0A000002
 
     def test_fragment_rejected(self):
@@ -198,11 +222,11 @@ class TestIoc:
 
     def test_too_large(self):
         with pytest.raises(frames.TooLarge):
-            ioc_encode(IocDatagram.from_ipv4(make_dgram(bytes(2041))), 0, 0)
+            ioc_encode(IocDatagram.from_ipv4(make_dgram(bytes(2041))), 0)
 
     def test_round_trip_and_total_length(self):
         dgram = make_dgram(bytes(44))
-        back = ioc_decapsulate(ioc_encode(IocDatagram.from_ipv4(dgram), 9, 3))
+        back = ioc_decapsulate(ioc_encode(IocDatagram.from_ipv4(dgram), 9))
         assert back == IocDatagram.from_ipv4(dgram)
         assert back.total_length == 64
 
@@ -212,14 +236,14 @@ class TestIoc:
             ioc_decapsulate(frame)
 
     def test_empty_payload_boundary(self):
-        frame = ioc_encode(IocDatagram(IP1, IP2, b""), 0, 0)
+        frame = ioc_encode(IocDatagram(IP1, IP2, b""), 0)
         assert len(frame.data) == 8
         assert ioc_decapsulate(frame).payload == b""
 
     def test_eoc_minus_ioc_is_26(self):
         dgram = make_dgram(bytes(44))
-        eoc = eoc_encapsulate(EthernetFrame(M1, M2, 0x0800, dgram.to_bytes()), 0, 0)
-        ioc = ioc_encode(IocDatagram.from_ipv4(dgram), 0, 0)
+        eoc = eoc_encapsulate(EthernetFrame(M1, M2, 0x0800, dgram.to_bytes()), 0)
+        ioc = ioc_encode(IocDatagram.from_ipv4(dgram), 0)
         assert len(eoc.data) - len(ioc.data) == 26
 
     @given(ips, ips, st.binary(min_size=26, max_size=1480),
@@ -228,15 +252,15 @@ class TestIoc:
         # Below 26 B of payload the Ethernet minimum-frame padding inflates
         # the tunneled form and the fixed 26-byte delta no longer applies.
         dgram = Ipv4Datagram(src, dst, payload, dscp_ecn=dscp, ttl=ttl, protocol=proto)
-        eoc = eoc_encapsulate(EthernetFrame(M1, M2, 0x0800, dgram.to_bytes()), 0, 0)
-        ioc = ioc_encode(IocDatagram.from_ipv4(dgram), 0, 0)
+        eoc = eoc_encapsulate(EthernetFrame(M1, M2, 0x0800, dgram.to_bytes()), 0)
+        ioc = ioc_encode(IocDatagram.from_ipv4(dgram), 0)
         assert len(eoc.data) - len(ioc.data) == 26
 
     @given(ips, ips, st.binary(max_size=2040), st.integers(0, 255),
            st.integers(1, 255), st.integers(0, 255))
     def test_round_trip_property(self, src, dst, payload, dscp, ttl, proto):
         dgram = IocDatagram(src, dst, payload, dscp_ecn=dscp, ttl=ttl, protocol=proto)
-        assert ioc_decapsulate(ioc_encode(dgram, 11, 0)) == dgram
+        assert ioc_decapsulate(ioc_encode(dgram, 11)) == dgram
 
 
 class TestIpv4Rebuild:
@@ -344,13 +368,13 @@ _RAW = EthernetFrame(M1, M2, frames.ETHERTYPE_RAW_DATA, bytes(46))
 
 
 @pytest.mark.parametrize("frame, expected", [
-    (eoc_encapsulate(arp_serialize(_REQUEST), 0, 0), (arp_serialize(_REQUEST), _REQUEST, None)),
+    (eoc_encapsulate(arp_serialize(_REQUEST), 0), (arp_serialize(_REQUEST), _REQUEST, None)),
     (EthernetFrame(M1, M2, 0x0800, _IPV4.to_bytes()),
      (EthernetFrame(M1, M2, 0x0800, _IPV4.to_bytes()), _IPV4, b"tagged payload")),
     (_RAW, (_RAW, None, bytes(46))),
     (EthernetFrame(M1, M2, frames.ETHERTYPE_BPDU, bytes(46)),
      (EthernetFrame(M1, M2, frames.ETHERTYPE_BPDU, bytes(46)), None, None)),
-    (ioc_encode(_DGRAM, 0, 0), (None, _DGRAM, b"tagged payload")),
+    (ioc_encode(_DGRAM, 0), (None, _DGRAM, b"tagged payload")),
     (_DGRAM, (None, _DGRAM, b"tagged payload")),
     (frames.ClassicCanFrame(0x123, b"12345678"), (None, None, b"12345678")),
     (CanXlFrame(0, frames.SDT_CAN_FD, 0, 0, bytes(8)), (None, None, None)),
@@ -377,7 +401,7 @@ def test_decode_reads_a_request_with_any_target_mac(sha, spa, tha, tpa):
     msg = ArpMessage(ArpOp.REQUEST, sha, spa, tha, tpa)
     eth = arp_serialize(msg)
     assert frames.decode(eth).net == msg
-    assert frames.decode(eoc_encapsulate(eth, 0, 0)).net == msg
+    assert frames.decode(eoc_encapsulate(eth, 0)).net == msg
 
 
 class TestWireTypes:

@@ -34,7 +34,7 @@ def contend(*frames):
     bus = CanBus("bus", CanXlTimingParams(500e3, 16e6))
     for name, frame in zip("abcdefgh", frames):
         station = Station(name, None, bus)
-        bus.attach(station)
+        bus.stations.append(station)
         bus.enqueue(sim, station, frame, 0)
     bus.kick(sim, 0)
     return bus, sim
@@ -74,7 +74,7 @@ def test_no_contenders_start_nothing():
 def test_ethernet_frames_cannot_contend():
     bus = CanBus("bus", CanXlTimingParams(500e3, 16e6))
     station = Station("a", None, bus)
-    bus.attach(station)
+    bus.stations.append(station)
     with pytest.raises(TypeError):
         bus.enqueue(Recorder(), station, EthernetFrame(ZERO_MAC, ZERO_MAC, 0, b""), 0)
     assert not station.queue
