@@ -10,14 +10,13 @@ retries, and the media's arbitration kicks.
 
 Media hand each transmission they start to `Simulation.on_tx_start`,
 which describes the frame once, traces it and schedules its completion.
-A packet is decoded once where it is built or first received: a frame a
-switch emits travels to its medium's queue together with its
-`frames.Decoded` value, which the switch built from what it held, and
-only a frame a node queued is read through every layer by
-`frames.decode` in `on_tx_start`.  That one value goes to flow
-attribution, to the summary and to every receiver's `on_receive`, a
-node's or a switch port's (`SwitchPortRef` calls `CSwitch.on_ingress`
-and queues its `(port, frame, rx)` emissions with `emit`).
+A packet is decoded where it is built, never parsed on the way: every
+frame, a node's or a switch's, travels to its medium's queue together
+with its `frames.Decoded` value, which its sender built from what it
+held.  That one value goes to flow attribution, to the summary and to
+every receiver's `on_receive`, a node's or a switch port's
+(`SwitchPortRef` calls `CSwitch.on_ingress` and queues its
+`(port, frame, rx)` emissions with `emit`).
 `frame_summary` writes the summary as JSON text, and every per-packet
 record (`app_send`, `tx_start`, `tx_complete`, `deliver`, `app_deliver`
 and the drop of a frame no flow owns) is written as text around it and
@@ -367,12 +366,9 @@ class Simulation:
     # -- engine callbacks ------------------------------------------------------
 
     def on_tx_start(self, medium, station: Station, frame, now: int, duration_ns: int,
-                    rx: frames.Decoded | None = None) -> None:
+                    rx: frames.Decoded) -> None:
         """Describe a started transmission once, trace it and schedule its
-        end.  `rx` is `frames.decode(frame)` as its sender built it, or
-        None for a frame not decoded yet (a node's), decoded here."""
-        if rx is None:
-            rx = frames.decode(frame)
+        end.  `rx` is `frames.decode(frame)` as its sender built it."""
         summary = frame_summary(frame, rx.eth)
         location, source, _ = self.fanout[station]
         fl = self.flow_of(rx)
@@ -388,18 +384,14 @@ class Simulation:
         self.schedule(now + duration_ns, self.on_tx_complete,
                       medium, station, frame, rx, summary, shared)
 
-    def on_clash(self, bus, dropped: list[tuple[Station, object]]) -> None:
-        self.trace("clash", bus.name, stations=[st.name for st, _ in dropped])
-        for _station, frame in dropped:
-            self.drop(frame, "priority_clash", bus.name)
+    def on_clash(self, bus, dropped: list[tuple[Station, object, frames.Decoded]]) -> None:
+        self.trace("clash", bus.name, stations=[st.name for st, _, _ in dropped])
+        for _station, frame, rx in dropped:
+            self.drop(frame, "priority_clash", bus.name, rx)
 
-    def drop(self, frame, reason: str, location: str,
-             rx: frames.Decoded | None = None) -> None:
-        """Account a dropped frame to its flow, or trace it as anonymous.
-        A switch passes the value it decoded the frame to; a frame lost
-        in a bus clash never started, so it is decoded here."""
-        if rx is None:
-            rx = frames.decode(frame)
+    def drop(self, frame, reason: str, location: str, rx: frames.Decoded) -> None:
+        """Account a dropped frame, decoded as `rx`, to its flow, or trace it
+        as anonymous."""
         fl = self.flow_of(rx)
         if fl is not None:
             self.flow_drop(fl[0], fl[1], reason, location)

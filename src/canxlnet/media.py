@@ -13,11 +13,13 @@ direction.  Multidrop Ethernet is not modeled.
 
 A medium only decides when a frame starts and hands the transmission to
 `Simulation.on_tx_start`, which traces it and schedules its completion.
-A queued frame keeps the `frames.Decoded` value its sender passed along
-(None if it has none yet), and the medium hands that over with it.
+A queued frame keeps the `frames.Decoded` value its sender built with
+it, and the medium hands that over with it, to `on_tx_start` or, for the
+frames a bus clash discards, to `Simulation.on_clash`.
 An enqueue asks for an arbitration kick only while the medium (for a
 link, that direction) is idle; a busy one is kicked again when its
-transmission completes, so no kick runs only to find the medium busy.
+transmission completes.  Only a kick starts a transmission and one kick
+at most is pending, so a kick always runs on an idle medium.
 Utilization counts busy time up to `t_end`, not past it.
 
 All state is owned by the simulation engine and mutated in event order.
@@ -42,7 +44,7 @@ class Station:
         self.owner = owner
         self.medium = medium
         # a link's FIFO of (frame, rx); on a bus, a heap of (priority,
-        # enqueue order, frame, rx); rx is the frame's decoded value or None
+        # enqueue order, frame, rx); rx is the frame's decoded value
         self.queue = deque() if isinstance(medium, EthernetLink) else []
 
     def __repr__(self):
@@ -74,8 +76,7 @@ class CanBus:
             return to_ns(timing.classic_can_duration(frame, self.params.arb_bitrate))
         return to_ns(timing.canxl_duration(len(frame.data), self.params))
 
-    def enqueue(self, sim, station: Station, frame, now: int,
-                rx: Decoded | None = None) -> None:
+    def enqueue(self, sim, station: Station, frame, now: int, rx: Decoded) -> None:
         heapq.heappush(station.queue, (frame_priority(frame), next(self.enqueued), frame, rx))
         if self.busy_until <= now:  # a busy bus re-arms in on_complete
             self.request_kick(sim, now)
@@ -87,10 +88,8 @@ class CanBus:
 
     def kick(self, sim, now: int) -> None:
         """Start the queue head with the lowest priority value (dominant-bit
-        semantics) if the bus is idle."""
+        semantics) on the idle bus."""
         self.kick_pending = False
-        if self.busy_until > now:
-            return
         while True:
             heads = [st for st in self.stations if st.queue]
             if not heads:
@@ -102,7 +101,7 @@ class CanBus:
             # Unresolvable: drop the tied frames and re-arbitrate the
             # remaining contenders at this same instant.
             self.clashes += 1
-            sim.on_clash(self, [(st, heapq.heappop(st.queue)[2]) for st in tied])
+            sim.on_clash(self, [(st, *heapq.heappop(st.queue)[2:]) for st in tied])
         station = tied[0]
         _, _, frame, rx = heapq.heappop(station.queue)
         duration = self.frame_duration_ns(frame)
@@ -136,8 +135,7 @@ class EthernetLink:
     def frame_duration_ns(self, frame: EthernetFrame) -> int:
         return to_ns(timing.ethernet_duration(len(frame.payload), self.params))
 
-    def enqueue(self, sim, station: Station, frame, now: int,
-                rx: Decoded | None = None) -> None:
+    def enqueue(self, sim, station: Station, frame, now: int, rx: Decoded) -> None:
         if not isinstance(frame, EthernetFrame):
             raise TypeError(f"{type(frame).__name__} cannot travel on an Ethernet link")
         station.queue.append((frame, rx))
@@ -152,8 +150,6 @@ class EthernetLink:
 
     def kick(self, sim, now: int, direction: int) -> None:
         self.kick_pending[direction] = False
-        if self.busy_until[direction] > now:
-            return
         station = self.stations[direction]
         if not station.queue:
             return

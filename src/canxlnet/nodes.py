@@ -5,17 +5,16 @@ station.  A tunnel node has a CAN XL interface and a thin layer that
 emulates Ethernet in software, so the regular ARP/IPv4 stack runs on top
 unchanged; receive filtering is two-staged (hardware acceptance field
 match, then the full embedded DA).  A streamlined node is a tunnel node
-that sends plain IPv4 as compact-header CAN XL frames whenever they fit,
-falling back to the tunnel for oversized datagrams and, periodically, to
+that sends plain IPv4 as compact-header CAN XL frames (every datagram a
+flow may send fits one), falling back to the tunnel only periodically, to
 refresh the switches' address knowledge.  ARP itself always travels as
 (tunneled) Ethernet.
 
 Classic CAN nodes exist only to drive the static relay path: no MAC, no
-IP, identifier-based reception.  Every `on_receive` gets the frame with
-its `frames.Decoded` value from the engine, so no node parses a header: a
-packet is decoded once where it is built or first received (a node's
-frame by the engine when it starts, a switch's emission by the switch
-that encodes it).
+IP, identifier-based reception.  No node parses a header: a node queues
+each frame it builds with its `frames.Decoded` value, made from what the
+node already holds (the ARP message, the datagram, the payload), and
+every `on_receive` gets the frame with that value of its transmission.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from .frames import (
     ArpOp,
     CanXlFrame,
     ClassicCanFrame,
+    Decoded,
     EthernetFrame,
     Ipv4Address,
     Ipv4Datagram,
@@ -77,11 +77,12 @@ class Node:
 
     # -- transmit ----------------------------------------------------------
 
-    def _transmit(self, sim, now: int, frame) -> None:
-        self.station.medium.enqueue(sim, self.station, frame, now)
+    def _transmit(self, sim, now: int, frame, rx: Decoded) -> None:
+        self.station.medium.enqueue(sim, self.station, frame, now, rx)
 
-    def _emit_eth(self, sim, now: int, eth: EthernetFrame) -> None:
-        self._transmit(sim, now, eth)
+    def _emit_eth(self, sim, now: int, rx: Decoded) -> None:
+        """Queue the Ethernet frame `rx.eth`, decoded as `rx`."""
+        self._transmit(sim, now, rx.eth, rx)
 
     def startup(self, sim, now: int) -> None:
         """Announce the node's own binding so switches can snoop it.
@@ -94,12 +95,12 @@ class Node:
         if self.ip is None or not (self.has_static_arp or self.kind == "ioc"):
             return
         msg = ArpMessage(ArpOp.GRATUITOUS_REPLY, self.mac, self.ip, ZERO_MAC, self.ip)
-        self._emit_eth(sim, now, frames.arp_serialize(msg))
+        self._emit_eth(sim, now, Decoded(frames.arp_serialize(msg), msg, None))
 
     def app_send(self, sim, now: int, flow, seq: int, payload: bytes) -> None:
         if flow.transport == "raw-ethernet":
             eth = EthernetFrame(flow.dst_mac, self.mac, ETHERTYPE_RAW_DATA, payload)
-            self._emit_eth(sim, now, eth)
+            self._emit_eth(sim, now, Decoded(eth, None, eth.payload))  # padded, as sent
         elif flow.transport == "ipv4":
             self.send_ip(sim, now, flow.dst_ip, payload, flow, seq)
         else:
@@ -117,14 +118,15 @@ class Node:
 
     def _send_arp_request(self, sim, now: int, dst_ip: Ipv4Address) -> None:
         msg = ArpMessage(ArpOp.REQUEST, self.mac, self.ip, ZERO_MAC, dst_ip)
-        self._emit_eth(sim, now, frames.arp_serialize(msg))
+        self._emit_eth(sim, now, Decoded(frames.arp_serialize(msg), msg, None))
         retry_at = now + ARP_RETRY_NS
         sim.schedule(retry_at, self.arp_retry, sim, retry_at, dst_ip)
 
     def _send_datagram(self, sim, now: int, dst_mac: MacAddress,
                        dst_ip: Ipv4Address, payload: bytes) -> None:
         dgram = Ipv4Datagram(self.ip, dst_ip, payload, protocol=FLOW_PROTOCOL)
-        self._emit_eth(sim, now, EthernetFrame(dst_mac, self.mac, ETHERTYPE_IPV4, dgram.to_bytes()))
+        eth = EthernetFrame(dst_mac, self.mac, ETHERTYPE_IPV4, dgram.to_bytes())
+        self._emit_eth(sim, now, Decoded(eth, dgram, payload))
 
     def arp_retry(self, sim, now: int, dst_ip: Ipv4Address) -> None:
         sim.trace("timer", self.name, reason="arp-retry")
@@ -142,8 +144,8 @@ class Node:
     # -- receive -----------------------------------------------------------
 
     def on_receive(self, sim, now: int, frame, rx: frames.Decoded) -> None:
-        """Receive `frame`; `rx` is `frames.decode(frame)`, decoded once per
-        transmission by the engine."""
+        """Receive `frame`; `rx` is `frames.decode(frame)`, as the frame's
+        sender built it."""
         if isinstance(frame, EthernetFrame) and \
                 (frame.da == self.mac or frame.da.is_group()):
             self._dispatch_eth(sim, now, rx)
@@ -183,7 +185,7 @@ class Node:
 
         if msg.op == ArpOp.REQUEST and self.ip is not None and msg.tpa == self.ip:
             reply = ArpMessage(ArpOp.REPLY, self.mac, self.ip, msg.sha, msg.spa)
-            self._emit_eth(sim, now, frames.arp_serialize(reply))
+            self._emit_eth(sim, now, Decoded(frames.arp_serialize(reply), reply, None))
 
 
 class EthernetHost(Node):
@@ -202,8 +204,8 @@ class EocNode(Node):
         # tunnel node takes none
         self.ip_af = None
 
-    def _emit_eth(self, sim, now: int, eth: EthernetFrame) -> None:
-        self._transmit(sim, now, frames.eoc_encapsulate(eth, self.can_priority))
+    def _emit_eth(self, sim, now: int, rx: Decoded) -> None:
+        self._transmit(sim, now, frames.eoc_encapsulate(rx.eth, self.can_priority), rx)
 
     def on_receive(self, sim, now: int, frame, rx: frames.Decoded) -> None:
         if not isinstance(frame, CanXlFrame):
@@ -244,10 +246,8 @@ class IocNode(EocNode):
             super()._send_datagram(sim, now, dst_mac, dst_ip, payload)
             return
         dgram = IocDatagram(self.ip, dst_ip, payload, protocol=FLOW_PROTOCOL)
-        if frames.IOC_HEADER_LEN + len(payload) <= frames.CANXL_MAX_DATA:
-            self._transmit(sim, now, frames.ioc_encode(dgram, self.can_priority))
-        else:
-            super()._send_datagram(sim, now, dst_mac, dst_ip, payload)
+        self._transmit(sim, now, frames.ioc_encode(dgram, self.can_priority),
+                       Decoded(None, dgram, payload))
 
 
 class ClassicCanNode:
@@ -270,8 +270,8 @@ class ClassicCanNode:
     def app_send(self, sim, now: int, flow, seq: int, payload: bytes) -> None:
         if flow.transport != "classic-can":
             raise ValueError(f"{self.name} only sends classic CAN frames")
-        self.station.medium.enqueue(
-            sim, self.station, ClassicCanFrame(flow.can_id, payload), now)
+        self.station.medium.enqueue(sim, self.station, ClassicCanFrame(flow.can_id, payload),
+                                    now, Decoded(None, None, payload))
 
     def on_receive(self, sim, now: int, frame, rx: frames.Decoded) -> None:
         if isinstance(frame, ClassicCanFrame) and frame.id in self.rx_ids:

@@ -11,12 +11,12 @@ TARP cache) populated by snooping the decoded ARP messages and checked
 IPv4 headers; with it the switch can rebuild full Ethernet frames for
 streamlined datagrams that must leave on an Ethernet port.
 
-A packet is decoded once where it is built or first received, never
-again on its way through the switches: every emission is a
-`(port, frame, rx)` triple whose `rx` equals `frames.decode(frame)`,
-built from what the switch already holds (the ingress value, the BPDU
-it encoded, the checked datagram it compacts or the one it rebuilds),
-and the drop hook gets the ingress value too.
+A packet is decoded where it is built and never parsed on its way
+through the switches: every emission is a `(port, frame, rx)` triple
+whose `rx` equals `frames.decode(frame)`, built from what the switch
+already holds (the ingress value, the BPDU it encoded, the checked
+datagram it compacts or the one it rebuilds), and the drop hook gets the
+ingress value too.
 
 Loop prevention uses a reduced spanning tree: 64-bit bridge ids, hello
 BPDUs every 2 s, lowest root id wins, per-port roles root/designated/
@@ -326,7 +326,7 @@ class CSwitch:
                     dgram = IocDatagram.from_ipv4(rx.net)
                     return (frames.ioc_encode(dgram, cfg.egress_priority_base),
                             frames.Decoded(None, dgram, dgram.payload))
-                except (NotPlainIpv4, frames.TooLarge):
+                except NotPlainIpv4:
                     pass
             return frames.eoc_encapsulate(frame, cfg.egress_priority_base), rx
 

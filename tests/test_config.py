@@ -6,8 +6,9 @@ import yaml
 from hypothesis import given, strategies as st
 
 from canxlnet import config
+from canxlnet.cli import main
 from canxlnet.config import MAX_DEPTH, build_topology, load_config
-from canxlnet.engine import ConfigError
+from canxlnet.engine import ConfigError, Simulation
 
 from conftest import SCENARIOS, all_scenarios, workload_yaml, workloads
 
@@ -465,6 +466,106 @@ def test_classic_variant_is_valid():
                          ids=[case[0] for case in OUT_OF_RANGE])
 def test_out_of_range_integer_is_located(path, value, location):
     assert_located(path, value, location, WITH_CLASSIC)
+
+
+def flow(**fields) -> dict:
+    """MINIMAL's flow f1 with `fields` in place of its transport and addresses."""
+    return {"name": "f1", "source": "n1", "payload_size": 44, "schedule": {"at": 0.001},
+            **fields}
+
+
+PORT0, PORT1 = MINIMAL["switches"][0]["ports"]
+SW1 = MINIMAL["switches"][0]
+
+# What `Topology` refuses once every value parses: (id, base document,
+# (path, value) edits, location, reason), one row per refusal.
+TOPOLOGY_ERRORS = [
+    ("duplicate_node", MINIMAL, [(("nodes",), [*MINIMAL["nodes"], MINIMAL["nodes"][0]])],
+     "nodes.n1", "duplicate name"),
+    ("duplicate_switch", MINIMAL, [(("switches",), [SW1, SW1])], "switches.sw1",
+     "duplicate name"),
+    ("switch_named_as_a_node", MINIMAL, [(("switches", 0, "name"), "n1")], "switches.n1",
+     "duplicate name"),
+    ("node_attached_twice", MINIMAL, [(("buses", 0, "stations"), ["n1", "sw1.p0", "n1"])],
+     "nodes.n1", "attached to more than one medium"),
+    ("no_such_port", MINIMAL, [(("buses", 0, "stations"), ["n1", "sw1.p0", "sw1.p9"])],
+     "switches.sw1", "no port 9"),
+    ("port_attached_twice", MINIMAL,
+     [(("buses", 0, "stations"), ["n1", "sw1.p0", "sw1.p0"])],
+     "switches.sw1.ports.0", "attached to more than one medium"),
+    # a bridge MAC holds the low 32 bits of the bridge id
+    ("bridge_mac_collision", MINIMAL,
+     [(("switches",), [SW1, {"name": "sw2", "bridge_id": 2**32 + 1, "ports": []}])],
+     "switches.sw2", "bridge MAC 0a:b1:00:00:00:01 already used by sw1"),
+    ("can_node_on_a_link", MINIMAL,
+     [(("buses", 0, "stations"), ["sw1.p0"]), (("links", 0, "endpoints"), ["sw1.p1", "n1"])],
+     "nodes.n1", "CAN nodes attach to buses"),
+    ("unattached_port", MINIMAL,
+     [(("switches", 0, "ports"), [PORT0, PORT1, {"index": 2, "kind": "can"}])],
+     "switches.sw1.ports.2", "not attached"),
+    ("ethernet_port_on_a_bus", MINIMAL,
+     [(("switches", 0, "ports"), [PORT0, PORT1, {"index": 2, "kind": "ethernet"}]),
+      (("buses", 0, "stations"), ["n1", "sw1.p0", "sw1.p2"])],
+     "switches.sw1.ports.2", "Ethernet port wired to a CAN bus"),
+    ("legacy_rule_unknown_port", MINIMAL,
+     [(("switches", 0, "legacy_rules"),
+       [{"ingress_port": 9, "match_id": 0x100, "egress": [{"port": 0, "id": 0x200}]}])],
+     "switches.sw1.legacy_rules.0", "no port 9"),
+    ("unknown_source", MINIMAL, [(("flows", 0, "source"), "ghost")], "flows.f1",
+     "unknown source node 'ghost'"),
+    ("classic_flow_from_a_can_xl_node", MINIMAL,
+     [(("flows", 0), flow(transport="classic-can", can_id=0x100, payload_size=8))],
+     "flows.f1", "classic-can flows need a classic-can source"),
+    ("classic_flow_without_can_id", WITH_CLASSIC,
+     [(("flows", 1), flow(name="f2", source="c1", transport="classic-can", payload_size=8))],
+     "flows.f2", "classic-can flows need can_id"),
+    ("ipv4_flow_without_an_ip", WITH_CLASSIC,
+     [(("flows", 1), flow(name="f2", source="c1", transport="ipv4", dst_ip="10.0.0.2"))],
+     "flows.f2", "ipv4 flows need a source with an IP address"),
+    ("ipv4_payload_above_1480", MINIMAL, [(("flows", 0, "payload_size"), 1481)], "flows.f1",
+     "payload_size above 1480"),
+    ("raw_flow_from_a_classic_node", WITH_CLASSIC,
+     [(("flows", 1), flow(name="f2", source="c1", transport="raw-ethernet",
+                          dst_mac="02:00:00:00:00:02"))],
+     "flows.f2", "raw-ethernet flows need a MAC-capable source"),
+    ("raw_flow_without_dst_mac", MINIMAL, [(("flows", 0), flow(transport="raw-ethernet"))],
+     "flows.f1", "raw-ethernet flows need dst_mac"),
+    ("raw_payload_above_1500", MINIMAL,
+     [(("flows", 0), flow(transport="raw-ethernet", dst_mac="02:00:00:00:00:02",
+                          payload_size=1501))],
+     "flows.f1", "payload_size above 1500"),
+]
+
+
+def edited_all(base, edits) -> dict:
+    """A copy of `base` with each (path, value) of `edits` applied in turn."""
+    doc = base
+    for path, value in edits:
+        doc = edited(path, copy.deepcopy(value), doc)
+    return doc
+
+
+@pytest.mark.parametrize("base, edits, location, reason",
+                         [pytest.param(*case[1:], id=case[0]) for case in TOPOLOGY_ERRORS])
+def test_topology_error_is_located(base, edits, location, reason):
+    with pytest.raises(ConfigError) as exc:
+        Simulation(build_topology(edited_all(base, edits)))
+    assert (exc.value.location, exc.value.reason) == (location, reason)
+
+
+# the rows also run through `canxlnet simulate`
+SIMULATED = ("duplicate_node", "port_attached_twice", "bridge_mac_collision", "unattached_port",
+             "raw_payload_above_1500")
+
+
+@pytest.mark.parametrize("base, edits, location, reason",
+                         [pytest.param(*case[1:], id=case[0]) for case in TOPOLOGY_ERRORS
+                          if case[0] in SIMULATED])
+def test_simulate_exits_2_on_a_topology_error(tmp_path, capsys, base, edits, location, reason):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(edited_all(base, edits)))
+    assert main(["simulate", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {location}: {reason}\n"
 
 
 def test_static_arp_other_than_a_mapping_is_located():

@@ -1,14 +1,13 @@
-"""A packet is decoded once where it is built or first received.
+"""A packet is decoded where it is built, and never parsed during a run.
 
-Every frame a C-switch emits travels to its medium with its
+Every frame a node or a C-switch queues travels to its medium with its
 `frames.Decoded` value, and that value must be exactly what
 `frames.decode` reads from the frame.  These tests check that equality on
-every transmission of the bundled scenarios and of a switched ring, and
-on `CSwitch._encode_for_port` for generated frames, and count what is
-still parsed.
+every transmission of the bundled scenarios, of a switched ring and of a
+bus and a link that reach every node send site, and on
+`CSwitch._encode_for_port` for generated frames, and check that nothing
+is parsed while a simulation runs.
 """
-
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -26,7 +25,7 @@ from canxlnet.frames import (
     MacAddress,
     ZERO_MAC,
 )
-from canxlnet.nodes import EocNode, EthernetHost, IocNode
+from canxlnet.nodes import ClassicCanNode, EocNode, EthernetHost, IocNode
 from canxlnet.switch import (
     CAN_XL,
     CSwitch,
@@ -111,11 +110,11 @@ def ring() -> Topology:
 
 def carried(monkeypatch) -> list:
     """Patch `Simulation.on_tx_start` to record (frame, carried rx, sender
-    owner) for every transmission; rx is None for a node's frame."""
+    owner) for every transmission."""
     started = []
     on_tx_start = Simulation.on_tx_start
 
-    def recording(self, medium, station, frame, now, duration_ns, rx=None):
+    def recording(self, medium, station, frame, now, duration_ns, rx):
         started.append((frame, rx, station.owner))
         on_tx_start(self, medium, station, frame, now, duration_ns, rx)
 
@@ -125,14 +124,27 @@ def carried(monkeypatch) -> list:
 
 def switch_emissions(started) -> list:
     """The (frame, rx) of every transmission a switch started, after
-    checking that each carries `frames.decode(frame)` and that a node's
-    frame carries nothing."""
-    for frame, rx, owner in started:
-        if isinstance(owner, SwitchPortRef):
-            assert rx == frames.decode(frame)
-        else:
-            assert rx is None
+    checking that every transmission, a node's too, carries
+    `frames.decode(frame)`."""
+    for frame, rx, _ in started:
+        assert rx == frames.decode(frame)
     return [(frame, rx) for frame, rx, owner in started if isinstance(owner, SwitchPortRef)]
+
+
+# Every parser a frame can go through: none of them may run during a run.
+PARSERS = [(frames, "decode"), (frames, "eoc_decapsulate"), (frames, "ioc_decapsulate"),
+           (frames, "arp_parse"), (EthernetFrame, "from_bytes"), (Ipv4Datagram, "from_bytes")]
+
+
+def parses(monkeypatch) -> list:
+    """Patch every parser to record its calls."""
+    calls = []
+    for owner, name in PARSERS:
+        def counting(*args, parse=getattr(owner, name), name=name):
+            calls.append(name)
+            return parse(*args)
+        monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 @pytest.mark.parametrize("path", all_scenarios(), ids=lambda p: p.stem)
@@ -163,54 +175,79 @@ def test_switch_emissions_carry_their_decode_in_a_ring(monkeypatch):
     assert ("EthernetFrame", None, "Ipv4Datagram") in emitted
 
 
-def test_only_frames_a_node_queued_are_decoded(monkeypatch):
+def test_no_frame_is_decoded_during_a_run(monkeypatch):
     started = carried(monkeypatch)
-    decoded = []
-    decode = frames.decode
-
-    def counting(frame):
-        decoded.append(frame)
-        return decode(frame)
-
-    monkeypatch.setattr(frames, "decode", counting)
+    calls = parses(monkeypatch)
     _, report = Simulation(ring()).run()
     from_nodes = [frame for frame, _, owner in started if not isinstance(owner, SwitchPortRef)]
-    assert len(from_nodes) < len(started)
-    # no second decode for a switch's drops either
+    assert 0 < len(from_nodes) < len(started)
+    # sw1 compacted Ethernet/IPv4 for its ioc-preferred ports, from the
+    # ingress value, and sw3 dropped frames on its blocked port
+    assert any(isinstance(owner, SwitchPortRef) and owner.switch.name == "sw1"
+               and getattr(frame, "sdt", None) == frames.SDT_IPV4
+               for frame, _, owner in started)
     assert report["switches"]["sw3"]["counters"]["stp_blocked"] > 0
-    assert len(decoded) == len(from_nodes)
-    assert all(a is b for a, b in zip(decoded, from_nodes))
+    assert calls == []
 
 
-def test_no_switch_parses_an_ipv4_header(monkeypatch):
+def every_send_site() -> Topology:
+    """A bus and a link whose nodes send through every node send site:
+    gratuitous ARP (streamlined nodes announce themselves), ARP request and
+    reply, raw Ethernet padded to the minimum payload, Ethernet/IPv4 plain
+    and tunneled (the streamlined node's refresh), compact IPv4 and
+    classic CAN."""
+    topo = Topology(RunOptions(t_end=0.02))
+    topo.add_node(IocNode("i1", mac(1), ip(1), can_priority=0x110,
+                          eoc_refresh_interval=0.002))
+    topo.add_node(IocNode("i2", mac(2), ip(2), can_priority=0x120))
+    topo.add_node(EocNode("e1", mac(3), ip(3), can_priority=0x130))
+    topo.add_node(ClassicCanNode("c1"))
+    topo.add_node(ClassicCanNode("c2", rx_ids=[0x100]))
+    topo.add_node(EthernetHost("h1", mac(4), ip(4)))
+    topo.add_node(EthernetHost("h2", mac(5), ip(5)))
+    topo.add_bus("bus", BUS)
+    topo.add_link("link", LINK)
+    for node in ("i1", "i2", "e1", "c1", "c2"):
+        topo.attach_node(node, "bus")
+    for node in ("h1", "h2"):
+        topo.attach_node(node, "link")
+    times = [to_ns(0.001 * (1 + 2 * n)) for n in range(4)]
+    topo.flows += [
+        Flow("ioc", "i1", "ipv4", 44, times, dst_ip=ip(2)),
+        Flow("raw", "e1", "raw-ethernet", 20, times, dst_mac=mac(1)),
+        Flow("classic", "c1", "classic-can", 8, times, can_id=0x100),
+        Flow("eth", "h1", "ipv4", 44, times, dst_ip=ip(5)),
+        Flow("eth_raw", "h2", "raw-ethernet", 20, times, dst_mac=mac(4)),
+    ]
+    return topo
+
+
+def test_every_node_send_site_queues_its_decode(monkeypatch):
     started = carried(monkeypatch)
-    parses = {"switch": 0, "elsewhere": 0}
-    inside = []
-    from_bytes = Ipv4Datagram.from_bytes.__func__
-    on_ingress = CSwitch.on_ingress
-
-    def counting(cls, buf):
-        parses["switch" if inside else "elsewhere"] += 1
-        return from_bytes(cls, buf)
-
-    def ingress(self, *args):
-        inside.append(self)
-        try:
-            return on_ingress(self, *args)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(Ipv4Datagram, "from_bytes", classmethod(counting))
-    monkeypatch.setattr(CSwitch, "on_ingress", ingress)
-    Simulation(ring()).run()
-    # sw1 compacted Ethernet/IPv4 for its ioc-preferred ports ...
-    compacted = [frame for frame, rx, owner in started
-                 if isinstance(owner, SwitchPortRef) and owner.switch.name == "sw1"
-                 and getattr(frame, "sdt", None) == frames.SDT_IPV4]
-    assert compacted
-    # ... from the ingress decode, without parsing the header again
-    assert parses == {"switch": 0, "elsewhere": parses["elsewhere"]}
-    assert parses["elsewhere"] > 0
+    _, report = Simulation(every_send_site()).run()
+    assert switch_emissions(started) == []
+    for name, flow in report["flows"].items():
+        assert flow["delivered_unique"] == flow["sent"] == 4, name
+    sites = {(owner.name, type(frame).__name__, getattr(frame, "sdt", None),
+              type(rx.net).__name__, getattr(rx.net, "op", None)) for frame, rx, owner in started}
+    eoc, ipv4 = frames.SDT_ETHERNET, frames.SDT_IPV4
+    assert sites >= {
+        ("i1", "CanXlFrame", eoc, "ArpMessage", ArpOp.GRATUITOUS_REPLY),
+        ("i1", "CanXlFrame", eoc, "ArpMessage", ArpOp.REQUEST),
+        ("i2", "CanXlFrame", eoc, "ArpMessage", ArpOp.REPLY),
+        ("i1", "CanXlFrame", ipv4, "IocDatagram", None),
+        ("i1", "CanXlFrame", eoc, "Ipv4Datagram", None),  # the refresh
+        ("e1", "CanXlFrame", eoc, "NoneType", None),
+        ("c1", "ClassicCanFrame", None, "NoneType", None),
+        ("h1", "EthernetFrame", None, "ArpMessage", ArpOp.REQUEST),
+        ("h2", "EthernetFrame", None, "ArpMessage", ArpOp.REPLY),
+        ("h1", "EthernetFrame", None, "Ipv4Datagram", None),
+        ("h2", "EthernetFrame", None, "NoneType", None),
+    }
+    # a raw payload travels padded, as the receiver reads it
+    raw = [rx.payload for _, rx, owner in started
+           if owner.name in ("e1", "h2") and rx.net is None]
+    assert raw and all(len(payload) == frames.ETH_MIN_PAYLOAD for payload in raw)
 
 
 # -- _encode_for_port on generated frames ---------------------------------------
@@ -263,49 +300,31 @@ compact = st.builds(IocDatagram, ips, ips, st.integers(0, frames.ETH_MTU - 20).m
 ingress = st.one_of(ipv4_ethernet(), arp_ethernet(), raw_ethernet, compact)
 
 
-def ioc_encode_within(limit: int | None):
-    """`frames.ioc_encode` on a data field of `limit` bytes: a shorter one
-    than CAN XL's makes the TooLarge fallback reachable from Ethernet."""
-    encode = frames.ioc_encode
-
-    def limited(dgram, priority):
-        if limit is not None and frames.IOC_HEADER_LEN + len(dgram.payload) > limit:
-            raise frames.TooLarge("over the test's limit")
-        return encode(dgram, priority)
-    return limited
-
-
 PLAIN = Ipv4Datagram(ip(1), ip(2), bytes(100), flags=frames.IPV4_DF)
 
 
-@example(normalized=ipv4_frame(PLAIN), kind=CAN_XL, mode=EGRESS_IOC_PREFERRED, limit=None)
-@example(normalized=ipv4_frame(PLAIN), kind=CAN_XL, mode=EGRESS_IOC_PREFERRED, limit=100)
-@example(normalized=ipv4_frame(PLAIN, checksum_flip=1), kind=CAN_XL, mode=EGRESS_IOC_PREFERRED,
-         limit=None)
+@example(normalized=ipv4_frame(PLAIN), kind=CAN_XL, mode=EGRESS_IOC_PREFERRED)
+@example(normalized=ipv4_frame(PLAIN, checksum_flip=1), kind=CAN_XL, mode=EGRESS_IOC_PREFERRED)
 @example(normalized=ipv4_frame(Ipv4Datagram(ip(1), ip(2), bytes(100), options=bytes(4))),
-         kind=CAN_XL, mode=EGRESS_IOC_PREFERRED, limit=None)
+         kind=CAN_XL, mode=EGRESS_IOC_PREFERRED)
 @example(normalized=ipv4_frame(Ipv4Datagram(ip(1), ip(2), bytes(100), flags=frames.IPV4_MF)),
-         kind=CAN_XL, mode=EGRESS_IOC_PREFERRED, limit=None)
+         kind=CAN_XL, mode=EGRESS_IOC_PREFERRED)
 @given(normalized=ingress, kind=st.sampled_from(PORT_KINDS),
-       mode=st.sampled_from(EGRESS_MODES),
-       limit=st.none() | st.integers(frames.IOC_HEADER_LEN, frames.ETH_MTU))
-def test_encoded_value_is_the_decode_of_the_encoded_frame(normalized, kind, mode, limit):
+       mode=st.sampled_from(EGRESS_MODES))
+def test_encoded_value_is_the_decode_of_the_encoded_frame(normalized, kind, mode):
     sw = CSwitch("sw", 1, [PortConfig(0, kind, mode, 0x123)])
     for m, a in KNOWN:
         sw.efdb.learn_joint(m, a, 0, 0)
     rx = frames.decode(normalized)
-    if isinstance(normalized, IocDatagram):
-        limit = None  # it arrived compact, so it fits
-    with mock.patch.object(frames, "ioc_encode", ioc_encode_within(limit)):
-        encoded = sw._encode_for_port(normalized, rx, sw.ports[0], 0)
-        if isinstance(normalized, EthernetFrame) and kind == CAN_XL:
-            expected = frames.eoc_encapsulate(normalized, 0x123)
-            if mode == EGRESS_IOC_PREFERRED and normalized.ethertype == frames.ETHERTYPE_IPV4:
-                try:  # compacted exactly where the Ethernet payload parses as plain IPv4
-                    expected = frames.ioc_encode(frames.ethernet_to_ioc(normalized), 0x123)
-                except (frames.NotPlainIpv4, frames.TooLarge):
-                    pass
-            assert encoded[0] == expected
+    encoded = sw._encode_for_port(normalized, rx, sw.ports[0], 0)
+    if isinstance(normalized, EthernetFrame) and kind == CAN_XL:
+        expected = frames.eoc_encapsulate(normalized, 0x123)
+        if mode == EGRESS_IOC_PREFERRED and normalized.ethertype == frames.ETHERTYPE_IPV4:
+            try:  # compacted exactly where the Ethernet payload parses as plain IPv4
+                expected = frames.ioc_encode(frames.ethernet_to_ioc(normalized), 0x123)
+            except frames.NotPlainIpv4:
+                pass
+        assert encoded[0] == expected
     if encoded is None:  # a compact datagram with an address the EFDB lacks
         assert isinstance(normalized, IocDatagram) and ip(3) in (normalized.src_ip,
                                                                normalized.dst_ip)

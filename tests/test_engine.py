@@ -7,6 +7,7 @@ from canxlnet import engine, frames, nodes
 from canxlnet.config import load_config
 from canxlnet.engine import Flow, RunOptions, Simulation, Topology
 from canxlnet.frames import Ipv4Address, MacAddress
+from canxlnet.media import CanBus, EthernetLink
 from canxlnet.nodes import EocNode, EthernetHost, IocNode
 from canxlnet.switch import CAN_XL, CSwitch, ETH, PortConfig
 from canxlnet.timing import (
@@ -177,6 +178,8 @@ class TestMediumTiming:
         # The three EoC MACs share octets 0-3, so the acceptance field
         # passes every tunneled frame at every node and only the full DA
         # tells them apart.  Every ARP broadcast reaches three receivers.
+        # Each frame is decoded once, by the node that builds it, so no
+        # layer is parsed again during the run.
         calls = []
         decoder = getattr(owner, name)
 
@@ -199,7 +202,7 @@ class TestMediumTiming:
         assert report["nodes"]["n3"]["af_false_positive"] == 3
         carrying = [e for e in events(trace, "tx_start") if carries(e["frame"])]
         assert carrying  # the g datagram travels compact
-        assert len(calls) == len(carrying)
+        assert calls == []
 
     def test_switch_port_reuses_the_decoded_tunnel_frame(self, monkeypatch):
         decodes = []
@@ -215,13 +218,14 @@ class TestMediumTiming:
         tunneled = [e for e in events(trace, "tx_start") if e["frame"].get("sdt") == "ethernet"]
         from_node = [e for e in tunneled if e["source"] == NODE]
         assert from_node and len(from_node) < len(tunneled)
-        # the port's ingress decode serves the switch, and its own tunneled
-        # emissions travel with their decoded value
-        assert len(decodes) == len(from_node)
+        # the node's frames travel with the decoded value the node built,
+        # which serves the switch, and so do the switch's own emissions
+        assert decodes == []
 
     def test_no_kick_is_scheduled_while_the_medium_is_busy(self, monkeypatch):
         sim = Simulation(switched_pair())
         kicks = []  # (medium kind, busy until, kick time)
+        ran = []  # (medium kind, busy until, time the kick runs)
         schedule = Simulation.schedule
 
         def recording(self, t_ns, handler, *args):
@@ -231,12 +235,26 @@ class TestMediumTiming:
                 kicks.append((medium.kind, busy if isinstance(busy, int) else busy[args[2]], t_ns))
             schedule(self, t_ns, handler, *args)
 
+        def running(kick):
+            def run(medium, sim, now, *direction):
+                busy = medium.busy_until
+                ran.append((medium.kind, busy[direction[0]] if direction else busy, now))
+                kick(medium, sim, now, *direction)
+            run.__name__ = "kick"
+            return run
+
         monkeypatch.setattr(Simulation, "schedule", recording)
+        for medium in (CanBus, EthernetLink):
+            monkeypatch.setattr(medium, "kick", running(medium.kick))
         _, report = sim.run()
         for name in (FLOW_UP, FLOW_DOWN):
             assert report["flows"][name]["delivered"] == 2
         assert {kind for kind, _, _ in kicks} == {"can-bus", "ethernet-link"}
         assert all(busy <= t_ns for _, busy, t_ns in kicks)
+        # and when it runs, the medium is idle still: nothing else starts
+        # a transmission
+        assert len(ran) == len(kicks)
+        assert all(busy <= now for _, busy, now in ran)
 
     def test_bus_utilization_stops_at_t_end(self):
         # A 1400 B frame lasts ~6.4 ms at 500 kb/s / 2 Mb/s; charged in
@@ -492,14 +510,16 @@ class TestIocNodeBehavior:
         assert self.sdts(trace) == ["ipv4", "ipv4", "ethernet", "ipv4"]
         assert report["flows"]["f"]["delivered"] == 4
 
-    def test_oversized_datagram_falls_back_to_tunnel(self):
+    def test_largest_datagram_stays_compact(self):
+        # a flow's IPv4 payload is at most 1480 B, so a compact frame has at
+        # most 1488 of CAN XL's 2048 data bytes
         topo = self.build()
-        topo.flows[0] = Flow("f", "n1", "ipv4", 1480, [to_ns(0.001)], dst_ip=ip(2))
+        topo.flows[0] = Flow("f", "n1", "ipv4", engine.MAX_IPV4_PAYLOAD, [to_ns(0.001)],
+                             dst_ip=ip(2))
         trace, report = Simulation(topo).run()
-        assert self.sdts(trace) == ["ipv4"]  # 1488 <= 2048: still compact
-        # beyond the data field the node must tunnel: exercised via raw construction
-        node = topo.nodes["n1"]
-        assert node.eoc_refresh_interval_ns is None
+        assert self.sdts(trace) == ["ipv4"]
+        assert report["flows"]["f"]["delivered"] == 1
+        assert topo.nodes["n1"].eoc_refresh_interval_ns is None
 
 
 class TestScenarios:
