@@ -175,18 +175,29 @@ def test_switch_emissions_carry_their_decode_in_a_ring(monkeypatch):
     assert ("EthernetFrame", None, "Ipv4Datagram") in emitted
 
 
-def test_no_frame_is_decoded_during_a_run(monkeypatch):
+def test_only_frames_a_node_queued_are_decoded(monkeypatch):
+    # a node decodes its frame where it builds it, so not even a node's
+    # frame is parsed once the run has started
     started = carried(monkeypatch)
     calls = parses(monkeypatch)
     _, report = Simulation(ring()).run()
     from_nodes = [frame for frame, _, owner in started if not isinstance(owner, SwitchPortRef)]
     assert 0 < len(from_nodes) < len(started)
-    # sw1 compacted Ethernet/IPv4 for its ioc-preferred ports, from the
-    # ingress value, and sw3 dropped frames on its blocked port
+    # no decode for a switch's drops either
+    assert report["switches"]["sw3"]["counters"]["stp_blocked"] > 0
+    assert calls == []
+
+
+def test_no_switch_parses_an_ipv4_header(monkeypatch):
+    started = carried(monkeypatch)
+    calls = parses(monkeypatch)
+    Simulation(ring()).run()
+    # sw1 compacted Ethernet/IPv4 for its ioc-preferred ports ...
     assert any(isinstance(owner, SwitchPortRef) and owner.switch.name == "sw1"
                and getattr(frame, "sdt", None) == frames.SDT_IPV4
                for frame, _, owner in started)
-    assert report["switches"]["sw3"]["counters"]["stp_blocked"] > 0
+    # ... from the ingress value, and neither it nor anything else parsed
+    # the header (Ipv4Datagram.from_bytes is among the patched parsers)
     assert calls == []
 
 
