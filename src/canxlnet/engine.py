@@ -27,12 +27,13 @@ event, which walks the receivers in station order: it writes one
 receiver's `deliver` record, lets that receiver react, then moves to the
 next.  Bus clashes and switch drops both go through `Simulation.drop`.
 
-Frames are never tagged with bookkeeping objects: each flow embeds an
-8-byte (flow, sequence) tag at the start of its payload, and the engine
-recovers the flow from the decoded application payload at any delivery
-or drop point, across any chain of tunnel/streamlined/Ethernet
-re-encodings; a datagram with a bad IPv4 header belongs to no flow.
-That also gives the end-to-end byte-identity check for free.
+Frames are never tagged with bookkeeping objects: each payload starts
+with an 8-byte tag, flow index and sequence number, which the engine
+reads from the decoded payload at any delivery or drop point, across any
+chain of re-encodings; a datagram with a bad IPv4 header belongs to no
+flow.  No per-send table is kept: a packet's send time is its flow's
+`schedule[seq]`, and `make_payload` of its tag, regenerated on delivery,
+is the end-to-end byte-identity check.
 
 The trace is one JSON record per line; the report is a JSON document of
 per-flow, per-medium, per-switch, and per-node aggregates.
@@ -58,7 +59,7 @@ from .media import CanBus, EthernetLink, Station
 from .switch import CAN_XL, ETH, CSwitch, HELLO_INTERVAL_NS
 from .timing import CanXlTimingParams, EthernetTimingParams, to_ns
 
-FLOW_TAG_LEN = 8
+FLOW_TAG = struct.Struct(">II")  # a payload's first bytes: flow index, sequence number
 MAX_IPV4_PAYLOAD = 1480  # what fits an Ethernet frame with a 20-byte header
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -240,8 +241,8 @@ class Topology:
             node = self.nodes.get(flow.source)
             if node is None:
                 raise ConfigError(loc, f"unknown source node {flow.source!r}")
-            if flow.payload_size < FLOW_TAG_LEN:
-                raise ConfigError(loc, f"payload_size below the {FLOW_TAG_LEN}-byte flow tag")
+            if flow.payload_size < FLOW_TAG.size:
+                raise ConfigError(loc, f"payload_size below the {FLOW_TAG.size}-byte flow tag")
             if flow.transport == "classic-can":
                 if node.kind != "classic-can":
                     raise ConfigError(loc, "classic-can flows need a classic-can source")
@@ -277,7 +278,7 @@ _INV37 = pow(37, -1, 256)
 
 def make_payload(flow_index: int, seq: int, size: int) -> bytes:
     k = (11 * flow_index + 7 * seq) * _INV37 & 0xFF
-    return struct.pack(">II", flow_index, seq) + _RAMP[k:k + size - FLOW_TAG_LEN]
+    return FLOW_TAG.pack(flow_index, seq) + _RAMP[k:k + size - FLOW_TAG.size]
 
 
 def frame_summary(frame, inner: EthernetFrame | None) -> str:
@@ -312,6 +313,7 @@ class Simulation:
         self._seq = 0
         self.heap: list = []
         self.trace_lines: list[str] = []
+        self.flows = topo.flows
         self.flow_index = {flow.name: i for i, flow in enumerate(topo.flows)}
         # Flow and node names, JSON-encoded for the per-packet records.
         self.flow_text = {flow.name: _encode(flow.name) for flow in topo.flows}
@@ -327,8 +329,6 @@ class Simulation:
             }
             for flow in topo.flows
         }
-        # (flow index, seq) tag -> (flow, seq, expected payload, send time)
-        self.registry: dict[bytes, tuple[Flow, int, bytes, int]] = {}
         for sw in topo.switches.values():
             sw.drop_hook = self.drop
         # sender -> (JSON-encoded medium name, JSON-encoded sender name,
@@ -357,11 +357,18 @@ class Simulation:
     # -- flow attribution ----------------------------------------------------
 
     def flow_of(self, rx: frames.Decoded) -> tuple[Flow, int] | None:
-        """Which flow and sequence number the decoded frame `rx` carries."""
+        """The flow and sequence number that the tag of `rx`'s payload names,
+        if that flow has sent that packet: if its send time has come."""
         if rx.payload is None:
             return None
-        entry = self.registry.get(rx.payload[:FLOW_TAG_LEN])
-        return None if entry is None else entry[:2]
+        try:
+            index, seq = FLOW_TAG.unpack_from(rx.payload)
+            flow = self.flows[index]
+            if flow.schedule[seq] <= self.now:
+                return flow, seq
+        except (struct.error, IndexError):  # no tag, no such flow or packet
+            pass
+        return None
 
     # -- engine callbacks ------------------------------------------------------
 
@@ -407,17 +414,20 @@ class Simulation:
         self.trace("drop", location, flow=flow.name, seq=seq, reason=reason)
 
     def on_app_delivery(self, node, payload: bytes, now: int) -> None:
-        entry = self.registry.get(payload[:FLOW_TAG_LEN])
-        if entry is None:
+        try:  # flow_of's tag rule
+            index, seq = FLOW_TAG.unpack_from(payload)
+            flow = self.flows[index]
+            sent_at = flow.schedule[seq]
+        except (struct.error, IndexError):
+            sent_at = None
+        if sent_at is None or sent_at > now:
             self.trace("app_deliver", node.name, reason="untracked")
             return
-        flow, seq, expected, sent_at = entry
         stats = self.flow_stats[flow.name]
         stats["delivered"] += 1
         stats["delivered_seqs"].add(seq)
-        ok = payload[:len(expected)] == expected and \
-            not any(payload[len(expected):])
-        if not ok:
+        # the packet as sent, zero-padded to what arrived (raw Ethernet pads)
+        if payload != make_payload(index, seq, flow.payload_size).ljust(len(payload), b"\0"):
             stats["payload_mismatches"] += 1
         latency = now - sent_at
         stats["latencies"].append(latency)
@@ -449,7 +459,6 @@ class Simulation:
 
     def _app_send(self, flow: Flow, seq: int) -> None:
         payload = make_payload(self.flow_index[flow.name], seq, flow.payload_size)
-        self.registry[payload[:FLOW_TAG_LEN]] = (flow, seq, payload, self.now)
         self.flow_stats[flow.name]["sent"] += 1
         self.trace_lines.append(
             f'{{"event":"app_send","flow":{self.flow_text[flow.name]},'

@@ -136,8 +136,6 @@ class EthernetLink:
         return to_ns(timing.ethernet_duration(len(frame.payload), self.params))
 
     def enqueue(self, sim, station: Station, frame, now: int, rx: Decoded) -> None:
-        if not isinstance(frame, EthernetFrame):
-            raise TypeError(f"{type(frame).__name__} cannot travel on an Ethernet link")
         station.queue.append((frame, rx))
         direction = self.stations.index(station)
         if self.busy_until[direction] <= now:  # a busy direction re-arms in on_complete

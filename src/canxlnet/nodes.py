@@ -65,8 +65,7 @@ class Node:
         self.start_ns = to_ns(start_time, "start_time")
         self.arp_table = {k: ArpEntry(v, static=True) for k, v in (static_arp or {}).items()}
         self.has_static_arp = bool(static_arp)
-        self.pending_arp: dict[Ipv4Address, list] = {}
-        self.arp_attempts: dict[Ipv4Address, int] = {}
+        self.pending_arp: dict[Ipv4Address, list] = {}  # IP -> [(payload, flow, seq)]
         self.station = None  # wired by the topology
         self.counters = {
             "delivered": 0,
@@ -101,26 +100,24 @@ class Node:
         if flow.transport == "raw-ethernet":
             eth = EthernetFrame(flow.dst_mac, self.mac, ETHERTYPE_RAW_DATA, payload)
             self._emit_eth(sim, now, Decoded(eth, None, eth.payload))  # padded, as sent
-        elif flow.transport == "ipv4":
+        else:  # ipv4: Topology validation admits no other transport here
             self.send_ip(sim, now, flow.dst_ip, payload, flow, seq)
-        else:
-            raise ValueError(f"{self.name} cannot send transport {flow.transport!r}")
 
     def send_ip(self, sim, now: int, dst_ip: Ipv4Address, payload: bytes, flow, seq: int) -> None:
         entry = self.arp_table.get(dst_ip)
         if entry is not None:
             self._send_datagram(sim, now, entry.mac, dst_ip, payload)
             return
-        self.pending_arp.setdefault(dst_ip, []).append((payload, flow, seq))
-        if dst_ip not in self.arp_attempts:
-            self.arp_attempts[dst_ip] = 1
-            self._send_arp_request(sim, now, dst_ip)
+        pending = self.pending_arp.setdefault(dst_ip, [])
+        pending.append((payload, flow, seq))
+        if len(pending) == 1:  # a new list starts a resolution
+            self._send_arp_request(sim, now, dst_ip, 1)
 
-    def _send_arp_request(self, sim, now: int, dst_ip: Ipv4Address) -> None:
+    def _send_arp_request(self, sim, now: int, dst_ip: Ipv4Address, attempt: int) -> None:
         msg = ArpMessage(ArpOp.REQUEST, self.mac, self.ip, ZERO_MAC, dst_ip)
         self._emit_eth(sim, now, Decoded(frames.arp_serialize(msg), msg, None))
         retry_at = now + ARP_RETRY_NS
-        sim.schedule(retry_at, self.arp_retry, sim, retry_at, dst_ip)
+        sim.schedule(retry_at, self.arp_retry, sim, retry_at, dst_ip, attempt)
 
     def _send_datagram(self, sim, now: int, dst_mac: MacAddress,
                        dst_ip: Ipv4Address, payload: bytes) -> None:
@@ -128,18 +125,16 @@ class Node:
         eth = EthernetFrame(dst_mac, self.mac, ETHERTYPE_IPV4, dgram.to_bytes())
         self._emit_eth(sim, now, Decoded(eth, dgram, payload))
 
-    def arp_retry(self, sim, now: int, dst_ip: Ipv4Address) -> None:
+    def arp_retry(self, sim, now: int, dst_ip: Ipv4Address, attempt: int) -> None:
         sim.trace("timer", self.name, reason="arp-retry")
-        if dst_ip not in self.arp_attempts:
-            return  # resolved in the meantime
-        if self.arp_attempts[dst_ip] >= 2:
-            for _payload, flow, seq in self.pending_arp.pop(dst_ip, []):
+        if dst_ip not in self.pending_arp:
+            return  # resolved in the meantime; a resolved IP never pends again
+        if attempt >= 2:  # the second request went unanswered too
+            for _payload, flow, seq in self.pending_arp.pop(dst_ip):
                 self.counters["arp_unresolved"] += 1
                 sim.flow_drop(flow, seq, "arp_unresolved", self.name)
-            del self.arp_attempts[dst_ip]
             return
-        self.arp_attempts[dst_ip] += 1
-        self._send_arp_request(sim, now, dst_ip)
+        self._send_arp_request(sim, now, dst_ip, attempt + 1)
 
     # -- receive -----------------------------------------------------------
 
@@ -181,7 +176,6 @@ class Node:
             mac = self.arp_table[msg.spa].mac
             for payload, _flow, _seq in self.pending_arp.pop(msg.spa):
                 self._send_datagram(sim, now, mac, msg.spa, payload)
-            self.arp_attempts.pop(msg.spa, None)
 
         if msg.op == ArpOp.REQUEST and self.ip is not None and msg.tpa == self.ip:
             reply = ArpMessage(ArpOp.REPLY, self.mac, self.ip, msg.sha, msg.spa)
@@ -268,8 +262,6 @@ class ClassicCanNode:
         pass
 
     def app_send(self, sim, now: int, flow, seq: int, payload: bytes) -> None:
-        if flow.transport != "classic-can":
-            raise ValueError(f"{self.name} only sends classic CAN frames")
         self.station.medium.enqueue(sim, self.station, ClassicCanFrame(flow.can_id, payload),
                                     now, Decoded(None, None, payload))
 

@@ -497,12 +497,18 @@ TOPOLOGY_ERRORS = [
     ("bridge_mac_collision", MINIMAL,
      [(("switches",), [SW1, {"name": "sw2", "bridge_id": 2**32 + 1, "ports": []}])],
      "switches.sw2", "bridge MAC 0a:b1:00:00:00:01 already used by sw1"),
+    ("ethernet_host_on_a_bus", MINIMAL,
+     [(("links",), []), (("switches", 0, "ports"), [PORT0]),
+      (("buses", 0, "stations"), ["n1", "sw1.p0", "h1"])],
+     "nodes.h1", "Ethernet hosts attach to links"),
     ("can_node_on_a_link", MINIMAL,
      [(("buses", 0, "stations"), ["sw1.p0"]), (("links", 0, "endpoints"), ["sw1.p1", "n1"])],
      "nodes.n1", "CAN nodes attach to buses"),
     ("unattached_port", MINIMAL,
      [(("switches", 0, "ports"), [PORT0, PORT1, {"index": 2, "kind": "can"}])],
      "switches.sw1.ports.2", "not attached"),
+    ("can_port_on_a_link", MINIMAL, [(("switches", 0, "ports", 1, "kind"), "can")],
+     "switches.sw1.ports.1", "CAN port wired to an Ethernet link"),
     ("ethernet_port_on_a_bus", MINIMAL,
      [(("switches", 0, "ports"), [PORT0, PORT1, {"index": 2, "kind": "ethernet"}]),
       (("buses", 0, "stations"), ["n1", "sw1.p0", "sw1.p2"])],
@@ -511,6 +517,12 @@ TOPOLOGY_ERRORS = [
      [(("switches", 0, "legacy_rules"),
        [{"ingress_port": 9, "match_id": 0x100, "egress": [{"port": 0, "id": 0x200}]}])],
      "switches.sw1.legacy_rules.0", "no port 9"),
+    ("legacy_egress_on_an_ethernet_port", MINIMAL,
+     [(("switches", 0, "legacy_rules"),
+       [{"ingress_port": 0, "match_id": 0x100, "egress": [{"port": 1, "id": 0x200}]}])],
+     "switches.sw1.legacy_rules.0", "legacy relay egress must be a CAN port"),
+    ("unknown_transport", MINIMAL, [(("flows", 0, "transport"), "carrier-pigeon")],
+     "flows.f1", "unknown transport 'carrier-pigeon'"),
     ("unknown_source", MINIMAL, [(("flows", 0, "source"), "ghost")], "flows.f1",
      "unknown source node 'ghost'"),
     ("classic_flow_from_a_can_xl_node", MINIMAL,

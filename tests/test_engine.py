@@ -423,7 +423,7 @@ def test_one_ipv4_header_rule_for_engine_and_receivers():
     sim = Simulation(topo)
     _, report = sim.run()
     assert report["flows"]["f"]["delivered"] == 1
-    payload = next(entry[2] for entry in sim.registry.values())
+    payload = engine.make_payload(0, 0, 44)
     header = bytearray(frames.Ipv4Datagram(ip(1), ip(2), payload).to_bytes())
     good = frames.EthernetFrame(mac(2), mac(1), frames.ETHERTYPE_IPV4, bytes(header))
     header[10] ^= 0xFF
@@ -443,6 +443,81 @@ def test_one_ipv4_header_rule_for_engine_and_receivers():
     sw.learn(0, rx, now=0)
     assert sw.efdb.lookup_mac(mac(1), 0).ip is None
     assert sw.efdb.lookup_ip(ip(1), 0) is None
+
+
+def tagged(flow_index: int, seq: int, size: int = engine.FLOW_TAG.size) -> frames.Decoded:
+    """The decoded value of a frame carrying the packet (flow_index, seq)."""
+    return frames.Decoded(None, None, engine.make_payload(flow_index, seq, size))
+
+
+def test_nonzero_padding_is_a_payload_mismatch():
+    # A 20-byte raw payload travels zero-padded to the 46-byte minimum.
+    topo = Topology(RunOptions(t_end=0.01))
+    topo.add_node(EthernetHost("a", mac(1), ip(1)))
+    topo.add_node(EthernetHost("b", mac(2), ip(2)))
+    topo.add_link("link1", LINK)
+    topo.attach_node("a", "link1")
+    topo.attach_node("b", "link1")
+    topo.flows.append(raw_flow("f", "a", mac(2), 0.001, size=20))
+    sim = Simulation(topo)
+    _, report = sim.run()
+    flow = report["flows"]["f"]
+    assert (flow["delivered"], flow["payload_mismatches"]) == (1, 0)
+    sent = engine.make_payload(0, 0, 20)
+    receiver = topo.nodes["b"]
+    for pad in (bytes(26), b"\x01" + bytes(25), bytes(25) + b"\x01"):
+        eth = frames.EthernetFrame(mac(2), mac(1), frames.ETHERTYPE_RAW_DATA, sent + pad)
+        receiver.on_receive(sim, sim.now, eth, frames.Decoded(eth, None, eth.payload))
+    flow = sim.report()["flows"]["f"]
+    assert (flow["delivered"], flow["payload_mismatches"]) == (4, 2)
+
+
+T_END = 0.02
+T_END_NS = to_ns(T_END)
+flow_sets = st.lists(st.tuples(
+    st.sampled_from(["n1", "n2", "n3"]),          # source
+    st.sampled_from(["ipv4", "raw-ethernet"]),
+    st.integers(1, 3),                             # destination node
+    st.integers(engine.FLOW_TAG.size, 200),         # payload size
+    st.lists(st.integers(0, 2 * T_END_NS), max_size=5).map(sorted)), min_size=1, max_size=4)
+
+
+@given(flow_sets)
+def test_the_tag_names_the_flow_and_the_schedule_the_send_time(specs):
+    topo = Topology(RunOptions(t_end=T_END))
+    topo.add_bus("bus1", BUS)
+    for n, kind in ((1, EocNode), (2, IocNode), (3, EocNode)):
+        topo.add_node(kind(f"n{n}", mac(n), ip(n), can_priority=0x100 * n))
+        topo.attach_node(f"n{n}", "bus1")
+    for k, (source, transport, dst, size, times) in enumerate(specs):
+        topo.flows.append(Flow(f"f{k}", source, transport, size, times,
+                               dst_ip=ip(dst) if transport == "ipv4" else None,
+                               dst_mac=mac(dst) if transport == "raw-ethernet" else None))
+    sim = Simulation(topo)
+    trace, report = sim.run()
+    sent_at = {(e["flow"], e["seq"]): e["t_ns"] for e in events(trace, "app_send")}
+    for index, flow in enumerate(topo.flows):
+        sent = report["flows"][flow.name]["sent"]
+        assert sent == sum(t <= T_END_NS for t in flow.schedule)
+        for seq in range(sent):
+            assert sent_at[(flow.name, seq)] == flow.schedule[seq]
+            assert sim.flow_of(tagged(index, seq, flow.payload_size)) == (flow, seq)
+        assert sim.flow_of(tagged(index, sent)) is None
+        assert report["flows"][flow.name]["payload_mismatches"] == 0
+    assert sim.flow_of(tagged(len(topo.flows), 0)) is None
+    for e in events(trace, "app_deliver"):
+        assert e["latency_ns"] == e["t_ns"] - sent_at[(e["flow"], e["seq"])]
+
+
+def test_a_packet_is_sent_once_its_send_time_has_come():
+    # Send times need not be in order: seq 1 goes at 1 ms, seq 0 after t_end.
+    flow = raw_flow("f", "n1", mac(2), None, seq_times=[to_ns(0.06), to_ns(0.001)])
+    sim = Simulation(two_node_bus(flows=[flow], t_end=0.05))
+    trace, report = sim.run()
+    assert [e["seq"] for e in events(trace, "app_deliver")] == [1]
+    assert report["flows"]["f"]["payload_mismatches"] == 0
+    assert sim.flow_of(tagged(0, 1)) == (flow, 1)
+    assert sim.flow_of(tagged(0, 0)) is None
 
 
 class TestArp:
@@ -478,6 +553,37 @@ class TestArp:
         trace, report = Simulation(topo).run()
         assert report["nodes"]["n2"]["af_false_positive"] == 1
         assert report["flows"]["f"]["delivered"] == 0
+
+    def test_a_reply_before_the_retry_leaves_the_retry_nothing_to_send(self):
+        flow = Flow("f", "n1", "ipv4", 44, [to_ns(0.001)], dst_ip=ip(2))
+        sim = Simulation(two_node_bus(flows=[flow], t_end=1.5))
+        trace, report = sim.run()
+        assert report["flows"]["f"]["delivered"] == 1
+        retry_at = to_ns(0.001) + nodes.ARP_RETRY_NS
+        assert [(e["t_ns"], e["location"], e["reason"]) for e in events(trace, "timer")] == [
+            (retry_at, "n1", "arp-retry")]
+        assert max(e["t_ns"] for e in events(trace, "tx_start")) < retry_at
+        assert sim.topo.nodes["n1"].pending_arp == {}
+
+    def test_arp_contradicting_a_static_entry_leaves_it(self):
+        topo = Topology(RunOptions(t_end=0.01))
+        topo.add_node(EthernetHost("a", mac(1), ip(1), static_arp={ip(2): mac(2)}))
+        topo.add_node(EthernetHost("b", mac(2), ip(2)))
+        topo.add_link("link1", LINK)
+        topo.attach_node("a", "link1")
+        topo.attach_node("b", "link1")
+        topo.flows.append(Flow("f", "a", "ipv4", 44, [to_ns(0.001)], dst_ip=ip(2)))
+        sim = Simulation(topo)
+        a = topo.nodes["a"]
+        # mac(9) claims b's address, in a reply to a and in an announcement
+        for msg in (frames.ArpMessage(frames.ArpOp.REPLY, mac(9), ip(2), mac(1), ip(1)),
+                    frames.ArpMessage(frames.ArpOp.GRATUITOUS_REPLY, mac(9), ip(2),
+                                      frames.ZERO_MAC, ip(2))):
+            eth = frames.arp_serialize(msg)
+            a.on_receive(sim, 0, eth, frames.Decoded(eth, msg, None))
+        assert a.arp_table[ip(2)] == nodes.ArpEntry(mac(2), static=True)
+        _, report = sim.run()
+        assert report["flows"]["f"]["delivered"] == 1
 
 
 class TestIocNodeBehavior:
@@ -571,6 +677,14 @@ class TestScenarios:
         assert starts[0]["source"] == "n1"  # lower priority value first
         assert starts[0]["t_ns"] == 0
         assert starts[1]["t_ns"] == starts[0]["duration_ns"]
+
+    def test_an_event_at_t_end_runs_and_one_a_nanosecond_later_does_not(self):
+        t_end_ns = to_ns(0.05)
+        flow = raw_flow("f", "n1", mac(2), None, seq_times=[t_end_ns, t_end_ns + 1])
+        trace, report = Simulation(two_node_bus(flows=[flow], t_end=0.05)).run()
+        assert [(e["seq"], e["t_ns"]) for e in events(trace, "app_send")] == [(0, t_end_ns)]
+        assert [(e["seq"], e["t_ns"]) for e in events(trace, "tx_start")] == [(0, t_end_ns)]
+        assert report["flows"]["f"]["sent"] == 1
 
     def test_t_end_zero_runs_only_t0_events(self, scenario_path):
         topo = load_config(scenario_path("eoc_baseline"))
