@@ -23,9 +23,16 @@ and the drop of a frame no flow owns) is written as text around it and
 the medium, station, node and flow names encoded once at set-up.
 `trace` encodes the rarer records (timers, clashes, flow drops,
 untracked deliveries) whole.  The completion schedules one delivery
-event, which walks the receivers in station order: it writes one
-receiver's `deliver` record, lets that receiver react, then moves to the
-next.  Bus clashes and switch drops both go through `Simulation.drop`.
+event, which walks the stations in order.  Every station but the sender
+gets its `deliver` record, but only the receivers that can accept the
+frame are called: on a bus, an `AcceptanceIndex` built once at set-up
+from the attributes `on_receive` tests names them, and counts the AF
+false positives of the nodes it skips.  Each called receiver reacts
+right after its own record; the records of each run of stations between
+two called ones are written in one join.  A link, a sender whose
+receivers are all switch ports and a tunnel frame with a group AF or DA
+call every receiver.  Bus clashes and switch drops both go through
+`Simulation.drop`.
 
 Frames are never tagged with bookkeeping objects: each payload starts
 with an 8-byte tag, flow index and sequence number, which the engine
@@ -48,6 +55,8 @@ from dataclasses import dataclass
 
 from . import frames
 from .frames import (
+    AF_GROUP,
+    SDT_ETHERNET,
     CanXlFrame,
     ClassicCanFrame,
     EthernetFrame,
@@ -106,10 +115,73 @@ class RunOptions:
 class SwitchPortRef:
     switch: CSwitch
     port: int
+    kind = "switch-port"
 
     def on_receive(self, sim: Simulation, now: int, frame, rx: frames.Decoded) -> None:
         """Hand the frame to the switch and queue what it emits."""
         sim.emit(self.switch, self.switch.on_ingress(self.port, frame, now, rx))
+
+
+class AcceptanceIndex:
+    """Which stations of one bus can act on a transmission, read from the
+    attributes that `on_receive` tests.
+
+    A switch port takes every frame.  A classic-CAN node takes only
+    frames that are not CAN XL.  A tunnel or streamlined node takes a
+    compact frame whose AF is its `ip_af` and whose header is good, and a
+    tunnel frame that its AF filter passes and whose DA is its MAC or a
+    group address.  `frames.af_filter_match` passes a group AF at every
+    filter and any other AF at the filters whose `af_image` equals it, so
+    a tunnel frame with a group AF or a group DA goes to every station.
+    A node whose filter passes a frame that its DA check drops counts an
+    `af_false_positive` here, without a call."""
+
+    def __init__(self, owners: list):
+        self.owners = owners  # of the bus's stations, in order
+        self.ports, self.classic = [], []  # switch ports; those and classic nodes
+        nodes = []  # tunnel and streamlined nodes
+        for i, owner in enumerate(owners):
+            if owner.kind == "switch-port":
+                self.ports.append(i)
+                self.classic.append(i)
+            elif owner.kind == "classic-can":
+                self.classic.append(i)
+            else:
+                nodes.append(i)
+        # af_image -> {MAC octets: (position, the ports and that node)} of the
+        # nodes with that image; ip_af -> the ports and the node with it
+        self.tunnel: dict[int, dict[bytes, tuple[int, list[int]]]] = {}
+        self.compact: dict[int, list[int]] = {}
+        for i in nodes:
+            owner = owners[i]
+            callees = sorted(self.ports + [i])
+            self.tunnel.setdefault(owner.af_image, {})[owner.mac.octets] = (i, callees)
+            if owner.ip_af is not None:
+                self.compact[owner.ip_af] = callees
+
+    def callees(self, sender: int, frame, rx: frames.Decoded) -> list[int] | None:
+        """The positions of the receivers that can act on `frame`, decoded
+        as `rx`, in station order (the sender's may be among them); None
+        for every station."""
+        if not isinstance(frame, CanXlFrame):
+            return self.classic
+        af = frame.af
+        if frame.sdt != SDT_ETHERNET:  # compact
+            return self.compact.get(af, self.ports) if rx.net is not None else self.ports
+        if af & AF_GROUP:
+            return None
+        passed = self.tunnel.get(af)
+        if passed is None:
+            return self.ports
+        da = rx.eth.da
+        if da.is_group():
+            return None
+        node, callees = passed.get(da.octets, (None, self.ports))
+        owners = self.owners
+        for i, _ in passed.values():
+            if i != node and i != sender:
+                owners[i].counters["af_false_positive"] += 1
+        return callees
 
 
 class Topology:
@@ -332,16 +404,23 @@ class Simulation:
         for sw in topo.switches.values():
             sw.drop_hook = self.drop
         # sender -> (JSON-encoded medium name, JSON-encoded sender name,
-        # [(owner, JSON-encoded name) of every other station, in order])
-        stations = [node.station for node in topo.nodes.values()]
-        stations += topo.port_station.values()
-        location = {st: _encode(st.name) for st in stations}
-        self.fanout = {
-            sender: (_encode(sender.medium.name), location[sender],
-                     [(st.owner, location[st]) for st in sender.medium.stations
-                      if st is not sender])
-            for sender in stations
-        }
+        # [(owner, JSON-encoded name) of every other station, in order], and
+        # None or, for `_deliver`, the bus's AcceptanceIndex, those names and
+        # the sender's position).  `_deliver_to_all` serves links and senders
+        # whose receivers are all switch ports: they take every frame.
+        self.fanout = {}
+        for medium in topo.media.values():
+            text = _encode(medium.name)
+            owners = [st.owner for st in medium.stations]
+            names = [_encode(st.name) for st in medium.stations]
+            pairs = list(zip(owners, names))
+            index = AcceptanceIndex(owners) if isinstance(medium, CanBus) else None
+            for at, sender in enumerate(medium.stations):
+                bus = None
+                if index is not None and len(owners) - len(index.ports) > \
+                        (owners[at].kind != "switch-port"):  # a receiver is a node
+                    bus = (index, names[:at] + names[at + 1:], at)
+                self.fanout[sender] = (text, names[at], pairs[:at] + pairs[at + 1:], bus)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -377,7 +456,7 @@ class Simulation:
         """Describe a started transmission once, trace it and schedule its
         end.  `rx` is `frames.decode(frame)` as its sender built it."""
         summary = frame_summary(frame, rx.eth)
-        location, source, _ = self.fanout[station]
+        location, source, _, bus = self.fanout[station]
         fl = self.flow_of(rx)
         # The keys tx_start and tx_complete share, in sorted order; written
         # byte for byte as trace() would.
@@ -389,7 +468,7 @@ class Simulation:
         self.trace_lines.append(
             f'{{"duration_ns":{duration_ns},"event":"tx_start",{shared}"t_ns":{self.now}}}')
         self.schedule(now + duration_ns, self.on_tx_complete,
-                      medium, station, frame, rx, summary, shared)
+                      medium, station, frame, rx, summary, shared, bus is not None)
 
     def on_clash(self, bus, dropped: list[tuple[Station, object, frames.Decoded]]) -> None:
         self.trace("clash", bus.name, stations=[st.name for st, _, _ in dropped])
@@ -466,15 +545,16 @@ class Simulation:
         self.topo.nodes[flow.source].app_send(self, self.now, flow, seq, payload)
 
     def on_tx_complete(self, medium, sender: Station, frame, rx: frames.Decoded,
-                       summary: str, shared: str) -> None:
+                       summary: str, shared: str, filtered: bool) -> None:
         now = self.now
         self.trace_lines.append(f'{{"event":"tx_complete",{shared}"t_ns":{now}}}')
-        self.schedule(now, self._deliver, sender, frame, rx, summary)
+        self.schedule(now, self._deliver if filtered else self._deliver_to_all,
+                      sender, frame, rx, summary)
         medium.on_complete(self, now, sender)
 
-    def _deliver(self, sender: Station, frame, rx: frames.Decoded, summary: str) -> None:
-        """Hand one transmission to each receiver in turn: its `deliver`
-        record, then its reaction, then the next receiver."""
+    def _deliver_to_all(self, sender: Station, frame, rx: frames.Decoded, summary: str) -> None:
+        """Hand one transmission to every other station in turn: its
+        `deliver` record, then its reaction, then the next station."""
         # Byte for byte what trace("deliver", <receiver name>, frame=...) writes.
         now = self.now
         head = '{"event":"deliver","frame":' + summary + ',"location":'
@@ -482,6 +562,32 @@ class Simulation:
         for owner, location in self.fanout[sender][2]:
             self.trace_lines.append(head + location + tail)
             owner.on_receive(self, now, frame, rx)
+
+    def _deliver(self, sender: Station, frame, rx: frames.Decoded, summary: str) -> None:
+        """Hand one bus transmission to the receivers that can act on it, in
+        station order: each one's `deliver` record, then its reaction.
+        Every other station gets its record; those of each run of stations
+        that cannot act on the frame are written in one join."""
+        index, locations, at = self.fanout[sender][3]
+        callees = index.callees(at, frame, rx)
+        if callees is None:  # every station
+            self._deliver_to_all(sender, frame, rx, summary)
+            return
+        # The records `_deliver_to_all` writes, a run at a time.
+        now = self.now
+        head = '{"event":"deliver","frame":' + summary + ',"location":'
+        tail = f',"t_ns":{now}}}'
+        sep = tail + "\n" + head
+        lines, owners = self.trace_lines, index.owners
+        start = 0  # the first receiver whose record is not written yet
+        for i in callees:
+            if i != at:
+                end = i if i < at else i - 1  # its place among the receivers
+                lines.append(head + sep.join(locations[start:end + 1]) + tail)
+                owners[i].on_receive(self, now, frame, rx)
+                start = end + 1
+        if start < len(locations):
+            lines.append(head + sep.join(locations[start:]) + tail)
 
     def _stp_hello(self, sw: CSwitch) -> None:
         self.trace("timer", sw.name, reason="stp-hello")

@@ -400,6 +400,9 @@ def ipv4_checksum(header: bytes) -> int:
     return ~total & 0xFFFF
 
 
+AF_GROUP = 0x01 << 24  # the DA's I/G bit (octet 0, bit 0) in the acceptance field
+
+
 def make_af_from_da(da: MacAddress) -> int:
     """Pack DA octets 0..3 big-endian into the acceptance field.
 
@@ -417,7 +420,7 @@ def af_filter_match(af: int, own_af: int) -> bool:
     frame.  Octets 4..5 of the DA are not represented, so false positives
     are possible; `nodes.EocNode.on_receive` adds the software tie-break
     on the full embedded DA."""
-    if af & (0x01 << 24):
+    if af & AF_GROUP:
         return True
     return af == own_af
 

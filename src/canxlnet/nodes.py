@@ -4,7 +4,11 @@ Three IP-capable kinds exist.  An Ethernet host is a conventional
 station.  A tunnel node has a CAN XL interface and a thin layer that
 emulates Ethernet in software, so the regular ARP/IPv4 stack runs on top
 unchanged; receive filtering is two-staged (hardware acceptance field
-match, then the full embedded DA).  A streamlined node is a tunnel node
+match, then the full embedded DA).  On a bus the engine applies both
+stages before it calls `on_receive` (`engine.AcceptanceIndex`, built from
+`af_image`, `mac` and `ip_af`): a node whose filter passes a frame that
+its DA check drops has its `af_false_positive` counted there, without a
+call.  `on_receive` still applies both stages itself.  A streamlined node is a tunnel node
 that sends plain IPv4 as compact-header CAN XL frames (every datagram a
 flow may send fits one), falling back to the tunnel only periodically, to
 refresh the switches' address knowledge.  ARP itself always travels as
