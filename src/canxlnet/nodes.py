@@ -8,11 +8,11 @@ match, then the full embedded DA).  On a bus the engine applies both
 stages before it calls `on_receive` (`engine.AcceptanceIndex`, built from
 `af_image`, `mac` and `ip_af`): a node whose filter passes a frame that
 its DA check drops has its `af_false_positive` counted there, without a
-call.  `on_receive` still applies both stages itself.  A streamlined node is a tunnel node
-that sends plain IPv4 as compact-header CAN XL frames (every datagram a
-flow may send fits one), falling back to the tunnel only periodically, to
-refresh the switches' address knowledge.  ARP itself always travels as
-(tunneled) Ethernet.
+call.  `on_receive` still applies both stages itself.  A streamlined
+node is a tunnel node that sends plain IPv4 as compact-header CAN XL
+frames (every datagram a flow may send fits one), falling back to the
+tunnel only periodically, to refresh the switches' address knowledge.
+ARP itself always travels as (tunneled) Ethernet.
 
 Classic CAN nodes exist only to drive the static relay path: no MAC, no
 IP, identifier-based reception.  No node parses a header: a node queues
