@@ -23,24 +23,25 @@ and the drop of a frame no flow owns) is written as text around it and
 the medium, station, node and flow names encoded once at set-up.
 `trace` encodes the rarer records (timers, clashes, flow drops,
 untracked deliveries) whole.  The completion schedules one delivery
-event, which walks the stations in order.  Every station but the sender
-gets its `deliver` record, but only the receivers that can accept the
-frame are called: on a bus, an `AcceptanceIndex` built once at set-up
-from the attributes `on_receive` tests names them, and counts the AF
-false positives of the nodes it skips.  Each called receiver reacts
-right after its own record; the records of each run of stations between
-two called ones are written in one join.  A link, a sender whose
-receivers are all switch ports and a tunnel frame with a group AF or DA
-call every receiver.  Bus clashes and switch drops both go through
+event, `_deliver`, on links and buses alike, which walks the stations in
+order.  Every station but the sender gets its `deliver` record, but only
+the receivers that can accept the frame are called: on a bus, an
+`AcceptanceIndex` built once at set-up from the attributes `on_receive`
+tests names them, and counts the AF false positives of the nodes it
+skips.  Each called receiver reacts right after its own record; the
+records of each run of stations between two called ones are written in
+one join.  A link, a sender whose receivers are all switch ports (neither
+is given the index) and a tunnel frame with a group AF or DA call every
+receiver.  Bus clashes and switch drops both go through
 `Simulation.drop`.
 
 Frames are never tagged with bookkeeping objects: each payload starts
-with an 8-byte tag, flow index and sequence number, which the engine
-reads from the decoded payload at any delivery or drop point, across any
-chain of re-encodings; a datagram with a bad IPv4 header belongs to no
-flow.  No per-send table is kept: a packet's send time is its flow's
-`schedule[seq]`, and `make_payload` of its tag, regenerated on delivery,
-is the end-to-end byte-identity check.
+with an 8-byte tag, flow index and sequence number, which `flow_of`, its
+one reader, takes from the decoded payload at any transmission, drop or
+delivery, across any chain of re-encodings; a datagram with a bad IPv4
+header belongs to no flow.  No per-send table is kept: a packet's send
+time is its flow's `schedule[seq]`, and `make_payload` of its tag,
+regenerated on delivery, is the end-to-end byte-identity check.
 
 The trace is one JSON record per line; the report is a JSON document of
 per-flow, per-medium, per-switch, and per-node aggregates.
@@ -403,24 +404,23 @@ class Simulation:
         }
         for sw in topo.switches.values():
             sw.drop_hook = self.drop
-        # sender -> (JSON-encoded medium name, JSON-encoded sender name,
-        # [(owner, JSON-encoded name) of every other station, in order], and
-        # None or, for `_deliver`, the bus's AcceptanceIndex, those names and
-        # the sender's position).  `_deliver_to_all` serves links and senders
-        # whose receivers are all switch ports: they take every frame.
+        # sender -> (JSON-encoded medium name, JSON-encoded sender name, the
+        # owners and the JSON-encoded names of every other station, in order,
+        # the bus's AcceptanceIndex or None, the sender's position).  A link
+        # and a sender whose receivers are all switch ports get no index:
+        # they call every receiver, and asking would only cost time.
         self.fanout = {}
         for medium in topo.media.values():
             text = _encode(medium.name)
             owners = [st.owner for st in medium.stations]
             names = [_encode(st.name) for st in medium.stations]
-            pairs = list(zip(owners, names))
             index = AcceptanceIndex(owners) if isinstance(medium, CanBus) else None
             for at, sender in enumerate(medium.stations):
-                bus = None
-                if index is not None and len(owners) - len(index.ports) > \
-                        (owners[at].kind != "switch-port"):  # a receiver is a node
-                    bus = (index, names[:at] + names[at + 1:], at)
-                self.fanout[sender] = (text, names[at], pairs[:at] + pairs[at + 1:], bus)
+                to_nodes = index is not None and len(owners) - len(index.ports) > (
+                    owners[at].kind != "switch-port")  # a receiver is a node
+                self.fanout[sender] = (text, names[at], owners[:at] + owners[at + 1:],
+                                       names[:at] + names[at + 1:],
+                                       index if to_nodes else None, at)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -435,13 +435,13 @@ class Simulation:
 
     # -- flow attribution ----------------------------------------------------
 
-    def flow_of(self, rx: frames.Decoded) -> tuple[Flow, int] | None:
-        """The flow and sequence number that the tag of `rx`'s payload names,
-        if that flow has sent that packet: if its send time has come."""
-        if rx.payload is None:
+    def flow_of(self, payload: bytes | None) -> tuple[Flow, int] | None:
+        """The flow and sequence number that the tag of `payload` names, if
+        that flow has sent that packet: if its send time has come."""
+        if payload is None:
             return None
         try:
-            index, seq = FLOW_TAG.unpack_from(rx.payload)
+            index, seq = FLOW_TAG.unpack_from(payload)
             flow = self.flows[index]
             if flow.schedule[seq] <= self.now:
                 return flow, seq
@@ -456,8 +456,8 @@ class Simulation:
         """Describe a started transmission once, trace it and schedule its
         end.  `rx` is `frames.decode(frame)` as its sender built it."""
         summary = frame_summary(frame, rx.eth)
-        location, source, _, bus = self.fanout[station]
-        fl = self.flow_of(rx)
+        location, source, *_ = self.fanout[station]
+        fl = self.flow_of(rx.payload)
         # The keys tx_start and tx_complete share, in sorted order; written
         # byte for byte as trace() would.
         if fl is None:
@@ -468,7 +468,7 @@ class Simulation:
         self.trace_lines.append(
             f'{{"duration_ns":{duration_ns},"event":"tx_start",{shared}"t_ns":{self.now}}}')
         self.schedule(now + duration_ns, self.on_tx_complete,
-                      medium, station, frame, rx, summary, shared, bus is not None)
+                      medium, station, frame, rx, summary, shared)
 
     def on_clash(self, bus, dropped: list[tuple[Station, object, frames.Decoded]]) -> None:
         self.trace("clash", bus.name, stations=[st.name for st, _, _ in dropped])
@@ -478,7 +478,7 @@ class Simulation:
     def drop(self, frame, reason: str, location: str, rx: frames.Decoded) -> None:
         """Account a dropped frame, decoded as `rx`, to its flow, or trace it
         as anonymous."""
-        fl = self.flow_of(rx)
+        fl = self.flow_of(rx.payload)
         if fl is not None:
             self.flow_drop(fl[0], fl[1], reason, location)
         else:
@@ -493,22 +493,19 @@ class Simulation:
         self.trace("drop", location, flow=flow.name, seq=seq, reason=reason)
 
     def on_app_delivery(self, node, payload: bytes, now: int) -> None:
-        try:  # flow_of's tag rule
-            index, seq = FLOW_TAG.unpack_from(payload)
-            flow = self.flows[index]
-            sent_at = flow.schedule[seq]
-        except (struct.error, IndexError):
-            sent_at = None
-        if sent_at is None or sent_at > now:
+        fl = self.flow_of(payload)
+        if fl is None:
             self.trace("app_deliver", node.name, reason="untracked")
             return
+        flow, seq = fl
         stats = self.flow_stats[flow.name]
         stats["delivered"] += 1
         stats["delivered_seqs"].add(seq)
         # the packet as sent, zero-padded to what arrived (raw Ethernet pads)
-        if payload != make_payload(index, seq, flow.payload_size).ljust(len(payload), b"\0"):
+        sent = make_payload(self.flow_index[flow.name], seq, flow.payload_size)
+        if payload != sent.ljust(len(payload), b"\0"):
             stats["payload_mismatches"] += 1
-        latency = now - sent_at
+        latency = now - flow.schedule[seq]
         stats["latencies"].append(latency)
         self.trace_lines.append(
             f'{{"event":"app_deliver","flow":{self.flow_text[flow.name]},'
@@ -545,46 +542,36 @@ class Simulation:
         self.topo.nodes[flow.source].app_send(self, self.now, flow, seq, payload)
 
     def on_tx_complete(self, medium, sender: Station, frame, rx: frames.Decoded,
-                       summary: str, shared: str, filtered: bool) -> None:
+                       summary: str, shared: str) -> None:
         now = self.now
         self.trace_lines.append(f'{{"event":"tx_complete",{shared}"t_ns":{now}}}')
-        self.schedule(now, self._deliver if filtered else self._deliver_to_all,
-                      sender, frame, rx, summary)
+        self.schedule(now, self._deliver, sender, frame, rx, summary)
         medium.on_complete(self, now, sender)
 
-    def _deliver_to_all(self, sender: Station, frame, rx: frames.Decoded, summary: str) -> None:
-        """Hand one transmission to every other station in turn: its
-        `deliver` record, then its reaction, then the next station."""
+    def _deliver(self, sender: Station, frame, rx: frames.Decoded, summary: str) -> None:
+        """Hand one transmission to the receivers that can act on it, in
+        station order: each one's `deliver` record, then its reaction.
+        Every other station gets its record; those of each run of stations
+        that cannot act on the frame are written in one join."""
+        _, _, owners, locations, index, at = self.fanout[sender]
         # Byte for byte what trace("deliver", <receiver name>, frame=...) writes.
         now = self.now
         head = '{"event":"deliver","frame":' + summary + ',"location":'
         tail = f',"t_ns":{now}}}'
-        for owner, location in self.fanout[sender][2]:
-            self.trace_lines.append(head + location + tail)
-            owner.on_receive(self, now, frame, rx)
-
-    def _deliver(self, sender: Station, frame, rx: frames.Decoded, summary: str) -> None:
-        """Hand one bus transmission to the receivers that can act on it, in
-        station order: each one's `deliver` record, then its reaction.
-        Every other station gets its record; those of each run of stations
-        that cannot act on the frame are written in one join."""
-        index, locations, at = self.fanout[sender][3]
-        callees = index.callees(at, frame, rx)
-        if callees is None:  # every station
-            self._deliver_to_all(sender, frame, rx, summary)
+        lines = self.trace_lines
+        callees = None if index is None else index.callees(at, frame, rx)
+        if callees is None:  # every receiver
+            for owner, location in zip(owners, locations):
+                lines.append(head + location + tail)
+                owner.on_receive(self, now, frame, rx)
             return
-        # The records `_deliver_to_all` writes, a run at a time.
-        now = self.now
-        head = '{"event":"deliver","frame":' + summary + ',"location":'
-        tail = f',"t_ns":{now}}}'
         sep = tail + "\n" + head
-        lines, owners = self.trace_lines, index.owners
         start = 0  # the first receiver whose record is not written yet
         for i in callees:
             if i != at:
                 end = i if i < at else i - 1  # its place among the receivers
                 lines.append(head + sep.join(locations[start:end + 1]) + tail)
-                owners[i].on_receive(self, now, frame, rx)
+                owners[end].on_receive(self, now, frame, rx)
                 start = end + 1
         if start < len(locations):
             lines.append(head + sep.join(locations[start:]) + tail)

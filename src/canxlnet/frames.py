@@ -391,9 +391,8 @@ class ArpMessage:
 
 
 def ipv4_checksum(header: bytes) -> int:
-    """RFC 791 header checksum (ones' complement of the 16-bit sum)."""
-    if len(header) % 2:
-        header += b"\x00"
+    """RFC 791 header checksum (ones' complement of the 16-bit sum) of an
+    IHL x 4-byte header, so of whole 16-bit words."""
     total = sum(struct.unpack(f">{len(header) // 2}H", header))
     while total > 0xFFFF:
         total = (total & 0xFFFF) + (total >> 16)
@@ -518,8 +517,7 @@ def arp_serialize(msg: ArpMessage) -> EthernetFrame:
 def arp_parse(eth: EthernetFrame) -> ArpMessage:
     if eth.ethertype != ETHERTYPE_ARP:
         raise Malformed(f"ethertype 0x{eth.ethertype:04x} is not ARP")
-    if len(eth.payload) < 28:
-        raise Malformed("ARP body truncated")
+    # EthernetFrame pads its payload to 46 bytes, so the 28-byte body is there
     htype, ptype, hlen, plen, oper, sha, spa, tha, tpa = \
         struct.unpack(">HHBBH6s4s6s4s", eth.payload[:28])
     if (htype, ptype, hlen, plen) != (1, ETHERTYPE_IPV4, 6, 4):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .frames import CANXL_MAX_DATA, ETH_HEADER_LEN, ETH_MIN_PAYLOAD, ETH_MTU, ClassicCanFrame
+from .frames import CANXL_MAX_DATA, ETH_HEADER_LEN, ETH_MIN_PAYLOAD, ClassicCanFrame
 
 # Nominal 11-bit-identifier classic CAN frame: 47 overhead bits plus the
 # data bytes, ignoring stuff bits.
@@ -75,9 +75,8 @@ def canxl_duration(payload_bytes: int, p: CanXlTimingParams) -> float:
 
 def ethernet_duration(payload_bytes: int, p: EthernetTimingParams) -> float:
     """Duration in seconds of one Ethernet frame including preamble and FCS.
-    Header, minimum payload and MTU are the `frames` constants."""
-    if not 0 <= payload_bytes <= ETH_MTU:
-        raise InvalidPayload(f"payload {payload_bytes} outside [0, {ETH_MTU}]")
+    Header and minimum payload are the `frames` constants; `EthernetFrame`
+    bounds the payload by the MTU."""
     octets = ETH_HEADER_LEN + max(payload_bytes, ETH_MIN_PAYLOAD) + ETH_PREAMBLE_FCS_BYTES
     return octets * 8 / p.bitrate
 

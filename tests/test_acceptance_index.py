@@ -26,14 +26,20 @@ def reference_deliver(self, sender, frame, rx, summary):
             station.owner.on_receive(self, self.now, frame, rx)
 
 
-def run_both(build, monkeypatch):
+def run_both(build, monkeypatch, queued=()):
     """(trace, report) of a topology run as it is and with every receiver
-    called."""
-    result = Simulation(build()).run()
+    called; each (node name, frame) of `queued` is queued at t = 0."""
+    def run():
+        sim = Simulation(build())
+        for name, frame in queued:
+            station = sim.topo.nodes[name].station
+            sim.schedule(0, station.medium.enqueue, sim, station, frame, 0, frames.decode(frame))
+        return sim.run()
+
+    result = run()
     with monkeypatch.context() as patch:
         patch.setattr(Simulation, "_deliver", reference_deliver)
-        patch.setattr(Simulation, "_deliver_to_all", reference_deliver)
-        reference = Simulation(build()).run()
+        reference = run()
     return result, reference
 
 
@@ -61,9 +67,11 @@ def events(trace: str, kind: str) -> list[dict]:
 # -- equivalence with calling every receiver -----------------------------------
 
 # Octets 0..3 of most MACs are shared, so the AF filter passes frames
-# meant for another node; one prefix has the I/G bit set.
+# meant for another node; one prefix has the I/G bit set.  UNKNOWN_MACS
+# are no station's: the second one's octets 0..3 are no node's AF image.
 PREFIXES = ("02:00:00:00", "02:00:00:00", "06:00:00:01", "03:00:00:00")
 GROUP_MACS = ("ff:ff:ff:ff:ff:ff", "03:00:00:00:00:01")
+UNKNOWN_MACS = ("02:00:00:00:09:99", "0a:00:00:09:09:99")
 STATION_KINDS = st.sampled_from(("eoc", "ioc", "ioc", "classic", "port"))
 CAN_IDS = (0x101, 0x102, 0x103)
 
@@ -104,7 +112,7 @@ def mixed_bus(draw):
             dst = draw(st.sampled_from(ips + ["10.0.0.99"]))
             flows.append(Flow(f"f{f}", name, "ipv4", 44, times, dst_ip=Ipv4Address.parse(dst)))
         else:
-            dst = draw(st.sampled_from(macs + list(GROUP_MACS) + ["02:00:00:00:09:99"]))
+            dst = draw(st.sampled_from(macs + list(GROUP_MACS) + list(UNKNOWN_MACS)))
             flows.append(Flow(f"f{f}", name, "raw-ethernet", 46, times,
                               dst_mac=MacAddress.parse(dst)))
 
@@ -240,6 +248,44 @@ def test_rejecting_run_writes_each_deliver_line_once_in_station_order(monkeypatc
     assert records[at + 2]["location"] == "n7"
     counts = {name: node["af_false_positive"] for name, node in report["nodes"].items()}
     assert counts == {f"n{n}": int(n not in (3, 6)) for n in range(1, 9)}
+
+
+def eoc_bus_with_a_port(flows=()) -> Topology:
+    """`eoc_bus(3)` and a C-switch port, whose link leads to host h."""
+    topo = eoc_bus(3, flows)
+    topo.add_switch(CSwitch("sw", 1, [PortConfig(0, CAN_XL), PortConfig(1, ETH)]))
+    topo.add_node(EthernetHost("h", mac(9), ip(9)))
+    topo.add_link("link", LINK)
+    topo.attach_switch_port("sw", 0, "bus")
+    topo.attach_switch_port("sw", 1, "link")
+    topo.attach_node("h", "link")
+    return topo
+
+
+def test_tunnel_frame_to_an_af_no_node_has_reaches_only_the_ports(monkeypatch):
+    far = MacAddress.parse(UNKNOWN_MACS[1])
+    af = frames.make_af_from_da(far)
+    flow = Flow("f", "n1", "raw-ethernet", 46, [to_ns(0.001)], dst_mac=far)
+    calls = record_calls(monkeypatch, lambda frame: getattr(frame, "af", None) == af)
+    trace, report = Simulation(eoc_bus_with_a_port([flow])).run()
+    assert calls == ["sw.p0"]
+    assert [e["location"] for e in events(trace, "deliver")
+            if e["frame"].get("af") == f"0x{af:08x}"] == ["n2", "n3", "sw.p0"]
+    assert all(node["af_false_positive"] == 0 for node in report["nodes"].values())
+
+
+def test_group_da_behind_a_unicast_af_reaches_every_station(monkeypatch):
+    # eoc_encapsulate derives the AF from the DA, so only a frame built by
+    # hand has a broadcast DA under n2's and n3's AF image.
+    eth = frames.EthernetFrame(frames.BROADCAST_MAC, mac(1), frames.ETHERTYPE_RAW_DATA, b"")
+    frame = frames.CanXlFrame(0x100, frames.SDT_ETHERNET, 0, frames.make_af_from_da(mac(2)),
+                              eth.to_bytes())
+    assert not frame.af & frames.AF_GROUP
+    calls = record_calls(monkeypatch, lambda sent: sent is frame)
+    (trace, report), reference = run_both(eoc_bus_with_a_port, monkeypatch, [("n1", frame)])
+    assert (trace, report) == reference
+    assert calls == ["n2", "n3", "sw.p0"] * 2  # the run, then the reference run
+    assert [report["nodes"][n]["delivered"] for n in ("n2", "n3")] == [1, 1]
 
 
 @given(af=st.integers(0, 2**32 - 1), image=st.integers(0, 2**32 - 1))

@@ -580,6 +580,38 @@ def test_simulate_exits_2_on_a_topology_error(tmp_path, capsys, base, edits, loc
     assert capsys.readouterr().err == f"error: {location}: {reason}\n"
 
 
+# (id, document, location, reason) of shape and key errors
+KEY_ERRORS = [
+    ("root_not_a_mapping", [MINIMAL], "<root>", "expected a mapping"),
+    ("run_not_a_mapping", edited(("run",), 5), "run", "expected a mapping"),
+    ("schedule_not_a_mapping", edited(("flows", 0, "schedule"), 5), "flows.f1.schedule",
+     "expected a mapping"),
+    ("node_missing_mac", edited(("nodes", 0), {"name": "n1", "kind": "eoc"}), "nodes.n1",
+     "missing keys: mac"),
+    ("flow_missing_keys", edited(("flows", 0), {"name": "f1", "source": "n1"}), "flows.f1",
+     "missing keys: payload_size, schedule, transport"),
+    ("unknown_node_kind", edited(("nodes", 0, "kind"), "can-fd"), "nodes.n1",
+     "unknown node kind 'can-fd'"),
+    ("node_without_kind", edited(("nodes", 0), {"name": "n1", "mac": "02:00:00:00:00:01"}),
+     "nodes.n1", "unknown node kind None"),
+]
+
+
+@pytest.mark.parametrize("doc, location, reason", [case[1:] for case in KEY_ERRORS],
+                         ids=[case[0] for case in KEY_ERRORS])
+def test_key_error_is_located(doc, location, reason):
+    with pytest.raises(ConfigError) as exc:
+        checked(doc)
+    assert (exc.value.location, exc.value.reason) == (location, reason)
+
+
+def test_simulate_exits_2_on_a_document_that_is_no_mapping(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump([MINIMAL]))
+    assert main(["simulate", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: <root>: expected a mapping\n"
+
+
 def test_static_arp_other_than_a_mapping_is_located():
     # `false` or `[]` is not an empty table
     assert_located(("nodes", 0, "static_arp"), False, "nodes.n1.static_arp")

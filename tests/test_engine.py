@@ -428,10 +428,10 @@ def test_one_ipv4_header_rule_for_engine_and_receivers():
     good = frames.EthernetFrame(mac(2), mac(1), frames.ETHERTYPE_IPV4, bytes(header))
     header[10] ^= 0xFF
     bad = frames.EthernetFrame(mac(2), mac(1), frames.ETHERTYPE_IPV4, bytes(header))
-    assert sim.flow_of(frames.decode(good)) == (topo.flows[0], 0)
+    assert sim.flow_of(frames.decode(good).payload) == (topo.flows[0], 0)
     rx = frames.decode(bad)
     assert rx.net is None
-    assert sim.flow_of(rx) is None
+    assert sim.flow_of(rx.payload) is None
 
     receiver = topo.nodes["b"]
     receiver.on_receive(sim, sim.now, bad, rx)
@@ -445,9 +445,9 @@ def test_one_ipv4_header_rule_for_engine_and_receivers():
     assert sw.efdb.lookup_ip(ip(1), 0) is None
 
 
-def tagged(flow_index: int, seq: int, size: int = engine.FLOW_TAG.size) -> frames.Decoded:
-    """The decoded value of a frame carrying the packet (flow_index, seq)."""
-    return frames.Decoded(None, None, engine.make_payload(flow_index, seq, size))
+def tagged(flow_index: int, seq: int, size: int = engine.FLOW_TAG.size) -> bytes:
+    """The payload of the packet (flow_index, seq)."""
+    return engine.make_payload(flow_index, seq, size)
 
 
 def test_nonzero_padding_is_a_payload_mismatch():
@@ -518,6 +518,23 @@ def test_a_packet_is_sent_once_its_send_time_has_come():
     assert report["flows"]["f"]["payload_mismatches"] == 0
     assert sim.flow_of(tagged(0, 1)) == (flow, 1)
     assert sim.flow_of(tagged(0, 0)) is None
+
+
+@pytest.mark.parametrize("payload", [
+    bytes(engine.FLOW_TAG.size - 1),  # shorter than a tag
+    tagged(1, 0),  # flow 1 does not exist
+    tagged(0, 2),  # the schedule has two packets
+    tagged(0, 1),  # sent at 1 ms
+], ids=["no_tag", "no_such_flow", "no_such_packet", "not_sent_yet"])
+def test_an_untracked_delivery_moves_no_flow_counter(payload):
+    flow = raw_flow("f", "n1", mac(2), None, seq_times=[0, to_ns(0.001)])
+    sim = Simulation(two_node_bus(flows=[flow]))
+    sim.now = 10
+    before = sim.report()["flows"]
+    sim.on_app_delivery(sim.topo.nodes["n2"], payload, sim.now)
+    assert sim.trace_lines == [
+        '{"event":"app_deliver","location":"n2","reason":"untracked","t_ns":10}']
+    assert sim.report()["flows"] == before
 
 
 class TestArp:

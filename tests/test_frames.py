@@ -449,3 +449,63 @@ class TestWireTypes:
         raw[10] ^= 0xFF
         with pytest.raises(frames.Malformed):
             Ipv4Datagram.from_bytes(bytes(raw))
+
+
+def ipv4_header(ihl: int = 5, total: int = 28) -> bytes:
+    """A 28-byte datagram whose IHL and total length fields are set as given."""
+    raw = bytearray(make_dgram(bytes(8)).to_bytes())
+    raw[0] = 0x40 | ihl
+    raw[2:4] = total.to_bytes(2, "big")
+    return bytes(raw)
+
+
+ARP_BODY = arp_serialize(_REQUEST).payload
+
+# (id, the call, the exception type it raises, its message)
+FRAME_ERRORS = [
+    ("mac_length", lambda: MacAddress(bytes(5)), ValueError,
+     "MAC address needs exactly 6 octets"),
+    ("ipv4_address_length", lambda: Ipv4Address(bytes(3)), ValueError,
+     "IPv4 address needs exactly 4 octets"),
+    ("ethernet_payload_above_mtu", lambda: EthernetFrame(M1, M2, 0x88B6, bytes(1501)),
+     ValueError, "payload 1501 exceeds MTU 1500"),
+    ("ipv4_options_not_words", lambda: make_dgram(bytes(8), options=bytes(3)), ValueError,
+     "options must be a whole number of 32-bit words"),
+    ("ipv4_flags_range", lambda: make_dgram(bytes(8), flags=8), ValueError,
+     "flags/fragment offset out of range"),
+    ("ipv4_fragment_offset_range", lambda: make_dgram(bytes(8), fragment_offset=1 << 13),
+     ValueError, "flags/fragment offset out of range"),
+    ("ipv4_ihl_below_5", lambda: Ipv4Datagram.from_bytes(ipv4_header(ihl=4)),
+     frames.Malformed, "bad IHL"),
+    ("ipv4_ihl_past_the_buffer", lambda: Ipv4Datagram.from_bytes(ipv4_header(ihl=6)[:20]),
+     frames.Malformed, "bad IHL"),
+    ("ipv4_total_below_the_header", lambda: Ipv4Datagram.from_bytes(ipv4_header(total=19)),
+     frames.Malformed, "bad total length"),
+    ("ipv4_total_past_the_buffer", lambda: Ipv4Datagram.from_bytes(ipv4_header(total=29)),
+     frames.Malformed, "bad total length"),
+    ("arp_reply_to_itself", lambda: ArpMessage(ArpOp.REPLY, M1, IP1, M2, IP1), ValueError,
+     "a reply with spa == tpa is gratuitous"),
+    ("eoc_sec", lambda: eoc_decapsulate(
+        CanXlFrame(0, frames.SDT_ETHERNET, 0, 0, _RAW.to_bytes(), sec=True)),
+     frames.Malformed, "extended LLC content not supported"),
+    ("ioc_sec", lambda: ioc_decapsulate(
+        CanXlFrame(0, frames.SDT_IPV4, 0, 0, ioc_encode(_DGRAM, 0).data, sec=True)),
+     frames.Malformed, "extended LLC content not supported"),
+    ("arp_wrong_ethertype", lambda: arp_parse(EthernetFrame(BROADCAST_MAC, M2, 0x0800, ARP_BODY)),
+     frames.Malformed, "ethertype 0x0800 is not ARP"),
+    # EthernetFrame pads every payload to 46 bytes, so no ARP body is
+    # shorter than the 28 it holds: an empty one reads as zeros
+    ("arp_empty_body", lambda: arp_parse(EthernetFrame(BROADCAST_MAC, M2, 0x0806, b"")),
+     frames.Malformed, "not an IPv4-over-Ethernet ARP message"),
+    ("arp_unknown_operation", lambda: arp_parse(EthernetFrame(
+        BROADCAST_MAC, M2, 0x0806, ARP_BODY[:7] + b"\x03" + ARP_BODY[8:])),
+     frames.Malformed, "unknown ARP operation 3"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [case[1:] for case in FRAME_ERRORS],
+                         ids=[case[0] for case in FRAME_ERRORS])
+def test_frame_error_names_its_cause(call, error, message):
+    with pytest.raises(Exception) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (error, message)

@@ -1,8 +1,11 @@
+import collections
 import dataclasses
+import json
 
 import pytest
 
 from canxlnet import frames
+from canxlnet.engine import RunOptions, Simulation, Topology
 from canxlnet.frames import (
     ArpMessage,
     ArpOp,
@@ -24,6 +27,7 @@ from canxlnet.switch import (
     EGRESS_IOC_PREFERRED,
     ETH,
     Efdb,
+    HELLO_INTERVAL_NS,
     LegacyRelayRule,
     PortConfig,
     ROLE_BLOCKED,
@@ -32,6 +36,8 @@ from canxlnet.switch import (
     decode_bpdu,
     encode_bpdu,
 )
+from canxlnet.nodes import EthernetHost
+from canxlnet.timing import EthernetTimingParams
 
 M1 = MacAddress.parse("02:00:00:00:00:01")
 M2 = MacAddress.parse("02:00:00:00:00:02")
@@ -116,6 +122,15 @@ class TestLearning:
         assert entry.mac == M2 and entry.port == 1
         assert sw.efdb.lookup_mac(M1, 1).ip is None
 
+    def test_a_new_ip_for_a_mac_forgets_the_old_one(self):
+        efdb = Efdb()
+        efdb.learn_joint(M1, IP1, 0, now=0)
+        efdb.learn_joint(M1, IP2, 1, now=1)
+        assert efdb.lookup_ip(IP1, 1) is None
+        entry = efdb.lookup_ip(IP2, 1)
+        assert (entry.mac, entry.port) == (M1, 1)
+        assert efdb.lookup_mac(M1, 1) is entry
+
 
 class TestAgeing:
     def test_refresh_survives(self):
@@ -162,6 +177,17 @@ class TestForwarding:
         out = ingest(sw, 1, ipv4_eth(M3, M1, IP1, IP3), now=1)
         assert out == []
         assert sw.counters["no_route_self"] == 1
+
+    def test_known_destination_behind_a_blocked_port_is_dropped(self):
+        sw = make_switch()
+        drops = []
+        sw.drop_hook = lambda frame, reason, where, rx: drops.append((frame, reason, where))
+        ingest(sw, 2, ipv4_eth(BROADCAST_MAC, M3, IP3, IP1), now=0)
+        sw.port_state[2].role = ROLE_BLOCKED
+        frame = ipv4_eth(M3, M1, IP1, IP3)
+        assert ingest(sw, 1, frame, now=1) == []
+        assert sw.counters["stp_blocked"] == 1
+        assert drops == [(frame, "stp_blocked", "sw")]
 
     def test_group_da_floods(self):
         sw = make_switch()
@@ -364,6 +390,33 @@ class TestSpanningTree:
         sw.port_state[2].role = ROLE_BLOCKED
         out = ingest(sw, 1, EthernetFrame(BROADCAST_MAC, M1, 0x88B6, bytes(46)), now=0)
         assert [port for port, _, _ in out] == [0]
+
+    def test_each_bridge_relays_the_roots_later_hellos(self):
+        # sw1.p0 - sw2.p0, sw2.p1 - sw3.p0, sw3.p1 - h, all links; sw1 is
+        # the root.  At the second hello tick only the root's timer sends,
+        # and each other bridge relays what its root port hears.
+        topo = Topology(RunOptions(t_end=(HELLO_INTERVAL_NS + 10**6) / 1e9,
+                                   startup_gratuitous_arp=False))
+        topo.add_switch(CSwitch("sw1", 1, [PortConfig(0, ETH)]))
+        for n in (2, 3):
+            topo.add_switch(CSwitch(f"sw{n}", n, [PortConfig(0, ETH), PortConfig(1, ETH)]))
+        topo.add_node(EthernetHost("h", M1, IP1))
+        for n, ends in enumerate(((("sw1", 0), ("sw2", 0)), (("sw2", 1), ("sw3", 0)))):
+            topo.add_link(f"l{n}", EthernetTimingParams(100e6))
+            for name, port in ends:
+                topo.attach_switch_port(name, port, f"l{n}")
+        topo.add_link("l2", EthernetTimingParams(100e6))
+        topo.attach_switch_port("sw3", 1, "l2")
+        topo.attach_node("h", "l2")
+        trace, report = Simulation(topo).run()
+        later = collections.Counter(
+            r["source"] for r in map(json.loads, trace.splitlines())
+            if r["event"] == "tx_start" and r["t_ns"] >= HELLO_INTERVAL_NS
+            and r["frame"]["da"] == str(frames.STP_GROUP_MAC))
+        assert later == {"sw1.p0": 1, "sw2.p1": 1, "sw3.p1": 1}
+        assert [report["switches"][n]["stp"]["ports"] for n in ("sw2", "sw3")] == \
+            [{"0": ROLE_ROOT, "1": ROLE_DESIGNATED}] * 2
+        assert [topo.switches[n].hello() for n in ("sw2", "sw3")] == [[], []]
 
 
 def test_duplicate_port_indices_rejected():
