@@ -404,11 +404,11 @@ class Simulation:
         }
         for sw in topo.switches.values():
             sw.drop_hook = self.drop
-        # sender -> (JSON-encoded medium name, JSON-encoded sender name, the
-        # owners and the JSON-encoded names of every other station, in order,
-        # the bus's AcceptanceIndex or None, the sender's position).  A link
-        # and a sender whose receivers are all switch ports get no index:
-        # they call every receiver, and asking would only cost time.
+        # sender -> (JSON-encoded medium name, JSON-encoded sender name,
+        # (the owners and the JSON-encoded names of every other station, in
+        # order, the bus's AcceptanceIndex or None, the sender's position)).
+        # A link and a sender whose receivers are all switch ports get no
+        # index: they call every receiver, and asking would only cost time.
         self.fanout = {}
         for medium in topo.media.values():
             text = _encode(medium.name)
@@ -418,9 +418,9 @@ class Simulation:
             for at, sender in enumerate(medium.stations):
                 to_nodes = index is not None and len(owners) - len(index.ports) > (
                     owners[at].kind != "switch-port")  # a receiver is a node
-                self.fanout[sender] = (text, names[at], owners[:at] + owners[at + 1:],
-                                       names[:at] + names[at + 1:],
-                                       index if to_nodes else None, at)
+                self.fanout[sender] = (text, names[at], (
+                    owners[:at] + owners[at + 1:], names[:at] + names[at + 1:],
+                    index if to_nodes else None, at))
 
     # -- plumbing -----------------------------------------------------------
 
@@ -456,7 +456,7 @@ class Simulation:
         """Describe a started transmission once, trace it and schedule its
         end.  `rx` is `frames.decode(frame)` as its sender built it."""
         summary = frame_summary(frame, rx.eth)
-        location, source, *_ = self.fanout[station]
+        location, source, _ = self.fanout[station]
         fl = self.flow_of(rx.payload)
         # The keys tx_start and tx_complete share, in sorted order; written
         # byte for byte as trace() would.
@@ -553,7 +553,7 @@ class Simulation:
         station order: each one's `deliver` record, then its reaction.
         Every other station gets its record; those of each run of stations
         that cannot act on the frame are written in one join."""
-        _, _, owners, locations, index, at = self.fanout[sender]
+        owners, locations, index, at = self.fanout[sender][2]
         # Byte for byte what trace("deliver", <receiver name>, frame=...) writes.
         now = self.now
         head = '{"event":"deliver","frame":' + summary + ',"location":'

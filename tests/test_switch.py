@@ -401,13 +401,14 @@ class TestSpanningTree:
         for n in (2, 3):
             topo.add_switch(CSwitch(f"sw{n}", n, [PortConfig(0, ETH), PortConfig(1, ETH)]))
         topo.add_node(EthernetHost("h", M1, IP1))
-        for n, ends in enumerate(((("sw1", 0), ("sw2", 0)), (("sw2", 1), ("sw3", 0)))):
-            topo.add_link(f"l{n}", EthernetTimingParams(100e6))
-            for name, port in ends:
-                topo.attach_switch_port(name, port, f"l{n}")
-        topo.add_link("l2", EthernetTimingParams(100e6))
-        topo.attach_switch_port("sw3", 1, "l2")
-        topo.attach_node("h", "l2")
+        for link in ("l1", "l2", "l3"):
+            topo.add_link(link, EthernetTimingParams(100e6))
+        topo.attach_switch_port("sw1", 0, "l1")
+        topo.attach_switch_port("sw2", 0, "l1")
+        topo.attach_switch_port("sw2", 1, "l2")
+        topo.attach_switch_port("sw3", 0, "l2")
+        topo.attach_switch_port("sw3", 1, "l3")
+        topo.attach_node("h", "l3")
         trace, report = Simulation(topo).run()
         later = collections.Counter(
             r["source"] for r in map(json.loads, trace.splitlines())
