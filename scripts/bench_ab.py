@@ -1,9 +1,14 @@
 #!/usr/bin/env python3
 """Paired A/B runs of the benchmark in two checkouts.
 
-    python3 scripts/bench_ab.py PARENT_DIR CHANGE_DIR --workload W [W ...] \\
+    python3 scripts/bench_ab.py PARENT CHANGE --workload W [W ...] \\
         --pairs N --seeds S [S ...] --seconds S --out FILE
 
+PARENT and CHANGE are each a directory holding a checkout or, if no such
+directory exists, a git revision of the repository this script belongs
+to.  A revision is exported with `git archive` into a temporary directory,
+removed afterwards; both exports get paths of the same length, since the
+length of the checkout path moves the child's peak memory a little.
 Runs each checkout's own `perfbench/run.py`, unchanged, from the root of
 that checkout.  Pair i runs both trees on seed `seeds[i % len(seeds)]`,
 the parent first in even pairs and the change first in odd ones, so that
@@ -24,8 +29,10 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 
 SIDES = ("parent", "change")
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def revision(tree: pathlib.Path) -> dict:
@@ -37,6 +44,19 @@ def revision(tree: pathlib.Path) -> dict:
                 "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
     except (OSError, subprocess.CalledProcessError):
         return {"revision": None, "dirty": None}
+
+
+def export(repo: pathlib.Path, rev: str, dest: pathlib.Path) -> dict:
+    """Extract the tree of `rev` in `repo` into the new directory `dest`."""
+    full = subprocess.run(["git", "-C", str(repo), "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                          capture_output=True, text=True, check=True).stdout.strip()
+    dest.mkdir()
+    archive = subprocess.Popen(["git", "-C", str(repo), "archive", full], stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait():
+        raise subprocess.CalledProcessError(archive.returncode, "git archive")
+    return {"revision": full, "dirty": False}
 
 
 def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> dict | None:
@@ -92,22 +112,37 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("parent", type=pathlib.Path)
-    parser.add_argument("change", type=pathlib.Path)
+    parser.add_argument("parent")
+    parser.add_argument("change")
     parser.add_argument("--workload", nargs="+", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--out", type=pathlib.Path, required=True)
     args = parser.parse_args(argv)
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    with tempfile.TemporaryDirectory(prefix="bench_ab_") as exports:
+        trees, revisions = {}, {}
+        for side in SIDES:
+            given = getattr(args, side)
+            if pathlib.Path(given).is_dir():
+                trees[side] = pathlib.Path(given).resolve()
+                revisions[side] = revision(trees[side])
+            else:
+                trees[side] = pathlib.Path(exports, side)  # "parent", "change": equal lengths
+                revisions[side] = export(REPO, given, trees[side])
+        return compare(args, trees, revisions)
+
+
+def compare(args, trees: dict[str, pathlib.Path], revisions: dict[str, dict]) -> int:
+    """Run the pairs, print the medians and write `args.out`; 1 if any run
+    failed or did not finish."""
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     result = {
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "nproc": os.cpu_count()},
-        **{side: revision(tree) for side, tree in trees.items()},
+        **revisions,
         "pairs": args.pairs, "seeds": args.seeds, "seconds": args.seconds,
         "workloads": {},
     }

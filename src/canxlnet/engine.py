@@ -1,12 +1,18 @@
 """Deterministic discrete-event engine.
 
-Time is integer nanoseconds.  The event queue is a heap of
-`(t_ns, seq, handler, args)` entries that `run` pops in (time, sequence)
-order and calls as `handler(*args)`; sequence numbers are assigned
-deterministically at insertion, so two runs over the same inputs produce
-byte-identical traces.  Handlers are the engine's own (application sends,
-transmission completions, deliveries, STP hellos), node startup and ARP
-retries, and the media's arbitration kicks.
+Time is integer nanoseconds.  Events run in (time, scheduling) order and
+are called as `handler(*args)`; the order is drawn deterministically at
+insertion, so two runs over the same inputs produce byte-identical
+traces.  The queue has two parts.  An event for a later instant goes to a
+heap of `(t_ns, seq, handler, args)` entries, `seq` growing with every
+push; one for the current instant, most of them (arbitration kicks,
+deliveries), goes to a FIFO of `(handler, args)` instead.  When the clock
+reaches an instant, the heap's entries at it were all pushed before any
+event for that instant went to the FIFO, so `run` calls them first, in
+sequence order, and then drains the FIFO: the order a single heap of
+`(t_ns, seq)` would give.  Handlers are the engine's own (application
+sends, transmission completions, deliveries, STP hellos), node startup
+and ARP retries, and the media's arbitration kicks.
 
 Media hand each transmission they start to `Simulation.on_tx_start`,
 which describes the frame once, traces it and schedules its completion.
@@ -52,6 +58,7 @@ from __future__ import annotations
 import heapq
 import json
 import struct
+from collections import deque
 from dataclasses import dataclass
 
 from . import frames
@@ -385,6 +392,7 @@ class Simulation:
         self.now = 0
         self._seq = 0
         self.heap: list = []
+        self.fifo: deque = deque()
         self.trace_lines: list[str] = []
         self.flows = topo.flows
         self.flow_index = {flow.name: i for i, flow in enumerate(topo.flows)}
@@ -426,8 +434,11 @@ class Simulation:
 
     def schedule(self, t_ns: int, handler, *args) -> None:
         """Call `handler(*args)` at `t_ns`, after whatever is already due then."""
-        self._seq += 1
-        heapq.heappush(self.heap, (t_ns, self._seq, handler, args))
+        if t_ns == self.now:
+            self.fifo.append((handler, args))
+        else:
+            self._seq += 1
+            heapq.heappush(self.heap, (t_ns, self._seq, handler, args))
 
     def trace(self, event: str, location: str, **fields) -> None:
         rec = {"t_ns": self.now, "event": event, "location": location, **fields}
@@ -492,7 +503,7 @@ class Simulation:
         drops[reason] = drops.get(reason, 0) + 1
         self.trace("drop", location, flow=flow.name, seq=seq, reason=reason)
 
-    def on_app_delivery(self, node, payload: bytes, now: int) -> None:
+    def on_app_delivery(self, node, payload: bytes) -> None:
         fl = self.flow_of(payload)
         if fl is None:
             self.trace("app_deliver", node.name, reason="untracked")
@@ -505,7 +516,7 @@ class Simulation:
         sent = make_payload(self.flow_index[flow.name], seq, flow.payload_size)
         if payload != sent.ljust(len(payload), b"\0"):
             stats["payload_mismatches"] += 1
-        latency = now - flow.schedule[seq]
+        latency = self.now - flow.schedule[seq]
         stats["latencies"].append(latency)
         self.trace_lines.append(
             f'{{"event":"app_deliver","flow":{self.flow_text[flow.name]},'
@@ -524,12 +535,20 @@ class Simulation:
             for seq, t in enumerate(flow.schedule):
                 self.schedule(t, self._app_send, flow, seq)
 
-        while self.heap:
-            t, _seq, handler, args = heapq.heappop(self.heap)
-            if t > self.t_end_ns:
+        # The heap's entries at an instant were all scheduled before the
+        # clock reached it, so they run first, in sequence order; then the
+        # FIFO, in the order `schedule` filled it.
+        heap, fifo, pop, popleft = self.heap, self.fifo, heapq.heappop, self.fifo.popleft
+        while True:
+            while fifo:
+                handler, args = popleft()
+                handler(*args)
+            if not heap or heap[0][0] > self.t_end_ns:
                 break
-            self.now = t
-            handler(*args)
+            self.now = t = heap[0][0]
+            while heap and heap[0][0] == t:
+                _t, _seq, handler, args = pop(heap)
+                handler(*args)
 
         return "\n".join(self.trace_lines) + ("\n" if self.trace_lines else ""), self.report()
 

@@ -160,13 +160,13 @@ class Node:
             if net is None:
                 self.counters["ipv4_errors"] += 1
             elif self.ip is not None and net.dst_ip == self.ip:
-                self._deliver(sim, now, rx.payload)
+                self._deliver(sim, rx.payload)
         elif eth.ethertype == ETHERTYPE_RAW_DATA:
-            self._deliver(sim, now, rx.payload)
+            self._deliver(sim, rx.payload)
 
-    def _deliver(self, sim, now: int, payload: bytes) -> None:
+    def _deliver(self, sim, payload: bytes) -> None:
         self.counters["delivered"] += 1
-        sim.on_app_delivery(self, payload, now)
+        sim.on_app_delivery(self, payload)
 
     def _handle_arp(self, sim, now: int, msg: ArpMessage) -> None:
         entry = self.arp_table.get(msg.spa)
@@ -218,7 +218,7 @@ class EocNode(Node):
                 return
             self._dispatch_eth(sim, now, rx)
         elif frame.af == self.ip_af and rx.net is not None:  # compact, header checked
-            self._deliver(sim, now, rx.payload)
+            self._deliver(sim, rx.payload)
 
 
 class IocNode(EocNode):
@@ -272,4 +272,4 @@ class ClassicCanNode:
     def on_receive(self, sim, now: int, frame, rx: frames.Decoded) -> None:
         if isinstance(frame, ClassicCanFrame) and frame.id in self.rx_ids:
             self.counters["delivered"] += 1
-            sim.on_app_delivery(self, frame.data, now)
+            sim.on_app_delivery(self, frame.data)

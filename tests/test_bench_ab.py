@@ -1,5 +1,7 @@
 import importlib.util
+import json
 import pathlib
+import subprocess
 
 import pytest
 
@@ -35,3 +37,50 @@ def test_failed_and_unfinished_runs_are_counted():
     assert summary["unfinished"] == {"parent": 0, "change": 1}
     assert summary["attempted"] == {"parent": 6, "change": 3}
     assert summary["metrics"]["run_s"]["pairs_won"] == 0
+
+
+# A stand-in for perfbench/run.py: reports the number in VERSION as run_s
+# and appends the directory it ran in to the file $RUN_LOG.
+FAKE_RUN = """
+import json, os, pathlib
+with open(os.environ["RUN_LOG"], "a") as log:
+    print(os.getcwd(), file=log)
+value = float(pathlib.Path("VERSION").read_text())
+print(json.dumps({"attempted": 1, "failed": 0,
+                  "metrics": {"run_s": {"value": value, "unit": "s"}}}))
+"""
+
+
+def test_revisions_are_exported_to_paths_of_equal_length(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (repo / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": [{"name": "run_s", "better": "lower"}]}))
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c",
+                               "user.email=t@example.org", *args],
+                              capture_output=True, text=True, check=True).stdout.strip()
+
+    git("init", "-q")
+    hashes = []
+    for version in ("2.0", "1.0"):
+        (repo / "VERSION").write_text(version)
+        git("add", "-A")
+        git("commit", "-q", "-m", version)
+        hashes.append(git("rev-parse", "HEAD"))
+    monkeypatch.setattr(bench_ab, "REPO", repo)
+    monkeypatch.setenv("RUN_LOG", str(tmp_path / "runs.log"))
+    out = tmp_path / "ab.json"
+
+    assert bench_ab.main(["HEAD~1", "HEAD", "--workload", "w", "--pairs", "2", "--seeds", "1",
+                          "--seconds", "0", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result["parent"] == {"revision": hashes[0], "dirty": False}
+    assert result["change"] == {"revision": hashes[1], "dirty": False}
+    run_s = result["workloads"]["w"]["metrics"]["run_s"]
+    assert (run_s["parent"]["median"], run_s["change"]["median"], run_s["pairs_won"]) == (2, 1, 2)
+    dirs = set((tmp_path / "runs.log").read_text().split())
+    assert len(dirs) == 2 and len({len(d) for d in dirs}) == 1
+    assert not any(pathlib.Path(d).exists() for d in dirs)

@@ -1,3 +1,5 @@
+import heapq
+import itertools
 import json
 
 import pytest
@@ -354,6 +356,67 @@ class TestMediumTiming:
         assert starts[0] == starts[1]  # no mutual blocking
 
 
+ORDER_T_END_NS = 6
+
+
+def child_time(now: int, where) -> int:
+    """An offset from `now`, or the instant `t_end` or just past it."""
+    if where == "t_end":
+        return ORDER_T_END_NS
+    return ORDER_T_END_NS + 1 if where == "past_end" else now + where
+
+
+@st.composite
+def event_programs(draw):
+    """Initial events as (t_ns, id) and, per event id, the children it
+    schedules when it runs, as (id, where) for `child_time`."""
+    n = draw(st.integers(1, 16))
+    initial, children = [], [[] for _ in range(n)]
+    for i in range(n):
+        parent = draw(st.none() | st.integers(0, i - 1)) if i else None
+        if parent is None:
+            initial.append((draw(st.sampled_from([0, 1, 2, ORDER_T_END_NS, ORDER_T_END_NS + 1])), i))
+        else:
+            where = draw(st.integers(0, 2) | st.sampled_from(["t_end", "past_end"]))
+            children[parent].append((i, where))
+    return initial, children
+
+
+def reference_order(initial, children) -> list[tuple[int, int]]:
+    """The (id, t_ns) sequence a plain heap of (t_ns, seq) runs: time order,
+    and the order of scheduling within an instant."""
+    seq = itertools.count()
+    heap = [(t, next(seq), i) for t, i in initial]
+    heapq.heapify(heap)
+    ran = []
+    while heap:
+        t, _seq, i = heapq.heappop(heap)
+        if t > ORDER_T_END_NS:
+            break
+        ran.append((i, t))
+        for child, where in children[i]:
+            heapq.heappush(heap, (child_time(t, where), next(seq), child))
+    return ran
+
+
+@given(event_programs())
+def test_events_run_in_time_then_scheduling_order(program):
+    initial, children = program
+    sim = Simulation(Topology(RunOptions(t_end=ORDER_T_END_NS * 1e-9)))
+    assert sim.t_end_ns == ORDER_T_END_NS
+    ran = []
+
+    def handler(i):
+        ran.append((i, sim.now))
+        for child, where in children[i]:
+            sim.schedule(child_time(sim.now, where), handler, child)
+
+    for t, i in initial:
+        sim.schedule(t, handler, i)
+    sim.run()
+    assert ran == reference_order(initial, children)
+
+
 @given(flow_index=st.integers(0, 2**32 - 1), seq=st.integers(0, 2**32 - 1))
 def test_make_payload_matches_the_per_byte_formula(flow_index, seq):
     filler = bytes((37 * i + 11 * flow_index + 7 * seq) & 0xFF for i in range(1500 - 8))
@@ -531,7 +594,7 @@ def test_an_untracked_delivery_moves_no_flow_counter(payload):
     sim = Simulation(two_node_bus(flows=[flow]))
     sim.now = 10
     before = sim.report()["flows"]
-    sim.on_app_delivery(sim.topo.nodes["n2"], payload, sim.now)
+    sim.on_app_delivery(sim.topo.nodes["n2"], payload)
     assert sim.trace_lines == [
         '{"event":"app_deliver","location":"n2","reason":"untracked","t_ns":10}']
     assert sim.report()["flows"] == before

@@ -137,7 +137,7 @@ class Deliveries:
     def __init__(self):
         self.payloads = []
 
-    def on_app_delivery(self, node, payload, now):
+    def on_app_delivery(self, node, payload):
         self.payloads.append(payload)
 
 
