@@ -129,7 +129,10 @@ def main(argv: list[str] | None = None) -> int:
                 revisions[side] = revision(trees[side])
             else:
                 trees[side] = pathlib.Path(exports, side)  # "parent", "change": equal lengths
-                revisions[side] = export(REPO, given, trees[side])
+                try:
+                    revisions[side] = export(REPO, given, trees[side])
+                except subprocess.CalledProcessError:
+                    parser.error(f"{given}: neither a directory nor a revision of {REPO}")
         return compare(args, trees, revisions)
 
 

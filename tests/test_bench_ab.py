@@ -84,3 +84,7 @@ def test_revisions_are_exported_to_paths_of_equal_length(tmp_path, monkeypatch):
     dirs = set((tmp_path / "runs.log").read_text().split())
     assert len(dirs) == 2 and len({len(d) for d in dirs}) == 1
     assert not any(pathlib.Path(d).exists() for d in dirs)
+    with pytest.raises(SystemExit) as exit_:
+        bench_ab.main(["no-such-rev", "HEAD", "--workload", "w", "--pairs", "1", "--seeds", "1",
+                       "--seconds", "0", "--out", str(out)])
+    assert exit_.value.code == 2
