@@ -12,8 +12,11 @@ their own and are left out.  Code run in child processes (the CLI tests
 that start `canxlnet` as a program) is not traced.
 
 Writes a Markdown list per module to stdout and pytest's own output to
-stderr.  Uses the standard library only besides pytest itself, and exits
-with pytest's status: tracing slows the run, so a test with a time limit
+stderr.  Uses the standard library only besides pytest itself.  Exits 0
+when every test passes and every statement ran, and 1 when a test fails
+or any statement is listed: each statement that must stay has a test
+that runs it, so a listed one is new code no test reaches or code
+nothing can reach.  Tracing slows the run, so a test with a time limit
 may fail under it.
 """
 
@@ -96,7 +99,7 @@ def main(argv: list[str]) -> int:
         print(f"- `{module}` ({len(entries)})")
         for line, text in entries:
             print(f"  - {line}: `{text}`")
-    return int(status)
+    return 1 if status or total else 0
 
 
 if __name__ == "__main__":

@@ -12,7 +12,10 @@ event for that instant went to the FIFO, so `run` calls them first, in
 sequence order, and then drains the FIFO: the order a single heap of
 `(t_ns, seq)` would give.  Handlers are the engine's own (application
 sends, transmission completions, deliveries, STP hellos), node startup
-and ARP retries, and the media's arbitration kicks.
+and ARP retries, and the media's arbitration kicks.  Each reads the time
+as `Simulation.now`, the one clock; no event carries a copy.  `CSwitch`
+and `Efdb` take `now` instead: they run without a simulator, so tests
+drive them with explicit times, and `SwitchPortRef` passes `sim.now`.
 
 Media hand each transmission they start to `Simulation.on_tx_start`,
 which describes the frame once, traces it and schedules its completion.
@@ -125,9 +128,9 @@ class SwitchPortRef:
     port: int
     kind = "switch-port"
 
-    def on_receive(self, sim: Simulation, now: int, frame, rx: frames.Decoded) -> None:
+    def on_receive(self, sim: Simulation, frame, rx: frames.Decoded) -> None:
         """Hand the frame to the switch and queue what it emits."""
-        sim.emit(self.switch, self.switch.on_ingress(self.port, frame, now, rx))
+        sim.emit(self.switch, self.switch.on_ingress(self.port, frame, sim.now, rx))
 
 
 class AcceptanceIndex:
@@ -462,7 +465,7 @@ class Simulation:
 
     # -- engine callbacks ------------------------------------------------------
 
-    def on_tx_start(self, medium, station: Station, frame, now: int, duration_ns: int,
+    def on_tx_start(self, station: Station, frame, duration_ns: int,
                     rx: frames.Decoded) -> None:
         """Describe a started transmission once, trace it and schedule its
         end.  `rx` is `frames.decode(frame)` as its sender built it."""
@@ -478,8 +481,8 @@ class Simulation:
                       f'"location":{location},"seq":{fl[1]},"source":{source},')
         self.trace_lines.append(
             f'{{"duration_ns":{duration_ns},"event":"tx_start",{shared}"t_ns":{self.now}}}')
-        self.schedule(now + duration_ns, self.on_tx_complete,
-                      medium, station, frame, rx, summary, shared)
+        self.schedule(self.now + duration_ns, self.on_tx_complete,
+                      station, frame, rx, summary, shared)
 
     def on_clash(self, bus, dropped: list[tuple[Station, object, frames.Decoded]]) -> None:
         self.trace("clash", bus.name, stations=[st.name for st, _, _ in dropped])
@@ -530,7 +533,7 @@ class Simulation:
             self.schedule(0, self._stp_hello, sw)
         for node in self.topo.nodes.values():
             # Not traced: an announcement shows up as tx_start anyway.
-            self.schedule(node.start_ns, node.startup, self, node.start_ns)
+            self.schedule(node.start_ns, node.startup, self)
         for flow in self.topo.flows:
             for seq, t in enumerate(flow.schedule):
                 self.schedule(t, self._app_send, flow, seq)
@@ -558,14 +561,14 @@ class Simulation:
         self.trace_lines.append(
             f'{{"event":"app_send","flow":{self.flow_text[flow.name]},'
             f'"location":{self.node_text[flow.source]},"seq":{seq},"t_ns":{self.now}}}')
-        self.topo.nodes[flow.source].app_send(self, self.now, flow, seq, payload)
+        self.topo.nodes[flow.source].app_send(self, flow, seq, payload)
 
-    def on_tx_complete(self, medium, sender: Station, frame, rx: frames.Decoded,
+    def on_tx_complete(self, sender: Station, frame, rx: frames.Decoded,
                        summary: str, shared: str) -> None:
         now = self.now
         self.trace_lines.append(f'{{"event":"tx_complete",{shared}"t_ns":{now}}}')
         self.schedule(now, self._deliver, sender, frame, rx, summary)
-        medium.on_complete(self, now, sender)
+        sender.medium.on_complete(self, sender)
 
     def _deliver(self, sender: Station, frame, rx: frames.Decoded, summary: str) -> None:
         """Hand one transmission to the receivers that can act on it, in
@@ -574,15 +577,14 @@ class Simulation:
         that cannot act on the frame are written in one join."""
         owners, locations, index, at = self.fanout[sender][2]
         # Byte for byte what trace("deliver", <receiver name>, frame=...) writes.
-        now = self.now
         head = '{"event":"deliver","frame":' + summary + ',"location":'
-        tail = f',"t_ns":{now}}}'
+        tail = f',"t_ns":{self.now}}}'
         lines = self.trace_lines
         callees = None if index is None else index.callees(at, frame, rx)
         if callees is None:  # every receiver
             for owner, location in zip(owners, locations):
                 lines.append(head + location + tail)
-                owner.on_receive(self, now, frame, rx)
+                owner.on_receive(self, frame, rx)
             return
         sep = tail + "\n" + head
         start = 0  # the first receiver whose record is not written yet
@@ -590,7 +592,7 @@ class Simulation:
             if i != at:
                 end = i if i < at else i - 1  # its place among the receivers
                 lines.append(head + sep.join(locations[start:end + 1]) + tail)
-                owners[end].on_receive(self, now, frame, rx)
+                owners[end].on_receive(self, frame, rx)
                 start = end + 1
         if start < len(locations):
             lines.append(head + sep.join(locations[start:]) + tail)
@@ -605,7 +607,7 @@ class Simulation:
         ports' media."""
         for port, out_frame, rx in emissions:
             station = self.topo.port_station[(sw.name, port)]
-            station.medium.enqueue(self, station, out_frame, self.now, rx)
+            station.medium.enqueue(self, station, out_frame, rx)
 
     # -- report ---------------------------------------------------------------
 

@@ -546,9 +546,9 @@ _NOTHING = Decoded(None, None, None)
 
 
 def decode(frame) -> Decoded:
-    """Decode `frame` for every reader of its transmission.  A malformed
-    tunnel raises; an `IocDatagram`, a switch's view of a compact frame,
-    decodes to itself."""
+    """Decode `frame`, any CAN XL, classic CAN or Ethernet frame, for every
+    reader of its transmission.  A malformed tunnel raises; an `IocDatagram`,
+    a switch's view of a compact frame, decodes to itself."""
     if isinstance(frame, CanXlFrame):
         if frame.sdt == SDT_IPV4:
             try:
@@ -563,8 +563,6 @@ def decode(frame) -> Decoded:
         return Decoded(None, frame, frame.payload)
     if isinstance(frame, ClassicCanFrame):
         return Decoded(None, None, frame.data)
-    if not isinstance(frame, EthernetFrame):
-        return _NOTHING
     try:
         if frame.ethertype == ETHERTYPE_IPV4:
             dgram = Ipv4Datagram.from_bytes(frame.payload)

@@ -22,7 +22,8 @@ transmission completes.  Only a kick starts a transmission and one kick
 at most is pending, so a kick always runs on an idle medium.
 Utilization counts busy time up to `t_end`, not past it.
 
-All state is owned by the simulation engine and mutated in event order.
+All state is owned by the simulation engine and mutated in event order;
+the time is read as `sim.now`, and a kick carries no copy of it.
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ class Station:
         # a link's FIFO of (frame, rx); on a bus, a heap of (priority,
         # enqueue order, frame, rx); rx is the frame's decoded value
         self.queue = deque() if isinstance(medium, EthernetLink) else []
-
-    def __repr__(self):
-        return f"<Station {self.name}>"
 
 
 def frame_priority(frame) -> int:
@@ -76,17 +74,17 @@ class CanBus:
             return to_ns(timing.classic_can_duration(frame, self.params.arb_bitrate))
         return to_ns(timing.canxl_duration(len(frame.data), self.params))
 
-    def enqueue(self, sim, station: Station, frame, now: int, rx: Decoded) -> None:
+    def enqueue(self, sim, station: Station, frame, rx: Decoded) -> None:
         heapq.heappush(station.queue, (frame_priority(frame), next(self.enqueued), frame, rx))
-        if self.busy_until <= now:  # a busy bus re-arms in on_complete
-            self.request_kick(sim, now)
+        if self.busy_until <= sim.now:  # a busy bus re-arms in on_complete
+            self.request_kick(sim)
 
-    def request_kick(self, sim, now: int) -> None:
+    def request_kick(self, sim) -> None:
         if not self.kick_pending:
             self.kick_pending = True
-            sim.schedule(now, self.kick, sim, now)
+            sim.schedule(sim.now, self.kick, sim)
 
-    def kick(self, sim, now: int) -> None:
+    def kick(self, sim) -> None:
         """Start the queue head with the lowest priority value (dominant-bit
         semantics) on the idle bus."""
         self.kick_pending = False
@@ -105,12 +103,12 @@ class CanBus:
         station = tied[0]
         _, _, frame, rx = heapq.heappop(station.queue)
         duration = self.frame_duration_ns(frame)
-        self.busy_until = now + duration
+        self.busy_until = sim.now + duration
         self.busy_ns += duration
-        sim.on_tx_start(self, station, frame, now, duration, rx)
+        sim.on_tx_start(station, frame, duration, rx)
 
-    def on_complete(self, sim, now: int, sender: Station) -> None:
-        self.request_kick(sim, now)
+    def on_complete(self, sim, sender: Station) -> None:
+        self.request_kick(sim)
 
     def report(self, t_end_ns: int) -> dict:
         # Only the last transmission can run past t_end; clip it there.
@@ -135,30 +133,30 @@ class EthernetLink:
     def frame_duration_ns(self, frame: EthernetFrame) -> int:
         return to_ns(timing.ethernet_duration(len(frame.payload), self.params))
 
-    def enqueue(self, sim, station: Station, frame, now: int, rx: Decoded) -> None:
+    def enqueue(self, sim, station: Station, frame, rx: Decoded) -> None:
         station.queue.append((frame, rx))
         direction = self.stations.index(station)
-        if self.busy_until[direction] <= now:  # a busy direction re-arms in on_complete
-            self.request_kick(sim, now, direction)
+        if self.busy_until[direction] <= sim.now:  # a busy direction re-arms in on_complete
+            self.request_kick(sim, direction)
 
-    def request_kick(self, sim, now: int, direction: int) -> None:
+    def request_kick(self, sim, direction: int) -> None:
         if not self.kick_pending[direction]:
             self.kick_pending[direction] = True
-            sim.schedule(now, self.kick, sim, now, direction)
+            sim.schedule(sim.now, self.kick, sim, direction)
 
-    def kick(self, sim, now: int, direction: int) -> None:
+    def kick(self, sim, direction: int) -> None:
         self.kick_pending[direction] = False
         station = self.stations[direction]
         if not station.queue:
             return
         frame, rx = station.queue.popleft()
         duration = self.frame_duration_ns(frame)
-        self.busy_until[direction] = now + duration
+        self.busy_until[direction] = sim.now + duration
         self.busy_ns[direction] += duration
-        sim.on_tx_start(self, station, frame, now, duration, rx)
+        sim.on_tx_start(station, frame, duration, rx)
 
-    def on_complete(self, sim, now: int, sender: Station) -> None:
-        self.request_kick(sim, now, self.stations.index(sender))
+    def on_complete(self, sim, sender: Station) -> None:
+        self.request_kick(sim, self.stations.index(sender))
 
     def report(self, t_end_ns: int) -> dict:
         names = [st.name for st in self.stations]

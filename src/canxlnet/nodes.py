@@ -19,6 +19,7 @@ IP, identifier-based reception.  No node parses a header: a node queues
 each frame it builds with its `frames.Decoded` value, made from what the
 node already holds (the ARP message, the datagram, the payload), and
 every `on_receive` gets the frame with that value of its transmission.
+The time is read as `sim.now`; startup and ARP retry events carry none.
 """
 
 from __future__ import annotations
@@ -80,14 +81,14 @@ class Node:
 
     # -- transmit ----------------------------------------------------------
 
-    def _transmit(self, sim, now: int, frame, rx: Decoded) -> None:
-        self.station.medium.enqueue(sim, self.station, frame, now, rx)
+    def _transmit(self, sim, frame, rx: Decoded) -> None:
+        self.station.medium.enqueue(sim, self.station, frame, rx)
 
-    def _emit_eth(self, sim, now: int, rx: Decoded) -> None:
+    def _emit_eth(self, sim, rx: Decoded) -> None:
         """Queue the Ethernet frame `rx.eth`, decoded as `rx`."""
-        self._transmit(sim, now, rx.eth, rx)
+        self._transmit(sim, rx.eth, rx)
 
-    def startup(self, sim, now: int) -> None:
+    def startup(self, sim) -> None:
         """Announce the node's own binding so switches can snoop it.
 
         Nodes with static ARP entries never trigger request/reply
@@ -98,38 +99,37 @@ class Node:
         if self.ip is None or not (self.has_static_arp or self.kind == "ioc"):
             return
         msg = ArpMessage(ArpOp.GRATUITOUS_REPLY, self.mac, self.ip, ZERO_MAC, self.ip)
-        self._emit_eth(sim, now, Decoded(frames.arp_serialize(msg), msg, None))
+        self._emit_eth(sim, Decoded(frames.arp_serialize(msg), msg, None))
 
-    def app_send(self, sim, now: int, flow, seq: int, payload: bytes) -> None:
+    def app_send(self, sim, flow, seq: int, payload: bytes) -> None:
         if flow.transport == "raw-ethernet":
             eth = EthernetFrame(flow.dst_mac, self.mac, ETHERTYPE_RAW_DATA, payload)
-            self._emit_eth(sim, now, Decoded(eth, None, eth.payload))  # padded, as sent
+            self._emit_eth(sim, Decoded(eth, None, eth.payload))  # padded, as sent
         else:  # ipv4: Topology validation admits no other transport here
-            self.send_ip(sim, now, flow.dst_ip, payload, flow, seq)
+            self.send_ip(sim, flow.dst_ip, payload, flow, seq)
 
-    def send_ip(self, sim, now: int, dst_ip: Ipv4Address, payload: bytes, flow, seq: int) -> None:
+    def send_ip(self, sim, dst_ip: Ipv4Address, payload: bytes, flow, seq: int) -> None:
         entry = self.arp_table.get(dst_ip)
         if entry is not None:
-            self._send_datagram(sim, now, entry.mac, dst_ip, payload)
+            self._send_datagram(sim, entry.mac, dst_ip, payload)
             return
         pending = self.pending_arp.setdefault(dst_ip, [])
         pending.append((payload, flow, seq))
         if len(pending) == 1:  # a new list starts a resolution
-            self._send_arp_request(sim, now, dst_ip, 1)
+            self._send_arp_request(sim, dst_ip, 1)
 
-    def _send_arp_request(self, sim, now: int, dst_ip: Ipv4Address, attempt: int) -> None:
+    def _send_arp_request(self, sim, dst_ip: Ipv4Address, attempt: int) -> None:
         msg = ArpMessage(ArpOp.REQUEST, self.mac, self.ip, ZERO_MAC, dst_ip)
-        self._emit_eth(sim, now, Decoded(frames.arp_serialize(msg), msg, None))
-        retry_at = now + ARP_RETRY_NS
-        sim.schedule(retry_at, self.arp_retry, sim, retry_at, dst_ip, attempt)
+        self._emit_eth(sim, Decoded(frames.arp_serialize(msg), msg, None))
+        sim.schedule(sim.now + ARP_RETRY_NS, self.arp_retry, sim, dst_ip, attempt)
 
-    def _send_datagram(self, sim, now: int, dst_mac: MacAddress,
-                       dst_ip: Ipv4Address, payload: bytes) -> None:
+    def _send_datagram(self, sim, dst_mac: MacAddress, dst_ip: Ipv4Address,
+                       payload: bytes) -> None:
         dgram = Ipv4Datagram(self.ip, dst_ip, payload, protocol=FLOW_PROTOCOL)
         eth = EthernetFrame(dst_mac, self.mac, ETHERTYPE_IPV4, dgram.to_bytes())
-        self._emit_eth(sim, now, Decoded(eth, dgram, payload))
+        self._emit_eth(sim, Decoded(eth, dgram, payload))
 
-    def arp_retry(self, sim, now: int, dst_ip: Ipv4Address, attempt: int) -> None:
+    def arp_retry(self, sim, dst_ip: Ipv4Address, attempt: int) -> None:
         sim.trace("timer", self.name, reason="arp-retry")
         if dst_ip not in self.pending_arp:
             return  # resolved in the meantime; a resolved IP never pends again
@@ -138,24 +138,24 @@ class Node:
                 self.counters["arp_unresolved"] += 1
                 sim.flow_drop(flow, seq, "arp_unresolved", self.name)
             return
-        self._send_arp_request(sim, now, dst_ip, attempt + 1)
+        self._send_arp_request(sim, dst_ip, attempt + 1)
 
     # -- receive -----------------------------------------------------------
 
-    def on_receive(self, sim, now: int, frame, rx: frames.Decoded) -> None:
+    def on_receive(self, sim, frame, rx: frames.Decoded) -> None:
         """Receive `frame`; `rx` is `frames.decode(frame)`, as the frame's
         sender built it."""
         if isinstance(frame, EthernetFrame) and \
                 (frame.da == self.mac or frame.da.is_group()):
-            self._dispatch_eth(sim, now, rx)
+            self._dispatch_eth(sim, rx)
 
-    def _dispatch_eth(self, sim, now: int, rx: frames.Decoded) -> None:
+    def _dispatch_eth(self, sim, rx: frames.Decoded) -> None:
         eth, net = rx.eth, rx.net
         if eth.da == STP_GROUP_MAC or eth.ethertype == ETHERTYPE_BPDU:
             return
         if eth.ethertype == ETHERTYPE_ARP:
             if net is not None:
-                self._handle_arp(sim, now, net)
+                self._handle_arp(sim, net)
         elif eth.ethertype == ETHERTYPE_IPV4:
             if net is None:
                 self.counters["ipv4_errors"] += 1
@@ -168,7 +168,7 @@ class Node:
         self.counters["delivered"] += 1
         sim.on_app_delivery(self, payload)
 
-    def _handle_arp(self, sim, now: int, msg: ArpMessage) -> None:
+    def _handle_arp(self, sim, msg: ArpMessage) -> None:
         entry = self.arp_table.get(msg.spa)
         if entry is not None:
             if not entry.static:
@@ -179,11 +179,11 @@ class Node:
         if msg.spa in self.arp_table and msg.spa in self.pending_arp:
             mac = self.arp_table[msg.spa].mac
             for payload, _flow, _seq in self.pending_arp.pop(msg.spa):
-                self._send_datagram(sim, now, mac, msg.spa, payload)
+                self._send_datagram(sim, mac, msg.spa, payload)
 
         if msg.op == ArpOp.REQUEST and self.ip is not None and msg.tpa == self.ip:
             reply = ArpMessage(ArpOp.REPLY, self.mac, self.ip, msg.sha, msg.spa)
-            self._emit_eth(sim, now, Decoded(frames.arp_serialize(reply), reply, None))
+            self._emit_eth(sim, Decoded(frames.arp_serialize(reply), reply, None))
 
 
 class EthernetHost(Node):
@@ -202,10 +202,10 @@ class EocNode(Node):
         # tunnel node takes none
         self.ip_af = None
 
-    def _emit_eth(self, sim, now: int, rx: Decoded) -> None:
-        self._transmit(sim, now, frames.eoc_encapsulate(rx.eth, self.can_priority), rx)
+    def _emit_eth(self, sim, rx: Decoded) -> None:
+        self._transmit(sim, frames.eoc_encapsulate(rx.eth, self.can_priority), rx)
 
-    def on_receive(self, sim, now: int, frame, rx: frames.Decoded) -> None:
+    def on_receive(self, sim, frame, rx: frames.Decoded) -> None:
         if not isinstance(frame, CanXlFrame):
             return
         if frame.sdt == frames.SDT_ETHERNET:
@@ -216,7 +216,7 @@ class EocNode(Node):
             if not (rx.eth.da == self.mac or rx.eth.da.is_group()):
                 self.counters["af_false_positive"] += 1
                 return
-            self._dispatch_eth(sim, now, rx)
+            self._dispatch_eth(sim, rx)
         elif frame.af == self.ip_af and rx.net is not None:  # compact, header checked
             self._deliver(sim, rx.payload)
 
@@ -231,20 +231,20 @@ class IocNode(EocNode):
         self.next_refresh_ns: int | None = None
         self.ip_af = None if self.ip is None else self.ip.to_u32()
 
-    def startup(self, sim, now: int) -> None:
+    def startup(self, sim) -> None:
         if self.eoc_refresh_interval_ns is not None:
-            self.next_refresh_ns = now + self.eoc_refresh_interval_ns
-        super().startup(sim, now)
+            self.next_refresh_ns = sim.now + self.eoc_refresh_interval_ns
+        super().startup(sim)
 
-    def _send_datagram(self, sim, now: int, dst_mac, dst_ip, payload) -> None:
-        if self.next_refresh_ns is not None and now >= self.next_refresh_ns:
+    def _send_datagram(self, sim, dst_mac, dst_ip, payload) -> None:
+        if self.next_refresh_ns is not None and sim.now >= self.next_refresh_ns:
             # Time to refresh the switches' joint MAC+IP knowledge: this
             # one datagram travels tunneled.
-            self.next_refresh_ns = now + self.eoc_refresh_interval_ns
-            super()._send_datagram(sim, now, dst_mac, dst_ip, payload)
+            self.next_refresh_ns = sim.now + self.eoc_refresh_interval_ns
+            super()._send_datagram(sim, dst_mac, dst_ip, payload)
             return
         dgram = IocDatagram(self.ip, dst_ip, payload, protocol=FLOW_PROTOCOL)
-        self._transmit(sim, now, frames.ioc_encode(dgram, self.can_priority),
+        self._transmit(sim, frames.ioc_encode(dgram, self.can_priority),
                        Decoded(None, dgram, payload))
 
 
@@ -262,14 +262,14 @@ class ClassicCanNode:
         self.station = None
         self.counters = {"delivered": 0}
 
-    def startup(self, sim, now: int) -> None:
+    def startup(self, sim) -> None:
         pass
 
-    def app_send(self, sim, now: int, flow, seq: int, payload: bytes) -> None:
+    def app_send(self, sim, flow, seq: int, payload: bytes) -> None:
         self.station.medium.enqueue(sim, self.station, ClassicCanFrame(flow.can_id, payload),
-                                    now, Decoded(None, None, payload))
+                                    Decoded(None, None, payload))
 
-    def on_receive(self, sim, now: int, frame, rx: frames.Decoded) -> None:
+    def on_receive(self, sim, frame, rx: frames.Decoded) -> None:
         if isinstance(frame, ClassicCanFrame) and frame.id in self.rx_ids:
             self.counters["delivered"] += 1
             sim.on_app_delivery(self, frame.data)

@@ -103,10 +103,6 @@ class EfdbEntry:
     port: int
     last_seen: int  # ns
 
-    def __post_init__(self):
-        if self.mac is None and self.ip is None:
-            raise ValueError("entry needs a MAC or an IP")
-
 
 class Efdb:
     """Filtering database plus TARP cache (the IP index).

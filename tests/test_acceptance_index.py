@@ -23,7 +23,7 @@ def reference_deliver(self, sender, frame, rx, summary):
     for station in sender.medium.stations:
         if station is not sender:
             self.trace("deliver", station.name, frame=json.loads(summary))
-            station.owner.on_receive(self, self.now, frame, rx)
+            station.owner.on_receive(self, frame, rx)
 
 
 def run_both(build, monkeypatch, queued=()):
@@ -33,7 +33,7 @@ def run_both(build, monkeypatch, queued=()):
         sim = Simulation(build())
         for name, frame in queued:
             station = sim.topo.nodes[name].station
-            sim.schedule(0, station.medium.enqueue, sim, station, frame, 0, frames.decode(frame))
+            sim.schedule(0, station.medium.enqueue, sim, station, frame, frames.decode(frame))
         return sim.run()
 
     result = run()
@@ -50,11 +50,11 @@ def record_calls(monkeypatch, wanted) -> list[str]:
     for cls in (nodes.Node, nodes.EocNode, nodes.ClassicCanNode, SwitchPortRef):
         original = cls.__dict__["on_receive"]
 
-        def recording(owner, sim, now, frame, rx, original=original):
+        def recording(owner, sim, frame, rx, original=original):
             if wanted(frame):
                 calls.append(owner.name if hasattr(owner, "name") else
                              f"{owner.switch.name}.p{owner.port}")
-            original(owner, sim, now, frame, rx)
+            original(owner, sim, frame, rx)
 
         monkeypatch.setattr(cls, "on_receive", recording)
     return calls
@@ -199,7 +199,7 @@ def test_compact_frame_with_a_bad_header_reaches_only_switch_ports(monkeypatch):
     rx = frames.decode(frame)
     assert rx.net is None
     station = topo.nodes["n1"].station
-    sim.schedule(0, station.medium.enqueue, sim, station, frame, 0, rx)
+    sim.schedule(0, station.medium.enqueue, sim, station, frame, rx)
     calls = record_calls(monkeypatch, lambda sent: sent is frame)
     trace, report = sim.run()
     assert calls == ["sw.p0"]

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 
@@ -196,6 +197,17 @@ def test_timing_invalid_payload_exits_2(capsys):
 
 def test_timing_without_arguments_exits_2(capsys):
     assert main(["timing"]) == 2
+
+
+def test_module_runs_as_a_program(monkeypatch, capsys):
+    # `python -m canxlnet.cli` reaches main through the module's __main__ guard
+    monkeypatch.setattr(sys, "argv", ["canxlnet", "timing", "--payload", "2048",
+                                      "--arb-rate", "500000", "--data-rate", "16000000"])
+    monkeypatch.delitem(sys.modules, "canxlnet.cli")  # runpy warns about a loaded module
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("canxlnet.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert "1205.95 us" in capsys.readouterr().out
 
 
 def test_codec_eoc_round_trip(tmp_path, capsys):

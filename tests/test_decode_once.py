@@ -114,9 +114,9 @@ def carried(monkeypatch) -> list:
     started = []
     on_tx_start = Simulation.on_tx_start
 
-    def recording(self, medium, station, frame, now, duration_ns, rx):
+    def recording(self, station, frame, duration_ns, rx):
         started.append((frame, rx, station.owner))
-        on_tx_start(self, medium, station, frame, now, duration_ns, rx)
+        on_tx_start(self, station, frame, duration_ns, rx)
 
     monkeypatch.setattr(Simulation, "on_tx_start", recording)
     return started

@@ -234,14 +234,14 @@ class TestMediumTiming:
             if getattr(handler, "__name__", None) == "kick":
                 medium = handler.__self__
                 busy = medium.busy_until
-                kicks.append((medium.kind, busy if isinstance(busy, int) else busy[args[2]], t_ns))
+                kicks.append((medium.kind, busy if isinstance(busy, int) else busy[args[1]], t_ns))
             schedule(self, t_ns, handler, *args)
 
         def running(kick):
-            def run(medium, sim, now, *direction):
+            def run(medium, sim, *direction):
                 busy = medium.busy_until
-                ran.append((medium.kind, busy[direction[0]] if direction else busy, now))
-                kick(medium, sim, now, *direction)
+                ran.append((medium.kind, busy[direction[0]] if direction else busy, sim.now))
+                kick(medium, sim, *direction)
             run.__name__ = "kick"
             return run
 
@@ -497,7 +497,7 @@ def test_one_ipv4_header_rule_for_engine_and_receivers():
     assert sim.flow_of(rx.payload) is None
 
     receiver = topo.nodes["b"]
-    receiver.on_receive(sim, sim.now, bad, rx)
+    receiver.on_receive(sim, bad, rx)
     assert receiver.counters["ipv4_errors"] == 1
     assert receiver.counters["delivered"] == 1
     assert sim.report()["flows"]["f"]["delivered"] == 1
@@ -530,7 +530,7 @@ def test_nonzero_padding_is_a_payload_mismatch():
     receiver = topo.nodes["b"]
     for pad in (bytes(26), b"\x01" + bytes(25), bytes(25) + b"\x01"):
         eth = frames.EthernetFrame(mac(2), mac(1), frames.ETHERTYPE_RAW_DATA, sent + pad)
-        receiver.on_receive(sim, sim.now, eth, frames.Decoded(eth, None, eth.payload))
+        receiver.on_receive(sim, eth, frames.Decoded(eth, None, eth.payload))
     flow = sim.report()["flows"]["f"]
     assert (flow["delivered"], flow["payload_mismatches"]) == (4, 2)
 
@@ -660,7 +660,7 @@ class TestArp:
                     frames.ArpMessage(frames.ArpOp.GRATUITOUS_REPLY, mac(9), ip(2),
                                       frames.ZERO_MAC, ip(2))):
             eth = frames.arp_serialize(msg)
-            a.on_receive(sim, 0, eth, frames.Decoded(eth, msg, None))
+            a.on_receive(sim, eth, frames.Decoded(eth, msg, None))
         assert a.arp_table[ip(2)] == nodes.ArpEntry(mac(2), static=True)
         _, report = sim.run()
         assert report["flows"]["f"]["delivered"] == 1

@@ -150,7 +150,7 @@ class TestEocAccept:
         node = EocNode("n1", M1)
         frame = eoc_encapsulate(EthernetFrame(da, M2, frames.ETHERTYPE_RAW_DATA, bytes(46)), 0)
         sim = Deliveries()
-        node.on_receive(sim, 0, frame, frames.decode(frame))
+        node.on_receive(sim, frame, frames.decode(frame))
         return node.counters["af_false_positive"], sim.payloads
 
     def test_own_frame(self):
@@ -177,7 +177,7 @@ class TestCompactAccept:
     def receive(self, cls, frame):
         node = cls("n1", M1, IP1)
         sim = Deliveries()
-        node.on_receive(sim, 0, frame, frames.decode(frame))
+        node.on_receive(sim, frame, frames.decode(frame))
         return sim.payloads
 
     def test_own_address(self):

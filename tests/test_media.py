@@ -26,6 +26,8 @@ class Recorder:
     """The simulation side of a bus: records starts and clashes, and
     leaves the kicks to the test."""
 
+    now = 0
+
     def __init__(self):
         self.started = []
         self.clashed = []
@@ -33,7 +35,7 @@ class Recorder:
     def schedule(self, t_ns, handler, *args):
         pass
 
-    def on_tx_start(self, medium, station, frame, now, duration_ns, rx):
+    def on_tx_start(self, station, frame, duration_ns, rx):
         self.started.append((station.name, frame, rx))
 
     def on_clash(self, bus, dropped):
@@ -49,8 +51,8 @@ def contend(*frames):
     for name, frame in zip("abcdefgh", frames):
         station = Station(name, None, bus)
         bus.stations.append(station)
-        bus.enqueue(sim, station, frame, 0, decode(frame))
-    bus.kick(sim, 0)
+        bus.enqueue(sim, station, frame, decode(frame))
+    bus.kick(sim)
     return bus, sim
 
 
@@ -91,5 +93,5 @@ def test_ethernet_frames_cannot_contend():
     bus.stations.append(station)
     eth = EthernetFrame(ZERO_MAC, ZERO_MAC, 0, b"")
     with pytest.raises(TypeError):
-        bus.enqueue(Recorder(), station, eth, 0, decode(eth))
+        bus.enqueue(Recorder(), station, eth, decode(eth))
     assert not station.queue

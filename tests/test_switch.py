@@ -144,6 +144,14 @@ class TestAgeing:
         efdb.learn_mac(M1, 0, now=0)
         assert efdb.lookup_mac(M1, 301 * SEC) is None
 
+    def test_fresh_at_the_ageing_time_and_stale_one_nanosecond_later(self):
+        efdb = Efdb(ageing_s=300)
+        efdb.learn_joint(M1, IP1, 0, now=7)
+        assert efdb.lookup_mac(M1, 7 + 300 * SEC).port == 0
+        assert efdb.lookup_ip(IP1, 7 + 300 * SEC).port == 0
+        assert efdb.lookup_mac(M1, 7 + 300 * SEC + 1) is None
+        assert efdb.lookup_ip(IP1, 7 + 300 * SEC + 1) is None
+
     def test_empty(self):
         assert not Efdb().entries()
 
@@ -423,3 +431,15 @@ class TestSpanningTree:
 def test_duplicate_port_indices_rejected():
     with pytest.raises(ValueError):
         CSwitch("sw", 1, [PortConfig(0, ETH), PortConfig(0, ETH)])
+
+
+@pytest.mark.parametrize("kind, egress_mode, message", [
+    ("token-ring", "eoc", "unknown port kind 'token-ring'"),
+    (CAN_XL, "ioc", "unknown egress mode 'ioc'"),
+])
+def test_unknown_port_kind_or_egress_mode_rejected(kind, egress_mode, message):
+    # config checks both first; these guard topologies built in code
+    with pytest.raises(ValueError) as exc:
+        PortConfig(0, kind, egress_mode=egress_mode)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message
