@@ -72,7 +72,6 @@ from .frames import (
     ClassicCanFrame,
     EthernetFrame,
     Ipv4Address,
-    IocDatagram,
     MacAddress,
 )
 from .media import CanBus, EthernetLink, Station
@@ -159,14 +158,14 @@ class AcceptanceIndex:
                 self.classic.append(i)
             else:
                 nodes.append(i)
-        # af_image -> {MAC octets: (position, the ports and that node)} of the
-        # nodes with that image; ip_af -> the ports and the node with it
-        self.tunnel: dict[int, dict[bytes, tuple[int, list[int]]]] = {}
+        # af_image -> {MAC: (position, the ports and that node)} of the nodes
+        # with that image; ip_af -> the ports and the node with it
+        self.tunnel: dict[int, dict[MacAddress, tuple[int, list[int]]]] = {}
         self.compact: dict[int, list[int]] = {}
         for i in nodes:
             owner = owners[i]
             callees = sorted(self.ports + [i])
-            self.tunnel.setdefault(owner.af_image, {})[owner.mac.octets] = (i, callees)
+            self.tunnel.setdefault(owner.af_image, {})[owner.mac] = (i, callees)
             if owner.ip_af is not None:
                 self.compact[owner.ip_af] = callees
 
@@ -187,7 +186,7 @@ class AcceptanceIndex:
         da = rx.eth.da
         if da.is_group():
             return None
-        node, callees = passed.get(da.octets, (None, self.ports))
+        node, callees = passed.get(da, (None, self.ports))
         owners = self.owners
         for i, _ in passed.values():
             if i != node and i != sender:
@@ -319,8 +318,12 @@ class Topology:
                                           "legacy relay egress must be a CAN port")
 
     def _validate_flows(self) -> None:
+        names = set()
         for flow in self.flows:
             loc = f"flows.{flow.name}"
+            if flow.name in names:
+                raise ConfigError(loc, "duplicate name")
+            names.add(flow.name)
             node = self.nodes.get(flow.source)
             if node is None:
                 raise ConfigError(loc, f"unknown source node {flow.source!r}")
@@ -365,7 +368,8 @@ def make_payload(flow_index: int, seq: int, size: int) -> bytes:
 
 
 def frame_summary(frame, inner: EthernetFrame | None) -> str:
-    """The frame's trace description as canonical JSON text, keys sorted;
+    """The trace description of `frame`, a CAN XL, Ethernet or classic CAN
+    frame or a switch's `IocDatagram`, as canonical JSON text, keys sorted;
     `inner`, `frames.decode(frame).eth`, is written for CAN XL frames only.
     Addresses and SDT names are plain ASCII, so they need no escaping."""
     if isinstance(frame, CanXlFrame):
@@ -380,10 +384,8 @@ def frame_summary(frame, inner: EthernetFrame | None) -> str:
                 f'"len":{len(frame.payload)},"sa":"{frame.sa}"}}')
     if isinstance(frame, ClassicCanFrame):
         return f'{{"id":"0x{frame.id:03x}","kind":"classic","len":{len(frame.data)}}}'
-    if isinstance(frame, IocDatagram):
-        return (f'{{"dst":"{frame.dst_ip}","kind":"ioc","len":{len(frame.payload)},'
-                f'"src":"{frame.src_ip}"}}')
-    return _encode({"kind": type(frame).__name__})
+    return (f'{{"dst":"{frame.dst_ip}","kind":"ioc","len":{len(frame.payload)},'
+            f'"src":"{frame.src_ip}"}}')
 
 
 class Simulation:

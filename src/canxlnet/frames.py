@@ -30,6 +30,11 @@ Two encapsulations are implemented:
   to the Ethernet tunnel).  The encoding is 26 bytes smaller than the
   tunneled Ethernet/IPv4 form of the same datagram.
 
+An address is its octets: `MacAddress` and `Ipv4Address` are `bytes`
+subclasses that check their length, so serializers, the acceptance field
+and address tables use an address as it is.  An address equals and
+hashes as its plain octets, and a MAC never equals an IPv4 address.
+
 All types are immutable values and all operations are pure functions.
 """
 
@@ -110,24 +115,24 @@ def _address_fields(text, sep: str, count: int, what: str) -> list[str]:
     return fields
 
 
-@dataclass(frozen=True)
-class MacAddress:
-    octets: bytes
-
-    def __post_init__(self):
-        if len(self.octets) != 6:
+class MacAddress(bytes):
+    """Six octets, a `bytes` value that equals and hashes as its plain octets;
+    never equal to an `Ipv4Address`, it takes no attributes and no int or str."""
+    __slots__ = ()
+    def __new__(cls, octets: bytes) -> "MacAddress":
+        if len(octets) != 6:
             raise ValueError("MAC address needs exactly 6 octets")
+        return bytes.__new__(cls, octets)
 
     @classmethod
     def parse(cls, text: str) -> "MacAddress":
         return cls(bytes(int(p, 16) for p in _address_fields(text, ":", 6, "MAC address")))
 
     def is_group(self) -> bool:
-        # I/G bit: least-significant bit of octet 0.
-        return bool(self.octets[0] & 0x01)
+        return bool(self[0] & 0x01)  # I/G bit: least-significant bit of octet 0
 
     def __str__(self) -> str:
-        return self.octets.hex(":")
+        return self.hex(":")
 
 
 BROADCAST_MAC = MacAddress(b"\xff" * 6)
@@ -135,13 +140,14 @@ ZERO_MAC = MacAddress(b"\x00" * 6)
 STP_GROUP_MAC = MacAddress(bytes.fromhex("0180c2000000"))
 
 
-@dataclass(frozen=True)
-class Ipv4Address:
-    octets: bytes
-
-    def __post_init__(self):
-        if len(self.octets) != 4:
+class Ipv4Address(bytes):
+    """Four octets, a `bytes` value that equals and hashes as its plain octets;
+    never equal to a `MacAddress`, it takes no attributes and no int or str."""
+    __slots__ = ()
+    def __new__(cls, octets: bytes) -> "Ipv4Address":
+        if len(octets) != 4:
             raise ValueError("IPv4 address needs exactly 4 octets")
+        return bytes.__new__(cls, octets)
 
     @classmethod
     def parse(cls, text: str) -> "Ipv4Address":
@@ -152,10 +158,10 @@ class Ipv4Address:
         return cls(value.to_bytes(4, "big"))
 
     def to_u32(self) -> int:
-        return int.from_bytes(self.octets, "big")
+        return int.from_bytes(self, "big")
 
     def __str__(self) -> str:
-        return ".".join(str(b) for b in self.octets)
+        return ".".join(str(b) for b in self)
 
 
 @dataclass(frozen=True)
@@ -180,7 +186,7 @@ class EthernetFrame:
             raise ValueError(f"payload {len(self.payload)} exceeds MTU {ETH_MTU}")
 
     def to_bytes(self) -> bytes:
-        return self.da.octets + self.sa.octets + struct.pack(">H", self.ethertype) + self.payload
+        return self.da + self.sa + struct.pack(">H", self.ethertype) + self.payload
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "EthernetFrame":
@@ -285,8 +291,8 @@ class Ipv4Datagram:
             self.ttl,
             self.protocol,
             0,
-            self.src_ip.octets,
-            self.dst_ip.octets,
+            self.src_ip,
+            self.dst_ip,
         )) + self.options
         struct.pack_into(">H", header, 10, ipv4_checksum(bytes(header)))
         return bytes(header) + self.payload
@@ -408,7 +414,7 @@ def make_af_from_da(da: MacAddress) -> int:
     Copying the leading four octets keeps the I/G bit (octet 0, bit 0)
     inside the AF, so group frames remain recognizable to the hardware
     filter."""
-    return int.from_bytes(da.octets[:4], "big")
+    return int.from_bytes(da[:4], "big")
 
 
 def af_filter_match(af: int, own_af: int) -> bool:
@@ -450,7 +456,7 @@ def ioc_encode(dgram: IocDatagram, priority: int) -> CanXlFrame:
         dgram.dscp_ecn,
         dgram.ttl,
         dgram.protocol,
-        dgram.src_ip.octets,
+        dgram.src_ip,
     ) + dgram.payload
     if len(data) > CANXL_MAX_DATA:
         raise TooLarge(f"{len(data)} bytes exceed the {CANXL_MAX_DATA} B data field")
@@ -507,8 +513,7 @@ def arp_serialize(msg: ArpMessage) -> EthernetFrame:
         ETHERTYPE_IPV4,
         6, 4,
         1 if msg.op == ArpOp.REQUEST else 2,
-        msg.sha.octets, msg.spa.octets,
-        msg.tha.octets, msg.tpa.octets,
+        msg.sha, msg.spa, msg.tha, msg.tpa,
     )
     da = msg.tha if msg.op == ArpOp.REPLY else BROADCAST_MAC
     return EthernetFrame(da, msg.sha, ETHERTYPE_ARP, body)

@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 from canxlnet import config
+from canxlnet.frames import Ipv4Address, MacAddress
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = REPO_ROOT / "scenarios"
@@ -46,3 +47,16 @@ def all_scenarios() -> list[pathlib.Path]:
 def workload_yaml(name: str) -> str:
     """Synthetic workload `name` at its recorded seed, written as perfbench writes it."""
     return yaml.safe_dump(workloads.GENERATORS[name](DIGESTS[name]["seed"]), sort_keys=False)
+
+
+def mac(n: int) -> MacAddress:
+    return MacAddress(b"\x02\x00\x00\x00\x00" + bytes([n]))
+
+
+def ip(n: int) -> Ipv4Address:
+    return Ipv4Address.parse(f"10.0.0.{n}")
+
+
+def events(trace: str, kind: str) -> list[dict]:
+    """The records of `trace` whose event is `kind`, in order."""
+    return [r for r in map(json.loads, trace.splitlines()) if r["event"] == kind]

@@ -13,6 +13,8 @@ from canxlnet.nodes import ClassicCanNode, EocNode, EthernetHost, IocNode
 from canxlnet.switch import CAN_XL, EGRESS_EOC, EGRESS_IOC_PREFERRED, ETH, CSwitch, PortConfig
 from canxlnet.timing import CanXlTimingParams, EthernetTimingParams, to_ns
 
+from conftest import events, ip, mac
+
 BUS = CanXlTimingParams(1e6, 16e6)
 LINK = EthernetTimingParams(100e6)
 
@@ -58,10 +60,6 @@ def record_calls(monkeypatch, wanted) -> list[str]:
 
         monkeypatch.setattr(cls, "on_receive", recording)
     return calls
-
-
-def events(trace: str, kind: str) -> list[dict]:
-    return [r for r in map(json.loads, trace.splitlines()) if r["event"] == kind]
 
 
 # -- equivalence with calling every receiver -----------------------------------
@@ -153,14 +151,6 @@ def test_trace_and_report_equal_those_of_calling_every_receiver(build, monkeypat
 
 
 # -- targeted cases ------------------------------------------------------------------
-
-
-def mac(n: int) -> MacAddress:
-    return MacAddress(b"\x02\x00\x00\x00\x00" + bytes([n]))
-
-
-def ip(n: int) -> Ipv4Address:
-    return Ipv4Address.parse(f"10.0.0.{n}")
 
 
 def eoc_bus(count: int, flows=()) -> Topology:

@@ -521,6 +521,8 @@ TOPOLOGY_ERRORS = [
      [(("switches", 0, "legacy_rules"),
        [{"ingress_port": 0, "match_id": 0x100, "egress": [{"port": 1, "id": 0x200}]}])],
      "switches.sw1.legacy_rules.0", "legacy relay egress must be a CAN port"),
+    ("duplicate_flow", MINIMAL, [(("flows",), [*MINIMAL["flows"], MINIMAL["flows"][0]])],
+     "flows.f1", "duplicate name"),
     ("unknown_transport", MINIMAL, [(("flows", 0, "transport"), "carrier-pigeon")],
      "flows.f1", "unknown transport 'carrier-pigeon'"),
     ("unknown_source", MINIMAL, [(("flows", 0, "source"), "ghost")], "flows.f1",
@@ -567,7 +569,7 @@ def test_topology_error_is_located(base, edits, location, reason):
 
 # the rows also run through `canxlnet simulate`
 SIMULATED = ("duplicate_node", "port_attached_twice", "bridge_mac_collision", "unattached_port",
-             "raw_payload_above_1500")
+             "duplicate_flow", "raw_payload_above_1500")
 
 
 @pytest.mark.parametrize("base, edits, location, reason",

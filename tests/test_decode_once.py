@@ -19,7 +19,6 @@ from canxlnet.frames import (
     ArpMessage,
     ArpOp,
     EthernetFrame,
-    Ipv4Address,
     Ipv4Datagram,
     IocDatagram,
     MacAddress,
@@ -39,18 +38,10 @@ from canxlnet.switch import (
 )
 from canxlnet.timing import CanXlTimingParams, EthernetTimingParams, to_ns
 
-from conftest import all_scenarios
+from conftest import all_scenarios, ip, mac
 
 BUS = CanXlTimingParams(500e3, 8e6)
 LINK = EthernetTimingParams(100e6)
-
-
-def mac(n: int) -> MacAddress:
-    return MacAddress(b"\x02\x00\x00\x00\x00" + bytes([n]))
-
-
-def ip(n: int) -> Ipv4Address:
-    return Ipv4Address.parse(f"10.0.0.{n}")
 
 
 def ring() -> Topology:

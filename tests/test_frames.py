@@ -40,13 +40,26 @@ def reference_checksum(header: bytes) -> int:
 
 
 macs = st.binary(min_size=6, max_size=6).map(MacAddress)
-unicast_macs = macs.map(lambda m: MacAddress(bytes([m.octets[0] & 0xFE]) + m.octets[1:]))
+unicast_macs = macs.map(lambda m: MacAddress(bytes([m[0] & 0xFE]) + m[1:]))
 ips = st.binary(min_size=4, max_size=4).map(Ipv4Address)
 
 M1 = MacAddress.parse("aa:bb:cc:dd:ee:0f")
 M2 = MacAddress.parse("02:00:00:00:00:01")
 IP1 = Ipv4Address.parse("10.0.0.1")
 IP2 = Ipv4Address.parse("10.0.0.2")
+
+
+@given(st.binary(min_size=6, max_size=6), st.binary(min_size=4, max_size=4))
+def test_an_address_is_its_octets(mac_octets, ip_octets):
+    for cls, octets in ((MacAddress, mac_octets), (Ipv4Address, ip_octets)):
+        address = cls(octets)
+        assert address == octets and hash(address) == hash(octets)
+        assert cls.parse(str(address)) == address
+        with pytest.raises(AttributeError):
+            address.octets = octets
+    # not even a MAC that starts with the IPv4 address's octets
+    ip_address = Ipv4Address(ip_octets)
+    assert MacAddress(mac_octets) != ip_address != MacAddress(ip_octets + mac_octets[4:])
 
 
 class TestAcceptanceField:
@@ -78,7 +91,7 @@ class TestAcceptanceField:
         base = MacAddress.parse("aa:bb:cc:dd:00:00")
         clashes = 0
         for last in range(8):
-            other = MacAddress(base.octets[:5] + bytes([last]))
+            other = MacAddress(base[:5] + bytes([last]))
             if other != base and af_filter_match(make_af_from_da(base), make_af_from_da(other)):
                 clashes += 1
         assert clashes == 7
@@ -467,6 +480,12 @@ FRAME_ERRORS = [
      "MAC address needs exactly 6 octets"),
     ("ipv4_address_length", lambda: Ipv4Address(bytes(3)), ValueError,
      "IPv4 address needs exactly 4 octets"),
+    # an address is built from its octets, never from a number or text
+    ("mac_from_an_int", lambda: MacAddress(6), TypeError, "object of type 'int' has no len()"),
+    ("mac_from_text", lambda: MacAddress("abcdef"), TypeError,
+     "string argument without an encoding"),
+    ("ipv4_address_from_text", lambda: Ipv4Address("10.0"), TypeError,
+     "string argument without an encoding"),
     ("ethernet_payload_above_mtu", lambda: EthernetFrame(M1, M2, 0x88B6, bytes(1501)),
      ValueError, "payload 1501 exceeds MTU 1500"),
     ("ipv4_options_not_words", lambda: make_dgram(bytes(8), options=bytes(3)), ValueError,
