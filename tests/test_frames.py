@@ -56,7 +56,7 @@ def test_an_address_is_its_octets(mac_octets, ip_octets):
         assert address == octets and hash(address) == hash(octets)
         assert cls.parse(str(address)) == address
         with pytest.raises(AttributeError):
-            address.octets = octets
+            address.name = "n1"
     # not even a MAC that starts with the IPv4 address's octets
     ip_address = Ipv4Address(ip_octets)
     assert MacAddress(mac_octets) != ip_address != MacAddress(ip_octets + mac_octets[4:])
