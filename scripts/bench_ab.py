@@ -17,6 +17,14 @@ revisions, the seeds, every run's end-to-end metrics and, per metric, the
 median and quartiles of each side, the relative change of the medians and
 the number of pairs the change won (in the direction BENCHMARK.json gives).
 Exits 1 if any run failed or did not finish.
+
+Per workload, each checkout's own `scripts/count_instructions.py` also
+runs once, as its counts do not vary between runs.  The file records, per
+side, the Python version, the bytecode instructions of one seed-1 run and
+their split by module, or null for a checkout without that script.  The
+counts cover Python bytecode only, not the work of C code (`bytes` joins,
+`json`, `heapq`), so they complement the wall-time metrics and do not
+replace them.
 """
 
 from __future__ import annotations
@@ -73,6 +81,21 @@ def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> di
         return json.loads(lines[-1])
     except json.JSONDecodeError:
         return None
+
+
+def count_instructions(tree: pathlib.Path, workload: str) -> dict | None:
+    """The Python version, total and per-module bytecode instructions that
+    the tree's own `scripts/count_instructions.py` counts for `workload`;
+    None if the tree lacks the script or it fails."""
+    if not (tree / "scripts" / "count_instructions.py").is_file():
+        return None
+    child = subprocess.run([sys.executable, "scripts/count_instructions.py", workload],
+                           cwd=tree, capture_output=True, text=True)
+    if child.returncode != 0:
+        print(child.stderr, file=sys.stderr)
+        return None
+    counts = json.loads(child.stdout)
+    return {key: counts[key] for key in ("python", "instructions", "modules")}
 
 
 def spread(values: list[float]) -> dict:
@@ -163,6 +186,8 @@ def compare(args, trees: dict[str, pathlib.Path], revisions: dict[str, dict]) ->
                       file=sys.stderr)
             runs.append(run)
         summary = summarize(runs, better)
+        summary["instructions"] = counted = {
+            side: count_instructions(trees[side], workload) for side in SIDES}
         summary["runs"] = [
             {"seed": r["seed"], "first": r["first"],
              **{side: r[side] and {k: v["value"] for k, v in r[side]["metrics"].items()}
@@ -175,6 +200,8 @@ def compare(args, trees: dict[str, pathlib.Path], revisions: dict[str, dict]) ->
             print(f"{workload:16} {name:12} {m['parent']['median']:>12.6g} -> "
                   f"{m['change']['median']:>12.6g} {m['unit']:5} {pct:>8}  "
                   f"won {m['pairs_won']}/{summary['pairs']}")
+        parent, change = (counted[side] and counted[side]["instructions"] for side in SIDES)
+        print(f"{workload:16} instructions {parent} -> {change}")
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     return 1 if bad else 0
 

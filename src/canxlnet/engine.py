@@ -46,9 +46,10 @@ receiver.  Bus clashes and switch drops both go through
 
 Frames are never tagged with bookkeeping objects: each payload starts
 with an 8-byte tag, flow index and sequence number, which `flow_of`, its
-one reader, takes from the decoded payload at any transmission, drop or
-delivery, across any chain of re-encodings; a datagram with a bad IPv4
-header belongs to no flow.  No per-send table is kept: a packet's send
+one reader, takes from the decoded payload at any transmission, drop,
+delivery or ARP give-up, across any chain of re-encodings (a datagram
+with a bad IPv4 header belongs to no flow), and turns into the flow's
+`FlowRecord` at that index.  No per-send table is kept: a packet's send
 time is its flow's `schedule[seq]`, and `make_payload` of its tag,
 regenerated on delivery, is the end-to-end byte-identity check.
 
@@ -62,7 +63,7 @@ import heapq
 import json
 import struct
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import frames
 from .frames import (
@@ -110,6 +111,20 @@ class Flow:
     dst_ip: Ipv4Address | None = None
     dst_mac: MacAddress | None = None
     can_id: int | None = None
+
+
+@dataclass
+class FlowRecord:
+    """A flow, its JSON-encoded name and the counts `report` reads."""
+    flow: Flow
+    index: int
+    text: str
+    sent: int = 0
+    delivered: int = 0
+    payload_mismatches: int = 0
+    seqs: set = field(default_factory=set)  # delivered
+    latencies: list = field(default_factory=list)
+    drops: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -362,9 +377,9 @@ _RAMP = bytes(37 * i & 0xFF for i in range(256)) * 8
 _INV37 = pow(37, -1, 256)
 
 
-def make_payload(flow_index: int, seq: int, size: int) -> bytes:
-    k = (11 * flow_index + 7 * seq) * _INV37 & 0xFF
-    return FLOW_TAG.pack(flow_index, seq) + _RAMP[k:k + size - FLOW_TAG.size]
+def make_payload(index: int, seq: int, size: int) -> bytes:
+    k = (11 * index + 7 * seq) * _INV37 & 0xFF
+    return FLOW_TAG.pack(index, seq) + _RAMP[k:k + size - FLOW_TAG.size]
 
 
 def frame_summary(frame, inner: EthernetFrame | None) -> str:
@@ -399,22 +414,9 @@ class Simulation:
         self.heap: list = []
         self.fifo: deque = deque()
         self.trace_lines: list[str] = []
-        self.flows = topo.flows
-        self.flow_index = {flow.name: i for i, flow in enumerate(topo.flows)}
-        # Flow and node names, JSON-encoded for the per-packet records.
-        self.flow_text = {flow.name: _encode(flow.name) for flow in topo.flows}
-        self.node_text = {name: _encode(name) for name in topo.nodes}
-        self.flow_stats = {
-            flow.name: {
-                "sent": 0,
-                "delivered": 0,
-                "delivered_seqs": set(),
-                "payload_mismatches": 0,
-                "latencies": [],
-                "drops": {},
-            }
-            for flow in topo.flows
-        }
+        self.flows: list[FlowRecord] = [FlowRecord(flow, i, _encode(flow.name))
+                                         for i, flow in enumerate(topo.flows)]
+        self.node_text = {name: _encode(name) for name in topo.nodes}  # for the records
         for sw in topo.switches.values():
             sw.drop_hook = self.drop
         # sender -> (JSON-encoded medium name, JSON-encoded sender name,
@@ -451,16 +453,16 @@ class Simulation:
 
     # -- flow attribution ----------------------------------------------------
 
-    def flow_of(self, payload: bytes | None) -> tuple[Flow, int] | None:
-        """The flow and sequence number that the tag of `payload` names, if
-        that flow has sent that packet: if its send time has come."""
+    def flow_of(self, payload: bytes | None) -> tuple[FlowRecord, int] | None:
+        """The flow record and sequence number that the tag of `payload`
+        names, if that flow has sent that packet: if its send time has come."""
         if payload is None:
             return None
         try:
             index, seq = FLOW_TAG.unpack_from(payload)
-            flow = self.flows[index]
-            if flow.schedule[seq] <= self.now:
-                return flow, seq
+            record = self.flows[index]
+            if record.flow.schedule[seq] <= self.now:
+                return record, seq
         except (struct.error, IndexError):  # no tag, no such flow or packet
             pass
         return None
@@ -479,7 +481,7 @@ class Simulation:
         if fl is None:
             shared = f'"frame":{summary},"location":{location},"source":{source},'
         else:
-            shared = (f'"flow":{self.flow_text[fl[0].name]},"frame":{summary},'
+            shared = (f'"flow":{fl[0].text},"frame":{summary},'
                       f'"location":{location},"seq":{fl[1]},"source":{source},')
         self.trace_lines.append(
             f'{{"duration_ns":{duration_ns},"event":"tx_start",{shared}"t_ns":{self.now}}}')
@@ -496,35 +498,33 @@ class Simulation:
         as anonymous."""
         fl = self.flow_of(rx.payload)
         if fl is not None:
-            self.flow_drop(fl[0], fl[1], reason, location)
+            self.flow_drop(*fl, reason, location)
         else:
             # Byte for byte what trace("drop", location, frame=..., reason=reason) writes.
             self.trace_lines.append(
                 f'{{"event":"drop","frame":{frame_summary(frame, rx.eth)},'
                 f'"location":{_encode(location)},"reason":{_encode(reason)},"t_ns":{self.now}}}')
 
-    def flow_drop(self, flow: Flow, seq: int, reason: str, location: str) -> None:
-        drops = self.flow_stats[flow.name]["drops"]
-        drops[reason] = drops.get(reason, 0) + 1
-        self.trace("drop", location, flow=flow.name, seq=seq, reason=reason)
+    def flow_drop(self, record: FlowRecord, seq: int, reason: str, location: str) -> None:
+        record.drops[reason] = record.drops.get(reason, 0) + 1
+        self.trace("drop", location, flow=record.flow.name, seq=seq, reason=reason)
 
     def on_app_delivery(self, node, payload: bytes) -> None:
         fl = self.flow_of(payload)
         if fl is None:
             self.trace("app_deliver", node.name, reason="untracked")
             return
-        flow, seq = fl
-        stats = self.flow_stats[flow.name]
-        stats["delivered"] += 1
-        stats["delivered_seqs"].add(seq)
+        record, seq = fl
+        record.delivered += 1
+        record.seqs.add(seq)
         # the packet as sent, zero-padded to what arrived (raw Ethernet pads)
-        sent = make_payload(self.flow_index[flow.name], seq, flow.payload_size)
+        sent = make_payload(record.index, seq, record.flow.payload_size)
         if payload != sent.ljust(len(payload), b"\0"):
-            stats["payload_mismatches"] += 1
-        latency = self.now - flow.schedule[seq]
-        stats["latencies"].append(latency)
+            record.payload_mismatches += 1
+        latency = self.now - record.flow.schedule[seq]
+        record.latencies.append(latency)
         self.trace_lines.append(
-            f'{{"event":"app_deliver","flow":{self.flow_text[flow.name]},'
+            f'{{"event":"app_deliver","flow":{record.text},'
             f'"latency_ns":{latency},"location":{self.node_text[node.name]},'
             f'"seq":{seq},"t_ns":{self.now}}}')
 
@@ -536,9 +536,9 @@ class Simulation:
         for node in self.topo.nodes.values():
             # Not traced: an announcement shows up as tx_start anyway.
             self.schedule(node.start_ns, node.startup, self)
-        for flow in self.topo.flows:
-            for seq, t in enumerate(flow.schedule):
-                self.schedule(t, self._app_send, flow, seq)
+        for record in self.flows:
+            for seq, t in enumerate(record.flow.schedule):
+                self.schedule(t, self._app_send, record, seq)
 
         # The heap's entries at an instant were all scheduled before the
         # clock reached it, so they run first, in sequence order; then the
@@ -557,13 +557,14 @@ class Simulation:
 
         return "\n".join(self.trace_lines) + ("\n" if self.trace_lines else ""), self.report()
 
-    def _app_send(self, flow: Flow, seq: int) -> None:
-        payload = make_payload(self.flow_index[flow.name], seq, flow.payload_size)
-        self.flow_stats[flow.name]["sent"] += 1
+    def _app_send(self, record: FlowRecord, seq: int) -> None:
+        flow = record.flow
+        record.sent += 1
         self.trace_lines.append(
-            f'{{"event":"app_send","flow":{self.flow_text[flow.name]},'
+            f'{{"event":"app_send","flow":{record.text},'
             f'"location":{self.node_text[flow.source]},"seq":{seq},"t_ns":{self.now}}}')
-        self.topo.nodes[flow.source].app_send(self, flow, seq, payload)
+        self.topo.nodes[flow.source].app_send(
+            self, flow, make_payload(record.index, seq, flow.payload_size))
 
     def on_tx_complete(self, sender: Station, frame, rx: frames.Decoded,
                        summary: str, shared: str) -> None:
@@ -615,15 +616,14 @@ class Simulation:
 
     def report(self) -> dict:
         flows = {}
-        for flow in self.topo.flows:
-            st = self.flow_stats[flow.name]
-            lat = st["latencies"]
-            flows[flow.name] = {
-                "sent": st["sent"],
-                "delivered": st["delivered"],
-                "delivered_unique": len(st["delivered_seqs"]),
-                "payload_mismatches": st["payload_mismatches"],
-                "drops": dict(sorted(st["drops"].items())),
+        for r in self.flows:
+            lat = r.latencies
+            flows[r.flow.name] = {
+                "sent": r.sent,
+                "delivered": r.delivered,
+                "delivered_unique": len(r.seqs),
+                "payload_mismatches": r.payload_mismatches,
+                "drops": dict(sorted(r.drops.items())),
                 "latency_ns": {
                     "min": min(lat), "mean": sum(lat) / len(lat), "max": max(lat),
                 } if lat else None,

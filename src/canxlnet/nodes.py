@@ -19,7 +19,8 @@ IP, identifier-based reception.  No node parses a header: a node queues
 each frame it builds with its `frames.Decoded` value, made from what the
 node already holds (the ARP message, the datagram, the payload), and
 every `on_receive` gets the frame with that value of its transmission.
-The time is read as `sim.now`; startup and ARP retry events carry none.
+A datagram waits for ARP as its payload alone; its tag names it on a
+give-up.  The time is read as `sim.now`; no event carries it.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class Node:
         self.start_ns = to_ns(start_time, "start_time")
         self.arp_table = {k: ArpEntry(v, static=True) for k, v in (static_arp or {}).items()}
         self.has_static_arp = bool(static_arp)
-        self.pending_arp: dict[Ipv4Address, list] = {}  # IP -> [(payload, flow, seq)]
+        self.pending_arp: dict[Ipv4Address, list[bytes]] = {}  # IP -> payloads
         self.station = None  # wired by the topology
         self.counters = {
             "delivered": 0,
@@ -101,20 +102,20 @@ class Node:
         msg = ArpMessage(ArpOp.GRATUITOUS_REPLY, self.mac, self.ip, ZERO_MAC, self.ip)
         self._emit_eth(sim, Decoded(frames.arp_serialize(msg), msg, None))
 
-    def app_send(self, sim, flow, seq: int, payload: bytes) -> None:
+    def app_send(self, sim, flow, payload: bytes) -> None:
         if flow.transport == "raw-ethernet":
             eth = EthernetFrame(flow.dst_mac, self.mac, ETHERTYPE_RAW_DATA, payload)
             self._emit_eth(sim, Decoded(eth, None, eth.payload))  # padded, as sent
         else:  # ipv4: Topology validation admits no other transport here
-            self.send_ip(sim, flow.dst_ip, payload, flow, seq)
+            self.send_ip(sim, flow.dst_ip, payload)
 
-    def send_ip(self, sim, dst_ip: Ipv4Address, payload: bytes, flow, seq: int) -> None:
+    def send_ip(self, sim, dst_ip: Ipv4Address, payload: bytes) -> None:
         entry = self.arp_table.get(dst_ip)
         if entry is not None:
             self._send_datagram(sim, entry.mac, dst_ip, payload)
             return
         pending = self.pending_arp.setdefault(dst_ip, [])
-        pending.append((payload, flow, seq))
+        pending.append(payload)
         if len(pending) == 1:  # a new list starts a resolution
             self._send_arp_request(sim, dst_ip, 1)
 
@@ -134,9 +135,9 @@ class Node:
         if dst_ip not in self.pending_arp:
             return  # resolved in the meantime; a resolved IP never pends again
         if attempt >= 2:  # the second request went unanswered too
-            for _payload, flow, seq in self.pending_arp.pop(dst_ip):
+            for payload in self.pending_arp.pop(dst_ip):  # each names its packet
                 self.counters["arp_unresolved"] += 1
-                sim.flow_drop(flow, seq, "arp_unresolved", self.name)
+                sim.flow_drop(*sim.flow_of(payload), "arp_unresolved", self.name)
             return
         self._send_arp_request(sim, dst_ip, attempt + 1)
 
@@ -178,7 +179,7 @@ class Node:
 
         if msg.spa in self.arp_table and msg.spa in self.pending_arp:
             mac = self.arp_table[msg.spa].mac
-            for payload, _flow, _seq in self.pending_arp.pop(msg.spa):
+            for payload in self.pending_arp.pop(msg.spa):
                 self._send_datagram(sim, mac, msg.spa, payload)
 
         if msg.op == ArpOp.REQUEST and self.ip is not None and msg.tpa == self.ip:
@@ -265,7 +266,7 @@ class ClassicCanNode:
     def startup(self, sim) -> None:
         pass
 
-    def app_send(self, sim, flow, seq: int, payload: bytes) -> None:
+    def app_send(self, sim, flow, payload: bytes) -> None:
         self.station.medium.enqueue(sim, self.station, ClassicCanFrame(flow.can_id, payload),
                                     Decoded(None, None, payload))
 

@@ -15,8 +15,8 @@ A packet is decoded where it is built and never parsed on its way
 through the switches: every emission is a `(port, frame, rx)` triple
 whose `rx` equals `frames.decode(frame)`, built from what the switch
 already holds (the ingress value, the BPDU it encoded, the checked
-datagram it compacts or the one it rebuilds), and the drop hook gets the
-ingress value too.
+datagram it compacts or the one it rebuilds).  The helpers take that
+value alone, whose `eth` is None for a compact frame's datagram `net`.
 
 Loop prevention uses a reduced spanning tree: 64-bit bridge ids, hello
 BPDUs every 2 s, lowest root id wins, per-port roles root/designated/
@@ -205,7 +205,7 @@ class CSwitch:
         self.efdb = Efdb(ageing_time)
         # Bridge MAC, synthesized from the bridge id (locally administered).
         self.mac = MacAddress(b"\x0a\xb1" + (bridge_id & 0xFFFFFFFF).to_bytes(4, "big"))
-        self.port_state = {p.index: _PortState() for p in ports}
+        self.port_state = {i: _PortState() for i in self.ports}  # in port order
         self.root_id = bridge_id
         self.root_cost = 0
         self.root_port: int | None = None
@@ -222,10 +222,10 @@ class CSwitch:
         # per-flow accounting.
         self.drop_hook = None
 
-    def _drop(self, reason: str, frame, rx: frames.Decoded) -> None:
+    def _drop(self, reason: str, rx: frames.Decoded) -> None:
         self.counters[reason] += 1
         if self.drop_hook is not None:
-            self.drop_hook(frame, reason, self.name, rx)
+            self.drop_hook(rx.eth or rx.net, reason, self.name, rx)
 
     # -- ingress ----------------------------------------------------------
 
@@ -239,16 +239,16 @@ class CSwitch:
         # The core sees the Ethernet frame, tunneled or not, or else a
         # compact frame's datagram.  The tunneller does no AF filtering of
         # its own: selective forwarding belongs to the core.
-        normalized = rx.eth or rx.net
-        if normalized is None:
-            return []
-        if isinstance(normalized, EthernetFrame) and normalized.da == STP_GROUP_MAC:
-            return self.stp_step(port, normalized)
+        if rx.eth is None:
+            if rx.net is None:  # a compact frame whose header is bad
+                return []
+        elif rx.eth.da == STP_GROUP_MAC:
+            return self.stp_step(port, rx.eth)
         if not self.port_state[port].forwarding:
-            self._drop("stp_blocked", normalized, rx)
+            self._drop("stp_blocked", rx)
             return []
         self.learn(port, rx, now)
-        return self._encode_all(self._forward(port, normalized, rx, now), normalized, rx, now)
+        return self._encode_all(self._forward(port, rx, now), rx, now)
 
     # -- learning ---------------------------------------------------------
 
@@ -271,51 +271,51 @@ class CSwitch:
         return [i for i, p in self.ports.items()
                 if i != exclude and self.port_state[i].forwarding]
 
-    def _forward(self, ingress: int, frame, rx: frames.Decoded, now: int) -> list[int]:
-        """The egress ports of a normalized frame; none if it is dropped."""
-        if isinstance(frame, EthernetFrame):
-            if frame.da.is_group():
-                self.counters["flooded"] += 1
-                return self._forwarding_ports(ingress)
-            entry = self.efdb.lookup_mac(frame.da, now)
+    def _forward(self, ingress: int, rx: frames.Decoded, now: int) -> list[int]:
+        """The egress ports of the frame decoded as `rx`; none if it is dropped."""
+        if rx.eth is None:
+            entry = self.efdb.lookup_ip(rx.net.dst_ip, now)
+        elif rx.eth.da.is_group():
+            self.counters["flooded"] += 1
+            return self._forwarding_ports(ingress)
         else:
-            entry = self.efdb.lookup_ip(frame.dst_ip, now)
+            entry = self.efdb.lookup_mac(rx.eth.da, now)
 
         if entry is not None:
             if entry.port == ingress:
                 # Destination lives on the ingress segment: confine it.
-                self._drop("no_route_self", frame, rx)
+                self._drop("no_route_self", rx)
                 return []
             if self.port_state[entry.port].forwarding:
                 self.counters["forwarded"] += 1
                 return [entry.port]
-            self._drop("stp_blocked", frame, rx)
+            self._drop("stp_blocked", rx)
             return []
         self.counters["flooded"] += 1
         return self._forwarding_ports(ingress)
 
-    def _encode_all(self, ports: list[int], frame, rx: frames.Decoded,
+    def _encode_all(self, ports: list[int], rx: frames.Decoded,
                     now: int) -> list[tuple[int, object, frames.Decoded]]:
-        """Encode one normalized frame, decoded as `rx`, for each egress port."""
+        """Encode the frame decoded as `rx` for each egress port."""
         out = []
         for port in ports:
-            encoded = self._encode_for_port(frame, rx, self.ports[port], now)
+            encoded = self._encode_for_port(rx, self.ports[port], now)
             if encoded is not None:
                 out.append((port, *encoded))
         return out
 
-    def _encode_for_port(self, frame, rx: frames.Decoded, cfg: PortConfig,
+    def _encode_for_port(self, rx: frames.Decoded, cfg: PortConfig,
                          now: int) -> tuple[object, frames.Decoded] | None:
-        """Re-encode a normalized frame for one egress port; returns the
-        wire frame and its `frames.decode` value, or None if dropped.
+        """Re-encode the frame decoded as `rx` for one egress port; returns
+        the wire frame and its `frames.decode` value, or None if dropped.
 
         Streamlined datagrams leaving on Ethernet (or on a CAN port in
         tunnel mode) need both MAC addresses from the EFDB; without them
         the frame is dropped and counted, never fabricated.
         """
-        if isinstance(frame, EthernetFrame):
+        if rx.eth is not None:
             if cfg.kind == ETH:
-                return frame, rx
+                return rx.eth, rx
             # Only a checked IPv4 datagram is compacted; the rest tunnels.
             if cfg.egress_mode == EGRESS_IOC_PREFERRED and isinstance(rx.net, Ipv4Datagram):
                 try:
@@ -324,14 +324,13 @@ class CSwitch:
                             frames.Decoded(None, dgram, dgram.payload))
                 except NotPlainIpv4:
                     pass
-            return frames.eoc_encapsulate(frame, cfg.egress_priority_base), rx
+            return frames.eoc_encapsulate(rx.eth, cfg.egress_priority_base), rx
 
-        # IocDatagram
         if cfg.kind == CAN_XL and cfg.egress_mode == EGRESS_IOC_PREFERRED:
-            return frames.ioc_encode(frame, cfg.egress_priority_base), rx
-        rebuilt = self._reconstruct_ethernet(frame, now)
+            return frames.ioc_encode(rx.net, cfg.egress_priority_base), rx
+        rebuilt = self._reconstruct_ethernet(rx.net, now)
         if rebuilt is None:
-            self._drop("reconstruction_failure", frame, rx)
+            self._drop("reconstruction_failure", rx)
             return None
         if cfg.kind == ETH:
             return rebuilt
@@ -422,7 +421,7 @@ class CSwitch:
         ports = [i for i, st in self.port_state.items() if st.role == ROLE_DESIGNATED]
         # A BPDU has no network layer or payload that `frames.decode` reads;
         # it never needs the EFDB, hence any time will do.
-        return self._encode_all(ports, eth, frames.Decoded(eth, None, None), 0)
+        return self._encode_all(ports, frames.Decoded(eth, None, None), 0)
 
     # -- reporting -----------------------------------------------------------
 

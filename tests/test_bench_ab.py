@@ -50,6 +50,17 @@ print(json.dumps({"attempted": 1, "failed": 0,
                   "metrics": {"run_s": {"value": value, "unit": "s"}}}))
 """
 
+# A stand-in for scripts/count_instructions.py: counts a thousand
+# instructions per unit of VERSION and appends its workload to $COUNT_LOG.
+FAKE_COUNT = """
+import json, os, pathlib, sys
+with open(os.environ["COUNT_LOG"], "a") as log:
+    print(sys.argv[1], file=log)
+n = int(1000 * float(pathlib.Path("VERSION").read_text()))
+print(json.dumps({"workload": sys.argv[1], "seed": 1, "python": "3.x", "instructions": n,
+                  "modules": {"m": n}, "functions": {"m:f": n}}))
+"""
+
 
 def test_revisions_are_exported_to_paths_of_equal_length(tmp_path, monkeypatch):
     repo = tmp_path / "repo"
@@ -65,13 +76,17 @@ def test_revisions_are_exported_to_paths_of_equal_length(tmp_path, monkeypatch):
 
     git("init", "-q")
     hashes = []
-    for version in ("2.0", "1.0"):
+    for version in ("2.0", "1.0"):  # only the second counts instructions
         (repo / "VERSION").write_text(version)
+        if version == "1.0":
+            (repo / "scripts").mkdir()
+            (repo / "scripts" / "count_instructions.py").write_text(FAKE_COUNT)
         git("add", "-A")
         git("commit", "-q", "-m", version)
         hashes.append(git("rev-parse", "HEAD"))
     monkeypatch.setattr(bench_ab, "REPO", repo)
     monkeypatch.setenv("RUN_LOG", str(tmp_path / "runs.log"))
+    monkeypatch.setenv("COUNT_LOG", str(tmp_path / "counts.log"))
     out = tmp_path / "ab.json"
 
     assert bench_ab.main(["HEAD~1", "HEAD", "--workload", "w", "--pairs", "2", "--seeds", "1",
@@ -81,6 +96,10 @@ def test_revisions_are_exported_to_paths_of_equal_length(tmp_path, monkeypatch):
     assert result["change"] == {"revision": hashes[1], "dirty": False}
     run_s = result["workloads"]["w"]["metrics"]["run_s"]
     assert (run_s["parent"]["median"], run_s["change"]["median"], run_s["pairs_won"]) == (2, 1, 2)
+    # counted once per workload, not once per pair; null where the script is missing
+    assert result["workloads"]["w"]["instructions"] == {
+        "parent": None, "change": {"python": "3.x", "instructions": 1000, "modules": {"m": 1000}}}
+    assert (tmp_path / "counts.log").read_text().split() == ["w"]
     dirs = set((tmp_path / "runs.log").read_text().split())
     assert len(dirs) == 2 and len({len(d) for d in dirs}) == 1
     assert not any(pathlib.Path(d).exists() for d in dirs)
@@ -88,3 +107,11 @@ def test_revisions_are_exported_to_paths_of_equal_length(tmp_path, monkeypatch):
         bench_ab.main(["no-such-rev", "HEAD", "--workload", "w", "--pairs", "1", "--seeds", "1",
                        "--seconds", "0", "--out", str(out)])
     assert exit_.value.code == 2
+
+
+def test_a_count_that_fails_is_recorded_as_null(tmp_path, capsys):
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "count_instructions.py").write_text(
+        "import sys\nsys.exit('no such workload')\n")
+    assert bench_ab.count_instructions(tmp_path, "w") is None
+    assert "no such workload" in capsys.readouterr().err

@@ -318,7 +318,7 @@ def test_encoded_value_is_the_decode_of_the_encoded_frame(normalized, kind, mode
     for m, a in KNOWN:
         sw.efdb.learn_joint(m, a, 0, 0)
     rx = frames.decode(normalized)
-    encoded = sw._encode_for_port(normalized, rx, sw.ports[0], 0)
+    encoded = sw._encode_for_port(rx, sw.ports[0], 0)
     if isinstance(normalized, EthernetFrame) and kind == CAN_XL:
         expected = frames.eoc_encapsulate(normalized, 0x123)
         if mode == EGRESS_IOC_PREFERRED and normalized.ethertype == frames.ETHERTYPE_IPV4:

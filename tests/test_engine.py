@@ -476,7 +476,8 @@ def test_one_ipv4_header_rule_for_engine_and_receivers():
     good = frames.EthernetFrame(mac(2), mac(1), frames.ETHERTYPE_IPV4, bytes(header))
     header[10] ^= 0xFF
     bad = frames.EthernetFrame(mac(2), mac(1), frames.ETHERTYPE_IPV4, bytes(header))
-    assert sim.flow_of(frames.decode(good).payload) == (topo.flows[0], 0)
+    record, seq = sim.flow_of(frames.decode(good).payload)
+    assert (record.flow, seq) == (topo.flows[0], 0)
     rx = frames.decode(bad)
     assert rx.net is None
     assert sim.flow_of(rx.payload) is None
@@ -549,7 +550,8 @@ def test_the_tag_names_the_flow_and_the_schedule_the_send_time(specs):
         assert sent == sum(t <= T_END_NS for t in flow.schedule)
         for seq in range(sent):
             assert sent_at[(flow.name, seq)] == flow.schedule[seq]
-            assert sim.flow_of(tagged(index, seq, flow.payload_size)) == (flow, seq)
+            record, got = sim.flow_of(tagged(index, seq, flow.payload_size))
+            assert (record.flow, got) == (flow, seq)
         assert sim.flow_of(tagged(index, sent)) is None
         assert report["flows"][flow.name]["payload_mismatches"] == 0
     assert sim.flow_of(tagged(len(topo.flows), 0)) is None
@@ -564,7 +566,8 @@ def test_a_packet_is_sent_once_its_send_time_has_come():
     trace, report = sim.run()
     assert [e["seq"] for e in events(trace, "app_deliver")] == [1]
     assert report["flows"]["f"]["payload_mismatches"] == 0
-    assert sim.flow_of(tagged(0, 1)) == (flow, 1)
+    record, seq = sim.flow_of(tagged(0, 1))
+    assert (record.flow, seq) == (flow, 1)
     assert sim.flow_of(tagged(0, 0)) is None
 
 
@@ -587,12 +590,18 @@ def test_an_untracked_delivery_moves_no_flow_counter(payload):
 
 class TestArp:
     def test_unresolvable_address_counts_after_one_retry(self):
-        flow = Flow("f", "n1", "ipv4", 44, [to_ns(0.001)], dst_ip=ip(99))
-        topo = two_node_bus(flows=[flow], t_end=3.5)
+        # Four packets of two flows wait on one resolution of one address.
+        flows = [Flow(name, "n1", "ipv4", 44, [to_ns(t), to_ns(t + 0.001)], dst_ip=ip(99))
+                 for name, t in (("f", 0.001), ("g", 0.0015))]
+        topo = two_node_bus(flows=flows, t_end=3.5)
         trace, report = Simulation(topo).run()
-        assert report["flows"]["f"]["delivered"] == 0
-        assert report["flows"]["f"]["drops"] == {"arp_unresolved": 1}
-        assert report["nodes"]["n1"]["arp_unresolved"] == 1
+        for name in ("f", "g"):
+            assert report["flows"][name]["delivered"] == 0
+            assert report["flows"][name]["drops"] == {"arp_unresolved": 2}
+        assert report["nodes"]["n1"]["arp_unresolved"] == 4
+        sent = [(e["flow"], e["seq"]) for e in events(trace, "app_send")]
+        assert sent == [("f", 0), ("g", 0), ("f", 1), ("g", 1)]
+        assert [(e["flow"], e["seq"]) for e in events(trace, "drop")] == sent
         requests = [e for e in events(trace, "tx_start")
                     if e["frame"].get("inner", {}).get("ethertype") == "0x0806"]
         assert len(requests) == 2  # original plus a single retry

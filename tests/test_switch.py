@@ -1,10 +1,13 @@
 import collections
+import copy
 import dataclasses
 import json
 
 import pytest
+import yaml
 
 from canxlnet import frames
+from canxlnet.config import build_topology
 from canxlnet.engine import RunOptions, Simulation, Topology
 from canxlnet.frames import (
     ArpMessage,
@@ -38,6 +41,8 @@ from canxlnet.switch import (
 )
 from canxlnet.nodes import EthernetHost
 from canxlnet.timing import EthernetTimingParams
+
+from conftest import SCENARIOS
 
 M1 = MacAddress.parse("02:00:00:00:00:01")
 M2 = MacAddress.parse("02:00:00:00:00:02")
@@ -426,6 +431,14 @@ class TestSpanningTree:
         assert [report["switches"][n]["stp"]["ports"] for n in ("sw2", "sw3")] == \
             [{"0": ROLE_ROOT, "1": ROLE_DESIGNATED}] * 2
         assert [topo.switches[n].hello() for n in ("sw2", "sw3")] == [[], []]
+
+    def test_the_order_ports_are_listed_in_changes_nothing(self):
+        # A switch walks its ports by index, for floods and for BPDUs alike.
+        doc = yaml.safe_load((SCENARIOS / "stp_triangle.yaml").read_text())
+        listed = Simulation(build_topology(copy.deepcopy(doc))).run()
+        for sw in doc["switches"]:
+            sw["ports"].reverse()
+        assert Simulation(build_topology(doc)).run() == listed
 
 
 def test_duplicate_port_indices_rejected():
