@@ -21,7 +21,8 @@ Exits 1 if any run failed or did not finish.
 Per workload, each checkout's own `scripts/count_instructions.py` also
 runs once, as its counts do not vary between runs.  The file records, per
 side, the Python version, the bytecode instructions of one seed-1 run and
-their split by module, or null for a checkout without that script.  The
+their split by module, or null for a checkout without that script (or
+whose script fails).  The
 counts cover Python bytecode only, not the work of C code (`bytes` joins,
 `json`, `heapq`), so they complement the wall-time metrics and do not
 replace them.

@@ -205,7 +205,7 @@ class CSwitch:
         self.efdb = Efdb(ageing_time)
         # Bridge MAC, synthesized from the bridge id (locally administered).
         self.mac = MacAddress(b"\x0a\xb1" + (bridge_id & 0xFFFFFFFF).to_bytes(4, "big"))
-        self.port_state = {i: _PortState() for i in self.ports}  # in port order
+        self.port_state = {i: _PortState() for i in self.ports}  # index order, as floods
         self.root_id = bridge_id
         self.root_cost = 0
         self.root_port: int | None = None
