@@ -18,12 +18,12 @@ median and quartiles of each side, the relative change of the medians and
 the number of pairs the change won (in the direction BENCHMARK.json gives).
 Exits 1 if any run failed or did not finish.
 
-Per workload, each checkout's own `scripts/count_instructions.py` also
-runs once, as its counts do not vary between runs.  The file records, per
-side, the Python version, the bytecode instructions of one seed-1 run and
-their split by module, or null for a checkout without that script (or
-whose script fails).  The
-counts cover Python bytecode only, not the work of C code (`bytes` joins,
+Per workload, each distinct tree's own `scripts/count_instructions.py`
+also runs once, as its counts do not vary between runs: two sides that
+name one directory, or one revision, share one count.  The file records,
+per side, the Python version, the bytecode instructions of one seed-1
+run and their split by module, or null for a checkout without that
+script (or whose script fails).  The counts cover Python bytecode only, not the work of C code (`bytes` joins,
 `json`, `heapq`), so they complement the wall-time metrics and do not
 replace them.
 """
@@ -145,11 +145,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=pathlib.Path, required=True)
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="bench_ab_") as exports:
-        trees, revisions = {}, {}
+        trees, revisions, keys = {}, {}, {}
         for side in SIDES:
             given = getattr(args, side)
             if pathlib.Path(given).is_dir():
-                trees[side] = pathlib.Path(given).resolve()
+                trees[side] = keys[side] = pathlib.Path(given).resolve()
                 revisions[side] = revision(trees[side])
             else:
                 trees[side] = pathlib.Path(exports, side)  # "parent", "change": equal lengths
@@ -157,12 +157,15 @@ def main(argv: list[str] | None = None) -> int:
                     revisions[side] = export(REPO, given, trees[side])
                 except subprocess.CalledProcessError:
                     parser.error(f"{given}: neither a directory nor a revision of {REPO}")
-        return compare(args, trees, revisions)
+                keys[side] = revisions[side]["revision"]
+        return compare(args, trees, revisions, keys)
 
 
-def compare(args, trees: dict[str, pathlib.Path], revisions: dict[str, dict]) -> int:
+def compare(args, trees: dict[str, pathlib.Path], revisions: dict[str, dict],
+            keys: dict) -> int:
     """Run the pairs, print the medians and write `args.out`; 1 if any run
-    failed or did not finish."""
+    failed or did not finish.  Sides with equal `keys` share one tree, so
+    their instructions are counted once."""
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
@@ -187,8 +190,11 @@ def compare(args, trees: dict[str, pathlib.Path], revisions: dict[str, dict]) ->
                       file=sys.stderr)
             runs.append(run)
         summary = summarize(runs, better)
-        summary["instructions"] = counted = {
-            side: count_instructions(trees[side], workload) for side in SIDES}
+        counts = {}  # key -> count
+        for side in SIDES:
+            if keys[side] not in counts:
+                counts[keys[side]] = count_instructions(trees[side], workload)
+        summary["instructions"] = counted = {side: counts[keys[side]] for side in SIDES}
         summary["runs"] = [
             {"seed": r["seed"], "first": r["first"],
              **{side: r[side] and {k: v["value"] for k, v in r[side]["metrics"].items()}

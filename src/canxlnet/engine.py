@@ -1,24 +1,23 @@
 """Deterministic discrete-event engine.
 
-Time is integer nanoseconds.  Events run in (time, scheduling) order and
-are called as `handler(*args)`; the order is drawn deterministically at
-insertion, so two runs over the same inputs produce byte-identical
-traces.  The queue has two parts.  An event for a later instant goes to a
-heap of `(t_ns, seq, handler, args)` entries, `seq` growing with every
-push; one for the current instant, most of them (arbitration kicks,
-deliveries), goes to a FIFO of `(handler, args)` instead.  When the clock
-reaches an instant, the heap's entries at it were all pushed before any
-event for that instant went to the FIFO, so `run` calls them first, in
-sequence order, and then drains the FIFO: the order a single heap of
-`(t_ns, seq)` would give.  Handlers are the engine's own (application
-sends, transmission completions, deliveries, STP hellos), node startup
-and ARP retries, and the media's arbitration kicks.  Each reads the time
-as `Simulation.now`, the one clock; no event carries a copy.  `CSwitch`
-and `Efdb` take `now` instead: they run without a simulator, so tests
-drive them with explicit times, and `SwitchPortRef` passes `sim.now`.
+Time is integer nanoseconds.  `due` maps each instant to its events,
+`(handler, args)` in scheduling order, and a heap holds the instants
+that have events.  `run` takes the earliest instant and calls its events
+as `handler(*args)` in list order, those scheduled for that instant while
+it runs too, so events run in (time, scheduling) order and two runs over
+the same inputs produce byte-identical traces.  Handlers are the
+engine's own (application sends, transmission completions, deliveries,
+STP hellos), node startup and ARP retries, and the media's arbitration
+kicks.  Each reads the time as `Simulation.now`, the one clock; no event
+carries a copy.  `CSwitch` and `Efdb` take `now` instead: they run
+without a simulator, so tests drive them with explicit times, and
+`SwitchPortRef` passes `sim.now`.
 
-Media hand each transmission they start to `Simulation.on_tx_start`,
-which describes the frame once, traces it and schedules its completion.
+A node or a switch port (`SwitchPortRef`) is the station its medium's
+`attach` wires.  Media hand each transmission they start to
+`Simulation.on_tx_start`, which describes the frame once, traces it and
+schedules its completion; the completion re-arms the medium with
+`request_kick`, the one arming call.
 A packet is decoded where it is built, never parsed on the way: every
 frame, a node's or a switch's, travels to its medium's queue together
 with its `frames.Decoded` value, which its sender built from what it
@@ -62,7 +61,6 @@ from __future__ import annotations
 import heapq
 import json
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 
 from . import frames
@@ -75,7 +73,7 @@ from .frames import (
     Ipv4Address,
     MacAddress,
 )
-from .media import CanBus, EthernetLink, Station
+from .media import CanBus, EthernetLink
 from .switch import CAN_XL, ETH, CSwitch, HELLO_INTERVAL_NS
 from .timing import CanXlTimingParams, EthernetTimingParams, to_ns
 
@@ -136,10 +134,12 @@ class RunOptions:
     report: str | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class SwitchPortRef:
+    """A switch port as its medium's station."""
     switch: CSwitch
     port: int
+    name: str  # <switch>.p<port>
     kind = "switch-port"
 
     def on_receive(self, sim: Simulation, frame, rx: frames.Decoded) -> None:
@@ -161,15 +161,15 @@ class AcceptanceIndex:
     A node whose filter passes a frame that its DA check drops counts an
     `af_false_positive` here, without a call."""
 
-    def __init__(self, owners: list):
-        self.owners = owners  # of the bus's stations, in order
+    def __init__(self, stations: list):
+        self.stations = stations  # the bus's, in order
         self.ports, self.classic = [], []  # switch ports; those and classic nodes
         nodes = []  # tunnel and streamlined nodes
-        for i, owner in enumerate(owners):
-            if owner.kind == "switch-port":
+        for i, station in enumerate(stations):
+            if station.kind == "switch-port":
                 self.ports.append(i)
                 self.classic.append(i)
-            elif owner.kind == "classic-can":
+            elif station.kind == "classic-can":
                 self.classic.append(i)
             else:
                 nodes.append(i)
@@ -178,11 +178,11 @@ class AcceptanceIndex:
         self.tunnel: dict[int, dict[MacAddress, tuple[int, list[int]]]] = {}
         self.compact: dict[int, list[int]] = {}
         for i in nodes:
-            owner = owners[i]
+            node = stations[i]
             callees = sorted(self.ports + [i])
-            self.tunnel.setdefault(owner.af_image, {})[owner.mac] = (i, callees)
-            if owner.ip_af is not None:
-                self.compact[owner.ip_af] = callees
+            self.tunnel.setdefault(node.af_image, {})[node.mac] = (i, callees)
+            if node.ip_af is not None:
+                self.compact[node.ip_af] = callees
 
     def callees(self, sender: int, frame, rx: frames.Decoded) -> list[int] | None:
         """The positions of the receivers that can act on `frame`, decoded
@@ -202,10 +202,10 @@ class AcceptanceIndex:
         if da.is_group():
             return None
         node, callees = passed.get(da, (None, self.ports))
-        owners = self.owners
+        stations = self.stations
         for i, _ in passed.values():
             if i != node and i != sender:
-                owners[i].counters["af_false_positive"] += 1
+                stations[i].counters["af_false_positive"] += 1
         return callees
 
 
@@ -218,7 +218,7 @@ class Topology:
         self.switches: dict[str, CSwitch] = {}
         self.flows: list[Flow] = []
         self.options = options or RunOptions()
-        self.port_station: dict[tuple[str, int], Station] = {}
+        self.port_station: dict[tuple[str, int], SwitchPortRef] = {}
 
     def add_node(self, node) -> object:
         if node.name in self.nodes or node.name in self.switches:
@@ -244,17 +244,14 @@ class Topology:
         self.media[medium.name] = medium
         return medium
 
-    def attach_node(self, node_name: str, medium_name: str) -> Station:
+    def attach_node(self, node_name: str, medium_name: str) -> object:
         node = self.nodes[node_name]
-        medium = self.media[medium_name]
-        if node.station is not None:
+        if node.medium is not None:
             raise ConfigError(f"nodes.{node_name}", "attached to more than one medium")
-        station = Station(node_name, node, medium)
-        medium.stations.append(station)
-        node.station = station
-        return station
+        self.media[medium_name].attach(node)
+        return node
 
-    def attach_switch_port(self, switch_name: str, port: int, medium_name: str) -> Station:
+    def attach_switch_port(self, switch_name: str, port: int, medium_name: str) -> SwitchPortRef:
         sw = self.switches[switch_name]
         medium = self.media[medium_name]
         if port not in sw.ports:
@@ -263,9 +260,8 @@ class Topology:
         if key in self.port_station:
             raise ConfigError(f"switches.{switch_name}.ports.{port}",
                               "attached to more than one medium")
-        station = Station(f"{switch_name}.p{port}", SwitchPortRef(sw, port), medium)
-        medium.stations.append(station)
-        self.port_station[key] = station
+        station = self.port_station[key] = SwitchPortRef(sw, port, f"{switch_name}.p{port}")
+        medium.attach(station)
         return station
 
     # -- validation ---------------------------------------------------------
@@ -303,9 +299,9 @@ class Topology:
             if isinstance(medium, EthernetLink) and len(medium.stations) != 2:
                 raise ConfigError(f"links.{name}", "a link needs exactly two endpoints")
         for name, node in self.nodes.items():
-            if node.station is None:
+            if node.medium is None:
                 raise ConfigError(f"nodes.{name}", "not attached to any medium")
-            on_bus = isinstance(node.station.medium, CanBus)
+            on_bus = isinstance(node.medium, CanBus)
             if node.kind == "ethernet-host" and on_bus:
                 raise ConfigError(f"nodes.{name}", "Ethernet hosts attach to links")
             if node.kind != "ethernet-host" and not on_bus:
@@ -410,9 +406,8 @@ class Simulation:
         self.options = topo.options
         self.t_end_ns = to_ns(topo.options.t_end)
         self.now = 0
-        self._seq = 0
-        self.heap: list = []
-        self.fifo: deque = deque()
+        self.due: dict[int, list] = {}  # instant -> its (handler, args), in order
+        self.instants: list[int] = []  # a heap of due's keys
         self.trace_lines: list[str] = []
         self.flows: list[FlowRecord] = [FlowRecord(flow, i, _encode(flow.name))
                                          for i, flow in enumerate(topo.flows)]
@@ -420,32 +415,32 @@ class Simulation:
         for sw in topo.switches.values():
             sw.drop_hook = self.drop
         # sender -> (JSON-encoded medium name, JSON-encoded sender name,
-        # (the owners and the JSON-encoded names of every other station, in
-        # order, the bus's AcceptanceIndex or None, the sender's position)).
-        # A link and a sender whose receivers are all switch ports get no
-        # index: they call every receiver, and asking would only cost time.
+        # (every other station and its JSON-encoded name, in order, the bus's
+        # AcceptanceIndex or None, the sender's position)).  A link and a
+        # sender whose receivers are all switch ports get no index: they
+        # call every receiver, and asking would only cost time.
         self.fanout = {}
         for medium in topo.media.values():
             text = _encode(medium.name)
-            owners = [st.owner for st in medium.stations]
-            names = [_encode(st.name) for st in medium.stations]
-            index = AcceptanceIndex(owners) if isinstance(medium, CanBus) else None
-            for at, sender in enumerate(medium.stations):
-                to_nodes = index is not None and len(owners) - len(index.ports) > (
-                    owners[at].kind != "switch-port")  # a receiver is a node
+            stations = medium.stations
+            names = [_encode(st.name) for st in stations]
+            index = AcceptanceIndex(stations) if isinstance(medium, CanBus) else None
+            for at, sender in enumerate(stations):
+                to_nodes = index is not None and len(stations) - len(index.ports) > (
+                    sender.kind != "switch-port")  # a receiver is a node
                 self.fanout[sender] = (text, names[at], (
-                    owners[:at] + owners[at + 1:], names[:at] + names[at + 1:],
+                    stations[:at] + stations[at + 1:], names[:at] + names[at + 1:],
                     index if to_nodes else None, at))
 
     # -- plumbing -----------------------------------------------------------
 
     def schedule(self, t_ns: int, handler, *args) -> None:
         """Call `handler(*args)` at `t_ns`, after whatever is already due then."""
-        if t_ns == self.now:
-            self.fifo.append((handler, args))
-        else:
-            self._seq += 1
-            heapq.heappush(self.heap, (t_ns, self._seq, handler, args))
+        events = self.due.get(t_ns)
+        if events is None:
+            events = self.due[t_ns] = []
+            heapq.heappush(self.instants, t_ns)
+        events.append((handler, args))
 
     def trace(self, event: str, location: str, **fields) -> None:
         rec = {"t_ns": self.now, "event": event, "location": location, **fields}
@@ -469,7 +464,7 @@ class Simulation:
 
     # -- engine callbacks ------------------------------------------------------
 
-    def on_tx_start(self, station: Station, frame, duration_ns: int,
+    def on_tx_start(self, station, frame, duration_ns: int,
                     rx: frames.Decoded) -> None:
         """Describe a started transmission once, trace it and schedule its
         end.  `rx` is `frames.decode(frame)` as its sender built it."""
@@ -488,7 +483,7 @@ class Simulation:
         self.schedule(self.now + duration_ns, self.on_tx_complete,
                       station, frame, rx, summary, shared)
 
-    def on_clash(self, bus, dropped: list[tuple[Station, object, frames.Decoded]]) -> None:
+    def on_clash(self, bus, dropped: list[tuple[object, object, frames.Decoded]]) -> None:
         self.trace("clash", bus.name, stations=[st.name for st, _, _ in dropped])
         for _station, frame, rx in dropped:
             self.drop(frame, "priority_clash", bus.name, rx)
@@ -540,20 +535,12 @@ class Simulation:
             for seq, t in enumerate(record.flow.schedule):
                 self.schedule(t, self._app_send, record, seq)
 
-        # The heap's entries at an instant were all scheduled before the
-        # clock reached it, so they run first, in sequence order; then the
-        # FIFO, in the order `schedule` filled it.
-        heap, fifo, pop, popleft = self.heap, self.fifo, heapq.heappop, self.fifo.popleft
-        while True:
-            while fifo:
-                handler, args = popleft()
+        due, instants, pop, t_end = self.due, self.instants, heapq.heappop, self.t_end_ns
+        while instants and instants[0] <= t_end:
+            self.now = t = pop(instants)
+            for handler, args in due[t]:  # the iterator sees events appended on the way
                 handler(*args)
-            if not heap or heap[0][0] > self.t_end_ns:
-                break
-            self.now = t = heap[0][0]
-            while heap and heap[0][0] == t:
-                _t, _seq, handler, args = pop(heap)
-                handler(*args)
+            del due[t]
 
         return "\n".join(self.trace_lines) + ("\n" if self.trace_lines else ""), self.report()
 
@@ -566,28 +553,28 @@ class Simulation:
         self.topo.nodes[flow.source].app_send(
             self, flow, make_payload(record.index, seq, flow.payload_size))
 
-    def on_tx_complete(self, sender: Station, frame, rx: frames.Decoded,
+    def on_tx_complete(self, sender, frame, rx: frames.Decoded,
                        summary: str, shared: str) -> None:
         now = self.now
         self.trace_lines.append(f'{{"event":"tx_complete",{shared}"t_ns":{now}}}')
         self.schedule(now, self._deliver, sender, frame, rx, summary)
-        sender.medium.on_complete(self, sender)
+        sender.medium.request_kick(self, sender)
 
-    def _deliver(self, sender: Station, frame, rx: frames.Decoded, summary: str) -> None:
+    def _deliver(self, sender, frame, rx: frames.Decoded, summary: str) -> None:
         """Hand one transmission to the receivers that can act on it, in
         station order: each one's `deliver` record, then its reaction.
         Every other station gets its record; those of each run of stations
         that cannot act on the frame are written in one join."""
-        owners, locations, index, at = self.fanout[sender][2]
+        receivers, locations, index, at = self.fanout[sender][2]
         # Byte for byte what trace("deliver", <receiver name>, frame=...) writes.
         head = '{"event":"deliver","frame":' + summary + ',"location":'
         tail = f',"t_ns":{self.now}}}'
         lines = self.trace_lines
         callees = None if index is None else index.callees(at, frame, rx)
         if callees is None:  # every receiver
-            for owner, location in zip(owners, locations):
+            for receiver, location in zip(receivers, locations):
                 lines.append(head + location + tail)
-                owner.on_receive(self, frame, rx)
+                receiver.on_receive(self, frame, rx)
             return
         sep = tail + "\n" + head
         start = 0  # the first receiver whose record is not written yet
@@ -595,7 +582,7 @@ class Simulation:
             if i != at:
                 end = i if i < at else i - 1  # its place among the receivers
                 lines.append(head + sep.join(locations[start:end + 1]) + tail)
-                owners[end].on_receive(self, frame, rx)
+                receivers[end].on_receive(self, frame, rx)
                 start = end + 1
         if start < len(locations):
             lines.append(head + sep.join(locations[start:]) + tail)

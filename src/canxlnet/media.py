@@ -9,21 +9,19 @@ resolved by CAN at all; the model records a clash and discards both
 frames, surfacing what is a configuration fault.
 
 Ethernet links are full duplex: one independent FIFO and occupancy per
-direction.  Multidrop Ethernet is not modeled.
+direction, that is per sending station.  Multidrop Ethernet is not modeled.
 
-A medium only decides when a frame starts and hands the transmission to
+A station is a node or a switch port: `attach` gives it its `medium` and
+its `queue`.  A medium only decides when a frame starts and hands it to
 `Simulation.on_tx_start`, which traces it and schedules its completion.
 A queued frame keeps the `frames.Decoded` value its sender built with
 it, and the medium hands that over with it, to `on_tx_start` or, for the
 frames a bus clash discards, to `Simulation.on_clash`.
-An enqueue asks for an arbitration kick only while the medium (for a
-link, that direction) is idle; a busy one is kicked again when its
-transmission completes.  Only a kick starts a transmission and one kick
-at most is pending, so a kick always runs on an idle medium.
+`request_kick(sim, station)` is the one arming call: an enqueue makes it
+while the bus (or the station's link direction) is idle, a completion
+always.  Only a kick starts a transmission and one kick at most is
+pending, so a kick always runs on an idle medium.
 Utilization counts busy time up to `t_end`, not past it.
-
-All state is owned by the simulation engine and mutated in event order;
-the time is read as `sim.now`, and a kick carries no copy of it.
 """
 
 from __future__ import annotations
@@ -35,18 +33,6 @@ from collections import deque
 from . import timing
 from .frames import CanXlFrame, ClassicCanFrame, Decoded, EthernetFrame
 from .timing import CanXlTimingParams, EthernetTimingParams, to_ns
-
-
-class Station:
-    """Attachment point of a node or switch port to one medium."""
-
-    def __init__(self, name: str, owner, medium):
-        self.name = name
-        self.owner = owner
-        self.medium = medium
-        # a link's FIFO of (frame, rx); on a bus, a heap of (priority,
-        # enqueue order, frame, rx); rx is the frame's decoded value
-        self.queue = deque() if isinstance(medium, EthernetLink) else []
 
 
 def frame_priority(frame) -> int:
@@ -62,7 +48,7 @@ class CanBus:
         self.name = name
         self.kind = "can-bus"
         self.params = params
-        self.stations: list[Station] = []
+        self.stations: list = []  # nodes and switch ports
         self.busy_until = 0
         self.kick_pending = False
         self.clashes = 0
@@ -74,12 +60,17 @@ class CanBus:
             return to_ns(timing.classic_can_duration(frame, self.params.arb_bitrate))
         return to_ns(timing.canxl_duration(len(frame.data), self.params))
 
-    def enqueue(self, sim, station: Station, frame, rx: Decoded) -> None:
-        heapq.heappush(station.queue, (frame_priority(frame), next(self.enqueued), frame, rx))
-        if self.busy_until <= sim.now:  # a busy bus re-arms in on_complete
-            self.request_kick(sim)
+    def attach(self, station) -> None:
+        station.medium = self
+        station.queue = []  # a heap of (priority, enqueue order, frame, rx)
+        self.stations.append(station)
 
-    def request_kick(self, sim) -> None:
+    def enqueue(self, sim, station, frame, rx: Decoded) -> None:
+        heapq.heappush(station.queue, (frame_priority(frame), next(self.enqueued), frame, rx))
+        if self.busy_until <= sim.now:  # a busy bus re-arms when it completes
+            self.request_kick(sim, station)
+
+    def request_kick(self, sim, station) -> None:  # the kick serves every station
         if not self.kick_pending:
             self.kick_pending = True
             sim.schedule(sim.now, self.kick, sim)
@@ -107,9 +98,6 @@ class CanBus:
         self.busy_ns += duration
         sim.on_tx_start(station, frame, duration, rx)
 
-    def on_complete(self, sim, sender: Station) -> None:
-        self.request_kick(sim)
-
     def report(self, t_end_ns: int) -> dict:
         # Only the last transmission can run past t_end; clip it there.
         busy = self.busy_ns - max(0, self.busy_until - t_end_ns)
@@ -125,45 +113,43 @@ class EthernetLink:
         self.name = name
         self.kind = "ethernet-link"
         self.params = params
-        self.stations: list[Station] = []  # station i sends in direction i
-        self.busy_until = [0, 0]
-        self.kick_pending = [False, False]
-        self.busy_ns = [0, 0]
+        self.stations: list = []  # its two ends
+        # per sending station, that is per direction
+        self.busy_until, self.kick_pending, self.busy_ns = {}, {}, {}
 
     def frame_duration_ns(self, frame: EthernetFrame) -> int:
         return to_ns(timing.ethernet_duration(len(frame.payload), self.params))
 
-    def enqueue(self, sim, station: Station, frame, rx: Decoded) -> None:
+    def attach(self, station) -> None:
+        station.medium = self
+        station.queue = deque()  # of (frame, rx)
+        self.stations.append(station)
+        self.busy_until[station], self.kick_pending[station], self.busy_ns[station] = 0, False, 0
+
+    def enqueue(self, sim, station, frame, rx: Decoded) -> None:
         station.queue.append((frame, rx))
-        direction = self.stations.index(station)
-        if self.busy_until[direction] <= sim.now:  # a busy direction re-arms in on_complete
-            self.request_kick(sim, direction)
+        if self.busy_until[station] <= sim.now:  # a busy direction re-arms when it completes
+            self.request_kick(sim, station)
 
-    def request_kick(self, sim, direction: int) -> None:
-        if not self.kick_pending[direction]:
-            self.kick_pending[direction] = True
-            sim.schedule(sim.now, self.kick, sim, direction)
+    def request_kick(self, sim, station) -> None:
+        if not self.kick_pending[station]:
+            self.kick_pending[station] = True
+            sim.schedule(sim.now, self.kick, sim, station)
 
-    def kick(self, sim, direction: int) -> None:
-        self.kick_pending[direction] = False
-        station = self.stations[direction]
+    def kick(self, sim, station) -> None:
+        self.kick_pending[station] = False
         if not station.queue:
             return
         frame, rx = station.queue.popleft()
         duration = self.frame_duration_ns(frame)
-        self.busy_until[direction] = sim.now + duration
-        self.busy_ns[direction] += duration
+        self.busy_until[station] = sim.now + duration
+        self.busy_ns[station] += duration
         sim.on_tx_start(station, frame, duration, rx)
 
-    def on_complete(self, sim, sender: Station) -> None:
-        self.request_kick(sim, self.stations.index(sender))
-
     def report(self, t_end_ns: int) -> dict:
-        names = [st.name for st in self.stations]
-        # Per direction, only the last transmission can run past t_end.
-        busy = [b - max(0, until - t_end_ns) for b, until in zip(self.busy_ns, self.busy_until)]
-        util = {
-            f"{names[i]}->{names[1 - i]}": busy[i] / t_end_ns if t_end_ns else 0.0
-            for i in range(len(self.stations))
-        }
+        util = {}
+        for st, peer in zip(self.stations, self.stations[::-1]):
+            # Per direction, only the last transmission can run past t_end.
+            busy = self.busy_ns[st] - max(0, self.busy_until[st] - t_end_ns)
+            util[f"{st.name}->{peer.name}"] = busy / t_end_ns if t_end_ns else 0.0
         return {"kind": self.kind, "utilization": util, "clashes": 0}

@@ -72,7 +72,7 @@ class Node:
         self.arp_table = {k: ArpEntry(v, static=True) for k, v in (static_arp or {}).items()}
         self.has_static_arp = bool(static_arp)
         self.pending_arp: dict[Ipv4Address, list[bytes]] = {}  # IP -> payloads
-        self.station = None  # wired by the topology
+        self.medium = None  # attach sets it and the queue
         self.counters = {
             "delivered": 0,
             "af_false_positive": 0,
@@ -83,7 +83,7 @@ class Node:
     # -- transmit ----------------------------------------------------------
 
     def _transmit(self, sim, frame, rx: Decoded) -> None:
-        self.station.medium.enqueue(sim, self.station, frame, rx)
+        self.medium.enqueue(sim, self, frame, rx)
 
     def _emit_eth(self, sim, rx: Decoded) -> None:
         """Queue the Ethernet frame `rx.eth`, decoded as `rx`."""
@@ -260,15 +260,15 @@ class ClassicCanNode:
         for i in self.rx_ids:
             frames.fits("rx_ids", i, 11)
         self.start_ns = to_ns(start_time, "start_time")
-        self.station = None
+        self.medium = None
         self.counters = {"delivered": 0}
 
     def startup(self, sim) -> None:
         pass
 
     def app_send(self, sim, flow, payload: bytes) -> None:
-        self.station.medium.enqueue(sim, self.station, ClassicCanFrame(flow.can_id, payload),
-                                    Decoded(None, None, payload))
+        self.medium.enqueue(sim, self, ClassicCanFrame(flow.can_id, payload),
+                            Decoded(None, None, payload))
 
     def on_receive(self, sim, frame, rx: frames.Decoded) -> None:
         if isinstance(frame, ClassicCanFrame) and frame.id in self.rx_ids:

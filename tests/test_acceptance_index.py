@@ -25,7 +25,7 @@ def reference_deliver(self, sender, frame, rx, summary):
     for station in sender.medium.stations:
         if station is not sender:
             self.trace("deliver", station.name, frame=json.loads(summary))
-            station.owner.on_receive(self, frame, rx)
+            station.on_receive(self, frame, rx)
 
 
 def run_both(build, monkeypatch, queued=()):
@@ -34,7 +34,7 @@ def run_both(build, monkeypatch, queued=()):
     def run():
         sim = Simulation(build())
         for name, frame in queued:
-            station = sim.topo.nodes[name].station
+            station = sim.topo.nodes[name]
             sim.schedule(0, station.medium.enqueue, sim, station, frame, frames.decode(frame))
         return sim.run()
 
@@ -54,8 +54,7 @@ def record_calls(monkeypatch, wanted) -> list[str]:
 
         def recording(owner, sim, frame, rx, original=original):
             if wanted(frame):
-                calls.append(owner.name if hasattr(owner, "name") else
-                             f"{owner.switch.name}.p{owner.port}")
+                calls.append(owner.name)
             original(owner, sim, frame, rx)
 
         monkeypatch.setattr(cls, "on_receive", recording)
@@ -188,7 +187,7 @@ def test_compact_frame_with_a_bad_header_reaches_only_switch_ports(monkeypatch):
     frame = frames.CanXlFrame(0x100, frames.SDT_IPV4, 0, ip(2).to_u32(), b"\x60" + bytes(51))
     rx = frames.decode(frame)
     assert rx.net is None
-    station = topo.nodes["n1"].station
+    station = topo.nodes["n1"]
     sim.schedule(0, station.medium.enqueue, sim, station, frame, rx)
     calls = record_calls(monkeypatch, lambda sent: sent is frame)
     trace, report = sim.run()

@@ -62,7 +62,9 @@ print(json.dumps({"workload": sys.argv[1], "seed": 1, "python": "3.x", "instruct
 """
 
 
-def test_revisions_are_exported_to_paths_of_equal_length(tmp_path, monkeypatch):
+def stand_in_repo(tmp_path):
+    """A new git repository at tmp_path/repo holding the stand-in run.py and
+    a BENCHMARK.json, with nothing committed yet, and its `git` command."""
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
     (repo / "perfbench" / "run.py").write_text(FAKE_RUN)
@@ -75,6 +77,11 @@ def test_revisions_are_exported_to_paths_of_equal_length(tmp_path, monkeypatch):
                               capture_output=True, text=True, check=True).stdout.strip()
 
     git("init", "-q")
+    return repo, git
+
+
+def test_revisions_are_exported_to_paths_of_equal_length(tmp_path, monkeypatch):
+    repo, git = stand_in_repo(tmp_path)
     hashes = []
     for version in ("2.0", "1.0"):  # only the second counts instructions
         (repo / "VERSION").write_text(version)
@@ -107,6 +114,29 @@ def test_revisions_are_exported_to_paths_of_equal_length(tmp_path, monkeypatch):
         bench_ab.main(["no-such-rev", "HEAD", "--workload", "w", "--pairs", "1", "--seeds", "1",
                        "--seconds", "0", "--out", str(out)])
     assert exit_.value.code == 2
+
+
+@pytest.mark.parametrize("sides", ["directory", "revision"])
+def test_one_tree_on_both_sides_is_counted_once(tmp_path, monkeypatch, sides):
+    repo, git = stand_in_repo(tmp_path)
+    (repo / "VERSION").write_text("1.0")
+    (repo / "scripts").mkdir()
+    (repo / "scripts" / "count_instructions.py").write_text(FAKE_COUNT)
+    git("add", "-A")
+    git("commit", "-q", "-m", "1.0")
+    monkeypatch.setattr(bench_ab, "REPO", repo)
+    monkeypatch.setenv("RUN_LOG", str(tmp_path / "runs.log"))
+    monkeypatch.setenv("COUNT_LOG", str(tmp_path / "counts.log"))
+    out = tmp_path / "ab.json"
+    given = str(repo) if sides == "directory" else "HEAD"
+
+    assert bench_ab.main([given, given, "--workload", "w", "v", "--pairs", "1", "--seeds", "1",
+                          "--seconds", "0", "--out", str(out)]) == 0
+    assert (tmp_path / "counts.log").read_text().split() == ["w", "v"]
+    count = {"python": "3.x", "instructions": 1000, "modules": {"m": 1000}}
+    for workload in ("w", "v"):
+        instructions = json.loads(out.read_text())["workloads"][workload]["instructions"]
+        assert instructions == {"parent": count, "change": count}
 
 
 def test_a_count_that_fails_is_recorded_as_null(tmp_path, capsys):

@@ -719,7 +719,7 @@ def built(doc) -> dict:
     topo = checked(doc)
     return {
         "run": topo.options,
-        "nodes": {name: {k: v for k, v in vars(node).items() if k != "station"}
+        "nodes": {name: {k: v for k, v in vars(node).items() if k not in ("medium", "queue")}
                   for name, node in topo.nodes.items()},
         "switches": {name: (sw.ports, sw.legacy_rules, sw.efdb.ageing_ns)
                      for name, sw in topo.switches.items()},

@@ -106,7 +106,7 @@ def carried(monkeypatch) -> list:
     on_tx_start = Simulation.on_tx_start
 
     def recording(self, station, frame, duration_ns, rx):
-        started.append((frame, rx, station.owner))
+        started.append((frame, rx, station))
         on_tx_start(self, station, frame, duration_ns, rx)
 
     monkeypatch.setattr(Simulation, "on_tx_start", recording)

@@ -404,6 +404,59 @@ def test_events_run_in_time_then_scheduling_order(program):
     assert ran == reference_order(initial, children)
 
 
+@given(kind=st.sampled_from(["eoc", "ioc", "link"]), data=st.data())
+def test_unsaturated_utilization_has_a_closed_form(kind, data):
+    """One bus of 2-6 tunnel or streamlined nodes, or one link of two
+    hosts, each station sending one 44-byte ipv4 flow to the next with
+    static ARP, every flow from s with period P above n·C.  Each period's
+    frames run back to back, so station i in priority order starts at
+    s + kP + i·C (on a link, each direction on its own), and the
+    utilization is C times the starts up to t_end, less what the last
+    frame runs past t_end, over t_end."""
+    n = 2 if kind == "link" else data.draw(st.integers(2, 6), label="n")
+    priorities = data.draw(st.lists(st.integers(0, 0x7FF), min_size=n, max_size=n, unique=True),
+                           label="priorities")
+    if kind == "link":  # the frame's payload is the 20 + 44-byte datagram
+        c = to_ns(ethernet_duration(64, LINK))
+    else:  # a tunnel frame adds the 14-byte Ethernet header, a compact one its 8-byte one
+        c = to_ns(canxl_duration(78 if kind == "eoc" else 52, BUS))
+    s = data.draw(st.integers(0, 10**6), label="s")
+    period = n * c + data.draw(st.integers(1, 10**6), label="gap")
+    sends = data.draw(st.integers(1, 4), label="sends")
+    t_end = data.draw(st.integers(1, s + sends * period + c), label="t_end")
+
+    topo = Topology(RunOptions(t_end=t_end * 1e-9, startup_gratuitous_arp=False))
+    if kind == "link":
+        topo.add_link("m", LINK)
+    else:
+        topo.add_bus("m", BUS)
+    for i in range(n):
+        arp = {ip(j + 1): mac(j + 1) for j in range(n) if j != i}
+        if kind == "link":
+            topo.add_node(EthernetHost(f"s{i}", mac(i + 1), ip(i + 1), static_arp=arp))
+        else:
+            cls = EocNode if kind == "eoc" else IocNode
+            topo.add_node(cls(f"s{i}", mac(i + 1), ip(i + 1), can_priority=priorities[i],
+                              static_arp=arp))
+        topo.attach_node(f"s{i}", "m")
+        topo.flows.append(Flow(f"f{i}", f"s{i}", "ipv4", 44,
+                               [s + k * period for k in range(sends)], dst_ip=ip((i + 1) % n + 1)))
+    sim = Simulation(topo)
+    assert sim.t_end_ns == t_end
+    _, report = sim.run()
+
+    def utilization(starts):
+        ran = [t for t in starts if t <= t_end]
+        past_end = max(0, max(ran) + c - t_end) if ran else 0
+        return (c * len(ran) - past_end) / t_end
+
+    per_period = 1 if kind == "link" else n
+    expected = utilization([s + k * period + i * c
+                            for k in range(sends) for i in range(per_period)])
+    assert report["media"]["m"]["utilization"] == (
+        {"s0->s1": expected, "s1->s0": expected} if kind == "link" else expected)
+
+
 @given(flow_index=st.integers(0, 2**32 - 1), seq=st.integers(0, 2**32 - 1))
 def test_make_payload_matches_the_per_byte_formula(flow_index, seq):
     filler = bytes((37 * i + 11 * flow_index + 7 * seq) & 0xFF for i in range(1500 - 8))

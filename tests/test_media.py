@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from canxlnet.frames import (
@@ -8,7 +10,7 @@ from canxlnet.frames import (
     ZERO_MAC,
     decode,
 )
-from canxlnet.media import CanBus, Station
+from canxlnet.media import CanBus
 from canxlnet.timing import CanXlTimingParams
 
 
@@ -49,8 +51,8 @@ def contend(*frames):
     sim = Recorder()
     bus = CanBus("bus", CanXlTimingParams(500e3, 16e6))
     for name, frame in zip("abcdefgh", frames):
-        station = Station(name, None, bus)
-        bus.stations.append(station)
+        station = SimpleNamespace(name=name)
+        bus.attach(station)
         bus.enqueue(sim, station, frame, decode(frame))
     bus.kick(sim)
     return bus, sim
@@ -89,8 +91,8 @@ def test_no_contenders_start_nothing():
 
 def test_ethernet_frames_cannot_contend():
     bus = CanBus("bus", CanXlTimingParams(500e3, 16e6))
-    station = Station("a", None, bus)
-    bus.stations.append(station)
+    station = SimpleNamespace(name="a")
+    bus.attach(station)
     eth = EthernetFrame(ZERO_MAC, ZERO_MAC, 0, b"")
     with pytest.raises(TypeError):
         bus.enqueue(Recorder(), station, eth, decode(eth))
