@@ -23,9 +23,9 @@ also runs once, as its counts do not vary between runs: two sides that
 name one directory, or one revision, share one count.  The file records,
 per side, the Python version, the bytecode instructions of one seed-1
 run and their split by module, or null for a checkout without that
-script (or whose script fails).  The counts cover Python bytecode only, not the work of C code (`bytes` joins,
-`json`, `heapq`), so they complement the wall-time metrics and do not
-replace them.
+script (or whose script fails).  The counts cover Python bytecode only,
+not the work of C code (`bytes` joins, `json`, `heapq`), so they
+complement the wall-time metrics and do not replace them.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def compare(args, trees: dict[str, pathlib.Path], revisions: dict[str, dict],
                       file=sys.stderr)
             runs.append(run)
         summary = summarize(runs, better)
-        counts = {}  # key -> count
+        counts = {}  # one per distinct tree
         for side in SIDES:
             if keys[side] not in counts:
                 counts[keys[side]] = count_instructions(trees[side], workload)
