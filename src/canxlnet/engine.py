@@ -19,7 +19,7 @@ A node or a switch port (`SwitchPortRef`) is the station its medium's
 schedules its completion; the completion re-arms the medium with
 `request_kick`, the one arming call.
 A packet is decoded where it is built, never parsed on the way: every
-frame, a node's or a switch's, travels to its medium's queue together
+frame, a node's or a switch's, a BPDU too, travels to its medium's queue
 with its `frames.Decoded` value, which its sender built from what it
 held.  That one value goes to flow attribution, to the summary and to
 every receiver's `on_receive`, a node's or a switch port's
@@ -78,7 +78,7 @@ from .switch import CAN_XL, ETH, CSwitch, HELLO_INTERVAL_NS
 from .timing import CanXlTimingParams, EthernetTimingParams, to_ns
 
 FLOW_TAG = struct.Struct(">II")  # a payload's first bytes: flow index, sequence number
-MAX_IPV4_PAYLOAD = 1480  # what fits an Ethernet frame with a 20-byte header
+MAX_IPV4_PAYLOAD = frames.ETH_MTU - frames.IPV4_HEADER_LEN
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -118,10 +118,9 @@ class FlowRecord:
     index: int
     text: str
     sent: int = 0
-    delivered: int = 0
     payload_mismatches: int = 0
     seqs: set = field(default_factory=set)  # delivered
-    latencies: list = field(default_factory=list)
+    latencies: list = field(default_factory=list)  # one per delivery
     drops: dict = field(default_factory=dict)
 
 
@@ -411,7 +410,6 @@ class Simulation:
         self.trace_lines: list[str] = []
         self.flows: list[FlowRecord] = [FlowRecord(flow, i, _encode(flow.name))
                                          for i, flow in enumerate(topo.flows)]
-        self.node_text = {name: _encode(name) for name in topo.nodes}  # for the records
         for sw in topo.switches.values():
             sw.drop_hook = self.drop
         # sender -> (JSON-encoded medium name, JSON-encoded sender name,
@@ -510,7 +508,6 @@ class Simulation:
             self.trace("app_deliver", node.name, reason="untracked")
             return
         record, seq = fl
-        record.delivered += 1
         record.seqs.add(seq)
         # the packet as sent, zero-padded to what arrived (raw Ethernet pads)
         sent = make_payload(record.index, seq, record.flow.payload_size)
@@ -520,7 +517,7 @@ class Simulation:
         record.latencies.append(latency)
         self.trace_lines.append(
             f'{{"event":"app_deliver","flow":{record.text},'
-            f'"latency_ns":{latency},"location":{self.node_text[node.name]},'
+            f'"latency_ns":{latency},"location":{self.fanout[node][1]},'
             f'"seq":{seq},"t_ns":{self.now}}}')
 
     # -- event handlers ---------------------------------------------------------
@@ -546,12 +543,12 @@ class Simulation:
 
     def _app_send(self, record: FlowRecord, seq: int) -> None:
         flow = record.flow
+        node = self.topo.nodes[flow.source]
         record.sent += 1
         self.trace_lines.append(
             f'{{"event":"app_send","flow":{record.text},'
-            f'"location":{self.node_text[flow.source]},"seq":{seq},"t_ns":{self.now}}}')
-        self.topo.nodes[flow.source].app_send(
-            self, flow, make_payload(record.index, seq, flow.payload_size))
+            f'"location":{self.fanout[node][1]},"seq":{seq},"t_ns":{self.now}}}')
+        node.app_send(self, flow, make_payload(record.index, seq, flow.payload_size))
 
     def on_tx_complete(self, sender, frame, rx: frames.Decoded,
                        summary: str, shared: str) -> None:
@@ -607,7 +604,7 @@ class Simulation:
             lat = r.latencies
             flows[r.flow.name] = {
                 "sent": r.sent,
-                "delivered": r.delivered,
+                "delivered": len(lat),
                 "delivered_unique": len(r.seqs),
                 "payload_mismatches": r.payload_mismatches,
                 "drops": dict(sorted(r.drops.items())),

@@ -36,6 +36,7 @@ and address tables use an address as it is.  An address equals and
 hashes as its plain octets, and a MAC never equals an IPv4 address.
 
 All types are immutable values and all operations are pure functions.
+`decode` reads every layer of a frame once, a BPDU's `Bpdu` included.
 """
 
 from __future__ import annotations
@@ -536,14 +537,40 @@ def arp_parse(eth: EthernetFrame) -> ArpMessage:
     return ArpMessage(op, MacAddress(sha), Ipv4Address(spa), MacAddress(tha), Ipv4Address(tpa))
 
 
+BPDU_MAGIC = b"XBPD"
+BPDU_LEN = 24  # magic + root id (8) + cost (4) + sender id (8)
+
+
+class Bpdu(NamedTuple):
+    """A spanning-tree claim; as tuples, the lowest claim is the best."""
+
+    root_id: int
+    cost: int
+    sender_id: int
+
+
+def bpdu_serialize(bpdu: Bpdu, sender_mac: MacAddress) -> EthernetFrame:
+    """`bpdu` to the STP group MAC, in this library's reduced layout."""
+    body = BPDU_MAGIC + struct.pack(">QIQ", *bpdu)
+    return EthernetFrame(STP_GROUP_MAC, sender_mac, ETHERTYPE_BPDU, body)
+
+
+def bpdu_parse(eth: EthernetFrame) -> Bpdu:
+    if eth.ethertype != ETHERTYPE_BPDU:
+        raise Malformed(f"ethertype 0x{eth.ethertype:04x} is not a BPDU")
+    if eth.payload[:4] != BPDU_MAGIC:
+        raise Malformed("bad BPDU magic")
+    return Bpdu(*struct.unpack(">QIQ", eth.payload[4:BPDU_LEN]))
+
+
 class Decoded(NamedTuple):
     """A frame read once through every layer: `eth` is the Ethernet frame
-    itself or the one a tunnel carries; `net` its ARP message or checked
-    IPv4 datagram, or a compact frame's `IocDatagram`, None if malformed
-    or absent; `payload` the application payload, if any."""
+    itself or the one a tunnel carries; `net` its ARP message, BPDU or
+    checked IPv4 datagram, or a compact frame's `IocDatagram`, None if
+    malformed or absent; `payload` the application payload, if any."""
 
     eth: EthernetFrame | None
-    net: ArpMessage | Ipv4Datagram | IocDatagram | None
+    net: ArpMessage | Bpdu | Ipv4Datagram | IocDatagram | None
     payload: bytes | None
 
 
@@ -574,6 +601,8 @@ def decode(frame) -> Decoded:
             return Decoded(frame, dgram, dgram.payload)
         if frame.ethertype == ETHERTYPE_ARP:
             return Decoded(frame, arp_parse(frame), None)
+        if frame.ethertype == ETHERTYPE_BPDU:
+            return Decoded(frame, bpdu_parse(frame), None)
     except Malformed:
         return Decoded(frame, None, None)
     return Decoded(frame, None, frame.payload if frame.ethertype == ETHERTYPE_RAW_DATA else None)

@@ -12,7 +12,8 @@ call.  `on_receive` still applies both stages itself.  A streamlined
 node is a tunnel node that sends plain IPv4 as compact-header CAN XL
 frames (every datagram a flow may send fits one), falling back to the
 tunnel only periodically, to refresh the switches' address knowledge.
-ARP itself always travels as (tunneled) Ethernet.
+ARP itself always travels as (tunneled) Ethernet.  A node's `arp_table`
+maps an IP to its MAC; ARP never changes the `static_ips` configured.
 
 Classic CAN nodes exist only to drive the static relay path: no MAC, no
 IP, identifier-based reception.  No node parses a header: a node queues
@@ -25,12 +26,9 @@ give-up.  The time is read as `sim.now`; no event carries it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import frames
 from .frames import (
     ETHERTYPE_ARP,
-    ETHERTYPE_BPDU,
     ETHERTYPE_IPV4,
     ETHERTYPE_RAW_DATA,
     STP_GROUP_MAC,
@@ -53,12 +51,6 @@ DEFAULT_EOC_REFRESH_S = 60.0
 FLOW_PROTOCOL = 253  # RFC 3692 experimental protocol number
 
 
-@dataclass
-class ArpEntry:
-    mac: MacAddress
-    static: bool
-
-
 class Node:
     kind = "ethernet-host"
 
@@ -69,8 +61,8 @@ class Node:
         self.mac = mac
         self.ip = ip
         self.start_ns = to_ns(start_time, "start_time")
-        self.arp_table = {k: ArpEntry(v, static=True) for k, v in (static_arp or {}).items()}
-        self.has_static_arp = bool(static_arp)
+        self.arp_table = dict(static_arp or {})  # IP -> MAC
+        self.static_ips = frozenset(self.arp_table)  # never relearned
         self.pending_arp: dict[Ipv4Address, list[bytes]] = {}  # IP -> payloads
         self.medium = None  # attach sets it and the queue
         self.counters = {
@@ -82,12 +74,9 @@ class Node:
 
     # -- transmit ----------------------------------------------------------
 
-    def _transmit(self, sim, frame, rx: Decoded) -> None:
-        self.medium.enqueue(sim, self, frame, rx)
-
     def _emit_eth(self, sim, rx: Decoded) -> None:
         """Queue the Ethernet frame `rx.eth`, decoded as `rx`."""
-        self._transmit(sim, rx.eth, rx)
+        self.medium.enqueue(sim, self, rx.eth, rx)
 
     def startup(self, sim) -> None:
         """Announce the node's own binding so switches can snoop it.
@@ -97,7 +86,7 @@ class Node:
         learn their addresses."""
         if not sim.options.startup_gratuitous_arp:
             return
-        if self.ip is None or not (self.has_static_arp or self.kind == "ioc"):
+        if self.ip is None or not (self.static_ips or self.kind == "ioc"):
             return
         msg = ArpMessage(ArpOp.GRATUITOUS_REPLY, self.mac, self.ip, ZERO_MAC, self.ip)
         self._emit_eth(sim, Decoded(frames.arp_serialize(msg), msg, None))
@@ -110,9 +99,9 @@ class Node:
             self.send_ip(sim, flow.dst_ip, payload)
 
     def send_ip(self, sim, dst_ip: Ipv4Address, payload: bytes) -> None:
-        entry = self.arp_table.get(dst_ip)
-        if entry is not None:
-            self._send_datagram(sim, entry.mac, dst_ip, payload)
+        dst_mac = self.arp_table.get(dst_ip)
+        if dst_mac is not None:
+            self._send_datagram(sim, dst_mac, dst_ip, payload)
             return
         pending = self.pending_arp.setdefault(dst_ip, [])
         pending.append(payload)
@@ -152,7 +141,7 @@ class Node:
 
     def _dispatch_eth(self, sim, rx: frames.Decoded) -> None:
         eth, net = rx.eth, rx.net
-        if eth.da == STP_GROUP_MAC or eth.ethertype == ETHERTYPE_BPDU:
+        if eth.da == STP_GROUP_MAC:  # a BPDU's ethertype matches no branch below
             return
         if eth.ethertype == ETHERTYPE_ARP:
             if net is not None:
@@ -170,19 +159,15 @@ class Node:
         sim.on_app_delivery(self, payload)
 
     def _handle_arp(self, sim, msg: ArpMessage) -> None:
-        entry = self.arp_table.get(msg.spa)
-        if entry is not None:
-            if not entry.static:
-                entry.mac = msg.sha
-        elif self.ip is not None and msg.tpa == self.ip:
-            self.arp_table[msg.spa] = ArpEntry(msg.sha, static=False)
+        # Refresh a known IP unless it is static, or learn one sent to this
+        # node; only a learned IP can have datagrams waiting.
+        if (msg.spa in self.arp_table or msg.tpa == self.ip) and \
+                msg.spa not in self.static_ips:
+            self.arp_table[msg.spa] = msg.sha
+            for payload in self.pending_arp.pop(msg.spa, ()):
+                self._send_datagram(sim, msg.sha, msg.spa, payload)
 
-        if msg.spa in self.arp_table and msg.spa in self.pending_arp:
-            mac = self.arp_table[msg.spa].mac
-            for payload in self.pending_arp.pop(msg.spa):
-                self._send_datagram(sim, mac, msg.spa, payload)
-
-        if msg.op == ArpOp.REQUEST and self.ip is not None and msg.tpa == self.ip:
+        if msg.op == ArpOp.REQUEST and msg.tpa == self.ip:
             reply = ArpMessage(ArpOp.REPLY, self.mac, self.ip, msg.sha, msg.spa)
             self._emit_eth(sim, Decoded(frames.arp_serialize(reply), reply, None))
 
@@ -204,7 +189,7 @@ class EocNode(Node):
         self.ip_af = None
 
     def _emit_eth(self, sim, rx: Decoded) -> None:
-        self._transmit(sim, frames.eoc_encapsulate(rx.eth, self.can_priority), rx)
+        self.medium.enqueue(sim, self, frames.eoc_encapsulate(rx.eth, self.can_priority), rx)
 
     def on_receive(self, sim, frame, rx: frames.Decoded) -> None:
         if not isinstance(frame, CanXlFrame):
@@ -245,8 +230,8 @@ class IocNode(EocNode):
             super()._send_datagram(sim, dst_mac, dst_ip, payload)
             return
         dgram = IocDatagram(self.ip, dst_ip, payload, protocol=FLOW_PROTOCOL)
-        self._transmit(sim, frames.ioc_encode(dgram, self.can_priority),
-                       Decoded(None, dgram, payload))
+        self.medium.enqueue(sim, self, frames.ioc_encode(dgram, self.can_priority),
+                            Decoded(None, dgram, payload))
 
 
 class ClassicCanNode:

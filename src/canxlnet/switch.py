@@ -14,7 +14,7 @@ streamlined datagrams that must leave on an Ethernet port.
 A packet is decoded where it is built and never parsed on its way
 through the switches: every emission is a `(port, frame, rx)` triple
 whose `rx` equals `frames.decode(frame)`, built from what the switch
-already holds (the ingress value, the BPDU it encoded, the checked
+already holds (the ingress value, the `Bpdu` it serialized, the checked
 datagram it compacts or the one it rebuilds).  The helpers take that
 value alone, whose `eth` is None for a compact frame's datagram `net`.
 
@@ -22,19 +22,18 @@ Loop prevention uses a reduced spanning tree: 64-bit bridge ids, hello
 BPDUs every 2 s, lowest root id wins, per-port roles root/designated/
 blocked, and no topology-change machinery (topologies are static after
 t=0).  BPDUs travel tunneled on CAN ports, addressed to the standard STP
-group MAC.
+group MAC, each with its `frames.Bpdu` value, which `stp_step` reads.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 from . import frames
 from .frames import (
-    ETHERTYPE_BPDU,
     STP_GROUP_MAC,
     ArpMessage,
+    Bpdu,
     ClassicCanFrame,
     EthernetFrame,
     Ipv4Address,
@@ -60,9 +59,6 @@ ROLE_BLOCKED = "blocked"
 
 HELLO_INTERVAL_NS = to_ns(2.0)
 DEFAULT_AGEING_S = 300.0
-
-BPDU_MAGIC = b"XBPD"
-BPDU_LEN = 24  # magic + root id (8) + cost (4) + sender id (8)
 
 
 @dataclass(frozen=True)
@@ -164,23 +160,10 @@ class Efdb:
                      for e in index.values()}.values())
 
 
-def encode_bpdu(root_id: int, cost: int, sender_id: int, sender_mac: MacAddress) -> EthernetFrame:
-    body = BPDU_MAGIC + struct.pack(">QIQ", root_id, cost, sender_id)
-    return EthernetFrame(STP_GROUP_MAC, sender_mac, ETHERTYPE_BPDU, body)
-
-
-def decode_bpdu(eth: EthernetFrame) -> tuple[int, int, int]:
-    if eth.ethertype != ETHERTYPE_BPDU:
-        raise frames.Malformed("unexpected ethertype on STP group address")
-    if eth.payload[:4] != BPDU_MAGIC:
-        raise frames.Malformed("bad BPDU magic")
-    return struct.unpack(">QIQ", eth.payload[4:BPDU_LEN])
-
-
 @dataclass
 class _PortState:
     role: str = ROLE_DESIGNATED
-    last_bpdu: tuple[int, int, int] | None = None
+    last_bpdu: Bpdu | None = None
 
     @property
     def forwarding(self) -> bool:
@@ -217,15 +200,13 @@ class CSwitch:
             "stp_blocked": 0,
             "bpdu_malformed": 0,
         }
-        # Optional callback (normalized frame, reason, switch name, its
-        # decoded value) fired on every drop; the simulation uses it for
-        # per-flow accounting.
-        self.drop_hook = None
+        # Called with (normalized frame, reason, switch name, decoded value)
+        # on every drop; the simulation sets it for per-flow accounting.
+        self.drop_hook = lambda frame, reason, location, rx: None
 
     def _drop(self, reason: str, rx: frames.Decoded) -> None:
         self.counters[reason] += 1
-        if self.drop_hook is not None:
-            self.drop_hook(rx.eth or rx.net, reason, self.name, rx)
+        self.drop_hook(rx.eth or rx.net, reason, self.name, rx)
 
     # -- ingress ----------------------------------------------------------
 
@@ -243,7 +224,7 @@ class CSwitch:
             if rx.net is None:  # a compact frame whose header is bad
                 return []
         elif rx.eth.da == STP_GROUP_MAC:
-            return self.stp_step(port, rx.eth)
+            return self.stp_step(port, rx)
         if not self.port_state[port].forwarding:
             self._drop("stp_blocked", rx)
             return []
@@ -360,7 +341,7 @@ class CSwitch:
             if rule.ingress_port == ingress and rule.match_id == frame.id:
                 for port, remapped in rule.egress:
                     out.append((port, ClassicCanFrame(remapped, frame.data), rx))
-        if not out and self.drop_hook is not None:
+        if not out:
             # Silent by design (strict confinement): no counter, but the
             # simulation still accounts the frame to its flow.
             self.drop_hook(frame, "legacy_unmatched", self.name, rx)
@@ -369,16 +350,15 @@ class CSwitch:
     # -- spanning tree ------------------------------------------------------
 
     def stp_step(self, port: int,
-                 bpdu_frame: EthernetFrame) -> list[tuple[int, object, frames.Decoded]]:
-        """Consume one BPDU and return the wire-ready BPDUs to transmit, as
-        (port, frame, decoded value) triples."""
-        try:
-            self.port_state[port].last_bpdu = decode_bpdu(bpdu_frame)
-        except frames.Malformed:
+                 rx: frames.Decoded) -> list[tuple[int, object, frames.Decoded]]:
+        """Consume one frame to the STP group address, decoded as `rx`, and
+        return the wire-ready BPDUs to transmit, as (port, frame, decoded
+        value) triples; a frame that is not a BPDU counts as malformed."""
+        if not isinstance(rx.net, Bpdu):
             self.counters["bpdu_malformed"] += 1
             return []
-        changed = self._recompute_roles()
-        if changed or port == self.root_port:
+        self.port_state[port].last_bpdu = rx.net
+        if self._recompute_roles() or port == self.root_port:  # the new root port
             return self._emit_bpdus()
         return []
 
@@ -417,11 +397,10 @@ class CSwitch:
         return changed
 
     def _emit_bpdus(self) -> list[tuple[int, object, frames.Decoded]]:
-        eth = encode_bpdu(self.root_id, self.root_cost, self.bridge_id, self.mac)
+        bpdu = Bpdu(self.root_id, self.root_cost, self.bridge_id)
+        rx = frames.Decoded(frames.bpdu_serialize(bpdu, self.mac), bpdu, None)
         ports = [i for i, st in self.port_state.items() if st.role == ROLE_DESIGNATED]
-        # A BPDU has no network layer or payload that `frames.decode` reads;
-        # it never needs the EFDB, hence any time will do.
-        return self._encode_all(ports, frames.Decoded(eth, None, None), 0)
+        return self._encode_all(ports, rx, 0)  # no EFDB lookup, so any time will do
 
     # -- reporting -----------------------------------------------------------
 

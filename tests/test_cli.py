@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from canxlnet.cli import main
 from canxlnet.config import MAX_DEPTH
 from canxlnet.frames import (
+    IPV4_DF,
     SDT_ETHERNET,
     SDT_IPV4,
     CanXlFrame,
@@ -232,8 +233,10 @@ def test_codec_eoc_round_trip(tmp_path, capsys):
 
 
 def test_codec_ioc_round_trip(tmp_path, capsys):
+    # DF set, as the decoder rebuilds the header, so the datagram comes back
+    # byte for byte
     dgram = Ipv4Datagram(Ipv4Address.parse("10.0.0.1"),
-                         Ipv4Address.parse("10.0.0.2"), bytes(44))
+                         Ipv4Address.parse("10.0.0.2"), bytes(44), flags=IPV4_DF)
     src = tmp_path / "ip.hex"
     src.write_text(dgram.to_bytes().hex())
     assert main(["codec", "--encode", "ioc", str(src)]) == 0
@@ -247,6 +250,7 @@ def test_codec_ioc_round_trip(tmp_path, capsys):
     out2 = capsys.readouterr().out
     assert "dst        10.0.0.2" in out2
     assert "total_len  64" in out2
+    assert out2.strip().splitlines()[-1] == dgram.to_bytes().hex()
 
 
 def _datagram_hex(**fields) -> bytes:

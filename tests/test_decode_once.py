@@ -124,7 +124,8 @@ def switch_emissions(started) -> list:
 
 # Every parser a frame can go through: none of them may run during a run.
 PARSERS = [(frames, "decode"), (frames, "eoc_decapsulate"), (frames, "ioc_decapsulate"),
-           (frames, "arp_parse"), (EthernetFrame, "from_bytes"), (Ipv4Datagram, "from_bytes")]
+           (frames, "arp_parse"), (frames, "bpdu_parse"), (EthernetFrame, "from_bytes"),
+           (Ipv4Datagram, "from_bytes")]
 
 
 def parses(monkeypatch) -> list:
@@ -162,13 +163,14 @@ def test_switch_emissions_carry_their_decode_in_a_ring(monkeypatch):
     assert ("CanXlFrame", frames.SDT_IPV4, "IocDatagram") in emitted
     assert ("CanXlFrame", frames.SDT_ETHERNET, "Ipv4Datagram") in emitted
     assert ("CanXlFrame", frames.SDT_ETHERNET, "ArpMessage") in emitted
-    assert ("CanXlFrame", frames.SDT_ETHERNET, "NoneType") in emitted  # BPDUs
+    assert ("CanXlFrame", frames.SDT_ETHERNET, "Bpdu") in emitted
     assert ("EthernetFrame", None, "Ipv4Datagram") in emitted
 
 
 def test_only_frames_a_node_queued_are_decoded(monkeypatch):
     # a node decodes its frame where it builds it, so not even a node's
-    # frame is parsed once the run has started
+    # frame is parsed once the run has started; nor is a BPDU, though the
+    # ring's spanning tree is live
     started = carried(monkeypatch)
     calls = parses(monkeypatch)
     _, report = Simulation(ring()).run()
@@ -342,4 +344,4 @@ def test_hello_bpdus_carry_their_decode():
     out = sw.hello()
     assert [port for port, _, _ in out] == [0, 1, 2]
     for _, frame, rx in out:
-        assert rx == frames.decode(frame) == (rx.eth, None, None)
+        assert rx == frames.decode(frame) == (rx.eth, frames.Bpdu(1, 0, 1), None)

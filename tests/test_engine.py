@@ -11,7 +11,15 @@ from canxlnet.engine import Flow, RunOptions, Simulation, Topology
 from canxlnet.frames import Ipv4Address, MacAddress
 from canxlnet.media import CanBus, EthernetLink
 from canxlnet.nodes import EocNode, EthernetHost, IocNode
-from canxlnet.switch import CAN_XL, CSwitch, ETH, PortConfig
+from canxlnet.switch import (
+    CAN_XL,
+    CSwitch,
+    EGRESS_EOC,
+    EGRESS_IOC_PREFERRED,
+    ETH,
+    HELLO_INTERVAL_NS,
+    PortConfig,
+)
 from canxlnet.timing import (
     CanXlTimingParams,
     EthernetTimingParams,
@@ -457,6 +465,65 @@ def test_unsaturated_utilization_has_a_closed_form(kind, data):
         {"s0->s1": expected, "s1->s0": expected} if kind == "link" else expected)
 
 
+@given(links=st.integers(1, 3), source=st.sampled_from(["eoc", "ioc"]),
+       # (destination, the last switch's egress mode); a tunnel destination
+       # takes no compact frame, so it never sits behind an ioc-preferred port
+       ending=st.sampled_from([("eoc", EGRESS_EOC), ("ioc", EGRESS_EOC),
+                               ("ioc", EGRESS_IOC_PREFERRED)]),
+       payload=st.integers(8, frames.ETH_MTU - frames.IPV4_HEADER_LEN), data=st.data())
+def test_store_and_forward_latency_is_the_sum_of_the_hop_durations(
+        links, source, ending, payload, data):
+    """A chain busA - sw0 - link0 - ... - sw<k> - busB of 1-3 links, with a
+    tunnel or streamlined source on busA and destination on busB, both with
+    static ARP.  sw0 tunnels on busA; the last switch tunnels or compacts on
+    busB.  Once the startup announcements and the hellos at 0 are done,
+    nothing else is in flight, so every packet sent from 5 ms on, one path
+    time apart or more, arrives after exactly its hop durations: tunnel or
+    compact on each bus, Ethernet on each link."""
+    destination, last_mode = ending
+    datagram = frames.IPV4_HEADER_LEN + payload
+    tunnel = frames.ETH_HEADER_LEN + max(datagram, frames.ETH_MIN_PAYLOAD)
+
+    def on_bus(kind):
+        data_field = tunnel if kind == "eoc" else frames.IOC_HEADER_LEN + payload
+        return to_ns(canxl_duration(data_field, BUS))
+
+    path = (on_bus(source) + links * to_ns(ethernet_duration(datagram, LINK))
+            + on_bus("eoc" if last_mode == EGRESS_EOC else "ioc"))
+    s = to_ns(0.005) + data.draw(st.integers(0, 10**6), label="s")
+    period = path + data.draw(st.integers(1, 10**6), label="gap")
+    sends = data.draw(st.integers(1, 3), label="sends")
+    t_end = s + (sends - 1) * period + path + data.draw(st.integers(0, 10**6), label="slack")
+
+    topo = Topology(RunOptions(t_end=t_end * 1e-9))
+    kinds = {"eoc": EocNode, "ioc": IocNode}
+    topo.add_node(kinds[source]("src", mac(1), ip(1), can_priority=0x100,
+                                static_arp={ip(2): mac(2)}))
+    topo.add_node(kinds[destination]("dst", mac(2), ip(2), can_priority=0x200,
+                                     static_arp={ip(1): mac(1)}))
+    for name in ("busA", "busB"):
+        topo.add_bus(name, BUS)
+    for i in range(links):
+        topo.add_link(f"link{i}", LINK)
+    topo.attach_node("src", "busA")
+    topo.attach_node("dst", "busB")
+    for i in range(links + 1):
+        last = i == links
+        topo.add_switch(CSwitch(f"sw{i}", i + 1, [
+            PortConfig(0, ETH if i else CAN_XL),
+            PortConfig(1, CAN_XL if last else ETH, last_mode if last else EGRESS_EOC)]))
+        topo.attach_switch_port(f"sw{i}", 0, f"link{i - 1}" if i else "busA")
+        topo.attach_switch_port(f"sw{i}", 1, "busB" if last else f"link{i}")
+    topo.flows.append(Flow("f", "src", "ipv4", payload,
+                           [s + k * period for k in range(sends)], dst_ip=ip(2)))
+    sim = Simulation(topo)
+    assert sim.t_end_ns == t_end < HELLO_INTERVAL_NS
+    trace, report = sim.run()
+
+    assert report["flows"]["f"]["delivered_unique"] == sends
+    assert [r["latency_ns"] for r in events(trace, "app_deliver")] == [path] * sends
+
+
 @given(flow_index=st.integers(0, 2**32 - 1), seq=st.integers(0, 2**32 - 1))
 def test_make_payload_matches_the_per_byte_formula(flow_index, seq):
     filler = bytes((37 * i + 11 * flow_index + 7 * seq) & 0xFF for i in range(1500 - 8))
@@ -708,7 +775,7 @@ class TestArp:
                                       frames.ZERO_MAC, ip(2))):
             eth = frames.arp_serialize(msg)
             a.on_receive(sim, eth, frames.Decoded(eth, msg, None))
-        assert a.arp_table[ip(2)] == nodes.ArpEntry(mac(2), static=True)
+        assert a.arp_table[ip(2)] == mac(2) and ip(2) in a.static_ips
         _, report = sim.run()
         assert report["flows"]["f"]["delivered"] == 1
 

@@ -6,6 +6,7 @@ from canxlnet.frames import (
     ArpMessage,
     ArpOp,
     BROADCAST_MAC,
+    Bpdu,
     CanXlFrame,
     EthernetFrame,
     Ipv4Address,
@@ -16,6 +17,8 @@ from canxlnet.frames import (
     af_filter_match,
     arp_parse,
     arp_serialize,
+    bpdu_parse,
+    bpdu_serialize,
     eoc_decapsulate,
     eoc_encapsulate,
     ethernet_to_ioc,
@@ -378,6 +381,7 @@ _REQUEST = ArpMessage(ArpOp.REQUEST, M2, IP1, ZERO_MAC, IP2)
 _DGRAM = IocDatagram(IP1, IP2, b"tagged payload")
 _IPV4 = Ipv4Datagram(IP1, IP2, b"tagged payload")
 _RAW = EthernetFrame(M1, M2, frames.ETHERTYPE_RAW_DATA, bytes(46))
+_HELLO = Bpdu(1, 0, 2**64 - 1)
 
 
 @pytest.mark.parametrize("frame, expected", [
@@ -385,13 +389,15 @@ _RAW = EthernetFrame(M1, M2, frames.ETHERTYPE_RAW_DATA, bytes(46))
     (EthernetFrame(M1, M2, 0x0800, _IPV4.to_bytes()),
      (EthernetFrame(M1, M2, 0x0800, _IPV4.to_bytes()), _IPV4, b"tagged payload")),
     (_RAW, (_RAW, None, bytes(46))),
-    (EthernetFrame(M1, M2, frames.ETHERTYPE_BPDU, bytes(46)),
+    (EthernetFrame(M1, M2, frames.ETHERTYPE_BPDU, bytes(46)),  # no BPDU magic
      (EthernetFrame(M1, M2, frames.ETHERTYPE_BPDU, bytes(46)), None, None)),
+    (eoc_encapsulate(bpdu_serialize(_HELLO, M2), 0), (bpdu_serialize(_HELLO, M2), _HELLO, None)),
     (ioc_encode(_DGRAM, 0), (None, _DGRAM, b"tagged payload")),
     (_DGRAM, (None, _DGRAM, b"tagged payload")),
     (frames.ClassicCanFrame(0x123, b"12345678"), (None, None, b"12345678")),
     (CanXlFrame(0, frames.SDT_CAN_FD, 0, 0, bytes(8)), (None, None, None)),
-], ids=["tunneled_arp", "ipv4", "raw", "bpdu", "compact", "ioc_view", "classic", "can_fd"])
+], ids=["tunneled_arp", "ipv4", "raw", "bpdu", "tunneled_bpdu", "compact", "ioc_view", "classic",
+        "can_fd"])
 def test_decode_reads_every_layer(frame, expected):
     assert frames.decode(frame) == expected
 
@@ -519,6 +525,12 @@ FRAME_ERRORS = [
     ("arp_unknown_operation", lambda: arp_parse(EthernetFrame(
         BROADCAST_MAC, M2, 0x0806, ARP_BODY[:7] + b"\x03" + ARP_BODY[8:])),
      frames.Malformed, "unknown ARP operation 3"),
+    ("bpdu_wrong_ethertype", lambda: bpdu_parse(EthernetFrame(
+        frames.STP_GROUP_MAC, M2, 0x88B6, bpdu_serialize(_HELLO, M2).payload)),
+     frames.Malformed, "ethertype 0x88b6 is not a BPDU"),
+    ("bpdu_magic", lambda: bpdu_parse(EthernetFrame(
+        frames.STP_GROUP_MAC, M2, frames.ETHERTYPE_BPDU, b"JUNK" + bytes(20))),
+     frames.Malformed, "bad BPDU magic"),
 ]
 
 

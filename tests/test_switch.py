@@ -13,6 +13,7 @@ from canxlnet.frames import (
     ArpMessage,
     ArpOp,
     BROADCAST_MAC,
+    Bpdu,
     EthernetFrame,
     Ipv4Address,
     Ipv4Datagram,
@@ -20,6 +21,8 @@ from canxlnet.frames import (
     MacAddress,
     ZERO_MAC,
     arp_serialize,
+    bpdu_parse,
+    bpdu_serialize,
     decode,
     eoc_encapsulate,
     ioc_encode,
@@ -36,8 +39,6 @@ from canxlnet.switch import (
     ROLE_BLOCKED,
     ROLE_DESIGNATED,
     ROLE_ROOT,
-    decode_bpdu,
-    encode_bpdu,
 )
 from canxlnet.nodes import EthernetHost
 from canxlnet.timing import EthernetTimingParams
@@ -337,8 +338,8 @@ class TestLegacyRelay:
 
 
 def feed_bpdu(sw, port, other):
-    frame = encode_bpdu(other.root_id, other.root_cost, other.bridge_id, other.mac)
-    return sw.stp_step(port, frame)
+    frame = bpdu_serialize(Bpdu(other.root_id, other.root_cost, other.bridge_id), other.mac)
+    return sw.stp_step(port, decode(frame))
 
 
 class TestSpanningTree:
@@ -375,7 +376,7 @@ class TestSpanningTree:
         assert by_port[0].sdt == frames.SDT_ETHERNET
         inner = frames.eoc_decapsulate(by_port[0])
         assert inner.da == frames.STP_GROUP_MAC
-        assert decode_bpdu(inner) == (1, 0, 1)
+        assert bpdu_parse(inner) == (1, 0, 1)
         assert isinstance(by_port[1], EthernetFrame)
 
     def test_malformed_bpdu_counted(self):
