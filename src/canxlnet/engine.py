@@ -35,10 +35,14 @@ event, `_deliver`, on links and buses alike, which walks the stations in
 order.  Every station but the sender gets its `deliver` record, but only
 the receivers that can accept the frame are called: on a bus, an
 `AcceptanceIndex` built once at set-up from the attributes `on_receive`
-tests names them, and counts the AF false positives of the nodes it
-skips.  Each called receiver reacts right after its own record; the
-records of each run of stations between two called ones are written in
-one join.  A link, a sender whose receivers are all switch ports (neither
+tests names them.  It also counts the AF false positives of the nodes it
+skips, in O(1) per frame: per AF image, the unicast tunnel frames that
+image's filters passed, and per node, those it was spared (its own, and
+those it sent).  When the event loop of `run` ends, `settle` adds the
+difference to each node's `af_false_positive`, visiting only the images
+that were passed.  Each called receiver reacts right after its own
+record; the records of each run of stations between two called ones are
+written in one join.  A link, a sender whose receivers are all switch ports (neither
 is given the index) and a tunnel frame with a group AF or DA call every
 receiver.  Bus clashes and switch drops both go through
 `Simulation.drop`.
@@ -158,7 +162,13 @@ class AcceptanceIndex:
     filter and any other AF at the filters whose `af_image` equals it, so
     a tunnel frame with a group AF or a group DA goes to every station.
     A node whose filter passes a frame that its DA check drops counts an
-    `af_false_positive` here, without a call."""
+    `af_false_positive` here, without a call: `callees` counts one hit
+    for the frame's AF image, and one spared frame for the destination
+    node and for a sender with that image that is not the destination.
+    `settle`, which `Simulation.run` calls when its event loop ends, adds
+    hits less spared frames to the counter of each node of each image hit.
+    A group AF calls every node, and `EocNode.on_receive` counts for
+    itself."""
 
     def __init__(self, stations: list):
         self.stations = stations  # the bus's, in order
@@ -176,12 +186,19 @@ class AcceptanceIndex:
         # with that image; ip_af -> the ports and the node with it
         self.tunnel: dict[int, dict[MacAddress, tuple[int, list[int]]]] = {}
         self.compact: dict[int, list[int]] = {}
+        self.images = [None] * len(stations)  # each node's af_image, by position
         for i in nodes:
             node = stations[i]
             callees = sorted(self.ports + [i])
             self.tunnel.setdefault(node.af_image, {})[node.mac] = (i, callees)
+            self.images[i] = node.af_image
             if node.ip_af is not None:
                 self.compact[node.ip_af] = callees
+        # The AF false positives, until `settle`: the unicast tunnel frames
+        # each image's filters passed, and per position those of them that
+        # were the node's own or that it sent.
+        self.hits: dict[int, int] = {}
+        self.spared = [0] * len(stations)
 
     def callees(self, sender: int, frame, rx: frames.Decoded) -> list[int] | None:
         """The positions of the receivers that can act on `frame`, decoded
@@ -200,12 +217,22 @@ class AcceptanceIndex:
         da = rx.eth.da
         if da.is_group():
             return None
+        hits = self.hits
+        hits[af] = hits.get(af, 0) + 1
         node, callees = passed.get(da, (None, self.ports))
-        stations = self.stations
-        for i, _ in passed.values():
-            if i != node and i != sender:
-                stations[i].counters["af_false_positive"] += 1
+        if node is not None:
+            self.spared[node] += 1
+        if self.images[sender] == af and sender != node:
+            self.spared[sender] += 1
         return callees
+
+    def settle(self) -> None:
+        """Add each node's AF false positives to its counters: the frames
+        its image passed, less those it was spared."""
+        stations, spared = self.stations, self.spared
+        for af, hits in self.hits.items():
+            for i, _ in self.tunnel[af].values():
+                stations[i].counters["af_false_positive"] += hits - spared[i]
 
 
 class Topology:
@@ -418,11 +445,15 @@ class Simulation:
         # sender whose receivers are all switch ports get no index: they
         # call every receiver, and asking would only cost time.
         self.fanout = {}
+        self.indexes: list[AcceptanceIndex] = []  # one per bus, settled when the run ends
         for medium in topo.media.values():
             text = _encode(medium.name)
             stations = medium.stations
             names = [_encode(st.name) for st in stations]
-            index = AcceptanceIndex(stations) if isinstance(medium, CanBus) else None
+            index = None
+            if isinstance(medium, CanBus):
+                index = AcceptanceIndex(stations)
+                self.indexes.append(index)
             for at, sender in enumerate(stations):
                 to_nodes = index is not None and len(stations) - len(index.ports) > (
                     sender.kind != "switch-port")  # a receiver is a node
@@ -523,7 +554,9 @@ class Simulation:
     # -- event handlers ---------------------------------------------------------
 
     def run(self) -> tuple[str, dict]:
-        for sw in self.topo.switches.values():
+        # In bridge-id order, so that the switches' listing order cannot
+        # change which of two simultaneous BPDUs a switch takes first.
+        for sw in sorted(self.topo.switches.values(), key=lambda sw: sw.bridge_id):
             self.schedule(0, self._stp_hello, sw)
         for node in self.topo.nodes.values():
             # Not traced: an announcement shows up as tx_start anyway.
@@ -538,6 +571,8 @@ class Simulation:
             for handler, args in due[t]:  # the iterator sees events appended on the way
                 handler(*args)
             del due[t]
+        for index in self.indexes:
+            index.settle()
 
         return "\n".join(self.trace_lines) + ("\n" if self.trace_lines else ""), self.report()
 

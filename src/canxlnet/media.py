@@ -6,14 +6,19 @@ contest itself is resolved instantaneously (the comparison outcome is
 identical to bit-level arbitration for 11-bit fields).  Two distinct
 stations contending with the same priority at the same instant cannot be
 resolved by CAN at all; the model records a clash and discards both
-frames, surfacing what is a configuration fault.
+frames, surfacing what is a configuration fault.  Only the stations with
+a frame queued contend: the bus keeps them in `waiting`, keyed by their
+position on the bus (`attach` gives each station its `bus_position`), so
+a kick costs the number of waiting stations, not of attached ones.  A
+clash lists its stations in bus order, whatever order they queued in.
 
 Ethernet links are full duplex: one independent FIFO and occupancy per
 direction, that is per sending station.  Multidrop Ethernet is not modeled.
 
 A station is a node or a switch port: `attach` gives it its `medium` and
-its `queue`.  A medium only decides when a frame starts and hands it to
-`Simulation.on_tx_start`, which traces it and schedules its completion.
+its `queue`, and a bus also its `bus_position`.  A medium only decides
+when a frame starts and hands it to `Simulation.on_tx_start`, which
+traces it and schedules its completion.
 A queued frame keeps the `frames.Decoded` value its sender built with
 it, and the medium hands that over with it, to `on_tx_start` or, for the
 frames a bus clash discards, to `Simulation.on_clash`.
@@ -49,6 +54,7 @@ class CanBus:
         self.kind = "can-bus"
         self.params = params
         self.stations: list = []  # nodes and switch ports
+        self.waiting: dict = {}  # bus position -> station, for the stations with a queue
         self.busy_until = 0
         self.kick_pending = False
         self.clashes = 0
@@ -63,10 +69,12 @@ class CanBus:
     def attach(self, station) -> None:
         station.medium = self
         station.queue = []  # a heap of (priority, enqueue order, frame, rx)
+        station.bus_position = len(self.stations)
         self.stations.append(station)
 
     def enqueue(self, sim, station, frame, rx: Decoded) -> None:
         heapq.heappush(station.queue, (frame_priority(frame), next(self.enqueued), frame, rx))
+        self.waiting[station.bus_position] = station
         if self.busy_until <= sim.now:  # a busy bus re-arms when it completes
             self.request_kick(sim, station)
 
@@ -75,24 +83,37 @@ class CanBus:
             self.kick_pending = True
             sim.schedule(sim.now, self.kick, sim)
 
+    def _pop(self, at: int):
+        """(station, frame, rx) of the head of the queue at bus position `at`."""
+        station = self.waiting[at]
+        _, _, frame, rx = heapq.heappop(station.queue)
+        if not station.queue:
+            del self.waiting[at]
+        return station, frame, rx
+
     def kick(self, sim) -> None:
         """Start the queue head with the lowest priority value (dominant-bit
-        semantics) on the idle bus."""
+        semantics) on the idle bus; only the stations with a queue contend."""
         self.kick_pending = False
+        waiting = self.waiting
         while True:
-            heads = [st for st in self.stations if st.queue]
-            if not heads:
+            if not waiting:
                 return
-            best = min(st.queue[0][0] for st in heads)
-            tied = [st for st in heads if st.queue[0][0] == best]
+            tied = None
+            for at, station in waiting.items():
+                priority = station.queue[0][0]
+                if tied is None or priority < best:
+                    best, tied = priority, [at]
+                elif priority == best:
+                    tied.append(at)
             if len(tied) == 1:
                 break
-            # Unresolvable: drop the tied frames and re-arbitrate the
-            # remaining contenders at this same instant.
+            # Unresolvable: drop the tied frames, in bus order, and
+            # re-arbitrate the remaining contenders at this same instant.
             self.clashes += 1
-            sim.on_clash(self, [(st, *heapq.heappop(st.queue)[2:]) for st in tied])
-        station = tied[0]
-        _, _, frame, rx = heapq.heappop(station.queue)
+            tied.sort()
+            sim.on_clash(self, [self._pop(at) for at in tied])
+        station, frame, rx = self._pop(tied[0])
         duration = self.frame_duration_ns(frame)
         self.busy_until = sim.now + duration
         self.busy_ns += duration

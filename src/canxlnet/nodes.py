@@ -8,7 +8,8 @@ match, then the full embedded DA).  On a bus the engine applies both
 stages before it calls `on_receive` (`engine.AcceptanceIndex`, built from
 `af_image`, `mac` and `ip_af`): a node whose filter passes a frame that
 its DA check drops has its `af_false_positive` counted there, without a
-call.  `on_receive` still applies both stages itself.  A streamlined
+call, and added to its counters when the run's event loop ends.
+`on_receive` still applies both stages itself.  A streamlined
 node is a tunnel node that sends plain IPv4 as compact-header CAN XL
 frames (every datagram a flow may send fits one), falling back to the
 tunnel only periodically, to refresh the switches' address knowledge.

@@ -3,8 +3,10 @@ can act on a transmission are called, and the trace and report are those
 of calling every receiver in station order."""
 
 import json
+from types import SimpleNamespace
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, find, given, settings, strategies as st
 
 from canxlnet import frames, nodes
 from canxlnet.engine import Flow, RunOptions, Simulation, SwitchPortRef, Topology
@@ -73,12 +75,22 @@ STATION_KINDS = st.sampled_from(("eoc", "ioc", "ioc", "classic", "port"))
 CAN_IDS = (0x101, 0x102, 0x103)
 
 
+# The AF false-positive cases a mixed bus must be able to draw: a tunnel
+# frame whose sender has the frame's AF image, a unicast DA whose image
+# several nodes share, a DA no node has under an image some node has, and
+# a group AF over a unicast DA (only a frame built by hand has that).
+AF_CASES = ("sender_shares_image", "shared_image", "unknown_da", "group_af_unicast_da")
+
+
 @st.composite
 def mixed_bus(draw):
-    """A function building one bus of tunnel, streamlined and classic-CAN
-    nodes and C-switch ports (each switch also on a link to an Ethernet
-    host), with a handful of flows to unicast, group and unknown
-    destinations."""
+    """One bus of tunnel, streamlined and classic-CAN nodes and C-switch
+    ports (each switch also on a link to an Ethernet host), with a handful
+    of flows to unicast, group and unknown destinations, and now and then a
+    hand-built tunnel frame with a group AF over a unicast DA queued at
+    t = 0.  A namespace of `build`, a function building the topology,
+    `queued`, the (node name, frame) pairs to queue, and `cases`, the
+    `AF_CASES` drawn."""
     kinds = draw(st.lists(STATION_KINDS, min_size=2, max_size=7))
     priorities = draw(st.permutations(range(0x100, 0x100 + len(kinds))))
     stations = []  # (name, kind, MAC, IP, priority, classic rx_ids or port egress mode)
@@ -95,11 +107,14 @@ def mixed_bus(draw):
         stations.append((f"{kind[0]}{n}", kind, mac, addr, priorities[n], extra))
     macs = [s[2] for s in stations if s[1] != "classic"]
     ips = [s[3] for s in stations if s[1] != "classic"]
+    images = [frames.make_af_from_da(MacAddress.parse(s[2]))
+              for s in stations if s[1] in ("eoc", "ioc")]
 
+    cases = set()
     senders = [s for s in stations if s[1] != "port"]
     flows = []
     for f in range(draw(st.integers(0, 5)) if senders else 0):
-        name, kind, *_ = draw(st.sampled_from(senders))
+        name, kind, mac, *_ = draw(st.sampled_from(senders))
         times = [to_ns(t * 1e-6) for t in
                  sorted(draw(st.lists(st.integers(0, 3000), min_size=1, max_size=3)))]
         if kind == "classic":
@@ -109,9 +124,31 @@ def mixed_bus(draw):
             dst = draw(st.sampled_from(ips + ["10.0.0.99"]))
             flows.append(Flow(f"f{f}", name, "ipv4", 44, times, dst_ip=Ipv4Address.parse(dst)))
         else:
-            dst = draw(st.sampled_from(macs + list(GROUP_MACS) + list(UNKNOWN_MACS)))
-            flows.append(Flow(f"f{f}", name, "raw-ethernet", 46, times,
-                              dst_mac=MacAddress.parse(dst)))
+            dst = MacAddress.parse(draw(st.sampled_from(
+                macs + list(GROUP_MACS) + list(UNKNOWN_MACS))))
+            flows.append(Flow(f"f{f}", name, "raw-ethernet", 46, times, dst_mac=dst))
+            image = frames.make_af_from_da(dst)
+            if not dst.is_group() and image in images:
+                if image == frames.make_af_from_da(MacAddress.parse(mac)) and \
+                        str(dst) != mac:
+                    cases.add("sender_shares_image")
+                if images.count(image) > 1 and str(dst) in macs:
+                    cases.add("shared_image")
+                if str(dst) in UNKNOWN_MACS:
+                    cases.add("unknown_da")
+
+    queued = []
+    tunnel_senders = [s for s in stations if s[1] in ("eoc", "ioc")]
+    for k in range(draw(st.integers(0, 2)) if tunnel_senders else 0):
+        name, _, mac, _, prio, _ = draw(st.sampled_from(tunnel_senders))
+        dst = MacAddress.parse(draw(st.sampled_from(
+            [m for m in macs if not m.startswith("03")] + list(UNKNOWN_MACS))))
+        eth = frames.EthernetFrame(dst, MacAddress.parse(mac), frames.ETHERTYPE_RAW_DATA,
+                                   bytes([k]) * 46)
+        queued.append((name, frames.CanXlFrame(
+            prio, frames.SDT_ETHERNET, 0, frames.make_af_from_da(dst) | frames.AF_GROUP,
+            eth.to_bytes())))
+        cases.add("group_af_unicast_da")
 
     def build() -> Topology:
         topo = Topology(RunOptions(t_end=0.02))
@@ -137,16 +174,21 @@ def mixed_bus(draw):
         topo.flows.extend(flows)
         return topo
 
-    return build
+    return SimpleNamespace(build=build, queued=queued, cases=frozenset(cases))
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(build=mixed_bus())
-def test_trace_and_report_equal_those_of_calling_every_receiver(build, monkeypatch):
-    (trace, report), (ref_trace, ref_report) = run_both(build, monkeypatch)
+@given(bus=mixed_bus())
+def test_trace_and_report_equal_those_of_calling_every_receiver(bus, monkeypatch):
+    (trace, report), (ref_trace, ref_report) = run_both(bus.build, monkeypatch, bus.queued)
     assert trace == ref_trace
     assert report == ref_report
+
+
+@pytest.mark.parametrize("case", AF_CASES)
+def test_mixed_bus_draws_every_af_counting_case(case):
+    assert case in find(mixed_bus(), lambda bus: case in bus.cases).cases
 
 
 # -- targeted cases ------------------------------------------------------------------

@@ -1,6 +1,9 @@
+import heapq
+import itertools
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from canxlnet.frames import (
     CanXlFrame,
@@ -97,3 +100,78 @@ def test_ethernet_frames_cannot_contend():
     with pytest.raises(TypeError):
         bus.enqueue(Recorder(), station, eth, decode(eth))
     assert not station.queue
+
+
+# -- arbitration over the waiting stations -------------------------------------
+
+KICK = None  # a program step that kicks the bus; any other step queues a frame
+
+
+def reference_arbitration(names: str, program) -> tuple[list, list]:
+    """The starts and clash lists of `program` on a bus of stations `names`,
+    each kick scanning every station in bus order: the lowest head priority
+    wins, and equal head priorities at two or more stations clash, in bus
+    order, and the rest re-arbitrate at once."""
+    queues = {name: [] for name in names}
+    order = itertools.count()
+    started, clashed = [], []
+    for step in program:
+        if step is not KICK:
+            name, frame = step
+            heapq.heappush(queues[name], (frame.priority, next(order), frame))
+            continue
+        while True:
+            heads = [name for name in names if queues[name]]
+            if not heads:
+                break
+            best = min(queues[name][0][0] for name in heads)
+            tied = [name for name in heads if queues[name][0][0] == best]
+            if len(tied) == 1:
+                started.append((tied[0], heapq.heappop(queues[tied[0]])[2]))
+                break
+            clashed.append([(name, heapq.heappop(queues[name])[2]) for name in tied])
+    return started, clashed
+
+
+@st.composite
+def bus_programs(draw):
+    """Station names a.. (up to 8) and a program of kicks and enqueues; the
+    few priorities make repeats at one station and 2- and 3-way clashes
+    common.  Every frame is told apart by its AF."""
+    names = "abcdefgh"[:draw(st.integers(1, 8))]
+    steps = draw(st.lists(st.one_of(st.just(KICK), st.tuples(
+        st.sampled_from(names), st.sampled_from((0x100, 0x101, 0x102)))), max_size=40))
+    af = itertools.count()
+    program = [step if step is KICK else (step[0], CanXlFrame(step[1], SDT_ETHERNET, 0,
+                                                              next(af), b"x"))
+               for step in steps]
+    return names, program + [KICK]
+
+
+# Queued against bus order: one kick sees a 3-way clash, then a 2-way one,
+# then f wins; a's second frame waits for the next kick.
+_CLASHING = [(name, CanXlFrame(priority, SDT_ETHERNET, 0, n, b"x"))
+             for n, (name, priority) in enumerate(
+                 [("c", 1), ("e", 2), ("b", 1), ("f", 3), ("d", 2), ("a", 1), ("a", 4)])]
+
+
+@example(case=("abcdef", _CLASHING + [KICK, KICK]))
+@given(case=bus_programs())
+def test_arbitration_is_that_of_scanning_every_station(case):
+    names, program = case
+    sim = Recorder()
+    bus = CanBus("bus", CanXlTimingParams(500e3, 16e6))
+    stations = {}
+    for name in names:
+        stations[name] = SimpleNamespace(name=name)
+        bus.attach(stations[name])
+    for step in program:
+        if step is KICK:
+            bus.kick(sim)
+        else:
+            bus.enqueue(sim, stations[step[0]], step[1], None)
+    started = [(name, frame) for name, frame, _ in sim.started]
+    clashed = [[(name, frame) for name, frame, _ in dropped] for dropped in sim.clashed]
+    assert (started, clashed) == reference_arbitration(names, program)
+    assert bus.clashes == len(clashed)
+    assert bus.waiting == {i: st for i, st in enumerate(bus.stations) if st.queue}
