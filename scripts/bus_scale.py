@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """How the cost of one bus transmission grows with the number of stations.
 
-    python scripts/bus_scale.py [--stations N [N ...]] [--runs R]
+    python scripts/bus_scale.py [--stations N [N ...]]
 
 For each N (2..256, default 32 64 128) it builds `perfbench/workloads.py`'s
 bus_crowd at seed 1 with N stations instead of 32 and the flows' period
@@ -14,7 +14,7 @@ fresh copy for each N.
 Per N it reports the transmissions (`tx_start` records), the bytecode
 instructions of one `Simulation.run()` (counted as
 `count_instructions.py` counts them) and the time of one run, the median
-of R runs (default 5) in reference seconds: host seconds scaled by
+of 7 runs (`RUNS`) in reference seconds: host seconds scaled by
 `perfbench/calibrate.py`'s loop run around each run, as the benchmark
 scales them.  Both are also given per transmission and as a ratio to the
 first N's per-transmission figure.  Prints one JSON document.
@@ -49,6 +49,7 @@ def _private(name: str, path: pathlib.Path):
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 calibrate = _private("bus_scale_calibrate", ROOT / "perfbench" / "calibrate.py")
 MAX_STATIONS = 256  # one distinct priority per station in 0x100..0x1ff
+RUNS = 7
 
 
 def crowd(stations: int) -> dict:
@@ -68,13 +69,13 @@ def timed_run(sim: Simulation) -> tuple[str, float]:
     return trace, time.perf_counter() - t0
 
 
-def measure(stations: int, runs: int) -> dict:
+def measure(stations: int) -> dict:
     doc = crowd(stations)
     counts = count_instructions.count([Simulation(build_topology(doc))])
     instructions = sum(counts["modules"].values())
     stick = calibrate.Yardstick()
     seconds = []
-    for _ in range(runs):
+    for _ in range(RUNS):
         (trace, host_s), factor = stick.time(lambda: timed_run(Simulation(build_topology(doc))))
         seconds.append(host_s * factor)
     tx = trace.count('"event":"tx_start"')
@@ -88,16 +89,15 @@ def measure(stations: int, runs: int) -> dict:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--stations", type=int, nargs="+", default=[32, 64, 128])
-    parser.add_argument("--runs", type=int, default=5)
     args = parser.parse_args(argv)
-    if any(not 2 <= n <= MAX_STATIONS for n in args.stations) or args.runs < 1:
-        parser.error(f"stations must be 2..{MAX_STATIONS} and runs at least 1")
-    rows = [measure(n, args.runs) for n in args.stations]
+    if any(not 2 <= n <= MAX_STATIONS for n in args.stations):
+        parser.error(f"stations must be 2..{MAX_STATIONS}")
+    rows = [measure(n) for n in args.stations]
     for row in rows:
         row["instructions_per_tx_ratio"] = \
             row["instructions_per_tx"] / rows[0]["instructions_per_tx"]
         row["us_per_tx_ratio"] = row["us_per_tx"] / rows[0]["us_per_tx"]
-    print(json.dumps({"seed": SEED, "python": platform.python_version(), "runs": args.runs,
+    print(json.dumps({"seed": SEED, "python": platform.python_version(), "runs": RUNS,
                       "rows": rows}, indent=1))
     return 0
 

@@ -33,7 +33,7 @@ def test_the_base_size_is_bus_crowd_and_others_keep_its_load():
 
 
 def test_reports_per_transmission_figures():
-    child = subprocess.run([sys.executable, str(SCRIPT), "--stations", "4", "8", "--runs", "1"],
+    child = subprocess.run([sys.executable, str(SCRIPT), "--stations", "4", "8"],
                            capture_output=True, text=True, check=True)
     rows = json.loads(child.stdout)["rows"]
     assert [row["stations"] for row in rows] == [4, 8]
@@ -43,7 +43,7 @@ def test_reports_per_transmission_figures():
     assert rows[0]["us_per_tx_ratio"] == rows[0]["instructions_per_tx_ratio"] == 1.0
 
 
-@pytest.mark.parametrize("argv", [["--stations", "1"], ["--stations", "257"], ["--runs", "0"]])
+@pytest.mark.parametrize("argv", [["--stations", "1"], ["--stations", "257"]])
 def test_out_of_range_arguments_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         script().main(argv)
