@@ -16,8 +16,12 @@ instructions of one `Simulation.run()` (counted as
 `count_instructions.py` counts them) and the time of one run, the median
 of 7 runs (`RUNS`) in reference seconds: host seconds scaled by
 `perfbench/calibrate.py`'s loop run around each run, as the benchmark
-scales them.  Both are also given per transmission and as a ratio to the
-first N's per-transmission figure.  Prints one JSON document.
+scales them, with the quartiles of those runs (`run_s_q1`, `run_s_q3`).
+Both are also given per transmission and as a ratio to the first N's
+per-transmission figure.  `trace_bytes_per_tx` is the size of the trace
+per transmission: building it is C work (string joins) that the
+instruction counts do not see, and at large N it is most of a run's
+time.  Prints one JSON document.
 """
 
 from __future__ import annotations
@@ -80,10 +84,12 @@ def measure(stations: int) -> dict:
         seconds.append(host_s * factor)
     tx = trace.count('"event":"tx_start"')
     run_s = statistics.median(seconds)
+    q1, _, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
     period_s = doc["flows"][0]["schedule"]["period"]
     return {"stations": stations, "period_s": period_s, "tx": tx,
             "instructions": instructions, "instructions_per_tx": instructions / tx,
-            "run_s": run_s, "us_per_tx": run_s / tx * 1e6}
+            "trace_bytes_per_tx": len(trace) / tx,  # JSON escapes non-ASCII: 1 byte a char
+            "run_s": run_s, "run_s_q1": q1, "run_s_q3": q3, "us_per_tx": run_s / tx * 1e6}
 
 
 def main(argv: list[str]) -> int:

@@ -42,10 +42,12 @@ those it sent).  When the event loop of `run` ends, `settle` adds the
 difference to each node's `af_false_positive`, visiting only the images
 that were passed.  Each called receiver reacts right after its own
 record; the records of each run of stations between two called ones are
-written in one join.  A link, a sender whose receivers are all switch ports (neither
-is given the index) and a tunnel frame with a group AF or DA call every
-receiver.  Bus clashes and switch drops both go through
-`Simulation.drop`.
+written in one join.  A broadcast ARP frame calls only the switch ports
+and the nodes that `Node._handle_arp` can act for: the target IP's and
+those that hold the sender IP.  A link, a sender whose receivers are all
+switch ports (neither is given the index) and every other tunnel frame
+with a group AF or DA call every receiver.  Bus clashes and switch drops
+both go through `Simulation.drop`.
 
 Frames are never tagged with bookkeeping objects: each payload starts
 with an 8-byte tag, flow index and sequence number, which `flow_of`, its
@@ -71,6 +73,7 @@ from . import frames
 from .frames import (
     AF_GROUP,
     SDT_ETHERNET,
+    ArpMessage,
     CanXlFrame,
     ClassicCanFrame,
     EthernetFrame,
@@ -160,28 +163,41 @@ class AcceptanceIndex:
     tunnel frame that its AF filter passes and whose DA is its MAC or a
     group address.  `frames.af_filter_match` passes a group AF at every
     filter and any other AF at the filters whose `af_image` equals it, so
-    a tunnel frame with a group AF or a group DA goes to every station.
+    a tunnel frame with a group AF reaches every node's software stage.
+    There a group DA goes to `_dispatch_eth`, which acts on an ARP
+    message only through `Node._handle_arp`, and that acts only if the
+    node's `ip` is the target IP or its `arp_table` holds the sender IP.
+    So an ARP frame with a group AF and DA goes to the ports and to those
+    nodes.  The tables are read once, before any of them is called; that
+    is exact because a reaction only queues frames, so it changes no other
+    node's table during one delivery.  Every other tunnel frame with a
+    group AF (a BPDU, a group IPv4 or raw frame, a malformed ARP message,
+    a unicast DA under a group AF), and a group DA under an AF some node
+    has, go to every station.
     A node whose filter passes a frame that its DA check drops counts an
     `af_false_positive` here, without a call: `callees` counts one hit
     for the frame's AF image, and one spared frame for the destination
     node and for a sender with that image that is not the destination.
     `settle`, which `Simulation.run` calls when its event loop ends, adds
     hits less spared frames to the counter of each node of each image hit.
-    A group AF calls every node, and `EocNode.on_receive` counts for
-    itself."""
+    A group AF over a unicast DA calls every node, and `EocNode.on_receive`
+    counts for itself."""
 
     def __init__(self, stations: list):
         self.stations = stations  # the bus's, in order
         self.ports, self.classic = [], []  # switch ports; those and classic nodes
         nodes = []  # tunnel and streamlined nodes
+        self.arp = []  # (position, None) of each port, (position, node) of each node
         for i, station in enumerate(stations):
             if station.kind == "switch-port":
                 self.ports.append(i)
                 self.classic.append(i)
+                self.arp.append((i, None))
             elif station.kind == "classic-can":
                 self.classic.append(i)
             else:
                 nodes.append(i)
+                self.arp.append((i, station))
         # af_image -> {MAC: (position, the ports and that node)} of the nodes
         # with that image; ip_af -> the ports and the node with it
         self.tunnel: dict[int, dict[MacAddress, tuple[int, list[int]]]] = {}
@@ -210,6 +226,11 @@ class AcceptanceIndex:
         if frame.sdt != SDT_ETHERNET:  # compact
             return self.compact.get(af, self.ports) if rx.net is not None else self.ports
         if af & AF_GROUP:
+            net = rx.net
+            if isinstance(net, ArpMessage) and rx.eth.da.is_group():
+                spa, tpa = net.spa, net.tpa  # what `Node._handle_arp` tests
+                return [i for i, node in self.arp
+                        if node is None or node.ip == tpa or spa in node.arp_table]
             return None
         passed = self.tunnel.get(af)
         if passed is None:

@@ -26,6 +26,9 @@ frames a bus clash discards, to `Simulation.on_clash`.
 while the bus (or the station's link direction) is idle, a completion
 always.  Only a kick starts a transmission and one kick at most is
 pending, so a kick always runs on an idle medium.
+A frame's duration depends only on its medium, its kind and its length,
+so each medium keeps the nanoseconds of each length it has carried
+(`durations`): `timing` runs once per distinct length.
 Utilization counts busy time up to `t_end`, not past it.
 """
 
@@ -60,11 +63,18 @@ class CanBus:
         self.clashes = 0
         self.busy_ns = 0
         self.enqueued = itertools.count()  # FIFO among a station's equal priorities
+        self.durations: dict = {}  # (frame type, data length) -> ns
 
     def frame_duration_ns(self, frame) -> int:
-        if isinstance(frame, ClassicCanFrame):
-            return to_ns(timing.classic_can_duration(frame, self.params.arb_bitrate))
-        return to_ns(timing.canxl_duration(len(frame.data), self.params))
+        key = (type(frame), len(frame.data))
+        ns = self.durations.get(key)
+        if ns is None:  # a length out of range raises in `timing` and is not kept
+            if isinstance(frame, ClassicCanFrame):
+                ns = to_ns(timing.classic_can_duration(frame, self.params.arb_bitrate))
+            else:
+                ns = to_ns(timing.canxl_duration(len(frame.data), self.params))
+            self.durations[key] = ns
+        return ns
 
     def attach(self, station) -> None:
         station.medium = self
@@ -137,9 +147,14 @@ class EthernetLink:
         self.stations: list = []  # its two ends
         # per sending station, that is per direction
         self.busy_until, self.kick_pending, self.busy_ns = {}, {}, {}
+        self.durations: dict[int, int] = {}  # payload length -> ns
 
     def frame_duration_ns(self, frame: EthernetFrame) -> int:
-        return to_ns(timing.ethernet_duration(len(frame.payload), self.params))
+        length = len(frame.payload)
+        ns = self.durations.get(length)
+        if ns is None:
+            ns = self.durations[length] = to_ns(timing.ethernet_duration(length, self.params))
+        return ns
 
     def attach(self, station) -> None:
         station.medium = self

@@ -8,7 +8,9 @@ match, then the full embedded DA).  On a bus the engine applies both
 stages before it calls `on_receive` (`engine.AcceptanceIndex`, built from
 `af_image`, `mac` and `ip_af`): a node whose filter passes a frame that
 its DA check drops has its `af_false_positive` counted there, without a
-call, and added to its counters when the run's event loop ends.
+call, and added to its counters when the run's event loop ends.  A
+broadcast ARP frame on a bus calls only the nodes `_handle_arp` can act
+for: the target IP's and those whose `arp_table` holds the sender IP.
 `on_receive` still applies both stages itself.  A streamlined
 node is a tunnel node that sends plain IPv4 as compact-header CAN XL
 frames (every datagram a flow may send fits one), falling back to the
@@ -161,7 +163,10 @@ class Node:
 
     def _handle_arp(self, sim, msg: ArpMessage) -> None:
         # Refresh a known IP unless it is static, or learn one sent to this
-        # node; only a learned IP can have datagrams waiting.
+        # node; only a learned IP can have datagrams waiting.  Nothing happens
+        # unless `tpa` is this node's IP or `spa` is in its table, and
+        # `engine.AcceptanceIndex.callees` calls a bus node for a broadcast
+        # ARP frame only then: keep the two tests in step.
         if (msg.spa in self.arp_table or msg.tpa == self.ip) and \
                 msg.spa not in self.static_ips:
             self.arp_table[msg.spa] = msg.sha

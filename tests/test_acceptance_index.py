@@ -6,11 +6,11 @@ import json
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, find, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, find, given, settings, strategies as st
 
 from canxlnet import frames, nodes
 from canxlnet.engine import Flow, RunOptions, Simulation, SwitchPortRef, Topology
-from canxlnet.frames import Ipv4Address, MacAddress
+from canxlnet.frames import ZERO_MAC, ArpMessage, ArpOp, Ipv4Address, MacAddress
 from canxlnet.nodes import ClassicCanNode, EocNode, EthernetHost, IocNode
 from canxlnet.switch import CAN_XL, EGRESS_EOC, EGRESS_IOC_PREFERRED, ETH, CSwitch, PortConfig
 from canxlnet.timing import CanXlTimingParams, EthernetTimingParams, to_ns
@@ -30,20 +30,26 @@ def reference_deliver(self, sender, frame, rx, summary):
             station.on_receive(self, frame, rx)
 
 
-def run_both(build, monkeypatch, queued=()):
-    """(trace, report) of a topology run as it is and with every receiver
-    called; each (node name, frame) of `queued` is queued at t = 0."""
-    def run():
-        sim = Simulation(build())
-        for name, frame in queued:
-            station = sim.topo.nodes[name]
-            sim.schedule(0, station.medium.enqueue, sim, station, frame, frames.decode(frame))
-        return sim.run()
+def run_queued(build, queued=()) -> tuple[str, dict, dict]:
+    """(trace, report, the ARP table of each node that has one) of a run of
+    the topology `build()` gives, with the frame of each (node name, frame,
+    t_ns) of `queued` queued at the node at t_ns, in list order."""
+    sim = Simulation(build())
+    for name, frame, t_ns in queued:
+        station = sim.topo.nodes[name]
+        sim.schedule(t_ns, station.medium.enqueue, sim, station, frame, frames.decode(frame))
+    trace, report = sim.run()
+    return trace, report, {name: node.arp_table for name, node in sim.topo.nodes.items()
+                           if hasattr(node, "arp_table")}
 
-    result = run()
+
+def run_both(build, monkeypatch, queued=()):
+    """`run_queued(build, queued)` as it is and with every receiver
+    called."""
+    result = run_queued(build, queued)
     with monkeypatch.context() as patch:
         patch.setattr(Simulation, "_deliver", reference_deliver)
-        reference = run()
+        reference = run_queued(build, queued)
     return result, reference
 
 
@@ -71,6 +77,7 @@ def record_calls(monkeypatch, wanted) -> list[str]:
 PREFIXES = ("02:00:00:00", "02:00:00:00", "06:00:00:01", "03:00:00:00")
 GROUP_MACS = ("ff:ff:ff:ff:ff:ff", "03:00:00:00:00:01")
 UNKNOWN_MACS = ("02:00:00:00:09:99", "0a:00:00:09:09:99")
+UNKNOWN_IP = "10.0.0.99"  # no station's
 STATION_KINDS = st.sampled_from(("eoc", "ioc", "ioc", "classic", "port"))
 CAN_IDS = (0x101, 0x102, 0x103)
 
@@ -81,16 +88,24 @@ CAN_IDS = (0x101, 0x102, 0x103)
 # a group AF over a unicast DA (only a frame built by hand has that).
 AF_CASES = ("sender_shares_image", "shared_image", "unknown_da", "group_af_unicast_da")
 
+# What the broadcast ARP frames of a mixed bus meet at the nodes that
+# take them: see `arp_cases`.
+ARP_CASES = ("request_for_this_node", "request_for_no_station", "gratuitous_reply",
+             "sender_ip_unknown", "held_statically", "learned_earlier", "rebound")
+
 
 @st.composite
 def mixed_bus(draw):
     """One bus of tunnel, streamlined and classic-CAN nodes and C-switch
     ports (each switch also on a link to an Ethernet host), with a handful
-    of flows to unicast, group and unknown destinations, and now and then a
-    hand-built tunnel frame with a group AF over a unicast DA queued at
-    t = 0.  A namespace of `build`, a function building the topology,
-    `queued`, the (node name, frame) pairs to queue, and `cases`, the
-    `AF_CASES` drawn."""
+    of flows to unicast, group and unknown destinations.  Its tunnel and
+    streamlined nodes may hold static ARP entries.  Now and then a
+    hand-built tunnel frame with a group AF over a unicast DA is queued at
+    t = 0, and broadcast ARP requests and gratuitous replies are queued at
+    drawn times: their sender IP and target IP are a station's or no
+    station's, whatever node sends them.  A namespace of `build`, a
+    function building the topology, `queued`, the (node name, frame, t_ns)
+    triples to queue, and `cases`, the `AF_CASES` drawn."""
     kinds = draw(st.lists(STATION_KINDS, min_size=2, max_size=7))
     priorities = draw(st.permutations(range(0x100, 0x100 + len(kinds))))
     stations = []  # (name, kind, MAC, IP, priority, classic rx_ids or port egress mode)
@@ -107,6 +122,10 @@ def mixed_bus(draw):
         stations.append((f"{kind[0]}{n}", kind, mac, addr, priorities[n], extra))
     macs = [s[2] for s in stations if s[1] != "classic"]
     ips = [s[3] for s in stations if s[1] != "classic"]
+    owners = dict(zip(ips + [UNKNOWN_IP], macs + [UNKNOWN_MACS[0]]))  # IP -> MAC
+    static = {s[0]: {Ipv4Address.parse(a): MacAddress.parse(owners[a]) for a in
+                     draw(st.lists(st.sampled_from(sorted(owners)), max_size=2, unique=True))}
+              for s in stations if s[1] in ("eoc", "ioc")}
     images = [frames.make_af_from_da(MacAddress.parse(s[2]))
               for s in stations if s[1] in ("eoc", "ioc")]
 
@@ -121,7 +140,7 @@ def mixed_bus(draw):
             flows.append(Flow(f"f{f}", name, "classic-can", 8, times,
                               can_id=draw(st.sampled_from(CAN_IDS))))
         elif draw(st.booleans()):
-            dst = draw(st.sampled_from(ips + ["10.0.0.99"]))
+            dst = draw(st.sampled_from(ips + [UNKNOWN_IP]))
             flows.append(Flow(f"f{f}", name, "ipv4", 44, times, dst_ip=Ipv4Address.parse(dst)))
         else:
             dst = MacAddress.parse(draw(st.sampled_from(
@@ -147,8 +166,20 @@ def mixed_bus(draw):
                                    bytes([k]) * 46)
         queued.append((name, frames.CanXlFrame(
             prio, frames.SDT_ETHERNET, 0, frames.make_af_from_da(dst) | frames.AF_GROUP,
-            eth.to_bytes())))
+            eth.to_bytes()), 0))
         cases.add("group_af_unicast_da")
+    for _ in range(draw(st.integers(0, 3)) if tunnel_senders else 0):
+        name, _, mac, _, prio, _ = draw(st.sampled_from(tunnel_senders))
+        spa = draw(st.sampled_from(sorted(owners)))
+        if draw(st.booleans()):  # a node can answer no request for its own IP
+            tpa = draw(st.sampled_from(sorted(set(owners) - {spa})))
+            msg = ArpMessage(ArpOp.REQUEST, MacAddress.parse(mac), Ipv4Address.parse(spa),
+                             ZERO_MAC, Ipv4Address.parse(tpa))
+        else:
+            spa = Ipv4Address.parse(spa)
+            msg = ArpMessage(ArpOp.GRATUITOUS_REPLY, MacAddress.parse(mac), spa, ZERO_MAC, spa)
+        queued.append((name, frames.eoc_encapsulate(frames.arp_serialize(msg), prio),
+                       to_ns(draw(st.integers(0, 3000)) * 1e-6)))
 
     def build() -> Topology:
         topo = Topology(RunOptions(t_end=0.02))
@@ -169,7 +200,7 @@ def mixed_bus(draw):
             else:
                 cls = EocNode if kind == "eoc" else IocNode
                 topo.add_node(cls(name, MacAddress.parse(mac), Ipv4Address.parse(addr),
-                                  can_priority=prio))
+                                  static_arp=static[name], can_priority=prio))
             topo.attach_node(name, "bus")
         topo.flows.extend(flows)
         return topo
@@ -181,14 +212,61 @@ def mixed_bus(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(bus=mixed_bus())
 def test_trace_and_report_equal_those_of_calling_every_receiver(bus, monkeypatch):
-    (trace, report), (ref_trace, ref_report) = run_both(bus.build, monkeypatch, bus.queued)
+    (trace, report, tables), (ref_trace, ref_report, ref_tables) = \
+        run_both(bus.build, monkeypatch, bus.queued)
     assert trace == ref_trace
     assert report == ref_report
+    assert tables == ref_tables
+
+
+# `find` settings for the cases a mixed bus must be able to draw: the first
+# bus drawn that has one is enough, so none is shrunk.
+DRAWS = settings(max_examples=2000, phases=[Phase.generate])  # `find`'s default count
 
 
 @pytest.mark.parametrize("case", AF_CASES)
 def test_mixed_bus_draws_every_af_counting_case(case):
-    assert case in find(mixed_bus(), lambda bus: case in bus.cases).cases
+    assert case in find(mixed_bus(), lambda bus: case in bus.cases, settings=DRAWS).cases
+
+
+def arp_cases(bus, monkeypatch) -> set[str]:
+    """What the broadcast ARP frames meet at the nodes that take them in a
+    run of `bus` with every receiver called: a request for the node's IP
+    or for no station's, a gratuitous reply, a sender IP no station has,
+    and a node that holds the sender IP statically, or learned it earlier
+    in the run, and then bound to another MAC than the frame's."""
+    seen = set()
+    handle_arp = nodes.Node._handle_arp
+
+    def classify(node, sim, msg):
+        if msg.op != ArpOp.REPLY:  # a node's reply is unicast
+            if msg.op == ArpOp.GRATUITOUS_REPLY:
+                seen.add("gratuitous_reply")
+            elif msg.tpa == node.ip:
+                seen.add("request_for_this_node")
+            elif str(msg.tpa) == UNKNOWN_IP:
+                seen.add("request_for_no_station")
+            if str(msg.spa) == UNKNOWN_IP:
+                seen.add("sender_ip_unknown")
+            if msg.spa in node.static_ips:
+                seen.add("held_statically")
+            elif msg.spa in node.arp_table:
+                seen.add("learned_earlier")
+                if node.arp_table[msg.spa] != msg.sha:
+                    seen.add("rebound")
+        handle_arp(node, sim, msg)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nodes.Node, "_handle_arp", classify)
+        patch.setattr(Simulation, "_deliver", reference_deliver)
+        run_queued(bus.build, bus.queued)
+    return seen
+
+
+@pytest.mark.parametrize("case", ARP_CASES)
+def test_mixed_bus_draws_every_broadcast_arp_case(case, monkeypatch):
+    bus = find(mixed_bus(), lambda bus: case in arp_cases(bus, monkeypatch), settings=DRAWS)
+    assert case in arp_cases(bus, monkeypatch)
 
 
 # -- targeted cases ------------------------------------------------------------------
@@ -261,7 +339,7 @@ def test_classic_frame_calls_only_classic_nodes_and_ports(monkeypatch):
 
 def test_rejecting_run_writes_each_deliver_line_once_in_station_order(monkeypatch):
     flow = Flow("f", "n3", "raw-ethernet", 46, [to_ns(0.001)], dst_mac=mac(6))
-    _, (ref_trace, ref_report) = run_both(lambda: eoc_bus(8, [flow]), monkeypatch)
+    _, (ref_trace, ref_report, _) = run_both(lambda: eoc_bus(8, [flow]), monkeypatch)
     calls = record_calls(monkeypatch, lambda frame: True)
     sim = Simulation(eoc_bus(8, [flow]))
     trace, report = sim.run()
@@ -279,6 +357,48 @@ def test_rejecting_run_writes_each_deliver_line_once_in_station_order(monkeypatc
     assert records[at + 2]["location"] == "n7"
     counts = {name: node["af_false_positive"] for name, node in report["nodes"].items()}
     assert counts == {f"n{n}": int(n not in (3, 6)) for n in range(1, 9)}
+
+
+def is_arp_broadcast(frame) -> bool:
+    return isinstance(frame, frames.CanXlFrame) and \
+        isinstance(frames.decode(frame).net, ArpMessage) and frame.af & frames.AF_GROUP
+
+
+def test_arp_request_calls_only_its_target(monkeypatch):
+    flow = Flow("f", "n1", "ipv4", 44, [to_ns(0.001)], dst_ip=ip(3))
+    calls = record_calls(monkeypatch, is_arp_broadcast)
+    trace, report = Simulation(eoc_bus(5, [flow])).run()
+    assert calls == ["n3"]
+    assert [e["location"] for e in events(trace, "deliver")
+            if e["frame"]["af"] == "0xffffffff"] == ["n2", "n3", "n4", "n5"]
+    assert report["flows"]["f"]["delivered"] == 1
+
+
+def test_arp_broadcast_calls_the_nodes_that_hold_its_sender_ip(monkeypatch):
+    # n2 learns n1's IP from n1's request at 1 ms, and n4 holds it
+    # statically.  At 5 ms n3 claims n1's IP in a gratuitous reply: n1,
+    # the IP's owner, is called, and so are n2 and n4; n2 rebinds the IP to
+    # n3's MAC and n4 keeps n1's, so at 10 ms n2's datagram for n1's IP
+    # goes to n3 and n4's to n1.
+    def build():
+        topo = eoc_bus(3, [Flow("f", "n1", "ipv4", 44, [to_ns(0.001)], dst_ip=ip(2)),
+                           Flow("g2", "n2", "ipv4", 44, [to_ns(0.01)], dst_ip=ip(1)),
+                           Flow("g4", "n4", "ipv4", 44, [to_ns(0.01)], dst_ip=ip(1))])
+        topo.add_node(EocNode("n4", mac(4), ip(4), can_priority=0x104,
+                              static_arp={ip(1): mac(1)}))
+        topo.attach_node("n4", "bus")
+        return topo
+
+    claim = ArpMessage(ArpOp.GRATUITOUS_REPLY, mac(3), ip(1), ZERO_MAC, ip(1))
+    queued = [("n3", frames.eoc_encapsulate(frames.arp_serialize(claim), 0x103), to_ns(0.005))]
+    result, reference = run_both(build, monkeypatch, queued)
+    assert result == reference
+    calls = record_calls(monkeypatch, lambda frame: frame is queued[0][1])
+    run_queued(build, queued)
+    assert calls == ["n1", "n2", "n4"]
+    report, tables = result[1:]
+    assert [report["flows"][name]["delivered"] for name in ("f", "g2", "g4")] == [1, 0, 1]
+    assert (tables["n2"][ip(1)], tables["n4"][ip(1)]) == (mac(3), mac(1))
 
 
 def eoc_bus_with_a_port(flows=()) -> Topology:
@@ -313,8 +433,9 @@ def test_group_da_behind_a_unicast_af_reaches_every_station(monkeypatch):
                               eth.to_bytes())
     assert not frame.af & frames.AF_GROUP
     calls = record_calls(monkeypatch, lambda sent: sent is frame)
-    (trace, report), reference = run_both(eoc_bus_with_a_port, monkeypatch, [("n1", frame)])
-    assert (trace, report) == reference
+    result, reference = run_both(eoc_bus_with_a_port, monkeypatch, [("n1", frame, 0)])
+    assert result == reference
+    report = result[1]
     assert calls == ["n2", "n3", "sw.p0"] * 2  # the run, then the reference run
     assert [report["nodes"][n]["delivered"] for n in ("n2", "n3")] == [1, 1]
 

@@ -40,6 +40,9 @@ def test_reports_per_transmission_figures():
     for row in rows:
         assert row["tx"] > 0 and row["instructions"] > 0 and row["run_s"] > 0
         assert row["instructions_per_tx"] == row["instructions"] / row["tx"]
+        assert row["run_s_q1"] <= row["run_s"] <= row["run_s_q3"]
+        # a transmission writes a deliver record per receiver
+        assert row["trace_bytes_per_tx"] > (row["stations"] - 1) * len('{"event":"deliver"}')
     assert rows[0]["us_per_tx_ratio"] == rows[0]["instructions_per_tx_ratio"] == 1.0
 
 

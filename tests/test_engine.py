@@ -286,30 +286,47 @@ class TestMediumTiming:
         assert not delivers
 
     def test_receivers_take_a_transmission_in_station_order(self, monkeypatch):
-        # n1's ARP request for n3 reaches n2..n5; n3 queues its reply while
-        # it handles the request, and the reply starts at the same instant.
-        topo = five_node_bus(Flow("f", "n1", "ipv4", 44, [to_ns(0.001)], dst_ip=ip(3)))
+        # n1's raw broadcast at 1 ms reaches n2..n5 and each of them takes
+        # it.  Its ARP request for n3 at 2 ms reaches n2..n5 as well, but
+        # only n3 can act on it, so only n3 is called; n3 queues its reply
+        # while it handles the request, and the reply starts at the same
+        # instant.
+        topo = five_node_bus(raw_flow("b", "n1", frames.BROADCAST_MAC, 0.001))
+        topo.flows.append(Flow("f", "n1", "ipv4", 44, [to_ns(0.002)], dst_ip=ip(3)))
         sim = Simulation(topo)
-        handled = []  # (node, trace lines written when it had handled an ARP message)
-        handle_arp = nodes.Node._handle_arp
+        called = []  # (node, ethertype, trace lines written when it was called)
+        on_receive = nodes.EocNode.on_receive
 
         def recording(node, *args):
-            handle_arp(node, *args)
-            handled.append((node.name, len(sim.trace_lines)))
+            written = sum(entry.count("\n") + 1 for entry in sim.trace_lines)
+            called.append((node.name, args[-1].eth.ethertype, written))
+            on_receive(node, *args)
 
-        monkeypatch.setattr(nodes.Node, "_handle_arp", recording)
+        monkeypatch.setattr(nodes.EocNode, "on_receive", recording)
         trace, _ = sim.run()
         records = [json.loads(line) for line in trace.splitlines()]
-        done = next(i for i, r in enumerate(records) if r["event"] == "tx_complete")
-        delivers = list(range(done + 1, done + 5))
+        broadcast, request = [i for i, r in enumerate(records) if r["event"] == "tx_complete"][:2]
+
+        # each receiver of the broadcast reacts after its own deliver line,
+        # before the next one
+        assert [(r["event"], r["location"]) for r in records[broadcast + 1:broadcast + 9]] == \
+            [(event, f"n{n}") for n in range(2, 6) for event in ("deliver", "app_deliver")]
+        assert [c for c in called if c[1] == frames.ETHERTYPE_RAW_DATA] == \
+            [(f"n{n}", frames.ETHERTYPE_RAW_DATA, broadcast + 2 * n - 2) for n in range(2, 6)]
+
+        # n2, n4 and n5 get their deliver records for the request but no call
+        delivers = list(range(request + 1, request + 5))
+        assert records[request]["source"] == "n1"
         assert [records[i]["event"] for i in delivers] == ["deliver"] * 4
         assert [records[i]["location"] for i in delivers] == ["n2", "n3", "n4", "n5"]
-        # each receiver reacts after its own deliver line, before the next one
-        assert handled[:4] == [(records[i]["location"], i + 1) for i in delivers]
+        assert [c for c in called if c[1] == frames.ETHERTYPE_ARP][0] == \
+            ("n3", frames.ETHERTYPE_ARP, delivers[1] + 1)
+        assert [c for c in called if request < c[2] <= delivers[-1] + 1] == \
+            [("n3", frames.ETHERTYPE_ARP, delivers[1] + 1)]
         reply = next(i for i, r in enumerate(records)
                      if r["event"] == "tx_start" and r["source"] == "n3")
         assert reply > delivers[-1]
-        assert records[reply]["t_ns"] == records[done]["t_ns"]
+        assert records[reply]["t_ns"] == records[request]["t_ns"]
 
     def test_one_delivery_event_per_transmission(self, monkeypatch):
         sim = Simulation(five_node_bus(raw_flow("f", "n1", frames.BROADCAST_MAC, 0.001)))

@@ -3,9 +3,12 @@ import itertools
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from canxlnet import timing
 from canxlnet.frames import (
+    CANXL_MAX_DATA,
+    ETH_MTU,
     CanXlFrame,
     ClassicCanFrame,
     EthernetFrame,
@@ -13,8 +16,8 @@ from canxlnet.frames import (
     ZERO_MAC,
     decode,
 )
-from canxlnet.media import CanBus
-from canxlnet.timing import CanXlTimingParams
+from canxlnet.media import CanBus, EthernetLink
+from canxlnet.timing import CanXlTimingParams, EthernetTimingParams, InvalidPayload, to_ns
 
 
 def xl(priority):
@@ -175,3 +178,39 @@ def test_arbitration_is_that_of_scanning_every_station(case):
     assert (started, clashed) == reference_arbitration(names, program)
     assert bus.clashes == len(clashed)
     assert bus.waiting == {i: st for i, st in enumerate(bus.stations) if st.queue}
+
+
+# -- frame durations, kept per medium ------------------------------------------
+
+BIT_RATES = st.floats(1e3, 1e6)
+
+
+@settings(max_examples=10, deadline=None)
+@given(arb=BIT_RATES, data_factor=st.floats(1, 20), eth=st.floats(1e6, 1e9))
+def test_kept_durations_are_those_of_the_closed_form(arb, data_factor, eth):
+    params = CanXlTimingParams(arb, arb * data_factor)
+    bus, link = CanBus("bus", params), EthernetLink("link", EthernetTimingParams(eth))
+    for _ in range(2):  # the first pass computes, the second reads what was kept
+        for n in range(1, CANXL_MAX_DATA + 1):
+            frame = CanXlFrame(0x100, SDT_ETHERNET, 0, 0, bytes(n))
+            assert bus.frame_duration_ns(frame) == to_ns(timing.canxl_duration(n, params))
+        for n in range(9):
+            frame = ClassicCanFrame(0x100, bytes(n))
+            assert bus.frame_duration_ns(frame) == \
+                to_ns(timing.classic_can_duration(frame, params.arb_bitrate))
+        for n in range(ETH_MTU + 1):
+            frame = EthernetFrame(ZERO_MAC, ZERO_MAC, 0, bytes(n))
+            assert link.frame_duration_ns(frame) == \
+                to_ns(timing.ethernet_duration(len(frame.payload), link.params))
+    assert len(bus.durations) == CANXL_MAX_DATA + 9
+    assert len(link.durations) == ETH_MTU + 1 - 46  # payloads pad to 46 bytes
+
+
+@pytest.mark.parametrize("length", [0, CANXL_MAX_DATA + 1])
+def test_a_data_field_out_of_range_raises_each_time_and_is_not_kept(length):
+    bus = CanBus("bus", CanXlTimingParams(500e3, 16e6))
+    frame = SimpleNamespace(data=bytes(length))  # no CanXlFrame has such a length
+    for _ in range(2):
+        with pytest.raises(InvalidPayload):
+            bus.frame_duration_ns(frame)
+    assert bus.durations == {}
