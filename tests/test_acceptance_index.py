@@ -1,6 +1,6 @@
 """Bus delivery through `engine.AcceptanceIndex`: only the receivers that
-can act on a transmission are called, and the trace and report are those
-of calling every receiver in station order."""
+can act on a transmission are called, and the trace, the report and the
+nodes' ARP tables are those of calling every receiver in station order."""
 
 import json
 from types import SimpleNamespace
