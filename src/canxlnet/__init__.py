@@ -10,7 +10,6 @@ from .frames import (
     EthernetFrame,
     Ipv4Address,
     Ipv4Datagram,
-    IocDatagram,
     MacAddress,
 )
 from .switch import CSwitch, Efdb, LegacyRelayRule, PortConfig
@@ -19,6 +18,6 @@ from .timing import CanXlTimingParams, EthernetTimingParams
 __all__ = [
     "ArpMessage", "ArpOp", "CanXlFrame", "CanXlTimingParams", "ClassicCanFrame",
     "ConfigError", "CSwitch", "Efdb", "EthernetFrame", "EthernetTimingParams",
-    "Flow", "Ipv4Address", "Ipv4Datagram", "IocDatagram", "LegacyRelayRule",
+    "Flow", "Ipv4Address", "Ipv4Datagram", "LegacyRelayRule",
     "MacAddress", "PortConfig", "RunOptions", "Simulation", "Topology",
 ]

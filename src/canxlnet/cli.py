@@ -123,7 +123,7 @@ def _eth_lines(eth: frames.EthernetFrame) -> list[str]:
 
 
 def _ip_lines(dgram) -> list[str]:
-    """An `Ipv4Datagram`'s or `IocDatagram`'s addresses and protocol."""
+    """An `Ipv4Datagram`'s addresses and protocol, a compact frame's too."""
     return [f"src        {dgram.src_ip}", f"dst        {dgram.dst_ip}",
             f"protocol   {dgram.protocol}"]
 
@@ -137,7 +137,7 @@ def _cmd_codec(args) -> int:
         lines = [*_eth_lines(eth), *_canxl_lines(frame), frame.to_bytes().hex()]
     elif args.encode == "ioc":
         dgram = frames.Ipv4Datagram.from_bytes(raw)
-        frame = frames.ioc_encode(frames.IocDatagram.from_ipv4(dgram), priority=0x100)
+        frame = frames.ioc_encode(dgram, priority=0x100)
         lines = [*_ip_lines(dgram), *_canxl_lines(frame), frame.to_bytes().hex()]
     else:
         frame = frames.CanXlFrame.from_bytes(raw)
@@ -148,7 +148,7 @@ def _cmd_codec(args) -> int:
         elif frame.sdt == frames.SDT_IPV4:
             dgram = frames.ioc_decapsulate(frame)
             lines += [*_ip_lines(dgram), f"total_len  {dgram.total_length}",
-                      dgram.to_ipv4().to_bytes().hex()]
+                      dgram.to_bytes().hex()]
     print("\n".join(lines))
     return 0
 

@@ -427,9 +427,10 @@ def make_payload(index: int, seq: int, size: int) -> bytes:
 
 def frame_summary(frame, inner: EthernetFrame | None) -> str:
     """The trace description of `frame`, a CAN XL, Ethernet or classic CAN
-    frame or a switch's `IocDatagram`, as canonical JSON text, keys sorted;
-    `inner`, `frames.decode(frame).eth`, is written for CAN XL frames only.
-    Addresses and SDT names are plain ASCII, so they need no escaping."""
+    frame or the `Ipv4Datagram` of a compact frame a switch drops, as
+    canonical JSON text, keys sorted; `inner`, `frames.decode(frame).eth`,
+    is written for CAN XL frames only.  Addresses and SDT names are plain
+    ASCII, so they need no escaping."""
     if isinstance(frame, CanXlFrame):
         tunnel = "" if inner is None else (
             f'"inner":{{"da":"{inner.da}","ethertype":"0x{inner.ethertype:04x}",'

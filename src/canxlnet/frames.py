@@ -30,6 +30,11 @@ Two encapsulations are implemented:
   to the Ethernet tunnel).  The encoding is 26 bytes smaller than the
   tunneled Ethernet/IPv4 form of the same datagram.
 
+  A compact frame is a second wire form of one plain `Ipv4Datagram`, not
+  a type of its own: it decodes to the datagram `streamlined` makes of
+  what was sent (identification 0, DF set, no options), and a datagram
+  with options or fragment fields raises `NotPlainIpv4` on encoding.
+
 An address is its octets: `MacAddress` and `Ipv4Address` are `bytes`
 subclasses that check their length, so serializers, the acceptance field
 and address tables use an address as it is.  An address equals and
@@ -253,7 +258,7 @@ class Ipv4Datagram:
     """Full RFC 791 datagram (header fields plus payload).
 
     `options` holds the raw option bytes when IHL > 5; the streamlined
-    codecs reject such datagrams.
+    codecs reject such datagrams (`streamlined`).
     """
 
     src_ip: Ipv4Address
@@ -327,53 +332,18 @@ class Ipv4Datagram:
         )
 
 
-@dataclass(frozen=True)
-class IocDatagram:
-    """The streamlined IPv4 view: compact-header fields plus payload.
-
-    On the wire the destination address rides in the CAN XL AF, not in
-    the data field.
-    """
-
-    src_ip: Ipv4Address
-    dst_ip: Ipv4Address
-    payload: bytes
-    dscp_ecn: int = 0
-    ttl: int = 64
-    protocol: int = 253
-
-    @property
-    def total_length(self) -> int:
-        # Length of the equivalent standard datagram.
-        return IPV4_HEADER_LEN + len(self.payload)
-
-    def to_ipv4(self) -> Ipv4Datagram:
-        # IoC forbids fragments, so the rebuilt header pins DF and a zero
-        # identification; nothing downstream may fragment it meaningfully.
-        return Ipv4Datagram(
-            src_ip=self.src_ip,
-            dst_ip=self.dst_ip,
-            payload=self.payload,
-            dscp_ecn=self.dscp_ecn,
-            flags=IPV4_DF,
-            ttl=self.ttl,
-            protocol=self.protocol,
-        )
-
-    @classmethod
-    def from_ipv4(cls, dgram: Ipv4Datagram) -> "IocDatagram":
-        if dgram.options:
-            raise NotPlainIpv4("IP options cannot be carried")
-        if dgram.fragment_offset or dgram.flags & IPV4_MF:
-            raise NotPlainIpv4("fragmented datagrams must travel as EoC")
-        return cls(
-            src_ip=dgram.src_ip,
-            dst_ip=dgram.dst_ip,
-            payload=dgram.payload,
-            dscp_ecn=dgram.dscp_ecn,
-            ttl=dgram.ttl,
-            protocol=dgram.protocol,
-        )
+def streamlined(dgram: Ipv4Datagram) -> Ipv4Datagram:
+    """The datagram a compact frame of `dgram` decodes to: identification
+    0 and DF set, as IoC carries no fragments; options or fragment fields
+    raise `NotPlainIpv4`."""
+    if dgram.options:
+        raise NotPlainIpv4("IP options cannot be carried")
+    if dgram.fragment_offset or dgram.flags & IPV4_MF:
+        raise NotPlainIpv4("fragmented datagrams must travel as EoC")
+    if dgram.identification or dgram.flags != IPV4_DF:
+        return Ipv4Datagram(dgram.src_ip, dgram.dst_ip, dgram.payload, dgram.dscp_ecn,
+                            flags=IPV4_DF, ttl=dgram.ttl, protocol=dgram.protocol)
+    return dgram
 
 
 class ArpOp:
@@ -448,9 +418,11 @@ def eoc_decapsulate(frame: CanXlFrame) -> EthernetFrame:
     return EthernetFrame.from_bytes(frame.data)
 
 
-def ioc_encode(dgram: IocDatagram, priority: int) -> CanXlFrame:
+def ioc_encode(dgram: Ipv4Datagram, priority: int) -> CanXlFrame:
     """Pack the compact header + payload on VCID 0; destination address
-    goes to AF."""
+    goes to AF.  Identification and DF are left out; options or fragment
+    fields raise `NotPlainIpv4`, as `streamlined` does."""
+    streamlined(dgram)
     data = struct.pack(
         ">BBBB4s",
         4 << 4,
@@ -464,8 +436,9 @@ def ioc_encode(dgram: IocDatagram, priority: int) -> CanXlFrame:
     return CanXlFrame(priority, SDT_IPV4, 0, dgram.dst_ip.to_u32(), data)
 
 
-def ioc_decapsulate(frame: CanXlFrame) -> IocDatagram:
-    """Rebuild the streamlined view; dst comes from AF, length from the MAC."""
+def ioc_decapsulate(frame: CanXlFrame) -> Ipv4Datagram:
+    """The datagram a compact frame stands for, `streamlined`; dst comes
+    from AF, length from the MAC."""
     if frame.sdt != SDT_IPV4:
         raise WrongSdt(f"sdt 0x{frame.sdt:02x} does not carry streamlined IPv4")
     if frame.sec:
@@ -475,26 +448,21 @@ def ioc_decapsulate(frame: CanXlFrame) -> IocDatagram:
     ver_pad, dscp_ecn, ttl, protocol, src = struct.unpack(">BBBB4s", frame.data[:8])
     if ver_pad >> 4 != 4:
         raise Malformed(f"compact header version {ver_pad >> 4} is not 4")
-    return IocDatagram(
-        src_ip=Ipv4Address(src),
-        dst_ip=Ipv4Address.from_u32(frame.af),
-        payload=frame.data[8:],
-        dscp_ecn=dscp_ecn,
-        ttl=ttl,
-        protocol=protocol,
-    )
+    return Ipv4Datagram(Ipv4Address(src), Ipv4Address.from_u32(frame.af), frame.data[8:],
+                        dscp_ecn, flags=IPV4_DF, ttl=ttl, protocol=protocol)
 
 
-def ioc_to_ethernet(dgram: IocDatagram, da: MacAddress, sa: MacAddress) -> EthernetFrame:
-    """Rebuild a well-formed Ethernet/IPv4 frame from the streamlined view.
+def ioc_to_ethernet(dgram: Ipv4Datagram, da: MacAddress, sa: MacAddress) -> EthernetFrame:
+    """The Ethernet/IPv4 frame that carries `dgram`, a compact frame's
+    datagram, as it is.
 
     Both MAC addresses must be supplied by the caller (a C-switch takes
     them from its extended filtering database)."""
-    return EthernetFrame(da, sa, ETHERTYPE_IPV4, dgram.to_ipv4().to_bytes())
+    return EthernetFrame(da, sa, ETHERTYPE_IPV4, dgram.to_bytes())
 
 
-def ethernet_to_ioc(eth: EthernetFrame) -> IocDatagram:
-    """Strip the Ethernet header and compact the IPv4 header.
+def ethernet_to_ioc(eth: EthernetFrame) -> Ipv4Datagram:
+    """Strip the Ethernet header: the `streamlined` form of the datagram.
 
     The IP total length drops any Ethernet minimum-frame padding."""
     if eth.ethertype != ETHERTYPE_IPV4:
@@ -503,7 +471,7 @@ def ethernet_to_ioc(eth: EthernetFrame) -> IocDatagram:
         dgram = Ipv4Datagram.from_bytes(eth.payload)
     except Malformed as exc:
         raise NotPlainIpv4(str(exc)) from exc
-    return IocDatagram.from_ipv4(dgram)
+    return streamlined(dgram)
 
 
 def arp_serialize(msg: ArpMessage) -> EthernetFrame:
@@ -566,11 +534,12 @@ def bpdu_parse(eth: EthernetFrame) -> Bpdu:
 class Decoded(NamedTuple):
     """A frame read once through every layer: `eth` is the Ethernet frame
     itself or the one a tunnel carries; `net` its ARP message, BPDU or
-    checked IPv4 datagram, or a compact frame's `IocDatagram`, None if
-    malformed or absent; `payload` the application payload, if any."""
+    checked IPv4 datagram, or the datagram a compact frame stands for
+    (`eth` None), None if malformed or absent; `payload` the application
+    payload, if any."""
 
     eth: EthernetFrame | None
-    net: ArpMessage | Bpdu | Ipv4Datagram | IocDatagram | None
+    net: ArpMessage | Bpdu | Ipv4Datagram | None
     payload: bytes | None
 
 
@@ -579,8 +548,8 @@ _NOTHING = Decoded(None, None, None)
 
 def decode(frame) -> Decoded:
     """Decode `frame`, any CAN XL, classic CAN or Ethernet frame, for every
-    reader of its transmission.  A malformed tunnel raises; an `IocDatagram`,
-    a switch's view of a compact frame, decodes to itself."""
+    reader of its transmission.  A malformed tunnel raises; an `Ipv4Datagram`,
+    a switch's view of a compact frame, decodes as that frame does."""
     if isinstance(frame, CanXlFrame):
         if frame.sdt == SDT_IPV4:
             try:
@@ -591,7 +560,7 @@ def decode(frame) -> Decoded:
             frame = eoc_decapsulate(frame)
         else:
             return _NOTHING
-    if isinstance(frame, IocDatagram):
+    if isinstance(frame, Ipv4Datagram):
         return Decoded(None, frame, frame.payload)
     if isinstance(frame, ClassicCanFrame):
         return Decoded(None, None, frame.data)

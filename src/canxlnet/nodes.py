@@ -44,7 +44,6 @@ from .frames import (
     EthernetFrame,
     Ipv4Address,
     Ipv4Datagram,
-    IocDatagram,
     MacAddress,
 )
 from .timing import to_ns
@@ -173,7 +172,8 @@ class Node:
             for payload in self.pending_arp.pop(msg.spa, ()):
                 self._send_datagram(sim, msg.sha, msg.spa, payload)
 
-        if msg.op == ArpOp.REQUEST and msg.tpa == self.ip:
+        # An announcement (RFC 5227: spa == tpa) asks nothing: no reply.
+        if msg.op == ArpOp.REQUEST and msg.tpa == self.ip and msg.spa != msg.tpa:
             reply = ArpMessage(ArpOp.REPLY, self.mac, self.ip, msg.sha, msg.spa)
             self._emit_eth(sim, Decoded(frames.arp_serialize(reply), reply, None))
 
@@ -235,7 +235,8 @@ class IocNode(EocNode):
             self.next_refresh_ns = sim.now + self.eoc_refresh_interval_ns
             super()._send_datagram(sim, dst_mac, dst_ip, payload)
             return
-        dgram = IocDatagram(self.ip, dst_ip, payload, protocol=FLOW_PROTOCOL)
+        dgram = Ipv4Datagram(self.ip, dst_ip, payload, flags=frames.IPV4_DF,
+                             protocol=FLOW_PROTOCOL)
         self.medium.enqueue(sim, self, frames.ioc_encode(dgram, self.can_priority),
                             Decoded(None, dgram, payload))
 

@@ -4,12 +4,13 @@ A C-switch is a multiport learning bridge.  Its ports take `on_receive`
 as nodes do (the engine's `SwitchPortRef`) and queue what `on_ingress`
 returns for the frame and its `frames.decode` value.  The core works on
 the value's Ethernet frame, whether it came from an Ethernet port or
-tunneled over a CAN port, or else on a compact frame's datagram; CAN
-ports re-encapsulate on egress.  Streamlined IPv4 frames carry no MAC
-addresses, so the filtering database is extended with an IP index (the
-TARP cache) populated by snooping the decoded ARP messages and checked
-IPv4 headers; with it the switch can rebuild full Ethernet frames for
-streamlined datagrams that must leave on an Ethernet port.
+tunneled over a CAN port, or else on the `Ipv4Datagram` a compact frame
+decodes to; CAN ports re-encapsulate on egress.  Streamlined IPv4 frames
+carry no MAC addresses, so the filtering database is extended with an IP
+index (the TARP cache) populated by snooping the decoded ARP messages and
+checked IPv4 headers; with it the switch can rebuild full Ethernet frames,
+carrying that datagram as it is, for streamlined datagrams that must
+leave on an Ethernet port.
 
 A packet is decoded where it is built and never parsed on its way
 through the switches: every emission is a `(port, frame, rx)` triple
@@ -38,7 +39,6 @@ from .frames import (
     EthernetFrame,
     Ipv4Address,
     Ipv4Datagram,
-    IocDatagram,
     MacAddress,
     NotPlainIpv4,
     fits,
@@ -300,7 +300,7 @@ class CSwitch:
             # Only a checked IPv4 datagram is compacted; the rest tunnels.
             if cfg.egress_mode == EGRESS_IOC_PREFERRED and isinstance(rx.net, Ipv4Datagram):
                 try:
-                    dgram = IocDatagram.from_ipv4(rx.net)
+                    dgram = frames.streamlined(rx.net)
                     return (frames.ioc_encode(dgram, cfg.egress_priority_base),
                             frames.Decoded(None, dgram, dgram.payload))
                 except NotPlainIpv4:
@@ -318,17 +318,16 @@ class CSwitch:
         eth, eth_rx = rebuilt
         return frames.eoc_encapsulate(eth, cfg.egress_priority_base), eth_rx
 
-    def _reconstruct_ethernet(self, dgram: IocDatagram,
+    def _reconstruct_ethernet(self, dgram: Ipv4Datagram,
                               now: int) -> tuple[EthernetFrame, frames.Decoded] | None:
-        """The Ethernet/IPv4 frame for a streamlined datagram, with its
-        decoded value, or None if the EFDB lacks either MAC."""
+        """The Ethernet/IPv4 frame that carries a compact frame's datagram,
+        with its decoded value, or None if the EFDB lacks either MAC."""
         dst = self.efdb.lookup_ip(dgram.dst_ip, now)
         src = self.efdb.lookup_ip(dgram.src_ip, now)
         if dst is None or dst.mac is None or src is None or src.mac is None:
             return None
         eth = frames.ioc_to_ethernet(dgram, dst.mac, src.mac)
-        ipv4 = dgram.to_ipv4()  # equal to the datagram `eth` carries
-        return eth, frames.Decoded(eth, ipv4, ipv4.payload)
+        return eth, frames.Decoded(eth, dgram, dgram.payload)
 
     # -- legacy classic-CAN relay ------------------------------------------
 

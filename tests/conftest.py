@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from canxlnet import config
-from canxlnet.frames import Ipv4Address, MacAddress
+from canxlnet.frames import IPV4_DF, Ipv4Address, Ipv4Datagram, MacAddress
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = REPO_ROOT / "scenarios"
@@ -55,6 +55,11 @@ def mac(n: int) -> MacAddress:
 
 def ip(n: int) -> Ipv4Address:
     return Ipv4Address.parse(f"10.0.0.{n}")
+
+
+def compact_dgram(src: Ipv4Address, dst: Ipv4Address, payload: bytes, **fields) -> Ipv4Datagram:
+    """The datagram a compact frame decodes to: DF set, identification 0, no options."""
+    return Ipv4Datagram(src, dst, payload, flags=IPV4_DF, **fields)
 
 
 def events(trace: str, kind: str) -> list[dict]:

@@ -15,7 +15,6 @@ from canxlnet.frames import (
     EthernetFrame,
     Ipv4Address,
     Ipv4Datagram,
-    IocDatagram,
     MacAddress,
     ZERO_MAC,
     arp_parse,
@@ -37,7 +36,7 @@ from canxlnet.timing import (
     to_ns,
 )
 
-from conftest import SCENARIOS, all_scenarios
+from conftest import SCENARIOS, all_scenarios, compact_dgram
 
 
 def criterion(number, title):
@@ -107,7 +106,7 @@ def test_size_delta():
         )
         eoc = eoc_encapsulate(
             EthernetFrame(rand_mac(rng), rand_mac(rng), 0x0800, dgram.to_bytes()), 0)
-        ioc = ioc_encode(IocDatagram.from_ipv4(dgram), 0)
+        ioc = ioc_encode(dgram, 0)
         assert len(eoc.data) - len(ioc.data) == 26
 
 
@@ -119,10 +118,10 @@ def test_codec_round_trips():
                             rng.randbytes(rng.randint(0, 1500)))
         assert eoc_decapsulate(eoc_encapsulate(eth, rng.randrange(2048))) == eth
     for _ in range(1000):
-        dgram = IocDatagram(rand_ip(rng), rand_ip(rng),
-                            rng.randbytes(rng.randint(0, 2040)),
-                            dscp_ecn=rng.randrange(256), ttl=rng.randint(1, 255),
-                            protocol=rng.randrange(256))
+        dgram = compact_dgram(rand_ip(rng), rand_ip(rng),
+                              rng.randbytes(rng.randint(0, 2040)),
+                              dscp_ecn=rng.randrange(256), ttl=rng.randint(1, 255),
+                              protocol=rng.randrange(256))
         assert ioc_decapsulate(ioc_encode(dgram, rng.randrange(2048))) == dgram
     for _ in range(1000):
         kind = rng.randrange(3)
@@ -137,10 +136,10 @@ def test_codec_round_trips():
             msg = ArpMessage(ArpOp.GRATUITOUS_REPLY, sha, spa, tha, spa)
         assert arp_parse(arp_serialize(msg)) == msg
     for _ in range(1000):
-        dgram = IocDatagram(rand_ip(rng), rand_ip(rng),
-                            rng.randbytes(rng.randint(0, 1480)),
-                            dscp_ecn=rng.randrange(256), ttl=rng.randint(1, 255),
-                            protocol=rng.randrange(256))
+        dgram = compact_dgram(rand_ip(rng), rand_ip(rng),
+                              rng.randbytes(rng.randint(0, 1480)),
+                              dscp_ecn=rng.randrange(256), ttl=rng.randint(1, 255),
+                              protocol=rng.randrange(256))
         assert ethernet_to_ioc(ioc_to_ethernet(dgram, rand_mac(rng), rand_mac(rng))) == dgram
 
 

@@ -90,8 +90,9 @@ AF_CASES = ("sender_shares_image", "shared_image", "unknown_da", "group_af_unica
 
 # What the broadcast ARP frames of a mixed bus meet at the nodes that
 # take them: see `arp_cases`.
-ARP_CASES = ("request_for_this_node", "request_for_no_station", "gratuitous_reply",
-             "sender_ip_unknown", "held_statically", "learned_earlier", "rebound")
+ARP_CASES = ("request_for_this_node", "announcement_of_this_node", "request_for_no_station",
+             "gratuitous_reply", "sender_ip_unknown", "held_statically", "learned_earlier",
+             "rebound")
 
 
 @st.composite
@@ -171,8 +172,8 @@ def mixed_bus(draw):
     for _ in range(draw(st.integers(0, 3)) if tunnel_senders else 0):
         name, _, mac, _, prio, _ = draw(st.sampled_from(tunnel_senders))
         spa = draw(st.sampled_from(sorted(owners)))
-        if draw(st.booleans()):  # a node can answer no request for its own IP
-            tpa = draw(st.sampled_from(sorted(set(owners) - {spa})))
+        if draw(st.booleans()):  # an announcement (tpa == spa) included
+            tpa = draw(st.sampled_from(sorted(owners)))
             msg = ArpMessage(ArpOp.REQUEST, MacAddress.parse(mac), Ipv4Address.parse(spa),
                              ZERO_MAC, Ipv4Address.parse(tpa))
         else:
@@ -232,7 +233,7 @@ def test_mixed_bus_draws_every_af_counting_case(case):
 def arp_cases(bus, monkeypatch) -> set[str]:
     """What the broadcast ARP frames meet at the nodes that take them in a
     run of `bus` with every receiver called: a request for the node's IP
-    or for no station's, a gratuitous reply, a sender IP no station has,
+    or for no station's, an announcement of the node's IP, a gratuitous reply, a sender IP no station has,
     and a node that holds the sender IP statically, or learned it earlier
     in the run, and then bound to another MAC than the frame's."""
     seen = set()
@@ -242,6 +243,8 @@ def arp_cases(bus, monkeypatch) -> set[str]:
         if msg.op != ArpOp.REPLY:  # a node's reply is unicast
             if msg.op == ArpOp.GRATUITOUS_REPLY:
                 seen.add("gratuitous_reply")
+            elif msg.spa == msg.tpa == node.ip:
+                seen.add("announcement_of_this_node")
             elif msg.tpa == node.ip:
                 seen.add("request_for_this_node")
             elif str(msg.tpa) == UNKNOWN_IP:
@@ -399,6 +402,20 @@ def test_arp_broadcast_calls_the_nodes_that_hold_its_sender_ip(monkeypatch):
     report, tables = result[1:]
     assert [report["flows"][name]["delivered"] for name in ("f", "g2", "g4")] == [1, 0, 1]
     assert (tables["n2"][ip(1)], tables["n4"][ip(1)]) == (mac(3), mac(1))
+
+
+def test_arp_announcement_gets_no_reply(monkeypatch):
+    # n1 announces n2's IP (RFC 5227: a request whose spa is its tpa).  n2,
+    # whose IP it is, is called and answers nothing: an announcement asks
+    # nothing.
+    announcement = ArpMessage(ArpOp.REQUEST, mac(1), ip(2), ZERO_MAC, ip(2))
+    queued = [("n1", frames.eoc_encapsulate(frames.arp_serialize(announcement), 0x101), 0)]
+    result, reference = run_both(lambda: eoc_bus(3), monkeypatch, queued)
+    assert result == reference
+    calls = record_calls(monkeypatch, lambda frame: frame is queued[0][1])
+    trace, _, _ = run_queued(lambda: eoc_bus(3), queued)
+    assert calls == ["n2"]
+    assert [e["source"] for e in events(trace, "tx_start")] == ["n1"]
 
 
 def eoc_bus_with_a_port(flows=()) -> Topology:

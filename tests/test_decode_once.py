@@ -23,7 +23,6 @@ from canxlnet.frames import (
     ArpOp,
     EthernetFrame,
     Ipv4Datagram,
-    IocDatagram,
     MacAddress,
     ZERO_MAC,
 )
@@ -41,7 +40,7 @@ from canxlnet.switch import (
 )
 from canxlnet.timing import CanXlTimingParams, EthernetTimingParams, to_ns
 
-from conftest import all_scenarios, ip, mac
+from conftest import all_scenarios, compact_dgram, ip, mac
 
 BUS = CanXlTimingParams(500e3, 8e6)
 LINK = EthernetTimingParams(100e6)
@@ -171,7 +170,7 @@ def test_switch_emissions_carry_their_decode_in_a_ring(monkeypatch):
     # every way out of a switch was taken
     emitted = [(type(frame).__name__, getattr(frame, "sdt", None), rx.net.__class__.__name__)
                for frame, rx, owner in started if isinstance(owner, SwitchPortRef)]
-    assert ("CanXlFrame", frames.SDT_IPV4, "IocDatagram") in emitted
+    assert ("CanXlFrame", frames.SDT_IPV4, "Ipv4Datagram") in emitted
     assert ("CanXlFrame", frames.SDT_ETHERNET, "Ipv4Datagram") in emitted
     assert ("CanXlFrame", frames.SDT_ETHERNET, "ArpMessage") in emitted
     assert ("CanXlFrame", frames.SDT_ETHERNET, "Bpdu") in emitted
@@ -250,7 +249,7 @@ def test_every_node_send_site_queues_its_decode(monkeypatch):
         ("i1", "CanXlFrame", eoc, "ArpMessage", ArpOp.GRATUITOUS_REPLY),
         ("i1", "CanXlFrame", eoc, "ArpMessage", ArpOp.REQUEST),
         ("i2", "CanXlFrame", eoc, "ArpMessage", ArpOp.REPLY),
-        ("i1", "CanXlFrame", ipv4, "IocDatagram", None),
+        ("i1", "CanXlFrame", ipv4, "Ipv4Datagram", None),
         ("i1", "CanXlFrame", eoc, "Ipv4Datagram", None),  # the refresh
         ("e1", "CanXlFrame", eoc, "NoneType", None),
         ("c1", "ClassicCanFrame", None, "NoneType", None),
@@ -310,8 +309,8 @@ def arp_ethernet(draw) -> EthernetFrame:
 raw_ethernet = st.builds(EthernetFrame, macs, macs, st.sampled_from(
     [frames.ETHERTYPE_RAW_DATA, frames.ETHERTYPE_BPDU, 0x1234]),
     st.integers(0, frames.ETH_MTU).map(bytes))
-compact = st.builds(IocDatagram, ips, ips, st.integers(0, frames.ETH_MTU - 20).map(bytes),
-                    octets, octets, octets)
+compact = st.builds(compact_dgram, ips, ips, st.integers(0, frames.ETH_MTU - 20).map(bytes),
+                    dscp_ecn=octets, ttl=octets, protocol=octets)
 ingress = st.one_of(ipv4_ethernet(), arp_ethernet(), raw_ethernet, compact)
 
 
@@ -320,6 +319,8 @@ PLAIN = Ipv4Datagram(ip(1), ip(2), bytes(100), flags=frames.IPV4_DF)
 
 @example(normalized=ipv4_frame(PLAIN), kind=CAN_XL, mode=EGRESS_IOC_PREFERRED)
 @example(normalized=ipv4_frame(PLAIN, checksum_flip=1), kind=CAN_XL, mode=EGRESS_IOC_PREFERRED)
+@example(normalized=ipv4_frame(Ipv4Datagram(ip(1), ip(2), bytes(100), identification=7)),
+         kind=CAN_XL, mode=EGRESS_IOC_PREFERRED)  # compacted: identification 0, DF set
 @example(normalized=ipv4_frame(Ipv4Datagram(ip(1), ip(2), bytes(100), options=bytes(4))),
          kind=CAN_XL, mode=EGRESS_IOC_PREFERRED)
 @example(normalized=ipv4_frame(Ipv4Datagram(ip(1), ip(2), bytes(100), flags=frames.IPV4_MF)),
@@ -341,8 +342,8 @@ def test_encoded_value_is_the_decode_of_the_encoded_frame(normalized, kind, mode
                 pass
         assert encoded[0] == expected
     if encoded is None:  # a compact datagram with an address the EFDB lacks
-        assert isinstance(normalized, IocDatagram) and ip(3) in (normalized.src_ip,
-                                                               normalized.dst_ip)
+        assert isinstance(normalized, Ipv4Datagram) and ip(3) in (normalized.src_ip,
+                                                                normalized.dst_ip)
         assert sw.counters["reconstruction_failure"] == 1
         return
     frame, frame_rx = encoded

@@ -28,7 +28,7 @@ from canxlnet.timing import (
     to_ns,
 )
 
-from conftest import all_scenarios, events, ip, mac
+from conftest import all_scenarios, compact_dgram, events, ip, mac
 
 BUS = CanXlTimingParams(500e3, 16e6)
 LINK = EthernetTimingParams(10e6)
@@ -482,6 +482,41 @@ def test_unsaturated_utilization_has_a_closed_form(kind, data):
         {"s0->s1": expected, "s1->s0": expected} if kind == "link" else expected)
 
 
+@given(kind=st.sampled_from(["eoc", "ioc"]),
+       payload=st.integers(engine.FLOW_TAG.size, engine.MAX_IPV4_PAYLOAD),
+       rates=st.sampled_from([(125e3, 2e6), (500e3, 8e6), (500e3, 16e6), (1e6, 8e6),
+                              (1e6, 16e6), (1e6, 20e6)]),
+       frames_by_t_end=st.integers(1, 150), data=st.data())
+def test_saturation_goodput_has_a_closed_form(kind, payload, rates, frames_by_t_end, data):
+    """One bus of 8 tunnel or streamlined nodes with static ARP, each
+    sending `payload`-byte ipv4 datagrams to the next once every C, the
+    frame duration, from 0: every queue stays full, so the bus carries one
+    frame per C back to back and delivers floor(t_end / C) of them, give
+    or take the one cut off at t_end.  A tunnel frame holds the 14-byte
+    Ethernet header and the padded 20-byte IPv4 one, a compact frame its
+    8-byte header; their ratio of C is the streamlined encoding's gain."""
+    bus = CanXlTimingParams(*rates)
+    length = 14 + max(20 + payload, 46) if kind == "eoc" else 8 + payload
+    c = to_ns(canxl_duration(length, bus))
+    t_end = frames_by_t_end * c + data.draw(st.integers(0, c - 1), label="past")
+    topo = Topology(RunOptions(t_end=t_end * 1e-9, startup_gratuitous_arp=False))
+    topo.add_bus("m", bus)
+    cls = EocNode if kind == "eoc" else IocNode
+    for i in range(8):
+        arp = {ip(j + 1): mac(j + 1) for j in range(8) if j != i}
+        topo.add_node(cls(f"s{i}", mac(i + 1), ip(i + 1), can_priority=0x100 + i,
+                          static_arp=arp))
+        topo.attach_node(f"s{i}", "m")
+        topo.flows.append(Flow(f"f{i}", f"s{i}", "ipv4", payload,
+                               [k * c for k in range(frames_by_t_end + 2)],
+                               dst_ip=ip((i + 1) % 8 + 1)))
+    sim = Simulation(topo)
+    assert sim.t_end_ns == t_end
+    _, report = sim.run()
+    delivered = sum(flow["delivered"] for flow in report["flows"].values())
+    assert abs(delivered - t_end // c) <= 1
+
+
 @given(links=st.integers(1, 3), source=st.sampled_from(["eoc", "ioc"]),
        # (destination, the last switch's egress mode); a tunnel destination
        # takes no compact frame, so it never sits behind an ioc-preferred port
@@ -570,7 +605,7 @@ def reference_summary(frame, inner) -> dict:
                 "ethertype": f"0x{frame.ethertype:04x}", "len": len(frame.payload)}
     if isinstance(frame, frames.ClassicCanFrame):
         return {"kind": "classic", "id": f"0x{frame.id:03x}", "len": len(frame.data)}
-    if isinstance(frame, frames.IocDatagram):
+    if isinstance(frame, frames.Ipv4Datagram):
         return {"kind": "ioc", "src": str(frame.src_ip), "dst": str(frame.dst_ip),
                 "len": len(frame.payload)}
 
@@ -588,7 +623,7 @@ canxl_frames = st.builds(frames.CanXlFrame, st.integers(0, 2047), st.integers(0,
     st.tuples(canxl_frames, st.none() | ethernet_frames),
     st.tuples(ethernet_frames | st.builds(frames.ClassicCanFrame, st.integers(0, 2047),
                                           st.integers(0, 8).map(bytes))
-              | st.builds(frames.IocDatagram, ips, ips, st.integers(0, 1480).map(bytes)),
+              | st.builds(compact_dgram, ips, ips, st.integers(0, 1480).map(bytes)),
               st.none())))
 def test_frame_summary_text_is_the_encoded_dict(case):
     frame, inner = case

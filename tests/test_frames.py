@@ -11,7 +11,6 @@ from canxlnet.frames import (
     EthernetFrame,
     Ipv4Address,
     Ipv4Datagram,
-    IocDatagram,
     MacAddress,
     ZERO_MAC,
     af_filter_match,
@@ -29,6 +28,7 @@ from canxlnet.frames import (
     make_af_from_da,
 )
 from canxlnet.nodes import EocNode, IocNode
+from conftest import compact_dgram
 
 
 def reference_checksum(header: bytes) -> int:
@@ -197,13 +197,13 @@ class TestCompactAccept:
         return sim.payloads
 
     def test_own_address(self):
-        assert self.receive(IocNode, ioc_encode(IocDatagram(IP2, IP1, b"data"), 0)) == [b"data"]
+        assert self.receive(IocNode, ioc_encode(compact_dgram(IP2, IP1, b"data"), 0)) == [b"data"]
 
     def test_other_address(self):
-        assert self.receive(IocNode, ioc_encode(IocDatagram(IP1, IP2, b"data"), 0)) == []
+        assert self.receive(IocNode, ioc_encode(compact_dgram(IP1, IP2, b"data"), 0)) == []
 
     def test_tunnel_node_takes_none(self):
-        assert self.receive(EocNode, ioc_encode(IocDatagram(IP2, IP1, b"data"), 0)) == []
+        assert self.receive(EocNode, ioc_encode(compact_dgram(IP2, IP1, b"data"), 0)) == []
 
     def test_bad_header(self):
         frame = CanXlFrame(0, frames.SDT_IPV4, 0, IP1.to_u32(), b"\x60" + bytes(11))
@@ -216,34 +216,53 @@ def make_dgram(payload: bytes, src=IP1, dst=IP2, **kw) -> Ipv4Datagram:
 
 class TestIoc:
     def test_64_byte_datagram(self):
-        frame = ioc_encode(IocDatagram.from_ipv4(make_dgram(bytes(44))), 0x100)
+        frame = ioc_encode(make_dgram(bytes(44)), 0x100)
         assert len(frame.data) == 52
         assert frame.af == IP2.to_u32()
         assert frame.sdt == frames.SDT_IPV4
 
     def test_af_is_destination(self):
         dgram = make_dgram(bytes(44), dst=Ipv4Address.parse("10.0.0.2"))
-        frame = ioc_encode(IocDatagram.from_ipv4(dgram), 0)
+        frame = ioc_encode(dgram, 0)
         assert frame.af == 0x0A000002
 
     def test_fragment_rejected(self):
-        with pytest.raises(frames.NotPlainIpv4):
-            IocDatagram.from_ipv4(make_dgram(bytes(44), fragment_offset=7))
-        with pytest.raises(frames.NotPlainIpv4):
-            IocDatagram.from_ipv4(make_dgram(bytes(44), flags=frames.IPV4_MF))
+        with pytest.raises(frames.NotPlainIpv4, match="fragmented datagrams must travel as EoC"):
+            frames.streamlined(make_dgram(bytes(44), fragment_offset=7))
+        with pytest.raises(frames.NotPlainIpv4, match="fragmented datagrams must travel as EoC"):
+            frames.streamlined(make_dgram(bytes(44), flags=frames.IPV4_MF))
 
     def test_options_rejected(self):
-        with pytest.raises(frames.NotPlainIpv4):
-            IocDatagram.from_ipv4(make_dgram(bytes(44), options=bytes(4)))
+        with pytest.raises(frames.NotPlainIpv4, match="IP options cannot be carried"):
+            frames.streamlined(make_dgram(bytes(44), options=bytes(4)))
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"options": bytes(4)}, "IP options cannot be carried"),
+        ({"flags": frames.IPV4_MF}, "fragmented datagrams must travel as EoC"),
+        ({"fragment_offset": 3}, "fragmented datagrams must travel as EoC"),
+        ({"options": bytes(4), "flags": frames.IPV4_MF, "fragment_offset": 3},
+         "IP options cannot be carried"),
+    ], ids=["options", "more_fragments", "fragment_offset", "all"])
+    def test_encode_loses_no_field(self, fields, message):
+        # Options and fragment fields have no place in the compact header.
+        with pytest.raises(frames.NotPlainIpv4, match=message):
+            ioc_encode(make_dgram(bytes(44), **fields), 0x100)
+
+    def test_identification_and_df_are_omitted(self):
+        # The compact header has no place for them either, but losing
+        # them loses nothing: the frame decodes as if they were 0 and DF.
+        for fields in ({"identification": 77}, {"flags": 0}, {"flags": frames.IPV4_DF}):
+            frame = ioc_encode(make_dgram(bytes(44), **fields), 0)
+            assert ioc_decapsulate(frame) == compact_dgram(IP1, IP2, bytes(44))
 
     def test_too_large(self):
         with pytest.raises(frames.TooLarge):
-            ioc_encode(IocDatagram.from_ipv4(make_dgram(bytes(2041))), 0)
+            ioc_encode(make_dgram(bytes(2041)), 0)
 
     def test_round_trip_and_total_length(self):
-        dgram = make_dgram(bytes(44))
-        back = ioc_decapsulate(ioc_encode(IocDatagram.from_ipv4(dgram), 9))
-        assert back == IocDatagram.from_ipv4(dgram)
+        dgram = make_dgram(bytes(44), identification=9)
+        back = ioc_decapsulate(ioc_encode(dgram, 9))
+        assert back == frames.streamlined(dgram) == compact_dgram(IP1, IP2, bytes(44))
         assert back.total_length == 64
 
     def test_wrong_sdt(self):
@@ -252,14 +271,14 @@ class TestIoc:
             ioc_decapsulate(frame)
 
     def test_empty_payload_boundary(self):
-        frame = ioc_encode(IocDatagram(IP1, IP2, b""), 0)
+        frame = ioc_encode(compact_dgram(IP1, IP2, b""), 0)
         assert len(frame.data) == 8
         assert ioc_decapsulate(frame).payload == b""
 
     def test_eoc_minus_ioc_is_26(self):
         dgram = make_dgram(bytes(44))
         eoc = eoc_encapsulate(EthernetFrame(M1, M2, 0x0800, dgram.to_bytes()), 0)
-        ioc = ioc_encode(IocDatagram.from_ipv4(dgram), 0)
+        ioc = ioc_encode(dgram, 0)
         assert len(eoc.data) - len(ioc.data) == 26
 
     @given(ips, ips, st.binary(min_size=26, max_size=1480),
@@ -269,19 +288,19 @@ class TestIoc:
         # the tunneled form and the fixed 26-byte delta no longer applies.
         dgram = Ipv4Datagram(src, dst, payload, dscp_ecn=dscp, ttl=ttl, protocol=proto)
         eoc = eoc_encapsulate(EthernetFrame(M1, M2, 0x0800, dgram.to_bytes()), 0)
-        ioc = ioc_encode(IocDatagram.from_ipv4(dgram), 0)
+        ioc = ioc_encode(dgram, 0)
         assert len(eoc.data) - len(ioc.data) == 26
 
     @given(ips, ips, st.binary(max_size=2040), st.integers(0, 255),
            st.integers(1, 255), st.integers(0, 255))
     def test_round_trip_property(self, src, dst, payload, dscp, ttl, proto):
-        dgram = IocDatagram(src, dst, payload, dscp_ecn=dscp, ttl=ttl, protocol=proto)
+        dgram = compact_dgram(src, dst, payload, dscp_ecn=dscp, ttl=ttl, protocol=proto)
         assert ioc_decapsulate(ioc_encode(dgram, 11)) == dgram
 
 
 class TestIpv4Rebuild:
     def test_checksum_against_reference(self):
-        dgram = IocDatagram(IP1, IP2, bytes(44))
+        dgram = compact_dgram(IP1, IP2, bytes(44))
         eth = ioc_to_ethernet(dgram, M1, M2)
         header = eth.payload[:20]
         assert reference_checksum(header) == 0  # checksum over full header sums to zero
@@ -292,7 +311,7 @@ class TestIpv4Rebuild:
         assert stored == reference_checksum(zeroed)
 
     def test_rebuilt_header_fields(self):
-        eth = ioc_to_ethernet(IocDatagram(IP1, IP2, bytes(44)), M1, M2)
+        eth = ioc_to_ethernet(compact_dgram(IP1, IP2, bytes(44)), M1, M2)
         assert eth.ethertype == 0x0800
         assert len(eth.payload) == 64
         dgram = Ipv4Datagram.from_bytes(eth.payload)
@@ -302,14 +321,14 @@ class TestIpv4Rebuild:
         assert dgram.total_length == 64
 
     def test_small_payload_padding(self):
-        eth = ioc_to_ethernet(IocDatagram(IP1, IP2, bytes(10)), M1, M2)
+        eth = ioc_to_ethernet(compact_dgram(IP1, IP2, bytes(10)), M1, M2)
         assert len(eth.payload) == 46  # padded to the Ethernet minimum
         dgram = Ipv4Datagram.from_bytes(eth.payload)
         assert dgram.total_length == 30
         assert len(dgram.payload) == 10  # total length drops the padding
 
     def test_round_trip(self):
-        d = IocDatagram(IP1, IP2, bytes(range(44)), dscp_ecn=7, ttl=12, protocol=17)
+        d = compact_dgram(IP1, IP2, bytes(range(44)), dscp_ecn=7, ttl=12, protocol=17)
         assert ethernet_to_ioc(ioc_to_ethernet(d, M1, M2)) == d
 
     def test_arp_is_not_plain_ipv4(self):
@@ -326,8 +345,12 @@ class TestIpv4Rebuild:
     @given(ips, ips, st.binary(max_size=1400), st.integers(0, 255),
            st.integers(1, 255), st.integers(0, 255), unicast_macs, unicast_macs)
     def test_round_trip_property(self, src, dst, payload, dscp, ttl, proto, da, sa):
-        d = IocDatagram(src, dst, payload, dscp_ecn=dscp, ttl=ttl, protocol=proto)
+        d = compact_dgram(src, dst, payload, dscp_ecn=dscp, ttl=ttl, protocol=proto)
         assert ethernet_to_ioc(ioc_to_ethernet(d, da, sa)) == d
+        # A compact frame and the tunnel frame a switch rebuilds from it
+        # decode to this one datagram.
+        assert frames.decode(ioc_encode(d, 11)).net == d
+        assert frames.decode(eoc_encapsulate(ioc_to_ethernet(d, da, sa), 11)).net == d
 
 
 class TestArp:
@@ -378,7 +401,7 @@ class TestArp:
 
 
 _REQUEST = ArpMessage(ArpOp.REQUEST, M2, IP1, ZERO_MAC, IP2)
-_DGRAM = IocDatagram(IP1, IP2, b"tagged payload")
+_DGRAM = compact_dgram(IP1, IP2, b"tagged payload")
 _IPV4 = Ipv4Datagram(IP1, IP2, b"tagged payload")
 _RAW = EthernetFrame(M1, M2, frames.ETHERTYPE_RAW_DATA, bytes(46))
 _HELLO = Bpdu(1, 0, 2**64 - 1)

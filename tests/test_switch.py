@@ -17,7 +17,6 @@ from canxlnet.frames import (
     EthernetFrame,
     Ipv4Address,
     Ipv4Datagram,
-    IocDatagram,
     MacAddress,
     ZERO_MAC,
     arp_serialize,
@@ -43,7 +42,7 @@ from canxlnet.switch import (
 from canxlnet.nodes import EthernetHost
 from canxlnet.timing import EthernetTimingParams
 
-from conftest import SCENARIOS
+from conftest import SCENARIOS, compact_dgram
 
 M1 = MacAddress.parse("02:00:00:00:00:01")
 M2 = MacAddress.parse("02:00:00:00:00:02")
@@ -90,7 +89,7 @@ class TestLearning:
 
     def test_ioc_learning_is_ip_only(self):
         sw = make_switch()
-        sw.learn(4 % 3, decode(IocDatagram(IP3, IP1, bytes(44))), now=0)
+        sw.learn(4 % 3, decode(compact_dgram(IP3, IP1, bytes(44))), now=0)
         entry = sw.efdb.lookup_ip(IP3, 0)
         assert entry.mac is None and entry.port == 1
 
@@ -104,7 +103,7 @@ class TestLearning:
     def test_ioc_never_erases_known_mac(self):
         sw = make_switch()
         sw.learn(0, decode(arp_request(M1, IP1, IP2)), now=0)
-        sw.learn(0, decode(IocDatagram(IP1, IP2, bytes(44))), now=5)
+        sw.learn(0, decode(compact_dgram(IP1, IP2, bytes(44))), now=5)
         entry = sw.efdb.lookup_ip(IP1, 5)
         assert entry.mac == M1 and entry.last_seen == 5
 
@@ -227,7 +226,7 @@ class TestUnatReconstruction:
     def test_ioc_to_ethernet_uses_learned_macs(self):
         sw = make_switch()
         self.prime(sw)
-        frame = ioc_encode(IocDatagram(IP1, IP2, bytes(44)), 0x100)
+        frame = ioc_encode(compact_dgram(IP1, IP2, bytes(44)), 0x100)
         out = ingest(sw, 0, frame, now=2)
         assert len(out) == 1
         port, eth, _ = out[0]
@@ -239,7 +238,7 @@ class TestUnatReconstruction:
 
     def test_unknown_macs_drop_with_counter(self):
         sw = make_switch()
-        frame = ioc_encode(IocDatagram(IP1, IP2, bytes(44)), 0x100)
+        frame = ioc_encode(compact_dgram(IP1, IP2, bytes(44)), 0x100)
         out = ingest(sw, 0, frame, now=0)
         assert out == []
         assert sw.counters["reconstruction_failure"] >= 1
@@ -248,8 +247,8 @@ class TestUnatReconstruction:
         sw = make_switch()
         self.prime(sw)
         # a third, IoC-only station: IP index knows it, MAC is absent
-        ingest(sw, 0, ioc_encode(IocDatagram(IP3, IP2, bytes(44)), 0x101), now=2)
-        frame = ioc_encode(IocDatagram(IP1, IP3, bytes(44)), 0x100)
+        ingest(sw, 0, ioc_encode(compact_dgram(IP3, IP2, bytes(44)), 0x101), now=2)
+        frame = ioc_encode(compact_dgram(IP1, IP3, bytes(44)), 0x100)
         before = sw.counters["reconstruction_failure"]
         out = ingest(sw, 1, ipv4_eth(M3, M2, IP2, IP3), now=3)
         out = ingest(sw, 0, frame, now=4)
@@ -279,7 +278,7 @@ class TestUnatReconstruction:
             PortConfig(1, CAN_XL, egress_mode=EGRESS_IOC_PREFERRED, egress_priority_base=0x701),
         ]
         sw = CSwitch("sw", 1, ports)
-        out = ingest(sw, 0, ioc_encode(IocDatagram(IP1, IP2, bytes(44)), 0x100), now=0)
+        out = ingest(sw, 0, ioc_encode(compact_dgram(IP1, IP2, bytes(44)), 0x100), now=0)
         assert [port for port, _, _ in out] == [1]
         assert out[0][1].sdt == frames.SDT_IPV4
 
@@ -288,7 +287,7 @@ class TestUnatReconstruction:
         ports = [PortConfig(0, CAN_XL, egress_mode=EGRESS_IOC_PREFERRED),
                  PortConfig(1, CAN_XL, egress_mode=EGRESS_IOC_PREFERRED)]
         sw = CSwitch("sw", 1, ports)
-        frame = ioc_encode(IocDatagram(IP1, IP2, bytes(44)), 0x100)
+        frame = ioc_encode(compact_dgram(IP1, IP2, bytes(44)), 0x100)
         v6 = dataclasses.replace(frame, data=b"\x60" + frame.data[1:])
         assert ingest(sw, 0, v6, now=0) == []
 
