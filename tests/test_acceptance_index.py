@@ -233,9 +233,10 @@ def test_mixed_bus_draws_every_af_counting_case(case):
 def arp_cases(bus, monkeypatch) -> set[str]:
     """What the broadcast ARP frames meet at the nodes that take them in a
     run of `bus` with every receiver called: a request for the node's IP
-    or for no station's, an announcement of the node's IP, a gratuitous reply, a sender IP no station has,
-    and a node that holds the sender IP statically, or learned it earlier
-    in the run, and then bound to another MAC than the frame's."""
+    or for no station's, an announcement of the node's IP, a gratuitous
+    reply, a sender IP no station has, and a node that holds the sender IP
+    statically, or learned it earlier in the run, and then bound to
+    another MAC than the frame's."""
     seen = set()
     handle_arp = nodes.Node._handle_arp
 
