@@ -429,20 +429,21 @@ def frame_summary(frame, inner: EthernetFrame | None) -> str:
     """The trace description of `frame`, a CAN XL, Ethernet or classic CAN
     frame or the `Ipv4Datagram` of a compact frame a switch drops, as
     canonical JSON text, keys sorted; `inner`, `frames.decode(frame).eth`,
-    is written for CAN XL frames only.  Addresses and SDT names are plain
-    ASCII, so they need no escaping."""
+    is written for CAN XL frames only.  A frame's "len" is its `length`,
+    read without serializing it; a datagram's is its payload's.  Addresses
+    and SDT names are plain ASCII, so they need no escaping."""
     if isinstance(frame, CanXlFrame):
         tunnel = "" if inner is None else (
             f'"inner":{{"da":"{inner.da}","ethertype":"0x{inner.ethertype:04x}",'
             f'"sa":"{inner.sa}"}},')
         sdt = frames.SDT_NAMES.get(frame.sdt) or f"0x{frame.sdt:02x}"
-        return (f'{{"af":"0x{frame.af:08x}",{tunnel}"kind":"canxl","len":{len(frame.data)},'
+        return (f'{{"af":"0x{frame.af:08x}",{tunnel}"kind":"canxl","len":{frame.length},'
                 f'"priority":{frame.priority},"sdt":"{sdt}"}}')
     if isinstance(frame, EthernetFrame):
         return (f'{{"da":"{frame.da}","ethertype":"0x{frame.ethertype:04x}","kind":"eth",'
-                f'"len":{len(frame.payload)},"sa":"{frame.sa}"}}')
+                f'"len":{frame.length},"sa":"{frame.sa}"}}')
     if isinstance(frame, ClassicCanFrame):
-        return f'{{"id":"0x{frame.id:03x}","kind":"classic","len":{len(frame.data)}}}'
+        return f'{{"id":"0x{frame.id:03x}","kind":"classic","len":{frame.length}}}'
     return (f'{{"dst":"{frame.dst_ip}","kind":"ioc","len":{len(frame.payload)},'
             f'"src":"{frame.src_ip}"}}')
 

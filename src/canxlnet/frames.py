@@ -42,6 +42,19 @@ hashes as its plain octets, and a MAC never equals an IPv4 address.
 
 All types are immutable values and all operations are pure functions.
 `decode` reads every layer of a frame once, a BPDU's `Bpdu` included.
+
+Wire bytes are built on demand.  The frames that `eoc_encapsulate`,
+`ioc_encode` and `ioc_to_ethernet` return keep the value their bytes
+serialize (the `EthernetFrame` or the `Ipv4Datagram`) and `length`;
+`CanXlFrame.data` and `EthernetFrame.payload` are serialized from it on
+first read and then kept.  So a simulation, which reads only header
+fields and lengths, never serializes a tunnel, a compact frame or an
+IPv4 header.  Every frame has `length`, the length of its data field
+(`CanXlFrame`, `ClassicCanFrame`) or of its padded payload
+(`EthernetFrame`).  Such a frame equals, hashes as and prints as the same
+frame built from its bytes, and every input the eager build rejects
+raises at the same call with the same error, except a field of the wrong
+type (a `str` address), which raises when the bytes are read.
 """
 
 from __future__ import annotations
@@ -184,12 +197,13 @@ class EthernetFrame:
 
     def __post_init__(self):
         fits("ethertype", self.ethertype, 16)
-        if len(self.payload) < ETH_MIN_PAYLOAD:
-            object.__setattr__(
-                self, "payload",
-                self.payload + bytes(ETH_MIN_PAYLOAD - len(self.payload)))
-        if len(self.payload) > ETH_MTU:
-            raise ValueError(f"payload {len(self.payload)} exceeds MTU {ETH_MTU}")
+        length = len(self.payload)
+        if length < ETH_MIN_PAYLOAD:
+            object.__setattr__(self, "payload", self.payload + bytes(ETH_MIN_PAYLOAD - length))
+            length = ETH_MIN_PAYLOAD
+        if length > ETH_MTU:
+            raise ValueError(f"payload {length} exceeds MTU {ETH_MTU}")
+        self.__dict__["length"] = length
 
     def to_bytes(self) -> bytes:
         return self.da + self.sa + struct.pack(">H", self.ethertype) + self.payload
@@ -225,8 +239,10 @@ class CanXlFrame:
         fits("sdt", self.sdt, 8)
         fits("vcid", self.vcid, 8)
         fits("af", self.af, 32)
-        if not 1 <= len(self.data) <= CANXL_MAX_DATA:
-            raise ValueError(f"data length {len(self.data)} outside [1, {CANXL_MAX_DATA}]")
+        length = len(self.data)
+        if not 1 <= length <= CANXL_MAX_DATA:
+            raise ValueError(f"data length {length} outside [1, {CANXL_MAX_DATA}]")
+        self.__dict__["length"] = length
 
     def to_bytes(self) -> bytes:
         # Canonical byte serialization for traces and the codec CLI; the
@@ -249,8 +265,10 @@ class ClassicCanFrame:
 
     def __post_init__(self):
         fits("identifier", self.id, 11)
-        if len(self.data) > 8:
+        length = len(self.data)
+        if length > 8:
             raise ValueError("classic CAN carries at most 8 data bytes")
+        self.__dict__["length"] = length
 
 
 @dataclass(frozen=True)
@@ -346,6 +364,84 @@ def streamlined(dgram: Ipv4Datagram) -> Ipv4Datagram:
     return dgram
 
 
+class _OnDemand:
+    """A frame field serialized from the frame's `_source` on first read and
+    then kept.  It defines only `__get__`, so a field in the instance's
+    `__dict__`, as every frame built from bytes has, shadows it."""
+
+    def __init__(self, name: str, serialize):
+        self.name = name
+        self.serialize = serialize
+
+    def __get__(self, frame, owner=None):
+        if frame is None:  # read on the class
+            return self
+        value = frame.__dict__[self.name] = self.serialize(frame._source)
+        return value
+
+
+def _compact_data(dgram: Ipv4Datagram) -> bytes:
+    """The data field of `dgram`'s compact frame: compact header + payload."""
+    return struct.pack(">BBBB4s", 4 << 4, dgram.dscp_ecn, dgram.ttl, dgram.protocol,
+                       dgram.src_ip) + dgram.payload
+
+
+def _canxl_data(source: EthernetFrame | Ipv4Datagram) -> bytes:
+    return source.to_bytes() if isinstance(source, EthernetFrame) else _compact_data(source)
+
+
+def _ipv4_payload(dgram: Ipv4Datagram) -> bytes:
+    return dgram.to_bytes().ljust(ETH_MIN_PAYLOAD, b"\x00")
+
+
+CanXlFrame.data = _OnDemand("data", _canxl_data)
+EthernetFrame.payload = _OnDemand("payload", _ipv4_payload)
+_new = object.__new__
+
+
+def _canxl(priority: int, sdt: int, af: int, source, length: int) -> CanXlFrame:
+    """A VCID-0 CAN XL frame whose `length`-byte data field is `source`
+    serialized on demand; the caller has checked every field.  `sec`
+    keeps its class default, False."""
+    frame = _new(CanXlFrame)
+    fields = frame.__dict__
+    fields["priority"] = priority
+    fields["sdt"] = sdt
+    fields["vcid"] = 0
+    fields["af"] = af
+    fields["_source"] = source
+    fields["length"] = length
+    return frame
+
+
+def _plain_header(dgram: Ipv4Datagram) -> bool:
+    """Whether `dgram` has no options and int header fields that fit, so
+    that serializing it cannot fail and its bytes can wait."""
+    try:
+        return not (dgram.options or (dgram.dscp_ecn | dgram.ttl | dgram.protocol) >> 8
+                    or dgram.identification >> 16)
+    except TypeError:  # a field that is no int, which serializing refuses
+        return False
+
+
+def _ipv4_ethernet(dgram: Ipv4Datagram, da: MacAddress, sa: MacAddress) -> EthernetFrame:
+    """The Ethernet/IPv4 frame that carries `dgram`, its payload serialized
+    on demand.  A datagram that might not serialize (options, a field that
+    does not fit, more than the MTU) is serialized now, so that it raises
+    where it always did."""
+    length = IPV4_HEADER_LEN + len(dgram.payload)
+    if length > ETH_MTU or not _plain_header(dgram):
+        return EthernetFrame(da, sa, ETHERTYPE_IPV4, dgram.to_bytes())
+    frame = _new(EthernetFrame)
+    fields = frame.__dict__
+    fields["da"] = da
+    fields["sa"] = sa
+    fields["ethertype"] = ETHERTYPE_IPV4
+    fields["_source"] = dgram
+    fields["length"] = max(length, ETH_MIN_PAYLOAD)
+    return frame
+
+
 class ArpOp:
     REQUEST = "request"
     REPLY = "reply"
@@ -403,8 +499,10 @@ def af_filter_match(af: int, own_af: int) -> bool:
 
 def eoc_encapsulate(eth: EthernetFrame, priority: int) -> CanXlFrame:
     """Embed an Ethernet frame in a CAN XL frame on VCID 0 (preamble/FCS
-    excluded)."""
-    return CanXlFrame(priority, SDT_ETHERNET, 0, make_af_from_da(eth.da), eth.to_bytes())
+    excluded), serialized on demand."""
+    af = make_af_from_da(eth.da)
+    fits("priority", priority, 11)
+    return _canxl(priority, SDT_ETHERNET, af, eth, ETH_HEADER_LEN + eth.length)
 
 
 def eoc_decapsulate(frame: CanXlFrame) -> EthernetFrame:
@@ -420,20 +518,19 @@ def eoc_decapsulate(frame: CanXlFrame) -> EthernetFrame:
 
 def ioc_encode(dgram: Ipv4Datagram, priority: int) -> CanXlFrame:
     """Pack the compact header + payload on VCID 0; destination address
-    goes to AF.  Identification and DF are left out; options or fragment
-    fields raise `NotPlainIpv4`, as `streamlined` does."""
+    goes to AF; the data field is serialized on demand.  Identification and
+    DF are left out; options or fragment fields raise `NotPlainIpv4`, as
+    `streamlined` does."""
     streamlined(dgram)
-    data = struct.pack(
-        ">BBBB4s",
-        4 << 4,
-        dgram.dscp_ecn,
-        dgram.ttl,
-        dgram.protocol,
-        dgram.src_ip,
-    ) + dgram.payload
-    if len(data) > CANXL_MAX_DATA:
-        raise TooLarge(f"{len(data)} bytes exceed the {CANXL_MAX_DATA} B data field")
-    return CanXlFrame(priority, SDT_IPV4, 0, dgram.dst_ip.to_u32(), data)
+    if _plain_header(dgram):
+        length = IOC_HEADER_LEN + len(dgram.payload)
+    else:  # serialize now, which raises where it always did
+        length = len(_compact_data(dgram))
+    if length > CANXL_MAX_DATA:
+        raise TooLarge(f"{length} bytes exceed the {CANXL_MAX_DATA} B data field")
+    af = dgram.dst_ip.to_u32()
+    fits("priority", priority, 11)
+    return _canxl(priority, SDT_IPV4, af, dgram, length)
 
 
 def ioc_decapsulate(frame: CanXlFrame) -> Ipv4Datagram:
@@ -457,8 +554,9 @@ def ioc_to_ethernet(dgram: Ipv4Datagram, da: MacAddress, sa: MacAddress) -> Ethe
     datagram, as it is.
 
     Both MAC addresses must be supplied by the caller (a C-switch takes
-    them from its extended filtering database)."""
-    return EthernetFrame(da, sa, ETHERTYPE_IPV4, dgram.to_bytes())
+    them from its extended filtering database).  The payload is
+    serialized on demand."""
+    return _ipv4_ethernet(dgram, da, sa)
 
 
 def ethernet_to_ioc(eth: EthernetFrame) -> Ipv4Datagram:

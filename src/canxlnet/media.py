@@ -28,7 +28,9 @@ always.  Only a kick starts a transmission and one kick at most is
 pending, so a kick always runs on an idle medium.
 A frame's duration depends only on its medium, its kind and its length,
 so each medium keeps the nanoseconds of each length it has carried
-(`durations`): `timing` runs once per distinct length.
+(`durations`): `timing` runs once per distinct length.  A medium reads
+`frame.length`, never the frame's bytes, so a frame built on demand is
+never serialized to be timed.
 Utilization counts busy time up to `t_end`, not past it.
 """
 
@@ -66,13 +68,13 @@ class CanBus:
         self.durations: dict = {}  # (frame type, data length) -> ns
 
     def frame_duration_ns(self, frame) -> int:
-        key = (type(frame), len(frame.data))
+        key = (type(frame), frame.length)
         ns = self.durations.get(key)
         if ns is None:  # a length out of range raises in `timing` and is not kept
             if isinstance(frame, ClassicCanFrame):
                 ns = to_ns(timing.classic_can_duration(frame, self.params.arb_bitrate))
             else:
-                ns = to_ns(timing.canxl_duration(len(frame.data), self.params))
+                ns = to_ns(timing.canxl_duration(frame.length, self.params))
             self.durations[key] = ns
         return ns
 
@@ -150,7 +152,7 @@ class EthernetLink:
         self.durations: dict[int, int] = {}  # payload length -> ns
 
     def frame_duration_ns(self, frame: EthernetFrame) -> int:
-        length = len(frame.payload)
+        length = frame.length
         ns = self.durations.get(length)
         if ns is None:
             ns = self.durations[length] = to_ns(timing.ethernet_duration(length, self.params))

@@ -118,7 +118,8 @@ class Node:
     def _send_datagram(self, sim, dst_mac: MacAddress, dst_ip: Ipv4Address,
                        payload: bytes) -> None:
         dgram = Ipv4Datagram(self.ip, dst_ip, payload, protocol=FLOW_PROTOCOL)
-        eth = EthernetFrame(dst_mac, self.mac, ETHERTYPE_IPV4, dgram.to_bytes())
+        # the on-demand frame `frames.ioc_to_ethernet` gives a switch's rebuild
+        eth = frames._ipv4_ethernet(dgram, dst_mac, self.mac)
         self._emit_eth(sim, Decoded(eth, dgram, payload))
 
     def arp_retry(self, sim, dst_ip: Ipv4Address, attempt: int) -> None:
@@ -162,12 +163,15 @@ class Node:
 
     def _handle_arp(self, sim, msg: ArpMessage) -> None:
         # Refresh a known IP unless it is static, or learn one sent to this
-        # node; only a learned IP can have datagrams waiting.  Nothing happens
-        # unless `tpa` is this node's IP or `spa` is in its table, and
+        # node, but never the node's own IP (RFC 5227: another station
+        # announcing or claiming it is a conflict, not a binding); only a
+        # learned IP can have datagrams waiting.  Nothing happens unless
+        # `tpa` is this node's IP or `spa` is in its table, and
         # `engine.AcceptanceIndex.callees` calls a bus node for a broadcast
-        # ARP frame only then: keep the two tests in step.
+        # ARP frame only then, a superset of the nodes that act: keep the
+        # two tests in step.
         if (msg.spa in self.arp_table or msg.tpa == self.ip) and \
-                msg.spa not in self.static_ips:
+                msg.spa not in self.static_ips and msg.spa != self.ip:
             self.arp_table[msg.spa] = msg.sha
             for payload in self.pending_arp.pop(msg.spa, ()):
                 self._send_datagram(sim, msg.sha, msg.spa, payload)

@@ -419,6 +419,16 @@ def test_arp_announcement_gets_no_reply(monkeypatch):
     assert [e["source"] for e in events(trace, "tx_start")] == ["n1"]
 
 
+@pytest.mark.parametrize("op", [ArpOp.REQUEST, ArpOp.GRATUITOUS_REPLY])
+def test_a_node_does_not_learn_its_own_ip(op):
+    # n1 announces (a request) or claims (a gratuitous reply) n2's IP: to
+    # n2 that is an address conflict (RFC 5227), not a binding to learn.
+    msg = ArpMessage(op, mac(1), ip(2), ZERO_MAC, ip(2))
+    queued = [("n1", frames.eoc_encapsulate(frames.arp_serialize(msg), 0x101), 0)]
+    _, _, tables = run_queued(lambda: eoc_bus(3), queued)
+    assert ip(2) not in tables["n2"]
+
+
 def eoc_bus_with_a_port(flows=()) -> Topology:
     """`eoc_bus(3)` and a C-switch port, whose link leads to host h."""
     topo = eoc_bus(3, flows)

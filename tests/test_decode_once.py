@@ -1,12 +1,16 @@
-"""A packet is decoded where it is built, and never parsed during a run.
+"""A packet is decoded where it is built, and never parsed or serialized
+during a run.
 
 Every frame a node or a C-switch queues travels to its medium with its
 `frames.Decoded` value, and that value must be exactly what
 `frames.decode` reads from the frame.  These tests check that equality on
-every transmission of the bundled scenarios, of a switched ring and of a
-bus and a link that reach every node send site, and on
-`CSwitch._encode_for_port` for generated frames, and check that nothing
-is parsed while a simulation runs.
+every transmission of the bundled scenarios, of a switched ring, of the
+benchmark's workloads and of a bus and a link that reach every node send
+site, and on `CSwitch._encode_for_port` for generated frames.  As
+`frames.decode` serializes each frame to read it, they also check that
+the frames a run carries without serializing them are real frames.  They
+check that nothing is parsed while a simulation runs, and that no frame
+or IPv4 header is serialized.
 """
 
 import contextlib
@@ -16,7 +20,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from canxlnet import frames
-from canxlnet.config import load_config
+from canxlnet.config import build_topology, load_config
 from canxlnet.engine import Flow, RunOptions, Simulation, SwitchPortRef, Topology
 from canxlnet.frames import (
     ArpMessage,
@@ -40,7 +44,7 @@ from canxlnet.switch import (
 )
 from canxlnet.timing import CanXlTimingParams, EthernetTimingParams, to_ns
 
-from conftest import all_scenarios, compact_dgram, ip, mac
+from conftest import all_scenarios, compact_dgram, ip, mac, workloads
 
 BUS = CanXlTimingParams(500e3, 8e6)
 LINK = EthernetTimingParams(100e6)
@@ -127,14 +131,18 @@ def switch_emissions(started) -> list:
 # Every parser a frame can go through: none of them may run during a run.
 PARSERS = [frames.decode, frames.eoc_decapsulate, frames.ioc_decapsulate, frames.arp_parse,
            frames.bpdu_parse, EthernetFrame.from_bytes, Ipv4Datagram.from_bytes]
+# Every serializer of a frame or an IPv4 header: none of them may run during a
+# run either.  ARP messages and BPDUs are serialized where they are built.
+SERIALIZERS = [Ipv4Datagram.to_bytes, EthernetFrame.to_bytes, frames.CanXlFrame.to_bytes,
+               frames.ipv4_checksum]
 
 
 @contextlib.contextmanager
-def parses():
-    """Record the name of every parser call made in the block.  A profile
-    hook matches the parsers' code objects, so a call counts through any
-    name a module imported the parser under."""
-    codes = {getattr(fn, "__func__", fn).__code__: fn.__qualname__ for fn in PARSERS}
+def calls_to(functions):
+    """Record the name of every call of `functions` made in the block.  A
+    profile hook matches their code objects, so a call counts through any
+    name a module imported the function under."""
+    codes = {getattr(fn, "__func__", fn).__code__: fn.__qualname__ for fn in functions}
     calls = []
 
     def profile(frame, event, arg):
@@ -182,7 +190,7 @@ def test_only_frames_a_node_queued_are_decoded(monkeypatch):
     # frame is parsed once the run has started; nor is a BPDU, though the
     # ring's spanning tree is live
     started = carried(monkeypatch)
-    with parses() as calls:
+    with calls_to(PARSERS) as calls:
         _, report = Simulation(ring()).run()
     from_nodes = [frame for frame, _, owner in started if not isinstance(owner, SwitchPortRef)]
     assert 0 < len(from_nodes) < len(started)
@@ -193,7 +201,7 @@ def test_only_frames_a_node_queued_are_decoded(monkeypatch):
 
 def test_no_switch_parses_an_ipv4_header(monkeypatch):
     started = carried(monkeypatch)
-    with parses() as calls:
+    with calls_to(PARSERS) as calls:
         Simulation(ring()).run()
     # sw1 compacted Ethernet/IPv4 for its ioc-preferred ports ...
     assert any(isinstance(owner, SwitchPortRef) and owner.switch.name == "sw1"
@@ -201,6 +209,31 @@ def test_no_switch_parses_an_ipv4_header(monkeypatch):
                for frame, _, owner in started)
     # ... from the ingress value, and neither it nor anything else parsed
     # the header (Ipv4Datagram.from_bytes is among the patched parsers)
+    assert calls == []
+
+
+def workload(name: str) -> Topology:
+    """The benchmark's synthetic workload `name` at seed 1."""
+    return build_topology(workloads.GENERATORS[name](1))
+
+
+@pytest.mark.parametrize("name", sorted(workloads.GENERATORS))
+def test_every_transmission_of_a_workload_carries_its_decode(monkeypatch, name):
+    started = carried(monkeypatch)
+    _, report = Simulation(workload(name)).run()
+    switch_emissions(started)  # checks every transmission, a node's too
+    assert len(started) >= sum(flow["sent"] for flow in report["flows"].values()) > 0
+
+
+RUNS = {**{path.stem: lambda path=path: load_config(str(path)) for path in all_scenarios()},
+        "ring": ring, **{name: lambda name=name: workload(name) for name in workloads.GENERATORS}}
+
+
+@pytest.mark.parametrize("build", RUNS.values(), ids=RUNS.keys())
+def test_no_frame_or_ipv4_header_is_serialized_during_a_run(build):
+    topo = build()
+    with calls_to(SERIALIZERS) as calls:
+        Simulation(topo).run()
     assert calls == []
 
 

@@ -1,5 +1,9 @@
+import dataclasses
+import pickle
+import struct
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from canxlnet import frames
 from canxlnet.frames import (
@@ -563,3 +567,115 @@ def test_frame_error_names_its_cause(call, error, message):
     with pytest.raises(Exception) as exc:
         call()
     assert (type(exc.value), str(exc.value)) == (error, message)
+
+
+# -- wire bytes on demand ------------------------------------------------------------
+
+def eager_eoc(eth: EthernetFrame, priority: int) -> CanXlFrame:
+    """`eoc_encapsulate` serializing at once, as the reference."""
+    return CanXlFrame(priority, frames.SDT_ETHERNET, 0, make_af_from_da(eth.da), eth.to_bytes())
+
+
+def eager_ioc(dgram: Ipv4Datagram, priority: int) -> CanXlFrame:
+    """`ioc_encode` serializing at once, as the reference."""
+    frames.streamlined(dgram)
+    data = struct.pack(">BBBB4s", 4 << 4, dgram.dscp_ecn, dgram.ttl, dgram.protocol,
+                       dgram.src_ip) + dgram.payload
+    if len(data) > frames.CANXL_MAX_DATA:
+        raise frames.TooLarge(f"{len(data)} bytes exceed the {frames.CANXL_MAX_DATA} B data field")
+    return CanXlFrame(priority, frames.SDT_IPV4, 0, dgram.dst_ip.to_u32(), data)
+
+
+def eager_ipv4_ethernet(dgram: Ipv4Datagram, da: MacAddress, sa: MacAddress) -> EthernetFrame:
+    """`ioc_to_ethernet` serializing at once, as the reference."""
+    return EthernetFrame(da, sa, frames.ETHERTYPE_IPV4, dgram.to_bytes())
+
+
+def assert_on_demand(build, eager):
+    """`build()` makes a new on-demand frame each call.  Before its bytes
+    are read, it has its `length`, and it equals, hashes as and prints as
+    the frame built from its bytes, which is `eager`; it survives
+    `dataclasses.replace` and pickling."""
+    field = "data" if isinstance(eager, CanXlFrame) else "payload"
+    fresh = build()
+    assert field not in vars(fresh)  # on demand indeed
+    assert fresh.length == len(getattr(eager, field)) == len(getattr(fresh, field))
+    parsed = type(eager).from_bytes(build().to_bytes())
+    assert parsed == eager
+    assert build() == parsed and parsed == build()
+    assert hash(build()) == hash(parsed)
+    assert repr(build()) == repr(parsed)
+    assert dataclasses.replace(build()) == parsed
+    assert pickle.loads(pickle.dumps(build())) == parsed
+
+
+tunneled = st.one_of(
+    st.builds(arp_serialize, st.builds(ArpMessage, st.just(ArpOp.REQUEST), macs, ips,
+                                       st.just(ZERO_MAC), ips)),
+    st.builds(bpdu_serialize, st.builds(Bpdu, st.integers(0, 2**64 - 1),
+                                        st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1)),
+              macs),
+    st.builds(EthernetFrame, macs, macs, st.just(frames.ETHERTYPE_RAW_DATA),
+              st.binary(max_size=frames.ETH_MTU)))
+octets = st.integers(0, 255)
+
+
+# 20 + 26 = 46: IPv4 payloads of 25, 26 and 27 bytes straddle the pad boundary
+@example(d=compact_dgram(IP1, IP2, b""), priority=0, eth=_RAW)
+@example(d=compact_dgram(IP1, IP2, bytes(25)), priority=0, eth=_RAW)
+@example(d=compact_dgram(IP1, IP2, bytes(26)), priority=0, eth=_RAW)
+@example(d=compact_dgram(IP1, IP2, bytes(27)), priority=0, eth=_RAW)
+@example(d=compact_dgram(IP1, IP2, bytes(1480)), priority=2047, eth=_RAW)
+@given(d=st.builds(compact_dgram, ips, ips, st.binary(max_size=1480), dscp_ecn=octets,
+                   ttl=octets, protocol=octets),
+       priority=st.integers(0, 2047), eth=tunneled)
+def test_an_on_demand_frame_is_the_frame_of_its_bytes(d, priority, eth):
+    da, sa = eth.da, eth.sa
+    assert_on_demand(lambda: ioc_encode(d, priority), eager_ioc(d, priority))
+    assert_on_demand(lambda: ioc_to_ethernet(d, da, sa), eager_ipv4_ethernet(d, da, sa))
+    assert_on_demand(lambda: eoc_encapsulate(ioc_to_ethernet(d, da, sa), priority),
+                     eager_eoc(eager_ipv4_ethernet(d, da, sa), priority))
+    assert_on_demand(lambda: eoc_encapsulate(eth, priority), eager_eoc(eth, priority))  # ARP, BPDU
+
+
+def outcome(call, *args):
+    """What `call(*args)` returns, or the type and message of what it raises."""
+    try:
+        return call(*args)
+    except Exception as exc:  # every error counts, the eager codec's own included
+        return type(exc), str(exc)
+
+
+FIELD_VALUES = [0, 255, 256, -1, 1.5]  # an octet's range, just past it, and no int
+
+
+@example(payload=bytes(26), priority=2048, fields={})
+@example(payload=bytes(2041), priority=0, fields={})  # TooLarge, and above the MTU
+@example(payload=bytes(1481), priority=0, fields={})  # above the MTU only
+@example(payload=bytes(65516), priority=0, fields={})  # total length past 16 bits
+@example(payload=bytes(8), priority=0, fields={"options": bytes(4)})  # NotPlainIpv4
+@example(payload=bytes(8), priority=0, fields={"flags": frames.IPV4_MF})
+@example(payload=bytes(8), priority=0, fields={"ttl": 256})
+@example(payload=bytes(8), priority=0, fields={"dscp_ecn": -1})
+@example(payload=bytes(8), priority=0, fields={"protocol": 1.5})
+@example(payload=bytes(8), priority=0, fields={"identification": 1 << 16})
+@given(payload=st.sampled_from([0, 25, 26, 1480, 1481, 2040, 2041]).map(bytes),
+       priority=st.sampled_from([0, 2047, 2048, -1]),
+       fields=st.fixed_dictionaries({}, optional={
+           "dscp_ecn": st.sampled_from(FIELD_VALUES), "ttl": st.sampled_from(FIELD_VALUES),
+           "protocol": st.sampled_from(FIELD_VALUES),
+           "identification": st.sampled_from([0, 0xFFFF, 1 << 16, -1, 1.5]),
+           "flags": st.sampled_from([0, frames.IPV4_DF, frames.IPV4_MF]),
+           "options": st.sampled_from([b"", bytes(4), bytes(1004)])}))
+def test_an_on_demand_encapsulation_raises_where_the_eager_one_does(payload, priority, fields):
+    d = make_dgram(payload, **fields)
+    assert outcome(ioc_encode, d, priority) == outcome(eager_ioc, d, priority)
+    assert outcome(ioc_to_ethernet, d, M1, M2) == outcome(eager_ipv4_ethernet, d, M1, M2)
+    eth = outcome(ioc_to_ethernet, d, M1, M2)
+    if isinstance(eth, EthernetFrame):
+        assert outcome(eoc_encapsulate, eth, priority) == outcome(eager_eoc, eth, priority)
+
+
+def test_an_on_demand_field_read_on_its_class_is_its_descriptor():
+    for cls, field in ((CanXlFrame, "data"), (EthernetFrame, "payload")):
+        assert getattr(cls, field) is vars(cls)[field]
