@@ -229,7 +229,7 @@ RUNS = {**{path.stem: lambda path=path: load_config(str(path)) for path in all_s
         "ring": ring, **{name: lambda name=name: workload(name) for name in workloads.GENERATORS}}
 
 
-@pytest.mark.parametrize("build", RUNS.values(), ids=RUNS.keys())
+@pytest.mark.parametrize("build", RUNS.values(), ids=list(RUNS))
 def test_no_frame_or_ipv4_header_is_serialized_during_a_run(build):
     topo = build()
     with calls_to(SERIALIZERS) as calls:
