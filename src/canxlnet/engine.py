@@ -18,13 +18,12 @@ A node or a switch port (`SwitchPortRef`) is the station its medium's
 `Simulation.on_tx_start`, which describes the frame once, traces it and
 schedules its completion; the completion re-arms the medium with
 `request_kick`, the one arming call.
-A packet is decoded where it is built, never parsed on the way: every
-frame, a node's or a switch's, a BPDU too, travels to its medium's queue
-with its `frames.Decoded` value, which its sender built from what it
-held.  That one value goes to flow attribution, to the summary and to
-every receiver's `on_receive`, a node's or a switch port's
-(`SwitchPortRef` calls `CSwitch.on_ingress` and queues its
-`(port, frame, rx)` emissions with `emit`).
+A packet is never parsed on the way: each frame, a node's or a switch's,
+a BPDU too, is built by a `frames` function that attaches its decoded
+value, and is queued alone.  `on_tx_start` reads `frame.decoded` once per
+transmission and hands it to flow attribution, the summary and every
+receiver's `on_receive`, a node's or a switch port's (`SwitchPortRef`
+calls `CSwitch.on_ingress` and queues its `(port, frame)` emissions).
 `frame_summary` writes the summary as JSON text, and every per-packet
 record (`app_send`, `tx_start`, `tx_complete`, `deliver`, `app_deliver`
 and the drop of a frame no flow owns) is written as text around it and
@@ -516,10 +515,10 @@ class Simulation:
 
     # -- engine callbacks ------------------------------------------------------
 
-    def on_tx_start(self, station, frame, duration_ns: int,
-                    rx: frames.Decoded) -> None:
-        """Describe a started transmission once, trace it and schedule its
-        end.  `rx` is `frames.decode(frame)` as its sender built it."""
+    def on_tx_start(self, station, frame, duration_ns: int) -> None:
+        """Read a started frame's decoded value, describe the transmission
+        once, trace it and schedule its end."""
+        rx = frame.decoded
         summary = frame_summary(frame, rx.eth)
         location, source, _ = self.fanout[station]
         fl = self.flow_of(rx.payload)
@@ -535,10 +534,10 @@ class Simulation:
         self.schedule(self.now + duration_ns, self.on_tx_complete,
                       station, frame, rx, summary, shared)
 
-    def on_clash(self, bus, dropped: list[tuple[object, object, frames.Decoded]]) -> None:
-        self.trace("clash", bus.name, stations=[st.name for st, _, _ in dropped])
-        for _station, frame, rx in dropped:
-            self.drop(frame, "priority_clash", bus.name, rx)
+    def on_clash(self, bus, dropped: list[tuple[object, object]]) -> None:
+        self.trace("clash", bus.name, stations=[st.name for st, _ in dropped])
+        for _station, frame in dropped:
+            self.drop(frame, "priority_clash", bus.name, frame.decoded)
 
     def drop(self, frame, reason: str, location: str, rx: frames.Decoded) -> None:
         """Account a dropped frame, decoded as `rx`, to its flow, or trace it
@@ -648,11 +647,10 @@ class Simulation:
         self.schedule(self.now + HELLO_INTERVAL_NS, self._stp_hello, sw)
 
     def emit(self, sw: CSwitch, emissions) -> None:
-        """Queue a switch's (port, frame, decoded value) emissions on the
-        ports' media."""
-        for port, out_frame, rx in emissions:
+        """Queue a switch's (port, frame) emissions on the ports' media."""
+        for port, out_frame in emissions:
             station = self.topo.port_station[(sw.name, port)]
-            station.medium.enqueue(self, station, out_frame, rx)
+            station.medium.enqueue(self, station, out_frame)
 
     # -- report ---------------------------------------------------------------
 

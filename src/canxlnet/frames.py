@@ -41,15 +41,18 @@ and address tables use an address as it is.  An address equals and
 hashes as its plain octets, and a MAC never equals an IPv4 address.
 
 All types are immutable values and all operations are pure functions.
-`decode` reads every layer of a frame once, a BPDU's `Bpdu` included.
+`decode` parses every layer of a frame from its bytes, a BPDU's `Bpdu`
+included, and `frame.decoded` equals it: the functions that build a
+frame attach that value from what they were given, and a frame built
+from bytes or by a constructor gets it on first read.  An Ethernet frame
+keeps only what follows its header, so that no frame refers to itself.
 
-Wire bytes are built on demand.  The frames that `eoc_encapsulate`,
-`ioc_encode` and `ioc_to_ethernet` return keep the value their bytes
-serialize (the `EthernetFrame` or the `Ipv4Datagram`) and `length`;
-`CanXlFrame.data` and `EthernetFrame.payload` are serialized from it on
-first read and then kept.  So a simulation, which reads only header
-fields and lengths, never serializes a tunnel, a compact frame or an
-IPv4 header.  Every frame has `length`, the length of its data field
+Wire bytes are built on demand.  The frames those builders return keep
+`length`; `CanXlFrame.data` and `EthernetFrame.payload` are serialized
+from the attached value on first read and then kept.  So a simulation,
+which reads only header fields, lengths and decoded values, never parses
+a frame and never serializes a tunnel, a compact frame or an IPv4
+header.  Every frame has `length`, the length of its data field
 (`CanXlFrame`, `ClassicCanFrame`) or of its padded payload
 (`EthernetFrame`).  Such a frame equals, hashes as and prints as the same
 frame built from its bytes, and every input the eager build rejects
@@ -365,18 +368,18 @@ def streamlined(dgram: Ipv4Datagram) -> Ipv4Datagram:
 
 
 class _OnDemand:
-    """A frame field serialized from the frame's `_source` on first read and
-    then kept.  It defines only `__get__`, so a field in the instance's
-    `__dict__`, as every frame built from bytes has, shadows it."""
+    """A frame attribute computed from the frame on first read and then
+    kept.  It defines only `__get__`, so a value in the instance's
+    `__dict__`, where a builder or the constructor put it, shadows it."""
 
-    def __init__(self, name: str, serialize):
+    def __init__(self, name: str, compute):
         self.name = name
-        self.serialize = serialize
+        self.compute = compute
 
     def __get__(self, frame, owner=None):
         if frame is None:  # read on the class
             return self
-        value = frame.__dict__[self.name] = self.serialize(frame._source)
+        value = frame.__dict__[self.name] = self.compute(frame)
         return value
 
 
@@ -386,12 +389,13 @@ def _compact_data(dgram: Ipv4Datagram) -> bytes:
                        dgram.src_ip) + dgram.payload
 
 
-def _canxl_data(source: EthernetFrame | Ipv4Datagram) -> bytes:
-    return source.to_bytes() if isinstance(source, EthernetFrame) else _compact_data(source)
+def _canxl_data(frame: CanXlFrame) -> bytes:
+    eth, net, _ = frame.decoded
+    return _compact_data(net) if eth is None else eth.to_bytes()
 
 
-def _ipv4_payload(dgram: Ipv4Datagram) -> bytes:
-    return dgram.to_bytes().ljust(ETH_MIN_PAYLOAD, b"\x00")
+def _ipv4_payload(frame: EthernetFrame) -> bytes:
+    return frame._follows[0].to_bytes().ljust(ETH_MIN_PAYLOAD, b"\x00")
 
 
 CanXlFrame.data = _OnDemand("data", _canxl_data)
@@ -399,17 +403,17 @@ EthernetFrame.payload = _OnDemand("payload", _ipv4_payload)
 _new = object.__new__
 
 
-def _canxl(priority: int, sdt: int, af: int, source, length: int) -> CanXlFrame:
-    """A VCID-0 CAN XL frame whose `length`-byte data field is `source`
-    serialized on demand; the caller has checked every field.  `sec`
-    keeps its class default, False."""
+def _canxl(priority: int, sdt: int, af: int, decoded: Decoded, length: int) -> CanXlFrame:
+    """A VCID-0 CAN XL frame that decodes as `decoded`, whose `length`-byte
+    data field is serialized from that value on demand; the caller has
+    checked every field.  `sec` keeps its class default, False."""
     frame = _new(CanXlFrame)
     fields = frame.__dict__
     fields["priority"] = priority
     fields["sdt"] = sdt
     fields["vcid"] = 0
     fields["af"] = af
-    fields["_source"] = source
+    fields["decoded"] = decoded
     fields["length"] = length
     return frame
 
@@ -422,24 +426,6 @@ def _plain_header(dgram: Ipv4Datagram) -> bool:
                     or dgram.identification >> 16)
     except TypeError:  # a field that is no int, which serializing refuses
         return False
-
-
-def _ipv4_ethernet(dgram: Ipv4Datagram, da: MacAddress, sa: MacAddress) -> EthernetFrame:
-    """The Ethernet/IPv4 frame that carries `dgram`, its payload serialized
-    on demand.  A datagram that might not serialize (options, a field that
-    does not fit, more than the MTU) is serialized now, so that it raises
-    where it always did."""
-    length = IPV4_HEADER_LEN + len(dgram.payload)
-    if length > ETH_MTU or not _plain_header(dgram):
-        return EthernetFrame(da, sa, ETHERTYPE_IPV4, dgram.to_bytes())
-    frame = _new(EthernetFrame)
-    fields = frame.__dict__
-    fields["da"] = da
-    fields["sa"] = sa
-    fields["ethertype"] = ETHERTYPE_IPV4
-    fields["_source"] = dgram
-    fields["length"] = max(length, ETH_MIN_PAYLOAD)
-    return frame
 
 
 class ArpOp:
@@ -502,7 +488,7 @@ def eoc_encapsulate(eth: EthernetFrame, priority: int) -> CanXlFrame:
     excluded), serialized on demand."""
     af = make_af_from_da(eth.da)
     fits("priority", priority, 11)
-    return _canxl(priority, SDT_ETHERNET, af, eth, ETH_HEADER_LEN + eth.length)
+    return _canxl(priority, SDT_ETHERNET, af, eth.decoded, ETH_HEADER_LEN + eth.length)
 
 
 def eoc_decapsulate(frame: CanXlFrame) -> EthernetFrame:
@@ -520,8 +506,8 @@ def ioc_encode(dgram: Ipv4Datagram, priority: int) -> CanXlFrame:
     """Pack the compact header + payload on VCID 0; destination address
     goes to AF; the data field is serialized on demand.  Identification and
     DF are left out; options or fragment fields raise `NotPlainIpv4`, as
-    `streamlined` does."""
-    streamlined(dgram)
+    `streamlined` does.  The frame decodes to that `streamlined` datagram."""
+    net = streamlined(dgram)
     if _plain_header(dgram):
         length = IOC_HEADER_LEN + len(dgram.payload)
     else:  # serialize now, which raises where it always did
@@ -530,7 +516,7 @@ def ioc_encode(dgram: Ipv4Datagram, priority: int) -> CanXlFrame:
         raise TooLarge(f"{length} bytes exceed the {CANXL_MAX_DATA} B data field")
     af = dgram.dst_ip.to_u32()
     fits("priority", priority, 11)
-    return _canxl(priority, SDT_IPV4, af, dgram, length)
+    return _canxl(priority, SDT_IPV4, af, _tuple_new(Decoded, (None, net, net.payload)), length)
 
 
 def ioc_decapsulate(frame: CanXlFrame) -> Ipv4Datagram:
@@ -550,13 +536,25 @@ def ioc_decapsulate(frame: CanXlFrame) -> Ipv4Datagram:
 
 
 def ioc_to_ethernet(dgram: Ipv4Datagram, da: MacAddress, sa: MacAddress) -> EthernetFrame:
-    """The Ethernet/IPv4 frame that carries `dgram`, a compact frame's
-    datagram, as it is.
+    """The Ethernet/IPv4 frame that carries `dgram` as it is: a compact
+    frame's datagram at a C-switch, or a node's own datagram.
 
     Both MAC addresses must be supplied by the caller (a C-switch takes
     them from its extended filtering database).  The payload is
-    serialized on demand."""
-    return _ipv4_ethernet(dgram, da, sa)
+    serialized on demand.  A datagram that might not serialize (options,
+    a field that does not fit, more than the MTU) is serialized now, so
+    that it raises where it always did."""
+    length = IPV4_HEADER_LEN + len(dgram.payload)
+    if length > ETH_MTU or not _plain_header(dgram):
+        return EthernetFrame(da, sa, ETHERTYPE_IPV4, dgram.to_bytes())
+    frame = _new(EthernetFrame)
+    fields = frame.__dict__
+    fields["da"] = da
+    fields["sa"] = sa
+    fields["ethertype"] = ETHERTYPE_IPV4
+    fields["_follows"] = (dgram, dgram.payload)
+    fields["length"] = max(length, ETH_MIN_PAYLOAD)
+    return frame
 
 
 def ethernet_to_ioc(eth: EthernetFrame) -> Ipv4Datagram:
@@ -583,7 +581,9 @@ def arp_serialize(msg: ArpMessage) -> EthernetFrame:
         msg.sha, msg.spa, msg.tha, msg.tpa,
     )
     da = msg.tha if msg.op == ArpOp.REPLY else BROADCAST_MAC
-    return EthernetFrame(da, msg.sha, ETHERTYPE_ARP, body)
+    frame = EthernetFrame(da, msg.sha, ETHERTYPE_ARP, body)
+    frame.__dict__["_follows"] = (msg, None)
+    return frame
 
 
 def arp_parse(eth: EthernetFrame) -> ArpMessage:
@@ -618,7 +618,9 @@ class Bpdu(NamedTuple):
 def bpdu_serialize(bpdu: Bpdu, sender_mac: MacAddress) -> EthernetFrame:
     """`bpdu` to the STP group MAC, in this library's reduced layout."""
     body = BPDU_MAGIC + struct.pack(">QIQ", *bpdu)
-    return EthernetFrame(STP_GROUP_MAC, sender_mac, ETHERTYPE_BPDU, body)
+    frame = EthernetFrame(STP_GROUP_MAC, sender_mac, ETHERTYPE_BPDU, body)
+    frame.__dict__["_follows"] = (bpdu, None)
+    return frame
 
 
 def bpdu_parse(eth: EthernetFrame) -> Bpdu:
@@ -641,13 +643,35 @@ class Decoded(NamedTuple):
     payload: bytes | None
 
 
+_tuple_new = tuple.__new__  # a `Decoded` without the NamedTuple's Python-level `__new__`
 _NOTHING = Decoded(None, None, None)
 
 
+def _parse_follows(eth: EthernetFrame) -> tuple:
+    """The `net` and `payload` of `decode(eth)`; only an IPv4, ARP or BPDU
+    payload is parsed."""
+    try:
+        if eth.ethertype == ETHERTYPE_IPV4:
+            dgram = Ipv4Datagram.from_bytes(eth.payload)
+            return dgram, dgram.payload
+        if eth.ethertype == ETHERTYPE_ARP:
+            return arp_parse(eth), None
+        if eth.ethertype == ETHERTYPE_BPDU:
+            return bpdu_parse(eth), None
+    except Malformed:
+        return None, None
+    return None, eth.payload if eth.ethertype == ETHERTYPE_RAW_DATA else None
+
+
+def _ethernet_decoded(eth: EthernetFrame) -> Decoded:
+    net, payload = eth._follows
+    return _tuple_new(Decoded, (eth, net, payload))
+
+
 def decode(frame) -> Decoded:
-    """Decode `frame`, any CAN XL, classic CAN or Ethernet frame, for every
-    reader of its transmission.  A malformed tunnel raises; an `Ipv4Datagram`,
-    a switch's view of a compact frame, decodes as that frame does."""
+    """Decode `frame`, any CAN XL, classic CAN or Ethernet frame, from its
+    bytes.  A malformed tunnel raises; an `Ipv4Datagram`, a switch's view
+    of a compact frame, decodes as that frame does."""
     if isinstance(frame, CanXlFrame):
         if frame.sdt == SDT_IPV4:
             try:
@@ -662,14 +686,12 @@ def decode(frame) -> Decoded:
         return Decoded(None, frame, frame.payload)
     if isinstance(frame, ClassicCanFrame):
         return Decoded(None, None, frame.data)
-    try:
-        if frame.ethertype == ETHERTYPE_IPV4:
-            dgram = Ipv4Datagram.from_bytes(frame.payload)
-            return Decoded(frame, dgram, dgram.payload)
-        if frame.ethertype == ETHERTYPE_ARP:
-            return Decoded(frame, arp_parse(frame), None)
-        if frame.ethertype == ETHERTYPE_BPDU:
-            return Decoded(frame, bpdu_parse(frame), None)
-    except Malformed:
-        return Decoded(frame, None, None)
-    return Decoded(frame, None, frame.payload if frame.ethertype == ETHERTYPE_RAW_DATA else None)
+    return Decoded(frame, *_parse_follows(frame))
+
+
+# `frame.decoded`, where no builder attached it; an Ethernet frame builds
+# its `Decoded` on each read from what follows its header.
+EthernetFrame._follows = _OnDemand("_follows", _parse_follows)
+EthernetFrame.decoded = property(_ethernet_decoded)
+CanXlFrame.decoded = _OnDemand("decoded", decode)
+ClassicCanFrame.decoded = _OnDemand("decoded", lambda frame: Decoded(None, None, frame.data))

@@ -18,10 +18,8 @@ direction, that is per sending station.  Multidrop Ethernet is not modeled.
 A station is a node or a switch port: `attach` gives it its `medium` and
 its `queue`, and a bus also its `bus_position`.  A medium only decides
 when a frame starts and hands it to `Simulation.on_tx_start`, which
-traces it and schedules its completion.
-A queued frame keeps the `frames.Decoded` value its sender built with
-it, and the medium hands that over with it, to `on_tx_start` or, for the
-frames a bus clash discards, to `Simulation.on_clash`.
+traces it and schedules its completion, or, for the frames a bus clash
+discards, to `Simulation.on_clash`.  A queue holds frames only.
 `request_kick(sim, station)` is the one arming call: an enqueue makes it
 while the bus (or the station's link direction) is idle, a completion
 always.  Only a kick starts a transmission and one kick at most is
@@ -41,7 +39,7 @@ import itertools
 from collections import deque
 
 from . import timing
-from .frames import CanXlFrame, ClassicCanFrame, Decoded, EthernetFrame
+from .frames import CanXlFrame, ClassicCanFrame, EthernetFrame
 from .timing import CanXlTimingParams, EthernetTimingParams, to_ns
 
 
@@ -80,12 +78,12 @@ class CanBus:
 
     def attach(self, station) -> None:
         station.medium = self
-        station.queue = []  # a heap of (priority, enqueue order, frame, rx)
+        station.queue = []  # a heap of (priority, enqueue order, frame)
         station.bus_position = len(self.stations)
         self.stations.append(station)
 
-    def enqueue(self, sim, station, frame, rx: Decoded) -> None:
-        heapq.heappush(station.queue, (frame_priority(frame), next(self.enqueued), frame, rx))
+    def enqueue(self, sim, station, frame) -> None:
+        heapq.heappush(station.queue, (frame_priority(frame), next(self.enqueued), frame))
         self.waiting[station.bus_position] = station
         if self.busy_until <= sim.now:  # a busy bus re-arms when it completes
             self.request_kick(sim, station)
@@ -96,12 +94,12 @@ class CanBus:
             sim.schedule(sim.now, self.kick, sim)
 
     def _pop(self, at: int):
-        """(station, frame, rx) of the head of the queue at bus position `at`."""
+        """(station, frame) of the head of the queue at bus position `at`."""
         station = self.waiting[at]
-        _, _, frame, rx = heapq.heappop(station.queue)
+        frame = heapq.heappop(station.queue)[2]
         if not station.queue:
             del self.waiting[at]
-        return station, frame, rx
+        return station, frame
 
     def kick(self, sim) -> None:
         """Start the queue head with the lowest priority value (dominant-bit
@@ -125,11 +123,11 @@ class CanBus:
             self.clashes += 1
             tied.sort()
             sim.on_clash(self, [self._pop(at) for at in tied])
-        station, frame, rx = self._pop(tied[0])
+        station, frame = self._pop(tied[0])
         duration = self.frame_duration_ns(frame)
         self.busy_until = sim.now + duration
         self.busy_ns += duration
-        sim.on_tx_start(station, frame, duration, rx)
+        sim.on_tx_start(station, frame, duration)
 
     def report(self, t_end_ns: int) -> dict:
         # Only the last transmission can run past t_end; clip it there.
@@ -160,12 +158,12 @@ class EthernetLink:
 
     def attach(self, station) -> None:
         station.medium = self
-        station.queue = deque()  # of (frame, rx)
+        station.queue = deque()  # of frames
         self.stations.append(station)
         self.busy_until[station], self.kick_pending[station], self.busy_ns[station] = 0, False, 0
 
-    def enqueue(self, sim, station, frame, rx: Decoded) -> None:
-        station.queue.append((frame, rx))
+    def enqueue(self, sim, station, frame) -> None:
+        station.queue.append(frame)
         if self.busy_until[station] <= sim.now:  # a busy direction re-arms when it completes
             self.request_kick(sim, station)
 
@@ -178,11 +176,11 @@ class EthernetLink:
         self.kick_pending[station] = False
         if not station.queue:
             return
-        frame, rx = station.queue.popleft()
+        frame = station.queue.popleft()
         duration = self.frame_duration_ns(frame)
         self.busy_until[station] = sim.now + duration
         self.busy_ns[station] += duration
-        sim.on_tx_start(station, frame, duration, rx)
+        sim.on_tx_start(station, frame, duration)
 
     def report(self, t_end_ns: int) -> dict:
         util = {}

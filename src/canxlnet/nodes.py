@@ -19,10 +19,10 @@ ARP itself always travels as (tunneled) Ethernet.  A node's `arp_table`
 maps an IP to its MAC; ARP never changes the `static_ips` configured.
 
 Classic CAN nodes exist only to drive the static relay path: no MAC, no
-IP, identifier-based reception.  No node parses a header: a node queues
-each frame it builds with its `frames.Decoded` value, made from what the
-node already holds (the ARP message, the datagram, the payload), and
-every `on_receive` gets the frame with that value of its transmission.
+IP, identifier-based reception.  No node parses a header: a node builds
+each frame with a `frames` function that attaches its decoded value from
+what the node holds (the ARP message, the datagram, the payload), and
+every `on_receive` gets the frame with that value.
 A datagram waits for ARP as its payload alone; its tag names it on a
 give-up.  The time is read as `sim.now`; no event carries it.
 """
@@ -40,7 +40,6 @@ from .frames import (
     ArpOp,
     CanXlFrame,
     ClassicCanFrame,
-    Decoded,
     EthernetFrame,
     Ipv4Address,
     Ipv4Datagram,
@@ -76,9 +75,8 @@ class Node:
 
     # -- transmit ----------------------------------------------------------
 
-    def _emit_eth(self, sim, rx: Decoded) -> None:
-        """Queue the Ethernet frame `rx.eth`, decoded as `rx`."""
-        self.medium.enqueue(sim, self, rx.eth, rx)
+    def _emit_eth(self, sim, eth: EthernetFrame) -> None:
+        self.medium.enqueue(sim, self, eth)
 
     def startup(self, sim) -> None:
         """Announce the node's own binding so switches can snoop it.
@@ -91,12 +89,11 @@ class Node:
         if self.ip is None or not (self.static_ips or self.kind == "ioc"):
             return
         msg = ArpMessage(ArpOp.GRATUITOUS_REPLY, self.mac, self.ip, ZERO_MAC, self.ip)
-        self._emit_eth(sim, Decoded(frames.arp_serialize(msg), msg, None))
+        self._emit_eth(sim, frames.arp_serialize(msg))
 
     def app_send(self, sim, flow, payload: bytes) -> None:
         if flow.transport == "raw-ethernet":
-            eth = EthernetFrame(flow.dst_mac, self.mac, ETHERTYPE_RAW_DATA, payload)
-            self._emit_eth(sim, Decoded(eth, None, eth.payload))  # padded, as sent
+            self._emit_eth(sim, EthernetFrame(flow.dst_mac, self.mac, ETHERTYPE_RAW_DATA, payload))
         else:  # ipv4: Topology validation admits no other transport here
             self.send_ip(sim, flow.dst_ip, payload)
 
@@ -112,15 +109,13 @@ class Node:
 
     def _send_arp_request(self, sim, dst_ip: Ipv4Address, attempt: int) -> None:
         msg = ArpMessage(ArpOp.REQUEST, self.mac, self.ip, ZERO_MAC, dst_ip)
-        self._emit_eth(sim, Decoded(frames.arp_serialize(msg), msg, None))
+        self._emit_eth(sim, frames.arp_serialize(msg))
         sim.schedule(sim.now + ARP_RETRY_NS, self.arp_retry, sim, dst_ip, attempt)
 
     def _send_datagram(self, sim, dst_mac: MacAddress, dst_ip: Ipv4Address,
                        payload: bytes) -> None:
         dgram = Ipv4Datagram(self.ip, dst_ip, payload, protocol=FLOW_PROTOCOL)
-        # the on-demand frame `frames.ioc_to_ethernet` gives a switch's rebuild
-        eth = frames._ipv4_ethernet(dgram, dst_mac, self.mac)
-        self._emit_eth(sim, Decoded(eth, dgram, payload))
+        self._emit_eth(sim, frames.ioc_to_ethernet(dgram, dst_mac, self.mac))
 
     def arp_retry(self, sim, dst_ip: Ipv4Address, attempt: int) -> None:
         sim.trace("timer", self.name, reason="arp-retry")
@@ -136,8 +131,8 @@ class Node:
     # -- receive -----------------------------------------------------------
 
     def on_receive(self, sim, frame, rx: frames.Decoded) -> None:
-        """Receive `frame`; `rx` is `frames.decode(frame)`, as the frame's
-        sender built it."""
+        """Receive `frame`; `rx` is its `decoded` value, which equals
+        `frames.decode(frame)`."""
         if isinstance(frame, EthernetFrame) and \
                 (frame.da == self.mac or frame.da.is_group()):
             self._dispatch_eth(sim, rx)
@@ -179,7 +174,7 @@ class Node:
         # An announcement (RFC 5227: spa == tpa) asks nothing: no reply.
         if msg.op == ArpOp.REQUEST and msg.tpa == self.ip and msg.spa != msg.tpa:
             reply = ArpMessage(ArpOp.REPLY, self.mac, self.ip, msg.sha, msg.spa)
-            self._emit_eth(sim, Decoded(frames.arp_serialize(reply), reply, None))
+            self._emit_eth(sim, frames.arp_serialize(reply))
 
 
 class EthernetHost(Node):
@@ -198,8 +193,8 @@ class EocNode(Node):
         # tunnel node takes none
         self.ip_af = None
 
-    def _emit_eth(self, sim, rx: Decoded) -> None:
-        self.medium.enqueue(sim, self, frames.eoc_encapsulate(rx.eth, self.can_priority), rx)
+    def _emit_eth(self, sim, eth: EthernetFrame) -> None:
+        self.medium.enqueue(sim, self, frames.eoc_encapsulate(eth, self.can_priority))
 
     def on_receive(self, sim, frame, rx: frames.Decoded) -> None:
         if not isinstance(frame, CanXlFrame):
@@ -241,8 +236,7 @@ class IocNode(EocNode):
             return
         dgram = Ipv4Datagram(self.ip, dst_ip, payload, flags=frames.IPV4_DF,
                              protocol=FLOW_PROTOCOL)
-        self.medium.enqueue(sim, self, frames.ioc_encode(dgram, self.can_priority),
-                            Decoded(None, dgram, payload))
+        self.medium.enqueue(sim, self, frames.ioc_encode(dgram, self.can_priority))
 
 
 class ClassicCanNode:
@@ -263,8 +257,7 @@ class ClassicCanNode:
         pass
 
     def app_send(self, sim, flow, payload: bytes) -> None:
-        self.medium.enqueue(sim, self, ClassicCanFrame(flow.can_id, payload),
-                            Decoded(None, None, payload))
+        self.medium.enqueue(sim, self, ClassicCanFrame(flow.can_id, payload))
 
     def on_receive(self, sim, frame, rx: frames.Decoded) -> None:
         if isinstance(frame, ClassicCanFrame) and frame.id in self.rx_ids:

@@ -2,7 +2,7 @@
 
 A C-switch is a multiport learning bridge.  Its ports take `on_receive`
 as nodes do (the engine's `SwitchPortRef`) and queue what `on_ingress`
-returns for the frame and its `frames.decode` value.  The core works on
+returns for the frame and its decoded value.  The core works on
 the value's Ethernet frame, whether it came from an Ethernet port or
 tunneled over a CAN port, or else on the `Ipv4Datagram` a compact frame
 decodes to; CAN ports re-encapsulate on egress.  Streamlined IPv4 frames
@@ -12,12 +12,12 @@ checked IPv4 headers; with it the switch can rebuild full Ethernet frames,
 carrying that datagram as it is, for streamlined datagrams that must
 leave on an Ethernet port.
 
-A packet is decoded where it is built and never parsed on its way
-through the switches: every emission is a `(port, frame, rx)` triple
-whose `rx` equals `frames.decode(frame)`, built from what the switch
-already holds (the ingress value, the `Bpdu` it serialized, the checked
-datagram it compacts or the one it rebuilds).  The helpers take that
-value alone, whose `eth` is None for a compact frame's datagram `net`.
+A packet is never parsed on its way through the switches: every
+emission is a `(port, frame)` pair, the frame built by a `frames`
+function from what the switch already holds (the ingress value's
+Ethernet frame, the `Bpdu` it serialized, the checked datagram it
+compacts or rebuilds).  The helpers take the ingress value alone, whose
+`eth` is None for a compact frame's datagram `net`.
 
 Loop prevention uses a reduced spanning tree: 64-bit bridge ids, hello
 BPDUs every 2 s, lowest root id wins, per-port roles root/designated/
@@ -211,9 +211,9 @@ class CSwitch:
     # -- ingress ----------------------------------------------------------
 
     def on_ingress(self, port: int, frame, now: int,
-                   rx: frames.Decoded) -> list[tuple[int, object, frames.Decoded]]:
-        """Process one received frame; returns (egress port, frame, its
-        decoded value) triples.  `rx` is `frames.decode(frame)`."""
+                   rx: frames.Decoded) -> list[tuple[int, object]]:
+        """Process one received frame; returns (egress port, frame) pairs.
+        `rx` is the frame's `decoded` value, `frames.decode(frame)`."""
         if isinstance(frame, ClassicCanFrame):
             return self.relay_legacy(port, frame, rx)
 
@@ -276,70 +276,60 @@ class CSwitch:
         return self._forwarding_ports(ingress)
 
     def _encode_all(self, ports: list[int], rx: frames.Decoded,
-                    now: int) -> list[tuple[int, object, frames.Decoded]]:
+                    now: int) -> list[tuple[int, object]]:
         """Encode the frame decoded as `rx` for each egress port."""
         out = []
         for port in ports:
-            encoded = self._encode_for_port(rx, self.ports[port], now)
-            if encoded is not None:
-                out.append((port, *encoded))
+            frame = self._encode_for_port(rx, self.ports[port], now)
+            if frame is not None:
+                out.append((port, frame))
         return out
 
-    def _encode_for_port(self, rx: frames.Decoded, cfg: PortConfig,
-                         now: int) -> tuple[object, frames.Decoded] | None:
+    def _encode_for_port(self, rx: frames.Decoded, cfg: PortConfig, now: int):
         """Re-encode the frame decoded as `rx` for one egress port; returns
-        the wire frame and its `frames.decode` value, or None if dropped.
+        the wire frame, or None if it is dropped.
 
+        A CAN port that prefers IoC compacts plain IPv4; the rest tunnels.
         Streamlined datagrams leaving on Ethernet (or on a CAN port in
         tunnel mode) need both MAC addresses from the EFDB; without them
         the frame is dropped and counted, never fabricated.
         """
-        if rx.eth is not None:
-            if cfg.kind == ETH:
-                return rx.eth, rx
-            # Only a checked IPv4 datagram is compacted; the rest tunnels.
-            if cfg.egress_mode == EGRESS_IOC_PREFERRED and isinstance(rx.net, Ipv4Datagram):
-                try:
-                    dgram = frames.streamlined(rx.net)
-                    return (frames.ioc_encode(dgram, cfg.egress_priority_base),
-                            frames.Decoded(None, dgram, dgram.payload))
-                except NotPlainIpv4:
-                    pass
-            return frames.eoc_encapsulate(rx.eth, cfg.egress_priority_base), rx
-
-        if cfg.kind == CAN_XL and cfg.egress_mode == EGRESS_IOC_PREFERRED:
-            return frames.ioc_encode(rx.net, cfg.egress_priority_base), rx
-        rebuilt = self._reconstruct_ethernet(rx.net, now)
-        if rebuilt is None:
-            self._drop("reconstruction_failure", rx)
-            return None
+        eth = rx.eth
+        if eth is None:  # a compact frame's datagram
+            if cfg.kind == CAN_XL and cfg.egress_mode == EGRESS_IOC_PREFERRED:
+                return frames.ioc_encode(rx.net, cfg.egress_priority_base)
+            eth = self._reconstruct_ethernet(rx.net, now)
+            if eth is None:
+                self._drop("reconstruction_failure", rx)
+                return None
         if cfg.kind == ETH:
-            return rebuilt
-        eth, eth_rx = rebuilt
-        return frames.eoc_encapsulate(eth, cfg.egress_priority_base), eth_rx
+            return eth
+        if cfg.egress_mode == EGRESS_IOC_PREFERRED and isinstance(rx.net, Ipv4Datagram):
+            try:
+                return frames.ioc_encode(rx.net, cfg.egress_priority_base)
+            except NotPlainIpv4:  # options or fragment fields
+                pass
+        return frames.eoc_encapsulate(eth, cfg.egress_priority_base)
 
-    def _reconstruct_ethernet(self, dgram: Ipv4Datagram,
-                              now: int) -> tuple[EthernetFrame, frames.Decoded] | None:
+    def _reconstruct_ethernet(self, dgram: Ipv4Datagram, now: int) -> EthernetFrame | None:
         """The Ethernet/IPv4 frame that carries a compact frame's datagram,
-        with its decoded value, or None if the EFDB lacks either MAC."""
+        or None if the EFDB lacks either MAC."""
         dst = self.efdb.lookup_ip(dgram.dst_ip, now)
         src = self.efdb.lookup_ip(dgram.src_ip, now)
         if dst is None or dst.mac is None or src is None or src.mac is None:
             return None
-        eth = frames.ioc_to_ethernet(dgram, dst.mac, src.mac)
-        return eth, frames.Decoded(eth, dgram, dgram.payload)
+        return frames.ioc_to_ethernet(dgram, dst.mac, src.mac)
 
     # -- legacy classic-CAN relay ------------------------------------------
 
     def relay_legacy(self, ingress: int, frame: ClassicCanFrame,
-                     rx: frames.Decoded) -> list[tuple[int, ClassicCanFrame, frames.Decoded]]:
-        """Relay one classic frame, decoded as `rx`, by the static rules.
-        A remapped copy keeps the data, so it decodes as `rx` too."""
+                     rx: frames.Decoded) -> list[tuple[int, ClassicCanFrame]]:
+        """Relay one classic frame, decoded as `rx`, by the static rules."""
         out = []
         for rule in self.legacy_rules:
             if rule.ingress_port == ingress and rule.match_id == frame.id:
                 for port, remapped in rule.egress:
-                    out.append((port, ClassicCanFrame(remapped, frame.data), rx))
+                    out.append((port, ClassicCanFrame(remapped, frame.data)))
         if not out:
             # Silent by design (strict confinement): no counter, but the
             # simulation still accounts the frame to its flow.
@@ -348,11 +338,10 @@ class CSwitch:
 
     # -- spanning tree ------------------------------------------------------
 
-    def stp_step(self, port: int,
-                 rx: frames.Decoded) -> list[tuple[int, object, frames.Decoded]]:
+    def stp_step(self, port: int, rx: frames.Decoded) -> list[tuple[int, object]]:
         """Consume one frame to the STP group address, decoded as `rx`, and
-        return the wire-ready BPDUs to transmit, as (port, frame, decoded
-        value) triples; a frame that is not a BPDU counts as malformed."""
+        return the wire-ready BPDUs to transmit, as (port, frame) pairs; a
+        frame that is not a BPDU counts as malformed."""
         if not isinstance(rx.net, Bpdu):
             self.counters["bpdu_malformed"] += 1
             return []
@@ -361,7 +350,7 @@ class CSwitch:
             return self._emit_bpdus()
         return []
 
-    def hello(self) -> list[tuple[int, object, frames.Decoded]]:
+    def hello(self) -> list[tuple[int, object]]:
         """Hello tick: the root (or a bridge still believing it is the root)
         refreshes the tree.  Returns wire-ready BPDUs as `stp_step` does."""
         if self.root_id != self.bridge_id:
@@ -395,9 +384,9 @@ class CSwitch:
                 st.role = role
         return changed
 
-    def _emit_bpdus(self) -> list[tuple[int, object, frames.Decoded]]:
+    def _emit_bpdus(self) -> list[tuple[int, object]]:
         bpdu = Bpdu(self.root_id, self.root_cost, self.bridge_id)
-        rx = frames.Decoded(frames.bpdu_serialize(bpdu, self.mac), bpdu, None)
+        rx = frames.bpdu_serialize(bpdu, self.mac).decoded
         ports = [i for i, st in self.port_state.items() if st.role == ROLE_DESIGNATED]
         return self._encode_all(ports, rx, 0)  # no EFDB lookup, so any time will do
 

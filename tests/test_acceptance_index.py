@@ -37,7 +37,7 @@ def run_queued(build, queued=()) -> tuple[str, dict, dict]:
     sim = Simulation(build())
     for name, frame, t_ns in queued:
         station = sim.topo.nodes[name]
-        sim.schedule(t_ns, station.medium.enqueue, sim, station, frame, frames.decode(frame))
+        sim.schedule(t_ns, station.medium.enqueue, sim, station, frame)
     trace, report = sim.run()
     return trace, report, {name: node.arp_table for name, node in sim.topo.nodes.items()
                            if hasattr(node, "arp_table")}
@@ -309,10 +309,9 @@ def test_compact_frame_with_a_bad_header_reaches_only_switch_ports(monkeypatch):
     sim = Simulation(topo)
     # A compact frame addressed to n2 whose header is not version 4.
     frame = frames.CanXlFrame(0x100, frames.SDT_IPV4, 0, ip(2).to_u32(), b"\x60" + bytes(51))
-    rx = frames.decode(frame)
-    assert rx.net is None
+    assert frames.decode(frame).net is None
     station = topo.nodes["n1"]
-    sim.schedule(0, station.medium.enqueue, sim, station, frame, rx)
+    sim.schedule(0, station.medium.enqueue, sim, station, frame)
     calls = record_calls(monkeypatch, lambda sent: sent is frame)
     trace, report = sim.run()
     assert calls == ["sw.p0"]

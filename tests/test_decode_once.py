@@ -1,19 +1,24 @@
-"""A packet is decoded where it is built, and never parsed or serialized
-during a run.
+"""Every frame carries its decoded value from where it is built, and
+nothing is parsed or serialized during a run.
 
-Every frame a node or a C-switch queues travels to its medium with its
-`frames.Decoded` value, and that value must be exactly what
-`frames.decode` reads from the frame.  These tests check that equality on
-every transmission of the bundled scenarios, of a switched ring, of the
-benchmark's workloads and of a bus and a link that reach every node send
-site, and on `CSwitch._encode_for_port` for generated frames.  As
-`frames.decode` serializes each frame to read it, they also check that
-the frames a run carries without serializing them are real frames.  They
-check that nothing is parsed while a simulation runs, and that no frame
-or IPv4 header is serialized.
+The `frames` functions that build a frame attach its decoded value,
+`frame.decoded`, and `Simulation.on_tx_start` reads it once per
+transmission for every receiver.  That value must be exactly what
+`frames.decode` parses from the frame's bytes.  A hypothesis property
+checks that equality for every builder, for frames built from bytes and
+for raw Ethernet and classic frames; a run-level check checks it, and
+that nothing is parsed, for every transmission of the bundled scenarios,
+a switched ring, a bus and a link that reach every node send site and
+the benchmark's workloads (`RUNS`).  As `frames.decode` serializes each
+frame to read it, they also check that the frames a run carries without
+serializing them are real frames.  Other tests check that no frame or
+IPv4 header is serialized during a run, that a run leaves no cyclic
+garbage, and that a switch port sends what the codec makes of its
+ingress.
 """
 
 import contextlib
+import gc
 import sys
 
 import pytest
@@ -106,26 +111,17 @@ def ring() -> Topology:
 
 
 def carried(monkeypatch) -> list:
-    """Patch `Simulation.on_tx_start` to record (frame, carried rx, sender
-    owner) for every transmission."""
-    started = []
-    on_tx_start = Simulation.on_tx_start
+    """Patch `Simulation._deliver` to record (frame, the value its receivers
+    get, sender) for every transmission."""
+    delivered = []
+    deliver = Simulation._deliver
 
-    def recording(self, station, frame, duration_ns, rx):
-        started.append((frame, rx, station))
-        on_tx_start(self, station, frame, duration_ns, rx)
+    def recording(self, sender, frame, rx, summary):
+        delivered.append((frame, rx, sender))
+        deliver(self, sender, frame, rx, summary)
 
-    monkeypatch.setattr(Simulation, "on_tx_start", recording)
-    return started
-
-
-def switch_emissions(started) -> list:
-    """The (frame, rx) of every transmission a switch started, after
-    checking that every transmission, a node's too, carries
-    `frames.decode(frame)`."""
-    for frame, rx, _ in started:
-        assert rx == frames.decode(frame)
-    return [(frame, rx) for frame, rx, owner in started if isinstance(owner, SwitchPortRef)]
+    monkeypatch.setattr(Simulation, "_deliver", recording)
+    return delivered
 
 
 # Every parser a frame can go through: none of them may run during a run.
@@ -157,27 +153,39 @@ def calls_to(functions):
         sys.setprofile(previous)
 
 
+def receivers_get_the_decode(monkeypatch, topo: Topology) -> tuple[list, dict]:
+    """Run `topo`, check that it parses nothing and that the receivers of
+    every transmission get `frames.decode(frame)`; returns what `carried`
+    recorded and the report.  This is the run-level check; every entry of
+    `RUNS` goes through it."""
+    delivered = carried(monkeypatch)
+    with calls_to(PARSERS) as calls:
+        _, report = Simulation(topo).run()
+    assert calls == []
+    for frame, rx, _ in delivered:
+        assert rx == frames.decode(frame)
+    return delivered, report
+
+
 @pytest.mark.parametrize("path", all_scenarios(), ids=lambda p: p.stem)
 def test_switch_emissions_carry_their_decode_in_every_scenario(monkeypatch, path):
-    started = carried(monkeypatch)
     topo = load_config(str(path))
-    Simulation(topo).run()
-    assert bool(switch_emissions(started)) == bool(topo.switches)
+    delivered, _ = receivers_get_the_decode(monkeypatch, topo)
+    assert any(isinstance(sender, SwitchPortRef) for _, _, sender in delivered) == \
+        bool(topo.switches)
 
 
 def test_switch_emissions_carry_their_decode_in_a_ring(monkeypatch):
-    started = carried(monkeypatch)
-    sim = Simulation(ring())
-    _, report = sim.run()
-    assert switch_emissions(started)
-    assert sim.topo.switches["sw3"].port_state[1].role == ROLE_BLOCKED
+    topo = ring()
+    delivered, report = receivers_get_the_decode(monkeypatch, topo)
+    assert topo.switches["sw3"].port_state[1].role == ROLE_BLOCKED
     assert report["switches"]["sw3"]["counters"]["stp_blocked"] > 0
     assert report["switches"]["sw2"]["counters"]["reconstruction_failure"] == 0
     for name, flow in report["flows"].items():
         assert flow["delivered_unique"] == flow["sent"] == 3, name
     # every way out of a switch was taken
     emitted = [(type(frame).__name__, getattr(frame, "sdt", None), rx.net.__class__.__name__)
-               for frame, rx, owner in started if isinstance(owner, SwitchPortRef)]
+               for frame, rx, sender in delivered if isinstance(sender, SwitchPortRef)]
     assert ("CanXlFrame", frames.SDT_IPV4, "Ipv4Datagram") in emitted
     assert ("CanXlFrame", frames.SDT_ETHERNET, "Ipv4Datagram") in emitted
     assert ("CanXlFrame", frames.SDT_ETHERNET, "ArpMessage") in emitted
@@ -186,27 +194,28 @@ def test_switch_emissions_carry_their_decode_in_a_ring(monkeypatch):
 
 
 def test_only_frames_a_node_queued_are_decoded(monkeypatch):
-    # a node decodes its frame where it builds it, so not even a node's
+    # every frame gets its value where it is built, so not even a node's
     # frame is parsed once the run has started; nor is a BPDU, though the
     # ring's spanning tree is live
-    started = carried(monkeypatch)
+    delivered = carried(monkeypatch)
     with calls_to(PARSERS) as calls:
         _, report = Simulation(ring()).run()
-    from_nodes = [frame for frame, _, owner in started if not isinstance(owner, SwitchPortRef)]
-    assert 0 < len(from_nodes) < len(started)
+    from_nodes = [frame for frame, _, sender in delivered
+                  if not isinstance(sender, SwitchPortRef)]
+    assert 0 < len(from_nodes) < len(delivered)
     # no decode for a switch's drops either
     assert report["switches"]["sw3"]["counters"]["stp_blocked"] > 0
     assert calls == []
 
 
 def test_no_switch_parses_an_ipv4_header(monkeypatch):
-    started = carried(monkeypatch)
+    delivered = carried(monkeypatch)
     with calls_to(PARSERS) as calls:
         Simulation(ring()).run()
     # sw1 compacted Ethernet/IPv4 for its ioc-preferred ports ...
-    assert any(isinstance(owner, SwitchPortRef) and owner.switch.name == "sw1"
+    assert any(isinstance(sender, SwitchPortRef) and sender.switch.name == "sw1"
                and getattr(frame, "sdt", None) == frames.SDT_IPV4
-               for frame, _, owner in started)
+               for frame, _, sender in delivered)
     # ... from the ingress value, and neither it nor anything else parsed
     # the header (Ipv4Datagram.from_bytes is among the patched parsers)
     assert calls == []
@@ -215,26 +224,6 @@ def test_no_switch_parses_an_ipv4_header(monkeypatch):
 def workload(name: str) -> Topology:
     """The benchmark's synthetic workload `name` at seed 1."""
     return build_topology(workloads.GENERATORS[name](1))
-
-
-@pytest.mark.parametrize("name", sorted(workloads.GENERATORS))
-def test_every_transmission_of_a_workload_carries_its_decode(monkeypatch, name):
-    started = carried(monkeypatch)
-    _, report = Simulation(workload(name)).run()
-    switch_emissions(started)  # checks every transmission, a node's too
-    assert len(started) >= sum(flow["sent"] for flow in report["flows"].values()) > 0
-
-
-RUNS = {**{path.stem: lambda path=path: load_config(str(path)) for path in all_scenarios()},
-        "ring": ring, **{name: lambda name=name: workload(name) for name in workloads.GENERATORS}}
-
-
-@pytest.mark.parametrize("build", RUNS.values(), ids=list(RUNS))
-def test_no_frame_or_ipv4_header_is_serialized_during_a_run(build):
-    topo = build()
-    with calls_to(SERIALIZERS) as calls:
-        Simulation(topo).run()
-    assert calls == []
 
 
 def every_send_site() -> Topology:
@@ -269,14 +258,28 @@ def every_send_site() -> Topology:
     return topo
 
 
-def test_every_node_send_site_queues_its_decode(monkeypatch):
-    started = carried(monkeypatch)
+# The runs besides the bundled scenarios and the ring, and then every run.
+SYNTHETIC = {"every_send_site": every_send_site,
+             **{name: lambda name=name: workload(name) for name in workloads.GENERATORS}}
+RUNS = {**{path.stem: lambda path=path: load_config(str(path)) for path in all_scenarios()},
+        "ring": ring, **SYNTHETIC}
+
+
+@pytest.mark.parametrize("name", sorted(SYNTHETIC))
+def test_every_transmission_of_a_workload_carries_its_decode(monkeypatch, name):
+    # the bundled scenarios and the ring take the same check above
+    delivered, report = receivers_get_the_decode(monkeypatch, SYNTHETIC[name]())
+    assert len(delivered) >= sum(flow["sent"] for flow in report["flows"].values()) > 0
+
+
+def test_every_send_site_takes_every_node_send_site(monkeypatch):
+    delivered = carried(monkeypatch)
     _, report = Simulation(every_send_site()).run()
-    assert switch_emissions(started) == []
     for name, flow in report["flows"].items():
         assert flow["delivered_unique"] == flow["sent"] == 4, name
-    sites = {(owner.name, type(frame).__name__, getattr(frame, "sdt", None),
-              type(rx.net).__name__, getattr(rx.net, "op", None)) for frame, rx, owner in started}
+    sites = {(sender.name, type(frame).__name__, getattr(frame, "sdt", None),
+              type(rx.net).__name__, getattr(rx.net, "op", None))
+             for frame, rx, sender in delivered}
     eoc, ipv4 = frames.SDT_ETHERNET, frames.SDT_IPV4
     assert sites >= {
         ("i1", "CanXlFrame", eoc, "ArpMessage", ArpOp.GRATUITOUS_REPLY),
@@ -292,41 +295,74 @@ def test_every_node_send_site_queues_its_decode(monkeypatch):
         ("h2", "EthernetFrame", None, "NoneType", None),
     }
     # a raw payload travels padded, as the receiver reads it
-    raw = [rx.payload for _, rx, owner in started
-           if owner.name in ("e1", "h2") and rx.net is None]
+    raw = [rx.payload for _, rx, sender in delivered
+           if sender.name in ("e1", "h2") and rx.net is None]
     assert raw and all(len(payload) == frames.ETH_MIN_PAYLOAD for payload in raw)
 
 
-# -- _encode_for_port on generated frames ---------------------------------------
+@pytest.mark.parametrize("build", RUNS.values(), ids=list(RUNS))
+def test_no_frame_or_ipv4_header_is_serialized_during_a_run(build):
+    topo = build()
+    with calls_to(SERIALIZERS) as calls:
+        Simulation(topo).run()
+    assert calls == []
+
+
+@pytest.mark.parametrize("build", RUNS.values(), ids=list(RUNS))
+def test_a_run_leaves_no_cyclic_garbage(build):
+    # Reference counting frees all a run makes: no frame refers to itself
+    # through its decoded value, say, which would keep every frame alive
+    # until a collection.
+    sim = Simulation(build())
+    gc.collect()
+    gc.disable()
+    try:
+        sim.run()
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0
+
+
+# -- generated frames -------------------------------------------------------------
 
 KNOWN = [(mac(1), ip(1)), (mac(2), ip(2))]  # EFDB entries with both addresses
 ips = st.sampled_from([ip(1), ip(2), ip(3)])  # ip(3) only has no MAC
 macs = st.binary(min_size=6, max_size=6).map(MacAddress)
 octets = st.integers(0, 0xFF)
+priorities = st.integers(0, 0x7FF)
 
 
 def ipv4_frame(dgram: Ipv4Datagram, checksum_flip: int = 0,
                da: MacAddress = mac(2), sa: MacAddress = mac(1)) -> EthernetFrame:
-    """`dgram` in an Ethernet frame; a non-zero `checksum_flip` spoils its
-    header checksum, so that `frames.decode` gives it no datagram."""
+    """`dgram` in an Ethernet frame built from its bytes; a non-zero
+    `checksum_flip` spoils its header checksum, so that `frames.decode`
+    gives it no datagram."""
     raw = bytearray(dgram.to_bytes())
     raw[10] ^= checksum_flip
     return EthernetFrame(da, sa, frames.ETHERTYPE_IPV4, bytes(raw))
 
 
 @st.composite
-def ipv4_ethernet(draw) -> EthernetFrame:
-    """Ethernet/IPv4 with any header fields, and now and then IP options,
-    fragment fields or a wrong header checksum."""
-    options = bytes(4 * draw(st.sampled_from([0, 0, 0, 1, 10])))
-    dgram = Ipv4Datagram(
-        draw(ips), draw(ips),
-        bytes(draw(st.integers(0, frames.ETH_MTU - 20 - len(options)))),
+def datagrams(draw, plain: bool = False) -> Ipv4Datagram:
+    """Any header fields and, unless `plain`, now and then IP options or
+    fragment fields."""
+    options = b"" if plain else bytes(4 * draw(st.sampled_from([0, 0, 0, 1, 10])))
+    flags = [0, frames.IPV4_DF, 0b100] + ([] if plain else [frames.IPV4_MF])
+    return Ipv4Datagram(
+        draw(ips), draw(ips), draw(st.binary(max_size=frames.ETH_MTU - 20 - len(options))),
         dscp_ecn=draw(octets), identification=draw(st.integers(0, 0xFFFF)),
-        flags=draw(st.sampled_from([0, frames.IPV4_DF, frames.IPV4_MF, 0b100])),
-        fragment_offset=draw(st.sampled_from([0, 0, 0, 1, 0x1FFF])),
+        flags=draw(st.sampled_from(flags)),
+        fragment_offset=0 if plain else draw(st.sampled_from([0, 0, 0, 1, 0x1FFF])),
         ttl=draw(octets), protocol=draw(octets), options=options)
-    return ipv4_frame(dgram, draw(st.sampled_from([0, 0, 0, 0xFF])), draw(macs), draw(macs))
+
+
+@st.composite
+def ipv4_ethernet(draw) -> EthernetFrame:
+    """Ethernet/IPv4 built from bytes, now and then with a wrong header
+    checksum."""
+    return ipv4_frame(draw(datagrams()), draw(st.sampled_from([0, 0, 0, 0xFF])),
+                      draw(macs), draw(macs))
 
 
 @st.composite
@@ -339,15 +375,45 @@ def arp_ethernet(draw) -> EthernetFrame:
     return frames.arp_serialize(ArpMessage(op, draw(macs), spa, tha, tpa))
 
 
+bpdu_ethernet = st.builds(frames.bpdu_serialize, st.builds(
+    frames.Bpdu, st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1)),
+    macs)
 raw_ethernet = st.builds(EthernetFrame, macs, macs, st.sampled_from(
     [frames.ETHERTYPE_RAW_DATA, frames.ETHERTYPE_BPDU, 0x1234]),
     st.integers(0, frames.ETH_MTU).map(bytes))
-compact = st.builds(compact_dgram, ips, ips, st.integers(0, frames.ETH_MTU - 20).map(bytes),
-                    dscp_ecn=octets, ttl=octets, protocol=octets)
-ingress = st.one_of(ipv4_ethernet(), arp_ethernet(), raw_ethernet, compact)
+rebuilt = st.builds(frames.ioc_to_ethernet, datagrams(), macs, macs)
+ethernet = st.one_of(ipv4_ethernet(), arp_ethernet(), bpdu_ethernet, raw_ethernet, rebuilt)
+encoded = st.one_of(st.builds(frames.eoc_encapsulate, ethernet, priorities),
+                    st.builds(frames.ioc_encode, datagrams(plain=True), priorities))
+other_canxl = st.builds(  # some of them compact frames with a bad header
+    frames.CanXlFrame, priorities, st.sampled_from(list(frames.SDT_NAMES)), st.just(0),
+    st.integers(0, 2**32 - 1), st.binary(min_size=1, max_size=64)).filter(
+        lambda frame: frame.sdt != frames.SDT_ETHERNET)
+classic = st.builds(frames.ClassicCanFrame, priorities, st.binary(max_size=8))
+
+
+def from_bytes(frame):
+    """`frame` as its kind's `from_bytes` builds it."""
+    return type(frame).from_bytes(frame.to_bytes())
 
 
 PLAIN = Ipv4Datagram(ip(1), ip(2), bytes(100), flags=frames.IPV4_DF)
+
+
+@example(frame=frames.ioc_encode(Ipv4Datagram(ip(1), ip(2), bytes(100), identification=7), 1))
+@example(frame=frames.ioc_to_ethernet(Ipv4Datagram(ip(1), ip(2), bytes(8), options=bytes(4)),
+                                      mac(1), mac(2)))
+@given(frame=st.one_of(ethernet, encoded, ethernet.map(from_bytes), encoded.map(from_bytes),
+                       other_canxl, classic))
+def test_encoded_value_is_the_decode_of_the_encoded_frame(frame):
+    # Whichever builder made a frame, it carries what `frames.decode`
+    # parses from its bytes: read first, while those bytes do not exist.
+    assert frame.decoded == frames.decode(frame)
+
+
+compact = st.builds(compact_dgram, ips, ips, st.integers(0, frames.ETH_MTU - 20).map(bytes),
+                    dscp_ecn=octets, ttl=octets, protocol=octets)
+ingress = st.one_of(ipv4_ethernet(), arp_ethernet(), raw_ethernet, compact)
 
 
 @example(normalized=ipv4_frame(PLAIN), kind=CAN_XL, mode=EGRESS_IOC_PREFERRED)
@@ -360,33 +426,29 @@ PLAIN = Ipv4Datagram(ip(1), ip(2), bytes(100), flags=frames.IPV4_DF)
          kind=CAN_XL, mode=EGRESS_IOC_PREFERRED)
 @given(normalized=ingress, kind=st.sampled_from(PORT_KINDS),
        mode=st.sampled_from(EGRESS_MODES))
-def test_encoded_value_is_the_decode_of_the_encoded_frame(normalized, kind, mode):
+def test_a_port_sends_what_the_codec_makes_of_its_ingress(normalized, kind, mode):
     sw = CSwitch("sw", 1, [PortConfig(0, kind, mode, 0x123)])
     for m, a in KNOWN:
         sw.efdb.learn_joint(m, a, 0, 0)
-    rx = frames.decode(normalized)
-    encoded = sw._encode_for_port(rx, sw.ports[0], 0)
-    if isinstance(normalized, EthernetFrame) and kind == CAN_XL:
-        expected = frames.eoc_encapsulate(normalized, 0x123)
-        if mode == EGRESS_IOC_PREFERRED and normalized.ethertype == frames.ETHERTYPE_IPV4:
-            try:  # compacted exactly where the Ethernet payload parses as plain IPv4
-                expected = frames.ioc_encode(frames.ethernet_to_ioc(normalized), 0x123)
-            except frames.NotPlainIpv4:
-                pass
-        assert encoded[0] == expected
-    if encoded is None:  # a compact datagram with an address the EFDB lacks
-        assert isinstance(normalized, Ipv4Datagram) and ip(3) in (normalized.src_ip,
-                                                                normalized.dst_ip)
+    frame = sw._encode_for_port(frames.decode(normalized), sw.ports[0], 0)
+    if isinstance(normalized, EthernetFrame):
+        expected = normalized
+        if kind == CAN_XL:
+            expected = frames.eoc_encapsulate(normalized, 0x123)
+            if mode == EGRESS_IOC_PREFERRED and normalized.ethertype == frames.ETHERTYPE_IPV4:
+                try:  # compacted exactly where the Ethernet payload parses as plain IPv4
+                    expected = frames.ioc_encode(frames.ethernet_to_ioc(normalized), 0x123)
+                except frames.NotPlainIpv4:
+                    pass
+        assert frame == expected
+    elif frame is None:  # a compact datagram with an address the EFDB lacks
+        assert ip(3) in (normalized.src_ip, normalized.dst_ip)
+        assert kind == ETH or mode == EGRESS_EOC
         assert sw.counters["reconstruction_failure"] == 1
-        return
-    frame, frame_rx = encoded
-    assert frame_rx == frames.decode(frame)
-
-
-def test_hello_bpdus_carry_their_decode():
-    sw = CSwitch("sw", 1, [PortConfig(0, CAN_XL), PortConfig(1, ETH),
-                           PortConfig(2, CAN_XL, EGRESS_IOC_PREFERRED, 0x701)])
-    out = sw.hello()
-    assert [port for port, _, _ in out] == [0, 1, 2]
-    for _, frame, rx in out:
-        assert rx == frames.decode(frame) == (rx.eth, frames.Bpdu(1, 0, 1), None)
+    elif kind == CAN_XL and mode == EGRESS_IOC_PREFERRED:
+        assert frame == frames.ioc_encode(normalized, 0x123)
+    else:  # rebuilt with the MACs the EFDB holds
+        macs_of = dict((a, m) for m, a in KNOWN)
+        eth = frames.ioc_to_ethernet(normalized, macs_of[normalized.dst_ip],
+                                     macs_of[normalized.src_ip])
+        assert frame == (eth if kind == ETH else frames.eoc_encapsulate(eth, 0x123))

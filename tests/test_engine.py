@@ -175,8 +175,8 @@ class TestMediumTiming:
         # The three EoC MACs share octets 0-3, so the acceptance field
         # passes every tunneled frame at every node and only the full DA
         # tells them apart.  Every ARP broadcast reaches three receivers.
-        # Each frame is decoded once, by the node that builds it, so no
-        # layer is parsed again during the run.
+        # Each frame carries the decoded value its builder attached, so no
+        # layer is parsed during the run.
         calls = []
         decoder = getattr(owner, name)
 
@@ -215,8 +215,8 @@ class TestMediumTiming:
         tunneled = [e for e in events(trace, "tx_start") if e["frame"].get("sdt") == "ethernet"]
         from_node = [e for e in tunneled if e["source"] == NODE]
         assert from_node and len(from_node) < len(tunneled)
-        # the node's frames travel with the decoded value the node built,
-        # which serves the switch, and so do the switch's own emissions
+        # the node's frames carry the decoded value attached where they were
+        # built, which serves the switch, and so do the switch's own emissions
         assert decodes == []
 
     def test_no_kick_is_scheduled_while_the_medium_is_busy(self, monkeypatch):
@@ -688,7 +688,7 @@ def test_nonzero_padding_is_a_payload_mismatch():
     receiver = topo.nodes["b"]
     for pad in (bytes(26), b"\x01" + bytes(25), bytes(25) + b"\x01"):
         eth = frames.EthernetFrame(mac(2), mac(1), frames.ETHERTYPE_RAW_DATA, sent + pad)
-        receiver.on_receive(sim, eth, frames.Decoded(eth, None, eth.payload))
+        receiver.on_receive(sim, eth, eth.decoded)
     flow = sim.report()["flows"]["f"]
     assert (flow["delivered"], flow["payload_mismatches"]) == (4, 2)
 
@@ -826,7 +826,7 @@ class TestArp:
                     frames.ArpMessage(frames.ArpOp.GRATUITOUS_REPLY, mac(9), ip(2),
                                       frames.ZERO_MAC, ip(2))):
             eth = frames.arp_serialize(msg)
-            a.on_receive(sim, eth, frames.Decoded(eth, msg, None))
+            a.on_receive(sim, eth, eth.decoded)
         assert a.arp_table[ip(2)] == mac(2) and ip(2) in a.static_ips
         _, report = sim.run()
         assert report["flows"]["f"]["delivered"] == 1

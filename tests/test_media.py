@@ -14,7 +14,6 @@ from canxlnet.frames import (
     EthernetFrame,
     SDT_ETHERNET,
     ZERO_MAC,
-    decode,
 )
 from canxlnet.media import CanBus, EthernetLink
 from canxlnet.timing import CanXlTimingParams, EthernetTimingParams, InvalidPayload, to_ns
@@ -22,12 +21,6 @@ from canxlnet.timing import CanXlTimingParams, EthernetTimingParams, InvalidPayl
 
 def xl(priority):
     return CanXlFrame(priority, SDT_ETHERNET, 0, 0, bytes(60))
-
-
-def carried(name, frame):
-    """What station `name`'s `frame` must reach the simulation with: its
-    decoded value, queued along with it."""
-    return (name, frame, decode(frame))
 
 
 class Recorder:
@@ -43,50 +36,49 @@ class Recorder:
     def schedule(self, t_ns, handler, *args):
         pass
 
-    def on_tx_start(self, station, frame, duration_ns, rx):
-        self.started.append((station.name, frame, rx))
+    def on_tx_start(self, station, frame, duration_ns):
+        self.started.append((station.name, frame))
 
     def on_clash(self, bus, dropped):
-        self.clashed.append([(station.name, frame, rx) for station, frame, rx in dropped])
+        self.clashed.append([(station.name, frame) for station, frame in dropped])
 
 
 def contend(*frames):
     """Queue one frame on each of stations a, b, c, ... of an idle bus and
-    kick it once; returns the bus and what the kick did.  Each frame is
-    queued with its decoded value."""
+    kick it once; returns the bus and what the kick did."""
     sim = Recorder()
     bus = CanBus("bus", CanXlTimingParams(500e3, 16e6))
     for name, frame in zip("abcdefgh", frames):
         station = SimpleNamespace(name=name)
         bus.attach(station)
-        bus.enqueue(sim, station, frame, decode(frame))
+        bus.enqueue(sim, station, frame)
     bus.kick(sim)
     return bus, sim
 
 
 def test_minimum_priority_wins():
     bus, sim = contend(xl(0x100), xl(0x0FF), xl(0x200))
-    assert sim.started == [carried("b", xl(0x0FF))]
+    assert sim.started == [("b", xl(0x0FF))]
     assert sim.clashed == [] and bus.clashes == 0
 
 
 def test_single_contender():
     _, sim = contend(xl(7))
-    assert sim.started == [carried("a", xl(7))]
+    assert sim.started == [("a", xl(7))]
 
 
 def test_equal_priority_clashes():
     # the tied frames are both dropped; the rest re-arbitrate at once
     bus, sim = contend(xl(0x100), xl(0x100), xl(0x200))
-    assert sim.clashed == [[carried("a", xl(0x100)), carried("b", xl(0x100))]]
+    assert sim.clashed == [[("a", xl(0x100)), ("b", xl(0x100))]]
     assert bus.clashes == 1
-    assert sim.started == [carried("c", xl(0x200))]
+    assert sim.started == [("c", xl(0x200))]
     assert not any(st.queue for st in bus.stations)
 
 
 def test_classic_frames_contend_on_identifier():
     _, sim = contend(xl(0x150), ClassicCanFrame(0x100, b""))
-    assert sim.started == [carried("b", ClassicCanFrame(0x100, b""))]
+    assert sim.started == [("b", ClassicCanFrame(0x100, b""))]
 
 
 def test_no_contenders_start_nothing():
@@ -101,7 +93,7 @@ def test_ethernet_frames_cannot_contend():
     bus.attach(station)
     eth = EthernetFrame(ZERO_MAC, ZERO_MAC, 0, b"")
     with pytest.raises(TypeError):
-        bus.enqueue(Recorder(), station, eth, decode(eth))
+        bus.enqueue(Recorder(), station, eth)
     assert not station.queue
 
 
@@ -172,11 +164,9 @@ def test_arbitration_is_that_of_scanning_every_station(case):
         if step is KICK:
             bus.kick(sim)
         else:
-            bus.enqueue(sim, stations[step[0]], step[1], None)
-    started = [(name, frame) for name, frame, _ in sim.started]
-    clashed = [[(name, frame) for name, frame, _ in dropped] for dropped in sim.clashed]
-    assert (started, clashed) == reference_arbitration(names, program)
-    assert bus.clashes == len(clashed)
+            bus.enqueue(sim, stations[step[0]], step[1])
+    assert (sim.started, sim.clashed) == reference_arbitration(names, program)
+    assert bus.clashes == len(sim.clashed)
     assert bus.waiting == {i: st for i, st in enumerate(bus.stations) if st.queue}
 
 
