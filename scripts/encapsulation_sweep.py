@@ -7,19 +7,23 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from canxlnet.frames import ETH_HEADER_LEN, ETH_MIN_PAYLOAD, IOC_HEADER_LEN, IPV4_HEADER_LEN
+from canxlnet.frames import (IPV4_HEADER_LEN, ZERO_MAC, Ipv4Address, Ipv4Datagram,
+                             eoc_encapsulate, ioc_encode, ioc_to_ethernet)
 from canxlnet.timing import CanXlTimingParams, canxl_duration, throughput_gain
+
+IP = Ipv4Address(bytes(4))
 
 
 def main() -> int:
     rates = [(500e3, 16e6), (1e6, 16e6)]
     print("datagram_bytes,arb_rate,eoc_us,ioc_us,gain_percent")
     for size in (28, 46, 64, 128, 256, 512, 1024, 1500):
-        payload = size - IPV4_HEADER_LEN
+        # the data field lengths of the two CAN XL frames that carry it
+        dgram = Ipv4Datagram(IP, IP, bytes(size - IPV4_HEADER_LEN))
+        eoc_bytes = eoc_encapsulate(ioc_to_ethernet(dgram, ZERO_MAC, ZERO_MAC), 0).length
+        ioc_bytes = ioc_encode(dgram, 0).length
         for arb, data in rates:
             p = CanXlTimingParams(arb, data)
-            eoc_bytes = ETH_HEADER_LEN + max(size, ETH_MIN_PAYLOAD)
-            ioc_bytes = IOC_HEADER_LEN + payload
             eoc = canxl_duration(eoc_bytes, p)
             ioc = canxl_duration(ioc_bytes, p)
             gain = throughput_gain(eoc_bytes, ioc_bytes, p)

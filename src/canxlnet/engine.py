@@ -353,6 +353,7 @@ class Topology:
             if node.kind != "ethernet-host" and not on_bus:
                 raise ConfigError(f"nodes.{name}", "CAN nodes attach to buses")
         for name, sw in self.switches.items():
+            first_port_on = {}  # medium name -> the switch's first port on it
             for idx, cfg in sw.ports.items():
                 station = self.port_station.get((name, idx))
                 if station is None:
@@ -364,6 +365,11 @@ class Topology:
                 if cfg.kind == ETH and on_bus:
                     raise ConfigError(f"switches.{name}.ports.{idx}",
                                       "Ethernet port wired to a CAN bus")
+                # the reduced STP has no port-id tie-break, so two ports on one medium loop
+                medium = station.medium.name
+                if first_port_on.setdefault(medium, idx) != idx:
+                    raise ConfigError(f"switches.{name}", "attaches ports "
+                                      f"{first_port_on[medium]} and {idx} to medium {medium}")
             for rn, rule in enumerate(sw.legacy_rules):
                 for port, _ in ((rule.ingress_port, None),) + tuple(rule.egress):
                     if port not in sw.ports:

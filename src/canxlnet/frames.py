@@ -55,9 +55,11 @@ a frame and never serializes a tunnel, a compact frame or an IPv4
 header.  Every frame has `length`, the length of its data field
 (`CanXlFrame`, `ClassicCanFrame`) or of its padded payload
 (`EthernetFrame`).  Such a frame equals, hashes as and prints as the same
-frame built from its bytes, and every input the eager build rejects
-raises at the same call with the same error, except a field of the wrong
-type (a `str` address), which raises when the bytes are read.
+frame built from its bytes.  A datagram that builds always serializes,
+as `Ipv4Datagram` checks every header field, and every other input the
+eager build rejects raises at the same call with the same error, except
+a field of the wrong type (a `str` address), which raises when the bytes
+are read.
 """
 
 from __future__ import annotations
@@ -279,7 +281,8 @@ class Ipv4Datagram:
     """Full RFC 791 datagram (header fields plus payload).
 
     `options` holds the raw option bytes when IHL > 5; the streamlined
-    codecs reject such datagrams (`streamlined`).
+    codecs reject such datagrams (`streamlined`).  Every header field is
+    checked here, when the datagram is built.
     """
 
     src_ip: Ipv4Address
@@ -294,10 +297,18 @@ class Ipv4Datagram:
     options: bytes = b""
 
     def __post_init__(self):
-        if len(self.options) % 4:
+        # `|` and `>>` refuse what is no int; an int out of range is not 0 shifted past it
+        options = len(self.options)
+        if options % 4:
             raise ValueError("options must be a whole number of 32-bit words")
+        if options > 40:  # IHL, 4 bits, counts words
+            raise ValueError(f"options of {options} bytes exceed the 40 an IHL of 15 holds")
         if self.fragment_offset >> 13 or self.flags >> 3:
             raise ValueError("flags/fragment offset out of range")
+        if (self.dscp_ecn | self.ttl | self.protocol) >> 8 or self.identification >> 16:
+            raise ValueError("DSCP/ECN, TTL and protocol must fit in 8 bits, identification in 16")
+        if (total := IPV4_HEADER_LEN + options + len(self.payload)) > 0xFFFF:
+            raise ValueError(f"total length {total} exceeds 65535")
 
     @property
     def ihl(self) -> int:
@@ -383,15 +394,12 @@ class _OnDemand:
         return value
 
 
-def _compact_data(dgram: Ipv4Datagram) -> bytes:
-    """The data field of `dgram`'s compact frame: compact header + payload."""
-    return struct.pack(">BBBB4s", 4 << 4, dgram.dscp_ecn, dgram.ttl, dgram.protocol,
-                       dgram.src_ip) + dgram.payload
-
-
 def _canxl_data(frame: CanXlFrame) -> bytes:
     eth, net, _ = frame.decoded
-    return _compact_data(net) if eth is None else eth.to_bytes()
+    if eth is None:  # compact header + payload
+        return struct.pack(">BBBB4s", 4 << 4, net.dscp_ecn, net.ttl, net.protocol,
+                           net.src_ip) + net.payload
+    return eth.to_bytes()
 
 
 def _ipv4_payload(frame: EthernetFrame) -> bytes:
@@ -405,8 +413,12 @@ _new = object.__new__
 
 def _canxl(priority: int, sdt: int, af: int, decoded: Decoded, length: int) -> CanXlFrame:
     """A VCID-0 CAN XL frame that decodes as `decoded`, whose `length`-byte
-    data field is serialized from that value on demand; the caller has
-    checked every field.  `sec` keeps its class default, False."""
+    data field is serialized from that value on demand.  It checks the
+    length (`TooLarge`) and the priority, the caller every other field.
+    `sec` keeps its class default, False."""
+    if length > CANXL_MAX_DATA:
+        raise TooLarge(f"{length} bytes exceed the {CANXL_MAX_DATA} B data field")
+    fits("priority", priority, 11)
     frame = _new(CanXlFrame)
     fields = frame.__dict__
     fields["priority"] = priority
@@ -416,16 +428,6 @@ def _canxl(priority: int, sdt: int, af: int, decoded: Decoded, length: int) -> C
     fields["decoded"] = decoded
     fields["length"] = length
     return frame
-
-
-def _plain_header(dgram: Ipv4Datagram) -> bool:
-    """Whether `dgram` has no options and int header fields that fit, so
-    that serializing it cannot fail and its bytes can wait."""
-    try:
-        return not (dgram.options or (dgram.dscp_ecn | dgram.ttl | dgram.protocol) >> 8
-                    or dgram.identification >> 16)
-    except TypeError:  # a field that is no int, which serializing refuses
-        return False
 
 
 class ArpOp:
@@ -486,9 +488,8 @@ def af_filter_match(af: int, own_af: int) -> bool:
 def eoc_encapsulate(eth: EthernetFrame, priority: int) -> CanXlFrame:
     """Embed an Ethernet frame in a CAN XL frame on VCID 0 (preamble/FCS
     excluded), serialized on demand."""
-    af = make_af_from_da(eth.da)
-    fits("priority", priority, 11)
-    return _canxl(priority, SDT_ETHERNET, af, eth.decoded, ETH_HEADER_LEN + eth.length)
+    return _canxl(priority, SDT_ETHERNET, make_af_from_da(eth.da), eth.decoded,
+                  ETH_HEADER_LEN + eth.length)
 
 
 def eoc_decapsulate(frame: CanXlFrame) -> EthernetFrame:
@@ -508,15 +509,8 @@ def ioc_encode(dgram: Ipv4Datagram, priority: int) -> CanXlFrame:
     DF are left out; options or fragment fields raise `NotPlainIpv4`, as
     `streamlined` does.  The frame decodes to that `streamlined` datagram."""
     net = streamlined(dgram)
-    if _plain_header(dgram):
-        length = IOC_HEADER_LEN + len(dgram.payload)
-    else:  # serialize now, which raises where it always did
-        length = len(_compact_data(dgram))
-    if length > CANXL_MAX_DATA:
-        raise TooLarge(f"{length} bytes exceed the {CANXL_MAX_DATA} B data field")
-    af = dgram.dst_ip.to_u32()
-    fits("priority", priority, 11)
-    return _canxl(priority, SDT_IPV4, af, _tuple_new(Decoded, (None, net, net.payload)), length)
+    return _canxl(priority, SDT_IPV4, dgram.dst_ip.to_u32(),
+                  _tuple_new(Decoded, (None, net, net.payload)), IOC_HEADER_LEN + len(net.payload))
 
 
 def ioc_decapsulate(frame: CanXlFrame) -> Ipv4Datagram:
@@ -540,12 +534,11 @@ def ioc_to_ethernet(dgram: Ipv4Datagram, da: MacAddress, sa: MacAddress) -> Ethe
     frame's datagram at a C-switch, or a node's own datagram.
 
     Both MAC addresses must be supplied by the caller (a C-switch takes
-    them from its extended filtering database).  The payload is
-    serialized on demand.  A datagram that might not serialize (options,
-    a field that does not fit, more than the MTU) is serialized now, so
-    that it raises where it always did."""
-    length = IPV4_HEADER_LEN + len(dgram.payload)
-    if length > ETH_MTU or not _plain_header(dgram):
+    them from its extended filtering database).  The payload, options
+    included, is serialized on demand; a datagram above the MTU is
+    serialized now, so that `EthernetFrame` raises its MTU error."""
+    length = IPV4_HEADER_LEN + len(dgram.options) + len(dgram.payload)
+    if length > ETH_MTU:
         return EthernetFrame(da, sa, ETHERTYPE_IPV4, dgram.to_bytes())
     frame = _new(EthernetFrame)
     fields = frame.__dict__

@@ -513,6 +513,17 @@ TOPOLOGY_ERRORS = [
      [(("switches", 0, "ports"), [PORT0, PORT1, {"index": 2, "kind": "ethernet"}]),
       (("buses", 0, "stations"), ["n1", "sw1.p0", "sw1.p2"])],
      "switches.sw1.ports.2", "Ethernet port wired to a CAN bus"),
+    # a switch's ports on one medium would loop its floods: the reduced
+    # spanning tree has no port-id tie-break to block one of them
+    ("switch_twice_on_a_bus", MINIMAL,
+     [(("switches", 0, "ports"), [PORT0, PORT1, {"index": 2, "kind": "can"}]),
+      (("buses", 0, "stations"), ["n1", "sw1.p0", "sw1.p2"])],
+     "switches.sw1", "attaches ports 0 and 2 to medium bus1"),
+    ("switch_on_both_ends_of_a_link", MINIMAL,
+     [(("nodes",), MINIMAL["nodes"][:1]),
+      (("switches", 0, "ports"), [PORT0, PORT1, {"index": 2, "kind": "ethernet"}]),
+      (("links", 0, "endpoints"), ["sw1.p1", "sw1.p2"])],
+     "switches.sw1", "attaches ports 1 and 2 to medium link1"),
     ("legacy_rule_unknown_port", MINIMAL,
      [(("switches", 0, "legacy_rules"),
        [{"ingress_port": 9, "match_id": 0x100, "egress": [{"port": 0, "id": 0x200}]}])],
@@ -569,7 +580,7 @@ def test_topology_error_is_located(base, edits, location, reason):
 
 # the rows also run through `canxlnet simulate`
 SIMULATED = ("duplicate_node", "port_attached_twice", "bridge_mac_collision", "unattached_port",
-             "duplicate_flow", "raw_payload_above_1500")
+             "switch_twice_on_a_bus", "duplicate_flow", "raw_payload_above_1500")
 
 
 @pytest.mark.parametrize("base, edits, location, reason",

@@ -523,6 +523,15 @@ FRAME_ERRORS = [
      ValueError, "payload 1501 exceeds MTU 1500"),
     ("ipv4_options_not_words", lambda: make_dgram(bytes(8), options=bytes(3)), ValueError,
      "options must be a whole number of 32-bit words"),
+    # IHL is a 4-bit count of words: 16 would overflow into the version
+    ("ipv4_options_above_40_bytes", lambda: make_dgram(bytes(8), options=bytes(44)), ValueError,
+     "options of 44 bytes exceed the 40 an IHL of 15 holds"),
+    ("ipv4_ttl_range", lambda: make_dgram(bytes(8), ttl=256), ValueError,
+     "DSCP/ECN, TTL and protocol must fit in 8 bits, identification in 16"),
+    ("ipv4_identification_range", lambda: make_dgram(bytes(8), identification=1 << 16),
+     ValueError, "DSCP/ECN, TTL and protocol must fit in 8 bits, identification in 16"),
+    ("ipv4_total_length_range", lambda: make_dgram(bytes(65516)), ValueError,
+     "total length 65536 exceeds 65535"),
     ("ipv4_flags_range", lambda: make_dgram(bytes(8), flags=8), ValueError,
      "flags/fragment offset out of range"),
     ("ipv4_fragment_offset_range", lambda: make_dgram(bytes(8), fragment_offset=1 << 13),
@@ -621,29 +630,71 @@ octets = st.integers(0, 255)
 
 
 # 20 + 26 = 46: IPv4 payloads of 25, 26 and 27 bytes straddle the pad boundary
-@example(d=compact_dgram(IP1, IP2, b""), priority=0, eth=_RAW)
-@example(d=compact_dgram(IP1, IP2, bytes(25)), priority=0, eth=_RAW)
-@example(d=compact_dgram(IP1, IP2, bytes(26)), priority=0, eth=_RAW)
-@example(d=compact_dgram(IP1, IP2, bytes(27)), priority=0, eth=_RAW)
-@example(d=compact_dgram(IP1, IP2, bytes(1480)), priority=2047, eth=_RAW)
+@example(d=compact_dgram(IP1, IP2, b""), priority=0, eth=_RAW, options=b"")
+@example(d=compact_dgram(IP1, IP2, bytes(25)), priority=0, eth=_RAW, options=b"")
+@example(d=compact_dgram(IP1, IP2, bytes(26)), priority=0, eth=_RAW, options=b"")
+@example(d=compact_dgram(IP1, IP2, bytes(27)), priority=0, eth=_RAW, options=b"")
+@example(d=compact_dgram(IP1, IP2, bytes(1480)), priority=2047, eth=_RAW, options=bytes(40))
 @given(d=st.builds(compact_dgram, ips, ips, st.binary(max_size=1480), dscp_ecn=octets,
                    ttl=octets, protocol=octets),
-       priority=st.integers(0, 2047), eth=tunneled)
-def test_an_on_demand_frame_is_the_frame_of_its_bytes(d, priority, eth):
+       priority=st.integers(0, 2047), eth=tunneled,
+       options=st.integers(0, 10).map(lambda words: bytes(range(4 * words))))
+def test_an_on_demand_frame_is_the_frame_of_its_bytes(d, priority, eth, options):
     da, sa = eth.da, eth.sa
     assert_on_demand(lambda: ioc_encode(d, priority), eager_ioc(d, priority))
     assert_on_demand(lambda: ioc_to_ethernet(d, da, sa), eager_ipv4_ethernet(d, da, sa))
+    # options travel only in the Ethernet form; the payload is cut to the MTU
+    o = dataclasses.replace(d, payload=d.payload[:1480 - len(options)], options=options)
+    assert_on_demand(lambda: ioc_to_ethernet(o, da, sa), eager_ipv4_ethernet(o, da, sa))
     assert_on_demand(lambda: eoc_encapsulate(ioc_to_ethernet(d, da, sa), priority),
                      eager_eoc(eager_ipv4_ethernet(d, da, sa), priority))
     assert_on_demand(lambda: eoc_encapsulate(eth, priority), eager_eoc(eth, priority))  # ARP, BPDU
 
 
-def outcome(call, *args):
-    """What `call(*args)` returns, or the type and message of what it raises."""
+def outcome(call, *args, **kwargs):
+    """What `call(*args, **kwargs)` returns, or the type and message of what
+    it raises."""
     try:
-        return call(*args)
+        return call(*args, **kwargs)
     except Exception as exc:  # every error counts, the eager codec's own included
         return type(exc), str(exc)
+
+
+IPV4_FIELD_BITS = {"dscp_ecn": 8, "ttl": 8, "protocol": 8, "identification": 16, "flags": 3,
+                   "fragment_offset": 13}
+
+
+def header_fits(payload: bytes, fields: dict) -> bool:
+    """RFC 791 as the reference: each field an int of its width, options in
+    whole 32-bit words up to IHL 15, and a total length of 16 bits."""
+    options = fields.get("options", b"")
+    return (all(type(value) is int and 0 <= value < 1 << IPV4_FIELD_BITS[name]
+                for name, value in fields.items() if name != "options")
+            and len(options) % 4 == 0 and len(options) <= 40
+            and frames.IPV4_HEADER_LEN + len(options) + len(payload) <= 0xFFFF)
+
+
+def refused(built) -> bool:
+    """Whether `outcome` of a constructor is a ValueError or TypeError."""
+    return isinstance(built, tuple) and built[0] in (ValueError, TypeError)
+
+
+@example(fields={"options": bytes(44)}, total=64)  # IHL 16 would overflow into the version
+@example(fields={"ttl": 256}, total=64)  # struct.error, and only when serialized
+@example(fields={"options": bytes(40)}, total=0xFFFF)
+@example(fields={}, total=0xFFFF + 1)
+@given(fields=st.fixed_dictionaries({}, optional={
+           **{name: st.sampled_from([0, (1 << bits) - 1, -1, 1 << bits, 1.0])
+              for name, bits in IPV4_FIELD_BITS.items()},
+           "options": st.binary(max_size=44)}),
+       total=st.one_of(st.integers(20, 100), st.integers(0xFFFF - 2, 0xFFFF + 2)))
+def test_a_datagram_builds_exactly_when_its_header_fits(fields, total):
+    payload = bytes(max(0, total - frames.IPV4_HEADER_LEN - len(fields.get("options", b""))))
+    built = outcome(make_dgram, payload, **fields)
+    if header_fits(payload, fields):
+        assert Ipv4Datagram.from_bytes(built.to_bytes()) == built
+    else:
+        assert refused(built), built
 
 
 FIELD_VALUES = [0, 255, 256, -1, 1.5]  # an octet's range, just past it, and no int
@@ -654,21 +705,30 @@ FIELD_VALUES = [0, 255, 256, -1, 1.5]  # an octet's range, just past it, and no 
 @example(payload=bytes(1481), priority=0, fields={})  # above the MTU only
 @example(payload=bytes(65516), priority=0, fields={})  # total length past 16 bits
 @example(payload=bytes(8), priority=0, fields={"options": bytes(4)})  # NotPlainIpv4
+@example(payload=bytes(1440), priority=0, fields={"options": bytes(range(40))})  # at the MTU
+@example(payload=bytes(1441), priority=0, fields={"options": bytes(range(40))})  # past it
+@example(payload=bytes(8), priority=0, fields={"options": bytes(44)})
 @example(payload=bytes(8), priority=0, fields={"flags": frames.IPV4_MF})
 @example(payload=bytes(8), priority=0, fields={"ttl": 256})
 @example(payload=bytes(8), priority=0, fields={"dscp_ecn": -1})
 @example(payload=bytes(8), priority=0, fields={"protocol": 1.5})
 @example(payload=bytes(8), priority=0, fields={"identification": 1 << 16})
-@given(payload=st.sampled_from([0, 25, 26, 1480, 1481, 2040, 2041]).map(bytes),
+@given(payload=st.sampled_from([0, 25, 26, 1440, 1441, 1460, 1461, 1480, 1481, 2040, 2041])
+       .map(bytes),
        priority=st.sampled_from([0, 2047, 2048, -1]),
        fields=st.fixed_dictionaries({}, optional={
            "dscp_ecn": st.sampled_from(FIELD_VALUES), "ttl": st.sampled_from(FIELD_VALUES),
            "protocol": st.sampled_from(FIELD_VALUES),
            "identification": st.sampled_from([0, 0xFFFF, 1 << 16, -1, 1.5]),
            "flags": st.sampled_from([0, frames.IPV4_DF, frames.IPV4_MF]),
-           "options": st.sampled_from([b"", bytes(4), bytes(1004)])}))
+           "options": st.sampled_from([b"", bytes(4), bytes(range(20)), bytes(range(40)),
+                                       bytes(44)])}))
 def test_an_on_demand_encapsulation_raises_where_the_eager_one_does(payload, priority, fields):
-    d = make_dgram(payload, **fields)
+    built = outcome(make_dgram, payload, **fields)
+    if not header_fits(payload, fields):  # refused when built, so never encapsulated
+        assert refused(built), built
+        return
+    d = built
     assert outcome(ioc_encode, d, priority) == outcome(eager_ioc, d, priority)
     assert outcome(ioc_to_ethernet, d, M1, M2) == outcome(eager_ipv4_ethernet, d, M1, M2)
     eth = outcome(ioc_to_ethernet, d, M1, M2)
