@@ -124,7 +124,7 @@ class NotPlainIpv4(FrameError):
 
 def fits(what: str, value: int, bits: int) -> None:
     """The one field-width check: `value` is an unsigned `bits`-bit integer."""
-    if not 0 <= value < 1 << bits:
+    if value >> bits:  # a TypeError for what is no int; a negative int shifts to -1
         raise ValueError(f"{what} must fit in {bits} bits")
 
 

@@ -5,7 +5,8 @@ import pathlib
 import pytest
 import yaml
 
-from canxlnet import config
+from canxlnet import config, nodes
+from canxlnet.engine import Simulation, SwitchPortRef
 from canxlnet.frames import IPV4_DF, Ipv4Address, Ipv4Datagram, MacAddress
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -65,3 +66,33 @@ def compact_dgram(src: Ipv4Address, dst: Ipv4Address, payload: bytes, **fields) 
 def events(trace: str, kind: str) -> list[dict]:
     """The records of `trace` whose event is `kind`, in order."""
     return [r for r in map(json.loads, trace.splitlines()) if r["event"] == kind]
+
+
+# The classes that define `on_receive`: every station's is one of theirs.
+RECEIVERS = (nodes.Node, nodes.EocNode, nodes.ClassicCanNode, SwitchPortRef)
+
+
+def recorder(monkeypatch, classes, name: str, note) -> list:
+    """Patch method `name` of each of `classes` to append `note(self,
+    *args)` to the returned list, then run as before."""
+    seen = []
+    for cls in classes:
+        def recording(owner, *args, original=cls.__dict__[name]):
+            seen.append(note(owner, *args))
+            return original(owner, *args)
+
+        monkeypatch.setattr(cls, name, recording)
+    return seen
+
+
+def receptions(monkeypatch, note=lambda station, sim, frame, rx: (station, frame, rx)) -> list:
+    """What `note` makes of each station's `on_receive` call, in call
+    order: by default (station, frame, the decoded value it gets)."""
+    return recorder(monkeypatch, RECEIVERS, "on_receive", note)
+
+
+def transmissions(monkeypatch) -> list:
+    """(station, frame) of each transmission `Simulation.on_tx_start`
+    starts, in order."""
+    return recorder(monkeypatch, [Simulation], "on_tx_start",
+                    lambda sim, station, frame, *_: (station, frame))

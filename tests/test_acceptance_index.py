@@ -1,6 +1,7 @@
 """Bus delivery through `engine.AcceptanceIndex`: only the receivers that
 can act on a transmission are called, and the trace, the report and the
-nodes' ARP tables are those of calling every receiver in station order."""
+nodes' ARP tables are those of calling every receiver in station order,
+on generated buses and on every run of `test_decode_once.RUNS`."""
 
 import json
 from types import SimpleNamespace
@@ -9,25 +10,17 @@ import pytest
 from hypothesis import HealthCheck, Phase, find, given, settings, strategies as st
 
 from canxlnet import frames, nodes
-from canxlnet.engine import Flow, RunOptions, Simulation, SwitchPortRef, Topology
+from canxlnet.engine import AcceptanceIndex, Flow, RunOptions, Simulation, Topology
 from canxlnet.frames import ZERO_MAC, ArpMessage, ArpOp, Ipv4Address, MacAddress
 from canxlnet.nodes import ClassicCanNode, EocNode, EthernetHost, IocNode
 from canxlnet.switch import CAN_XL, EGRESS_EOC, EGRESS_IOC_PREFERRED, ETH, CSwitch, PortConfig
 from canxlnet.timing import CanXlTimingParams, EthernetTimingParams, to_ns
 
-from conftest import events, ip, mac
+from conftest import events, ip, mac, receptions
+from test_decode_once import RUNS
 
 BUS = CanXlTimingParams(1e6, 16e6)
 LINK = EthernetTimingParams(100e6)
-
-
-def reference_deliver(self, sender, frame, rx, summary):
-    """Every other station of the medium, in order: its `deliver` record,
-    then its `on_receive`."""
-    for station in sender.medium.stations:
-        if station is not sender:
-            self.trace("deliver", station.name, frame=json.loads(summary))
-            station.on_receive(self, frame, rx)
 
 
 def run_queued(build, queued=()) -> tuple[str, dict, dict]:
@@ -43,30 +36,27 @@ def run_queued(build, queued=()) -> tuple[str, dict, dict]:
                            if hasattr(node, "arp_table")}
 
 
+def every_receiver(monkeypatch) -> None:
+    """Make every bus call every receiver of each transmission in station
+    order, the reference: `AcceptanceIndex.callees` returns None, which
+    `Simulation._deliver` reads as every station, as it does on a link."""
+    monkeypatch.setattr(AcceptanceIndex, "callees", lambda *_: None)
+
+
 def run_both(build, monkeypatch, queued=()):
     """`run_queued(build, queued)` as it is and with every receiver
     called."""
     result = run_queued(build, queued)
     with monkeypatch.context() as patch:
-        patch.setattr(Simulation, "_deliver", reference_deliver)
+        every_receiver(patch)
         reference = run_queued(build, queued)
     return result, reference
 
 
-def record_calls(monkeypatch, wanted) -> list[str]:
-    """The names of the owners whose `on_receive` runs with a frame for
-    which `wanted(frame)` holds, in call order."""
-    calls = []
-    for cls in (nodes.Node, nodes.EocNode, nodes.ClassicCanNode, SwitchPortRef):
-        original = cls.__dict__["on_receive"]
-
-        def recording(owner, sim, frame, rx, original=original):
-            if wanted(frame):
-                calls.append(owner.name)
-            original(owner, sim, frame, rx)
-
-        monkeypatch.setattr(cls, "on_receive", recording)
-    return calls
+def names(calls: list, wanted) -> list[str]:
+    """The names of the stations of `calls`, as `receptions` records them,
+    that took a frame for which `wanted(frame)` holds, in call order."""
+    return [station.name for station, frame, _ in calls if wanted(frame)]
 
 
 # -- equivalence with calling every receiver -----------------------------------
@@ -220,6 +210,14 @@ def test_trace_and_report_equal_those_of_calling_every_receiver(bus, monkeypatch
     assert tables == ref_tables
 
 
+@pytest.mark.parametrize("build", RUNS.values(), ids=list(RUNS))
+def test_every_run_equals_calling_every_receiver(build, monkeypatch):
+    (trace, report, tables), (ref_trace, ref_report, ref_tables) = run_both(build, monkeypatch)
+    assert trace == ref_trace
+    assert report == ref_report
+    assert tables == ref_tables
+
+
 # `find` settings for the cases a mixed bus must be able to draw: the first
 # bus drawn that has one is enough, so none is shrunk.
 DRAWS = settings(max_examples=2000, phases=[Phase.generate])  # `find`'s default count
@@ -262,7 +260,7 @@ def arp_cases(bus, monkeypatch) -> set[str]:
 
     with monkeypatch.context() as patch:
         patch.setattr(nodes.Node, "_handle_arp", classify)
-        patch.setattr(Simulation, "_deliver", reference_deliver)
+        every_receiver(patch)
         run_queued(bus.build, bus.queued)
     return seen
 
@@ -288,10 +286,10 @@ def eoc_bus(count: int, flows=()) -> Topology:
 
 
 def test_sender_sharing_the_af_image_is_no_false_positive(monkeypatch):
-    calls = record_calls(monkeypatch, lambda frame: True)
+    calls = receptions(monkeypatch)
     flow = Flow("f", "n1", "raw-ethernet", 46, [to_ns(0.001)], dst_mac=mac(2))
     _, report = Simulation(eoc_bus(3, [flow])).run()
-    assert calls == ["n2"]
+    assert names(calls, lambda frame: True) == ["n2"]
     assert report["flows"]["f"]["delivered"] == 1
     counts = {name: node["af_false_positive"] for name, node in report["nodes"].items()}
     assert counts == {"n1": 0, "n2": 0, "n3": 1}
@@ -312,9 +310,9 @@ def test_compact_frame_with_a_bad_header_reaches_only_switch_ports(monkeypatch):
     assert frames.decode(frame).net is None
     station = topo.nodes["n1"]
     sim.schedule(0, station.medium.enqueue, sim, station, frame)
-    calls = record_calls(monkeypatch, lambda sent: sent is frame)
+    calls = receptions(monkeypatch)
     trace, report = sim.run()
-    assert calls == ["sw.p0"]
+    assert names(calls, lambda sent: sent is frame) == ["sw.p0"]
     assert [e["location"] for e in events(trace, "deliver")
             if e["frame"].get("sdt") == "ipv4"] == ["n2", "sw.p0"]
     assert report["nodes"]["n2"]["delivered"] == 0
@@ -332,9 +330,10 @@ def test_classic_frame_calls_only_classic_nodes_and_ports(monkeypatch):
         topo.attach_node(name, "bus")
     topo.attach_switch_port("sw", 0, "bus")
     topo.flows.append(Flow("f", "c1", "classic-can", 8, [to_ns(0.001)], can_id=0x123))
-    calls = record_calls(monkeypatch, lambda frame: isinstance(frame, frames.ClassicCanFrame))
+    calls = receptions(monkeypatch)
     trace, report = Simulation(topo).run()
-    assert calls == ["c3", "sw.p0"]
+    classic = names(calls, lambda frame: isinstance(frame, frames.ClassicCanFrame))
+    assert classic == ["c3", "sw.p0"]
     assert [e["location"] for e in events(trace, "deliver")
             if e["frame"]["kind"] == "classic"] == ["n2", "c3", "n4", "sw.p0"]
     assert report["flows"]["f"]["delivered"] == 1
@@ -343,10 +342,10 @@ def test_classic_frame_calls_only_classic_nodes_and_ports(monkeypatch):
 def test_rejecting_run_writes_each_deliver_line_once_in_station_order(monkeypatch):
     flow = Flow("f", "n3", "raw-ethernet", 46, [to_ns(0.001)], dst_mac=mac(6))
     _, (ref_trace, ref_report, _) = run_both(lambda: eoc_bus(8, [flow]), monkeypatch)
-    calls = record_calls(monkeypatch, lambda frame: True)
+    calls = receptions(monkeypatch)
     sim = Simulation(eoc_bus(8, [flow]))
     trace, report = sim.run()
-    assert calls == ["n6"]
+    assert names(calls, lambda frame: True) == ["n6"]
     assert (trace, report) == (ref_trace, ref_report)
     assert [e["location"] for e in events(trace, "deliver")] == \
         ["n1", "n2", "n4", "n5", "n6", "n7", "n8"]
@@ -369,9 +368,9 @@ def is_arp_broadcast(frame) -> bool:
 
 def test_arp_request_calls_only_its_target(monkeypatch):
     flow = Flow("f", "n1", "ipv4", 44, [to_ns(0.001)], dst_ip=ip(3))
-    calls = record_calls(monkeypatch, is_arp_broadcast)
+    calls = receptions(monkeypatch)
     trace, report = Simulation(eoc_bus(5, [flow])).run()
-    assert calls == ["n3"]
+    assert names(calls, is_arp_broadcast) == ["n3"]
     assert [e["location"] for e in events(trace, "deliver")
             if e["frame"]["af"] == "0xffffffff"] == ["n2", "n3", "n4", "n5"]
     assert report["flows"]["f"]["delivered"] == 1
@@ -396,9 +395,9 @@ def test_arp_broadcast_calls_the_nodes_that_hold_its_sender_ip(monkeypatch):
     queued = [("n3", frames.eoc_encapsulate(frames.arp_serialize(claim), 0x103), to_ns(0.005))]
     result, reference = run_both(build, monkeypatch, queued)
     assert result == reference
-    calls = record_calls(monkeypatch, lambda frame: frame is queued[0][1])
+    calls = receptions(monkeypatch)
     run_queued(build, queued)
-    assert calls == ["n1", "n2", "n4"]
+    assert names(calls, lambda frame: frame is queued[0][1]) == ["n1", "n2", "n4"]
     report, tables = result[1:]
     assert [report["flows"][name]["delivered"] for name in ("f", "g2", "g4")] == [1, 0, 1]
     assert (tables["n2"][ip(1)], tables["n4"][ip(1)]) == (mac(3), mac(1))
@@ -412,9 +411,9 @@ def test_arp_announcement_gets_no_reply(monkeypatch):
     queued = [("n1", frames.eoc_encapsulate(frames.arp_serialize(announcement), 0x101), 0)]
     result, reference = run_both(lambda: eoc_bus(3), monkeypatch, queued)
     assert result == reference
-    calls = record_calls(monkeypatch, lambda frame: frame is queued[0][1])
+    calls = receptions(monkeypatch)
     trace, _, _ = run_queued(lambda: eoc_bus(3), queued)
-    assert calls == ["n2"]
+    assert names(calls, lambda frame: frame is queued[0][1]) == ["n2"]
     assert [e["source"] for e in events(trace, "tx_start")] == ["n1"]
 
 
@@ -444,9 +443,9 @@ def test_tunnel_frame_to_an_af_no_node_has_reaches_only_the_ports(monkeypatch):
     far = MacAddress.parse(UNKNOWN_MACS[1])
     af = frames.make_af_from_da(far)
     flow = Flow("f", "n1", "raw-ethernet", 46, [to_ns(0.001)], dst_mac=far)
-    calls = record_calls(monkeypatch, lambda frame: getattr(frame, "af", None) == af)
+    calls = receptions(monkeypatch)
     trace, report = Simulation(eoc_bus_with_a_port([flow])).run()
-    assert calls == ["sw.p0"]
+    assert names(calls, lambda frame: getattr(frame, "af", None) == af) == ["sw.p0"]
     assert [e["location"] for e in events(trace, "deliver")
             if e["frame"].get("af") == f"0x{af:08x}"] == ["n2", "n3", "sw.p0"]
     assert all(node["af_false_positive"] == 0 for node in report["nodes"].values())
@@ -459,11 +458,12 @@ def test_group_da_behind_a_unicast_af_reaches_every_station(monkeypatch):
     frame = frames.CanXlFrame(0x100, frames.SDT_ETHERNET, 0, frames.make_af_from_da(mac(2)),
                               eth.to_bytes())
     assert not frame.af & frames.AF_GROUP
-    calls = record_calls(monkeypatch, lambda sent: sent is frame)
+    calls = receptions(monkeypatch)
     result, reference = run_both(eoc_bus_with_a_port, monkeypatch, [("n1", frame, 0)])
     assert result == reference
     report = result[1]
-    assert calls == ["n2", "n3", "sw.p0"] * 2  # the run, then the reference run
+    # the run, then the reference run
+    assert names(calls, lambda sent: sent is frame) == ["n2", "n3", "sw.p0"] * 2
     assert [report["nodes"][n]["delivered"] for n in ("n2", "n3")] == [1, 1]
 
 

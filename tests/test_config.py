@@ -72,13 +72,23 @@ def test_scenario_files_load(scenario_path):
         topo.validate()
 
 
-def test_duplicate_ip_names_both_nodes():
+def simulated_error(tmp_path, capsys, doc) -> str:
+    """What `canxlnet simulate` writes to stderr for `doc`, on which it
+    exits 2."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc))
+    assert main(["simulate", str(bad)]) == 2
+    return capsys.readouterr().err
+
+
+def test_duplicate_ip_names_both_nodes(tmp_path, capsys):
     doc = variant()
     doc["nodes"][1]["ip"] = "10.0.0.1"
     with pytest.raises(ConfigError) as exc:
         checked(doc)
     message = str(exc.value)
     assert "h1" in message and "n1" in message
+    assert simulated_error(tmp_path, capsys, doc) == f"error: {message}\n"
 
 
 def test_duplicate_mac_rejected():
@@ -206,13 +216,14 @@ def test_schedule_requires_at_or_periodic():
     {"at": 0.001, "count": 5},
     {"at": 0.001, "start": 0.002},
 ], ids=["period_and_count", "period", "count", "start"])
-def test_schedule_at_excludes_periodic_keys(schedule):
+def test_schedule_at_excludes_periodic_keys(tmp_path, capsys, schedule):
     doc = variant()
     doc["flows"][0]["schedule"] = schedule
     with pytest.raises(ConfigError) as exc:
         checked(doc)
     assert exc.value.location == "flows.f1.schedule"
     assert "'at' excludes" in exc.value.reason
+    assert simulated_error(tmp_path, capsys, doc) == f"error: {exc.value}\n"
 
 
 def test_periodic_schedule_expands():
@@ -414,6 +425,23 @@ def test_bad_time_or_rate_is_located(path, value, location):
     assert_located(path, value, location)
 
 
+# the rows of the tables above that also run through `canxlnet simulate`
+SIMULATED_EDITS = [
+    *[(location, path, value, location) for path, value, location in MALFORMED
+      if location in ("switches.sw1.ports", "switches.sw1.ports.0.kind",
+                      "run.startup_gratuitous_arp")],
+    *[case for case in UNQUOTED_ADDRESSES + NON_INTEGERS + BAD_TIMES_AND_RATES
+      if case[0] in ("mac", "payload_size", "t_end")],
+]
+
+
+@pytest.mark.parametrize("path, value, location", [case[1:] for case in SIMULATED_EDITS],
+                         ids=[case[0] for case in SIMULATED_EDITS])
+def test_simulate_exits_2_on_a_located_error(tmp_path, capsys, path, value, location):
+    err = simulated_error(tmp_path, capsys, edited(path, value))
+    assert err.startswith(f"error: {location}: ") and err.count("\n") == 1
+
+
 # where each time key goes in MINIMAL, and where its error is located
 TIME_KEYS = {
     "t_end": (("run", "t_end"), "run.t_end"),
@@ -587,10 +615,8 @@ SIMULATED = ("duplicate_node", "port_attached_twice", "bridge_mac_collision", "u
                          [pytest.param(*case[1:], id=case[0]) for case in TOPOLOGY_ERRORS
                           if case[0] in SIMULATED])
 def test_simulate_exits_2_on_a_topology_error(tmp_path, capsys, base, edits, location, reason):
-    bad = tmp_path / "bad.yaml"
-    bad.write_text(yaml.safe_dump(edited_all(base, edits)))
-    assert main(["simulate", str(bad)]) == 2
-    assert capsys.readouterr().err == f"error: {location}: {reason}\n"
+    assert simulated_error(tmp_path, capsys, edited_all(base, edits)) == \
+        f"error: {location}: {reason}\n"
 
 
 # (id, document, location, reason) of shape and key errors

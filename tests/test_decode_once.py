@@ -49,7 +49,7 @@ from canxlnet.switch import (
 )
 from canxlnet.timing import CanXlTimingParams, EthernetTimingParams, to_ns
 
-from conftest import all_scenarios, compact_dgram, ip, mac, workloads
+from conftest import all_scenarios, compact_dgram, ip, mac, receptions, transmissions, workloads
 
 BUS = CanXlTimingParams(500e3, 8e6)
 LINK = EthernetTimingParams(100e6)
@@ -110,20 +110,6 @@ def ring() -> Topology:
     return topo
 
 
-def carried(monkeypatch) -> list:
-    """Patch `Simulation._deliver` to record (frame, the value its receivers
-    get, sender) for every transmission."""
-    delivered = []
-    deliver = Simulation._deliver
-
-    def recording(self, sender, frame, rx, summary):
-        delivered.append((frame, rx, sender))
-        deliver(self, sender, frame, rx, summary)
-
-    monkeypatch.setattr(Simulation, "_deliver", recording)
-    return delivered
-
-
 # Every parser a frame can go through: none of them may run during a run.
 PARSERS = [frames.decode, frames.eoc_decapsulate, frames.ioc_decapsulate, frames.arp_parse,
            frames.bpdu_parse, EthernetFrame.from_bytes, Ipv4Datagram.from_bytes]
@@ -154,38 +140,43 @@ def calls_to(functions):
 
 
 def receivers_get_the_decode(monkeypatch, topo: Topology) -> tuple[list, dict]:
-    """Run `topo`, check that it parses nothing and that the receivers of
-    every transmission get `frames.decode(frame)`; returns what `carried`
-    recorded and the report.  This is the run-level check; every entry of
-    `RUNS` goes through it."""
-    delivered = carried(monkeypatch)
+    """Run `topo`, check that it parses nothing, that every frame that
+    starts carries `frames.decode(frame)` and that each reception gets its
+    frame's value; returns the (station, frame) of every transmission
+    and the report.  This is the run-level check; every entry of `RUNS`
+    goes through it."""
+    started = transmissions(monkeypatch)
+    received = receptions(monkeypatch)
     with calls_to(PARSERS) as calls:
         _, report = Simulation(topo).run()
     assert calls == []
-    for frame, rx, _ in delivered:
-        assert rx == frames.decode(frame)
-    return delivered, report
+    for _, frame in started:
+        assert frame.decoded == frames.decode(frame)
+    for _, frame, rx in received:
+        assert rx == frame.decoded
+    return started, report
 
 
 @pytest.mark.parametrize("path", all_scenarios(), ids=lambda p: p.stem)
 def test_switch_emissions_carry_their_decode_in_every_scenario(monkeypatch, path):
     topo = load_config(str(path))
-    delivered, _ = receivers_get_the_decode(monkeypatch, topo)
-    assert any(isinstance(sender, SwitchPortRef) for _, _, sender in delivered) == \
+    started, _ = receivers_get_the_decode(monkeypatch, topo)
+    assert any(isinstance(sender, SwitchPortRef) for sender, _ in started) == \
         bool(topo.switches)
 
 
 def test_switch_emissions_carry_their_decode_in_a_ring(monkeypatch):
     topo = ring()
-    delivered, report = receivers_get_the_decode(monkeypatch, topo)
+    started, report = receivers_get_the_decode(monkeypatch, topo)
     assert topo.switches["sw3"].port_state[1].role == ROLE_BLOCKED
     assert report["switches"]["sw3"]["counters"]["stp_blocked"] > 0
     assert report["switches"]["sw2"]["counters"]["reconstruction_failure"] == 0
     for name, flow in report["flows"].items():
         assert flow["delivered_unique"] == flow["sent"] == 3, name
     # every way out of a switch was taken
-    emitted = [(type(frame).__name__, getattr(frame, "sdt", None), rx.net.__class__.__name__)
-               for frame, rx, sender in delivered if isinstance(sender, SwitchPortRef)]
+    emitted = [(type(frame).__name__, getattr(frame, "sdt", None),
+                type(frame.decoded.net).__name__)
+               for sender, frame in started if isinstance(sender, SwitchPortRef)]
     assert ("CanXlFrame", frames.SDT_IPV4, "Ipv4Datagram") in emitted
     assert ("CanXlFrame", frames.SDT_ETHERNET, "Ipv4Datagram") in emitted
     assert ("CanXlFrame", frames.SDT_ETHERNET, "ArpMessage") in emitted
@@ -197,25 +188,24 @@ def test_only_frames_a_node_queued_are_decoded(monkeypatch):
     # every frame gets its value where it is built, so not even a node's
     # frame is parsed once the run has started; nor is a BPDU, though the
     # ring's spanning tree is live
-    delivered = carried(monkeypatch)
+    started = transmissions(monkeypatch)
     with calls_to(PARSERS) as calls:
         _, report = Simulation(ring()).run()
-    from_nodes = [frame for frame, _, sender in delivered
-                  if not isinstance(sender, SwitchPortRef)]
-    assert 0 < len(from_nodes) < len(delivered)
+    from_nodes = [frame for sender, frame in started if not isinstance(sender, SwitchPortRef)]
+    assert 0 < len(from_nodes) < len(started)
     # no decode for a switch's drops either
     assert report["switches"]["sw3"]["counters"]["stp_blocked"] > 0
     assert calls == []
 
 
 def test_no_switch_parses_an_ipv4_header(monkeypatch):
-    delivered = carried(monkeypatch)
+    started = transmissions(monkeypatch)
     with calls_to(PARSERS) as calls:
         Simulation(ring()).run()
     # sw1 compacted Ethernet/IPv4 for its ioc-preferred ports ...
     assert any(isinstance(sender, SwitchPortRef) and sender.switch.name == "sw1"
                and getattr(frame, "sdt", None) == frames.SDT_IPV4
-               for frame, _, sender in delivered)
+               for sender, frame in started)
     # ... from the ingress value, and neither it nor anything else parsed
     # the header (Ipv4Datagram.from_bytes is among the patched parsers)
     assert calls == []
@@ -268,18 +258,18 @@ RUNS = {**{path.stem: lambda path=path: load_config(str(path)) for path in all_s
 @pytest.mark.parametrize("name", sorted(SYNTHETIC))
 def test_every_transmission_of_a_workload_carries_its_decode(monkeypatch, name):
     # the bundled scenarios and the ring take the same check above
-    delivered, report = receivers_get_the_decode(monkeypatch, SYNTHETIC[name]())
-    assert len(delivered) >= sum(flow["sent"] for flow in report["flows"].values()) > 0
+    started, report = receivers_get_the_decode(monkeypatch, SYNTHETIC[name]())
+    assert len(started) >= sum(flow["sent"] for flow in report["flows"].values()) > 0
 
 
 def test_every_send_site_takes_every_node_send_site(monkeypatch):
-    delivered = carried(monkeypatch)
+    started = transmissions(monkeypatch)
     _, report = Simulation(every_send_site()).run()
     for name, flow in report["flows"].items():
         assert flow["delivered_unique"] == flow["sent"] == 4, name
     sites = {(sender.name, type(frame).__name__, getattr(frame, "sdt", None),
-              type(rx.net).__name__, getattr(rx.net, "op", None))
-             for frame, rx, sender in delivered}
+              type(frame.decoded.net).__name__, getattr(frame.decoded.net, "op", None))
+             for sender, frame in started}
     eoc, ipv4 = frames.SDT_ETHERNET, frames.SDT_IPV4
     assert sites >= {
         ("i1", "CanXlFrame", eoc, "ArpMessage", ArpOp.GRATUITOUS_REPLY),
@@ -295,8 +285,8 @@ def test_every_send_site_takes_every_node_send_site(monkeypatch):
         ("h2", "EthernetFrame", None, "NoneType", None),
     }
     # a raw payload travels padded, as the receiver reads it
-    raw = [rx.payload for _, rx, sender in delivered
-           if sender.name in ("e1", "h2") and rx.net is None]
+    raw = [frame.decoded.payload for sender, frame in started
+           if sender.name in ("e1", "h2") and frame.decoded.net is None]
     assert raw and all(len(payload) == frames.ETH_MIN_PAYLOAD for payload in raw)
 
 

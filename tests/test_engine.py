@@ -28,7 +28,7 @@ from canxlnet.timing import (
     to_ns,
 )
 
-from conftest import all_scenarios, compact_dgram, events, ip, mac
+from conftest import all_scenarios, compact_dgram, events, ip, mac, receptions, recorder
 
 BUS = CanXlTimingParams(500e3, 16e6)
 LINK = EthernetTimingParams(10e6)
@@ -220,37 +220,17 @@ class TestMediumTiming:
         assert decodes == []
 
     def test_no_kick_is_scheduled_while_the_medium_is_busy(self, monkeypatch):
-        sim = Simulation(switched_pair())
-        kicks = []  # (medium kind, busy until, kick time)
-        ran = []  # (medium kind, busy until, time the kick runs)
-        schedule = Simulation.schedule
+        # Every kick that runs finds its medium idle, a link the sender's
+        # direction: nothing else starts a transmission.
+        def seen(medium, sim, *station):  # (medium kind, busy until, time the kick runs)
+            busy = medium.busy_until
+            return medium.kind, busy[station[0]] if isinstance(busy, dict) else busy, sim.now
 
-        def recording(self, t_ns, handler, *args):
-            if getattr(handler, "__name__", None) == "kick":
-                medium = handler.__self__
-                busy = medium.busy_until
-                kicks.append((medium.kind, busy if isinstance(busy, int) else busy[args[1]], t_ns))
-            schedule(self, t_ns, handler, *args)
-
-        def running(kick):
-            def run(medium, sim, *direction):
-                busy = medium.busy_until
-                ran.append((medium.kind, busy[direction[0]] if direction else busy, sim.now))
-                kick(medium, sim, *direction)
-            run.__name__ = "kick"
-            return run
-
-        monkeypatch.setattr(Simulation, "schedule", recording)
-        for medium in (CanBus, EthernetLink):
-            monkeypatch.setattr(medium, "kick", running(medium.kick))
-        _, report = sim.run()
+        ran = recorder(monkeypatch, [CanBus, EthernetLink], "kick", seen)
+        _, report = Simulation(switched_pair()).run()
         for name in (FLOW_UP, FLOW_DOWN):
             assert report["flows"][name]["delivered"] == 2
-        assert {kind for kind, _, _ in kicks} == {"can-bus", "ethernet-link"}
-        assert all(busy <= t_ns for _, busy, t_ns in kicks)
-        # and when it runs, the medium is idle still: nothing else starts
-        # a transmission
-        assert len(ran) == len(kicks)
+        assert {kind for kind, _, _ in ran} == {"can-bus", "ethernet-link"}
         assert all(busy <= now for _, busy, now in ran)
 
     def test_bus_utilization_stops_at_t_end(self):
@@ -293,17 +273,10 @@ class TestMediumTiming:
         # instant.
         topo = five_node_bus(raw_flow("b", "n1", frames.BROADCAST_MAC, 0.001))
         topo.flows.append(Flow("f", "n1", "ipv4", 44, [to_ns(0.002)], dst_ip=ip(3)))
-        sim = Simulation(topo)
-        called = []  # (node, ethertype, trace lines written when it was called)
-        on_receive = nodes.EocNode.on_receive
-
-        def recording(node, *args):
-            written = sum(entry.count("\n") + 1 for entry in sim.trace_lines)
-            called.append((node.name, args[-1].eth.ethertype, written))
-            on_receive(node, *args)
-
-        monkeypatch.setattr(nodes.EocNode, "on_receive", recording)
-        trace, _ = sim.run()
+        # (node, ethertype, trace lines written when it was called)
+        called = receptions(monkeypatch, lambda node, sim, frame, rx: (
+            node.name, rx.eth.ethertype, sum(entry.count("\n") + 1 for entry in sim.trace_lines)))
+        trace, _ = Simulation(topo).run()
         records = [json.loads(line) for line in trace.splitlines()]
         broadcast, request = [i for i, r in enumerate(records) if r["event"] == "tx_complete"][:2]
 

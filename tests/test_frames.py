@@ -152,13 +152,17 @@ class TestEoc:
 
 
 class Deliveries:
-    """The simulation side of a receiving node: records app deliveries."""
+    """The simulation side of a receiving node: records app deliveries and
+    drops."""
 
     def __init__(self):
-        self.payloads = []
+        self.payloads, self.drops = [], []
 
     def on_app_delivery(self, node, payload):
         self.payloads.append(payload)
+
+    def drop(self, frame, reason, location, rx):
+        self.drops.append((frame, reason, location, rx))
 
 
 class TestEocAccept:
@@ -536,6 +540,21 @@ FRAME_ERRORS = [
      "flags/fragment offset out of range"),
     ("ipv4_fragment_offset_range", lambda: make_dgram(bytes(8), fragment_offset=1 << 13),
      ValueError, "flags/fragment offset out of range"),
+    # a frame field is an int that fits it, so a frame that builds has bytes
+    ("canxl_priority_float", lambda: CanXlFrame(1.5, frames.SDT_ETHERNET, 0, 0, bytes(60)),
+     TypeError, "unsupported operand type(s) for >>: 'float' and 'int'"),
+    ("canxl_priority_negative", lambda: CanXlFrame(-1, frames.SDT_ETHERNET, 0, 0, bytes(60)),
+     ValueError, "priority must fit in 11 bits"),
+    ("canxl_priority_2048", lambda: CanXlFrame(2048, frames.SDT_ETHERNET, 0, 0, bytes(60)),
+     ValueError, "priority must fit in 11 bits"),
+    ("classic_identifier_float", lambda: frames.ClassicCanFrame(1.5, bytes(8)), TypeError,
+     "unsupported operand type(s) for >>: 'float' and 'int'"),
+    ("classic_identifier_negative", lambda: frames.ClassicCanFrame(-1, bytes(8)), ValueError,
+     "identifier must fit in 11 bits"),
+    ("eoc_priority_float", lambda: eoc_encapsulate(_RAW, 2.5), TypeError,
+     "unsupported operand type(s) for >>: 'float' and 'int'"),
+    ("ioc_priority_float", lambda: ioc_encode(_DGRAM, 2.5), TypeError,
+     "unsupported operand type(s) for >>: 'float' and 'int'"),
     ("ipv4_ihl_below_5", lambda: Ipv4Datagram.from_bytes(ipv4_header(ihl=4)),
      frames.Malformed, "bad IHL"),
     ("ipv4_ihl_past_the_buffer", lambda: Ipv4Datagram.from_bytes(ipv4_header(ihl=6)[:20]),
