@@ -8,6 +8,11 @@
 
 Exit codes: 0 success, 2 usage/config/parse error, 1 internal invariant
 violation.
+
+`simulate` checks the configuration before it opens any output file, so
+a rejected one leaves none.  It streams the trace to its file as the run
+goes; a run that fails part-way leaves there every record traced before
+the fault, and no report.
 """
 
 from __future__ import annotations
@@ -62,9 +67,9 @@ def _cmd_simulate(args) -> int:
         topo.options.t_end = args.t_end
     trace_path = args.trace or topo.options.trace or "trace.jsonl"
     report_path = args.report or topo.options.report or "report.json"
-    trace, report = Simulation(topo).run()
+    sim = Simulation(topo)  # validates the topology
     with open(trace_path, "w") as fh:
-        fh.write(trace)
+        _, report = sim.run(fh)
     with open(report_path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

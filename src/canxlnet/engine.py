@@ -16,8 +16,9 @@ without a simulator, so tests drive them with explicit times, and
 A node or a switch port (`SwitchPortRef`) is the station its medium's
 `attach` wires.  Media hand each transmission they start to
 `Simulation.on_tx_start`, which describes the frame once, traces it and
-schedules its completion; the completion re-arms the medium with
-`request_kick`, the one arming call.
+schedules its completion; the completion arms the medium (`arm`, the one
+arming call) and, if that armed it, the delivery ends with the medium's
+kick, where a kick event of its own would have run next.
 A packet is never parsed on the way: each frame, a node's or a switch's,
 a BPDU too, is built by a `frames` function that attaches its decoded
 value, and is queued alone.  `on_tx_start` reads `frame.decoded` once per
@@ -58,7 +59,13 @@ time is its flow's `schedule[seq]`, and `make_payload` of its tag,
 regenerated on delivery, is the end-to-end byte-identity check.
 
 The trace is one JSON record per line; the report is a JSON document of
-per-flow, per-medium, per-switch, and per-node aggregates.
+per-flow, per-medium, per-switch, and per-node aggregates.  The trace is
+kept as entries in `Simulation.trace_lines`, each one line or, for the
+`deliver` records of one join, several.  Given a text file, `run` streams
+the trace to it: after any instant that leaves more than `TRACE_CHUNK`
+entries it writes them, whole lines each ending in a newline, and clears
+the list, so memory holds a chunk of the trace, not all of it.  Without
+a file it returns the whole trace as text.
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ from __future__ import annotations
 import heapq
 import json
 import struct
+import sys
 from dataclasses import dataclass, field
 
 from . import frames
@@ -85,6 +93,9 @@ from .timing import CanXlTimingParams, EthernetTimingParams, to_ns
 
 FLOW_TAG = struct.Struct(">II")  # a payload's first bytes: flow index, sequence number
 MAX_IPV4_PAYLOAD = frames.ETH_MTU - frames.IPV4_HEADER_LEN
+# Trace entries held before `run` writes them to its file.  In entries, not
+# records: a bus `deliver` entry joins up to one record per receiver.
+TRACE_CHUNK = 256
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -581,7 +592,11 @@ class Simulation:
 
     # -- event handlers ---------------------------------------------------------
 
-    def run(self) -> tuple[str, dict]:
+    def run(self, trace_file=None) -> tuple[str, dict]:
+        """Run to t_end; (the trace, the report).  Given a text file, the
+        trace is written to it as the run goes and the text returned is "".
+        If the run raises, the file still gets every record traced before
+        the fault."""
         # In bridge-id order, so that the switches' listing order cannot
         # change which of two simultaneous BPDUs a switch takes first.
         for sw in sorted(self.topo.switches.values(), key=lambda sw: sw.bridge_id):
@@ -594,15 +609,31 @@ class Simulation:
                 self.schedule(t, self._app_send, record, seq)
 
         due, instants, pop, t_end = self.due, self.instants, heapq.heappop, self.t_end_ns
-        while instants and instants[0] <= t_end:
-            self.now = t = pop(instants)
-            for handler, args in due[t]:  # the iterator sees events appended on the way
-                handler(*args)
-            del due[t]
+        lines = self.trace_lines
+        chunk = TRACE_CHUNK if trace_file is not None else sys.maxsize
+        try:
+            while instants and instants[0] <= t_end:
+                self.now = t = pop(instants)
+                for handler, args in due[t]:  # the iterator sees events appended on the way
+                    handler(*args)
+                del due[t]
+                if len(lines) > chunk:
+                    self._write_trace(trace_file)
+        finally:
+            if trace_file is not None:
+                self._write_trace(trace_file)
         for index in self.indexes:
             index.settle()
+        return "" if trace_file is not None else "\n".join(lines + [""]), self.report()
 
-        return "\n".join(self.trace_lines) + ("\n" if self.trace_lines else ""), self.report()
+    def _write_trace(self, trace_file) -> None:
+        """Write the entries held to `trace_file`, each line ending in a
+        newline, and drop them."""
+        lines = self.trace_lines
+        if lines:
+            lines.append("")
+            trace_file.write("\n".join(lines))
+            lines.clear()
 
     def _app_send(self, record: FlowRecord, seq: int) -> None:
         flow = record.flow
@@ -617,14 +648,14 @@ class Simulation:
                        summary: str, shared: str) -> None:
         now = self.now
         self.trace_lines.append(f'{{"event":"tx_complete",{shared}"t_ns":{now}}}')
-        self.schedule(now, self._deliver, sender, frame, rx, summary)
-        sender.medium.request_kick(self, sender)
+        self.schedule(now, self._deliver, sender, frame, rx, summary, sender.medium.arm(sender))
 
-    def _deliver(self, sender, frame, rx: frames.Decoded, summary: str) -> None:
+    def _deliver(self, sender, frame, rx: frames.Decoded, summary: str, armed: bool) -> None:
         """Hand one transmission to the receivers that can act on it, in
         station order: each one's `deliver` record, then its reaction.
         Every other station gets its record; those of each run of stations
-        that cannot act on the frame are written in one join."""
+        that cannot act on the frame are written in one join.  Then, if
+        the completion `armed` the medium, kick it."""
         receivers, locations, index, at = self.fanout[sender][2]
         # Byte for byte what trace("deliver", <receiver name>, frame=...) writes.
         head = '{"event":"deliver","frame":' + summary + ',"location":'
@@ -635,17 +666,19 @@ class Simulation:
             for receiver, location in zip(receivers, locations):
                 lines.append(head + location + tail)
                 receiver.on_receive(self, frame, rx)
-            return
-        sep = tail + "\n" + head
-        start = 0  # the first receiver whose record is not written yet
-        for i in callees:
-            if i != at:
-                end = i if i < at else i - 1  # its place among the receivers
-                lines.append(head + sep.join(locations[start:end + 1]) + tail)
-                receivers[end].on_receive(self, frame, rx)
-                start = end + 1
-        if start < len(locations):
-            lines.append(head + sep.join(locations[start:]) + tail)
+        else:
+            sep = tail + "\n" + head
+            start = 0  # the first receiver whose record is not written yet
+            for i in callees:
+                if i != at:
+                    end = i if i < at else i - 1  # its place among the receivers
+                    lines.append(head + sep.join(locations[start:end + 1]) + tail)
+                    receivers[end].on_receive(self, frame, rx)
+                    start = end + 1
+            if start < len(locations):
+                lines.append(head + sep.join(locations[start:]) + tail)
+        if armed:  # where the kick's own event would have run
+            sender.medium.kick(self, sender)
 
     def _stp_hello(self, sw: CSwitch) -> None:
         self.trace("timer", sw.name, reason="stp-hello")

@@ -20,9 +20,11 @@ its `queue`, and a bus also its `bus_position`.  A medium only decides
 when a frame starts and hands it to `Simulation.on_tx_start`, which
 traces it and schedules its completion, or, for the frames a bus clash
 discards, to `Simulation.on_clash`.  A queue holds frames only.
-`request_kick(sim, station)` is the one arming call: an enqueue makes it
-while the bus (or the station's link direction) is idle, a completion
-always.  Only a kick starts a transmission and one kick at most is
+`arm(station)` is the one arming call: it marks a kick pending and says
+whether none was.  An enqueue arms while the bus (or the station's link
+direction) is idle and schedules the kick if it armed; a completion
+always arms, and the engine runs the kick at the end of the delivery if
+it armed.  Only a kick starts a transmission and one kick at most is
 pending, so a kick always runs on an idle medium.
 A frame's duration depends only on its medium, its kind and its length,
 so each medium keeps the nanoseconds of each length it has carried
@@ -85,13 +87,16 @@ class CanBus:
     def enqueue(self, sim, station, frame) -> None:
         heapq.heappush(station.queue, (frame_priority(frame), next(self.enqueued), frame))
         self.waiting[station.bus_position] = station
-        if self.busy_until <= sim.now:  # a busy bus re-arms when it completes
-            self.request_kick(sim, station)
-
-    def request_kick(self, sim, station) -> None:  # the kick serves every station
-        if not self.kick_pending:
-            self.kick_pending = True
+        # a busy bus re-arms when it completes
+        if self.busy_until <= sim.now and self.arm(station):
             sim.schedule(sim.now, self.kick, sim)
+
+    def arm(self, station) -> bool:  # the kick serves every station
+        """Mark a kick pending; False if one already was."""
+        if self.kick_pending:
+            return False
+        self.kick_pending = True
+        return True
 
     def _pop(self, at: int):
         """(station, frame) of the head of the queue at bus position `at`."""
@@ -101,9 +106,10 @@ class CanBus:
             del self.waiting[at]
         return station, frame
 
-    def kick(self, sim) -> None:
+    def kick(self, sim, station=None) -> None:
         """Start the queue head with the lowest priority value (dominant-bit
-        semantics) on the idle bus; only the stations with a queue contend."""
+        semantics) on the idle bus; only the stations with a queue contend,
+        whichever `station` armed the kick."""
         self.kick_pending = False
         waiting = self.waiting
         while True:
@@ -164,13 +170,16 @@ class EthernetLink:
 
     def enqueue(self, sim, station, frame) -> None:
         station.queue.append(frame)
-        if self.busy_until[station] <= sim.now:  # a busy direction re-arms when it completes
-            self.request_kick(sim, station)
-
-    def request_kick(self, sim, station) -> None:
-        if not self.kick_pending[station]:
-            self.kick_pending[station] = True
+        # a busy direction re-arms when it completes
+        if self.busy_until[station] <= sim.now and self.arm(station):
             sim.schedule(sim.now, self.kick, sim, station)
+
+    def arm(self, station) -> bool:
+        """Mark a kick pending for `station`'s direction; False if one already was."""
+        if self.kick_pending[station]:
+            return False
+        self.kick_pending[station] = True
+        return True
 
     def kick(self, sim, station) -> None:
         self.kick_pending[station] = False

@@ -4,13 +4,15 @@ import re
 import runpy
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 import yaml
 from hypothesis import given, strategies as st
 
 from canxlnet.cli import main
-from canxlnet.config import MAX_DEPTH
+from canxlnet.config import MAX_DEPTH, load_config
+from canxlnet.engine import Simulation
 from canxlnet.frames import (
     IPV4_DF,
     SDT_ETHERNET,
@@ -22,7 +24,7 @@ from canxlnet.frames import (
     MacAddress,
 )
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, recorder, workload_yaml
 
 
 def test_simulate_eoc_baseline(tmp_path, scenario_path, capsys):
@@ -37,15 +39,57 @@ def test_simulate_eoc_baseline(tmp_path, scenario_path, capsys):
     assert "1 delivered" in capsys.readouterr().out
 
 
-def test_simulate_duplicate_ip_exits_2(tmp_path, scenario_path, capsys):
+def test_simulate_duplicate_ip_exits_2(tmp_path, scenario_path, capsys, monkeypatch):
     doc = yaml.safe_load(open(scenario_path("eoc_baseline")))
     doc["nodes"][1]["ip"] = doc["nodes"][0]["ip"]
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump(doc))
+    monkeypatch.chdir(tmp_path)  # where the default trace.jsonl and report.json would go
     rc = main(["simulate", str(bad)])
     assert rc == 2
     err = capsys.readouterr().err
     assert "n1" in err and "h1" in err
+    assert list(tmp_path.iterdir()) == [bad]  # a rejected configuration writes no file
+
+
+def test_simulate_that_fails_part_way_keeps_the_records_before_the_fault(tmp_path, monkeypatch):
+    config = tmp_path / "bus_crowd.yaml"
+    config.write_text(workload_yaml("bus_crowd"))
+    lines = Simulation(load_config(str(config))).run()[0].splitlines(keepends=True)
+    delivered = [i for i, line in enumerate(lines) if line.startswith('{"event":"app_deliver"')]
+    fault = len(delivered) // 2  # the app delivery that raises, before its record
+
+    def fail_at_the_fault(sim, node, payload):
+        if len(seen) == fault:
+            raise RuntimeError("fault")
+
+    seen = recorder(monkeypatch, [Simulation], "on_app_delivery", fail_at_the_fault)
+    trace, report = tmp_path / "t.jsonl", tmp_path / "r.json"
+    with pytest.raises(RuntimeError, match="fault"):
+        main(["simulate", str(config), "--trace", str(trace), "--report", str(report)])
+    assert delivered[fault] > 1000  # past several chunks of the trace
+    assert trace.read_text() == "".join(lines[:delivered[fault]])
+    assert not report.exists()
+
+
+def test_simulate_holds_a_chunk_of_the_trace_not_all_of_it(tmp_path):
+    # The run's peak of new allocations, counted from after set-up: the
+    # trace written as the run goes needs a fraction of the trace's size;
+    # building the whole text first needed about three times it.
+    config = tmp_path / "bus_crowd.yaml"
+    config.write_text(workload_yaml("bus_crowd"))
+    sim = Simulation(load_config(str(config)))
+    trace = tmp_path / "t.jsonl"
+    with open(trace, "w") as fh:
+        tracemalloc.start()
+        try:
+            sim.run(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    size = trace.stat().st_size
+    assert size > 3_000_000
+    assert peak < size / 2, (peak, size)
 
 
 def test_simulate_yaml_syntax_error_exits_2(tmp_path, capsys):
