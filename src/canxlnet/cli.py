@@ -67,7 +67,7 @@ def _cmd_simulate(args) -> int:
         topo.options.t_end = args.t_end
     trace_path = args.trace or topo.options.trace or "trace.jsonl"
     report_path = args.report or topo.options.report or "report.json"
-    sim = Simulation(topo)  # validates the topology
+    sim = Simulation(topo)  # validates first: a rejected configuration opens no file
     with open(trace_path, "w") as fh:
         _, report = sim.run(fh)
     with open(report_path, "w") as fh:

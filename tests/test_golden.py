@@ -53,7 +53,7 @@ def recorded(request, tmp_path):
     return config, [DIGESTS[name]["trace"], DIGESTS[name]["report"]]
 
 
-def test_simulate_writes_the_recorded_files(recorded, tmp_path, capsys):
+def test_simulate_writes_the_recorded_files(recorded, tmp_path):
     config, expected = recorded
     trace, report = tmp_path / "t.jsonl", tmp_path / "r.json"
     assert main(["simulate", str(config), "--trace", str(trace), "--report", str(report)]) == 0
