@@ -22,8 +22,9 @@ Per workload, each distinct tree's own `scripts/count_instructions.py`
 also runs once, as its counts do not vary between runs: two sides that
 name one directory, or one revision, share one count.  The file records,
 per side, the Python version, the bytecode instructions of one seed-1
-run and their split by module, or null for a checkout without that
-script (or whose script fails).  The counts cover Python bytecode only,
+run, those of its set-up (`setup_instructions`, null for a script that
+does not count them) and the run's split by module, or null for a
+checkout without that script (or whose script fails).  The counts cover Python bytecode only,
 not the work of C code (`bytes` joins, `json`, `heapq`), so they
 complement the wall-time metrics and do not replace them.
 """
@@ -85,9 +86,10 @@ def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> di
 
 
 def count_instructions(tree: pathlib.Path, workload: str) -> dict | None:
-    """The Python version, total and per-module bytecode instructions that
-    the tree's own `scripts/count_instructions.py` counts for `workload`;
-    None if the tree lacks the script or it fails."""
+    """The Python version, the run's total and per-module and the set-up's
+    total bytecode instructions that the tree's own
+    `scripts/count_instructions.py` counts for `workload`; None if the tree
+    lacks the script or it fails."""
     if not (tree / "scripts" / "count_instructions.py").is_file():
         return None
     child = subprocess.run([sys.executable, "scripts/count_instructions.py", workload],
@@ -96,7 +98,8 @@ def count_instructions(tree: pathlib.Path, workload: str) -> dict | None:
         print(child.stderr, file=sys.stderr)
         return None
     counts = json.loads(child.stdout)
-    return {key: counts[key] for key in ("python", "instructions", "modules")}
+    counts.setdefault("setup_instructions", None)  # a script from before it counted them
+    return {key: counts[key] for key in ("python", "instructions", "setup_instructions", "modules")}
 
 
 def spread(values: list[float]) -> dict:
@@ -207,8 +210,9 @@ def compare(args, trees: dict[str, pathlib.Path], revisions: dict[str, dict],
             print(f"{workload:16} {name:12} {m['parent']['median']:>12.6g} -> "
                   f"{m['change']['median']:>12.6g} {m['unit']:5} {pct:>8}  "
                   f"won {m['pairs_won']}/{summary['pairs']}")
-        parent, change = (counted[side] and counted[side]["instructions"] for side in SIDES)
-        print(f"{workload:16} instructions {parent} -> {change}")
+        for part in ("instructions", "setup_instructions"):
+            parent, change = (counted[side] and counted[side][part] for side in SIDES)
+            print(f"{workload:16} {part} {parent} -> {change}")
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     return 1 if bad else 0
 

@@ -21,7 +21,9 @@ Both are also given per transmission and as a ratio to the first N's
 per-transmission figure.  `trace_bytes_per_tx` is the size of the trace
 per transmission: building it is C work (string joins) that the
 instruction counts do not see, and at large N it is most of a run's
-time.  Prints one JSON document.
+time.  The trace is written to a `TraceTally` as the run goes, so only
+its size and its count of `tx_start` records are kept, not its text
+(223 MB at 256 stations).  Prints one JSON document.
 """
 
 from __future__ import annotations
@@ -66,29 +68,43 @@ def crowd(stations: int) -> dict:
     return workloads.bus_crowd(SEED)
 
 
-def timed_run(sim: Simulation) -> tuple[str, float]:
-    """(trace, host seconds) of `sim.run()`."""
+class TraceTally:
+    """A trace file that keeps only its size and its `tx_start` records'
+    count: `Simulation.run` writes it whole lines at a time, so no record is
+    split between two writes."""
+
+    def __init__(self):
+        self.chars = self.tx = 0
+
+    def write(self, text: str) -> None:
+        self.chars += len(text)
+        self.tx += text.count('"event":"tx_start"')
+
+
+def timed_run(sim: Simulation) -> tuple[TraceTally, float]:
+    """(the tally of the trace, host seconds) of `sim.run()`."""
+    tally = TraceTally()
     t0 = time.perf_counter()
-    trace, _ = sim.run()
-    return trace, time.perf_counter() - t0
+    sim.run(trace_file=tally)
+    return tally, time.perf_counter() - t0
 
 
 def measure(stations: int) -> dict:
     doc = crowd(stations)
-    counts = count_instructions.count([Simulation(build_topology(doc))])
+    counts = count_instructions.count([Simulation(build_topology(doc)).run])
     instructions = sum(counts["modules"].values())
     stick = calibrate.Yardstick()
     seconds = []
     for _ in range(RUNS):
-        (trace, host_s), factor = stick.time(lambda: timed_run(Simulation(build_topology(doc))))
+        (tally, host_s), factor = stick.time(lambda: timed_run(Simulation(build_topology(doc))))
         seconds.append(host_s * factor)
-    tx = trace.count('"event":"tx_start"')
+    tx = tally.tx
     run_s = statistics.median(seconds)
     q1, _, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
     period_s = doc["flows"][0]["schedule"]["period"]
     return {"stations": stations, "period_s": period_s, "tx": tx,
             "instructions": instructions, "instructions_per_tx": instructions / tx,
-            "trace_bytes_per_tx": len(trace) / tx,  # JSON escapes non-ASCII: 1 byte a char
+            "trace_bytes_per_tx": tally.chars / tx,  # JSON escapes non-ASCII: 1 byte a char
             "run_s": run_s, "run_s_q1": q1, "run_s_q3": q3, "us_per_tx": run_s / tx * 1e6}
 
 

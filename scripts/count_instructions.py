@@ -4,16 +4,19 @@
     python scripts/count_instructions.py WORKLOAD
 
 WORKLOAD is one of `perfbench/workloads.py`'s `WORKLOADS`: a synthetic
-workload is generated at seed 1, and `scenarios` runs each bundled
-scenario once, in the order that seed gives.  Each simulation is set up
-untraced; only its `run()` is counted, under a `sys.settrace` tracer that
-turns on opcode events (`f_trace_opcodes`) in every frame it enters and
-counts one per instruction executed.
+workload is generated at seed 1 and written to a temporary file as
+perfbench writes it (`yaml.safe_dump(..., sort_keys=False)`), and
+`scenarios` runs each bundled scenario once, in the order that seed
+gives.  Each simulation is set up as `Simulation(load_config(path))` and
+then run, each part under a `sys.settrace` tracer that turns on opcode
+events (`f_trace_opcodes`) in every frame it enters and counts one per
+instruction executed.
 
-Prints JSON: the workload, the seed, the Python version, the total, and
-the counts per module and per function, largest first.  A module is the
-name in its frame's globals; code compiled from a string, such as the
-methods dataclasses generate, counts as that module's "<generated>" part.
+Prints JSON: the workload, the seed, the Python version, the total of
+the runs, the total of the set-ups (`setup_instructions`), and the runs'
+counts per module and per function, largest first.  A module is the name
+in its frame's globals; code compiled from a string, such as the methods
+dataclasses generate, counts as that module's "<generated>" part.
 
 Unlike wall time, the counts do not move with the host's load: two runs
 of one tree give the same figures.  They cover Python bytecode only, not
@@ -29,12 +32,15 @@ import json
 import pathlib
 import platform
 import sys
+import tempfile
+
+import yaml
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEED = 1
 
 sys.path.insert(0, str(ROOT / "src"))
-from canxlnet.config import build_topology, load_config  # noqa: E402
+from canxlnet.config import load_config  # noqa: E402
 from canxlnet.engine import Simulation  # noqa: E402
 
 _spec = importlib.util.spec_from_file_location("perfbench_workloads",
@@ -43,17 +49,19 @@ workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
 
 
-def simulations(workload: str) -> list[Simulation]:
-    """The simulations of `workload` at seed 1, set up and not yet run."""
+def config_files(workload: str, directory: str) -> list[str]:
+    """The configuration files of `workload` at seed 1; a synthetic one is
+    written into `directory`."""
     if workload == "scenarios":
-        return [Simulation(load_config(str(path)))
-                for path in workloads.scenario_files(ROOT, SEED)]
-    return [Simulation(build_topology(workloads.GENERATORS[workload](SEED)))]
+        return [str(path) for path in workloads.scenario_files(ROOT, SEED)]
+    path = pathlib.Path(directory, f"{workload}.yaml")
+    path.write_text(yaml.safe_dump(workloads.GENERATORS[workload](SEED), sort_keys=False))
+    return [str(path)]
 
 
-def count(sims: list[Simulation]) -> dict[str, collections.Counter]:
-    """Instructions executed in the `run()` of each of `sims`, per module
-    and per "module:function"."""
+def count(calls: list) -> dict[str, collections.Counter]:
+    """Instructions executed in each of `calls`, called with no arguments,
+    per module and per "module:function"."""
     per_code = collections.Counter()
     module_of = {}
 
@@ -70,10 +78,10 @@ def count(sims: list[Simulation]) -> dict[str, collections.Counter]:
         frame.f_trace_opcodes = True
         return local
 
-    for sim in sims:
+    for function in calls:
         sys.settrace(call)
         try:
-            sim.run()
+            function()
         finally:
             sys.settrace(None)
     result = {"modules": collections.Counter(), "functions": collections.Counter()}
@@ -89,12 +97,17 @@ def main(argv: list[str]) -> int:
         print(f"usage: count_instructions.py {{{','.join(workloads.WORKLOADS)}}}",
               file=sys.stderr)
         return 2
-    counts = count(simulations(argv[0]))
+    sims = []
+    with tempfile.TemporaryDirectory() as directory:
+        setup = count([lambda path=path: sims.append(Simulation(load_config(path)))
+                       for path in config_files(argv[0], directory)])
+    counts = count([sim.run for sim in sims])
     print(json.dumps({
         "workload": argv[0],
         "seed": SEED,
         "python": platform.python_version(),
         "instructions": sum(counts["modules"].values()),
+        "setup_instructions": sum(setup["modules"].values()),
         **{part: dict(counter.most_common()) for part, counter in counts.items()},
     }, indent=1))
     return 0

@@ -51,12 +51,18 @@ constants):
 
 Loading: `load_config` parses with libyaml's C parser where PyYAML was
 built with it (`yaml.__with_libyaml__`), else with PyYAML's pure-Python
-parser, and composes and constructs in Python with PyYAML's safe
-constructor.  The composer refuses collections nested more than
-`MAX_DEPTH` levels deep (the schema needs 7), counting the levels an alias
-brings along, so no document can exhaust the stack.  Every error of the
-YAML layer, an unreadable character or byte included, is a `ConfigError`
-at `<root>` with its position.
+parser.  It builds the document straight from the parser's events, in one
+loop with no node graph: each scalar is resolved and constructed by the
+loader's own resolver and safe constructor, mappings become dicts and
+sequences lists.  A document with an anchor, an alias, an explicit tag, a
+merge (`<<`) or value (`=`) key, a collection as a key, nesting deeper
+than `MAX_DEPTH` levels (the schema needs 7) or a second document, and
+any file the loop raises on, is loaded again from its bytes by
+`yaml.load`, whose composer refuses the same depth, counting the levels
+an alias brings along, so no document can exhaust the stack.  Either way
+the document and every error are those `yaml.load` gives: each error of
+the YAML layer, an unreadable character or byte included, is a
+`ConfigError` at `<root>` with its position.
 """
 
 from __future__ import annotations
@@ -67,6 +73,10 @@ import operator
 import yaml
 from yaml.composer import Composer, ComposerError
 from yaml.constructor import ConstructorError, SafeConstructor
+from yaml.events import (DocumentEndEvent, DocumentStartEvent, MappingEndEvent, MappingStartEvent,
+                         ScalarEvent, SequenceEndEvent, SequenceStartEvent, StreamEndEvent,
+                         StreamStartEvent)
+from yaml.nodes import ScalarNode
 from yaml.parser import Parser
 from yaml.reader import Reader, ReaderError
 from yaml.resolver import Resolver
@@ -254,14 +264,19 @@ def _loader(parser: type) -> type:
 
 
 PURE_PYTHON_LOADER = _loader(_PurePythonParser)
-# libyaml's parser makes set-up about five times faster
+# libyaml's parser: `load_config` of perfbench's switched_fabric file takes
+# about 5 reference ms (`perfbench/calibrate.py`) on it, 42 on pure Python
 LOADER = _loader(yaml.cyaml.CParser) if yaml.__with_libyaml__ else PURE_PYTHON_LOADER
 
 
 def load_config(path: str) -> Topology:
     with open(path, "rb") as fh:  # bytes, so that PyYAML decodes and locates them
+        data = fh.read()
+    try:
+        doc = _built(data)
+    except Exception:  # refused, or an error: the composer decides and locates it
         try:
-            doc = yaml.load(fh, Loader=LOADER)
+            doc = yaml.load(data, Loader=LOADER)
         except yaml.MarkedYAMLError as exc:
             mark = exc.problem_mark
             raise ConfigError("<root>", f"{exc.problem} at {mark.line + 1}:{mark.column + 1}") \
@@ -271,6 +286,76 @@ def load_config(path: str) -> Topology:
             raise ConfigError("<root>", f"{exc.reason}{what} at position {exc.position}") \
                 from None
     return build_topology(doc if doc is not None else {})
+
+
+class _Refused(Exception):
+    """A document `_built` leaves to the composer."""
+
+
+_SCALAR_TAGS = frozenset(f"tag:yaml.org,2002:{name}"
+                         for name in ("str", "int", "float", "bool", "null", "timestamp"))
+_KEY, _ITEM = object(), object()  # what the innermost collection takes next
+
+
+def _built(data: bytes):
+    """The document of `data`, built from `LOADER`'s parser events with its
+    resolver and constructors, as `yaml.load` builds it, but with no node
+    graph and no recursion.  Raises `_Refused` for an anchor, an alias, an
+    explicit tag, a scalar of another tag (a `<<` merge or `=` value key), a
+    collection as a key, nesting deeper than `MAX_DEPTH` or a second
+    document."""
+    loader = LOADER(data)
+    try:
+        get_event, resolve, constructors = \
+            loader.get_event, loader.resolve, loader.yaml_constructors
+        scalars = {}  # (value, implicit) -> what it builds, for this document only
+        root = []
+        top, key, stack = root, _ITEM, []  # the open collections, innermost in `top`
+        while True:
+            event = get_event()
+            kind = event.__class__
+            if kind is ScalarEvent:
+                if event.anchor is not None or event.tag is not None:
+                    raise _Refused
+                memo = event.value, event.implicit
+                if memo in scalars:
+                    value = scalars[memo]
+                else:
+                    tag = resolve(ScalarNode, *memo)
+                    if tag not in _SCALAR_TAGS:
+                        raise _Refused
+                    value = scalars[memo] = constructors[tag](
+                        loader, ScalarNode(tag, event.value, event.start_mark, event.end_mark))
+                if key is _ITEM:
+                    top.append(value)
+                elif key is _KEY:
+                    key = value
+                else:
+                    top[key] = value
+                    key = _KEY
+            elif kind is MappingStartEvent or kind is SequenceStartEvent:
+                if event.anchor is not None or event.tag is not None or key is _KEY \
+                        or len(stack) == MAX_DEPTH:
+                    raise _Refused
+                value = {} if kind is MappingStartEvent else []
+                if key is _ITEM:
+                    top.append(value)
+                else:
+                    top[key] = value
+                    key = _KEY
+                stack.append((top, key))
+                top, key = value, _KEY if kind is MappingStartEvent else _ITEM
+            elif kind is MappingEndEvent or kind is SequenceEndEvent:
+                top, key = stack.pop()
+            elif kind is DocumentStartEvent:
+                if root:
+                    raise _Refused
+            elif kind is StreamEndEvent:
+                return root[0] if root else None
+            elif kind is not StreamStartEvent and kind is not DocumentEndEvent:
+                raise _Refused  # an alias
+    finally:
+        loader.dispose()
 
 
 def build_topology(doc: dict) -> Topology:

@@ -50,15 +50,16 @@ print(json.dumps({"attempted": 1, "failed": 0,
                   "metrics": {"run_s": {"value": value, "unit": "s"}}}))
 """
 
-# A stand-in for scripts/count_instructions.py: counts a thousand
-# instructions per unit of VERSION and appends its workload to $COUNT_LOG.
+# A stand-in for scripts/count_instructions.py: counts a thousand run
+# instructions per unit of VERSION and half as many set-up instructions,
+# and appends its workload to $COUNT_LOG.
 FAKE_COUNT = """
 import json, os, pathlib, sys
 with open(os.environ["COUNT_LOG"], "a") as log:
     print(sys.argv[1], file=log)
 n = int(1000 * float(pathlib.Path("VERSION").read_text()))
 print(json.dumps({"workload": sys.argv[1], "seed": 1, "python": "3.x", "instructions": n,
-                  "modules": {"m": n}, "functions": {"m:f": n}}))
+                  "setup_instructions": n // 2, "modules": {"m": n}, "functions": {"m:f": n}}))
 """
 
 
@@ -105,7 +106,8 @@ def test_revisions_are_exported_to_paths_of_equal_length(tmp_path, monkeypatch):
     assert (run_s["parent"]["median"], run_s["change"]["median"], run_s["pairs_won"]) == (2, 1, 2)
     # counted once per workload, not once per pair; null where the script is missing
     assert result["workloads"]["w"]["instructions"] == {
-        "parent": None, "change": {"python": "3.x", "instructions": 1000, "modules": {"m": 1000}}}
+        "parent": None, "change": {"python": "3.x", "instructions": 1000,
+                                   "setup_instructions": 500, "modules": {"m": 1000}}}
     assert (tmp_path / "counts.log").read_text().split() == ["w"]
     dirs = set((tmp_path / "runs.log").read_text().split())
     assert len(dirs) == 2 and len({len(d) for d in dirs}) == 1
@@ -133,7 +135,8 @@ def test_one_tree_on_both_sides_is_counted_once(tmp_path, monkeypatch, sides):
     assert bench_ab.main([given, given, "--workload", "w", "v", "--pairs", "1", "--seeds", "1",
                           "--seconds", "0", "--out", str(out)]) == 0
     assert (tmp_path / "counts.log").read_text().split() == ["w", "v"]
-    count = {"python": "3.x", "instructions": 1000, "modules": {"m": 1000}}
+    count = {"python": "3.x", "instructions": 1000, "setup_instructions": 500,
+             "modules": {"m": 1000}}
     for workload in ("w", "v"):
         instructions = json.loads(out.read_text())["workloads"][workload]["instructions"]
         assert instructions == {"parent": count, "change": count}
@@ -145,3 +148,13 @@ def test_a_count_that_fails_is_recorded_as_null(tmp_path, capsys):
         "import sys\nsys.exit('no such workload')\n")
     assert bench_ab.count_instructions(tmp_path, "w") is None
     assert "no such workload" in capsys.readouterr().err
+
+
+def test_a_count_without_set_up_instructions_records_them_as_null(tmp_path, monkeypatch):
+    (tmp_path / "VERSION").write_text("1.0")
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "count_instructions.py").write_text(
+        FAKE_COUNT.replace('"setup_instructions": n // 2, ', ""))
+    monkeypatch.setenv("COUNT_LOG", str(tmp_path / "counts.log"))
+    assert bench_ab.count_instructions(tmp_path, "w") == {
+        "python": "3.x", "instructions": 1000, "setup_instructions": None, "modules": {"m": 1000}}

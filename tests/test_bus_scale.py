@@ -11,6 +11,9 @@ import sys
 
 import pytest
 
+from canxlnet.config import build_topology
+from canxlnet.engine import Simulation
+
 from conftest import workloads
 
 SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "bus_scale.py"
@@ -44,6 +47,15 @@ def test_reports_per_transmission_figures():
         # a transmission writes a deliver record per receiver
         assert row["trace_bytes_per_tx"] > (row["stations"] - 1) * len('{"event":"deliver"}')
     assert rows[0]["us_per_tx_ratio"] == rows[0]["instructions_per_tx_ratio"] == 1.0
+
+
+def test_the_tally_counts_what_the_trace_holds():
+    bus_scale = script()
+    doc = bus_scale.crowd(4)
+    trace, _ = Simulation(build_topology(doc)).run()
+    tally, _ = bus_scale.timed_run(Simulation(build_topology(doc)))
+    assert (tally.chars, tally.tx) == (len(trace), trace.count('"event":"tx_start"'))
+    assert tally.tx > 0
 
 
 @pytest.mark.parametrize("argv", [["--stations", "1"], ["--stations", "257"]])

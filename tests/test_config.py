@@ -1,16 +1,17 @@
+import contextlib
 import copy
 import math
 
 import pytest
 import yaml
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from canxlnet import config
 from canxlnet.cli import main
 from canxlnet.config import MAX_DEPTH, build_topology, load_config
 from canxlnet.engine import ConfigError, Simulation
 
-from conftest import SCENARIOS, all_scenarios, workload_yaml, workloads
+from conftest import SCENARIOS, all_scenarios, recorder, workload_yaml, workloads
 
 MINIMAL = yaml.safe_load("""
 nodes:
@@ -737,17 +738,112 @@ def test_unrepresentable_scalar_is_located(tmp_path, parser_base):
         == "month must be in 1..12 at 1:23"
 
 
+def test_a_syntax_error_is_located_before_a_scalar_error_above_it(tmp_path, parser_base):
+    # the date fails to build at 1:23, but the composer meets the syntax
+    # error first: the file is parsed whole before any scalar is built
+    data = b"run: {t_end: 1, seed: 2001-13-45}\nnodes: [a, b\nflows: {\n"
+    reason = load_root_error(tmp_path, data)
+    assert reason == {"LOADER": "did not find expected ',' or ']' at 3:6",
+                      "PURE_PYTHON_LOADER": "expected ',' or ']', but got ':' at 3:6"}[parser_base]
+
+
+@pytest.fixture
+def built_documents(monkeypatch) -> list:
+    """Each document `load_config` hands to `build_topology`, in order."""
+    return recorder(monkeypatch, [config], "build_topology", lambda doc: doc)
+
+
+def typed(value):
+    """`value` with each scalar's type beside it and each mapping as its list
+    of items, so that `True` differs from `1` and key order counts."""
+    if isinstance(value, dict):
+        return dict, [(typed(k), typed(v)) for k, v in value.items()]
+    if isinstance(value, list):
+        return list, [typed(v) for v in value]
+    return type(value), value
+
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+                    st.text(max_size=6), st.dates())
+KEYS = st.one_of(st.sampled_from([1, "1", "yes", "~", "", "<<", "="]), SCALARS)
+TREES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(KEYS, inner, max_size=4), max_leaves=16)
+
+# a document `load_config` leaves to the composer, for each reason it has
+REFUSED = {
+    "anchor": b"flows: &none []\nrun: {t_end: 1}\n",
+    "scalar_anchor": b"run: {t_end: &t 1}\n",
+    "alias": b"run: *undefined\n",
+    "tag": b"run: {t_end: 1, seed: !!str 7}\n",
+    "non_specific_tag": b"run: {t_end: 1, seed: ! 7}\n",
+    "collection_tag": b"run: !!map {t_end: 1}\n",
+    "merge_key": b"run: {<<: {t_end: 1}, seed: 2}\n",
+    "value_key": b"run: {t_end: 1, =: 2}\n",
+    "value_scalar": b"run: {t_end: 1, seed: =}\n",
+    "collection_key": b"run: {{t_end: 1}: 2}\n",
+    **{f"depth_{depth}": nested(depth) for depth in (MAX_DEPTH + 1, MAX_DEPTH + 2)},
+    "second_document": b"run: {t_end: 1}\n---\nrun: {t_end: 2}\n",
+}
+# the two deepest documents it builds itself
+BUILT = {f"depth_{depth}": nested(depth) for depth in (MAX_DEPTH - 1, MAX_DEPTH)}
+
+
+def dumped(tree, flow: bool) -> bytes:
+    return yaml.safe_dump(tree, default_flow_style=flow, sort_keys=False).encode()
+
+
+def assert_builds_the_composers_document(tmp_path, docs: list, data: bytes) -> None:
+    """`load_config` hands `build_topology` (recorded in `docs`) what
+    `yaml.load` with `config.LOADER` gives for `data`, scalar types and key
+    order included, or, if that fails, gives the same `<root>` error."""
+    docs.clear()
+    try:
+        expected = yaml.load(data, Loader=config.LOADER)
+    except yaml.MarkedYAMLError as exc:
+        mark = exc.problem_mark
+        assert load_root_error(tmp_path, data) \
+            == f"{exc.problem} at {mark.line + 1}:{mark.column + 1}"
+        return
+    path = tmp_path / "doc.yaml"
+    path.write_bytes(data)
+    with contextlib.suppress(ConfigError):  # most generated documents are no topology
+        load_config(str(path))
+    assert [typed(doc) for doc in docs] == [typed(expected if expected is not None else {})]
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.builds(dumped, TREES, st.booleans()))
+@example(data=b"")
+@example(data=b"--- 1\n...\n")
+@example(data=b"%YAML 1.1\n--- {run: {t_end: 1}}\n")
+def test_load_config_builds_the_composers_document(tmp_path, parser_base, built_documents, data):
+    assert_builds_the_composers_document(tmp_path, built_documents, data)
+
+
+@pytest.mark.parametrize("data, refused", [(data, True) for data in REFUSED.values()]
+                         + [(data, False) for data in BUILT.values()], ids=[*REFUSED, *BUILT])
+def test_a_document_at_an_edge_loads_as_the_composer_gives_it(
+        tmp_path, parser_base, built_documents, data, refused):
+    if refused:
+        with pytest.raises(config._Refused):
+            config._built(data)
+    assert_builds_the_composers_document(tmp_path, built_documents, data)
+
+
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
 @pytest.mark.parametrize("name", [path.stem for path in all_scenarios()]
                          + sorted(workloads.GENERATORS))
-def test_parser_bases_give_equal_documents(name):
+def test_parser_bases_give_equal_documents(name, tmp_path, built_documents):
+    path = SCENARIOS / f"{name}.yaml"
     if name in workloads.GENERATORS:
-        text = workload_yaml(name)
-    else:
-        text = (SCENARIOS / f"{name}.yaml").read_text()
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(workload_yaml(name))
+    text = path.read_text()
     libyaml, python, safe_load = (yaml.load(text, Loader=loader) for loader in
                                   (config.LOADER, config.PURE_PYTHON_LOADER, yaml.SafeLoader))
+    load_config(str(path))
     assert libyaml == python == safe_load
+    assert [typed(doc) for doc in built_documents] == [typed(libyaml)]
     assert libyaml
 
 
