@@ -18,6 +18,7 @@ the fault, and no report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -26,7 +27,9 @@ from .config import load_config
 from .engine import ConfigError, Simulation
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Built once: in-process callers such as a benchmark call `main` many times."""
     parser = argparse.ArgumentParser(prog="canxlnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -48,8 +51,11 @@ def main(argv: list[str] | None = None) -> int:
     group.add_argument("--encode", choices=["eoc", "ioc"])
     group.add_argument("--decode", action="store_true")
     p_cod.add_argument("hexfile")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "simulate":
             return _cmd_simulate(args)

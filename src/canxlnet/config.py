@@ -49,38 +49,26 @@ constants):
       trace: out/trace.jsonl      # optional default output paths
       report: out/report.json
 
-Loading: `load_config` parses with libyaml's C parser where PyYAML was
-built with it (`yaml.__with_libyaml__`), else with PyYAML's pure-Python
-parser.  It builds the document straight from the parser's events, in one
-loop with no node graph: each scalar is resolved and constructed by the
-loader's own resolver and safe constructor, mappings become dicts and
-sequences lists.  A document with an anchor, an alias, an explicit tag, a
-merge (`<<`) or value (`=`) key, a collection as a key, nesting deeper
-than `MAX_DEPTH` levels (the schema needs 7) or a second document, and
-any file the loop raises on, is loaded again from its bytes by
-`yaml.load`, whose composer refuses the same depth, counting the levels
-an alias brings along, so no document can exhaust the stack.  Either way
-the document and every error are those `yaml.load` gives: each error of
+Loading: `load_config` builds the document in one loop over the events of
+libyaml's parser where PyYAML has it, else of PyYAML's own, as
+`yaml.safe_load` builds it, anchors, aliases, tags and merge (`<<`) keys
+included.  Nesting deeper than `MAX_DEPTH` levels (the schema
+needs 7), counting those an alias brings along, is refused.  Each error of
 the YAML layer, an unreadable character or byte included, is a
 `ConfigError` at `<root>` with its position.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 
 import yaml
-from yaml.composer import Composer, ComposerError
-from yaml.constructor import ConstructorError, SafeConstructor
-from yaml.events import (DocumentEndEvent, DocumentStartEvent, MappingEndEvent, MappingStartEvent,
-                         ScalarEvent, SequenceEndEvent, SequenceStartEvent, StreamEndEvent,
-                         StreamStartEvent)
+from yaml.composer import ComposerError
+from yaml.constructor import ConstructorError
+from yaml.events import (AliasEvent, DocumentStartEvent, Event, MappingEndEvent, MappingStartEvent,
+                         ScalarEvent, SequenceEndEvent, SequenceStartEvent, StreamEndEvent)
 from yaml.nodes import ScalarNode
-from yaml.parser import Parser
-from yaml.reader import Reader, ReaderError
-from yaml.resolver import Resolver
-from yaml.scanner import Scanner
+from yaml.reader import ReaderError
 
 from .engine import ConfigError, Flow, RunOptions, Topology, located
 from .frames import Ipv4Address, MacAddress
@@ -179,94 +167,13 @@ def _path(value) -> str | None:
     return value
 
 
-MAX_DEPTH = 64  # collection nesting levels a document may have
+MAX_DEPTH = 64  # collection nesting levels a document may have, aliases expanded
+_TOO_DEEP = f"collections nested deeper than {MAX_DEPTH} levels"
 
-
-class _DepthBound(Composer):
-    """PyYAML's composer, refusing collections nested deeper than MAX_DEPTH.
-
-    Composing recurses once per level, so each level is counted before it is
-    entered.  An alias nests its anchor's whole height where it stands, and
-    an alias to a collection that encloses it nests without end: once a
-    document has anchors, each collection records its height and the bound
-    is checked against it.
-    """
-
-    depth = 0
-
-    def compose_sequence_node(self, anchor):
-        self._enter()
-        node = super().compose_sequence_node(anchor)
-        return self._leave(node, node.value)
-
-    def compose_mapping_node(self, anchor):
-        self._enter()
-        node = super().compose_mapping_node(anchor)
-        return self._leave(node, itertools.chain.from_iterable(node.value))
-
-    def _enter(self) -> None:
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            _too_deep(self.peek_event().start_mark)
-
-    def _leave(self, node, children):
-        self.depth -= 1
-        if self.anchors:
-            height = 0
-            for child in children:
-                if child is node or child.end_mark is None:  # an alias to itself or
-                    _too_deep(node.start_mark)                # to a node still open
-                height = max(height, getattr(child, "height", 0))
-            node.height = height + 1
-            if self.depth + node.height > MAX_DEPTH:
-                _too_deep(node.start_mark)
-        return node
-
-
-def _too_deep(mark):
-    raise ComposerError(None, None, f"collections nested deeper than {MAX_DEPTH} levels", mark)
-
-
-def _marked(construct):
-    """`construct`, with a ValueError located at the scalar's mark."""
-    def marked(constructor, node):
-        try:
-            return construct(constructor, node)
-        except ValueError as exc:
-            raise ConstructorError(None, None, str(exc), node.start_mark) from None
-    return marked
-
-
-class _Constructor(SafeConstructor):
-    """PyYAML's safe constructor; an integer too long to convert or a date
-    out of range is a located error."""
-
-
-for _tag in ("tag:yaml.org,2002:int", "tag:yaml.org,2002:timestamp"):
-    _Constructor.add_constructor(_tag, _marked(SafeConstructor.yaml_constructors[_tag]))
-
-
-class _PurePythonParser(Reader, Scanner, Parser):
-    def __init__(self, stream):
-        Reader.__init__(self, stream)
-        Scanner.__init__(self)
-        Parser.__init__(self)
-
-
-def _loader(parser: type) -> type:
-    class Loader(_DepthBound, parser, _Constructor, Resolver):
-        def __init__(self, stream):
-            parser.__init__(self, stream)
-            Composer.__init__(self)
-            _Constructor.__init__(self)
-            Resolver.__init__(self)
-    return Loader
-
-
-PURE_PYTHON_LOADER = _loader(_PurePythonParser)
-# libyaml's parser: `load_config` of perfbench's switched_fabric file takes
-# about 5 reference ms (`perfbench/calibrate.py`) on it, 42 on pure Python
-LOADER = _loader(yaml.cyaml.CParser) if yaml.__with_libyaml__ else PURE_PYTHON_LOADER
+PURE_PYTHON_LOADER = yaml.SafeLoader
+# libyaml's parser: `_built` takes about 4 ms on perfbench's switched_fabric
+# file with it, 55 on pure Python (2 vCPUs, Python 3.11.7)
+LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else PURE_PYTHON_LOADER
 
 
 def load_config(path: str) -> Topology:
@@ -274,88 +181,180 @@ def load_config(path: str) -> Topology:
         data = fh.read()
     try:
         doc = _built(data)
-    except Exception:  # refused, or an error: the composer decides and locates it
-        try:
-            doc = yaml.load(data, Loader=LOADER)
-        except yaml.MarkedYAMLError as exc:
-            mark = exc.problem_mark
-            raise ConfigError("<root>", f"{exc.problem} at {mark.line + 1}:{mark.column + 1}") \
-                from None
-        except ReaderError as exc:  # libyaml gives -1 for a sequence cut short
-            what = f" (#x{exc.character:02x})" if exc.character >= 0 else ""
-            raise ConfigError("<root>", f"{exc.reason}{what} at position {exc.position}") \
-                from None
+    except yaml.MarkedYAMLError as exc:
+        line, column = exc.problem_mark.line + 1, exc.problem_mark.column + 1
+        raise ConfigError("<root>", f"{exc.problem} at {line}:{column}") from None
+    except ReaderError as exc:  # libyaml gives -1 for a sequence cut short
+        what = f" (#x{exc.character:02x})" if exc.character >= 0 else ""
+        raise ConfigError("<root>", f"{exc.reason}{what} at position {exc.position}") from None
     return build_topology(doc if doc is not None else {})
 
 
-class _Refused(Exception):
-    """A document `_built` leaves to the composer."""
-
-
-_SCALAR_TAGS = frozenset(f"tag:yaml.org,2002:{name}"
-                         for name in ("str", "int", "float", "bool", "null", "timestamp"))
-_KEY, _ITEM = object(), object()  # what the innermost collection takes next
+_TAG = "tag:yaml.org,2002:"
+_MERGE_ERROR = "expected a mapping%s for merging, but found %s"
+# what the innermost collection takes next; an unhashable key's value goes under _JUNK
+_KEY, _ITEM, _JUNK = object(), object(), object()
 
 
 def _built(data: bytes):
-    """The document of `data`, built from `LOADER`'s parser events with its
-    resolver and constructors, as `yaml.load` builds it, but with no node
-    graph and no recursion.  Raises `_Refused` for an anchor, an alias, an
-    explicit tag, a scalar of another tag (a `<<` merge or `=` value key), a
-    collection as a key, nesting deeper than `MAX_DEPTH` or a second
-    document."""
+    """The document of `data` as PyYAML's composer and `LOADER`'s safe
+    constructor build it, from `LOADER`'s events in one loop with no node
+    graph.  A composer error is raised at its event; construction errors
+    wait until the stream ends, behind any syntax error, and the one marked
+    first of them is raised."""
     loader = LOADER(data)
     try:
         get_event, resolve, constructors = \
             loader.get_event, loader.resolve, loader.yaml_constructors
         scalars = {}  # (value, implicit) -> what it builds, for this document only
+        anchors, heights, errors, merging, tagged = {}, {}, [], {}, []
+
+        def anchor(event, value):
+            if event.anchor in anchors:
+                raise ComposerError(f"found duplicate anchor {event.anchor!r}; first occurrence",
+                                    None, "second occurrence", event.start_mark)
+            anchors[event.anchor] = value
+
+        def unhashable(event):
+            errors.append(ConstructorError(None, None, "found unhashable key", event.start_mark))
+            return _JUNK
+
+        def rare(event, top, at_key: bool, stack: list):
+            """What an alias, or a scalar the memo does not build, gives."""
+            if event.__class__ is AliasEvent:
+                if event.anchor not in anchors:
+                    raise ComposerError(None, None, f"found undefined alias {event.anchor!r}",
+                                        event.start_mark)
+                value = anchors[event.anchor]
+                if value.__class__ is not ScalarEvent:  # a collection; one still open
+                    if value is top or any(value is t for t, _ in stack) \
+                            or len(stack) + _height(value, heights) > MAX_DEPTH:  # nests forever
+                        raise ComposerError(None, None, _TOO_DEEP, event.start_mark)
+                    return unhashable(event) if at_key else value
+                event = value  # a scalar is built again where its alias stands
+            elif event.anchor is not None:
+                anchor(event, event)
+            tag = event.tag
+            if tag is None or tag == "!":
+                tag = resolve(ScalarNode, event.value, event.implicit)
+            if at_key and tag == _TAG + "merge":
+                merging[id(top)] = top
+                return loader.peek_event()  # that of the value
+            try:  # None stands in for a scalar that fails, its error held
+                return loader.construct_object(ScalarNode(  # a `=` key is its text
+                    _TAG + "str" if at_key and tag == _TAG + "value" else tag,
+                    event.value, event.start_mark, event.end_mark), deep=True)
+            except (ConstructorError, ValueError, LookupError, AttributeError) as exc:
+                errors.append(exc if isinstance(exc, ConstructorError)
+                              else ConstructorError(None, None, str(exc), event.start_mark))
+
         root = []
         top, key, stack = root, _ITEM, []  # the open collections, innermost in `top`
         while True:
             event = get_event()
             kind = event.__class__
             if kind is ScalarEvent:
-                if event.anchor is not None or event.tag is not None:
-                    raise _Refused
-                memo = event.value, event.implicit
-                if memo in scalars:
-                    value = scalars[memo]
+                if event.anchor is None and event.tag is None:
+                    memo = event.value, event.implicit
+                    if memo in scalars:
+                        value = scalars[memo]
+                    else:
+                        try:
+                            tag = resolve(ScalarNode, *memo)
+                            value = scalars[memo] = constructors[tag](loader, ScalarNode(
+                                tag, event.value, event.start_mark, event.end_mark))
+                        except (KeyError, ValueError):  # a `<<` or `=` key, or an error
+                            value = rare(event, top, key is _KEY, stack)
                 else:
-                    tag = resolve(ScalarNode, *memo)
-                    if tag not in _SCALAR_TAGS:
-                        raise _Refused
-                    value = scalars[memo] = constructors[tag](
-                        loader, ScalarNode(tag, event.value, event.start_mark, event.end_mark))
+                    value = rare(event, top, key is _KEY, stack)
+            elif kind is MappingStartEvent or kind is SequenceStartEvent:
+                value = {} if kind is MappingStartEvent else []
+                if event.anchor is not None:
+                    anchor(event, value)
+                if len(stack) == MAX_DEPTH:
+                    raise ComposerError(None, None, _TOO_DEEP, event.start_mark)
+                if event.tag is not None and event.tag not in (
+                        "!", _TAG + ("map" if kind is MappingStartEvent else "seq")):
+                    tagged.append((value, event))
                 if key is _ITEM:
                     top.append(value)
                 elif key is _KEY:
-                    key = value
-                else:
-                    top[key] = value
-                    key = _KEY
-            elif kind is MappingStartEvent or kind is SequenceStartEvent:
-                if event.anchor is not None or event.tag is not None or key is _KEY \
-                        or len(stack) == MAX_DEPTH:
-                    raise _Refused
-                value = {} if kind is MappingStartEvent else []
-                if key is _ITEM:
-                    top.append(value)
+                    key = unhashable(event)
                 else:
                     top[key] = value
                     key = _KEY
                 stack.append((top, key))
                 top, key = value, _KEY if kind is MappingStartEvent else _ITEM
+                continue
             elif kind is MappingEndEvent or kind is SequenceEndEvent:
                 top, key = stack.pop()
-            elif kind is DocumentStartEvent:
-                if root:
-                    raise _Refused
+                continue
+            elif kind is AliasEvent:
+                value = rare(event, top, key is _KEY, stack)
+            elif kind is DocumentStartEvent and root:
+                raise ComposerError("expected a single document in the stream", None,
+                                    "but found another document", event.start_mark)
             elif kind is StreamEndEvent:
-                return root[0] if root else None
-            elif kind is not StreamStartEvent and kind is not DocumentEndEvent:
-                raise _Refused  # an alias
+                break
+            else:
+                continue
+            if key is _ITEM:
+                top.append(value)
+            elif key is _KEY:
+                key = value
+            else:
+                top[key] = value
+                key = _KEY
     finally:
         loader.dispose()
+    doc, held = root[0] if root else None, []
+    for mapping in list(merging.values()):
+        _merge(mapping, merging, held)
+    if tagged:  # another tag is an error where `doc` holds its collection, which
+        _height(doc, reached := {})  # would build no topology, but an empty `!!omap`
+        held += [ConstructorError(  # or `!!pairs` builds the empty list it is
+            None, None, f"could not determine a constructor for the tag {event.tag!r}",
+            event.start_mark) for value, event in tagged if id(value) in reached
+            and (value != [] or event.tag not in (_TAG + "omap", _TAG + "pairs"))]
+    held += errors  # after the merge errors, which win at a scalar error's mark
+    if held:
+        raise min(held, key=lambda exc: exc.problem_mark.index)
+    return doc
+
+
+def _height(value, heights: dict) -> int:
+    """The collection levels `value` nests, aliases expanded, kept by id."""
+    if value.__class__ is not dict and value.__class__ is not list:
+        return 0
+    if id(value) not in heights:
+        children = value.values() if value.__class__ is dict else value
+        heights[id(value)] = 1 + max((_height(child, heights) for child in children), default=0)
+    return heights[id(value)]
+
+
+def _merge(mapping: dict, pending: dict, errors: list) -> None:
+    """Replaces the `<<` keys of a `pending` mapping as PyYAML's `flatten_mapping`
+    does: by what they hold, a list last to first, before its own keys, which win."""
+    if pending.pop(id(mapping), None) is None:
+        return
+    merged, own = {}, {}
+    for key, value in mapping.items():
+        if not isinstance(key, Event):  # a `<<` key is the event its value starts with
+            own[key] = value
+        elif value.__class__ is dict or value.__class__ is list \
+                and all(source.__class__ is dict for source in value):
+            for source in [value] if value.__class__ is dict else reversed(value):
+                _merge(source, pending, errors)
+                merged.update(source)
+        else:  # in PyYAML's words, at the value's mark
+            listed = value.__class__ is list
+            found = next(v for v in value if v.__class__ is not dict) if listed else value
+            errors.append(ConstructorError(None, None, _MERGE_ERROR % (
+                "" if listed else " or list of mappings",
+                "sequence" if found.__class__ is list else "scalar"), key.start_mark))
+    merged.update(own)
+    mapping.clear()
+    mapping.update(merged)
 
 
 def build_topology(doc: dict) -> Topology:

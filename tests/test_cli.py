@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -207,6 +208,21 @@ def test_module_runs_as_a_program(monkeypatch, capsys):
         runpy.run_module("canxlnet.cli", run_name="__main__")
     assert exc.value.code == 0
     assert "1205.95 us" in capsys.readouterr().out
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    # building the parser takes about ten times what parsing takes, and
+    # in-process callers such as perfbench's scenarios call `main` often
+    made, init = [], argparse.ArgumentParser.__init__
+
+    def counted(parser, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(2):
+        assert main(["timing", "--payload", "64"]) == 0
+    assert made.count("canxlnet") <= 1
 
 
 def test_codec_eoc_round_trip(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import pytest
 import yaml
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from yaml.composer import Composer
 
 from canxlnet import config
 from canxlnet.cli import main
@@ -707,35 +708,118 @@ def test_nesting_up_to_the_bound_composes(tmp_path, parser_base):
 
 
 def test_nesting_beyond_the_bound_is_located(tmp_path, parser_base):
-    reason = load_root_error(tmp_path, nested(MAX_DEPTH + 1))
-    assert reason == f"collections nested deeper than {MAX_DEPTH} levels at 1:{7 + MAX_DEPTH}"
+    for depth in (MAX_DEPTH + 1, MAX_DEPTH + 2):  # at the first collection past the bound
+        reason = load_root_error(tmp_path, nested(depth))
+        assert reason == f"collections nested deeper than {MAX_DEPTH} levels at 1:{7 + MAX_DEPTH}"
 
 
 def test_alias_nesting_counts_against_the_bound(tmp_path, parser_base):
-    # each alias wraps the previous anchor once more: composing stays 3
-    # levels deep, the document does not
+    # each alias wraps the previous anchor once more: the text stays 4
+    # levels deep, the document does not; the first alias that nests too
+    # deep, `*a60` (61 levels) inside `&a61` (4 levels), is located
     chain = "".join(f", &a{i} [*a{i - 1}]" for i in range(1, 2 * MAX_DEPTH))
     data = f"run: {{t_end: 1, trace: [&a0 []{chain}]}}\nnodes: [{{kind: *a{2 * MAX_DEPTH - 1}}}]\n"
+    assert data.index(f"&a{MAX_DEPTH - 3} [*a{MAX_DEPTH - 4}]") + 6 == 799
     reason = load_root_error(tmp_path, data.encode())
-    assert reason.startswith(f"collections nested deeper than {MAX_DEPTH} levels at 1:")
+    assert reason == f"collections nested deeper than {MAX_DEPTH} levels at 1:800"
 
 
-@pytest.mark.parametrize("data", [b"run: &r [*r]\n", b"run: &r {t_end: 1, seed: [*r]}\n",
-                                  b"run: &r {*r : 1}\n"], ids=["sequence", "mapping", "key"])
-def test_recursive_alias_is_located(tmp_path, parser_base, data):
+@pytest.mark.parametrize("data, column", [(b"run: &r [*r]\n", 10),
+                                          (b"run: &r {t_end: 1, seed: [*r]}\n", 27),
+                                          (b"run: &r {*r : 1}\n", 10)],
+                         ids=["sequence", "mapping", "key"])
+def test_recursive_alias_is_located(tmp_path, parser_base, data, column):
+    # at the alias to a collection still open
     reason = load_root_error(tmp_path, data)
-    assert reason.startswith(f"collections nested deeper than {MAX_DEPTH} levels at 1:")
+    assert reason == f"collections nested deeper than {MAX_DEPTH} levels at 1:{column}"
 
 
-def test_shared_anchor_loads(tmp_path, parser_base):
+def test_shared_anchor_loads(tmp_path, parser_base, built_documents):
     path = tmp_path / "shared.yaml"
     path.write_bytes(b"flows: &none []\nlinks: *none\nrun: {t_end: 0.25}\n")
     assert load_config(str(path)).options.t_end == 0.25
+    [doc] = built_documents
+    assert doc["links"] is doc["flows"]  # an alias gives its anchor's object, as `yaml.load` does
+
+
+def test_merge_key_builds_what_its_expansion_builds(tmp_path, parser_base):
+    # a `<<: *defaults` key as hand-written configurations use it
+    flow = yaml.safe_dump(MINIMAL["flows"][0], default_flow_style=True, sort_keys=False).strip()
+    path = tmp_path / "merged.yaml"
+    path.write_text(yaml.safe_dump(variant(flows=None), sort_keys=False).replace(
+        "flows: null", f"flows:\n- &f1 {flow}\n- {{<<: *f1, name: f2, payload_size: 64}}"))
+    expanded = copy.deepcopy(MINIMAL)
+    expanded["flows"].append({**MINIMAL["flows"][0], "name": "f2", "payload_size": 64})
+    topo = load_config(str(path))
+    assert [(f.name, f.payload_size) for f in topo.flows] == [("f1", 44), ("f2", 64)]
+    assert topo.flows == checked(expanded).flows
+
+
+# a document of each error the YAML layer raises besides a syntax error,
+# with its reason and where
+YAML_ERRORS = {
+    "duplicate_anchor": (b"run: &a {t_end: 1}\nx: &a 2\n", "second occurrence at 2:4"),
+    "undefined_alias": (b"run: *nope\n", "found undefined alias 'nope' at 1:6"),
+    "second_document": (b"run: {t_end: 1}\n---\nrun: {t_end: 2}\n",
+                        "but found another document at 2:1"),
+    "merge_scalar": (b"run: {<<: 3}\n",
+                     "expected a mapping or list of mappings for merging, but found scalar at 1:11"),
+    "merge_list_of_scalar": (b"run: {<<: [{t_end: 1}, 2]}\n",
+                             "expected a mapping for merging, but found scalar at 1:11"),
+    "merge_list_of_list": (b"run: {<<: [{t_end: 1}, [2]]}\n",
+                           "expected a mapping for merging, but found sequence at 1:11"),
+    "collection_key": (b"run: {{t_end: 1}: 2}\n", "found unhashable key at 1:7"),
+    "aliased_collection_key": (b"x: &l [1]\nrun: {*l : 2}\n", "found unhashable key at 2:7"),
+    "collection_tag": (b"run: !foo {t_end: 1}\n",
+                       "could not determine a constructor for the tag '!foo' at 1:6"),
+    "omap_of_items": (b"run: {t_end: 1}\nflows: !!omap [{a: 1}]\n", "could not determine a "
+                      "constructor for the tag 'tag:yaml.org,2002:omap' at 2:8"),
+    "scalar_tag": (b"run: {t_end: 1, seed: !foo 3}\n",
+                   "could not determine a constructor for the tag '!foo' at 1:23"),
+    "sequence_tag_on_scalar": (b"run: {t_end: 1, seed: !!seq 3}\n",
+                               "expected a sequence node, but found scalar at 1:23"),
+    "merge_tag_on_value": (b"run: {t_end: 1, seed: <<}\n",
+                           "could not determine a constructor for the tag "
+                           "'tag:yaml.org,2002:merge' at 1:23"),
+    "unknown_float": (b"run: {t_end: 1, seed: !!float x}\n",
+                      "could not convert string to float: 'x' at 1:23"),
+}
+
+
+@pytest.mark.parametrize("data, reason", YAML_ERRORS.values(), ids=YAML_ERRORS)
+def test_yaml_error_is_located(tmp_path, parser_base, data, reason):
+    assert load_root_error(tmp_path, data) == reason
+
+
+@pytest.mark.parametrize("data", [b"run: {t_end: 1, seed: !!bool x}\n",
+                                  b"run: {t_end: 1, seed: !!int ''}\n",
+                                  b"run: {t_end: 1, seed: !!timestamp x}\n"],
+                         ids=["bool", "empty_int", "timestamp"])
+def test_an_error_outside_pyyaml_s_own_is_located(tmp_path, parser_base, data):
+    # PyYAML's constructor raises KeyError, IndexError and AttributeError here
+    assert load_root_error(tmp_path, data).endswith(" at 1:23")
 
 
 def test_unrepresentable_scalar_is_located(tmp_path, parser_base):
     assert load_root_error(tmp_path, b"run: {t_end: 1, seed: 2001-13-45}\n") \
         == "month must be in 1..12 at 1:23"
+
+
+BAD_DATE = "run: {t_end: 1, seed: 2001-13-45}\n"  # fails at 1:23
+LONG_INT = "nodes: " + "1" * 5000 + "\n"  # fails at 2:8 below the date, 1:8 above it
+
+
+@pytest.mark.parametrize("text, reason", [
+    (BAD_DATE + LONG_INT, "month must be in 1..12 at 1:23"),
+    (LONG_INT + BAD_DATE, "Exceeds the limit (4300 digits) for integer string conversion: "
+                          "value has 5000 digits; use sys.set_int_max_str_digits() to increase "
+                          "the limit at 1:8"),
+    ("run: {<<: 2001-13-45}\n",
+     "expected a mapping or list of mappings for merging, but found scalar at 1:11"),
+], ids=["date_first", "integer_first", "merge_beats_its_value"])
+def test_the_construction_error_marked_first_is_raised(tmp_path, parser_base, text, reason):
+    # however deep each stands; a merge error wins over an error at its mark
+    assert load_root_error(tmp_path, text.encode()) == reason
 
 
 def test_a_syntax_error_is_located_before_a_scalar_error_above_it(tmp_path, parser_base):
@@ -763,29 +847,71 @@ def typed(value):
     return type(value), value
 
 
+def reference_load(data, loader: type | None = None):
+    """What `yaml.load` gives for `data` with PyYAML's pure-Python composer
+    over `loader` (`config.LOADER` by default): the node graph that
+    `load_config` does without, built as PyYAML builds it.  libyaml's own
+    composer (`yaml.CSafeLoader`) words its errors otherwise."""
+    base = loader or config.LOADER
+    if issubclass(base, Composer):  # `yaml.SafeLoader`, pure Python throughout
+        return yaml.load(data, Loader=base)
+
+    class Reference(Composer, base):
+        def __init__(self, stream):
+            base.__init__(self, stream)
+            Composer.__init__(self)
+    return yaml.load(data, Loader=Reference)
+
+
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
                     st.text(max_size=6), st.dates())
 KEYS = st.one_of(st.sampled_from([1, "1", "yes", "~", "", "<<", "="]), SCALARS)
-TREES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4)
-                     | st.dictionaries(KEYS, inner, max_size=4), max_leaves=16)
 
-# a document `load_config` leaves to the composer, for each reason it has
-REFUSED = {
+def collections(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=4)
+
+
+TREES = st.recursive(SCALARS, collections, max_leaves=16)
+# trees in which one collection stands at several places, so that
+# `safe_dump` writes it once with an `&id001` anchor and then as `*id001`
+SHARED = collections(TREES).flatmap(lambda shared: st.recursive(
+    st.booleans().flatmap(lambda alias: st.just(shared) if alias else SCALARS), collections,
+    max_leaves=8).map(lambda tree: [tree, shared]))
+
+# a document of each form beyond plain scalars and collections
+FORMS = {
     "anchor": b"flows: &none []\nrun: {t_end: 1}\n",
-    "scalar_anchor": b"run: {t_end: &t 1}\n",
+    "scalar_anchor": b"run: {t_end: &t 1, seed: *t}\n",
     "alias": b"run: *undefined\n",
     "tag": b"run: {t_end: 1, seed: !!str 7}\n",
     "non_specific_tag": b"run: {t_end: 1, seed: ! 7}\n",
-    "collection_tag": b"run: !!map {t_end: 1}\n",
+    "collection_tag": b"run: !!map {t_end: 1}\nflows: !!seq []\n",
+    "empty_omap": b"run: {t_end: 1}\nflows: !!omap []\nlinks: !!pairs []\n",
+    "tagged_merge_source": b"run: {<<: !foo {t_end: 1}}\n",
+    "tagged_merge_source_held": b"x: &b !foo {t_end: 1}\nrun: {<<: *b}\n",
     "merge_key": b"run: {<<: {t_end: 1}, seed: 2}\n",
+    "merge_keys": b"run: {<<: {t_end: 1}, seed: 2, <<: [{t_end: 3, trace: q}, {report: r}]}\n",
+    "merge_tag": b"run: {!!merge <<: {t_end: 1}, !!str <<: 2}\n",
+    "aliased_merge_key": b"run: {t_end: 1, &m <<: {seed: 2}}\nflows: [{*m : {a: 1}}, *m]\n",
     "value_key": b"run: {t_end: 1, =: 2}\n",
+    "aliased_value_key": b"x: &v =\nrun: {t_end: 1, *v : 2}\n",
     "value_scalar": b"run: {t_end: 1, seed: =}\n",
     "collection_key": b"run: {{t_end: 1}: 2}\n",
-    **{f"depth_{depth}": nested(depth) for depth in (MAX_DEPTH + 1, MAX_DEPTH + 2)},
+    "anchored_key": b"run: {&k [1]: 2, t_end: 1}\nx: *k\n",
     "second_document": b"run: {t_end: 1}\n---\nrun: {t_end: 2}\n",
+    "syntax_error_after_a_bad_merge": b"run: {<<: 3}\nnodes: [a, b\nflows: {\n",
 }
-# the two deepest documents it builds itself
+# the two deepest documents that build
 BUILT = {f"depth_{depth}": nested(depth) for depth in (MAX_DEPTH - 1, MAX_DEPTH)}
+# merge keys as https://yaml.org/type/merge.html has them
+MERGES = {
+    "mapping": b"base: &b {t_end: 1, seed: 2}\nrun: {<<: *b, trace: t}\n",
+    "list_of_mappings": b"a: &a {t_end: 1, seed: 2}\nb: &b {seed: 3, trace: t}\n"
+                        b"run: {<<: [*a, *b], report: r}\n",
+    "own_key_overrides": b"base: &b {t_end: 1, seed: 2}\nrun: {seed: 5, <<: *b, t_end: 3}\n",
+    "alias_of_a_merging_mapping": b"a: &a {t_end: 1, seed: 2}\nb: &b {<<: *a, seed: 3}\n"
+                                  b"run: {<<: *b, trace: t}\n",
+}
 
 
 def dumped(tree, flow: bool) -> bytes:
@@ -794,11 +920,11 @@ def dumped(tree, flow: bool) -> bytes:
 
 def assert_builds_the_composers_document(tmp_path, docs: list, data: bytes) -> None:
     """`load_config` hands `build_topology` (recorded in `docs`) what
-    `yaml.load` with `config.LOADER` gives for `data`, scalar types and key
-    order included, or, if that fails, gives the same `<root>` error."""
+    `reference_load` gives for `data`, scalar types and key order included,
+    or, if that fails, gives the same `<root>` error."""
     docs.clear()
     try:
-        expected = yaml.load(data, Loader=config.LOADER)
+        expected = reference_load(data)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         assert load_root_error(tmp_path, data) \
@@ -812,7 +938,7 @@ def assert_builds_the_composers_document(tmp_path, docs: list, data: bytes) -> N
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.builds(dumped, TREES, st.booleans()))
+@given(data=st.builds(dumped, TREES | SHARED, st.booleans()))
 @example(data=b"")
 @example(data=b"--- 1\n...\n")
 @example(data=b"%YAML 1.1\n--- {run: {t_end: 1}}\n")
@@ -820,30 +946,29 @@ def test_load_config_builds_the_composers_document(tmp_path, parser_base, built_
     assert_builds_the_composers_document(tmp_path, built_documents, data)
 
 
-@pytest.mark.parametrize("data, refused", [(data, True) for data in REFUSED.values()]
-                         + [(data, False) for data in BUILT.values()], ids=[*REFUSED, *BUILT])
+@pytest.mark.parametrize("data", [*FORMS.values(), *BUILT.values(), *MERGES.values()],
+                         ids=[*FORMS, *BUILT, *(f"merge_{name}" for name in MERGES)])
 def test_a_document_at_an_edge_loads_as_the_composer_gives_it(
-        tmp_path, parser_base, built_documents, data, refused):
-    if refused:
-        with pytest.raises(config._Refused):
-            config._built(data)
+        tmp_path, parser_base, built_documents, data):
     assert_builds_the_composers_document(tmp_path, built_documents, data)
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
 @pytest.mark.parametrize("name", [path.stem for path in all_scenarios()]
                          + sorted(workloads.GENERATORS))
-def test_parser_bases_give_equal_documents(name, tmp_path, built_documents):
+def test_parser_bases_give_equal_documents(name, tmp_path, monkeypatch, built_documents):
     path = SCENARIOS / f"{name}.yaml"
     if name in workloads.GENERATORS:
         path = tmp_path / f"{name}.yaml"
         path.write_text(workload_yaml(name))
     text = path.read_text()
-    libyaml, python, safe_load = (yaml.load(text, Loader=loader) for loader in
-                                  (config.LOADER, config.PURE_PYTHON_LOADER, yaml.SafeLoader))
-    load_config(str(path))
-    assert libyaml == python == safe_load
-    assert [typed(doc) for doc in built_documents] == [typed(libyaml)]
+    libyaml, python = (reference_load(text, loader)
+                       for loader in (config.LOADER, config.PURE_PYTHON_LOADER))
+    for loader in (config.LOADER, config.PURE_PYTHON_LOADER):
+        monkeypatch.setattr(config, "LOADER", loader)
+        load_config(str(path))
+    assert libyaml == python == yaml.safe_load(text)
+    assert [typed(doc) for doc in built_documents] == [typed(libyaml)] * 2
     assert libyaml
 
 
