@@ -5,7 +5,7 @@ import math
 import pytest
 import yaml
 from hypothesis import HealthCheck, example, given, settings, strategies as st
-from yaml.composer import Composer
+from yaml.composer import Composer, ComposerError
 
 from canxlnet import config
 from canxlnet.cli import main
@@ -851,15 +851,35 @@ def reference_load(data, loader: type | None = None):
     """What `yaml.load` gives for `data` with PyYAML's pure-Python composer
     over `loader` (`config.LOADER` by default): the node graph that
     `load_config` does without, built as PyYAML builds it.  libyaml's own
-    composer (`yaml.CSafeLoader`) words its errors otherwise."""
+    composer (`yaml.CSafeLoader`) words its errors otherwise.  The composer
+    refuses a collection nested deeper than `MAX_DEPTH` levels in the text,
+    at its start; levels an alias brings along are not counted, and no
+    document compared here nests that deep through an alias."""
     base = loader or config.LOADER
-    if issubclass(base, Composer):  # `yaml.SafeLoader`, pure Python throughout
-        return yaml.load(data, Loader=base)
+    # `yaml.SafeLoader` is pure Python throughout
+    bases = (base,) if issubclass(base, Composer) else (Composer, base)
 
-    class Reference(Composer, base):
+    class Reference(*bases):
         def __init__(self, stream):
             base.__init__(self, stream)
             Composer.__init__(self)
+            self.depth = 0
+
+        def compose_sequence_node(self, anchor):
+            return self.bounded(Composer.compose_sequence_node, anchor)
+
+        def compose_mapping_node(self, anchor):
+            return self.bounded(Composer.compose_mapping_node, anchor)
+
+        def bounded(self, compose, anchor):
+            self.depth += 1
+            try:
+                if self.depth > MAX_DEPTH:
+                    raise ComposerError(None, None, f"collections nested deeper than {MAX_DEPTH}"
+                                        " levels", self.peek_event().start_mark)
+                return compose(self, anchor)
+            finally:
+                self.depth -= 1
     return yaml.load(data, Loader=Reference)
 
 
@@ -901,8 +921,8 @@ FORMS = {
     "second_document": b"run: {t_end: 1}\n---\nrun: {t_end: 2}\n",
     "syntax_error_after_a_bad_merge": b"run: {<<: 3}\nnodes: [a, b\nflows: {\n",
 }
-# the two deepest documents that build
-BUILT = {f"depth_{depth}": nested(depth) for depth in (MAX_DEPTH - 1, MAX_DEPTH)}
+# the two deepest documents that build and the two shallowest that nest too deep
+DEPTHS = {f"depth_{depth}": nested(depth) for depth in range(MAX_DEPTH - 1, MAX_DEPTH + 3)}
 # merge keys as https://yaml.org/type/merge.html has them
 MERGES = {
     "mapping": b"base: &b {t_end: 1, seed: 2}\nrun: {<<: *b, trace: t}\n",
@@ -946,8 +966,8 @@ def test_load_config_builds_the_composers_document(tmp_path, parser_base, built_
     assert_builds_the_composers_document(tmp_path, built_documents, data)
 
 
-@pytest.mark.parametrize("data", [*FORMS.values(), *BUILT.values(), *MERGES.values()],
-                         ids=[*FORMS, *BUILT, *(f"merge_{name}" for name in MERGES)])
+@pytest.mark.parametrize("data", [*FORMS.values(), *DEPTHS.values(), *MERGES.values()],
+                         ids=[*FORMS, *DEPTHS, *(f"merge_{name}" for name in MERGES)])
 def test_a_document_at_an_edge_loads_as_the_composer_gives_it(
         tmp_path, parser_base, built_documents, data):
     assert_builds_the_composers_document(tmp_path, built_documents, data)
