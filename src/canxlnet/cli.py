@@ -76,9 +76,8 @@ def _cmd_simulate(args) -> int:
     sim = Simulation(topo)  # validates first: a rejected configuration opens no file
     with open(trace_path, "w") as fh:
         _, report = sim.run(fh)
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(report_path, "w") as fh:  # one write: json.dump writes each chunk
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     delivered = sum(f["delivered"] for f in report["flows"].values())
     sent = sum(f["sent"] for f in report["flows"].values())
     print(f"simulated {topo.options.t_end:g} s: {sent} sent, {delivered} delivered; "

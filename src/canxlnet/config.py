@@ -244,9 +244,12 @@ def _built(data: bytes):
                 return loader.construct_object(ScalarNode(  # a `=` key is its text
                     _TAG + "str" if at_key and tag == _TAG + "value" else tag,
                     event.value, event.start_mark, event.end_mark), deep=True)
-            except (ConstructorError, ValueError, LookupError, AttributeError) as exc:
+            except (ConstructorError, ValueError) as exc:
                 errors.append(exc if isinstance(exc, ConstructorError)
                               else ConstructorError(None, None, str(exc), event.start_mark))
+            except (LookupError, AttributeError):  # whose text does not say what failed
+                errors.append(ConstructorError(None, None, f"cannot build {tag} from "
+                                               f"{event.value!r}", event.start_mark))
 
         root = []
         top, key, stack = root, _ITEM, []  # the open collections, innermost in `top`

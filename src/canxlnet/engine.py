@@ -25,29 +25,34 @@ value, and is queued alone.  `on_tx_start` reads `frame.decoded` once per
 transmission and hands it to flow attribution, the summary and every
 receiver's `on_receive`, a node's or a switch port's (`SwitchPortRef`
 calls `CSwitch.on_ingress` and queues its `(port, frame)` emissions).
-`frame_summary` writes the summary as JSON text, and every per-packet
-record (`app_send`, `tx_start`, `tx_complete`, `deliver`, `app_deliver`
-and the drop of a frame no flow owns) is written as text around it and
-the medium, station, node and flow names encoded once at set-up.
-`trace` encodes the rarer records (timers, clashes, flow drops,
-untracked deliveries) whole.  The completion schedules one delivery
-event, `_deliver`, on links and buses alike, which walks the stations in
-order.  Every station but the sender gets its `deliver` record, but only
-the receivers that can accept the frame are called: on a bus, an
-`AcceptanceIndex` built once at set-up from the attributes `on_receive`
-tests names them.  It also counts the AF false positives of the nodes it
-skips, in O(1) per frame: per AF image, the unicast tunnel frames that
-image's filters passed, and per node, those it was spared (its own, and
-those it sent).  When the event loop of `run` ends, `settle` adds the
-difference to each node's `af_false_positive`, visiting only the images
-that were passed.  Each called receiver reacts right after its own
-record; the records of each run of stations between two called ones are
-written in one join.  A broadcast ARP frame calls only the switch ports
-and the nodes that `Node._handle_arp` can act for: the target IP's and
-those that hold the sender IP.  A link, a sender whose receivers are all
-switch ports (neither is given the index) and every other tunnel frame
-with a group AF or DA call every receiver.  Bus clashes and switch drops
-both go through `Simulation.drop`.
+`frame_summary` writes the summary as JSON text, once per run for each
+distinct key of `Simulation.summaries`: the frame's kind and the fields
+the summary reads, never the frame, whose bytes may be built on demand.
+Every per-packet record (`app_send`, `tx_start`, `tx_complete`,
+`deliver`, `app_deliver` and the drop of a frame no flow owns) is
+written as text around it and the medium, station, node and flow names
+encoded once at set-up.  `trace` encodes the rarer records (timers,
+clashes, flow drops, untracked deliveries) whole.  The completion
+delivers the frame through `_deliver`, on links and buses alike: at once
+if its own event is the last due at its instant, as the delivery's event
+would have run next, and otherwise as an event after those due then.
+`_deliver` walks the stations in order.  Every station but the sender
+gets its `deliver` record, but only the receivers that can accept the
+frame are called: on a bus, an `AcceptanceIndex` built once at set-up
+from the attributes `on_receive` tests names them.  It also counts the
+AF false positives of the nodes it skips, in O(1) per frame: per AF
+image, the unicast tunnel frames that image's filters passed, and per
+node, those it was spared (its own, and those it sent).  When the event
+loop of `run` ends, `settle` adds the difference to each node's
+`af_false_positive`, visiting only the images that were passed.  Each
+called receiver reacts right after its own record; the records of each
+run of stations between two called ones are written in one join.  A
+broadcast ARP frame calls only the switch ports and the nodes that
+`Node._handle_arp` can act for: the target IP's and those that hold the
+sender IP.  A link, a sender whose receivers are all switch ports
+(neither is given the index) and every other tunnel frame with a group
+AF or DA call every receiver.  Bus clashes and switch drops both go
+through `Simulation.drop`.
 
 Frames are never tagged with bookkeeping objects: each payload starts
 with an 8-byte tag, flow index and sequence number, which `flow_of`, its
@@ -447,17 +452,18 @@ def frame_summary(frame, inner: EthernetFrame | None) -> str:
     canonical JSON text, keys sorted; `inner`, `frames.decode(frame).eth`,
     is written for CAN XL frames only.  A frame's "len" is its `length`,
     read without serializing it; a datagram's is its payload's.  Addresses
-    and SDT names are plain ASCII, so they need no escaping."""
+    and SDT names are plain ASCII, so they need no escaping; a MAC is
+    written as `MacAddress.__str__` writes it, without the call."""
     if isinstance(frame, CanXlFrame):
         tunnel = "" if inner is None else (
-            f'"inner":{{"da":"{inner.da}","ethertype":"0x{inner.ethertype:04x}",'
-            f'"sa":"{inner.sa}"}},')
+            f'"inner":{{"da":"{inner.da.hex(":")}","ethertype":"0x{inner.ethertype:04x}",'
+            f'"sa":"{inner.sa.hex(":")}"}},')
         sdt = frames.SDT_NAMES.get(frame.sdt) or f"0x{frame.sdt:02x}"
         return (f'{{"af":"0x{frame.af:08x}",{tunnel}"kind":"canxl","len":{frame.length},'
                 f'"priority":{frame.priority},"sdt":"{sdt}"}}')
     if isinstance(frame, EthernetFrame):
-        return (f'{{"da":"{frame.da}","ethertype":"0x{frame.ethertype:04x}","kind":"eth",'
-                f'"len":{frame.length},"sa":"{frame.sa}"}}')
+        return (f'{{"da":"{frame.da.hex(":")}","ethertype":"0x{frame.ethertype:04x}",'
+                f'"kind":"eth","len":{frame.length},"sa":"{frame.sa.hex(":")}"}}')
     if isinstance(frame, ClassicCanFrame):
         return f'{{"id":"0x{frame.id:03x}","kind":"classic","len":{frame.length}}}'
     return (f'{{"dst":"{frame.dst_ip}","kind":"ioc","len":{len(frame.payload)},'
@@ -474,6 +480,10 @@ class Simulation:
         self.due: dict[int, list] = {}  # instant -> its (handler, args), in order
         self.instants: list[int] = []  # a heap of due's keys
         self.trace_lines: list[str] = []
+        # (frame kind, every field frame_summary reads) -> the summary text.
+        # Keys hold strings, ints and addresses only: a frame is never one,
+        # since its payload may be built on demand.
+        self.summaries: dict[tuple, str] = {}
         self.flows: list[FlowRecord] = [FlowRecord(flow, i, _encode(flow.name))
                                          for i, flow in enumerate(topo.flows)]
         for sw in topo.switches.values():
@@ -536,7 +546,19 @@ class Simulation:
         """Read a started frame's decoded value, describe the transmission
         once, trace it and schedule its end."""
         rx = frame.decoded
-        summary = frame_summary(frame, rx.eth)
+        eth = rx.eth
+        kind = frame.__class__
+        if kind is CanXlFrame:
+            key = ("canxl", frame.af, frame.priority, frame.sdt, frame.length) if eth is None \
+                else ("canxl", frame.af, frame.priority, frame.sdt, frame.length,
+                      eth.da, eth.ethertype, eth.sa)
+        elif kind is EthernetFrame:
+            key = ("eth", frame.da, frame.sa, frame.ethertype, frame.length)
+        else:
+            key = ("classic", frame.id, frame.length)
+        summary = self.summaries.get(key)
+        if summary is None:
+            summary = self.summaries[key] = frame_summary(frame, eth)
         location, source, _ = self.fanout[station]
         fl = self.flow_of(rx.payload)
         # The keys tx_start and tx_complete share, in sorted order; written
@@ -622,6 +644,9 @@ class Simulation:
         finally:
             if trace_file is not None:
                 self._write_trace(trace_file)
+        # Only the event loop reads the memo; freed, its memory serves the
+        # report and its encoding, so the two do not add up to a new peak.
+        self.summaries.clear()
         for index in self.indexes:
             index.settle()
         return "" if trace_file is not None else "\n".join(lines + [""]), self.report()
@@ -648,7 +673,15 @@ class Simulation:
                        summary: str, shared: str) -> None:
         now = self.now
         self.trace_lines.append(f'{{"event":"tx_complete",{shared}"t_ns":{now}}}')
-        self.schedule(now, self._deliver, sender, frame, rx, summary, sender.medium.arm(sender))
+        armed = sender.medium.arm(sender)
+        # If the last entry due now is this completion's own, the delivery's
+        # event would run next: run it here.  `on_tx_start` builds `shared`
+        # anew for each transmission, so that object names the entry.
+        args = self.due[now][-1][1]
+        if args and args[-1] is shared:
+            self._deliver(sender, frame, rx, summary, armed)
+        else:
+            self.schedule(now, self._deliver, sender, frame, rx, summary, armed)
 
     def _deliver(self, sender, frame, rx: frames.Decoded, summary: str, armed: bool) -> None:
         """Hand one transmission to the receivers that can act on it, in

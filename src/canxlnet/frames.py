@@ -282,7 +282,9 @@ class Ipv4Datagram:
 
     `options` holds the raw option bytes when IHL > 5; the streamlined
     codecs reject such datagrams (`streamlined`).  Every header field is
-    checked here, when the datagram is built.
+    checked here, when the datagram is built.  The class's own `__init__`
+    checks and stores the fields in one step; `dataclass` keeps it and
+    generates eq, hash and repr.
     """
 
     src_ip: Ipv4Address
@@ -296,19 +298,33 @@ class Ipv4Datagram:
     protocol: int = 253
     options: bytes = b""
 
-    def __post_init__(self):
+    def __init__(self, src_ip: Ipv4Address, dst_ip: Ipv4Address, payload: bytes,
+                 dscp_ecn: int = 0, identification: int = 0, flags: int = 0,
+                 fragment_offset: int = 0, ttl: int = 64, protocol: int = 253,
+                 options: bytes = b""):
         # `|` and `>>` refuse what is no int; an int out of range is not 0 shifted past it
-        options = len(self.options)
-        if options % 4:
+        length = len(options)
+        if length % 4:
             raise ValueError("options must be a whole number of 32-bit words")
-        if options > 40:  # IHL, 4 bits, counts words
-            raise ValueError(f"options of {options} bytes exceed the 40 an IHL of 15 holds")
-        if self.fragment_offset >> 13 or self.flags >> 3:
+        if length > 40:  # IHL, 4 bits, counts words
+            raise ValueError(f"options of {length} bytes exceed the 40 an IHL of 15 holds")
+        if fragment_offset >> 13 or flags >> 3:
             raise ValueError("flags/fragment offset out of range")
-        if (self.dscp_ecn | self.ttl | self.protocol) >> 8 or self.identification >> 16:
+        if (dscp_ecn | ttl | protocol) >> 8 or identification >> 16:
             raise ValueError("DSCP/ECN, TTL and protocol must fit in 8 bits, identification in 16")
-        if (total := IPV4_HEADER_LEN + options + len(self.payload)) > 0xFFFF:
+        if (total := IPV4_HEADER_LEN + length + len(payload)) > 0xFFFF:
             raise ValueError(f"total length {total} exceeds 65535")
+        fields = self.__dict__
+        fields["src_ip"] = src_ip
+        fields["dst_ip"] = dst_ip
+        fields["payload"] = payload
+        fields["dscp_ecn"] = dscp_ecn
+        fields["identification"] = identification
+        fields["flags"] = flags
+        fields["fragment_offset"] = fragment_offset
+        fields["ttl"] = ttl
+        fields["protocol"] = protocol
+        fields["options"] = options
 
     @property
     def ihl(self) -> int:

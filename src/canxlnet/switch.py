@@ -112,16 +112,17 @@ class Efdb:
         self.by_mac: dict[MacAddress, EfdbEntry] = {}
         self.by_ip: dict[Ipv4Address, EfdbEntry] = {}
 
-    def _fresh(self, entry: EfdbEntry | None, now: int) -> EfdbEntry | None:
+    def lookup_mac(self, mac: MacAddress, now: int) -> EfdbEntry | None:
+        entry = self.by_mac.get(mac)
         if entry is None or now - entry.last_seen > self.ageing_ns:
             return None
         return entry
 
-    def lookup_mac(self, mac: MacAddress, now: int) -> EfdbEntry | None:
-        return self._fresh(self.by_mac.get(mac), now)
-
     def lookup_ip(self, ip: Ipv4Address, now: int) -> EfdbEntry | None:
-        return self._fresh(self.by_ip.get(ip), now)
+        entry = self.by_ip.get(ip)
+        if entry is None or now - entry.last_seen > self.ageing_ns:
+            return None
+        return entry
 
     def learn_mac(self, mac: MacAddress, port: int, now: int) -> None:
         entry = self.by_mac.get(mac)
@@ -164,10 +165,6 @@ class Efdb:
 class _PortState:
     role: str = ROLE_DESIGNATED
     last_bpdu: Bpdu | None = None
-
-    @property
-    def forwarding(self) -> bool:
-        return self.role != ROLE_BLOCKED
 
 
 class CSwitch:
@@ -225,7 +222,7 @@ class CSwitch:
                 return []
         elif rx.eth.da == STP_GROUP_MAC:
             return self.stp_step(port, rx)
-        if not self.port_state[port].forwarding:
+        if self.port_state[port].role == ROLE_BLOCKED:
             self._drop("stp_blocked", rx)
             return []
         self.learn(port, rx, now)
@@ -235,22 +232,24 @@ class CSwitch:
 
     def learn(self, port: int, rx: frames.Decoded, now: int) -> None:
         """Backward learning plus ARP/IPv4 snooping into the TARP cache.
-        A malformed ARP or IPv4 header (`rx.net` None) teaches only the MAC."""
+        A malformed ARP or IPv4 header (`rx.net` None) teaches only the MAC.
+        An IPv4 frame's source is learned jointly in one step, which leaves
+        the entry that learning its MAC first would."""
         eth, net = rx.eth, rx.net
         if eth is None:  # a compact frame: its datagram carries no MAC
             self.efdb.learn_ip(net.src_ip, port, now)
-            return
-        self.efdb.learn_mac(eth.sa, port, now)
-        if isinstance(net, ArpMessage):
-            self.efdb.learn_joint(net.sha, net.spa, port, now)
         elif isinstance(net, Ipv4Datagram):
             self.efdb.learn_joint(eth.sa, net.src_ip, port, now)
+        else:
+            self.efdb.learn_mac(eth.sa, port, now)
+            if isinstance(net, ArpMessage):
+                self.efdb.learn_joint(net.sha, net.spa, port, now)
 
     # -- forwarding -------------------------------------------------------
 
     def _forwarding_ports(self, exclude: int) -> list[int]:
         return [i for i, p in self.ports.items()
-                if i != exclude and self.port_state[i].forwarding]
+                if i != exclude and self.port_state[i].role != ROLE_BLOCKED]
 
     def _forward(self, ingress: int, rx: frames.Decoded, now: int) -> list[int]:
         """The egress ports of the frame decoded as `rx`; none if it is dropped."""
@@ -267,7 +266,7 @@ class CSwitch:
                 # Destination lives on the ingress segment: confine it.
                 self._drop("no_route_self", rx)
                 return []
-            if self.port_state[entry.port].forwarding:
+            if self.port_state[entry.port].role != ROLE_BLOCKED:
                 self.counters["forwarded"] += 1
                 return [entry.port]
             self._drop("stp_blocked", rx)

@@ -301,20 +301,40 @@ class TestMediumTiming:
         assert reply > delivers[-1]
         assert records[reply]["t_ns"] == records[request]["t_ns"]
 
-    def test_one_delivery_event_per_transmission(self, monkeypatch):
+    def test_a_delivery_follows_its_completion_when_nothing_else_is_due(self):
+        # The completion is the last event at its instant, so each receiver's
+        # record and reaction come right after it, once each.
         sim = Simulation(five_node_bus(raw_flow("f", "n1", frames.BROADCAST_MAC, 0.001)))
-        handlers = []
-        schedule = Simulation.schedule
-
-        def recording(self, t_ns, handler, *args):
-            handlers.append(handler)
-            schedule(self, t_ns, handler, *args)
-
-        monkeypatch.setattr(Simulation, "schedule", recording)
         trace, report = sim.run()
+        records = [json.loads(line) for line in trace.splitlines()]
+        done = next(i for i, r in enumerate(records) if r["event"] == "tx_complete")
+        assert [(r["event"], r["location"], r["t_ns"]) for r in records[done + 1:]] == [
+            (event, f"n{n}", records[done]["t_ns"])
+            for n in range(2, 6) for event in ("deliver", "app_deliver")]
         assert report["flows"]["f"]["delivered"] == 4
-        assert len(events(trace, "deliver")) == 4
-        assert handlers.count(sim._deliver) == len(events(trace, "tx_complete")) == 1
+
+    def test_a_delivery_waits_for_the_events_due_after_its_completion(self):
+        # The two directions of one link complete at one instant: the first
+        # completion's delivery comes after the second completion, and each
+        # transmission is delivered once.
+        topo = Topology(RunOptions(t_end=0.01))
+        topo.add_node(EthernetHost("a", mac(1), ip(1)))
+        topo.add_node(EthernetHost("b", mac(2), ip(2)))
+        topo.add_link("link1", LINK)
+        topo.attach_node("a", "link1")
+        topo.attach_node("b", "link1")
+        topo.flows.append(raw_flow("ab", "a", mac(2), 0.001))
+        topo.flows.append(raw_flow("ba", "b", mac(1), 0.001))
+        trace, report = Simulation(topo).run()
+        records = [json.loads(line) for line in trace.splitlines()]
+        done = next(i for i, r in enumerate(records) if r["event"] == "tx_complete")
+        assert [(r["event"], r["location"], r.get("flow"), r["t_ns"])
+                for r in records[done:]] == [
+            (event, location, flow, records[done]["t_ns"]) for event, location, flow in [
+                ("tx_complete", "link1", "ab"), ("tx_complete", "link1", "ba"),
+                ("deliver", "b", None), ("app_deliver", "b", "ab"),
+                ("deliver", "a", None), ("app_deliver", "a", "ba")]]
+        assert [report["flows"][f]["delivered"] for f in ("ab", "ba")] == [1, 1]
 
     def test_ethernet_link_duration(self):
         topo = Topology(RunOptions(t_end=0.01))
@@ -601,6 +621,49 @@ canxl_frames = st.builds(frames.CanXlFrame, st.integers(0, 2047), st.integers(0,
 def test_frame_summary_text_is_the_encoded_dict(case):
     frame, inner = case
     assert engine.frame_summary(frame, inner) == engine._encode(reference_summary(frame, inner))
+
+
+# Few values per summarised field, so that frames often differ in one field.
+few_macs = st.sampled_from([mac(1), mac(2), frames.BROADCAST_MAC])
+few_ips = st.sampled_from([ip(1), ip(2)])
+priorities = st.sampled_from([0x100, 0x101])
+afs = st.sampled_from([0x02000000, 0x02000001, 0xFFFFFFFF])
+carried = st.builds(frames.EthernetFrame, few_macs, few_macs,
+                    st.sampled_from([frames.ETHERTYPE_RAW_DATA, frames.ETHERTYPE_ARP, 0x1234]),
+                    st.sampled_from([46, 47]).map(bytes))
+# a payload serialized on demand, never read by the summary
+on_demand = st.builds(lambda src, dst, size, da, sa: frames.ioc_to_ethernet(
+    compact_dgram(src, dst, bytes(size)), da, sa), few_ips, few_ips, st.sampled_from([26, 27]),
+    few_macs, few_macs)
+summarised = st.one_of(
+    carried, on_demand,
+    st.builds(frames.eoc_encapsulate, carried | on_demand, priorities),  # tunnel, AF from DA
+    st.builds(lambda priority, af, eth: frames.CanXlFrame(  # tunnel, any AF
+        priority, frames.SDT_ETHERNET, 0, af, eth.to_bytes()), priorities, afs, carried),
+    st.builds(lambda src, dst, size, priority: frames.ioc_encode(  # compact
+        compact_dgram(src, dst, bytes(size)), priority),
+        few_ips, few_ips, st.sampled_from([1, 2]), priorities),
+    st.builds(frames.CanXlFrame, priorities,  # no Ethernet frame inside
+              st.sampled_from([frames.SDT_IPV4, frames.SDT_CLASSIC_CAN, 0x7F]), st.just(0), afs,
+              st.sampled_from([1, 9]).map(bytes)),
+    st.builds(frames.ClassicCanFrame, st.sampled_from([0x100, 0x101]),
+              st.sampled_from([0, 8]).map(bytes)))
+
+
+@given(st.lists(summarised, min_size=1, max_size=12))
+def test_the_summary_memo_writes_each_frame_s_own_summary(sent):
+    # One run's memo: every tx_start record holds the frame's own summary.
+    topo = Topology(RunOptions())
+    topo.add_bus("bus1", BUS)
+    topo.add_node(EocNode("n1", mac(1), ip(1)))
+    station = topo.attach_node("n1", "bus1")
+    sim = Simulation(topo)
+    for frame in sent:
+        sim.on_tx_start(station, frame, 1)
+        assert sim.trace_lines[-1] == (
+            f'{{"duration_ns":1,"event":"tx_start",'
+            f'"frame":{engine.frame_summary(frame, frame.decoded.eth)},'
+            f'"location":"bus1","source":"n1","t_ns":0}}')
 
 
 def test_one_ipv4_header_rule_for_engine_and_receivers():

@@ -5,6 +5,8 @@ import json
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from canxlnet import frames
 from canxlnet.config import build_topology
@@ -165,6 +167,143 @@ class TestAgeing:
         with pytest.raises(ValueError,
                            match=r"ageing time must be at least 0 and below about 1\.8e299 seconds"):
             Efdb(ageing_s)
+
+
+MACS, IPS = st.sampled_from([M1, M2, M3]), st.sampled_from([IP1, IP2, IP3])
+PORTS = st.integers(0, 2)
+AGEING_NS = 1000  # Efdb(ageing_s=1e-6)
+
+
+def row(entry) -> dict:
+    return {"mac": entry.mac, "ip": entry.ip, "port": entry.port, "seen": entry.last_seen}
+
+
+class EfdbModel(RuleBasedStateMachine):
+    """`Efdb` against plain dicts: each entry a dict numbered in `rows`,
+    and each index a dict of address -> entry number."""
+
+    def __init__(self):
+        super().__init__()
+        self.efdb = Efdb(ageing_s=AGEING_NS / SEC)
+        self.now = 0
+        self.rows: dict[int, dict] = {}
+        self.macs: dict[MacAddress, int] = {}
+        self.ips: dict[Ipv4Address, int] = {}
+
+    def new_row(self, mac, ip, port: int) -> int:
+        self.rows[len(self.rows)] = {"mac": mac, "ip": ip, "port": port, "seen": self.now}
+        return len(self.rows) - 1
+
+    def expected(self, index: dict, address, now: int) -> dict | None:
+        n = index.get(address)
+        if n is None or now - self.rows[n]["seen"] > AGEING_NS:
+            return None
+        return self.rows[n]
+
+    @rule(dt=st.integers(0, 2 * AGEING_NS))
+    def tick(self, dt):
+        self.now += dt
+
+    @rule(mac=MACS, port=PORTS)
+    def learn_mac(self, mac, port):
+        self.efdb.learn_mac(mac, port, self.now)
+        if mac in self.macs:
+            self.rows[self.macs[mac]].update(port=port, seen=self.now)
+        else:
+            self.macs[mac] = self.new_row(mac, None, port)
+
+    @rule(ip=IPS, port=PORTS)
+    def learn_ip(self, ip, port):
+        self.efdb.learn_ip(ip, port, self.now)
+        if ip in self.ips:  # a MAC learned for it stays
+            self.rows[self.ips[ip]].update(port=port, seen=self.now)
+        else:
+            self.ips[ip] = self.new_row(None, ip, port)
+
+    @rule(mac=MACS, ip=IPS, port=PORTS)
+    def learn_joint(self, mac, ip, port):
+        self.efdb.learn_joint(mac, ip, port, self.now)
+        n = self.macs.get(mac)
+        if n is None:
+            n = self.macs[mac] = self.new_row(mac, ip, port)
+        else:
+            old_ip = self.rows[n]["ip"]
+            if old_ip != ip and self.ips.get(old_ip) == n:  # the MAC's old IP is forgotten
+                del self.ips[old_ip]
+            self.rows[n].update(ip=ip, port=port, seen=self.now)
+        other = self.ips.get(ip)
+        if other is not None and other != n:  # the IP moves to this MAC's entry
+            self.rows[other]["ip"] = None
+        self.ips[ip] = n
+
+    @rule(mac=MACS)
+    def lookup_mac(self, mac):
+        entry = self.efdb.lookup_mac(mac, self.now)
+        assert (entry and row(entry)) == self.expected(self.macs, mac, self.now)
+
+    @rule(ip=IPS)
+    def lookup_ip(self, ip):
+        entry = self.efdb.lookup_ip(ip, self.now)
+        assert (entry and row(entry)) == self.expected(self.ips, ip, self.now)
+
+    @rule(mac=MACS, ip=IPS)
+    def lookups_at_the_ageing_time(self, mac, ip):
+        # a hit at exactly the ageing time, a miss one nanosecond past it
+        for address, index, lookup in ((mac, self.macs, self.efdb.lookup_mac),
+                                       (ip, self.ips, self.efdb.lookup_ip)):
+            if address in index:
+                seen = self.rows[index[address]]["seen"]
+                assert row(lookup(address, seen + AGEING_NS)) == self.rows[index[address]]
+                assert lookup(address, seen + AGEING_NS + 1) is None
+
+    @invariant()
+    def the_indexes_hold_the_model_s_entries(self):
+        by_mac, by_ip = self.efdb.by_mac, self.efdb.by_ip
+        assert {mac: row(e) for mac, e in by_mac.items()} == \
+            {mac: self.rows[n] for mac, n in self.macs.items()}
+        assert {ip: row(e) for ip, e in by_ip.items()} == \
+            {ip: self.rows[n] for ip, n in self.ips.items()}
+        assert all(e.ip == ip for ip, e in by_ip.items())
+        # a MAC and an IP share an entry exactly where the model shares one
+        assert {(mac, ip) for mac, e in by_mac.items() for ip, f in by_ip.items() if e is f} \
+            == {(mac, ip) for mac, n in self.macs.items() for ip, m in self.ips.items() if n == m}
+
+    @invariant()
+    def entries_lists_each_entry_once(self):
+        listed = self.efdb.entries()
+        assert len({id(e) for e in listed}) == len(listed) \
+            == len(set(self.macs.values()) | set(self.ips.values()))
+
+
+EfdbModel.TestCase.settings = settings(max_examples=150, stateful_step_count=30, deadline=None)
+TestEfdbModel = EfdbModel.TestCase
+
+
+def efdb_state(efdb: Efdb) -> tuple:
+    """Each index as address -> entry fields, and the MAC and IP keys that
+    share one entry."""
+    return ({mac: row(e) for mac, e in efdb.by_mac.items()},
+            {ip: row(e) for ip, e in efdb.by_ip.items()},
+            {(mac, ip) for mac, e in efdb.by_mac.items() for ip, f in efdb.by_ip.items()
+             if e is f})
+
+
+TIMES = st.integers(0, 3)
+LEARNS = st.one_of(st.tuples(st.just("learn_mac"), MACS, PORTS, TIMES),
+                   st.tuples(st.just("learn_ip"), IPS, PORTS, TIMES),
+                   st.tuples(st.just("learn_joint"), MACS, IPS, PORTS, TIMES))
+
+
+@given(st.lists(LEARNS, max_size=8), MACS, IPS, PORTS, TIMES)
+def test_learning_an_ipv4_frame_is_learn_mac_then_learn_joint(history, sa, src, port, now):
+    sw, reference = make_switch(), Efdb()
+    for efdb in (sw.efdb, reference):
+        for name, *args in history:
+            getattr(efdb, name)(*args)
+    sw.learn(port, decode(ipv4_eth(BROADCAST_MAC, sa, src, IP3)), now)
+    reference.learn_mac(sa, port, now)
+    reference.learn_joint(sa, src, port, now)
+    assert efdb_state(sw.efdb) == efdb_state(reference)
 
 
 class TestForwarding:
