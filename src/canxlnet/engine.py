@@ -16,9 +16,15 @@ without a simulator, so tests drive them with explicit times, and
 A node or a switch port (`SwitchPortRef`) is the station its medium's
 `attach` wires.  Media hand each transmission they start to
 `Simulation.on_tx_start`, which describes the frame once, traces it and
-schedules its completion; the completion arms the medium (`arm`, the one
-arming call) and, if that armed it, the delivery ends with the medium's
-kick, where a kick event of its own would have run next.
+schedules its completion, appending it to `due` by `schedule`'s rule.
+The completion arms the medium (`arm`) and, if that armed it, the
+delivery ends with the medium's kick, where a kick event of its own
+would have run next.  A link completion whose delivery runs in place
+with nothing queued in its direction neither arms nor kicks: during that
+delivery only the peer reacts, and the peer queues in its own direction,
+never in the sender's.  A deferred delivery and every bus completion
+still arm, as events due before the delivery, or the other stations of
+the bus, may queue behind the sender.
 A packet is never parsed on the way: each frame, a node's or a switch's,
 a BPDU too, is built by a `frames` function that attaches its decoded
 value, and is queued alone.  `on_tx_start` reads `frame.decoded` once per
@@ -36,7 +42,9 @@ clashes, flow drops, untracked deliveries) whole.  The completion
 delivers the frame through `_deliver`, on links and buses alike: at once
 if its own event is the last due at its instant, as the delivery's event
 would have run next, and otherwise as an event after those due then.
-`_deliver` walks the stations in order.  Every station but the sender
+`_deliver` writes the one record of a transmission with one receiver
+and no index (a link's, say) in one step and calls that receiver.
+Otherwise it walks the stations in order.  Every station but the sender
 gets its `deliver` record, but only the receivers that can accept the
 frame are called: on a bus, an `AcceptanceIndex` built once at set-up
 from the attributes `on_receive` tests names them.  It also counts the
@@ -513,7 +521,8 @@ class Simulation:
     # -- plumbing -----------------------------------------------------------
 
     def schedule(self, t_ns: int, handler, *args) -> None:
-        """Call `handler(*args)` at `t_ns`, after whatever is already due then."""
+        """Call `handler(*args)` at `t_ns`, after whatever is already due then.
+        `on_tx_start` applies the same rule inline to schedule a completion."""
         events = self.due.get(t_ns)
         if events is None:
             events = self.due[t_ns] = []
@@ -570,8 +579,13 @@ class Simulation:
                       f'"location":{location},"seq":{fl[1]},"source":{source},')
         self.trace_lines.append(
             f'{{"duration_ns":{duration_ns},"event":"tx_start",{shared}"t_ns":{self.now}}}')
-        self.schedule(self.now + duration_ns, self.on_tx_complete,
-                      station, frame, rx, summary, shared)
+        # `schedule`'s rule, inlined for the one event every transmission has
+        t = self.now + duration_ns
+        events = self.due.get(t)
+        if events is None:
+            events = self.due[t] = []
+            heapq.heappush(self.instants, t)
+        events.append((self.on_tx_complete, (station, frame, rx, summary, shared)))
 
     def on_clash(self, bus, dropped: list[tuple[object, object]]) -> None:
         self.trace("clash", bus.name, stations=[st.name for st, _ in dropped])
@@ -673,15 +687,18 @@ class Simulation:
                        summary: str, shared: str) -> None:
         now = self.now
         self.trace_lines.append(f'{{"event":"tx_complete",{shared}"t_ns":{now}}}')
-        armed = sender.medium.arm(sender)
+        medium = sender.medium
         # If the last entry due now is this completion's own, the delivery's
         # event would run next: run it here.  `on_tx_start` builds `shared`
         # anew for each transmission, so that object names the entry.
         args = self.due[now][-1][1]
         if args and args[-1] is shared:
-            self._deliver(sender, frame, rx, summary, armed)
-        else:
-            self.schedule(now, self._deliver, sender, frame, rx, summary, armed)
+            # A link direction with nothing queued stays unarmed: only the
+            # peer reacts to the delivery, and it queues in its own direction.
+            self._deliver(sender, frame, rx, summary, (
+                sender.queue or medium.kind == "can-bus") and medium.arm(sender))
+        else:  # events due before the delivery may queue in this direction
+            self.schedule(now, self._deliver, sender, frame, rx, summary, medium.arm(sender))
 
     def _deliver(self, sender, frame, rx: frames.Decoded, summary: str, armed: bool) -> None:
         """Hand one transmission to the receivers that can act on it, in
@@ -690,26 +707,31 @@ class Simulation:
         that cannot act on the frame are written in one join.  Then, if
         the completion `armed` the medium, kick it."""
         receivers, locations, index, at = self.fanout[sender][2]
-        # Byte for byte what trace("deliver", <receiver name>, frame=...) writes.
-        head = '{"event":"deliver","frame":' + summary + ',"location":'
-        tail = f',"t_ns":{self.now}}}'
         lines = self.trace_lines
-        callees = None if index is None else index.callees(at, frame, rx)
-        if callees is None:  # every receiver
-            for receiver, location in zip(receivers, locations):
-                lines.append(head + location + tail)
-                receiver.on_receive(self, frame, rx)
+        # Each record byte for byte what trace("deliver", <receiver name>, frame=...) writes.
+        if index is None and len(receivers) == 1:  # a link's peer, say: one record, one call
+            lines.append(f'{{"event":"deliver","frame":{summary},'
+                         f'"location":{locations[0]},"t_ns":{self.now}}}')
+            receivers[0].on_receive(self, frame, rx)
         else:
-            sep = tail + "\n" + head
-            start = 0  # the first receiver whose record is not written yet
-            for i in callees:
-                if i != at:
-                    end = i if i < at else i - 1  # its place among the receivers
-                    lines.append(head + sep.join(locations[start:end + 1]) + tail)
-                    receivers[end].on_receive(self, frame, rx)
-                    start = end + 1
-            if start < len(locations):
-                lines.append(head + sep.join(locations[start:]) + tail)
+            head = '{"event":"deliver","frame":' + summary + ',"location":'
+            tail = f',"t_ns":{self.now}}}'
+            callees = None if index is None else index.callees(at, frame, rx)
+            if callees is None:  # every receiver
+                for receiver, location in zip(receivers, locations):
+                    lines.append(head + location + tail)
+                    receiver.on_receive(self, frame, rx)
+            else:
+                sep = tail + "\n" + head
+                start = 0  # the first receiver whose record is not written yet
+                for i in callees:
+                    if i != at:
+                        end = i if i < at else i - 1  # its place among the receivers
+                        lines.append(head + sep.join(locations[start:end + 1]) + tail)
+                        receivers[end].on_receive(self, frame, rx)
+                        start = end + 1
+                if start < len(locations):
+                    lines.append(head + sep.join(locations[start:]) + tail)
         if armed:  # where the kick's own event would have run
             sender.medium.kick(self, sender)
 

@@ -20,17 +20,21 @@ its `queue`, and a bus also its `bus_position`.  A medium only decides
 when a frame starts and hands it to `Simulation.on_tx_start`, which
 traces it and schedules its completion, or, for the frames a bus clash
 discards, to `Simulation.on_clash`.  A queue holds frames only.
-`arm(station)` is the one arming call: it marks a kick pending and says
-whether none was.  An enqueue arms while the bus (or the station's link
-direction) is idle and schedules the kick if it armed; a completion
-always arms, and the engine runs the kick at the end of the delivery if
-it armed.  Only a kick starts a transmission and one kick at most is
-pending, so a kick always runs on an idle medium.
+`kick_pending` (per direction on a link) says a kick is due.  An enqueue
+sets it while the bus (or the station's link direction) is idle and no
+kick is pending, and then schedules the kick.  A completion sets it with
+`arm(station)`, which says whether none was pending, and the engine runs
+the kick at the end of the delivery if it armed.  A link completion
+whose delivery runs in place with nothing queued in its direction
+neither arms nor kicks: only the peer reacts to that delivery, and it
+queues in its own direction.  Only a kick starts a transmission and one
+kick at most is pending, so a kick always runs on an idle medium.
 A frame's duration depends only on its medium, its kind and its length,
 so each medium keeps the nanoseconds of each length it has carried
-(`durations`): `timing` runs once per distinct length.  A medium reads
-`frame.length`, never the frame's bytes, so a frame built on demand is
-never serialized to be timed.
+(`durations`): `timing` runs once per distinct length.  A kick reads
+`durations` itself and calls `frame_duration_ns` only on a miss.  A
+medium reads `frame.length`, never the frame's bytes, so a frame built
+on demand is never serialized to be timed.
 Utilization counts busy time up to `t_end`, not past it.
 """
 
@@ -87,8 +91,9 @@ class CanBus:
     def enqueue(self, sim, station, frame) -> None:
         heapq.heappush(station.queue, (frame_priority(frame), next(self.enqueued), frame))
         self.waiting[station.bus_position] = station
-        # a busy bus re-arms when it completes
-        if self.busy_until <= sim.now and self.arm(station):
+        # `arm`, inline; a busy bus re-arms when it completes
+        if self.busy_until <= sim.now and not self.kick_pending:
+            self.kick_pending = True
             sim.schedule(sim.now, self.kick, sim)
 
     def arm(self, station) -> bool:  # the kick serves every station
@@ -129,8 +134,13 @@ class CanBus:
             self.clashes += 1
             tied.sort()
             sim.on_clash(self, [self._pop(at) for at in tied])
-        station, frame = self._pop(tied[0])
-        duration = self.frame_duration_ns(frame)
+        at = tied[0]  # `_pop(at)`, inline
+        station = waiting[at]
+        queue = station.queue
+        frame = heapq.heappop(queue)[2]
+        if not queue:
+            del waiting[at]
+        duration = self.durations.get((type(frame), frame.length)) or self.frame_duration_ns(frame)
         self.busy_until = sim.now + duration
         self.busy_ns += duration
         sim.on_tx_start(station, frame, duration)
@@ -170,8 +180,9 @@ class EthernetLink:
 
     def enqueue(self, sim, station, frame) -> None:
         station.queue.append(frame)
-        # a busy direction re-arms when it completes
-        if self.busy_until[station] <= sim.now and self.arm(station):
+        # `arm`, inline; a busy direction re-arms when it completes
+        if self.busy_until[station] <= sim.now and not self.kick_pending[station]:
+            self.kick_pending[station] = True
             sim.schedule(sim.now, self.kick, sim, station)
 
     def arm(self, station) -> bool:
@@ -186,7 +197,7 @@ class EthernetLink:
         if not station.queue:
             return
         frame = station.queue.popleft()
-        duration = self.frame_duration_ns(frame)
+        duration = self.durations.get(frame.length) or self.frame_duration_ns(frame)
         self.busy_until[station] = sim.now + duration
         self.busy_ns[station] += duration
         sim.on_tx_start(station, frame, duration)

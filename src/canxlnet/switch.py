@@ -133,6 +133,9 @@ class Efdb:
 
     def learn_joint(self, mac: MacAddress, ip: Ipv4Address, port: int, now: int) -> None:
         entry = self.by_mac.get(mac)
+        if entry is not None and entry.ip == ip:  # then `by_ip[ip]` is that entry too
+            entry.port, entry.last_seen = port, now
+            return
         if entry is None:
             entry = EfdbEntry(mac, ip, port, now)
             self.by_mac[mac] = entry
