@@ -104,7 +104,8 @@ class Efdb:
     """Filtering database plus TARP cache (the IP index).
 
     Both indices may share one entry when MAC and IP of a node are known
-    jointly.  Entries older than the ageing time behave as misses.
+    jointly; an entry's IP, when it has one, indexes that entry in
+    `by_ip`.  Entries older than the ageing time behave as misses.
     """
 
     def __init__(self, ageing_s: float = DEFAULT_AGEING_S):
@@ -140,11 +141,11 @@ class Efdb:
             entry = EfdbEntry(mac, ip, port, now)
             self.by_mac[mac] = entry
         else:
-            if entry.ip is not None and entry.ip != ip and self.by_ip.get(entry.ip) is entry:
+            if entry.ip is not None:  # the MAC's old IP is forgotten
                 del self.by_ip[entry.ip]
             entry.ip, entry.port, entry.last_seen = ip, port, now
         old = self.by_ip.get(ip)
-        if old is not None and old is not entry:
+        if old is not None:
             # Later learning overwrites: the address moved to another entry.
             old.ip = None
         self.by_ip[ip] = entry

@@ -60,6 +60,21 @@ def raw_flow(name, source, dst, at, size=64, seq_times=None):
     return Flow(name, source, "raw-ethernet", size, times, dst_mac=dst)
 
 
+def host_pair() -> Topology:
+    """Hosts a and b on link1, which carries only their flows' frames."""
+    topo = Topology(RunOptions(t_end=0.01, startup_gratuitous_arp=False))
+    topo.add_node(EthernetHost("a", mac(1), ip(1)))
+    topo.add_node(EthernetHost("b", mac(2), ip(2)))
+    topo.add_link("link1", LINK)
+    topo.attach_node("a", "link1")
+    topo.attach_node("b", "link1")
+    return topo
+
+
+def records_at(trace: str, t_ns: int) -> list[dict]:
+    return [r for r in map(json.loads, trace.splitlines()) if r["t_ns"] == t_ns]
+
+
 # Every name the engine writes into a trace line, each with a quote, a
 # backslash and a non-ASCII character.
 NODE, HOST, SWITCH = 'n"\\\u00fc', 'h\\"\u00f8', 'sw"\\\u00df'
@@ -335,6 +350,69 @@ class TestMediumTiming:
                 ("deliver", "b", None), ("app_deliver", "b", "ab"),
                 ("deliver", "a", None), ("app_deliver", "a", "ba")]]
         assert [report["flows"][f]["delivered"] for f in ("ab", "ba")] == [1, 1]
+
+    def test_a_lone_link_transmission_is_kicked_once(self, monkeypatch):
+        # Delivered in place with nothing queued in its direction, the
+        # frame's completion neither arms the link nor kicks it again.
+        kicks = recorder(monkeypatch, [EthernetLink], "kick",
+                         lambda link, sim, station: (station.name, sim.now))
+        topo = host_pair()
+        topo.flows.append(raw_flow("f", "a", mac(2), 0.001))
+        _, report = Simulation(topo).run()
+        assert report["flows"]["f"]["delivered"] == 1
+        assert kicks == [("a", to_ns(0.001))]
+
+    def test_a_frame_queued_as_its_direction_completes_waits_for_its_kick(self, monkeypatch):
+        # a's second frame is queued at the instant the first one completes,
+        # before the completion runs, so its kick is already pending then:
+        # the completion finds it armed, its delivery follows that kick and
+        # kicks nothing itself.  The second frame is delivered in place.
+        kicks = recorder(monkeypatch, [EthernetLink], "kick",
+                         lambda link, sim, station: (station.name, sim.now))
+        t, d = to_ns(0.001), to_ns(ethernet_duration(64, LINK))
+        topo = host_pair()
+        topo.flows.append(raw_flow("f", "a", mac(2), None, seq_times=[t, t + d]))
+        trace, report = Simulation(topo).run()
+        assert report["flows"]["f"]["delivered"] == 2
+        assert kicks == [("a", t), ("a", t + d)]
+        assert [(r["event"], r["location"], r.get("seq")) for r in records_at(trace, t + d)] == [
+            ("app_send", "a", 1), ("tx_complete", "link1", 0), ("tx_start", "link1", 1),
+            ("deliver", "b", None), ("app_deliver", "b", 0)]
+
+    def test_a_deferred_link_delivery_kicks_what_was_queued_before_it(self, monkeypatch):
+        # Hosts h0, h1, h2 on ports 0, 1, 2 of one switch.  h1's broadcast
+        # completes as h0's starts, so the switch floods it while h0's runs,
+        # and both floods and h0's frame complete at t + 2d, in that order of
+        # scheduling.  All three deliveries are deferred; the first, of h0's
+        # frame, floods it onto p1 and onto p2, whose completion came first.
+        # p2 kicks at the end of its own delivery, before p1's scheduled
+        # kick: a deferred completion arms even with nothing queued.
+        kicks = recorder(monkeypatch, [EthernetLink], "kick",
+                         lambda link, sim, station: (station.name, sim.now, len(station.queue)))
+        t, d = to_ns(0.001), to_ns(ethernet_duration(64, LINK))
+        topo = Topology(RunOptions(t_end=0.01, startup_gratuitous_arp=False))
+        topo.add_switch(CSwitch("sw", 1, [PortConfig(i, ETH) for i in range(3)]))
+        for i in range(3):
+            topo.add_node(EthernetHost(f"h{i}", mac(i + 1), ip(i + 1)))
+            topo.add_link(f"l{i}", LINK)
+            topo.attach_node(f"h{i}", f"l{i}")
+            topo.attach_switch_port("sw", i, f"l{i}")
+        topo.flows += [raw_flow("b1", "h1", frames.BROADCAST_MAC, None, seq_times=[t]),
+                       raw_flow("b0", "h0", frames.BROADCAST_MAC, None, seq_times=[t + d])]
+        trace, report = Simulation(topo).run()
+        assert [report["flows"][f]["delivered"] for f in ("b0", "b1")] == [2, 2]
+        assert [(r["event"], r["location"], r.get("source"), r.get("flow"))
+                for r in records_at(trace, t + 2 * d)] == [
+            ("tx_complete", "l0", "h0", "b0"), ("tx_complete", "l0", "sw.p0", "b1"),
+            ("tx_complete", "l2", "sw.p2", "b1"),
+            ("deliver", "sw.p0", None, None),
+            ("deliver", "h0", None, None), ("app_deliver", "h0", None, "b1"),
+            ("deliver", "h2", None, None), ("app_deliver", "h2", None, "b1"),
+            ("tx_start", "l2", "sw.p2", "b0"), ("tx_start", "l1", "sw.p1", "b0")]
+        # each deferred delivery ends with its own direction's kick
+        assert [k for k in kicks if k[1] == t + 2 * d] == [
+            ("h0", t + 2 * d, 0), ("sw.p0", t + 2 * d, 0), ("sw.p2", t + 2 * d, 1),
+            ("sw.p1", t + 2 * d, 1)]
 
     def test_ethernet_link_duration(self):
         topo = Topology(RunOptions(t_end=0.01))

@@ -264,6 +264,8 @@ class EfdbModel(RuleBasedStateMachine):
         assert {ip: row(e) for ip, e in by_ip.items()} == \
             {ip: self.rows[n] for ip, n in self.ips.items()}
         assert all(e.ip == ip for ip, e in by_ip.items())
+        # and the converse, which `learn_joint` relies on
+        assert all(by_ip[e.ip] is e for e in by_mac.values() if e.ip is not None)
         # a MAC and an IP share an entry exactly where the model shares one
         assert {(mac, ip) for mac, e in by_mac.items() for ip, f in by_ip.items() if e is f} \
             == {(mac, ip) for mac, n in self.macs.items() for ip, m in self.ips.items() if n == m}
