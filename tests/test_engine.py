@@ -365,8 +365,9 @@ class TestMediumTiming:
     def test_a_frame_queued_as_its_direction_completes_waits_for_its_kick(self, monkeypatch):
         # a's second frame is queued at the instant the first one completes,
         # before the completion runs, so its kick is already pending then:
-        # the completion finds it armed, its delivery follows that kick and
-        # kicks nothing itself.  The second frame is delivered in place.
+        # the completion's `arm` finds it so, and the delivery, deferred
+        # behind that kick, kicks nothing itself.  The second frame is
+        # delivered in place.
         kicks = recorder(monkeypatch, [EthernetLink], "kick",
                          lambda link, sim, station: (station.name, sim.now))
         t, d = to_ns(0.001), to_ns(ethernet_duration(64, LINK))
@@ -381,12 +382,12 @@ class TestMediumTiming:
 
     def test_a_deferred_link_delivery_kicks_what_was_queued_before_it(self, monkeypatch):
         # Hosts h0, h1, h2 on ports 0, 1, 2 of one switch.  h1's broadcast
-        # completes as h0's starts, so the switch floods it while h0's runs,
-        # and both floods and h0's frame complete at t + 2d, in that order of
-        # scheduling.  All three deliveries are deferred; the first, of h0's
-        # frame, floods it onto p1 and onto p2, whose completion came first.
-        # p2 kicks at the end of its own delivery, before p1's scheduled
-        # kick: a deferred completion arms even with nothing queued.
+        # completes as h0's starts, so the switch floods it while h0's runs.
+        # h0's frame and both flooded copies complete at t + 2d, h0's first,
+        # and all three deliveries are deferred.  The first, of h0's frame,
+        # floods it onto p1 and onto p2, which has just completed.  p2 kicks
+        # at the end of its own delivery, before p1's scheduled kick: a
+        # deferred completion arms even with nothing queued.
         kicks = recorder(monkeypatch, [EthernetLink], "kick",
                          lambda link, sim, station: (station.name, sim.now, len(station.queue)))
         t, d = to_ns(0.001), to_ns(ethernet_duration(64, LINK))
