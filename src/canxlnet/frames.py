@@ -47,25 +47,28 @@ frame attach that value from what they were given, and a frame built
 from bytes or by a constructor gets it on first read.  An Ethernet frame
 keeps only what follows its header, so that no frame refers to itself.
 
-Wire bytes are built on demand.  The frames those builders return keep
-`length`; `CanXlFrame.data` and `EthernetFrame.payload` are serialized
-from the attached value on first read and then kept.  So a simulation,
-which reads only header fields, lengths and decoded values, never parses
-a frame and never serializes a tunnel, a compact frame or an IPv4
-header.  Every frame has `length`, the length of its data field
-(`CanXlFrame`, `ClassicCanFrame`) or of its padded payload
-(`EthernetFrame`).  Such a frame equals, hashes as and prints as the same
-frame built from its bytes.  A datagram that builds always serializes,
-as `Ipv4Datagram` checks every header field, and every other input the
-eager build rejects raises at the same call with the same error, except
-a field of the wrong type (a `str` address), which raises when the bytes
-are read.
+Wire bytes are built on demand.  Each value writes its own bytes
+(`to_bytes`), and `_canxl` and `_ethernet` are the only builders of a
+frame from a value.  Their frames keep `length`; `CanXlFrame.data` and
+`EthernetFrame.payload` are serialized from the attached value on first
+read and then kept, and nothing else writes to a frame once it is built.
+So a simulation, which reads only header fields, lengths and decoded
+values, never parses a frame and never serializes a tunnel, a compact
+frame, an IPv4 header, an ARP message or a BPDU.  Every frame has
+`length`, the length of its data field (`CanXlFrame`, `ClassicCanFrame`)
+or of its padded payload (`EthernetFrame`).  Such a frame equals, hashes
+as and prints as the same frame built from its bytes.  A datagram that
+builds always serializes, as `Ipv4Datagram` checks every header field,
+and every other input the eager build rejects raises at the same call
+with the same error, except a field that does not pack (a `str` address,
+a BPDU cost past 32 bits), which raises when the bytes are read.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 ETHERTYPE_IPV4 = 0x0800
@@ -394,22 +397,6 @@ def streamlined(dgram: Ipv4Datagram) -> Ipv4Datagram:
     return dgram
 
 
-class _OnDemand:
-    """A frame attribute computed from the frame on first read and then
-    kept.  It defines only `__get__`, so a value in the instance's
-    `__dict__`, where a builder or the constructor put it, shadows it."""
-
-    def __init__(self, name: str, compute):
-        self.name = name
-        self.compute = compute
-
-    def __get__(self, frame, owner=None):
-        if frame is None:  # read on the class
-            return self
-        value = frame.__dict__[self.name] = self.compute(frame)
-        return value
-
-
 def _canxl_data(frame: CanXlFrame) -> bytes:
     eth, net, _ = frame.decoded
     if eth is None:  # compact header + payload
@@ -418,12 +405,20 @@ def _canxl_data(frame: CanXlFrame) -> bytes:
     return eth.to_bytes()
 
 
-def _ipv4_payload(frame: EthernetFrame) -> bytes:
+def _ethernet_payload(frame: EthernetFrame) -> bytes:
     return frame._follows[0].to_bytes().ljust(ETH_MIN_PAYLOAD, b"\x00")
 
 
-CanXlFrame.data = _OnDemand("data", _canxl_data)
-EthernetFrame.payload = _OnDemand("payload", _ipv4_payload)
+def _on_demand(cls, name: str, compute) -> None:
+    """Make `cls.name` a frame attribute computed on first read and then
+    kept; a value that a builder or the constructor put in the instance's
+    `__dict__` shadows it, as a `cached_property` defines no `__set__`."""
+    setattr(cls, name, attribute := cached_property(compute))
+    attribute.__set_name__(cls, name)
+
+
+_on_demand(CanXlFrame, "data", _canxl_data)
+_on_demand(EthernetFrame, "payload", _ethernet_payload)
 _new = object.__new__
 
 
@@ -446,6 +441,22 @@ def _canxl(priority: int, sdt: int, af: int, decoded: Decoded, length: int) -> C
     return frame
 
 
+def _ethernet(da: MacAddress, sa: MacAddress, ethertype: int,
+              net: ArpMessage | Bpdu | Ipv4Datagram, payload: bytes | None,
+              length: int) -> EthernetFrame:
+    """An Ethernet frame that decodes as `net` and the application
+    `payload`, whose payload is `net`'s `length` bytes serialized on demand
+    and padded; the caller keeps `length` within the MTU."""
+    frame = _new(EthernetFrame)
+    fields = frame.__dict__
+    fields["da"] = da
+    fields["sa"] = sa
+    fields["ethertype"] = ethertype
+    fields["_follows"] = (net, payload)
+    fields["length"] = max(length, ETH_MIN_PAYLOAD)
+    return frame
+
+
 class ArpOp:
     REQUEST = "request"
     REPLY = "reply"
@@ -465,6 +476,12 @@ class ArpMessage:
             raise ValueError("gratuitous reply announces its own binding (spa == tpa)")
         if self.op == ArpOp.REPLY and self.spa == self.tpa:
             raise ValueError("a reply with spa == tpa is gratuitous")
+
+    def to_bytes(self) -> bytes:
+        """The RFC 826 body, for Ethernet and IPv4 addresses."""
+        return struct.pack(">HHBBH6s4s6s4s", 1, ETHERTYPE_IPV4, 6, 4,
+                           1 if self.op == ArpOp.REQUEST else 2,
+                           self.sha, self.spa, self.tha, self.tpa)
 
 
 def ipv4_checksum(header: bytes) -> int:
@@ -556,14 +573,7 @@ def ioc_to_ethernet(dgram: Ipv4Datagram, da: MacAddress, sa: MacAddress) -> Ethe
     length = IPV4_HEADER_LEN + len(dgram.options) + len(dgram.payload)
     if length > ETH_MTU:
         return EthernetFrame(da, sa, ETHERTYPE_IPV4, dgram.to_bytes())
-    frame = _new(EthernetFrame)
-    fields = frame.__dict__
-    fields["da"] = da
-    fields["sa"] = sa
-    fields["ethertype"] = ETHERTYPE_IPV4
-    fields["_follows"] = (dgram, dgram.payload)
-    fields["length"] = max(length, ETH_MIN_PAYLOAD)
-    return frame
+    return _ethernet(da, sa, ETHERTYPE_IPV4, dgram, dgram.payload, length)
 
 
 def ethernet_to_ioc(eth: EthernetFrame) -> Ipv4Datagram:
@@ -579,28 +589,21 @@ def ethernet_to_ioc(eth: EthernetFrame) -> Ipv4Datagram:
     return streamlined(dgram)
 
 
+ARP_LEN = 28  # RFC 826 body for IPv4 over Ethernet
+
+
 def arp_serialize(msg: ArpMessage) -> EthernetFrame:
     """Map an ARP message onto an Ethernet frame (RFC 826 layout)."""
-    body = struct.pack(
-        ">HHBBH6s4s6s4s",
-        1,              # hardware type: Ethernet
-        ETHERTYPE_IPV4,
-        6, 4,
-        1 if msg.op == ArpOp.REQUEST else 2,
-        msg.sha, msg.spa, msg.tha, msg.tpa,
-    )
     da = msg.tha if msg.op == ArpOp.REPLY else BROADCAST_MAC
-    frame = EthernetFrame(da, msg.sha, ETHERTYPE_ARP, body)
-    frame.__dict__["_follows"] = (msg, None)
-    return frame
+    return _ethernet(da, msg.sha, ETHERTYPE_ARP, msg, None, ARP_LEN)
 
 
 def arp_parse(eth: EthernetFrame) -> ArpMessage:
     if eth.ethertype != ETHERTYPE_ARP:
         raise Malformed(f"ethertype 0x{eth.ethertype:04x} is not ARP")
-    # EthernetFrame pads its payload to 46 bytes, so the 28-byte body is there
+    # EthernetFrame pads its payload to 46 bytes, so the whole body is there
     htype, ptype, hlen, plen, oper, sha, spa, tha, tpa = \
-        struct.unpack(">HHBBH6s4s6s4s", eth.payload[:28])
+        struct.unpack(">HHBBH6s4s6s4s", eth.payload[:ARP_LEN])
     if (htype, ptype, hlen, plen) != (1, ETHERTYPE_IPV4, 6, 4):
         raise Malformed("not an IPv4-over-Ethernet ARP message")
     if oper == 1:
@@ -623,13 +626,13 @@ class Bpdu(NamedTuple):
     cost: int
     sender_id: int
 
+    def to_bytes(self) -> bytes:
+        return BPDU_MAGIC + struct.pack(">QIQ", *self)
+
 
 def bpdu_serialize(bpdu: Bpdu, sender_mac: MacAddress) -> EthernetFrame:
     """`bpdu` to the STP group MAC, in this library's reduced layout."""
-    body = BPDU_MAGIC + struct.pack(">QIQ", *bpdu)
-    frame = EthernetFrame(STP_GROUP_MAC, sender_mac, ETHERTYPE_BPDU, body)
-    frame.__dict__["_follows"] = (bpdu, None)
-    return frame
+    return _ethernet(STP_GROUP_MAC, sender_mac, ETHERTYPE_BPDU, bpdu, None, BPDU_LEN)
 
 
 def bpdu_parse(eth: EthernetFrame) -> Bpdu:
@@ -700,7 +703,7 @@ def decode(frame) -> Decoded:
 
 # `frame.decoded`, where no builder attached it; an Ethernet frame builds
 # its `Decoded` on each read from what follows its header.
-EthernetFrame._follows = _OnDemand("_follows", _parse_follows)
+_on_demand(EthernetFrame, "_follows", _parse_follows)
 EthernetFrame.decoded = property(_ethernet_decoded)
-CanXlFrame.decoded = _OnDemand("decoded", decode)
-ClassicCanFrame.decoded = _OnDemand("decoded", lambda frame: Decoded(None, None, frame.data))
+_on_demand(CanXlFrame, "decoded", decode)
+_on_demand(ClassicCanFrame, "decoded", lambda frame: Decoded(None, None, frame.data))

@@ -619,6 +619,24 @@ def eager_ipv4_ethernet(dgram: Ipv4Datagram, da: MacAddress, sa: MacAddress) -> 
     return EthernetFrame(da, sa, frames.ETHERTYPE_IPV4, dgram.to_bytes())
 
 
+ARP_OPERATION = {ArpOp.REQUEST: 1, ArpOp.REPLY: 2, ArpOp.GRATUITOUS_REPLY: 2}
+
+
+def eager_arp(msg: ArpMessage) -> EthernetFrame:
+    """`arp_serialize` serializing at once, as the reference: the RFC 826
+    body for IPv4 over Ethernet, broadcast unless it is a reply."""
+    body = struct.pack(">HHBBH6s4s6s4s", 1, 0x0800, 6, 4, ARP_OPERATION[msg.op],
+                       msg.sha, msg.spa, msg.tha, msg.tpa)
+    return EthernetFrame(msg.tha if msg.op == ArpOp.REPLY else BROADCAST_MAC, msg.sha, 0x0806, body)
+
+
+def eager_bpdu(bpdu: Bpdu, sender: MacAddress) -> EthernetFrame:
+    """`bpdu_serialize` serializing at once, as the reference: magic, root
+    id (8 bytes), cost (4) and sender id (8)."""
+    body = b"XBPD" + struct.pack(">QIQ", bpdu.root_id, bpdu.cost, bpdu.sender_id)
+    return EthernetFrame(frames.STP_GROUP_MAC, sender, frames.ETHERTYPE_BPDU, body)
+
+
 def assert_on_demand(build, eager):
     """`build()` makes a new on-demand frame each call.  Before its bytes
     are read, it has its `length`, and it equals, hashes as and prints as
@@ -637,28 +655,46 @@ def assert_on_demand(build, eager):
     assert pickle.loads(pickle.dumps(build())) == parsed
 
 
+@st.composite
+def arp_messages(draw) -> ArpMessage:
+    """A request, a reply or a gratuitous reply."""
+    op = draw(st.sampled_from([ArpOp.REQUEST, ArpOp.REPLY, ArpOp.GRATUITOUS_REPLY]))
+    spa = draw(ips)
+    tpa = spa if op == ArpOp.GRATUITOUS_REPLY else draw(ips.filter(lambda tpa: tpa != spa))
+    tha = ZERO_MAC if op == ArpOp.REQUEST else draw(macs)
+    return ArpMessage(op, draw(macs), spa, tha, tpa)
+
+
+bpdus = st.builds(Bpdu, st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1),
+                  st.integers(0, 2**64 - 1))
+_TOP_BPDU = Bpdu(2**64 - 1, 2**32 - 1, 2**64 - 2)
+
+
 tunneled = st.one_of(
-    st.builds(arp_serialize, st.builds(ArpMessage, st.just(ArpOp.REQUEST), macs, ips,
-                                       st.just(ZERO_MAC), ips)),
-    st.builds(bpdu_serialize, st.builds(Bpdu, st.integers(0, 2**64 - 1),
-                                        st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1)),
-              macs),
+    st.builds(arp_serialize, arp_messages()),
+    st.builds(bpdu_serialize, bpdus, macs),
     st.builds(EthernetFrame, macs, macs, st.just(frames.ETHERTYPE_RAW_DATA),
               st.binary(max_size=frames.ETH_MTU)))
 octets = st.integers(0, 255)
 
 
 # 20 + 26 = 46: IPv4 payloads of 25, 26 and 27 bytes straddle the pad boundary
-@example(d=compact_dgram(IP1, IP2, b""), priority=0, eth=_RAW, options=b"")
-@example(d=compact_dgram(IP1, IP2, bytes(25)), priority=0, eth=_RAW, options=b"")
-@example(d=compact_dgram(IP1, IP2, bytes(26)), priority=0, eth=_RAW, options=b"")
-@example(d=compact_dgram(IP1, IP2, bytes(27)), priority=0, eth=_RAW, options=b"")
-@example(d=compact_dgram(IP1, IP2, bytes(1480)), priority=2047, eth=_RAW, options=bytes(40))
+@example(d=compact_dgram(IP1, IP2, b""), priority=0, eth=_RAW, options=b"",
+         msg=_REQUEST, bpdu=_HELLO)
+@example(d=compact_dgram(IP1, IP2, bytes(25)), priority=0, eth=_RAW, options=b"",
+         msg=ArpMessage(ArpOp.REPLY, M1, IP2, M2, IP1), bpdu=_TOP_BPDU)
+@example(d=compact_dgram(IP1, IP2, bytes(26)), priority=0, eth=_RAW, options=b"",
+         msg=ArpMessage(ArpOp.GRATUITOUS_REPLY, M1, IP1, ZERO_MAC, IP1), bpdu=_HELLO)
+@example(d=compact_dgram(IP1, IP2, bytes(27)), priority=0, eth=_RAW, options=b"",
+         msg=_REQUEST, bpdu=_HELLO)
+@example(d=compact_dgram(IP1, IP2, bytes(1480)), priority=2047, eth=_RAW, options=bytes(40),
+         msg=_REQUEST, bpdu=_HELLO)
 @given(d=st.builds(compact_dgram, ips, ips, st.binary(max_size=1480), dscp_ecn=octets,
                    ttl=octets, protocol=octets),
        priority=st.integers(0, 2047), eth=tunneled,
-       options=st.integers(0, 10).map(lambda words: bytes(range(4 * words))))
-def test_an_on_demand_frame_is_the_frame_of_its_bytes(d, priority, eth, options):
+       options=st.integers(0, 10).map(lambda words: bytes(range(4 * words))),
+       msg=arp_messages(), bpdu=bpdus)
+def test_an_on_demand_frame_is_the_frame_of_its_bytes(d, priority, eth, options, msg, bpdu):
     da, sa = eth.da, eth.sa
     assert_on_demand(lambda: ioc_encode(d, priority), eager_ioc(d, priority))
     assert_on_demand(lambda: ioc_to_ethernet(d, da, sa), eager_ipv4_ethernet(d, da, sa))
@@ -668,6 +704,8 @@ def test_an_on_demand_frame_is_the_frame_of_its_bytes(d, priority, eth, options)
     assert_on_demand(lambda: eoc_encapsulate(ioc_to_ethernet(d, da, sa), priority),
                      eager_eoc(eager_ipv4_ethernet(d, da, sa), priority))
     assert_on_demand(lambda: eoc_encapsulate(eth, priority), eager_eoc(eth, priority))  # ARP, BPDU
+    assert_on_demand(lambda: arp_serialize(msg), eager_arp(msg))
+    assert_on_demand(lambda: bpdu_serialize(bpdu, sa), eager_bpdu(bpdu, sa))
 
 
 def outcome(call, *args, **kwargs):
