@@ -54,10 +54,14 @@ node, those it was spared (its own, and those it sent).  When the event
 loop of `run` ends, `settle` adds the difference to each node's
 `af_false_positive`, visiting only the images that were passed.  Each
 called receiver reacts right after its own record; the records of each
-run of stations between two called ones are written in one join.  A
+run of stations up to a called one go in as one join.  A
 broadcast ARP frame calls only the switch ports and the nodes that
 `Node._handle_arp` can act for: the target IP's and those that hold the
-sender IP.  A link, a sender whose receivers are all switch ports
+sender IP.  The index finds them in C: it keeps each node's own
+`arp_table` dict and a map from IP to node, both from set-up, and
+`itertools.compress` picks the nodes whose table holds the sender IP,
+so a table a node learns into during the run is read as it is then.
+A link, a sender whose receivers are all switch ports
 (neither is given the index) and every other tunnel frame with a group
 AF or DA call every receiver.  Bus clashes and switch drops both go
 through `Simulation.drop`.
@@ -73,12 +77,18 @@ regenerated on delivery, is the end-to-end byte-identity check.
 
 The trace is one JSON record per line; the report is a JSON document of
 per-flow, per-medium, per-switch, and per-node aggregates.  The trace is
-kept as entries in `Simulation.trace_lines`, each one line or, for the
-`deliver` records of one join, several.  Given a text file, `run` streams
-the trace to it: after any instant that leaves more than `TRACE_CHUNK`
-entries it writes them, whole lines each ending in a newline, and clears
-the list, so memory holds a chunk of the trace, not all of it.  Without
-a file it returns the whole trace as text.
+kept as entries in `Simulation.trace_lines`, each ending in a newline:
+a record, or one of the three pieces of a run of `deliver` records,
+which `_deliver` appends as the records' common head, their locations
+joined by `tail + head`, and the tail, so each record is copied once
+before the final join.  `extra_lines` counts the lines held beyond one
+per entry, so the lines held are known without reading the entries.
+Given a text file, `run` streams the trace to it: after any instant that
+leaves more than `TRACE_CHUNK` lines held it writes them in one join and
+clears the list, so memory holds a chunk of the trace and the lines of
+one instant, however many stations a bus has.  Entries are written only
+between instants, so every write ends on a whole line.  Without a file
+`run` returns the whole trace as text.
 """
 
 from __future__ import annotations
@@ -88,6 +98,8 @@ import json
 import struct
 import sys
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import contains
 
 from . import frames
 from .frames import (
@@ -106,8 +118,8 @@ from .timing import CanXlTimingParams, EthernetTimingParams, to_ns
 
 FLOW_TAG = struct.Struct(">II")  # a payload's first bytes: flow index, sequence number
 MAX_IPV4_PAYLOAD = frames.ETH_MTU - frames.IPV4_HEADER_LEN
-# Trace entries held before `run` writes them to its file.  In entries, not
-# records: a bus `deliver` entry joins up to one record per receiver.
+# Trace lines held before `run` writes them to its file, checked after
+# each instant.
 TRACE_CHUNK = 256
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -209,18 +221,20 @@ class AcceptanceIndex:
     def __init__(self, stations: list):
         self.stations = stations  # the bus's, in order
         self.ports, self.classic = [], []  # switch ports; those and classic nodes
-        nodes = []  # tunnel and streamlined nodes
-        self.arp = []  # (position, None) of each port, (position, node) of each node
+        self.nodes = []  # the positions of the tunnel and streamlined nodes
         for i, station in enumerate(stations):
             if station.kind == "switch-port":
                 self.ports.append(i)
                 self.classic.append(i)
-                self.arp.append((i, None))
             elif station.kind == "classic-can":
                 self.classic.append(i)
             else:
-                nodes.append(i)
-                self.arp.append((i, station))
+                self.nodes.append(i)
+        nodes = self.nodes
+        # What `Node._handle_arp` tests: each node's ARP table, the dict
+        # itself (a node never rebinds it), and IP -> the position of its node
+        self.tables = [stations[i].arp_table for i in nodes]
+        self.owners = {stations[i].ip: i for i in nodes if stations[i].ip is not None}
         # af_image -> {MAC: (position, the ports and that node)} of the nodes
         # with that image; ip_af -> the ports and the node with it
         self.tunnel: dict[int, dict[MacAddress, tuple[int, list[int]]]] = {}
@@ -251,9 +265,14 @@ class AcceptanceIndex:
         if af & AF_GROUP:
             net = rx.net
             if isinstance(net, ArpMessage) and rx.eth.da.is_group():
-                spa, tpa = net.spa, net.tpa  # what `Node._handle_arp` tests
-                return [i for i, node in self.arp
-                        if node is None or node.ip == tpa or spa in node.arp_table]
+                # the ports, the nodes whose table holds the sender IP and
+                # the target IP's: what `Node._handle_arp` tests
+                callees = {*self.ports,
+                           *compress(self.nodes, map(contains, self.tables, repeat(net.spa)))}
+                owner = self.owners.get(net.tpa)
+                if owner is not None:
+                    callees.add(owner)
+                return sorted(callees)
             return None
         passed = self.tunnel.get(af)
         if passed is None:
@@ -487,7 +506,8 @@ class Simulation:
         self.now = 0
         self.due: dict[int, list] = {}  # instant -> its (handler, args), in order
         self.instants: list[int] = []  # a heap of due's keys
-        self.trace_lines: list[str] = []
+        self.trace_lines: list[str] = []  # entries, each ending in "\n"
+        self.extra_lines = 0  # the lines held in trace_lines beyond one per entry
         # (frame kind, every field frame_summary reads) -> the summary text.
         # Keys hold strings, ints and addresses only: a frame is never one,
         # since its payload may be built on demand.
@@ -531,7 +551,7 @@ class Simulation:
 
     def trace(self, event: str, location: str, **fields) -> None:
         rec = {"t_ns": self.now, "event": event, "location": location, **fields}
-        self.trace_lines.append(_encode(rec))
+        self.trace_lines.append(_encode(rec) + "\n")
 
     # -- flow attribution ----------------------------------------------------
 
@@ -578,7 +598,7 @@ class Simulation:
             shared = (f'"flow":{fl[0].text},"frame":{summary},'
                       f'"location":{location},"seq":{fl[1]},"source":{source},')
         self.trace_lines.append(
-            f'{{"duration_ns":{duration_ns},"event":"tx_start",{shared}"t_ns":{self.now}}}')
+            f'{{"duration_ns":{duration_ns},"event":"tx_start",{shared}"t_ns":{self.now}}}\n')
         # `schedule`'s rule, inlined for the one event every transmission has
         t = self.now + duration_ns
         events = self.due.get(t)
@@ -602,7 +622,7 @@ class Simulation:
             # Byte for byte what trace("drop", location, frame=..., reason=reason) writes.
             self.trace_lines.append(
                 f'{{"event":"drop","frame":{frame_summary(frame, rx.eth)},'
-                f'"location":{_encode(location)},"reason":{_encode(reason)},"t_ns":{self.now}}}')
+                f'"location":{_encode(location)},"reason":{_encode(reason)},"t_ns":{self.now}}}\n')
 
     def flow_drop(self, record: FlowRecord, seq: int, reason: str, location: str) -> None:
         record.drops[reason] = record.drops.get(reason, 0) + 1
@@ -624,7 +644,7 @@ class Simulation:
         self.trace_lines.append(
             f'{{"event":"app_deliver","flow":{record.text},'
             f'"latency_ns":{latency},"location":{self.fanout[node][1]},'
-            f'"seq":{seq},"t_ns":{self.now}}}')
+            f'"seq":{seq},"t_ns":{self.now}}}\n')
 
     # -- event handlers ---------------------------------------------------------
 
@@ -653,7 +673,7 @@ class Simulation:
                 for handler, args in due[t]:  # the iterator sees events appended on the way
                     handler(*args)
                 del due[t]
-                if len(lines) > chunk:
+                if len(lines) + self.extra_lines > chunk:
                     self._write_trace(trace_file)
         finally:
             if trace_file is not None:
@@ -663,16 +683,15 @@ class Simulation:
         self.summaries.clear()
         for index in self.indexes:
             index.settle()
-        return "" if trace_file is not None else "\n".join(lines + [""]), self.report()
+        return "" if trace_file is not None else "".join(lines), self.report()
 
     def _write_trace(self, trace_file) -> None:
-        """Write the entries held to `trace_file`, each line ending in a
-        newline, and drop them."""
+        """Write the entries held to `trace_file` and drop them."""
         lines = self.trace_lines
         if lines:
-            lines.append("")
-            trace_file.write("\n".join(lines))
+            trace_file.write("".join(lines))
             lines.clear()
+            self.extra_lines = 0
 
     def _app_send(self, record: FlowRecord, seq: int) -> None:
         flow = record.flow
@@ -680,13 +699,13 @@ class Simulation:
         record.sent += 1
         self.trace_lines.append(
             f'{{"event":"app_send","flow":{record.text},'
-            f'"location":{self.fanout[node][1]},"seq":{seq},"t_ns":{self.now}}}')
+            f'"location":{self.fanout[node][1]},"seq":{seq},"t_ns":{self.now}}}\n')
         node.app_send(self, flow, make_payload(record.index, seq, flow.payload_size))
 
     def on_tx_complete(self, sender, frame, rx: frames.Decoded,
                        summary: str, shared: str) -> None:
         now = self.now
-        self.trace_lines.append(f'{{"event":"tx_complete",{shared}"t_ns":{now}}}')
+        self.trace_lines.append(f'{{"event":"tx_complete",{shared}"t_ns":{now}}}\n')
         medium = sender.medium
         # If the last entry due now is this completion's own, the delivery's
         # event would run next: run it here.  `on_tx_start` builds `shared`
@@ -704,34 +723,41 @@ class Simulation:
         """Hand one transmission to the receivers that can act on it, in
         station order: each one's `deliver` record, then its reaction.
         Every other station gets its record; those of each run of stations
-        that cannot act on the frame are written in one join.  Then, if
-        the completion `armed` the medium, kick it."""
+        up to one that can act on the frame go in as three entries: the
+        head, the locations joined, the tail.  Then, if the completion
+        `armed` the medium, kick it."""
         receivers, locations, index, at = self.fanout[sender][2]
         lines = self.trace_lines
         # Each record byte for byte what trace("deliver", <receiver name>, frame=...) writes.
         if index is None and len(receivers) == 1:  # a link's peer, say: one record, one call
             lines.append(f'{{"event":"deliver","frame":{summary},'
-                         f'"location":{locations[0]},"t_ns":{self.now}}}')
+                         f'"location":{locations[0]},"t_ns":{self.now}}}\n')
             receivers[0].on_receive(self, frame, rx)
         else:
             head = '{"event":"deliver","frame":' + summary + ',"location":'
-            tail = f',"t_ns":{self.now}}}'
+            tail = f',"t_ns":{self.now}}}\n'
             callees = None if index is None else index.callees(at, frame, rx)
             if callees is None:  # every receiver
                 for receiver, location in zip(receivers, locations):
                     lines.append(head + location + tail)
                     receiver.on_receive(self, frame, rx)
             else:
-                sep = tail + "\n" + head
+                # Every receiver's record is one line, and each run of them
+                # three entries: `extra_lines` gains the difference.
+                extra = len(locations)
+                sep = tail + head
                 start = 0  # the first receiver whose record is not written yet
                 for i in callees:
                     if i != at:
                         end = i if i < at else i - 1  # its place among the receivers
-                        lines.append(head + sep.join(locations[start:end + 1]) + tail)
+                        lines += (head, sep.join(locations[start:end + 1]), tail)
+                        extra -= 3
                         receivers[end].on_receive(self, frame, rx)
                         start = end + 1
                 if start < len(locations):
-                    lines.append(head + sep.join(locations[start:]) + tail)
+                    lines += (head, sep.join(locations[start:]), tail)
+                    extra -= 3
+                self.extra_lines += extra
         if armed:  # where the kick's own event would have run
             sender.medium.kick(self, sender)
 

@@ -7,10 +7,15 @@ identical to bit-level arbitration for 11-bit fields).  Two distinct
 stations contending with the same priority at the same instant cannot be
 resolved by CAN at all; the model records a clash and discards both
 frames, surfacing what is a configuration fault.  Only the stations with
-a frame queued contend: the bus keeps them in `waiting`, keyed by their
-position on the bus (`attach` gives each station its `bus_position`), so
-a kick costs the number of waiting stations, not of attached ones.  A
-clash lists its stations in bus order, whatever order they queued in.
+a frame queued contend: `heads` maps each queue head's priority to the
+positions on the bus of the stations whose head has it (`attach` gives
+each station its `bus_position`).  `enqueue` files a station when its
+queue was empty or the new frame beats its head.  A kick takes the
+lowest priority filed, so it costs a `min` over the distinct head
+priorities, not the number of waiting stations or of attached ones.  A
+priority filed for one station wins; one filed for more is a clash,
+which lists its stations in bus order, whatever order they queued in,
+files their next heads and arbitrates again.
 
 Ethernet links are full duplex: one independent FIFO and occupancy per
 direction, that is per sending station.  Multidrop Ethernet is not modeled.
@@ -63,7 +68,7 @@ class CanBus:
         self.kind = "can-bus"
         self.params = params
         self.stations: list = []  # nodes and switch ports
-        self.waiting: dict = {}  # bus position -> station, for the stations with a queue
+        self.heads: dict = {}  # head priority -> the bus positions whose queue head has it
         self.busy_until = 0
         self.kick_pending = False
         self.clashes = 0
@@ -89,8 +94,19 @@ class CanBus:
         self.stations.append(station)
 
     def enqueue(self, sim, station, frame) -> None:
-        heapq.heappush(station.queue, (frame_priority(frame), next(self.enqueued), frame))
-        self.waiting[station.bus_position] = station
+        priority = frame_priority(frame)
+        queue = station.queue
+        if not queue:
+            self.heads.setdefault(priority, []).append(station.bus_position)
+        elif priority < queue[0][0]:  # a new head: file the station under it instead
+            heads = self.heads
+            filed = heads[queue[0][0]]
+            if len(filed) == 1:
+                del heads[queue[0][0]]
+            else:
+                filed.remove(station.bus_position)
+            heads.setdefault(priority, []).append(station.bus_position)
+        heapq.heappush(queue, (priority, next(self.enqueued), frame))
         # `arm`, inline; a busy bus re-arms when it completes
         if self.busy_until <= sim.now and not self.kick_pending:
             self.kick_pending = True
@@ -104,11 +120,13 @@ class CanBus:
         return True
 
     def _pop(self, at: int):
-        """(station, frame) of the head of the queue at bus position `at`."""
-        station = self.waiting[at]
-        frame = heapq.heappop(station.queue)[2]
-        if not station.queue:
-            del self.waiting[at]
+        """(station, frame) of the head of the queue at bus position `at`,
+        its next head filed."""
+        station = self.stations[at]
+        queue = station.queue
+        frame = heapq.heappop(queue)[2]
+        if queue:
+            self.heads.setdefault(queue[0][0], []).append(at)
         return station, frame
 
     def kick(self, sim, station=None) -> None:
@@ -116,17 +134,11 @@ class CanBus:
         semantics) on the idle bus; only the stations with a queue contend,
         whichever `station` armed the kick."""
         self.kick_pending = False
-        waiting = self.waiting
+        heads = self.heads
         while True:
-            if not waiting:
+            if not heads:
                 return
-            tied = None
-            for at, station in waiting.items():
-                priority = station.queue[0][0]
-                if tied is None or priority < best:
-                    best, tied = priority, [at]
-                elif priority == best:
-                    tied.append(at)
+            tied = heads.pop(min(heads))
             if len(tied) == 1:
                 break
             # Unresolvable: drop the tied frames, in bus order, and
@@ -135,11 +147,11 @@ class CanBus:
             tied.sort()
             sim.on_clash(self, [self._pop(at) for at in tied])
         at = tied[0]  # `_pop(at)`, inline
-        station = waiting[at]
+        station = self.stations[at]
         queue = station.queue
         frame = heapq.heappop(queue)[2]
-        if not queue:
-            del waiting[at]
+        if queue:
+            heads.setdefault(queue[0][0], []).append(at)
         duration = self.durations.get((type(frame), frame.length)) or self.frame_duration_ns(frame)
         self.busy_until = sim.now + duration
         self.busy_ns += duration

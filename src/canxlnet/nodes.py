@@ -163,8 +163,9 @@ class Node:
         # learned IP can have datagrams waiting.  Nothing happens unless
         # `tpa` is this node's IP or `spa` is in its table, and
         # `engine.AcceptanceIndex.callees` calls a bus node for a broadcast
-        # ARP frame only then, a superset of the nodes that act: keep the
-        # two tests in step.
+        # ARP frame only then (the owner of `tpa` in `owners`, and the nodes
+        # whose table, kept in `tables`, holds `spa`), a superset of the
+        # nodes that act: keep the two tests in step.
         if (msg.spa in self.arp_table or msg.tpa == self.ip) and \
                 msg.spa not in self.static_ips and msg.spa != self.ip:
             self.arp_table[msg.spa] = msg.sha

@@ -350,8 +350,14 @@ def test_rejecting_run_writes_each_deliver_line_once_in_station_order(monkeypatc
     assert [e["location"] for e in events(trace, "deliver")] == \
         ["n1", "n2", "n4", "n5", "n6", "n7", "n8"]
     assert trace.count("\n") == ref_trace.count("\n") == len(trace.splitlines())
-    # n1..n6 (n3 sends) went in as one entry, n7..n8 as another
-    assert len(sim.trace_lines) == trace.count("\n") - 5
+    # n1..n6 (n3 sends) went in as one piece, n7..n8 as another, each
+    # between the head and the tail of a record: three entries a run
+    def run_text(first: str, last: str) -> str:
+        return trace[trace.index(f'"location":"{first}"') + len('"location":'):
+                     trace.index(f'"location":"{last}"') + len(f'"location":"{last}"')]
+    assert run_text("n1", "n6") in sim.trace_lines
+    assert run_text("n7", "n8") in sim.trace_lines
+    assert len(sim.trace_lines) == trace.count("\n") - 7 + 2 * 3  # 7 deliver lines
     # n6's reaction comes right after its own line, before n7's
     records = [json.loads(line) for line in trace.splitlines()]
     at = next(i for i, r in enumerate(records) if r.get("location") == "n6")
@@ -401,6 +407,30 @@ def test_arp_broadcast_calls_the_nodes_that_hold_its_sender_ip(monkeypatch):
     report, tables = result[1:]
     assert [report["flows"][name]["delivered"] for name in ("f", "g2", "g4")] == [1, 0, 1]
     assert (tables["n2"][ip(1)], tables["n4"][ip(1)]) == (mac(3), mac(1))
+
+
+def test_the_index_reads_the_tables_as_the_run_changes_them(monkeypatch):
+    # n1 learns n2's IP from n2's unicast reply to n1's request at 1 ms.
+    # At 5 ms n3 claims n2's IP in a gratuitous reply: n1 now holds that
+    # IP, so it is called, as is n2, the IP's owner.  n1 rebinds the IP to
+    # n3's MAC, so its datagram for n2's IP at 10 ms goes to n3.
+    def build():
+        return eoc_bus(3, [Flow("f", "n1", "ipv4", 44, [to_ns(0.001), to_ns(0.01)],
+                                dst_ip=ip(2))])
+
+    claim = ArpMessage(ArpOp.GRATUITOUS_REPLY, mac(3), ip(2), ZERO_MAC, ip(2))
+    queued = [("n3", frames.eoc_encapsulate(frames.arp_serialize(claim), 0x103), to_ns(0.005))]
+    result, reference = run_both(build, monkeypatch, queued)
+    assert result == reference
+    calls = receptions(monkeypatch)
+    run_queued(build, queued)
+    replies = [(station.name, frame.af & frames.AF_GROUP) for station, frame, rx in calls
+               if isinstance(rx.net, ArpMessage) and rx.net.op == ArpOp.REPLY]
+    assert replies == [("n1", 0)]
+    assert names(calls, lambda frame: frame is queued[0][1]) == ["n1", "n2"]
+    report, tables = result[1:]
+    assert report["flows"]["f"]["delivered"] == 1
+    assert tables["n1"][ip(2)] == mac(3)
 
 
 def test_arp_announcement_gets_no_reply(monkeypatch):

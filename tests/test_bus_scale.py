@@ -3,6 +3,7 @@ per-transmission figures.  It runs in a child process: its instruction
 counter's `sys.settrace` tracer would replace the one of a process that
 traces the tests (`scripts/unexecuted_lines.py`)."""
 
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -12,7 +13,7 @@ import sys
 import pytest
 
 from canxlnet.config import build_topology
-from canxlnet.engine import Simulation
+from canxlnet.engine import TRACE_CHUNK, Simulation
 
 from conftest import workloads
 
@@ -63,3 +64,36 @@ def test_out_of_range_arguments_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         script().main(argv)
     assert exc.value.code == 2
+
+
+class ChunkSink:
+    """A trace file that keeps a digest of what it is written and, per
+    write, its lines and those of the write's last instant."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+        self.writes = []
+
+    def write(self, text: str) -> None:
+        self.digest.update(text.encode())
+        assert text.endswith("\n")
+        lines = text.splitlines()
+        # every record ends in its "t_ns", and one instant's records are
+        # written together
+        last = lines[-1][lines[-1].rindex('"t_ns":'):]
+        instant = next((n for n, line in enumerate(reversed(lines)) if not line.endswith(last)),
+                       len(lines))
+        self.writes.append((len(lines), instant))
+
+
+def test_a_streamed_trace_is_written_in_chunks_of_lines():
+    # At 128 stations a transmission writes 127 deliver records, most of
+    # them in runs of several lines each: a chunk counts those lines.
+    doc = script().crowd(128)
+    sink = ChunkSink()
+    assert Simulation(build_topology(doc)).run(trace_file=sink)[0] == ""
+    trace, _ = Simulation(build_topology(doc)).run()
+    assert sink.digest.hexdigest() == hashlib.sha256(trace.encode()).hexdigest()
+    assert len(sink.writes) > 100
+    for lines, instant in sink.writes:
+        assert lines <= TRACE_CHUNK + instant

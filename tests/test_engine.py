@@ -288,9 +288,9 @@ class TestMediumTiming:
         # instant.
         topo = five_node_bus(raw_flow("b", "n1", frames.BROADCAST_MAC, 0.001))
         topo.flows.append(Flow("f", "n1", "ipv4", 44, [to_ns(0.002)], dst_ip=ip(3)))
-        # (node, ethertype, trace lines written when it was called)
+        # (node, ethertype, complete trace lines written when it was called)
         called = receptions(monkeypatch, lambda node, sim, frame, rx: (
-            node.name, rx.eth.ethertype, sum(entry.count("\n") + 1 for entry in sim.trace_lines)))
+            node.name, rx.eth.ethertype, "".join(sim.trace_lines).count("\n")))
         trace, _ = Simulation(topo).run()
         records = [json.loads(line) for line in trace.splitlines()]
         broadcast, request = [i for i, r in enumerate(records) if r["event"] == "tx_complete"][:2]
@@ -742,7 +742,7 @@ def test_the_summary_memo_writes_each_frame_s_own_summary(sent):
         assert sim.trace_lines[-1] == (
             f'{{"duration_ns":1,"event":"tx_start",'
             f'"frame":{engine.frame_summary(frame, frame.decoded.eth)},'
-            f'"location":"bus1","source":"n1","t_ns":0}}')
+            f'"location":"bus1","source":"n1","t_ns":0}}\n')
 
 
 def test_one_ipv4_header_rule_for_engine_and_receivers():
@@ -871,7 +871,7 @@ def test_an_untracked_delivery_moves_no_flow_counter(payload):
     before = sim.report()["flows"]
     sim.on_app_delivery(sim.topo.nodes["n2"], payload)
     assert sim.trace_lines == [
-        '{"event":"app_deliver","location":"n2","reason":"untracked","t_ns":10}']
+        '{"event":"app_deliver","location":"n2","reason":"untracked","t_ns":10}\n']
     assert sim.report()["flows"] == before
 
 

@@ -150,7 +150,13 @@ _CLASHING = [(name, CanXlFrame(priority, SDT_ETHERNET, 0, n, b"x"))
                  [("c", 1), ("e", 2), ("b", 1), ("f", 3), ("d", 2), ("a", 1), ("a", 4)])]
 
 
+# b's second frame beats its head while a stays filed under that priority.
+_OVERTAKING = [(name, CanXlFrame(priority, SDT_ETHERNET, 0, n, b"x"))
+               for n, (name, priority) in enumerate([("a", 2), ("b", 2), ("b", 1)])]
+
+
 @example(case=("abcdef", _CLASHING + [KICK, KICK]))
+@example(case=("ab", _OVERTAKING + [KICK, KICK]))
 @given(case=bus_programs())
 def test_arbitration_is_that_of_scanning_every_station(case):
     names, program = case
@@ -165,9 +171,12 @@ def test_arbitration_is_that_of_scanning_every_station(case):
             bus.kick(sim)
         else:
             bus.enqueue(sim, stations[step[0]], step[1])
+        # each station with a queue is filed once, under its head priority
+        assert sorted((priority, at) for priority, filed in bus.heads.items() for at in filed) == \
+            sorted((st.queue[0][0], at) for at, st in enumerate(bus.stations) if st.queue)
+        assert all(bus.heads.values())  # and no priority without a station
     assert (sim.started, sim.clashed) == reference_arbitration(names, program)
     assert bus.clashes == len(sim.clashed)
-    assert bus.waiting == {i: st for i, st in enumerate(bus.stations) if st.queue}
 
 
 # -- frame durations, kept per medium ------------------------------------------
