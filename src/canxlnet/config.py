@@ -41,7 +41,8 @@ constants):
         transport: ipv4           # raw-ethernet | ipv4 | classic-can
         payload_size: 44
         dst_ip: "10.0.0.2"        # / dst_mac / can_id per transport
-        schedule: {at: 0.001}     # or {start: 0, period: 0.01, count: 5}
+        schedule: {at: 0.001}     # or {start: 0, period: 0.01, count: 5},
+                                  # count at most MAX_SENDS (1,000,000)
     run:
       t_end: 0.1                  # seconds
       seed: 0                     # optional, recorded in the report
@@ -452,6 +453,9 @@ def _egress(value) -> tuple[tuple[int, int], ...]:
     return tuple((e["port"], e["id"]) for e in items)
 
 
+MAX_SENDS = 1_000_000  # the largest periodic schedule's `count`, checked before it is built
+
+
 def _schedule(value) -> list[int]:
     """Send times in ns: one `at`, or `count` sends `period` apart from `start`."""
     sched = _SCHEDULE(value, "")
@@ -464,8 +468,8 @@ def _schedule(value) -> list[int]:
     start, period, count = sched.get("start", 0.0), sched["period"], sched["count"]
     if not period > 0:
         raise ConfigError(".period", "must be positive")
-    if count < 0:
-        raise ConfigError(".count", "must not be negative")
+    if not 0 <= count <= MAX_SENDS:
+        raise ConfigError(".count", f"must be from 0 to {MAX_SENDS:,}")
     return [to_ns(start + k * period, "send time") for k in range(count)]
 
 

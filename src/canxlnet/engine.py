@@ -17,14 +17,8 @@ A node or a switch port (`SwitchPortRef`) is the station its medium's
 `attach` wires.  Media hand each transmission they start to
 `Simulation.on_tx_start`, which describes the frame once, traces it and
 schedules its completion, appending it to `due` by `schedule`'s rule.
-The completion arms the medium (`arm`) and, if that armed it, the
-delivery ends with the medium's kick, where a kick event of its own
-would have run next.  A link completion whose delivery runs in place
-with nothing queued in its direction neither arms nor kicks: during that
-delivery only the peer reacts, and the peer queues in its own direction,
-never in the sender's.  A deferred delivery and every bus completion
-still arm, as events due before the delivery, or the other stations of
-the bus, may queue behind the sender.
+The completion arms the medium by the rule the `media` docstring gives,
+and a delivery whose completion armed it ends with the medium's kick.
 A packet is never parsed on the way: each frame, a node's or a switch's,
 a BPDU too, is built by a `frames` function that attaches its decoded
 value, and is queued alone.  `on_tx_start` reads `frame.decoded` once per

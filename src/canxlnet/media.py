@@ -21,25 +21,29 @@ Ethernet links are full duplex: one independent FIFO and occupancy per
 direction, that is per sending station.  Multidrop Ethernet is not modeled.
 
 A station is a node or a switch port: `attach` gives it its `medium` and
-its `queue`, and a bus also its `bus_position`.  A medium only decides
-when a frame starts and hands it to `Simulation.on_tx_start`, which
-traces it and schedules its completion, or, for the frames a bus clash
-discards, to `Simulation.on_clash`.  A queue holds frames only.
-`kick_pending` (per direction on a link) says a kick is due.  An enqueue
+its `queue`, a bus also its `bus_position`, and a link the state of its
+direction, `busy_until`, `busy_ns` and `kick_pending`, which a bus keeps
+for itself.  A medium only decides when a frame starts and hands it to
+`Simulation.on_tx_start`, which traces it and schedules its completion,
+or, for the frames a bus clash discards, to `Simulation.on_clash`.  A
+queue holds frames only.  `kick_pending` says a kick is due.  An enqueue
 sets it while the bus (or the station's link direction) is idle and no
 kick is pending, and then schedules the kick.  A completion sets it with
 `arm(station)`, which says whether none was pending, and the engine runs
-the kick at the end of the delivery if it armed.  A link completion
-whose delivery runs in place with nothing queued in its direction
-neither arms nor kicks: only the peer reacts to that delivery, and it
-queues in its own direction.  Only a kick starts a transmission and one
-kick at most is pending, so a kick always runs on an idle medium.
+the kick at the end of the delivery if it armed, where the kick's own
+event would have run next.  A link completion whose delivery runs in
+place with nothing queued in its direction neither arms nor kicks: only
+the peer reacts to that delivery, and it queues in its own direction.
+A deferred delivery and every bus completion still arm, as events due
+before the delivery, or the bus's other stations, may queue behind the
+sender.  Only a kick starts a transmission and one kick at most is
+pending, so a kick always runs on an idle medium.
 A frame's duration depends only on its medium, its kind and its length,
-so each medium keeps the nanoseconds of each length it has carried
-(`durations`): `timing` runs once per distinct length.  A kick reads
-`durations` itself and calls `frame_duration_ns` only on a miss.  A
-medium reads `frame.length`, never the frame's bytes, so a frame built
-on demand is never serialized to be timed.
+so each medium keeps the nanoseconds of each length it has carried in
+`durations`, which computes a length on its first read: `timing` runs
+once per distinct length, and a length out of range raises each time
+and is not kept.  A medium reads `frame.length`, never the frame's
+bytes, so a frame built on demand is never serialized to be timed.
 Utilization counts busy time up to `t_end`, not past it.
 """
 
@@ -50,7 +54,7 @@ import itertools
 from collections import deque
 
 from . import timing
-from .frames import CanXlFrame, ClassicCanFrame, EthernetFrame
+from .frames import CanXlFrame, ClassicCanFrame
 from .timing import CanXlTimingParams, EthernetTimingParams, to_ns
 
 
@@ -60,6 +64,18 @@ def frame_priority(frame) -> int:
     if isinstance(frame, ClassicCanFrame):
         return frame.id
     raise TypeError(f"{type(frame).__name__} cannot contend on a CAN bus")
+
+
+class Durations(dict):
+    """Nanoseconds per key, `seconds(key)` computed and kept on a key's
+    first read; a key whose `seconds` raises is not kept."""
+
+    def __init__(self, seconds):  # empty, as `dict.__init__` would leave it
+        self.seconds = seconds
+
+    def __missing__(self, key) -> int:
+        ns = self[key] = to_ns(self.seconds(key))
+        return ns
 
 
 class CanBus:
@@ -74,18 +90,10 @@ class CanBus:
         self.clashes = 0
         self.busy_ns = 0
         self.enqueued = itertools.count()  # FIFO among a station's equal priorities
-        self.durations: dict = {}  # (frame type, data length) -> ns
-
-    def frame_duration_ns(self, frame) -> int:
-        key = (type(frame), frame.length)
-        ns = self.durations.get(key)
-        if ns is None:  # a length out of range raises in `timing` and is not kept
-            if isinstance(frame, ClassicCanFrame):
-                ns = to_ns(timing.classic_can_duration(frame, self.params.arb_bitrate))
-            else:
-                ns = to_ns(timing.canxl_duration(frame.length, self.params))
-            self.durations[key] = ns
-        return ns
+        # (frame type, data length) -> ns
+        self.durations = Durations(lambda key: (
+            timing.classic_can_duration(key[1], params.arb_bitrate) if key[0] is ClassicCanFrame
+            else timing.canxl_duration(key[1], params)))
 
     def attach(self, station) -> None:
         station.medium = self
@@ -110,7 +118,7 @@ class CanBus:
         # `arm`, inline; a busy bus re-arms when it completes
         if self.busy_until <= sim.now and not self.kick_pending:
             self.kick_pending = True
-            sim.schedule(sim.now, self.kick, sim)
+            sim.schedule(sim.now, self.kick, sim, station)
 
     def arm(self, station) -> bool:  # the kick serves every station
         """Mark a kick pending; False if one already was."""
@@ -129,7 +137,7 @@ class CanBus:
             self.heads.setdefault(queue[0][0], []).append(at)
         return station, frame
 
-    def kick(self, sim, station=None) -> None:
+    def kick(self, sim, station) -> None:
         """Start the queue head with the lowest priority value (dominant-bit
         semantics) on the idle bus; only the stations with a queue contend,
         whichever `station` armed the kick."""
@@ -152,7 +160,7 @@ class CanBus:
         frame = heapq.heappop(queue)[2]
         if queue:
             heads.setdefault(queue[0][0], []).append(at)
-        duration = self.durations.get((type(frame), frame.length)) or self.frame_duration_ns(frame)
+        duration = self.durations[type(frame), frame.length]
         self.busy_until = sim.now + duration
         self.busy_ns += duration
         sim.on_tx_start(station, frame, duration)
@@ -173,51 +181,44 @@ class EthernetLink:
         self.kind = "ethernet-link"
         self.params = params
         self.stations: list = []  # its two ends
-        # per sending station, that is per direction
-        self.busy_until, self.kick_pending, self.busy_ns = {}, {}, {}
-        self.durations: dict[int, int] = {}  # payload length -> ns
-
-    def frame_duration_ns(self, frame: EthernetFrame) -> int:
-        length = frame.length
-        ns = self.durations.get(length)
-        if ns is None:
-            ns = self.durations[length] = to_ns(timing.ethernet_duration(length, self.params))
-        return ns
+        # payload length -> ns
+        self.durations = Durations(lambda length: timing.ethernet_duration(length, params))
 
     def attach(self, station) -> None:
         station.medium = self
         station.queue = deque()  # of frames
+        # the state of its direction
+        station.busy_until, station.busy_ns, station.kick_pending = 0, 0, False
         self.stations.append(station)
-        self.busy_until[station], self.kick_pending[station], self.busy_ns[station] = 0, False, 0
 
     def enqueue(self, sim, station, frame) -> None:
         station.queue.append(frame)
         # `arm`, inline; a busy direction re-arms when it completes
-        if self.busy_until[station] <= sim.now and not self.kick_pending[station]:
-            self.kick_pending[station] = True
+        if station.busy_until <= sim.now and not station.kick_pending:
+            station.kick_pending = True
             sim.schedule(sim.now, self.kick, sim, station)
 
     def arm(self, station) -> bool:
         """Mark a kick pending for `station`'s direction; False if one already was."""
-        if self.kick_pending[station]:
+        if station.kick_pending:
             return False
-        self.kick_pending[station] = True
+        station.kick_pending = True
         return True
 
     def kick(self, sim, station) -> None:
-        self.kick_pending[station] = False
+        station.kick_pending = False
         if not station.queue:
             return
         frame = station.queue.popleft()
-        duration = self.durations.get(frame.length) or self.frame_duration_ns(frame)
-        self.busy_until[station] = sim.now + duration
-        self.busy_ns[station] += duration
+        duration = self.durations[frame.length]
+        station.busy_until = sim.now + duration
+        station.busy_ns += duration
         sim.on_tx_start(station, frame, duration)
 
     def report(self, t_end_ns: int) -> dict:
         util = {}
         for st, peer in zip(self.stations, self.stations[::-1]):
             # Per direction, only the last transmission can run past t_end.
-            busy = self.busy_ns[st] - max(0, self.busy_until[st] - t_end_ns)
+            busy = st.busy_ns - max(0, st.busy_until - t_end_ns)
             util[f"{st.name}->{peer.name}"] = busy / t_end_ns if t_end_ns else 0.0
         return {"kind": self.kind, "utilization": util, "clashes": 0}

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .frames import CANXL_MAX_DATA, ETH_HEADER_LEN, ETH_MIN_PAYLOAD, ClassicCanFrame
+from .frames import CANXL_MAX_DATA, ETH_HEADER_LEN, ETH_MIN_PAYLOAD
 
 # Nominal 11-bit-identifier classic CAN frame: 47 overhead bits plus the
 # data bytes, ignoring stuff bits.
@@ -81,9 +81,10 @@ def ethernet_duration(payload_bytes: int, p: EthernetTimingParams) -> float:
     return octets * 8 / p.bitrate
 
 
-def classic_can_duration(frame: ClassicCanFrame, bitrate: float) -> float:
-    """Nominal 11-bit-identifier frame duration, stuff bits ignored."""
-    return (CLASSIC_OVERHEAD_BITS + 8 * len(frame.data)) / bitrate
+def classic_can_duration(data_bytes: int, bitrate: float) -> float:
+    """Nominal 11-bit-identifier frame duration with `data_bytes` data
+    bytes, stuff bits ignored."""
+    return (CLASSIC_OVERHEAD_BITS + 8 * data_bytes) / bitrate
 
 
 def worst_case_blocking(params: CanXlTimingParams | float) -> float:
@@ -94,7 +95,7 @@ def worst_case_blocking(params: CanXlTimingParams | float) -> float:
     """
     if isinstance(params, CanXlTimingParams):
         return canxl_duration(CANXL_MAX_DATA, params)
-    return classic_can_duration(ClassicCanFrame(0, bytes(8)), params)
+    return classic_can_duration(8, params)
 
 
 def throughput_gain(payload_eoc: int, payload_ioc: int, p: CanXlTimingParams) -> float:
@@ -133,16 +134,13 @@ PUBLISHED_FIGURES = (
 def comparison_table(data_bitrate: float = 16e6) -> list[dict]:
     """Model durations next to the published ones, with the deviation."""
     rows = []
-    for label, kind, args, published in PUBLISHED_FIGURES:
+    for label, kind, (nbytes, rate), published in PUBLISHED_FIGURES:
         if kind == "canxl":
-            payload, arb_rate = args
-            model = canxl_duration(payload, CanXlTimingParams(arb_rate, data_bitrate))
+            model = canxl_duration(nbytes, CanXlTimingParams(rate, data_bitrate))
         elif kind == "ethernet":
-            payload, rate = args
-            model = ethernet_duration(payload, EthernetTimingParams(rate))
+            model = ethernet_duration(nbytes, EthernetTimingParams(rate))
         else:
-            nbytes, rate = args
-            model = classic_can_duration(ClassicCanFrame(0, bytes(nbytes)), rate)
+            model = classic_can_duration(nbytes, rate)
         rows.append({
             "label": label,
             "model_s": model,

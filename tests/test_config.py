@@ -9,7 +9,7 @@ from yaml.composer import Composer, ComposerError
 
 from canxlnet import config
 from canxlnet.cli import main
-from canxlnet.config import MAX_DEPTH, build_topology, load_config
+from canxlnet.config import MAX_DEPTH, MAX_SENDS, build_topology, load_config
 from canxlnet.engine import ConfigError, Simulation
 
 from conftest import SCENARIOS, all_scenarios, recorder, workload_yaml, workloads
@@ -233,6 +233,19 @@ def test_periodic_schedule_expands():
     doc["flows"][0]["schedule"] = {"start": 0.001, "period": 0.002, "count": 3}
     topo = build_topology(doc)
     assert topo.flows[0].schedule == [1_000_000, 3_000_000, 5_000_000]
+
+
+def test_a_schedule_longer_than_max_sends_is_refused_before_it_is_built(
+        tmp_path, capsys, monkeypatch):
+    doc = variant()
+    doc["flows"][0]["schedule"] = {"period": 0.001, "count": MAX_SENDS + 1}
+    converted = []
+    monkeypatch.setattr(config, "to_ns", lambda seconds, what: converted.append(what))
+    with pytest.raises(ConfigError) as exc:
+        checked(doc)
+    assert exc.value.location == "flows.f1.schedule.count"
+    assert "send time" not in converted  # no send time was computed
+    assert simulated_error(tmp_path, capsys, doc) == f"error: {exc.value}\n"
 
 
 MALFORMED = [

@@ -237,9 +237,10 @@ class TestMediumTiming:
     def test_no_kick_is_scheduled_while_the_medium_is_busy(self, monkeypatch):
         # Every kick that runs finds its medium idle, a link the sender's
         # direction: nothing else starts a transmission.
-        def seen(medium, sim, *station):  # (medium kind, busy until, time the kick runs)
-            busy = medium.busy_until
-            return medium.kind, busy[station[0]] if isinstance(busy, dict) else busy, sim.now
+        def seen(medium, sim, station):  # (medium kind, busy until, time the kick runs)
+            # a link keeps the state of each direction on its sending station
+            state = station if medium.kind == "ethernet-link" else medium
+            return medium.kind, state.busy_until, sim.now
 
         ran = recorder(monkeypatch, [CanBus, EthernetLink], "kick", seen)
         _, report = Simulation(switched_pair()).run()

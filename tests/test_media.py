@@ -52,7 +52,7 @@ def contend(*frames):
         station = SimpleNamespace(name=name)
         bus.attach(station)
         bus.enqueue(sim, station, frame)
-    bus.kick(sim)
+    bus.kick(sim, None)  # the kick serves every station
     return bus, sim
 
 
@@ -168,7 +168,7 @@ def test_arbitration_is_that_of_scanning_every_station(case):
         bus.attach(stations[name])
     for step in program:
         if step is KICK:
-            bus.kick(sim)
+            bus.kick(sim, None)
         else:
             bus.enqueue(sim, stations[step[0]], step[1])
         # each station with a queue is filed once, under its head priority
@@ -192,14 +192,15 @@ def test_kept_durations_are_those_of_the_closed_form(arb, data_factor, eth):
     for _ in range(2):  # the first pass computes, the second reads what was kept
         for n in range(1, CANXL_MAX_DATA + 1):
             frame = CanXlFrame(0x100, SDT_ETHERNET, 0, 0, bytes(n))
-            assert bus.frame_duration_ns(frame) == to_ns(timing.canxl_duration(n, params))
+            assert bus.durations[type(frame), frame.length] == \
+                to_ns(timing.canxl_duration(n, params))
         for n in range(9):
             frame = ClassicCanFrame(0x100, bytes(n))
-            assert bus.frame_duration_ns(frame) == \
-                to_ns(timing.classic_can_duration(frame, params.arb_bitrate))
+            assert bus.durations[type(frame), frame.length] == \
+                to_ns(timing.classic_can_duration(n, params.arb_bitrate))
         for n in range(ETH_MTU + 1):
             frame = EthernetFrame(ZERO_MAC, ZERO_MAC, 0, bytes(n))
-            assert link.frame_duration_ns(frame) == \
+            assert link.durations[frame.length] == \
                 to_ns(timing.ethernet_duration(len(frame.payload), link.params))
     assert len(bus.durations) == CANXL_MAX_DATA + 9
     assert len(link.durations) == ETH_MTU + 1 - 46  # payloads pad to 46 bytes
@@ -211,5 +212,5 @@ def test_a_data_field_out_of_range_raises_each_time_and_is_not_kept(length):
     frame = SimpleNamespace(length=length)  # no CanXlFrame has such a length
     for _ in range(2):
         with pytest.raises(InvalidPayload):
-            bus.frame_duration_ns(frame)
+            bus.durations[type(frame), frame.length]
     assert bus.durations == {}

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from canxlnet.frames import ClassicCanFrame
 from canxlnet.timing import (
     ARB_OVERHEAD_BITS,
     DATA_OVERHEAD_BITS,
@@ -98,15 +97,15 @@ class TestEthernetDuration:
 
 class TestClassicCan:
     def test_published_blocking_value(self):
-        d = classic_can_duration(ClassicCanFrame(0, bytes(8)), 500e3)
+        d = classic_can_duration(8, 500e3)
         assert d == pytest.approx(222 * US)
         assert abs(d / 0.22e-3 - 1) < 0.02
 
     def test_empty_frame(self):
-        assert classic_can_duration(ClassicCanFrame(0, b""), 500e3) == pytest.approx(94 * US)
+        assert classic_can_duration(0, 500e3) == pytest.approx(94 * US)
 
     def test_linear_in_bitrate(self):
-        assert classic_can_duration(ClassicCanFrame(0, bytes(8)), 1e6) == pytest.approx(111 * US)
+        assert classic_can_duration(8, 1e6) == pytest.approx(111 * US)
 
 
 class TestWorstCaseBlocking:
