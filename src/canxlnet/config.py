@@ -454,6 +454,7 @@ def _egress(value) -> tuple[tuple[int, int], ...]:
 
 
 MAX_SENDS = 1_000_000  # the largest periodic schedule's `count`, checked before it is built
+_SEND_COUNTS = range(MAX_SENDS + 1)
 
 
 def _schedule(value) -> list[int]:
@@ -468,7 +469,7 @@ def _schedule(value) -> list[int]:
     start, period, count = sched.get("start", 0.0), sched["period"], sched["count"]
     if not period > 0:
         raise ConfigError(".period", "must be positive")
-    if not 0 <= count <= MAX_SENDS:
+    if count not in _SEND_COUNTS:
         raise ConfigError(".count", f"must be from 0 to {MAX_SENDS:,}")
     return [to_ns(start + k * period, "send time") for k in range(count)]
 
