@@ -13,8 +13,11 @@ events (`f_trace_opcodes`) in every frame it enters and counts one per
 instruction executed.
 
 Prints JSON: the workload, the seed, the Python version, the total of
-the runs, the total of the set-ups (`setup_instructions`), and the runs'
-counts per module and per function, largest first.  A module is the name
+the runs, the total of the set-ups (`setup_instructions`), the runs'
+counts per module and per function, largest first, and the set-ups'
+counts split the same way (`setup_modules`, `setup_functions`), so that a
+set-up change shows which layer moved: `canxlnet.config`, `yaml.*`,
+`canxlnet.frames` or `canxlnet.engine`.  A module is the name
 in its frame's globals; code compiled from a string, such as the methods
 dataclasses generate, counts as that module's "<generated>" part.
 
@@ -109,6 +112,7 @@ def main(argv: list[str]) -> int:
         "instructions": sum(counts["modules"].values()),
         "setup_instructions": sum(setup["modules"].values()),
         **{part: dict(counter.most_common()) for part, counter in counts.items()},
+        **{f"setup_{part}": dict(counter.most_common()) for part, counter in setup.items()},
     }, indent=1))
     return 0
 

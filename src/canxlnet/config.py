@@ -53,7 +53,11 @@ constants):
 Loading: `load_config` builds the document in one loop over the events of
 libyaml's parser where PyYAML has it, else of PyYAML's own, as
 `yaml.safe_load` builds it, anchors, aliases, tags and merge (`<<`) keys
-included.  Nesting deeper than `MAX_DEPTH` levels (the schema
+included.  A quoted scalar, and a plain one that no implicit type
+matches, is a `str`: the event's text.  A plain scalar's type is looked
+up in the loader's own implicit-resolver table, in `resolve`'s order, and
+only a scalar of a type other than `str` goes through the loader's safe
+constructor.  Nesting deeper than `MAX_DEPTH` levels (the schema
 needs 7), counting those an alias brings along, is refused.  Each error of
 the YAML layer, an unreadable character or byte included, is a
 `ConfigError` at `<root>` with its position.
@@ -172,8 +176,10 @@ MAX_DEPTH = 64  # collection nesting levels a document may have, aliases expande
 _TOO_DEEP = f"collections nested deeper than {MAX_DEPTH} levels"
 
 PURE_PYTHON_LOADER = yaml.SafeLoader
-# libyaml's parser: `_built` takes about 4 ms on perfbench's switched_fabric
-# file with it, 55 on pure Python (2 vCPUs, Python 3.11.7)
+# libyaml's parser: `_built` takes about 2.5 ms on perfbench's switched_fabric
+# file with it, 35 on pure Python (2 vCPUs, Python 3.11.7); either way a
+# `str` scalar is the event's text, and a plain scalar's type comes from
+# the loader's own implicit-resolver table
 LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else PURE_PYTHON_LOADER
 
 
@@ -207,7 +213,13 @@ def _built(data: bytes):
     try:
         get_event, resolve, constructors = \
             loader.get_event, loader.resolve, loader.yaml_constructors
-        scalars = {}  # (value, implicit) -> what it builds, for this document only
+        # a plain scalar's (tag, regexp) candidates by its first character, in
+        # `resolve`'s order: those of the character, then the wildcard ones
+        table = loader.yaml_implicit_resolvers
+        wildcard = table.get(None, [])
+        implicit = {first: pairs + wildcard for first, pairs in table.items()} \
+            if wildcard else table
+        scalars = {}  # plain scalar text -> what it builds, for this document only
         anchors, heights, errors, merging, tagged = {}, {}, [], {}, []
 
         def anchor(event, value):
@@ -259,16 +271,22 @@ def _built(data: bytes):
             kind = event.__class__
             if kind is ScalarEvent:
                 if event.anchor is None and event.tag is None:
-                    memo = event.value, event.implicit
-                    if memo in scalars:
-                        value = scalars[memo]
+                    text = event.value
+                    if not event.implicit[0]:  # quoted: a `str`, as `resolve` has it
+                        value = text
+                    elif text in scalars:
+                        value = scalars[text]
                     else:
-                        try:
-                            tag = resolve(ScalarNode, *memo)
-                            value = scalars[memo] = constructors[tag](loader, ScalarNode(
-                                tag, event.value, event.start_mark, event.end_mark))
-                        except (KeyError, ValueError):  # a `<<` or `=` key, or an error
-                            value = rare(event, top, key is _KEY, stack)
+                        for tag, regexp in implicit.get(text[:1], wildcard):
+                            if regexp.match(text):
+                                try:
+                                    value = scalars[text] = constructors[tag](loader, ScalarNode(
+                                        tag, text, event.start_mark, event.end_mark))
+                                except (KeyError, ValueError):  # a `<<` or `=` key, or an error
+                                    value = rare(event, top, key is _KEY, stack)
+                                break
+                        else:  # no implicit type: a `str`, its text
+                            value = scalars[text] = text
                 else:
                     value = rare(event, top, key is _KEY, stack)
             elif kind is MappingStartEvent or kind is SequenceStartEvent:
@@ -471,7 +489,9 @@ def _schedule(value) -> list[int]:
         raise ConfigError(".period", "must be positive")
     if count not in _SEND_COUNTS:
         raise ConfigError(".count", f"must be from 0 to {MAX_SENDS:,}")
-    return [to_ns(start + k * period, "send time") for k in range(count)]
+    for k in (0, count - 1) if count else ():  # the times between lie between these
+        to_ns(start + k * period, "send time")
+    return [round((start + k * period) * 1e9) for k in range(count)]  # as `to_ns` has them
 
 
 # -- one table per section ------------------------------------------------

@@ -69,6 +69,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
 ETHERTYPE_IPV4 = 0x0800
@@ -153,7 +154,7 @@ class MacAddress(bytes):
 
     @classmethod
     def parse(cls, text: str) -> "MacAddress":
-        return cls(bytes(int(p, 16) for p in _address_fields(text, ":", 6, "MAC address")))
+        return cls(bytes(map(int, _address_fields(text, ":", 6, "MAC address"), repeat(16))))
 
     def is_group(self) -> bool:
         return bool(self[0] & 0x01)  # I/G bit: least-significant bit of octet 0
@@ -178,7 +179,7 @@ class Ipv4Address(bytes):
 
     @classmethod
     def parse(cls, text: str) -> "Ipv4Address":
-        return cls(bytes(int(p, 10) for p in _address_fields(text, ".", 4, "IPv4 address")))
+        return cls(bytes(map(int, _address_fields(text, ".", 4, "IPv4 address"), repeat(10))))
 
     @classmethod
     def from_u32(cls, value: int) -> "Ipv4Address":

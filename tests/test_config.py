@@ -1,6 +1,8 @@
 import contextlib
 import copy
 import math
+import re
+import string
 
 import pytest
 import yaml
@@ -11,6 +13,8 @@ from canxlnet import config
 from canxlnet.cli import main
 from canxlnet.config import MAX_DEPTH, MAX_SENDS, build_topology, load_config
 from canxlnet.engine import ConfigError, Simulation
+from canxlnet.frames import FrameError
+from canxlnet.timing import to_ns
 
 from conftest import SCENARIOS, all_scenarios, recorder, workload_yaml, workloads
 
@@ -226,6 +230,25 @@ def test_schedule_at_excludes_periodic_keys(tmp_path, capsys, schedule):
     assert exc.value.location == "flows.f1.schedule"
     assert "'at' excludes" in exc.value.reason
     assert simulated_error(tmp_path, capsys, doc) == f"error: {exc.value}\n"
+
+
+@settings(deadline=None)
+@given(st.floats(), st.floats(min_value=0, exclude_min=True), st.integers(0, 2_000))
+@example(start=-0.001, period=0.001, count=3)
+@example(start=0.0, period=math.inf, count=3)  # NaN at the first send
+@example(start=0.0, period=1e299, count=3)  # too large at the last send only
+@example(start=-1.0, period=math.inf, count=0)  # no send, so no error
+def test_a_periodic_schedule_is_its_send_times_or_a_located_error(start, period, count):
+    doc = variant()
+    doc["flows"][0]["schedule"] = {"start": start, "period": period, "count": count}
+    try:
+        expected = [to_ns(start + k * period, "send time") for k in range(count)]
+    except ValueError as exc:
+        with pytest.raises(ConfigError) as err:
+            build_topology(doc)
+        assert (err.value.location, err.value.reason) == ("flows.f1.schedule", str(exc))
+    else:
+        assert build_topology(doc).flows[0].schedule == expected
 
 
 def test_periodic_schedule_expands():
@@ -860,6 +883,8 @@ def typed(value):
         return dict, [(typed(k), typed(v)) for k, v in value.items()]
     if isinstance(value, list):
         return list, [typed(v) for v in value]
+    if value != value:  # NaN, which equals no value, itself included
+        return type(value), "NaN"
     return type(value), value
 
 
@@ -1083,3 +1108,71 @@ def test_refresh_interval_value_kept():
     doc["nodes"][0]["eoc_refresh_interval"] = 2.5
     topo = build_topology(doc)
     assert topo.nodes["n1"].eoc_refresh_interval_ns == 2_500_000_000
+
+
+# YAML 1.1's implicit forms (https://yaml.org/type/) and the schema's names
+YAML11_FORMS = ["~", "null", "Null", "NULL", "", "yes", "No", "ON", "off", "True", "0x1F", "0o17",
+                "017", "0b101", "1_000", "+1", "-0", "1:30", "190:20:30.15", ".inf", "-.Inf",
+                ".NaN", "1e3", "6.8523015e+5", "2001-12-14", "2001-12-14t21:59:43.10-05:00",
+                "<<", "=", "n1", "sw1.p0", "10.0.0.1"]
+TOKENS = st.sampled_from(YAML11_FORMS) \
+    | st.text(string.ascii_letters + string.digits + ".:-_", max_size=8)
+
+
+def written(token: str, plain: bool, key: bool) -> str:
+    """`token` as a key or a value of a block mapping: plain if `plain` and
+    YAML reads it back as that plain scalar, else single-quoted."""
+    line = f"{token}: v\n" if key else f"k: {token}\n"
+    with contextlib.suppress(yaml.YAMLError):
+        scalars = [(event.value, event.implicit[0]) for event in yaml.parse(line)
+                   if isinstance(event, yaml.ScalarEvent)]
+        if plain and scalars == ([(token, True), ("v", True)] if key
+                                 else [("k", True), (token, True)]):
+            return token
+    return f"'{token}'"
+
+
+def with_wildcard(loader: type) -> type:
+    """`loader` with one more implicit type, tried after those of a
+    scalar's first character: a plain lower-case word is a `("word", text)`."""
+    class Wildcard(loader):
+        pass
+
+    Wildcard.add_implicit_resolver("!word", re.compile(r"^[a-z]+$"), None)
+    Wildcard.add_constructor("!word", lambda loader, node: ("word", node.value))
+    return Wildcard
+
+
+@pytest.fixture(params=[False, True], ids=["safe", "wildcard"])
+def implicit_types(request, parser_base, monkeypatch):
+    """The installed loader, with a wildcard implicit type or without."""
+    if request.param:
+        monkeypatch.setattr(config, "LOADER", with_wildcard(config.LOADER))
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(TOKENS, st.booleans(), TOKENS, st.booleans()), min_size=1,
+                max_size=8))
+def test_a_plain_scalar_builds_what_the_composer_builds(
+        tmp_path, implicit_types, built_documents, pairs):
+    data = "".join(f"{written(key, plain_key, True)}: {written(value, plain_value, False)}\n"
+                   for key, plain_key, value, plain_value in pairs)
+    assert_builds_the_composers_document(tmp_path, built_documents, data.encode())
+
+
+KEY_VALUE = re.compile(r"^ *(?:- )?\w+: (\S.*)$", re.MULTILINE)  # a block mapping's line
+HOSTILE = st.sampled_from(YAML11_FORMS + ["[]", "{}", "[1, 2]", "{a: 1}"]) | TOKENS
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(all_scenarios()), st.integers(min_value=0), HOSTILE)
+def test_a_hostile_value_in_a_scenario_is_located_or_runs(tmp_path, path, line, value):
+    text = path.read_text()
+    lines = list(KEY_VALUE.finditer(text))
+    line = lines[line % len(lines)]
+    hostile = tmp_path / "hostile.yaml"
+    hostile.write_text(text[:line.start(1)] + value + text[line.end(1):])
+    with contextlib.suppress(ConfigError, FrameError):
+        topo = load_config(str(hostile))
+        topo.options.t_end = min(topo.options.t_end, 0.05)  # a long run tests nothing more
+        Simulation(topo).run()

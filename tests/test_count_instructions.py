@@ -29,7 +29,9 @@ def test_two_runs_count_the_same_instructions():
     assert first["instructions"] == sum(first["modules"].values()) \
         == sum(first["functions"].values())
     assert first["modules"]["canxlnet.engine"] > 0
-    assert first["setup_instructions"] > 0
+    assert first["setup_instructions"] == sum(first["setup_modules"].values()) \
+        == sum(first["setup_functions"].values()) > 0
+    assert first["setup_modules"]["canxlnet.config"] > 0
 
 
 def test_an_unknown_workload_is_a_usage_error():
