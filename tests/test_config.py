@@ -1123,11 +1123,10 @@ def written(token: str, plain: bool, key: bool) -> str:
     """`token` as a key or a value of a block mapping: plain if `plain` and
     YAML reads it back as that plain scalar, else single-quoted."""
     line = f"{token}: v\n" if key else f"k: {token}\n"
+    read = [(token, True), ("v", True)] if key else [("k", True), (token, True)]
     with contextlib.suppress(yaml.YAMLError):
-        scalars = [(event.value, event.implicit[0]) for event in yaml.parse(line)
-                   if isinstance(event, yaml.ScalarEvent)]
-        if plain and scalars == ([(token, True), ("v", True)] if key
-                                 else [("k", True), (token, True)]):
+        if plain and read == [(event.value, event.implicit[0]) for event in yaml.parse(line)
+                              if isinstance(event, yaml.ScalarEvent)]:
             return token
     return f"'{token}'"
 
@@ -1161,18 +1160,19 @@ def test_a_plain_scalar_builds_what_the_composer_builds(
 
 
 KEY_VALUE = re.compile(r"^ *(?:- )?\w+: (\S.*)$", re.MULTILINE)  # a block mapping's line
-HOSTILE = st.sampled_from(YAML11_FORMS + ["[]", "{}", "[1, 2]", "{a: 1}"]) | TOKENS
+HOSTILE = st.sampled_from(["[]", "{}", "[1, 2]", "{a: 1}"]) | TOKENS
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(all_scenarios()), st.integers(min_value=0), HOSTILE)
-def test_a_hostile_value_in_a_scenario_is_located_or_runs(tmp_path, path, line, value):
+def test_a_hostile_value_in_a_scenario_is_located_or_runs(tmp_path, path, n, value):
     text = path.read_text()
     lines = list(KEY_VALUE.finditer(text))
-    line = lines[line % len(lines)]
+    line = lines[n % len(lines)]
     hostile = tmp_path / "hostile.yaml"
     hostile.write_text(text[:line.start(1)] + value + text[line.end(1):])
     with contextlib.suppress(ConfigError, FrameError):
         topo = load_config(str(hostile))
-        topo.options.t_end = min(topo.options.t_end, 0.05)  # a long run tests nothing more
+        # read when the simulation is built; a large t_end would run STP hellos that long
+        topo.options.t_end = min(topo.options.t_end, 0.05)
         Simulation(topo).run()
