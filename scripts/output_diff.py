@@ -19,8 +19,8 @@ For each input, in the order of the parent's digests, prints either
     `reason` when it has one, as `drop/ioc_unsupported`);
   - each report JSON path whose value changed, old → new.
 Uses the standard library only; the trees' own code needs its own
-dependencies.  Exits 0 when every input is unchanged and 1 otherwise,
-as `diff` does.
+dependencies.  Exits 0 when every input is unchanged, 1 otherwise and 2
+when it cannot compare, as `diff` does.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ def simulated(tree: pathlib.Path, out: pathlib.Path) -> list[str]:
     child = subprocess.run([sys.executable, "-c", SIMULATE, str(out)], cwd=tree,
                            capture_output=True, text=True)
     if child.returncode:
-        sys.exit(f"{tree}: {child.stderr.strip()}")
+        print(f"{tree}: {child.stderr.strip()}", file=sys.stderr)
+        sys.exit(2)
     return json.loads(child.stdout.splitlines()[-1])
 
 
@@ -99,7 +100,7 @@ def differences(old: tuple[str, str], new: tuple[str, str]) -> list[str]:
                   f"  parent: {(before + end)[n]}", f"  change: {(after + end)[n]}"]
         moved = kinds(new[0])
         moved.subtract(kinds(old[0]))
-        lines += [f"records {kind} {n:+,}" for kind, n in sorted(moved.items()) if n]
+        lines += [f"records {kind} {count:+,}" for kind, count in sorted(moved.items()) if count]
     if old[1] != new[1]:
         before, after = leaves(json.loads(old[1])), leaves(json.loads(new[1]))
         shown = {path: [json.dumps(side[path]) if path in side else "(absent)"
