@@ -14,11 +14,18 @@ without a simulator, so tests drive them with explicit times, and
 `SwitchPortRef` passes `sim.now`.
 
 A node or a switch port (`SwitchPortRef`) is the station its medium's
-`attach` wires.  Media hand each transmission they start to
-`Simulation.on_tx_start`, which describes the frame once, traces it and
-schedules its completion, appending it to `due` by `schedule`'s rule.
-The completion arms the medium by the rule the `media` docstring gives,
-and a delivery whose completion armed it ends with the medium's kick.
+`attach` wires, and what the engine reads about a station is kept on
+it: `attach` gives it its medium's state, `Simulation.__init__` its
+JSON-encoded `trace_names` and its `fanout`, and `Topology.add_switch`
+gives each switch its `stations`, port to `SwitchPortRef`, which
+`Topology.attach_switch_port` fills in.  A flow's `FlowRecord` holds its
+sending `node`.  So a `Topology` runs once: its nodes, media and
+stations carry the state of one run.  Media hand each transmission they
+start to `Simulation.on_tx_start`, which describes the frame once,
+traces it and schedules its completion, appending it to `due` by
+`schedule`'s rule.  The completion arms the medium by the rule the
+`media` docstring gives, and a delivery whose completion armed it ends
+with the medium's kick.
 A packet is never parsed on the way: each frame, a node's or a switch's,
 a BPDU too, is built by a `frames` function that attaches its decoded
 value, and is queued alone.  `on_tx_start` reads `frame.decoded` once per
@@ -149,10 +156,12 @@ class Flow:
 
 @dataclass
 class FlowRecord:
-    """A flow, its JSON-encoded name and the counts `report` reads."""
+    """A flow, its JSON-encoded name, its sending node and the counts
+    `report` reads."""
     flow: Flow
     index: int
     text: str
+    node: object
     sent: int = 0
     payload_mismatches: int = 0
     seqs: set = field(default_factory=set)  # delivered
@@ -301,7 +310,6 @@ class Topology:
         self.switches: dict[str, CSwitch] = {}
         self.flows: list[Flow] = []
         self.options = options or RunOptions()
-        self.port_station: dict[tuple[str, int], SwitchPortRef] = {}
 
     def add_node(self, node) -> object:
         if node.name in self.nodes or node.name in self.switches:
@@ -313,6 +321,7 @@ class Topology:
         if sw.name in self.switches or sw.name in self.nodes:
             raise ConfigError(f"switches.{sw.name}", "duplicate name")
         self.switches[sw.name] = sw
+        sw.stations = {}  # port -> its SwitchPortRef, once attached
         return sw
 
     def add_bus(self, name: str, params: CanXlTimingParams) -> CanBus:
@@ -339,11 +348,10 @@ class Topology:
         medium = self.media[medium_name]
         if port not in sw.ports:
             raise ConfigError(f"switches.{switch_name}", f"no port {port}")
-        key = (switch_name, port)
-        if key in self.port_station:
+        if port in sw.stations:
             raise ConfigError(f"switches.{switch_name}.ports.{port}",
                               "attached to more than one medium")
-        station = self.port_station[key] = SwitchPortRef(sw, port, f"{switch_name}.p{port}")
+        station = sw.stations[port] = SwitchPortRef(sw, port, f"{switch_name}.p{port}")
         medium.attach(station)
         return station
 
@@ -392,7 +400,7 @@ class Topology:
         for name, sw in self.switches.items():
             first_port_on = {}  # medium name -> the switch's first port on it
             for idx, cfg in sw.ports.items():
-                station = self.port_station.get((name, idx))
+                station = sw.stations.get(idx)
                 if station is None:
                     raise ConfigError(f"switches.{name}.ports.{idx}", "not attached")
                 on_bus = isinstance(station.medium, CanBus)
@@ -506,16 +514,17 @@ class Simulation:
         # Keys hold strings, ints and addresses only: a frame is never one,
         # since its payload may be built on demand.
         self.summaries: dict[tuple, str] = {}
-        self.flows: list[FlowRecord] = [FlowRecord(flow, i, _encode(flow.name))
-                                         for i, flow in enumerate(topo.flows)]
+        self.flows: list[FlowRecord] = [
+            FlowRecord(flow, i, _encode(flow.name), topo.nodes[flow.source])
+            for i, flow in enumerate(topo.flows)]
         for sw in topo.switches.values():
             sw.drop_hook = self.drop
-        # sender -> (JSON-encoded medium name, JSON-encoded sender name,
-        # (every other station and its JSON-encoded name, in order, the bus's
-        # AcceptanceIndex or None, the sender's position)).  A link and a
-        # sender whose receivers are all switch ports get no index: they
-        # call every receiver, and asking would only cost time.
-        self.fanout = {}
+        # Each station gets its `trace_names`, its medium's and its own name
+        # JSON-encoded, and its `fanout`: every other station and its
+        # JSON-encoded name, in order, the bus's AcceptanceIndex or None, and
+        # its own position.  A link and a sender whose receivers are all
+        # switch ports get no index: they call every receiver, and asking
+        # would only cost time.
         self.indexes: list[AcceptanceIndex] = []  # one per bus, settled when the run ends
         for medium in topo.media.values():
             text = _encode(medium.name)
@@ -528,9 +537,9 @@ class Simulation:
             for at, sender in enumerate(stations):
                 to_nodes = index is not None and len(stations) - len(index.ports) > (
                     sender.kind != "switch-port")  # a receiver is a node
-                self.fanout[sender] = (text, names[at], (
-                    stations[:at] + stations[at + 1:], names[:at] + names[at + 1:],
-                    index if to_nodes else None, at))
+                sender.trace_names = text, names[at]
+                sender.fanout = (stations[:at] + stations[at + 1:], names[:at] + names[at + 1:],
+                                 index if to_nodes else None, at)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -582,7 +591,7 @@ class Simulation:
         summary = self.summaries.get(key)
         if summary is None:
             summary = self.summaries[key] = frame_summary(frame, eth)
-        location, source, _ = self.fanout[station]
+        location, source = station.trace_names
         fl = self.flow_of(rx.payload)
         # The keys tx_start and tx_complete share, in sorted order; written
         # byte for byte as trace() would.
@@ -637,7 +646,7 @@ class Simulation:
         record.latencies.append(latency)
         self.trace_lines.append(
             f'{{"event":"app_deliver","flow":{record.text},'
-            f'"latency_ns":{latency},"location":{self.fanout[node][1]},'
+            f'"latency_ns":{latency},"location":{node.trace_names[1]},'
             f'"seq":{seq},"t_ns":{self.now}}}\n')
 
     # -- event handlers ---------------------------------------------------------
@@ -688,12 +697,11 @@ class Simulation:
             self.extra_lines = 0
 
     def _app_send(self, record: FlowRecord, seq: int) -> None:
-        flow = record.flow
-        node = self.topo.nodes[flow.source]
+        flow, node = record.flow, record.node
         record.sent += 1
         self.trace_lines.append(
             f'{{"event":"app_send","flow":{record.text},'
-            f'"location":{self.fanout[node][1]},"seq":{seq},"t_ns":{self.now}}}\n')
+            f'"location":{node.trace_names[1]},"seq":{seq},"t_ns":{self.now}}}\n')
         node.app_send(self, flow, make_payload(record.index, seq, flow.payload_size))
 
     def on_tx_complete(self, sender, frame, rx: frames.Decoded,
@@ -720,7 +728,7 @@ class Simulation:
         up to one that can act on the frame go in as three entries: the
         head, the locations joined, the tail.  Then, if the completion
         `armed` the medium, kick it."""
-        receivers, locations, index, at = self.fanout[sender][2]
+        receivers, locations, index, at = sender.fanout
         lines = self.trace_lines
         # Each record byte for byte what trace("deliver", <receiver name>, frame=...) writes.
         if index is None and len(receivers) == 1:  # a link's peer, say: one record, one call
@@ -763,7 +771,7 @@ class Simulation:
     def emit(self, sw: CSwitch, emissions) -> None:
         """Queue a switch's (port, frame) emissions on the ports' media."""
         for port, out_frame in emissions:
-            station = self.topo.port_station[(sw.name, port)]
+            station = sw.stations[port]
             station.medium.enqueue(self, station, out_frame)
 
     # -- report ---------------------------------------------------------------

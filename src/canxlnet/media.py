@@ -26,25 +26,27 @@ direction, `busy_until`, `busy_ns` and `kick_pending`, which a bus keeps
 for itself.  A medium only decides when a frame starts and hands it to
 `Simulation.on_tx_start`, which traces it and schedules its completion,
 or, for the frames a bus clash discards, to `Simulation.on_clash`.  A
-queue holds frames only.  `kick_pending` says a kick is due.  An enqueue
-sets it while the bus (or the station's link direction) is idle and no
-kick is pending, and then schedules the kick.  A completion sets it with
-`arm(station)`, which says whether none was pending, and the engine runs
-the kick at the end of the delivery if it armed, where the kick's own
-event would have run next.  A link completion whose delivery runs in
-place with nothing queued in its direction neither arms nor kicks: only
-the peer reacts to that delivery, and it queues in its own direction.
-A deferred delivery and every bus completion still arm, as events due
-before the delivery, or the bus's other stations, may queue behind the
-sender.  Only a kick starts a transmission and one kick at most is
-pending, so a kick always runs on an idle medium.
+queue holds frames only.  `kick_pending` says a kick is due, and
+`arm(station)` is the one place that sets it: it says whether none was
+pending.  An enqueue arms while the bus (or the station's link
+direction) is idle, and schedules the kick if it armed.  A completion
+arms too, and the engine runs the kick at the end of the delivery if it
+armed, where the kick's own event would have run next.  A link
+completion whose delivery runs in place with nothing queued in its
+direction neither arms nor kicks: only the peer reacts to that
+delivery, and it queues in its own direction.  A deferred delivery and
+every bus completion still arm, as events due before the delivery, or
+the bus's other stations, may queue behind the sender.  Only a kick
+starts a transmission and one kick at most is pending, so a kick always
+runs on an idle medium.
 A frame's duration depends only on its medium, its kind and its length,
 so each medium keeps the nanoseconds of each length it has carried in
 `durations`, which computes a length on its first read: `timing` runs
 once per distinct length, and a length out of range raises each time
 and is not kept.  A medium reads `frame.length`, never the frame's
 bytes, so a frame built on demand is never serialized to be timed.
-Utilization counts busy time up to `t_end`, not past it.
+`utilization` is the one rule for a report's busy share, of a bus or of
+a link direction: it counts busy time up to `t_end`, not past it.
 """
 
 from __future__ import annotations
@@ -56,6 +58,14 @@ from collections import deque
 from . import timing
 from .frames import CanXlFrame, ClassicCanFrame
 from .timing import CanXlTimingParams, EthernetTimingParams, to_ns
+
+
+def utilization(holder, t_end_ns: int) -> float:
+    """The share of the run up to `t_end_ns` that `holder`, a bus or a link
+    direction's sending station, was busy.  Only its last transmission can
+    run past t_end; it is clipped there."""
+    busy = holder.busy_ns - max(0, holder.busy_until - t_end_ns)
+    return busy / t_end_ns if t_end_ns else 0.0
 
 
 def frame_priority(frame) -> int:
@@ -115,9 +125,8 @@ class CanBus:
                 filed.remove(station.bus_position)
             heads.setdefault(priority, []).append(station.bus_position)
         heapq.heappush(queue, (priority, next(self.enqueued), frame))
-        # `arm`, inline; a busy bus re-arms when it completes
-        if self.busy_until <= sim.now and not self.kick_pending:
-            self.kick_pending = True
+        # a busy bus re-arms when it completes
+        if self.busy_until <= sim.now and self.arm(station):
             sim.schedule(sim.now, self.kick, sim, station)
 
     def arm(self, station) -> bool:  # the kick serves every station
@@ -154,23 +163,16 @@ class CanBus:
             self.clashes += 1
             tied.sort()
             sim.on_clash(self, [self._pop(at) for at in tied])
-        at = tied[0]  # `_pop(at)`, inline
-        station = self.stations[at]
-        queue = station.queue
-        frame = heapq.heappop(queue)[2]
-        if queue:
-            heads.setdefault(queue[0][0], []).append(at)
+        station, frame = self._pop(tied[0])
         duration = self.durations[type(frame), frame.length]
         self.busy_until = sim.now + duration
         self.busy_ns += duration
         sim.on_tx_start(station, frame, duration)
 
     def report(self, t_end_ns: int) -> dict:
-        # Only the last transmission can run past t_end; clip it there.
-        busy = self.busy_ns - max(0, self.busy_until - t_end_ns)
         return {
             "kind": self.kind,
-            "utilization": busy / t_end_ns if t_end_ns else 0.0,
+            "utilization": utilization(self, t_end_ns),
             "clashes": self.clashes,
         }
 
@@ -193,9 +195,8 @@ class EthernetLink:
 
     def enqueue(self, sim, station, frame) -> None:
         station.queue.append(frame)
-        # `arm`, inline; a busy direction re-arms when it completes
-        if station.busy_until <= sim.now and not station.kick_pending:
-            station.kick_pending = True
+        # a busy direction re-arms when it completes
+        if station.busy_until <= sim.now and self.arm(station):
             sim.schedule(sim.now, self.kick, sim, station)
 
     def arm(self, station) -> bool:
@@ -218,7 +219,5 @@ class EthernetLink:
     def report(self, t_end_ns: int) -> dict:
         util = {}
         for st, peer in zip(self.stations, self.stations[::-1]):
-            # Per direction, only the last transmission can run past t_end.
-            busy = st.busy_ns - max(0, st.busy_until - t_end_ns)
-            util[f"{st.name}->{peer.name}"] = busy / t_end_ns if t_end_ns else 0.0
+            util[f"{st.name}->{peer.name}"] = utilization(st, t_end_ns)
         return {"kind": self.kind, "utilization": util, "clashes": 0}

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import itertools
 import math
 import re
 import string
@@ -1176,3 +1177,56 @@ def test_a_hostile_value_in_a_scenario_is_located_or_runs(tmp_path, path, n, val
         # read when the simulation is built; a large t_end would run STP hellos that long
         topo.options.t_end = min(topo.options.t_end, 0.05)
         Simulation(topo).run()
+
+
+def collections_of(node, where=()):
+    """(the keys that lead to it, it) of each mapping and list in `node`."""
+    yield where, node
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(child, (dict, list)):
+            yield from collections_of(child, where + (key,))
+
+
+def structure_edits(doc: dict):
+    """(the keys that lead to a collection of `doc`, an edit of it): one key
+    of a mapping deleted, an unknown key added to it, one list item
+    duplicated, a list emptied, or one station or source reference pointed
+    at a missing node, switch or port."""
+    for where, node in collections_of(doc):
+        if isinstance(node, dict):
+            for key in node:
+                yield where, lambda mapping, key=key: mapping.pop(key)
+            yield where, lambda mapping: mapping.__setitem__("unknown", 1)
+        else:
+            for i in range(len(node)):
+                yield where, lambda items, i=i: items.insert(i, copy.deepcopy(items[i]))
+            yield where, list.clear
+    switch = next((sw["name"] for sw in doc.get("switches", [])), "sw1")
+    missing = ("nope", f"{switch}.p9", "")
+    for section, key in (("buses", "stations"), ("links", "endpoints")):
+        for i, medium in enumerate(doc.get(section, [])):
+            for j, ref in itertools.product(range(len(medium[key])), missing):
+                yield (section, i, key), lambda refs, j=j, ref=ref: refs.__setitem__(j, ref)
+    for i, ref in itertools.product(range(len(doc.get("flows", []))), missing):
+        yield ("flows", i), lambda flow, ref=ref: flow.__setitem__("source", ref)
+
+
+@pytest.mark.parametrize("path", all_scenarios(), ids=lambda path: path.stem)
+def test_a_hostile_structure_in_a_scenario_is_located_or_runs(path):
+    doc = yaml.safe_load(path.read_text())
+    outcomes = set()
+    for where, edit in structure_edits(doc):
+        node = edited = copy.deepcopy(doc)
+        for key in where:
+            node = node[key]
+        edit(node)
+        try:
+            topo = build_topology(edited)
+            topo.options.t_end = min(topo.options.t_end, 0.2)
+            Simulation(topo).run()
+            outcomes.add("ran")
+        except (ConfigError, FrameError):
+            outcomes.add("located")
+        except Exception as exc:
+            raise AssertionError(f"{type(exc).__name__} after an edit at {where}") from exc
+    assert outcomes == {"ran", "located"}  # the sweep reaches past the first check
