@@ -120,17 +120,21 @@ def replay(trace: str, t_end_ns: int) -> tuple[dict, dict]:
                 medium["bus"] = record["frame"]["kind"] != "eth"
                 medium["busy"][record["source"]] += min(t + record["duration_ns"], t_end_ns) - t
 
+    def counts(flow: dict) -> dict:
+        lat = flow["latencies"]
+        return {
+            "sent": flow["sent"],
+            "delivered": len(lat),
+            "delivered_unique": len(flow["seqs"]),
+            "drops": dict(sorted(flow["drops"].items())),
+            "latency_ns": {"min": min(lat), "mean": sum(lat) / len(lat), "max": max(lat)}
+            if lat else None,
+        }
+
     def share(busy: int) -> float:
         return busy / t_end_ns if t_end_ns else 0.0
 
-    return {name: {
-        "sent": flow["sent"],
-        "delivered": len(lat := flow["latencies"]),
-        "delivered_unique": len(flow["seqs"]),
-        "drops": dict(sorted(flow["drops"].items())),
-        "latency_ns": {"min": min(lat), "mean": sum(lat) / len(lat), "max": max(lat)}
-        if lat else None,
-    } for name, flow in flows.items()}, {name: {
+    return {name: counts(flow) for name, flow in flows.items()}, {name: {
         "clashes": medium["clashes"],
         "utilization": share(sum(medium["busy"].values())) if medium["bus"]
         else {sender: share(busy) for sender, busy in medium["busy"].items()},
